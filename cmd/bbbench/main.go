@@ -76,10 +76,11 @@ type Snapshot struct {
 	FlowRecomputeAllocsPerOp float64 `json:"flow_recompute_allocs_per_op"`
 
 	// TraceBytesRetained / TraceBytesCounting are the live heap bytes still
-	// reachable from a finished 100k-task run's Result in retained vs.
-	// counting trace mode. The suite fails outright if counting does not
-	// stay under a fifth of retained — that ratio is the scale modes'
-	// O(active tasks) memory contract, measured rather than asserted.
+	// reachable from a finished 100k-task run's Result with a retaining
+	// vs. a counting trace. The suite fails outright if counting does not
+	// stay under a fifth of retained — that ratio is the non-retaining
+	// traces' O(active tasks) memory contract, measured rather than
+	// asserted.
 	TraceBytesRetained int64 `json:"trace_bytes_retained_100k"`
 	TraceBytesCounting int64 `json:"trace_bytes_counting_100k"`
 }
@@ -271,8 +272,8 @@ func runSuite(repeat int) (*Snapshot, error) {
 		ReplicateOnFault: true, DegradedFallback: true,
 	}))
 
-	// --- scale ceiling: generated WfBench-style montage workflows in
-	// counting mode with scratch-lifecycle management — the configuration
+	// --- scale ceiling: generated WfBench-style montage workflows with a
+	// counting trace and scratch-lifecycle management — the configuration
 	// whose acceptance bar is "a million tasks in under a minute". Each
 	// entry includes workflow generation, so the ledger prices the whole
 	// `bbsim -gen` path, not just the kernel.
@@ -293,15 +294,15 @@ func runSuite(repeat int) (*Snapshot, error) {
 	record("scale/100k-tasks", scaleRun(100_000))
 	record("scale/1M-tasks", scaleRun(1_000_000))
 
-	// --- bytes-retained probe: live heap held by a finished run's Result in
-	// retained vs. counting mode, on the 100k-task workflow. The ratio is
-	// the memory argument for the scale modes: counting must retain a small
-	// fraction of what the full event log costs.
-	retBytes, err := retainedBytes(cfg, trace.Retained)
+	// --- bytes-retained probe: live heap held by a finished run's Result
+	// with a retaining vs. a counting trace, on the 100k-task workflow. The
+	// ratio is the memory argument for trace sinks: counting must retain a
+	// small fraction of what the full event log costs.
+	retBytes, err := retainedBytes(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	cntBytes, err := retainedBytes(cfg, trace.Counting)
+	cntBytes, err := retainedBytes(cfg, trace.Discard)
 	if err != nil {
 		return nil, err
 	}
@@ -402,19 +403,20 @@ func runSuite(repeat int) (*Snapshot, error) {
 func scaleRunOptions() core.RunOptions {
 	return core.RunOptions{
 		StagedFraction: 0.5, IntermediatesToBB: true, PrePlaceInputs: true,
-		EvictAfterLastRead: true, BBFallback: true, TraceMode: trace.Counting,
+		EvictAfterLastRead: true, BBFallback: true, TraceSink: trace.Discard,
 	}
 }
 
-// retainedBytes runs the 100k-task montage workflow in the given trace mode
-// and measures the live heap still reachable from its Result after a GC.
-func retainedBytes(cfg platform.Config, mode trace.Mode) (int64, error) {
+// retainedBytes runs the 100k-task montage workflow with the given trace
+// sink (nil retains) and measures the live heap still reachable from its
+// Result after a GC.
+func retainedBytes(cfg platform.Config, sink trace.Sink) (int64, error) {
 	wf, err := workloads.Scale(workloads.ScaleSpec{Topology: "montage", Tasks: 100_000})
 	if err != nil {
 		return 0, err
 	}
 	opts := scaleRunOptions()
-	opts.TraceMode = mode
+	opts.TraceSink = sink
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

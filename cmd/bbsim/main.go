@@ -131,11 +131,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	// The trace mode decides what the run materializes: everything
-	// (retained, the default), a stream to disk, or counters only. The
-	// retained-only outputs (-gantt, plain -trace) are rejected up front in
-	// the other modes rather than failing after the simulation ran.
-	mode := trace.Retained
+	// The trace sink decides what the run materializes: everything (nil,
+	// the retained default), a stream to disk, or counters only. The
+	// retained-only outputs (-gantt, plain -trace) are rejected up front
+	// with the other sinks rather than failing after the simulation ran.
 	var sink trace.Sink
 	var sinkFile *os.File
 	switch {
@@ -143,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *tracePath != "" || *traceOut != "" || *gantt {
 			return usage("-no-trace is incompatible with -trace, -trace-out, and -gantt")
 		}
-		mode = trace.Counting
+		sink = trace.Discard
 	case *traceOut != "":
 		if *tracePath == "" {
 			return usage("-trace-out needs -trace <file> for the output path")
@@ -165,7 +164,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		} else {
 			sink = trace.NewCSVSink(sinkFile)
 		}
-		mode = trace.Streaming
 	}
 
 	cfg, err := loadPlatform(*platName, *nodes)
@@ -212,13 +210,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			ReplicationBudget: *adBudget,
 			DegradedFallback:  *adDegrade,
 		},
-		TraceMode: mode,
 		TraceSink: sink,
 	})
 	if err != nil {
 		return fail(err)
 	}
-	if sink != nil {
+	if sinkFile != nil {
 		if err := sink.Close(); err != nil {
 			return fail(err)
 		}
@@ -245,7 +242,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		res.BB.BytesRead, res.BB.ReadBandwidth(), res.BB.BytesWritten, res.BB.WriteBandwidth())
 	fmt.Fprintf(stdout, "PFS traffic: %v read (%v avg), %v written (%v avg)\n",
 		res.PFS.BytesRead, res.PFS.ReadBandwidth(), res.PFS.BytesWritten, res.PFS.WriteBandwidth())
-	if mode == trace.Counting {
+	if *noTrace {
 		fmt.Fprintf(stdout, "events:      %d fired, %d peak pending (counting mode, no retained trace)\n",
 			res.Events, res.PeakPending)
 	}
@@ -257,13 +254,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *tracePath != "" && mode == trace.Retained {
+	if *tracePath != "" && sink == nil {
 		if err := res.Trace.Save(*tracePath); err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(stdout, "trace written to %s\n", *tracePath)
 	}
-	if mode == trace.Streaming {
+	if sinkFile != nil {
 		fmt.Fprintf(stdout, "trace streamed to %s (%s)\n", *tracePath, *traceOut)
 	}
 

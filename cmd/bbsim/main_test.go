@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// TestFlagValidation pins the usage errors for the trace-mode and workflow
+// TestFlagValidation pins the usage errors for the trace-sink and workflow
 // source flags: they must be rejected before any simulation runs.
 func TestFlagValidation(t *testing.T) {
 	cases := []struct {

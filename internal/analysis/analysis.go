@@ -22,6 +22,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -259,7 +260,7 @@ func Run(pkgs []*Package, rules []Rule) []Finding {
 		findings []Finding
 		dirs     *directiveSet
 	}
-	outs, err := runner.Map(0, len(pkgs), func(i int) (pkgOut, error) {
+	outs, err := runner.Map(context.TODO(), 0, len(pkgs), func(i int) (pkgOut, error) {
 		pkg := pkgs[i]
 		dirs, findings := collectDirectives(pkg.Fset, pkg.Files)
 		pass := &Pass{

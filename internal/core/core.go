@@ -108,15 +108,13 @@ type RunOptions struct {
 	// spill with hysteresis, fault-aware proactive replication, and
 	// degradation-aware admission fallback. The zero value disables it.
 	Adapt adapt.Policy
-	// TraceMode selects how the run materializes its event trace. The zero
-	// value (trace.Retained) keeps every event in memory — the historical
-	// behavior, required by replay/invariant consumers and Trace.Save.
-	// trace.Streaming forwards events to TraceSink; trace.Counting keeps
-	// only per-kind counts and folded summaries. Makespan, Faults, and
-	// Metrics in the Result are identical across modes.
-	TraceMode trace.Mode
-	// TraceSink receives events when TraceMode is trace.Streaming. The
-	// caller owns the sink and must Close it after the run.
+	// TraceSink receives the run's events. Nil — the default — retains
+	// every event and task record in memory, which replay/invariant
+	// consumers and Trace.Save require. trace.JSONLSink and trace.CSVSink
+	// stream events out; trace.Discard keeps only per-kind counts and
+	// folded summaries. Makespan, Faults, and Metrics in the Result are
+	// identical whatever the sink. The caller owns a non-nil sink and must
+	// Close it after the run.
 	TraceSink trace.Sink
 }
 
@@ -249,23 +247,9 @@ func (s *Simulator) Run(wf *workflow.Workflow, opts RunOptions) (*Result, error)
 		}
 		pol = set
 	}
-	var pre *trace.Trace
-	switch opts.TraceMode {
-	case trace.Retained:
-		// exec builds the default retained trace itself.
-	case trace.Streaming:
-		if opts.TraceSink == nil {
-			return nil, fmt.Errorf("core: TraceMode Streaming requires a TraceSink")
-		}
-		pre = trace.NewStreaming(wf.Name(), s.cfg.Name, opts.TraceSink)
-	case trace.Counting:
-		pre = trace.NewCounting(wf.Name(), s.cfg.Name)
-	default:
-		return nil, fmt.Errorf("core: unknown TraceMode %d", opts.TraceMode)
-	}
 	tr, err := exec.Run(sys, wf, exec.Config{
 		Placement:                pol,
-		Trace:                    pre,
+		TraceSink:                opts.TraceSink,
 		CoresPerTask:             opts.CoresPerTask,
 		PrePlaceInputs:           opts.PrePlaceInputs,
 		NodePolicy:               opts.NodePolicy,

@@ -133,12 +133,11 @@ type Config struct {
 	// Nil — the default — records nothing; metrics never influence
 	// simulated behavior either way.
 	Metrics *metrics.Collector
-	// Trace, when non-nil, receives the run's events instead of a freshly
-	// built retained trace — the seam for the streaming and counting scale
-	// modes (trace.NewStreaming / trace.NewCounting). It must be empty and
-	// carry the run's workflow and platform names. The engine emits the
-	// exact same event sequence in every mode.
-	Trace *trace.Trace
+	// TraceSink receives the run's events (see trace.New). Nil — the
+	// default — retains the whole trace in memory; trace.Discard keeps only
+	// counts and folded summaries. The engine emits the exact same event
+	// sequence whatever the sink.
+	TraceSink trace.Sink
 }
 
 // Background is a load generator that shares the platform with the
@@ -195,10 +194,7 @@ func Run(sys *storage.System, wf *workflow.Workflow, cfg Config) (*trace.Trace, 
 	if err != nil {
 		return nil, err
 	}
-	tr := cfg.Trace
-	if tr == nil {
-		tr = trace.New(wf.Name(), sys.Platform().Config().Name)
-	}
+	tr := trace.New(wf.Name(), sys.Platform().Config().Name, cfg.TraceSink)
 	e := &engine{
 		sys:       sys,
 		wf:        wf,
@@ -817,8 +813,9 @@ func (e *engine) finishTask(a *attempt) {
 	e.tr.Record(e.now(), trace.TaskEnd, t.ID(), "")
 	e.commitPhases(t, rec)
 	e.chargeExecuted(a, true)
-	// Scale modes fold the finished record into its per-name summary here,
-	// keeping live trace state O(active tasks); retained traces no-op.
+	// A trace with a sink folds the finished record into its per-name
+	// summary here, keeping live trace state O(active tasks); a retaining
+	// trace no-ops.
 	e.tr.Release(t.ID())
 	e.clearCkpts(t)
 	a.node.ReleaseResources(a.cores, t.Memory())

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"bbwfsim/internal/core"
@@ -54,7 +55,7 @@ func RunFig10(opts Options) ([]*Table, error) {
 	}
 	qs := fractions(o)
 	testWF := testbedSwarp(1, 32)
-	points, err := runner.Map(o.Jobs, len(profiles)*len(qs), func(i int) (accuracyPoint, error) {
+	points, err := runner.Map(context.TODO(), o.Jobs, len(profiles)*len(qs), func(i int) (accuracyPoint, error) {
 		pi, qi := i/len(qs), i%len(qs)
 		prof, q := profiles[pi], qs[qi]
 		res, err := testbed.NewRunner(prof, o.Seed).Run(testWF,
@@ -139,7 +140,7 @@ func RunFig11(opts Options) ([]*Table, error) {
 		return nil, err
 	}
 	counts := pipelineCounts(o)
-	points, err := runner.Map(o.Jobs, len(profiles)*len(counts), func(i int) (accuracyPoint, error) {
+	points, err := runner.Map(context.TODO(), o.Jobs, len(profiles)*len(counts), func(i int) (accuracyPoint, error) {
 		pi, ni := i/len(counts), i%len(counts)
 		prof, n := profiles[pi], counts[ni]
 		res, err := testbed.NewRunner(prof, o.Seed).Run(testbedSwarp(n, 1),

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"bbwfsim/internal/core"
@@ -36,9 +37,8 @@ func caseStudyWorkflow(o Options) *workflow.Workflow {
 // returns (fractions, cori makespans, summit makespans). The platform ×
 // fraction grid fans across Options.Jobs workers; every point builds a
 // private simulator over the shared read-only workflow. Makespans and
-// observability snapshots are accumulated by runner.MapReduce's
-// index-ordered fold, so the emitted aggregate snapshot is bit-identical
-// at any Jobs value.
+// observability snapshots come back from runner.Map in index order, so
+// the emitted aggregate snapshot is bit-identical at any Jobs value.
 func runFig13Series(o Options) ([]float64, []float64, []float64, error) {
 	wf := caseStudyWorkflow(o)
 	fracs := genomesFractions(o)
@@ -47,11 +47,7 @@ func runFig13Series(o Options) ([]float64, []float64, []float64, error) {
 		ms   float64
 		snap *metrics.Snapshot
 	}
-	type series struct {
-		ms    []float64
-		snaps []*metrics.Snapshot
-	}
-	acc, err := runner.MapReduce(o.Jobs, len(platforms)*len(fracs), func(i int) (point, error) {
+	points, err := runner.Map(context.TODO(), o.Jobs, len(platforms)*len(fracs), func(i int) (point, error) {
 		name, q := platforms[i/len(fracs)], fracs[i%len(fracs)]
 		sim := core.MustNewSimulator(simPreset(name, caseStudyNodes))
 		res, err := sim.Run(wf, core.RunOptions{PrePlaceInputs: true, StagedFraction: q})
@@ -59,16 +55,17 @@ func runFig13Series(o Options) ([]float64, []float64, []float64, error) {
 			return point{}, fmt.Errorf("fig13 sweep on %s at fraction %g: %w", name, q, err)
 		}
 		return point{ms: res.Makespan, snap: res.Metrics}, nil
-	}, series{}, func(s series, p point) series {
-		s.ms = append(s.ms, p.ms)
-		s.snaps = append(s.snaps, p.snap)
-		return s
 	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	emitMetrics(o, acc.snaps)
-	return fracs, acc.ms[:len(fracs)], acc.ms[len(fracs):], nil
+	ms := make([]float64, len(points))
+	snaps := make([]*metrics.Snapshot, len(points))
+	for i, p := range points {
+		ms[i], snaps[i] = p.ms, p.snap
+	}
+	emitMetrics(o, snaps)
+	return fracs, ms[:len(fracs)], ms[len(fracs):], nil
 }
 
 // RunFig13 reproduces Figure 13: simulated makespan of the 903-task

@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -74,8 +75,8 @@ type Options struct {
 // emitMetrics merges per-run snapshots in index order and hands the result
 // to the Options sink. The slice order must be a deterministic function of
 // the experiment's sweep definition (never of worker completion order);
-// every caller passes runner.Map/MapReduce output or a fixed concatenation
-// of such outputs.
+// every caller passes runner.Map output or a fixed concatenation of such
+// outputs.
 func emitMetrics(o Options, snaps []*metrics.Snapshot) {
 	if o.Metrics == nil {
 		return
@@ -356,7 +357,7 @@ func calibrateSwarp(prof testbed.Profile, pipelines, cores int, o Options) (*wor
 // therefore every table row assembled from them — are bit-identical to a
 // serial loop at any Jobs value.
 func runPoints[P, R any](o Options, ps []P, fn func(P) (R, error)) ([]R, error) {
-	return runner.Map(o.Jobs, len(ps), func(i int) (R, error) { return fn(ps[i]) })
+	return runner.Map(context.TODO(), o.Jobs, len(ps), func(i int) (R, error) { return fn(ps[i]) })
 }
 
 // --- formatting helpers ---------------------------------------------------

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"bbwfsim/internal/calib"
@@ -95,7 +96,7 @@ func RunAblationLambda(opts Options) ([]*Table, error) {
 	// Stage 2, one point per (profile, fraction): the real testbed run and
 	// the two simulator predictions.
 	type lambdaPoint struct{ real, paper, measured float64 }
-	points, err := runner.Map(o.Jobs, len(profiles)*len(qs), func(i int) (lambdaPoint, error) {
+	points, err := runner.Map(context.TODO(), o.Jobs, len(profiles)*len(qs), func(i int) (lambdaPoint, error) {
 		pi, qi := i/len(qs), i%len(qs)
 		prof, q, c := profiles[pi], qs[qi], calibrations[pi]
 		res, err := testbed.NewRunner(prof, o.Seed).Run(testWF,

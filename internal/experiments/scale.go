@@ -12,7 +12,7 @@ import (
 // RunScale measures the simulator's ceiling on generated WfBench-style
 // workflows far past the paper's real applications: tens of thousands to
 // hundreds of thousands of tasks on a fixed platform. Runs use the counting
-// trace mode plus scratch-lifecycle options (evict after last read, PFS
+// trace sink plus scratch-lifecycle options (evict after last read, PFS
 // fallback), so live memory stays O(active tasks) — the configuration the
 // million-task acceptance run uses. The default columns are deterministic;
 // Options.Stopwatch adds wall-clock columns for interactive use.
@@ -56,7 +56,7 @@ func RunScale(opts Options) ([]*Table, error) {
 			PrePlaceInputs:     true,
 			EvictAfterLastRead: true,
 			BBFallback:         true,
-			TraceMode:          trace.Counting,
+			TraceSink:          trace.Discard,
 		})
 		if err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package integration
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -73,7 +74,7 @@ func TestParallelTraceBitIdentical(t *testing.T) {
 	}
 	const points = 6
 	runAll := func(jobs int) [][]byte {
-		traces, err := runner.Map(jobs, points, func(i int) ([]byte, error) {
+		traces, err := runner.Map(context.Background(), jobs, points, func(i int) ([]byte, error) {
 			sim := core.MustNewSimulator(cfg)
 			res, err := sim.Run(wf, core.RunOptions{
 				PrePlaceInputs: true,

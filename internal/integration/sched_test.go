@@ -2,6 +2,7 @@ package integration
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -69,7 +70,7 @@ func TestSchedTraceBitIdenticalAcrossJobs(t *testing.T) {
 		cells = append(cells, cell{p, false}, cell{p, true})
 	}
 	runAll := func(jobs int) [][]byte {
-		out, err := runner.Map(jobs, len(cells), func(i int) ([]byte, error) {
+		out, err := runner.Map(context.Background(), jobs, len(cells), func(i int) ([]byte, error) {
 			c := cells[i]
 			campaign, err := workloads.Campaign(workloads.CampaignSpec{
 				Jobs: 150, Seed: 42,

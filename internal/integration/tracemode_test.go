@@ -1,6 +1,7 @@
 package integration
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,26 +19,40 @@ import (
 	"bbwfsim/internal/trace"
 )
 
-// modeCase is one simulation configuration the trace-mode equivalence suite
-// replays under every trace mode: a calibration-style fault-free run, a
-// fault-campaign run, and an adaptation run, covering every Result field a
-// mode could plausibly perturb.
+// modeCase is one simulation configuration the trace-sink equivalence suite
+// replays under every kind of trace sink: a calibration-style fault-free
+// run, a fault-campaign run, and an adaptation run, covering every Result
+// field a sink could plausibly perturb.
 type modeCase struct {
 	name string
-	run  func(mode trace.Mode, sink trace.Sink) (*core.Result, error)
+	run  func(sink trace.Sink) (*core.Result, error)
+}
+
+// sinkKinds names the three ways a run can materialize its trace: retained
+// in memory (nil sink), streamed (JSONL), and counted only (Discard).
+var sinkKinds = []string{"retained", "jsonl", "discard"}
+
+func newSink(kind string) trace.Sink {
+	switch kind {
+	case "jsonl":
+		return trace.NewJSONLSink(io.Discard)
+	case "discard":
+		return trace.Discard
+	}
+	return nil
 }
 
 func modeCases() []modeCase {
 	return []modeCase{
-		{"fig10-like", func(mode trace.Mode, sink trace.Sink) (*core.Result, error) {
+		{"fig10-like", func(sink trace.Sink) (*core.Result, error) {
 			wf := genomes.MustNew(genomes.Params{Chromosomes: 3})
 			sim := core.MustNewSimulator(platform.Cori(4, platform.BBPrivate))
 			return sim.Run(wf, core.RunOptions{
 				PrePlaceInputs: true, StagedFraction: 1, IntermediatesToBB: true,
-				TraceMode: mode, TraceSink: sink,
+				TraceSink: sink,
 			})
 		}},
-		{"resilience-like", func(mode trace.Mode, sink trace.Sink) (*core.Result, error) {
+		{"resilience-like", func(sink trace.Sink) (*core.Result, error) {
 			inj, err := faults.New(faults.Config{
 				Seed:        41,
 				TaskCrash:   &faults.CrashProcess{Arrival: faults.Exp(80), Budget: 8},
@@ -58,10 +73,10 @@ func modeCases() []modeCase {
 					BaseDelay: 2, MaxDelay: 60, Jitter: 0.25, Seed: 13,
 				},
 				BBFallback: true,
-				TraceMode:  mode, TraceSink: sink,
+				TraceSink:  sink,
 			})
 		}},
-		{"adaptive-like", func(mode trace.Mode, sink trace.Sink) (*core.Result, error) {
+		{"adaptive-like", func(sink trace.Sink) (*core.Result, error) {
 			inj, err := faults.New(faults.Config{
 				Seed:      7,
 				BBDegrade: &faults.DegradeProcess{Arrival: faults.Exp(60), Duration: 25, Factor: 0.3},
@@ -77,17 +92,17 @@ func modeCases() []modeCase {
 				Adapt: adapt.Policy{
 					SpillHighWater: 0.5, ReplicateOnFault: true, DegradedFallback: true,
 				},
-				TraceMode: mode, TraceSink: sink,
+				TraceSink: sink,
 			})
 		}},
 	}
 }
 
-// fingerprint reduces a Result to the fields every trace mode must agree
+// fingerprint reduces a Result to the fields every trace sink must agree
 // on, with the makespan kept at full bit precision. Summaries are excluded:
-// under fault-driven re-execution the scale modes deliberately count a task
-// once per execution (Release folds each completed attempt) while the
-// retained mode summarizes only each task's final record — the fault-free
+// under fault-driven re-execution a trace with a sink deliberately counts a
+// task once per execution (Release folds each completed attempt) while the
+// retained trace summarizes only each task's final record — the fault-free
 // case asserts summary equality separately.
 func fingerprint(t *testing.T, res *core.Result) string {
 	t.Helper()
@@ -102,36 +117,32 @@ func fingerprint(t *testing.T, res *core.Result) string {
 
 // TestTraceModesEquivalent is the scale-mode safety argument: for a
 // calibration run, a fault campaign, and an adaptation run, the streaming
-// and counting traces must yield bit-identical Results (makespan, event and
-// fault counters, summaries, metrics) to the retained mode — the trace is
-// pure observation, never part of the simulation's causality. The whole
-// matrix also runs under the parallel runner at -j1 and -j8 to pin that
-// worker scheduling cannot leak into any mode either.
+// and counting sinks must yield bit-identical Results (makespan, event and
+// fault counters, metrics) to the retained trace — the trace is pure
+// observation, never part of the simulation's causality. The whole matrix
+// also runs under the parallel runner at -j1 and -j8 to pin that worker
+// scheduling cannot leak into any sink either.
 func TestTraceModesEquivalent(t *testing.T) {
 	cases := modeCases()
-	modes := []trace.Mode{trace.Retained, trace.Streaming, trace.Counting}
 	type cell struct{ fp string }
 	runMatrix := func(jobs int) []cell {
-		out, err := runner.Map(jobs, len(cases)*len(modes), func(i int) (cell, error) {
-			c, mode := cases[i/len(modes)], modes[i%len(modes)]
-			var sink trace.Sink
-			if mode == trace.Streaming {
-				sink = trace.NewJSONLSink(io.Discard)
-			}
-			res, err := c.run(mode, sink)
+		out, err := runner.Map(context.Background(), jobs, len(cases)*len(sinkKinds), func(i int) (cell, error) {
+			c, kind := cases[i/len(sinkKinds)], sinkKinds[i%len(sinkKinds)]
+			sink := newSink(kind)
+			res, err := c.run(sink)
 			if err != nil {
-				return cell{}, fmt.Errorf("%s mode %d: %w", c.name, mode, err)
+				return cell{}, fmt.Errorf("%s %s: %w", c.name, kind, err)
 			}
 			if sink != nil {
 				if err := sink.Close(); err != nil {
 					return cell{}, err
 				}
 			}
-			if mode == trace.Retained && len(res.Trace.Events()) == 0 {
+			if sink == nil && len(res.Trace.Events()) == 0 {
 				return cell{}, fmt.Errorf("%s: retained trace has no events", c.name)
 			}
-			if mode != trace.Retained && len(res.Trace.Events()) != 0 {
-				return cell{}, fmt.Errorf("%s mode %d: non-retained trace retained events", c.name, mode)
+			if sink != nil && len(res.Trace.Events()) != 0 {
+				return cell{}, fmt.Errorf("%s %s: trace with a sink retained events", c.name, kind)
 			}
 			return cell{fp: fingerprint(t, res)}, nil
 		})
@@ -143,11 +154,11 @@ func TestTraceModesEquivalent(t *testing.T) {
 
 	seq := runMatrix(1)
 	for ci, c := range cases {
-		base := seq[ci*len(modes)].fp
-		for mi := 1; mi < len(modes); mi++ {
-			if got := seq[ci*len(modes)+mi].fp; got != base {
-				t.Errorf("%s: mode %d result diverges from retained:\n  retained: %s\n  mode:     %s",
-					c.name, modes[mi], base, got)
+		base := seq[ci*len(sinkKinds)].fp
+		for ki := 1; ki < len(sinkKinds); ki++ {
+			if got := seq[ci*len(sinkKinds)+ki].fp; got != base {
+				t.Errorf("%s: %s result diverges from retained:\n  retained: %s\n  %s: %s",
+					c.name, sinkKinds[ki], base, sinkKinds[ki], got)
 			}
 		}
 	}
@@ -160,17 +171,13 @@ func TestTraceModesEquivalent(t *testing.T) {
 }
 
 // TestFaultFreeSummariesEqualAcrossModes: without re-execution, the folded
-// per-name summaries of the scale modes must be exactly the retained
+// per-name summaries of a trace with a sink must be exactly the retained
 // Summarize output — same names, counts, means, and byte totals.
 func TestFaultFreeSummariesEqualAcrossModes(t *testing.T) {
 	c := modeCases()[0] // fig10-like, fault-free
 	var want []byte
-	for _, mode := range []trace.Mode{trace.Retained, trace.Streaming, trace.Counting} {
-		var sink trace.Sink
-		if mode == trace.Streaming {
-			sink = trace.NewJSONLSink(io.Discard)
-		}
-		res, err := c.run(mode, sink)
+	for _, kind := range sinkKinds {
+		res, err := c.run(newSink(kind))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,10 +185,10 @@ func TestFaultFreeSummariesEqualAcrossModes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mode == trace.Retained {
+		if want == nil {
 			want = got
 		} else if string(got) != string(want) {
-			t.Errorf("mode %d summaries differ:\n  retained: %s\n  mode:     %s", mode, want, got)
+			t.Errorf("%s summaries differ:\n  retained: %s\n  %s: %s", kind, want, kind, got)
 		}
 	}
 }
@@ -192,8 +199,8 @@ func TestFaultFreeSummariesEqualAcrossModes(t *testing.T) {
 func TestRetainedTraceBytesStableAcrossJobs(t *testing.T) {
 	cases := modeCases()
 	collect := func(jobs int) [][]byte {
-		out, err := runner.Map(jobs, len(cases), func(i int) ([]byte, error) {
-			res, err := cases[i].run(trace.Retained, nil)
+		out, err := runner.Map(context.Background(), jobs, len(cases), func(i int) ([]byte, error) {
+			res, err := cases[i].run(nil)
 			if err != nil {
 				return nil, err
 			}

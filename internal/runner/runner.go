@@ -20,7 +20,10 @@
 //     first.
 //
 // Under those rules the only thing parallelism changes is wall-clock time:
-// Map(1, n, fn) and Map(j, n, fn) return byte-for-byte identical results.
+// Map(ctx, 1, n, fn) and Map(ctx, j, n, fn) return byte-for-byte identical
+// results. A caller that folds the results (floating-point sums, snapshot
+// merges) folds them in index order after Map returns, which keeps even
+// non-commutative accumulations bit-identical at any jobs value.
 package runner
 
 import (
@@ -42,10 +45,15 @@ func Jobs(j int) int {
 }
 
 // Map calls fn(i) once for every i in [0, n) and returns the results in
-// index order, fanning calls across min(Jobs(jobs), n) workers.
+// index order, fanning calls across min(Jobs(jobs), n) workers. It is the
+// package's one fan-out entry point: callers that outlive a single
+// campaign — a serving daemon with per-request deadlines, a drain sequence
+// — pass a context that can be cancelled, and sweeps that run to the end
+// pass one that never is. A point function that needs the context closes
+// over it.
 //
 // Error semantics match serial execution wherever serial execution is
-// well-defined: with jobs <= 1 the calls run on the calling goroutine in
+// well-defined: with one worker the calls run on the calling goroutine in
 // index order and the first error aborts the loop immediately, exactly like
 // the hand-written sweep loops this package replaced. With jobs > 1,
 // workers stop drawing new indices once any call errs, every in-flight call
@@ -54,7 +62,21 @@ func Jobs(j int) int {
 //
 // A panic in fn is captured and re-raised on the calling goroutine (again
 // the smallest-index panic when several workers trip at once).
-func Map[T any](jobs, n int, fn func(i int) (T, error)) ([]T, error) {
+//
+// Cancellation:
+//
+//   - once ctx is done, workers stop drawing new indices. Calls already in
+//     flight run to completion — a simulation point is finite and owns
+//     private state, so abandoning it mid-run is never required for safety;
+//   - Map returns only after every in-flight call has finished, so the
+//     caller observes no goroutine left running, and no fn call can touch
+//     the results after Map returns;
+//   - the returned error is the smallest-index fn error when one exists
+//     (a real failure outranks the cancellation that raced with it);
+//     otherwise ctx.Err() when cancellation prevented any index from
+//     running. A fully completed sweep returns its results even if ctx
+//     fired after the last index was handed out.
+func Map[T any](ctx context.Context, jobs, n int, fn func(i int) (T, error)) ([]T, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("runner: negative point count %d", n)
 	}
@@ -70,6 +92,9 @@ func Map[T any](jobs, n int, fn func(i int) (T, error)) ([]T, error) {
 		// Serial fast path: identical call sequence, allocation profile,
 		// and abort behavior to the pre-runner sweep loops.
 		for i := 0; i < n; i++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			v, err := fn(i)
 			if err != nil {
 				return nil, err
@@ -80,20 +105,25 @@ func Map[T any](jobs, n int, fn func(i int) (T, error)) ([]T, error) {
 	}
 
 	var (
-		next    atomic.Int64 // next index to hand out
-		stop    atomic.Bool  // set once any call errs or panics
-		mu      sync.Mutex   // guards firstErr/firstPanic bookkeeping
-		wg      sync.WaitGroup
-		errIdx  = n // smallest erring index seen so far
-		panIdx  = n // smallest panicking index seen so far
-		firstEr error
-		firstPv any
+		next      atomic.Int64 // next index to hand out
+		stop      atomic.Bool  // set once any call errs or panics
+		cancelled atomic.Bool  // an index was skipped because ctx was done
+		mu        sync.Mutex   // guards firstErr/firstPanic bookkeeping
+		wg        sync.WaitGroup
+		errIdx    = n // smallest erring index seen so far
+		panIdx    = n // smallest panicking index seen so far
+		firstEr   error
+		firstPv   any
 	)
 	work := func() {
 		defer wg.Done()
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= n || stop.Load() {
+				return
+			}
+			if ctx.Err() != nil {
+				cancelled.Store(true)
 				return
 			}
 			v, err := func() (v T, err error) {
@@ -133,154 +163,8 @@ func Map[T any](jobs, n int, fn func(i int) (T, error)) ([]T, error) {
 	if errIdx < n {
 		return nil, firstEr
 	}
-	return out, nil
-}
-
-// MapCtx is Map with cooperative cancellation, for callers that outlive a
-// single campaign — a serving daemon with per-request deadlines, a drain
-// sequence. The contract extends Map's:
-//
-//   - while ctx is live, MapCtx(ctx, …) behaves exactly like Map: results
-//     in index order, smallest-index error/panic semantics, bit-identical
-//     output at any jobs value;
-//   - once ctx is done, workers stop drawing new indices. Calls already in
-//     flight run to completion — a simulation point is finite and owns
-//     private state, so abandoning it mid-run is never required for
-//     safety — and fn receives ctx so long points can bail out early on
-//     their own;
-//   - MapCtx returns only after every in-flight call has finished, so the
-//     caller observes no goroutine left running, and no fn call can touch
-//     out after MapCtx returns;
-//   - the returned error is the smallest-index fn error when one exists
-//     (a real failure outranks the cancellation that raced with it);
-//     otherwise ctx.Err() when cancellation prevented any index from
-//     running. A fully completed sweep returns its results even if ctx
-//     fired after the last index was handed out.
-func MapCtx[T any](ctx context.Context, jobs, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("runner: negative point count %d", n)
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]T, n)
-	workers := Jobs(jobs)
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		// Serial path: identical call sequence to Map's, with a
-		// cancellation check before each point.
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			v, err := fn(ctx, i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-
-	var (
-		next      atomic.Int64
-		stop      atomic.Bool
-		cancelled atomic.Bool // an index was skipped because ctx was done
-		mu        sync.Mutex
-		wg        sync.WaitGroup
-		errIdx    = n
-		panIdx    = n
-		firstEr   error
-		firstPv   any
-	)
-	work := func() {
-		defer wg.Done()
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n || stop.Load() {
-				return
-			}
-			if ctx.Err() != nil {
-				cancelled.Store(true)
-				return
-			}
-			v, err := func() (v T, err error) {
-				defer func() {
-					if r := recover(); r != nil {
-						stop.Store(true)
-						mu.Lock()
-						if i < panIdx {
-							panIdx, firstPv = i, r
-						}
-						mu.Unlock()
-						err = fmt.Errorf("runner: point %d panicked", i)
-					}
-				}()
-				return fn(ctx, i)
-			}()
-			if err != nil {
-				stop.Store(true)
-				mu.Lock()
-				if i < errIdx {
-					errIdx, firstEr = i, err
-				}
-				mu.Unlock()
-				continue
-			}
-			out[i] = v
-		}
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go work()
-	}
-	wg.Wait()
-	if panIdx < n {
-		panic(firstPv)
-	}
-	if errIdx < n {
-		return nil, firstEr
-	}
 	if cancelled.Load() {
 		return nil, ctx.Err()
 	}
 	return out, nil
-}
-
-// DoCtx is MapCtx for point functions with no result value.
-func DoCtx(ctx context.Context, jobs, n int, fn func(ctx context.Context, i int) error) error {
-	_, err := MapCtx(ctx, jobs, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
-}
-
-// MapReduce is Map followed by an index-ordered fold: once every point has
-// run, fold(acc, out[i]) is applied for i = 0..n-1 on the calling
-// goroutine, no matter which worker finished first. Because the fold order
-// is the submission order, non-commutative accumulations — floating-point
-// sums, observability-snapshot merges — produce bit-identical results at
-// any jobs value, which is the property the campaign layer's "-j N equals
-// serial" contract rests on. On error the accumulator is returned as-is
-// (partial folds never happen: the fold only starts after every point
-// succeeded).
-func MapReduce[T, A any](jobs, n int, fn func(i int) (T, error), acc A, fold func(A, T) A) (A, error) {
-	out, err := Map(jobs, n, fn)
-	if err != nil {
-		return acc, err
-	}
-	for _, v := range out {
-		acc = fold(acc, v)
-	}
-	return acc, nil
-}
-
-// Do is Map for point functions with no result value.
-func Do(jobs, n int, fn func(i int) error) error {
-	_, err := Map(jobs, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
 }

@@ -23,7 +23,7 @@ func TestJobsResolution(t *testing.T) {
 
 func TestMapOrderedResults(t *testing.T) {
 	for _, jobs := range []int{1, 2, 8, 64} {
-		got, err := Map(jobs, 100, func(i int) (int, error) { return i * i, nil })
+		got, err := Map(context.Background(), jobs, 100, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
@@ -39,11 +39,11 @@ func TestMapOrderedResults(t *testing.T) {
 }
 
 func TestMapEmptyAndNegative(t *testing.T) {
-	got, err := Map(4, 0, func(int) (int, error) { return 0, nil })
+	got, err := Map(context.Background(), 4, 0, func(int) (int, error) { return 0, nil })
 	if err != nil || got != nil {
 		t.Fatalf("Map(_, 0) = %v, %v; want nil, nil", got, err)
 	}
-	if _, err := Map(4, -1, func(int) (int, error) { return 0, nil }); err == nil {
+	if _, err := Map(context.Background(), 4, -1, func(int) (int, error) { return 0, nil }); err == nil {
 		t.Fatal("Map(_, -1) accepted a negative point count")
 	}
 }
@@ -65,7 +65,7 @@ func TestMapErrorMatchesSerial(t *testing.T) {
 	}
 	want := "point 13 failed"
 	for _, jobs := range []int{1, 3, 16} {
-		_, err := Map(jobs, 50, errAt(41, 13, 29))
+		_, err := Map(context.Background(), jobs, 50, errAt(41, 13, 29))
 		if err == nil || err.Error() != want {
 			t.Fatalf("jobs=%d: err = %v, want %q", jobs, err, want)
 		}
@@ -77,7 +77,7 @@ func TestMapErrorMatchesSerial(t *testing.T) {
 func TestMapStopsIssuingAfterError(t *testing.T) {
 	var calls atomic.Int64
 	sentinel := errors.New("boom")
-	_, err := Map(2, 10_000, func(i int) (int, error) {
+	_, err := Map(context.Background(), 2, 10_000, func(i int) (int, error) {
 		calls.Add(1)
 		if i == 0 {
 			return 0, sentinel
@@ -104,7 +104,7 @@ func TestMapPanicPropagates(t *testing.T) {
 					t.Fatalf("jobs=%d: recovered %v, want \"kaboom\"", jobs, r)
 				}
 			}()
-			_, _ = Map(jobs, 8, func(i int) (int, error) {
+			_, _ = Map(context.Background(), jobs, 8, func(i int) (int, error) {
 				if i == 5 {
 					panic("kaboom")
 				}
@@ -119,7 +119,7 @@ func TestMapPanicPropagates(t *testing.T) {
 func TestMapUsesWorkers(t *testing.T) {
 	const k = 4
 	var started atomic.Int64
-	_, err := Map(k, k, func(i int) (int, error) {
+	_, err := Map(context.Background(), k, k, func(i int) (int, error) {
 		started.Add(1)
 		for started.Load() < k {
 			runtime.Gosched()
@@ -128,74 +128,6 @@ func TestMapUsesWorkers(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDo(t *testing.T) {
-	var sum atomic.Int64
-	if err := Do(4, 10, func(i int) error { sum.Add(int64(i)); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 45 {
-		t.Fatalf("sum = %d, want 45", sum.Load())
-	}
-	sentinel := errors.New("do-fail")
-	if err := Do(4, 10, func(i int) error { return sentinel }); !errors.Is(err, sentinel) {
-		t.Fatalf("Do err = %v, want %v", err, sentinel)
-	}
-}
-
-// TestMapReduceFoldOrderIsSubmissionOrder: the fold visits results in index
-// order at any jobs value, so a non-commutative accumulation is bit-identical
-// to the serial fold. The fold records the visit order explicitly and also
-// accumulates a float expression whose value depends on evaluation order.
-func TestMapReduceFoldOrderIsSubmissionOrder(t *testing.T) {
-	type acc struct {
-		order []int
-		sum   float64
-	}
-	point := func(i int) (int, error) { return i, nil }
-	fold := func(a acc, v int) acc {
-		a.order = append(a.order, v)
-		a.sum = a.sum/3 + float64(v)*1.0000001
-		return a
-	}
-	serial, err := MapReduce(1, 50, point, acc{}, fold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, jobs := range []int{2, 8, 0} {
-		got, err := MapReduce(jobs, 50, point, acc{}, fold)
-		if err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
-		}
-		for i, v := range got.order {
-			if v != i {
-				t.Fatalf("jobs=%d: fold visited %d at position %d", jobs, v, i)
-			}
-		}
-		if got.sum != serial.sum {
-			t.Fatalf("jobs=%d: fold sum %v != serial %v", jobs, got.sum, serial.sum)
-		}
-	}
-}
-
-// TestMapReduceErrorLeavesAccumulator: a failing point aborts before any
-// folding happens, returning the accumulator untouched.
-func TestMapReduceErrorLeavesAccumulator(t *testing.T) {
-	sentinel := errors.New("mr-fail")
-	folded := 0
-	got, err := MapReduce(4, 10, func(i int) (int, error) {
-		if i == 3 {
-			return 0, sentinel
-		}
-		return i, nil
-	}, 42, func(a, v int) int { folded++; return a + v })
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want %v", err, sentinel)
-	}
-	if got != 42 || folded != 0 {
-		t.Fatalf("acc = %d (folds: %d), want untouched 42 with 0 folds", got, folded)
 	}
 }
 
@@ -210,11 +142,11 @@ func TestMapDeterministicAtAnyJobs(t *testing.T) {
 		}
 		return v, nil
 	}
-	serial, err := Map(1, 64, point)
+	serial, err := Map(context.Background(), 1, 64, point)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Map(0, 64, point)
+	parallel, err := Map(context.Background(), 0, 64, point)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,21 +157,21 @@ func TestMapDeterministicAtAnyJobs(t *testing.T) {
 	}
 }
 
-// --- MapCtx: cancellation-aware campaigns ---------------------------------
+// --- cancellation ----------------------------------------------------------
 
-// TestMapCtxMatchesMapWhileLive pins that an un-cancelled MapCtx is Map:
-// same results, same smallest-index error semantics, at serial and parallel
-// worker counts.
+// TestMapCtxMatchesMapWhileLive pins that a live cancellable context changes
+// nothing: same results, same smallest-index error semantics as under
+// context.Background(), at serial and parallel worker counts.
 func TestMapCtxMatchesMapWhileLive(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	point := func(i int) (int, error) { return i * i, nil }
 	for _, jobs := range []int{1, 4} {
-		got, err := MapCtx(context.Background(), jobs, 20, func(_ context.Context, i int) (int, error) {
-			return point(i)
-		})
+		got, err := Map(ctx, jobs, 20, point)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
-		want, _ := Map(1, 20, point)
+		want, _ := Map(context.Background(), 1, 20, point)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("jobs=%d out[%d] = %d, want %d", jobs, i, got[i], want[i])
@@ -249,7 +181,7 @@ func TestMapCtxMatchesMapWhileLive(t *testing.T) {
 
 	sentinel := errors.New("boom")
 	for _, jobs := range []int{1, 4} {
-		_, err := MapCtx(context.Background(), jobs, 32, func(_ context.Context, i int) (int, error) {
+		_, err := Map(ctx, jobs, 32, func(i int) (int, error) {
 			if i >= 7 {
 				return 0, fmt.Errorf("point %d: %w", i, sentinel)
 			}
@@ -268,7 +200,7 @@ func TestMapCtxPreCancelled(t *testing.T) {
 	cancel()
 	for _, jobs := range []int{1, 4} {
 		calls := atomic.Int64{}
-		_, err := MapCtx(ctx, jobs, 16, func(_ context.Context, i int) (int, error) {
+		_, err := Map(ctx, jobs, 16, func(i int) (int, error) {
 			calls.Add(1)
 			return i, nil
 		})
@@ -287,7 +219,7 @@ func TestMapCtxPreCancelled(t *testing.T) {
 func TestMapCtxErrorOutranksCancellation(t *testing.T) {
 	sentinel := errors.New("boom")
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err := MapCtx(ctx, 4, 64, func(_ context.Context, i int) (int, error) {
+	_, err := Map(ctx, 4, 64, func(i int) (int, error) {
 		if i == 2 {
 			cancel() // cancel from inside the failing region…
 			return 0, sentinel
@@ -300,9 +232,9 @@ func TestMapCtxErrorOutranksCancellation(t *testing.T) {
 }
 
 // TestMapCtxCancelStopsDispatchAndLeaksNothing is the drain contract: after
-// cancellation MapCtx finishes in-flight points, stops handing out new
+// cancellation Map finishes in-flight points, stops handing out new
 // indices, returns ctx.Err(), and leaves no worker goroutine behind. The
-// goroutine accounting uses a strict before/after barrier: MapCtx must not
+// goroutine accounting uses a strict before/after barrier: Map must not
 // return until every worker is done, so the count settles immediately after
 // (a bounded retry loop absorbs unrelated runtime goroutines winding down).
 func TestMapCtxCancelStopsDispatchAndLeaksNothing(t *testing.T) {
@@ -320,7 +252,7 @@ func TestMapCtxCancelStopsDispatchAndLeaksNothing(t *testing.T) {
 		cancel()
 		close(release)
 	}()
-	_, err := MapCtx(ctx, 4, 1000, func(_ context.Context, i int) (int, error) {
+	_, err := Map(ctx, 4, 1000, func(i int) (int, error) {
 		started.Add(1)
 		<-release // hold the first wave in flight until cancellation lands
 		finished.Add(1)
@@ -329,10 +261,10 @@ func TestMapCtxCancelStopsDispatchAndLeaksNothing(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// Every point that started must have finished before MapCtx returned —
+	// Every point that started must have finished before Map returned —
 	// cancellation abandons pending indices, never in-flight ones.
 	if s, f := started.Load(), finished.Load(); s != f {
-		t.Fatalf("%d points started but only %d finished before MapCtx returned", s, f)
+		t.Fatalf("%d points started but only %d finished before Map returned", s, f)
 	}
 	if s := started.Load(); s >= 1000 {
 		t.Fatalf("all %d points ran; cancellation never stopped dispatch", s)
@@ -346,19 +278,5 @@ func TestMapCtxCancelStopsDispatchAndLeaksNothing(t *testing.T) {
 				before, runtime.NumGoroutine())
 		}
 		runtime.Gosched()
-	}
-}
-
-// TestDoCtx pins the no-result variant.
-func TestDoCtx(t *testing.T) {
-	var sum atomic.Int64
-	if err := DoCtx(context.Background(), 4, 10, func(_ context.Context, i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 45 {
-		t.Fatalf("sum = %d, want 45", sum.Load())
 	}
 }

@@ -194,9 +194,6 @@ type Config struct {
 	Jobs []workloads.Job
 	// Faults optionally injects node failures.
 	Faults *FaultPlan
-	// Trace optionally supplies a pre-built trace (streaming/counting
-	// modes); nil records a retained trace named after the policy.
-	Trace *trace.Trace
 	// Metrics optionally receives the campaign's observations; nil
 	// builds a private collector so Result.Metrics is always populated.
 	Metrics *metrics.Collector
@@ -283,10 +280,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	tr := cfg.Trace
-	if tr == nil {
-		tr = trace.New("campaign-"+cfg.Policy, "cluster")
-	}
+	tr := trace.New("campaign-"+cfg.Policy, "cluster", nil)
 	col := cfg.Metrics
 	if col == nil {
 		col = metrics.New("cluster", "campaign-"+cfg.Policy)

@@ -57,9 +57,9 @@ func executeRun(req *Request) ([]byte, error) {
 		EvictAfterLastRead:       req.Run.EvictAfterLastRead,
 		EnforcePrivateVisibility: req.Run.EnforcePrivateVisibility,
 		BBFallback:               req.Run.BBFallback,
-		// Counting mode: the service never ships traces, so it never
+		// Counting trace: the service never ships traces, so it never
 		// retains them — memory per request stays bounded at any DAG size.
-		TraceMode: trace.Counting,
+		TraceSink: trace.Discard,
 	}
 	if opts.NodePolicy, err = nodePolicy(req.Run.NodePolicy); err != nil {
 		return nil, err

@@ -335,7 +335,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	var hitCount atomic.Int64
-	points, err := runner.MapCtx(ctx, s.cfg.Workers, len(creq.Seeds), func(ctx context.Context, i int) ([]byte, error) {
+	points, err := runner.Map(ctx, s.cfg.Workers, len(creq.Seeds), func(i int) ([]byte, error) {
 		preq := creq.Base
 		preq.Seed = creq.Seeds[i]
 		hash, err := preq.CanonicalHash()

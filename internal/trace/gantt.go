@@ -20,11 +20,11 @@ func (t *Trace) RenderGantt(w io.Writer, width int) error {
 	if width < 10 {
 		width = 10
 	}
-	if t.makespan <= 0 || len(t.records) == 0 {
+	if t.makespan <= 0 || len(t.Records()) == 0 {
 		_, err := fmt.Fprintln(w, "(empty trace)")
 		return err
 	}
-	records := append([]*TaskRecord{}, t.records...)
+	records := append([]*TaskRecord{}, t.Records()...)
 	sort.SliceStable(records, func(i, j int) bool {
 		//bbvet:allow float-compare -- sort tie-break: exact equality falls through to the TaskID tie-breaker for a deterministic order
 		if records[i].StartedAt != records[j].StartedAt {

@@ -48,7 +48,7 @@ func TestRenderGantt(t *testing.T) {
 }
 
 func TestRenderGanttEmpty(t *testing.T) {
-	tr := New("w", "p")
+	tr := New("w", "p", nil)
 	var buf bytes.Buffer
 	if err := tr.RenderGantt(&buf, 40); err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestRenderGanttEmpty(t *testing.T) {
 }
 
 func TestRenderGanttTinyTaskVisible(t *testing.T) {
-	tr := New("w", "p")
+	tr := New("w", "p", nil)
 	long := tr.Task("long")
 	long.StartedAt = 0
 	long.ReadDoneAt = 0

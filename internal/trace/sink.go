@@ -19,6 +19,27 @@ type Sink interface {
 	Close() error
 }
 
+// memory is the retaining sink of a trace built without one. It also holds
+// the trace's task records: a trace retains both or neither.
+type memory struct {
+	events  []Event
+	records []*TaskRecord
+}
+
+func (m *memory) Emit(ev Event) { m.events = append(m.events, ev) }
+func (m *memory) Close() error  { return nil }
+
+// Discard is the counting sink: it drops every event, so a trace built on
+// it keeps only the per-kind counts, the makespan and the folded task
+// summaries. It is the sink for million-task runs and for callers that
+// never look at the events.
+var Discard Sink = discard{}
+
+type discard struct{}
+
+func (discard) Emit(Event)   {}
+func (discard) Close() error { return nil }
+
 // JSONLSink writes one JSON object per event per line. Lines use the same
 // field schema as the retained trace's "events" array.
 type JSONLSink struct {

@@ -12,7 +12,7 @@ import (
 // full scan of the retained event slice — the O(1) fast path must stay in
 // lockstep with the ground truth.
 func TestCountKindMatchesScan(t *testing.T) {
-	tr := New("wf", "plat")
+	tr := New("wf", "plat", nil)
 	kinds := []EventKind{TaskReady, TaskStart, TaskEnd, TaskFail, TaskRetry, Fallback, AdaptSpill}
 	for i := 0; i < 500; i++ {
 		tr.Record(float64(i), kinds[i%len(kinds)], "t", "")
@@ -28,28 +28,41 @@ func TestCountKindMatchesScan(t *testing.T) {
 	}
 }
 
-// TestCountKindAllModes: the counters advance identically whether events are
-// retained, streamed, or dropped.
+// TestCountKindAllModes: the counters advance identically whether the sink
+// retains, streams, or drops the events.
 func TestCountKindAllModes(t *testing.T) {
 	var sb strings.Builder
+	jsonl := NewJSONLSink(&sb)
 	traces := []*Trace{
-		New("wf", "plat"),
-		NewStreaming("wf", "plat", NewJSONLSink(&sb)),
-		NewCounting("wf", "plat"),
+		New("wf", "plat", nil),
+		New("wf", "plat", jsonl),
+		New("wf", "plat", Discard),
 	}
 	for _, tr := range traces {
 		tr.Record(1, TaskStart, "a", "")
 		tr.Record(2, TaskStart, "b", "")
 		tr.Record(3, TaskEnd, "a", "")
 	}
-	for _, tr := range traces {
+	for i, tr := range traces {
 		if tr.CountKind(TaskStart) != 2 || tr.CountKind(TaskEnd) != 1 {
-			t.Errorf("mode %d: counts start=%d end=%d, want 2/1",
-				tr.Mode(), tr.CountKind(TaskStart), tr.CountKind(TaskEnd))
+			t.Errorf("trace %d: counts start=%d end=%d, want 2/1",
+				i, tr.CountKind(TaskStart), tr.CountKind(TaskEnd))
 		}
 		if tr.Makespan() != 3 {
-			t.Errorf("mode %d: makespan %v, want 3", tr.Mode(), tr.Makespan())
+			t.Errorf("trace %d: makespan %v, want 3", i, tr.Makespan())
 		}
+	}
+	if n := len(traces[0].Events()); n != 3 {
+		t.Errorf("retaining trace holds %d events, want 3", n)
+	}
+	if err := jsonl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(sb.String(), "\n"); n != 3 {
+		t.Errorf("JSONL sink got %d lines, want 3", n)
+	}
+	if ev := traces[2].Events(); ev != nil {
+		t.Errorf("Discard trace retained %d events", len(ev))
 	}
 }
 
@@ -146,19 +159,20 @@ func TestSinkErrorLatching(t *testing.T) {
 }
 
 // TestNonRetainedMarshalRefused: the JSON schema promises full events and
-// records, which only the retained mode has.
+// records, which only a retaining trace has.
 func TestNonRetainedMarshalRefused(t *testing.T) {
-	if _, err := NewCounting("wf", "plat").MarshalJSON(); err == nil {
+	if _, err := New("wf", "plat", Discard).MarshalJSON(); err == nil {
 		t.Fatal("counting trace marshaled without error")
 	}
 	var sb strings.Builder
-	if _, err := NewStreaming("wf", "plat", NewJSONLSink(&sb)).MarshalJSON(); err == nil {
+	if _, err := New("wf", "plat", NewJSONLSink(&sb)).MarshalJSON(); err == nil {
 		t.Fatal("streaming trace marshaled without error")
 	}
 }
 
-// TestReleaseFoldsSummaries: in the scale modes, Release drops the record
-// from live state and the folded summaries still match a retained trace's.
+// TestReleaseFoldsSummaries: in a trace with a sink, Release drops the
+// record from live state and the folded summaries still match a retaining
+// trace's.
 func TestReleaseFoldsSummaries(t *testing.T) {
 	build := func(tr *Trace, release bool) {
 		for i, id := range []string{"a1", "a2", "b1"} {
@@ -176,7 +190,7 @@ func TestReleaseFoldsSummaries(t *testing.T) {
 			}
 		}
 	}
-	retained, counting := New("wf", "p"), NewCounting("wf", "p")
+	retained, counting := New("wf", "p", nil), New("wf", "p", Discard)
 	build(retained, false)
 	build(counting, true)
 	a, b := retained.Summarize(), counting.Summarize()

@@ -170,91 +170,57 @@ func (r *TaskRecord) ComputeTime() float64 { return r.ComputeDone - r.ReadDoneAt
 // WaitTime returns the time spent queued (ready but not started).
 func (r *TaskRecord) WaitTime() float64 { return r.StartedAt - r.ReadyAt }
 
-// Mode selects how a trace materializes the events it records. Makespan and
-// per-kind event counts are maintained incrementally in every mode, so
-// CountKind and the fault tallies in core.Result never scan an event slice.
-type Mode int
-
-const (
-	// Retained keeps every event in memory (the historical behavior).
-	// Events, MarshalJSON, Save, Gantt, and the invariants/replay harness
-	// all require a retained trace.
-	Retained Mode = iota
-	// Streaming forwards each event to a Sink as it is recorded and retains
-	// nothing. Task records are folded into per-name summaries as tasks
-	// finish, so memory is O(active tasks), not O(total events).
-	Streaming
-	// Counting discards events entirely, keeping only the per-kind counts,
-	// the makespan, and the folded summaries — the mode for million-task
-	// scale runs.
-	Counting
-)
-
-// Trace is the full output of one simulated execution.
+// Trace is the full output of one simulated execution. Every recorded event
+// goes to the trace's Sink; makespan and per-kind event counts are kept by
+// the trace itself, so CountKind and the fault tallies in core.Result never
+// scan an event slice, whatever the sink does with the events.
 type Trace struct {
 	WorkflowName string
 	PlatformName string
-	events       []Event
-	records      []*TaskRecord
-	byTask       map[string]*TaskRecord
-	makespan     float64
-	mode         Mode
 	sink         Sink
-	counts       map[EventKind]int
-	// folded accumulates summary sums for task records released by the
-	// non-retained modes; foldedOrder remembers first-fold order only so
+	// mem is the retaining sink when the trace was built without one: the
+	// only case in which events and task records outlive the run.
+	mem      *memory
+	byTask   map[string]*TaskRecord
+	makespan float64
+	counts   map[EventKind]int
+	// folded accumulates summary sums for task records released by a
+	// non-retaining trace; foldedOrder remembers first-fold order only so
 	// Summarize's output stays deterministic without sorting a map.
 	folded      map[string]*Summary
 	foldedOrder []string
 }
 
-// New returns an empty retained-mode trace.
-func New(workflowName, platformName string) *Trace {
-	return newTrace(workflowName, platformName, Retained, nil)
-}
-
-// NewStreaming returns a trace that forwards events to sink instead of
-// retaining them. The caller owns the sink and must Close it after the run.
-func NewStreaming(workflowName, platformName string, sink Sink) *Trace {
-	if sink == nil {
-		panic("trace: NewStreaming with nil sink")
-	}
-	return newTrace(workflowName, platformName, Streaming, sink)
-}
-
-// NewCounting returns a trace that keeps only per-kind counts, the
-// makespan, and folded task summaries.
-func NewCounting(workflowName, platformName string) *Trace {
-	return newTrace(workflowName, platformName, Counting, nil)
-}
-
-func newTrace(workflowName, platformName string, mode Mode, sink Sink) *Trace {
-	return &Trace{
+// New returns an empty trace whose events go to sink. A nil sink retains:
+// every event and task record stays in memory, which Events, Records,
+// Gantt, MarshalJSON, Save and the invariants/replay harness require. Any
+// other sink (JSONLSink, CSVSink, Discard) receives each event as it is
+// recorded, and the trace folds each task record into per-name summaries
+// when the task is released, so memory is O(active tasks), not O(total
+// events). The caller owns a non-nil sink and must Close it after the run.
+func New(workflowName, platformName string, sink Sink) *Trace {
+	t := &Trace{
 		WorkflowName: workflowName,
 		PlatformName: platformName,
-		byTask:       map[string]*TaskRecord{},
-		mode:         mode,
 		sink:         sink,
+		byTask:       map[string]*TaskRecord{},
 		counts:       map[EventKind]int{},
 	}
+	if sink == nil {
+		t.mem = &memory{}
+		t.sink = t.mem
+	}
+	return t
 }
 
-// Mode returns how the trace materializes events.
-func (t *Trace) Mode() Mode { return t.mode }
-
-// Record logs an event: the per-kind count and makespan always advance; the
-// event itself is retained, streamed, or dropped according to the mode.
+// Record logs an event: the per-kind count and makespan advance, and the
+// event goes to the trace's sink.
 func (t *Trace) Record(time float64, kind EventKind, taskID, detail string) {
 	t.counts[kind]++
 	if time > t.makespan {
 		t.makespan = time
 	}
-	switch t.mode {
-	case Retained:
-		t.events = append(t.events, Event{Time: time, Kind: kind, TaskID: taskID, Detail: detail})
-	case Streaming:
-		t.sink.Emit(Event{Time: time, Kind: kind, TaskID: taskID, Detail: detail})
-	}
+	t.sink.Emit(Event{Time: time, Kind: kind, TaskID: taskID, Detail: detail})
 }
 
 // Task returns (creating if necessary) the record for taskID.
@@ -264,8 +230,8 @@ func (t *Trace) Task(taskID string) *TaskRecord {
 	}
 	r := &TaskRecord{TaskID: taskID}
 	t.byTask[taskID] = r
-	if t.mode == Retained {
-		t.records = append(t.records, r)
+	if t.mem != nil {
+		t.mem.records = append(t.mem.records, r)
 	}
 	return r
 }
@@ -276,13 +242,13 @@ func (t *Trace) Lookup(taskID string) *TaskRecord {
 }
 
 // Release folds taskID's completed record into the per-name summary
-// accumulators and frees it. Retained traces keep every record, so there it
-// is a no-op; in the scale modes the execution engine calls it as each task
+// accumulators and frees it. A retaining trace keeps every record, so there
+// it is a no-op; otherwise the execution engine calls it as each task
 // finishes, which is what keeps live state O(active tasks). A task re-run
 // later (lineage re-execution under faults) simply gets a fresh record and
-// folds again, so scale-mode summaries count such tasks once per execution.
+// folds again, so folded summaries count such tasks once per execution.
 func (t *Trace) Release(taskID string) {
-	if t.mode == Retained {
+	if t.mem != nil {
 		return
 	}
 	r := t.byTask[taskID]
@@ -317,19 +283,29 @@ func (t *Trace) fold(r *TaskRecord) {
 }
 
 // Events returns all events in recording order (which is time order, since
-// the simulation clock is monotone). Non-retained traces return nil.
-func (t *Trace) Events() []Event { return t.events }
+// the simulation clock is monotone). Non-retaining traces return nil.
+func (t *Trace) Events() []Event {
+	if t.mem == nil {
+		return nil
+	}
+	return t.mem.events
+}
 
-// Records returns all task records in first-touch order. Non-retained
-// traces return only the records not yet folded by Release.
-func (t *Trace) Records() []*TaskRecord { return t.records }
+// Records returns all task records in first-touch order. Non-retaining
+// traces return nil.
+func (t *Trace) Records() []*TaskRecord {
+	if t.mem == nil {
+		return nil
+	}
+	return t.mem.records
+}
 
 // Makespan returns the time of the last recorded event.
 func (t *Trace) Makespan() float64 { return t.makespan }
 
 // CountKind returns the number of recorded events of the given kind, the
 // basis of the fault/recovery counters in core.Result. The counts are
-// maintained incrementally by Record, so this is O(1) in every mode
+// maintained incrementally by Record, so this is O(1) whatever the sink
 // (TestCountKindMatchesScan pins it against a full scan).
 func (t *Trace) CountKind(kind EventKind) int { return t.counts[kind] }
 
@@ -347,65 +323,24 @@ type Summary struct {
 }
 
 // Summarize groups records by task name and averages their phases. Results
-// are sorted by name. In the scale modes, records already folded by Release
-// contribute through their accumulators; still-live (unfinished) records
-// are folded on a copy, in task-ID order, so repeated calls are
-// deterministic and non-mutating.
+// are sorted by name. Records already folded by Release contribute through
+// their accumulators; the live ones are folded on a copy, so repeated calls
+// are deterministic and non-mutating.
 func (t *Trace) Summarize() []Summary {
-	if t.mode != Retained {
-		return t.summarizeFolded()
+	acc := Trace{
+		folded:      make(map[string]*Summary, len(t.folded)),
+		foldedOrder: append([]string(nil), t.foldedOrder...),
 	}
-	byName := map[string]*Summary{}
-	for _, r := range t.records {
-		s := byName[r.Name]
-		if s == nil {
-			s = &Summary{Name: r.Name}
-			byName[r.Name] = s
-		}
-		s.Count++
-		s.MeanExec += r.ExecTime()
-		if r.ExecTime() > s.MaxExec {
-			s.MaxExec = r.ExecTime()
-		}
-		s.MeanIO += r.IOTime()
-		s.MeanCompute += r.ComputeTime()
-		s.MeanWait += r.WaitTime()
-		s.BytesRead += r.BytesRead
-		s.BytesWritten += r.BytesWritten
-	}
-	var out []Summary
-	for _, s := range byName {
-		n := float64(s.Count)
-		s.MeanExec /= n
-		s.MeanIO /= n
-		s.MeanCompute /= n
-		s.MeanWait /= n
-		out = append(out, *s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-func (t *Trace) summarizeFolded() []Summary {
-	// Copy the accumulators, then fold any live records in task-ID order.
-	acc := make(map[string]*Summary, len(t.folded))
-	order := append([]string(nil), t.foldedOrder...)
-	for _, name := range order {
+	for _, name := range acc.foldedOrder {
 		cp := *t.folded[name]
-		acc[name] = &cp
+		acc.folded[name] = &cp
 	}
-	live := make([]*TaskRecord, 0, len(t.byTask))
-	for _, r := range t.byTask {
-		live = append(live, r)
+	for _, r := range t.liveRecords() {
+		acc.fold(r)
 	}
-	sort.Slice(live, func(i, j int) bool { return live[i].TaskID < live[j].TaskID })
-	tmp := Trace{folded: acc, foldedOrder: order}
-	for _, r := range live {
-		tmp.fold(r)
-	}
-	out := make([]Summary, 0, len(tmp.foldedOrder))
-	for _, name := range tmp.foldedOrder {
-		s := *tmp.folded[name]
+	out := make([]Summary, 0, len(acc.foldedOrder))
+	for _, name := range acc.foldedOrder {
+		s := *acc.folded[name]
 		n := float64(s.Count)
 		s.MeanExec /= n
 		s.MeanIO /= n
@@ -417,29 +352,30 @@ func (t *Trace) summarizeFolded() []Summary {
 	return out
 }
 
+// liveRecords returns the task records Release has not folded: every record
+// of a retaining trace, in first-touch order; otherwise the unfinished
+// tasks' records, in task-ID order.
+func (t *Trace) liveRecords() []*TaskRecord {
+	if t.mem != nil {
+		return t.mem.records
+	}
+	live := make([]*TaskRecord, 0, len(t.byTask))
+	for _, r := range t.byTask {
+		live = append(live, r)
+	}
+	sort.Slice(live, func(i, j int) bool { return live[i].TaskID < live[j].TaskID })
+	return live
+}
+
 // MeanExecByName returns the mean exec time of tasks with the given name,
-// or an error if none exist. In the scale modes it answers from the folded
-// accumulators.
+// or an error if none exist.
 func (t *Trace) MeanExecByName(name string) (float64, error) {
-	if t.mode != Retained {
-		for _, s := range t.Summarize() {
-			if s.Name == name && s.Count > 0 {
-				return s.MeanExec, nil
-			}
-		}
-		return 0, fmt.Errorf("trace: no tasks named %q", name)
-	}
-	sum, count := 0.0, 0
-	for _, r := range t.records {
-		if r.Name == name {
-			sum += r.ExecTime()
-			count++
+	for _, s := range t.Summarize() {
+		if s.Name == name {
+			return s.MeanExec, nil
 		}
 	}
-	if count == 0 {
-		return 0, fmt.Errorf("trace: no tasks named %q", name)
-	}
-	return sum / float64(count), nil
+	return 0, fmt.Errorf("trace: no tasks named %q", name)
 }
 
 // GanttRow is one bar of a Gantt chart.
@@ -456,7 +392,7 @@ type GanttRow struct {
 // by start time then task ID.
 func (t *Trace) Gantt() []GanttRow {
 	var rows []GanttRow
-	for _, r := range t.records {
+	for _, r := range t.Records() {
 		if r.ReadDoneAt > r.StartedAt {
 			rows = append(rows, GanttRow{r.TaskID, r.Name, r.Node, r.StartedAt, r.ReadDoneAt, "read"})
 		}
@@ -486,18 +422,18 @@ type jsonTrace struct {
 	Events   []Event       `json:"events"`
 }
 
-// MarshalJSON implements json.Marshaler. Only retained traces carry the
+// MarshalJSON implements json.Marshaler. Only a retaining trace carries the
 // full event log and task records the schema promises.
 func (t *Trace) MarshalJSON() ([]byte, error) {
-	if t.mode != Retained {
-		return nil, fmt.Errorf("trace: cannot marshal a non-retained trace (mode %d)", t.mode)
+	if t.mem == nil {
+		return nil, fmt.Errorf("trace: cannot marshal a trace whose events went to a sink")
 	}
 	return json.Marshal(jsonTrace{
 		Workflow: t.WorkflowName,
 		Platform: t.PlatformName,
 		Makespan: t.makespan,
-		Tasks:    t.records,
-		Events:   t.events,
+		Tasks:    t.mem.records,
+		Events:   t.mem.events,
 	})
 }
 

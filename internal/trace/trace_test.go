@@ -10,7 +10,7 @@ import (
 )
 
 func buildTrace() *Trace {
-	tr := New("wf", "plat")
+	tr := New("wf", "plat", nil)
 	a := tr.Task("a")
 	a.Name = "resample"
 	a.Node = "n0"
@@ -71,7 +71,7 @@ func TestMakespanTracksLastEvent(t *testing.T) {
 }
 
 func TestTaskIdempotent(t *testing.T) {
-	tr := New("w", "p")
+	tr := New("w", "p", nil)
 	r1 := tr.Task("x")
 	r2 := tr.Task("x")
 	if r1 != r2 {
@@ -145,7 +145,7 @@ func TestGanttRows(t *testing.T) {
 }
 
 func TestGanttSkipsEmptyPhases(t *testing.T) {
-	tr := New("w", "p")
+	tr := New("w", "p", nil)
 	r := tr.Task("t")
 	r.Name = "t"
 	r.StartedAt = 1
