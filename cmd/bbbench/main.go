@@ -1,7 +1,8 @@
 // Command bbbench maintains the repository's performance ledger. It runs a
 // fixed suite of micro-benchmarks (the flow solver's hot paths), macro
 // benchmarks (a full 1000Genomes simulation, a pressured-BB SWarp run with
-// the adaptation layer off and on, a Quick campaign at -j 1 and
+// the adaptation layer off and on, a 10,000-job multi-tenant scheduling
+// campaign under EASY and plan, a Quick campaign at -j 1 and
 // at -j GOMAXPROCS), and an accuracy guardrail (the Fig. 10 average errors),
 // then writes one BENCH_<n>.json snapshot. Committing a snapshot per
 // performance PR makes the perf trajectory part of the repo's history, and
@@ -42,6 +43,7 @@ import (
 	"bbwfsim/internal/genomes"
 	"bbwfsim/internal/placement"
 	"bbwfsim/internal/platform"
+	"bbwfsim/internal/sched"
 	"bbwfsim/internal/service"
 	"bbwfsim/internal/sim"
 	"bbwfsim/internal/swarp"
@@ -349,6 +351,33 @@ func runSuite(repeat int) (*Snapshot, error) {
 			}
 		}
 	})
+
+	// --- multi-tenant scheduler: a 10,000-job seeded campaign on the sched
+	// experiment's scarce cell (32 nodes sharing 128 GiB of BB) under the
+	// backfilling and plan policies, whose passes walk the running jobs'
+	// release profile.
+	schedJobs, err := workloads.Campaign(workloads.CampaignSpec{
+		Jobs: 10_000, Seed: 1, ArrivalMean: 110, RuntimeMean: 600, MaxNodes: 16, BBMean: 4 * units.GiB,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("sched campaign: %w", err)
+	}
+	schedCell := sched.Cluster{
+		Nodes:        32,
+		BBCapacity:   128 * units.GiB,
+		BBBandwidth:  units.Bandwidth(4 * units.GiB),
+		PFSBandwidth: units.Bandwidth(units.GiB),
+	}
+	for _, pol := range []string{sched.PolicyEASY, sched.PolicyPlan} {
+		record("sched/"+pol+"-10k", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sched.Run(sched.Config{Cluster: schedCell, Policy: pol, Jobs: schedJobs}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 
 	// --- campaign wall-clock: the fig13 Quick sweep at -j 1 vs -j max.
 	fig13, ok := experiments.Find("fig13")

@@ -27,12 +27,20 @@ func Policies() []string {
 
 // policy picks the queued jobs to start at a scheduling pass. pick must
 // only return jobs that fit the free resources at the instant it is
-// called, in start order; the scheduler dequeues them afterwards.
+// called, in start order; the scheduler dequeues them afterwards. less is
+// the strict total order the scheduler keeps the wait queue in.
 type policy interface {
 	name() string
 	directIO() bool
+	less(a, b *jobState) bool
 	pick(s *scheduler) []*jobState
 }
+
+// submissionOrder queues jobs in submission order, so every insertion
+// is an append.
+type submissionOrder struct{}
+
+func (submissionOrder) less(a, b *jobState) bool { return a.idx < b.idx }
 
 func newPolicy(name string) (policy, error) {
 	switch name {
@@ -41,7 +49,7 @@ func newPolicy(name string) (policy, error) {
 	case PolicyEASY:
 		return easyPolicy{}, nil
 	case PolicyPlan:
-		return planPolicy{}, nil
+		return planPolicy{prof: &profile{}}, nil
 	case PolicyMaxBB:
 		return greedyPolicy{id: PolicyMaxBB}, nil
 	case PolicyMaxParallel:
@@ -59,7 +67,7 @@ func newPolicy(name string) (policy, error) {
 
 // fcfsPolicy starts jobs in strict submission order and blocks on the
 // first that does not fit: simple, fair, and head-of-line blocked.
-type fcfsPolicy struct{}
+type fcfsPolicy struct{ submissionOrder }
 
 func (fcfsPolicy) name() string   { return PolicyFCFS }
 func (fcfsPolicy) directIO() bool { return false }
@@ -78,8 +86,8 @@ func (fcfsPolicy) pick(s *scheduler) []*jobState {
 	return picks
 }
 
-// fitsFree is the policy-side fit check against hypothetical free
-// resources (the scheduler's own fits() checks live state only).
+// fitsFree reports whether the job's demands fit the given free
+// resources: the live ones, or what a pass has left of them.
 func fitsFree(s *scheduler, j *jobState, freeNodes int, freeBB units.Bytes) bool {
 	if j.Nodes > freeNodes {
 		return false
@@ -99,7 +107,7 @@ func fitsFree(s *scheduler, j *jobState, freeNodes int, freeBB units.Bytes) bool
 // estimate) before that shadow time or fit into the resources the head
 // leaves spare at it. With correct estimates the head is never delayed —
 // the classic starvation-freedom argument.
-type easyPolicy struct{}
+type easyPolicy struct{ submissionOrder }
 
 func (easyPolicy) name() string   { return PolicyEASY }
 func (easyPolicy) directIO() bool { return false }
@@ -158,6 +166,7 @@ func shadowFor(s *scheduler, head *jobState, picks []*jobState, freeNodes int, f
 	for _, j := range picks {
 		rel = append(rel, release{t: now + j.estSpan, nodes: j.Nodes, bb: j.resv})
 	}
+	s.rel = rel // keep the buffer the picks grew
 	sortReleases(rel)
 	nodes, bb := freeNodes, freeBB
 	for _, r := range rel {
@@ -197,21 +206,27 @@ func sortReleases(rel []release) {
 // starts now exactly when its planned slot is now. Conservative
 // backfilling with a two-resource profile: no job's plan is ever pushed
 // back by a later arrival.
-type planPolicy struct{}
+type planPolicy struct {
+	submissionOrder
+	prof *profile // rebuilt every pass into the same buffers
+}
 
 func (planPolicy) name() string   { return PolicyPlan }
 func (planPolicy) directIO() bool { return false }
 
-func (planPolicy) pick(s *scheduler) []*jobState {
+func (pl planPolicy) pick(s *scheduler) []*jobState {
 	now := s.eng.Now()
-	prof := newProfile(now, s.freeNodes, s.freeBB, s.releaseProfile())
+	prof := pl.prof
+	prof.reset(now, s.freeNodes, s.freeBB, s.releaseProfile())
 	var picks []*jobState
 	for _, j := range s.queue {
 		t := prof.earliest(s, j)
-		if t <= now && fitsFree(s, j, prof.nodesAt(now), prof.bbAt(now)) {
+		// Index 0 is the profile at now: releases clamp past now, so every
+		// other breakpoint is strictly later.
+		if t <= now && fitsFree(s, j, prof.nodes[0], prof.bb[0]) {
 			picks = append(picks, j)
 		}
-		prof.reserve(s, j, t)
+		prof.reserve(j, t)
 	}
 	return picks
 }
@@ -223,10 +238,12 @@ type profile struct {
 	bb    []units.Bytes
 }
 
-// newProfile builds the availability timeline from the current free state
+// reset rebuilds the availability timeline from the current free state
 // and the projected releases of running jobs.
-func newProfile(now float64, freeNodes int, freeBB units.Bytes, rel []release) *profile {
-	p := &profile{times: []float64{now}, nodes: []int{freeNodes}, bb: []units.Bytes{freeBB}}
+func (p *profile) reset(now float64, freeNodes int, freeBB units.Bytes, rel []release) {
+	p.times = append(p.times[:0], now)
+	p.nodes = append(p.nodes[:0], freeNodes)
+	p.bb = append(p.bb[:0], freeBB)
 	for _, r := range rel { // already sorted by time
 		n := len(p.times)
 		if r.t > p.times[n-1] {
@@ -238,75 +255,53 @@ func newProfile(now float64, freeNodes int, freeBB units.Bytes, rel []release) *
 			p.bb[n-1] += r.bb
 		}
 	}
-	return p
-}
-
-func (p *profile) nodesAt(t float64) int {
-	n := p.nodes[0]
-	for i, bt := range p.times {
-		if bt > t {
-			break
-		}
-		n = p.nodes[i]
-	}
-	return n
-}
-
-func (p *profile) bbAt(t float64) units.Bytes {
-	b := p.bb[0]
-	for i, bt := range p.times {
-		if bt > t {
-			break
-		}
-		b = p.bb[i]
-	}
-	return b
 }
 
 // earliest finds the first breakpoint from which the job's demands stay
-// satisfied for its whole estimated span.
+// satisfied for its whole estimated span. A window from breakpoint i
+// blocked at breakpoint k blocks every start in [i, k] too — their windows
+// all reach k — so the search resumes at k+1 and visits each breakpoint
+// once.
 func (p *profile) earliest(s *scheduler, j *jobState) float64 {
-	for i := range p.times {
-		if p.feasible(s, j, i) {
+	for i := 0; i < len(p.times); {
+		k := p.blocked(s, j, i)
+		if k < 0 {
 			return p.times[i]
 		}
+		i = k + 1
 	}
 	return p.times[len(p.times)-1]
 }
 
-// feasible reports whether demands hold over [t, t+estSpan) for the
-// breakpoint at index from. Breakpoints are sorted, so only indices ≥ from
-// can intersect the window.
-func (p *profile) feasible(s *scheduler, j *jobState, from int) bool {
+// blocked returns the first breakpoint in [t, t+estSpan), for t the
+// breakpoint at index from, whose free resources fall short of the job's
+// demands, or -1 if the demands hold over the whole window. Breakpoints
+// are sorted, so only indices ≥ from can intersect the window.
+func (p *profile) blocked(s *scheduler, j *jobState, from int) int {
 	end := p.times[from] + j.estSpan
 	for i := from; i < len(p.times); i++ {
 		if p.times[i] >= end {
 			break
 		}
 		if p.nodes[i] < j.Nodes {
-			return false
+			return i
 		}
 		if s.cl.BBCapacity > 0 && p.bb[i] < j.resv {
-			return false
+			return i
 		}
 	}
-	return true
+	return -1
 }
 
 // reserve subtracts the job's demands from the profile over its planned
 // window, inserting breakpoints as needed.
-func (p *profile) reserve(_ *scheduler, j *jobState, t float64) {
+func (p *profile) reserve(j *jobState, t float64) {
 	end := t + j.estSpan
 	p.insertBreak(t)
 	p.insertBreak(end)
-	for i := range p.times {
-		if p.times[i] >= end {
-			break
-		}
-		if p.times[i] >= t {
-			p.nodes[i] -= j.Nodes
-			p.bb[i] -= j.resv
-		}
+	for i := sort.SearchFloat64s(p.times, t); i < len(p.times) && p.times[i] < end; i++ {
+		p.nodes[i] -= j.Nodes
+		p.bb[i] -= j.resv
 	}
 }
 
@@ -333,46 +328,44 @@ func (p *profile) insertBreak(t float64) {
 
 // --- BBSimulator greedy family -------------------------------------------
 
-// greedyPolicy is the MaxBurstBuffer / MaxParallel pair: at every pass it
-// reorders the whole queue — by descending BB demand (maximize buffer
-// utilization) or ascending node count (maximize running jobs) — and
-// greedily starts everything that fits. Neither is starvation-free in
-// steady state; on finite campaigns the queue drains when arrivals stop.
+// greedyPolicy is the MaxBurstBuffer / MaxParallel pair: its queue is
+// ordered by descending BB demand (maximize buffer utilization) or
+// ascending node count (maximize running jobs), and every pass greedily
+// starts everything that fits. Neither is starvation-free in steady
+// state; on finite campaigns the queue drains when arrivals stop.
 type greedyPolicy struct{ id string }
 
 func (g greedyPolicy) name() string { return g.id }
 func (greedyPolicy) directIO() bool { return false }
 
-func (g greedyPolicy) pick(s *scheduler) []*jobState {
-	order := make([]*jobState, len(s.queue))
-	copy(order, s.queue)
+// less orders MaxBB by descending BB demand and MaxParallel by ascending
+// node count, then ascending BB demand; both break ties by submission.
+func (g greedyPolicy) less(a, b *jobState) bool {
 	if g.id == PolicyMaxBB {
-		sort.SliceStable(order, func(a, b int) bool {
-			if order[a].resv > order[b].resv {
-				return true
-			}
-			if order[a].resv < order[b].resv {
-				return false
-			}
-			return order[a].idx < order[b].idx
-		})
-	} else {
-		sort.SliceStable(order, func(a, b int) bool {
-			if order[a].Nodes != order[b].Nodes {
-				return order[a].Nodes < order[b].Nodes
-			}
-			if order[a].resv < order[b].resv {
-				return true
-			}
-			if order[a].resv > order[b].resv {
-				return false
-			}
-			return order[a].idx < order[b].idx
-		})
+		if a.resv > b.resv {
+			return true
+		}
+		if a.resv < b.resv {
+			return false
+		}
+		return a.idx < b.idx
 	}
+	if a.Nodes != b.Nodes {
+		return a.Nodes < b.Nodes
+	}
+	if a.resv < b.resv {
+		return true
+	}
+	if a.resv > b.resv {
+		return false
+	}
+	return a.idx < b.idx
+}
+
+func (g greedyPolicy) pick(s *scheduler) []*jobState {
 	var picks []*jobState
 	freeNodes, freeBB := s.freeNodes, s.freeBB
-	for _, j := range order {
+	for _, j := range s.queue {
 		if !fitsFree(s, j, freeNodes, freeBB) {
 			continue
 		}
@@ -389,7 +382,7 @@ func (g greedyPolicy) pick(s *scheduler) []*jobState {
 // bytes and stage through the (slower) PFS channel while holding their
 // nodes — the BBSimulator baseline that shows what the buffer buys.
 // Queueing is plain FCFS on nodes.
-type directIOPolicy struct{}
+type directIOPolicy struct{ submissionOrder }
 
 func (directIOPolicy) name() string   { return PolicyDirectIO }
 func (directIOPolicy) directIO() bool { return true }

@@ -25,6 +25,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 
 	"bbwfsim/internal/core"
 	"bbwfsim/internal/faults"
@@ -230,7 +232,12 @@ type scheduler struct {
 	col *metrics.Collector
 
 	jobs  []*jobState
-	queue []*jobState // waiting, submission order
+	queue []*jobState // waiting, in pol.less order
+	// active holds the started, non-terminal jobs in submission order:
+	// releaseProfile walks it, and sortReleases' unstable sort makes the
+	// input order part of the result.
+	active []*jobState
+	rel    []release // releaseProfile's buffer, reused across passes
 
 	nodeDown  []bool // node index → failed
 	nodeOwner []int  // node index → holding job idx, -1 free
@@ -263,6 +270,11 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return run(cfg, pol)
+}
+
+// run is Run with the policy resolved.
+func run(cfg Config, pol policy) (*Result, error) {
 	for i := range cfg.Jobs {
 		if err := cfg.Jobs[i].Validate(); err != nil {
 			return nil, err
@@ -423,19 +435,11 @@ func (s *scheduler) submit(j *jobState) {
 		return
 	}
 	s.pending++
-	s.queue = append(s.queue, j)
+	// Insert at the job's place in policy order. The new job has the
+	// highest submission index, so submission-ordered queues append.
+	at := sort.Search(len(s.queue), func(k int) bool { return s.pol.less(j, s.queue[k]) })
+	s.queue = slices.Insert(s.queue, at, j)
 	s.schedule()
-}
-
-// fits reports whether the job's demands fit the currently free resources.
-func (s *scheduler) fits(j *jobState) bool {
-	if j.Nodes > s.freeNodes {
-		return false
-	}
-	if s.cl.BBCapacity <= 0 {
-		return true
-	}
-	return j.resv <= s.freeBB
 }
 
 // schedule runs one policy pass: it asks the policy for the jobs to start
@@ -482,6 +486,8 @@ func (s *scheduler) startJob(j *jobState) {
 		panic(fmt.Sprintf("sched: policy started %s with %d free nodes for a %d-node job",
 			j.ID, s.freeNodes, j.Nodes))
 	}
+	at, _ := slices.BinarySearchFunc(s.active, j.idx, bySubmission)
+	s.active = slices.Insert(s.active, at, j)
 	s.freeNodes -= j.Nodes
 	s.heldNodes += j.Nodes
 	if s.cl.BBCapacity > 0 {
@@ -496,6 +502,10 @@ func (s *scheduler) startJob(j *jobState) {
 	s.tr.Record(now, trace.JobStart, j.ID, fmt.Sprintf("nodes=%d bb=%.0f", j.Nodes, float64(j.resv)))
 	s.stage(j, float64(j.StageIn), func() { s.beginRun(j) })
 }
+
+// bySubmission compares a job's submission index with idx, the order of
+// the active set.
+func bySubmission(j *jobState, idx int) int { return j.idx - idx }
 
 // stage moves bytes through the job's staging channel, then continues.
 func (s *scheduler) stage(j *jobState, bytes float64, done func()) {
@@ -557,6 +567,8 @@ func (s *scheduler) release(j *jobState) {
 		}
 	}
 	j.nodes = nil
+	at, _ := slices.BinarySearchFunc(s.active, j.idx, bySubmission)
+	s.active = slices.Delete(s.active, at, at+1)
 	s.heldNodes -= j.Nodes
 	if s.cl.BBCapacity > 0 {
 		s.freeBB += j.resv
@@ -629,28 +641,15 @@ func (s *scheduler) failJob(j *jobState, node int) {
 	s.schedule()
 }
 
-// upNodes counts currently up nodes (free or held).
-func (s *scheduler) upNodes() int {
-	n := 0
-	for _, down := range s.nodeDown {
-		if !down {
-			n++
-		}
-	}
-	return n
-}
-
 // releaseProfile lists the estimated future resource releases of active
 // jobs, soonest first, for backfill shadow-time and plan construction.
 // Estimated ends in the past (underestimated walltimes) clamp to "just
-// after now" so profiles stay causal.
+// after now" so profiles stay causal. The slice is the scheduler's
+// buffer: it is valid until the next call.
 func (s *scheduler) releaseProfile() []release {
 	now := s.eng.Now()
-	rel := make([]release, 0, 8)
-	for _, j := range s.jobs {
-		if !j.started || j.terminal != "" {
-			continue
-		}
+	rel := s.rel[:0]
+	for _, j := range s.active {
 		t := j.start + j.estSpan
 		if t <= now {
 			t = math.Nextafter(now, math.Inf(1))
@@ -658,6 +657,7 @@ func (s *scheduler) releaseProfile() []release {
 		rel = append(rel, release{t: t, nodes: j.Nodes, bb: j.resv})
 	}
 	sortReleases(rel)
+	s.rel = rel
 	return rel
 }
 
