@@ -2,7 +2,7 @@
 // fixed suite of micro-benchmarks (the flow solver's hot paths), macro
 // benchmarks (a full 1000Genomes simulation, a pressured-BB SWarp run with
 // the adaptation layer off and on, a 10,000-job multi-tenant scheduling
-// campaign under EASY and plan, a Quick campaign at -j 1 and
+// campaign under FCFS, EASY and plan, a Quick campaign at -j 1 and
 // at -j GOMAXPROCS), and an accuracy guardrail (the Fig. 10 average errors),
 // then writes one BENCH_<n>.json snapshot. Committing a snapshot per
 // performance PR makes the perf trajectory part of the repo's history, and
@@ -353,9 +353,10 @@ func runSuite(repeat int) (*Snapshot, error) {
 	})
 
 	// --- multi-tenant scheduler: a 10,000-job seeded campaign on the sched
-	// experiment's scarce cell (32 nodes sharing 128 GiB of BB) under the
-	// backfilling and plan policies, whose passes walk the running jobs'
-	// release profile.
+	// experiment's scarce cell (32 nodes sharing 128 GiB of BB) under FCFS,
+	// whose passes cost only the per-job constant every policy pays, and
+	// the backfilling and plan policies, whose passes also walk the running
+	// jobs' release profile.
 	schedJobs, err := workloads.Campaign(workloads.CampaignSpec{
 		Jobs: 10_000, Seed: 1, ArrivalMean: 110, RuntimeMean: 600, MaxNodes: 16, BBMean: 4 * units.GiB,
 	})
@@ -368,7 +369,7 @@ func runSuite(repeat int) (*Snapshot, error) {
 		BBBandwidth:  units.Bandwidth(4 * units.GiB),
 		PFSBandwidth: units.Bandwidth(units.GiB),
 	}
-	for _, pol := range []string{sched.PolicyEASY, sched.PolicyPlan} {
+	for _, pol := range []string{sched.PolicyFCFS, sched.PolicyEASY, sched.PolicyPlan} {
 		record("sched/"+pol+"-10k", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -90,8 +91,26 @@ func releaseProfileFullScan(s *scheduler) []release {
 	return rel
 }
 
+// planPickFull is the plan pass without the early exit: it plans every
+// queued job, into a profile of its own.
+func planPickFull(s *scheduler) []*jobState {
+	now := s.eng.Now()
+	prof := &profile{}
+	prof.reset(now, s.freeNodes, s.freeBB, s.releaseProfile())
+	var picks []*jobState
+	for _, j := range s.queue {
+		t := prof.earliest(s, j)
+		if t <= now && fitsFree(s, j, prof.nodes[0], prof.bb[0]) {
+			picks = append(picks, j)
+		}
+		prof.reserve(j, t)
+	}
+	return picks
+}
+
 // checkedPolicy wraps a policy and, at every pass, checks the scheduler's
-// incremental state against full recomputations before delegating.
+// incremental state against full recomputations before delegating. For
+// the plan policy it also runs the unpruned pass and checks the picks.
 type checkedPolicy struct {
 	policy
 	t      *testing.T
@@ -119,7 +138,13 @@ func (c checkedPolicy) pick(s *scheduler) []*jobState {
 	if got := s.releaseProfile(); !slices.Equal(got, want) {
 		c.t.Fatalf("%s pass %d at t=%g: release profile %v, full scan %v", c.name(), *c.passes, s.eng.Now(), got, want)
 	}
-	return c.policy.pick(s)
+	picks := c.policy.pick(s)
+	if c.name() == PolicyPlan {
+		if full := planPickFull(s); !slices.Equal(picks, full) {
+			c.t.Fatalf("plan pass %d at t=%g: picks %v, unpruned pass %v", *c.passes, s.eng.Now(), ids(picks), ids(full))
+		}
+	}
+	return picks
 }
 
 func ids(jobs []*jobState) []string {
@@ -134,8 +159,9 @@ func ids(jobs []*jobState) []string {
 // every policy through checkedPolicy: at every pass the wait queue is in
 // policy order (so it stays sorted across every dequeue and insertion),
 // the active set is exactly the started, non-terminal jobs in submission
-// order, and the release profile is bit-identical to the full scan. The
-// wrapper must not change a single result.
+// order, the release profile is bit-identical to the full scan, and the
+// plan policy's early-exiting pass picks what the unpruned pass picks.
+// The wrapper must not change a single result.
 func TestIncrementalStateMatchesFullScan(t *testing.T) {
 	cases := []struct {
 		cl     Cluster
@@ -208,6 +234,41 @@ func TestSubmitKeepsPolicyOrder(t *testing.T) {
 				s.dequeue()
 				sorted("dequeue")
 			}
+		}
+	}
+}
+
+// TestDetailsMatchFmt pins the strconv-built job details to the fmt verbs
+// that define the documented schema of trace.JobSubmit and trace.JobStart,
+// over seeded values and the formats' edge cases.
+func TestDetailsMatchFmt(t *testing.T) {
+	type demand struct {
+		nodes   int
+		bb, est float64
+	}
+	cases := []demand{
+		{0, 0, 0}, {1, 1e21, 1e21}, {16, 1e20, 999999.5}, {2, 0.5, 1.5}, {3, 2.5, 0.000123456789},
+		{4, math.MaxFloat64, math.MaxFloat64}, {5, math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64},
+		{math.MaxInt, 4 * float64(units.GiB), 1e-300}, {32, 1e15, 1e300}, {7, 123456789.5, 123456.5},
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 20000; i++ {
+		c := demand{nodes: rng.Intn(1 << 20), bb: rng.Float64() * math.Pow(10, float64(rng.Intn(25))), est: rng.ExpFloat64() * math.Pow(10, float64(rng.Intn(40)-20))}
+		if i%2 == 0 {
+			c.bb = math.Float64frombits(rng.Uint64() &^ (1 << 63))
+			c.est = math.Float64frombits(rng.Uint64() &^ (1 << 63))
+		}
+		cases = append(cases, c)
+	}
+	var buf []byte
+	for _, c := range cases {
+		b, held := appendSubmitDetail(buf[:0], c.nodes, c.bb, c.est)
+		buf = b
+		if want := fmt.Sprintf("nodes=%d bb=%.0f est=%.6g", c.nodes, c.bb, c.est); string(b) != want {
+			t.Fatalf("submit detail %q, fmt %q", b, want)
+		}
+		if want := fmt.Sprintf("nodes=%d bb=%.0f", c.nodes, c.bb); string(b[:held]) != want {
+			t.Fatalf("start detail %q, fmt %q", b[:held], want)
 		}
 	}
 }

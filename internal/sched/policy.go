@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bbwfsim/internal/units"
@@ -49,7 +50,7 @@ func newPolicy(name string) (policy, error) {
 	case PolicyEASY:
 		return easyPolicy{}, nil
 	case PolicyPlan:
-		return planPolicy{prof: &profile{}}, nil
+		return planPolicy{prof: &profile{}, suf: &suffixMin{}}, nil
 	case PolicyMaxBB:
 		return greedyPolicy{id: PolicyMaxBB}, nil
 	case PolicyMaxParallel:
@@ -208,18 +209,28 @@ func sortReleases(rel []release) {
 // back by a later arrival.
 type planPolicy struct {
 	submissionOrder
-	prof *profile // rebuilt every pass into the same buffers
+	prof *profile   // rebuilt every pass into the same buffers
+	suf  *suffixMin // likewise
 }
 
 func (planPolicy) name() string   { return PolicyPlan }
 func (planPolicy) directIO() bool { return false }
 
+// pick plans the queue in order and starts the jobs whose slot is now. The
+// pass stops once the profile at now fits no remaining job: a pick depends
+// only on the reservations made before it in the pass, reserve only
+// subtracts, and insertBreak never inserts before the origin, so index 0
+// never grows during a pass; a job starts now only if it fits there.
 func (pl planPolicy) pick(s *scheduler) []*jobState {
 	now := s.eng.Now()
 	prof := pl.prof
 	prof.reset(now, s.freeNodes, s.freeBB, s.releaseProfile())
+	pl.suf.sweep(s.queue)
 	var picks []*jobState
-	for _, j := range s.queue {
+	for i, j := range s.queue {
+		if prof.nodes[0] < pl.suf.nodes[i] || (s.cl.BBCapacity > 0 && prof.bb[0] < pl.suf.bb[i]) {
+			break
+		}
 		t := prof.earliest(s, j)
 		// Index 0 is the profile at now: releases clamp past now, so every
 		// other breakpoint is strictly later.
@@ -229,6 +240,28 @@ func (pl planPolicy) pick(s *scheduler) []*jobState {
 		prof.reserve(j, t)
 	}
 	return picks
+}
+
+// suffixMin holds, for each queue position i, the smallest node count and
+// BB reservation among queue[i:].
+type suffixMin struct {
+	nodes []int
+	bb    []units.Bytes
+}
+
+// sweep fills the minima in one backward pass over the queue.
+func (m *suffixMin) sweep(queue []*jobState) {
+	n := len(queue)
+	m.nodes = slices.Grow(m.nodes[:0], n)[:n]
+	m.bb = slices.Grow(m.bb[:0], n)[:n]
+	for i := n - 1; i >= 0; i-- {
+		nodes, bb := queue[i].Nodes, queue[i].resv
+		if i+1 < n {
+			nodes = min(nodes, m.nodes[i+1])
+			bb = min(bb, m.bb[i+1])
+		}
+		m.nodes[i], m.bb[i] = nodes, bb
+	}
 }
 
 // profile is a breakpoint list of projected free resources over time.

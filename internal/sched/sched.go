@@ -27,6 +27,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 
 	"bbwfsim/internal/core"
 	"bbwfsim/internal/faults"
@@ -212,6 +213,9 @@ type jobState struct {
 	// estSpan is the span the scheduler plans with: walltime estimate
 	// plus both stage phases at full channel bandwidth.
 	estSpan float64
+	// heldDetail is the job-start detail, "nodes=<n> bb=<bytes>": the
+	// prefix of the job-submit detail, sharing its bytes.
+	heldDetail string
 
 	started  bool
 	start    float64
@@ -248,6 +252,8 @@ type scheduler struct {
 	heldBB    units.Bytes
 
 	bbChan, pfsChan *channel
+
+	detail []byte // submit's scratch buffer for the job-submit detail
 
 	rng       *rand.Rand
 	plan      *FaultPlan
@@ -315,13 +321,16 @@ func run(cfg Config, pol policy) (*Result, error) {
 	s.pfsChan = newChannel(s.eng, float64(cfg.Cluster.PFSBandwidth))
 
 	s.toSubmit = len(cfg.Jobs)
+	states := make([]jobState, len(cfg.Jobs))
+	s.jobs = make([]*jobState, len(cfg.Jobs))
 	for i := range cfg.Jobs {
-		j := &jobState{Job: cfg.Jobs[i], idx: i, resv: cfg.Jobs[i].BBDemand}
+		j := &states[i]
+		*j = jobState{Job: cfg.Jobs[i], idx: i, resv: cfg.Jobs[i].BBDemand}
 		if pol.directIO() {
 			j.resv = 0
 		}
 		j.estSpan = s.estimateSpan(&cfg.Jobs[i])
-		s.jobs = append(s.jobs, j)
+		s.jobs[i] = j
 		s.eng.At(j.Submit, func() { s.submit(j) })
 	}
 	if cfg.Faults != nil && cfg.Faults.Node != nil {
@@ -351,6 +360,7 @@ func run(cfg Config, pol policy) (*Result, error) {
 		Events:       s.eng.EventsFired(),
 		PeakPending:  s.eng.MaxPending(),
 		Trace:        tr,
+		Jobs:         make([]JobStat, 0, len(s.jobs)),
 	}
 	for _, j := range s.jobs {
 		st := JobStat{
@@ -424,8 +434,11 @@ func (s *scheduler) estimateSpan(j *workloads.Job) float64 {
 func (s *scheduler) submit(j *jobState) {
 	now := s.eng.Now()
 	s.toSubmit--
-	s.tr.Record(now, trace.JobSubmit, j.ID,
-		fmt.Sprintf("nodes=%d bb=%.0f est=%.6g", j.Nodes, float64(j.resv), j.estSpan))
+	b, held := appendSubmitDetail(s.detail[:0], j.Nodes, float64(j.resv), j.estSpan)
+	s.detail = b
+	detail := string(b)
+	j.heldDetail = detail[:held]
+	s.tr.Record(now, trace.JobSubmit, j.ID, detail)
 	if j.Nodes > s.cl.Nodes || (s.cl.BBCapacity > 0 && j.resv > s.cl.BBCapacity) {
 		j.terminal = Rejected
 		s.rejected++
@@ -440,6 +453,21 @@ func (s *scheduler) submit(j *jobState) {
 	at := sort.Search(len(s.queue), func(k int) bool { return s.pol.less(j, s.queue[k]) })
 	s.queue = slices.Insert(s.queue, at, j)
 	s.schedule()
+}
+
+// appendSubmitDetail appends the job-submit detail "nodes=<n> bb=<bytes>
+// est=<span>" — fmt's "nodes=%d bb=%.0f est=%.6g", byte for byte — and
+// returns the length of its "nodes=<n> bb=<bytes>" prefix, the job-start
+// detail.
+func appendSubmitDetail(b []byte, nodes int, bb, est float64) ([]byte, int) {
+	b = append(b, "nodes="...)
+	b = strconv.AppendInt(b, int64(nodes), 10)
+	b = append(b, " bb="...)
+	b = strconv.AppendFloat(b, bb, 'f', 0, 64)
+	held := len(b)
+	b = append(b, " est="...)
+	b = strconv.AppendFloat(b, est, 'g', 6, 64)
+	return b, held
 }
 
 // schedule runs one policy pass: it asks the policy for the jobs to start
@@ -499,7 +527,7 @@ func (s *scheduler) startJob(j *jobState) {
 	s.heldBB += j.resv
 	s.col.GaugeMax(metrics.SchedNodesPeak, metrics.Key{}, float64(s.heldNodes))
 	s.col.GaugeMax(metrics.SchedBBPeakBytes, metrics.Key{}, float64(s.heldBB))
-	s.tr.Record(now, trace.JobStart, j.ID, fmt.Sprintf("nodes=%d bb=%.0f", j.Nodes, float64(j.resv)))
+	s.tr.Record(now, trace.JobStart, j.ID, j.heldDetail)
 	s.stage(j, float64(j.StageIn), func() { s.beginRun(j) })
 }
 

@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -41,34 +40,85 @@ func (h Handle) Cancelled() bool {
 	return h.ev == nil || h.ev.gen != h.gen || h.ev.idx < 0
 }
 
+// eventHeap is a binary min-heap of pending events ordered by (Time, seq),
+// a strict total order: the pop sequence is the same for any correct heap.
+// The sifts are typed rather than container/heap's interface dispatch, and
+// keep every event's idx equal to its slot so Cancel can remove it.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	//bbvet:allow float-compare -- heap comparator tie-break: events at the bit-identical instant fall through to the scheduling-order tie-breaker; an epsilon would merge distinct instants
 	if h[i].Time != h[j].Time {
 		return h[i].Time < h[j].Time
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
+
+func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].idx = i
 	h[j].idx = j
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
-	*h = append(*h, e)
+
+func (h eventHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
 }
-func (h *eventHeap) Pop() any {
+
+// down sifts slot i0 towards the leaves of h[:n] and reports whether it
+// moved.
+func (h eventHeap) down(i0, n int) bool {
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r // the smaller child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (h *eventHeap) push(ev *Event) {
+	ev.idx = len(*h)
+	*h = append(*h, ev)
+	h.up(ev.idx)
+}
+
+// pop removes and returns the earliest event.
+func (h *eventHeap) pop() *Event {
+	return h.remove(0)
+}
+
+// remove takes the event at slot i out of the heap and returns it with
+// idx -1.
+func (h *eventHeap) remove(i int) *Event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
-	return e
+	n := len(old) - 1
+	if n != i {
+		old.swap(i, n)
+		if !old.down(i, n) {
+			old.up(i)
+		}
+	}
+	ev := old[n]
+	old[n] = nil
+	ev.idx = -1
+	*h = old[:n]
+	return ev
 }
 
 // Engine is a discrete-event simulation engine. The zero value is not ready
@@ -130,7 +180,7 @@ func (e *Engine) At(t float64, fn func()) Handle {
 	ev.fn = fn
 	ev.seq = e.seq
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 	if len(e.queue) > e.maxPend {
 		e.maxPend = len(e.queue)
 	}
@@ -165,7 +215,7 @@ func (e *Engine) Cancel(h Handle) {
 	if ev == nil || ev.gen != h.gen || ev.idx < 0 {
 		return
 	}
-	heap.Remove(&e.queue, ev.idx)
+	e.queue.remove(ev.idx)
 	e.retire(ev)
 }
 
@@ -217,7 +267,7 @@ func (e *Engine) RunUntil(horizon float64) float64 {
 		if next.Time > horizon {
 			break
 		}
-		heap.Pop(&e.queue)
+		e.queue.pop()
 		if next.Time < e.now {
 			panic("sim: event queue time went backwards")
 		}
@@ -240,7 +290,7 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	next := heap.Pop(&e.queue).(*Event)
+	next := e.queue.pop()
 	e.now = next.Time
 	fn := next.fn
 	e.retire(next)

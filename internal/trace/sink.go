@@ -19,15 +19,56 @@ type Sink interface {
 	Close() error
 }
 
+// chunkEvents is the size of the retaining sink's storage chunks.
+const chunkEvents = 4096
+
 // memory is the retaining sink of a trace built without one. It also holds
 // the trace's task records: a trace retains both or neither.
+//
+// Events go into fixed chunks, so a long trace never copies what it has
+// already recorded the way one doubling slice would. The first chunk grows
+// by append, so a short trace allocates only what it uses. events flattens
+// the chunks once, on read.
 type memory struct {
-	events  []Event
+	chunks  [][]Event
 	records []*TaskRecord
 }
 
-func (m *memory) Emit(ev Event) { m.events = append(m.events, ev) }
-func (m *memory) Close() error  { return nil }
+func (m *memory) Emit(ev Event) {
+	n := len(m.chunks)
+	switch {
+	case n == 0:
+		m.chunks = append(m.chunks, nil)
+		n = 1
+	case len(m.chunks[n-1]) >= chunkEvents:
+		m.chunks = append(m.chunks, make([]Event, 0, chunkEvents))
+		n++
+	}
+	m.chunks[n-1] = append(m.chunks[n-1], ev)
+}
+
+func (m *memory) Close() error { return nil }
+
+// events returns every event in emission order. It joins the chunks into
+// one, which later Emits append after.
+func (m *memory) events() []Event {
+	switch len(m.chunks) {
+	case 0:
+		return nil
+	case 1:
+		return m.chunks[0]
+	}
+	total := 0
+	for _, c := range m.chunks {
+		total += len(c)
+	}
+	flat := make([]Event, 0, total)
+	for _, c := range m.chunks {
+		flat = append(flat, c...)
+	}
+	m.chunks = [][]Event{flat}
+	return flat
+}
 
 // Discard is the counting sink: it drops every event, so a trace built on
 // it keeps only the per-kind counts, the makespan and the folded task

@@ -1,9 +1,14 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -201,5 +206,94 @@ func TestReleaseFoldsSummaries(t *testing.T) {
 		if a[i] != b[i] {
 			t.Errorf("summary %d differs: %+v vs %+v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestRetainedChunks fills a retaining trace past three storage chunks
+// and checks the chunked store against a plain slice of the same events:
+// Events is the emission order and idempotent, Emit after Events keeps
+// appending in order, MarshalJSON and Save write the bytes the plain slice
+// marshals to, and Records and CountKind are untouched by the chunking.
+func TestRetainedChunks(t *testing.T) {
+	tr := New("wf", "plat", nil)
+	kinds := []EventKind{TaskReady, TaskStart, TaskEnd, JobSubmit, JobStart}
+	var want []Event
+	var records []*TaskRecord
+	emit := func(n int) {
+		for i := 0; i < n; i++ {
+			k := len(want)
+			ev := Event{Time: float64(k) / 3, Kind: kinds[k%len(kinds)], TaskID: "t" + strconv.Itoa(k%97), Detail: strconv.Itoa(k)}
+			tr.Record(ev.Time, ev.Kind, ev.TaskID, ev.Detail)
+			want = append(want, ev)
+			if k%1000 == 0 {
+				r := tr.Task("task" + strconv.Itoa(k))
+				r.Name, r.StartedAt, r.FinishedAt = "n", ev.Time, ev.Time+1
+				records = append(records, r)
+			}
+		}
+	}
+	emit(3*chunkEvents + 123)
+	if n := len(tr.mem.chunks); n <= 3 {
+		t.Fatalf("%d events filled %d chunks, want more than 3", len(want), n)
+	}
+	got := tr.Events()
+	if !slices.Equal(got, want) {
+		t.Fatal("Events() differs from the emission order")
+	}
+	if again := tr.Events(); !slices.Equal(again, want) || &again[0] != &got[0] {
+		t.Fatal("a second Events() differs from the first or flattened again")
+	}
+
+	emit(2*chunkEvents + 7)
+	if !slices.Equal(tr.Events(), want) {
+		t.Fatal("Events() after more Emits differs from the emission order")
+	}
+	if !slices.Equal(got, want[:len(got)]) {
+		t.Fatal("later Emits changed an earlier Events() result")
+	}
+	if !slices.Equal(tr.Records(), records) {
+		t.Fatal("Records() differs from the created task records")
+	}
+	for _, k := range append(kinds, TaskFail) {
+		n := 0
+		for _, ev := range want {
+			if ev.Kind == k {
+				n++
+			}
+		}
+		if tr.CountKind(k) != n {
+			t.Errorf("CountKind(%s) = %d, want %d", k, tr.CountKind(k), n)
+		}
+	}
+
+	plain, err := json.Marshal(jsonTrace{Workflow: "wf", Platform: "plat", Makespan: tr.Makespan(), Tasks: records, Events: want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := tr.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, plain) {
+		t.Fatal("MarshalJSON bytes differ from marshalling a plain event slice")
+	}
+	var pretty map[string]any
+	if err := json.Unmarshal(plain, &pretty); err != nil {
+		t.Fatal(err)
+	}
+	indented, err := json.MarshalIndent(pretty, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := tr.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saved, append(indented, '\n')) {
+		t.Fatal("Save bytes differ from saving a plain event slice")
 	}
 }

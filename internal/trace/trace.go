@@ -288,7 +288,7 @@ func (t *Trace) Events() []Event {
 	if t.mem == nil {
 		return nil
 	}
-	return t.mem.events
+	return t.mem.events()
 }
 
 // Records returns all task records in first-touch order. Non-retaining
@@ -433,7 +433,7 @@ func (t *Trace) MarshalJSON() ([]byte, error) {
 		Platform: t.PlatformName,
 		Makespan: t.makespan,
 		Tasks:    t.mem.records,
-		Events:   t.mem.events,
+		Events:   t.mem.events(),
 	})
 }
 
