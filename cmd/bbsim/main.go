@@ -174,11 +174,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	np, err := parseNodePolicy(*nodePol)
+	np, err := exec.ParseNodePolicy(*nodePol)
 	if err != nil {
 		return fail(err)
 	}
-	op, err := parseOrderPolicy(*orderPol)
+	op, err := exec.ParseOrderPolicy(*orderPol)
 	if err != nil {
 		return fail(err)
 	}
@@ -412,30 +412,6 @@ func runSchedCampaign(o schedCampaignOpts, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-func parseNodePolicy(s string) (exec.NodePolicy, error) {
-	switch s {
-	case "first-fit":
-		return exec.NodeFirstFit, nil
-	case "least-loaded":
-		return exec.NodeLeastLoaded, nil
-	case "round-robin":
-		return exec.NodeRoundRobin, nil
-	}
-	return 0, fmt.Errorf("unknown node policy %q", s)
-}
-
-func parseOrderPolicy(s string) (exec.OrderPolicy, error) {
-	switch s {
-	case "fifo":
-		return exec.OrderFIFO, nil
-	case "largest-work":
-		return exec.OrderLargestWork, nil
-	case "critical-path":
-		return exec.OrderCriticalPath, nil
-	}
-	return 0, fmt.Errorf("unknown order policy %q", s)
 }
 
 func loadPlatform(name string, nodes int) (platform.Config, error) {

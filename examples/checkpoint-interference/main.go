@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"log"
 
-	"bbwfsim/internal/checkpoint"
+	"bbwfsim/internal/ckpttraffic"
 	"bbwfsim/internal/core"
 	"bbwfsim/internal/exec"
 	"bbwfsim/internal/platform"
@@ -28,7 +28,7 @@ func main() {
 		}
 		opts := core.RunOptions{StagedFraction: 1, IntermediatesToBB: true}
 		if withCheckpoints {
-			inj, err := checkpoint.New(checkpoint.Params{
+			inj, err := ckpttraffic.New(ckpttraffic.Params{
 				Interval:  2,
 				Size:      2 * units.GB,
 				ToBB:      true,

@@ -211,7 +211,7 @@ var kernelPackages = map[string]bool{
 var deterministicOutputPackages = map[string]bool{
 	"experiments": true, "trace": true, "wfcommons": true,
 	"swarp": true, "genomes": true, "workloads": true,
-	"checkpoint": true, "workflow": true, "stats": true,
+	"ckpttraffic": true, "workflow": true, "stats": true,
 	"integration": true,
 }
 

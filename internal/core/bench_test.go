@@ -1,0 +1,77 @@
+package core_test
+
+import (
+	"runtime"
+	"testing"
+
+	"bbwfsim/internal/core"
+	"bbwfsim/internal/genomes"
+	"bbwfsim/internal/platform"
+	"bbwfsim/internal/trace"
+	"bbwfsim/internal/workloads"
+)
+
+// TestCountingTraceMemory pins the non-retaining trace sinks' memory
+// contract: a finished run's Result must hold O(active tasks) trace state
+// with a counting sink, not the O(events) log a retaining trace keeps. The
+// run is the million-task scale configuration (counting trace plus
+// scratch-lifecycle management) on a 10,000-task montage; both modes grow
+// linearly in the task count, so the ratio does not depend on the size.
+// The test is deliberately not parallel: the heap deltas it measures must
+// not see another test's allocations.
+func TestCountingTraceMemory(t *testing.T) {
+	cfg := platform.Presets(8)["cori-private"]
+	retained := liveRunBytes(t, cfg, nil)
+	counting := liveRunBytes(t, cfg, trace.Discard)
+	t.Logf("live heap after the run: %d bytes retained, %d counting", retained, counting)
+	if counting*5 >= retained {
+		t.Fatalf("counting trace keeps %d bytes live, not under a fifth of the retained trace's %d",
+			counting, retained)
+	}
+}
+
+// liveRunBytes runs the 10,000-task montage with the given trace sink (nil
+// retains) and returns the heap still live after a GC, relative to before
+// the run.
+func liveRunBytes(t *testing.T, cfg platform.Config, sink trace.Sink) int64 {
+	t.Helper()
+	wf, err := workloads.Scale(workloads.ScaleSpec{Topology: "montage", Tasks: 10_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := core.MustNewSimulator(cfg).Run(wf, core.RunOptions{
+		StagedFraction: 0.5, IntermediatesToBB: true, PrePlaceInputs: true,
+		EvictAfterLastRead: true, BBFallback: true, TraceSink: sink,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	// Both snapshots must see the same live workflow, or the generator's
+	// garbage drowns the signal and the delta goes negative.
+	runtime.KeepAlive(wf)
+	runtime.KeepAlive(res)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}
+
+// BenchmarkGenomesSingleRun times the 1000Genomes case-study configuration
+// (full chromosome set, cori-private at 8 nodes, inputs pre-placed, half of
+// them staged into the BB) through Simulator.Run; its allocs/op is the
+// cold-path allocation target.
+func BenchmarkGenomesSingleRun(b *testing.B) {
+	wf := genomes.MustNew(genomes.Params{Chromosomes: genomes.DefaultChromosomes})
+	cfg := platform.Presets(8)["cori-private"]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.MustNewSimulator(cfg).Run(wf, core.RunOptions{
+			PrePlaceInputs: true, StagedFraction: 0.5,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

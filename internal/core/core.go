@@ -90,7 +90,7 @@ type RunOptions struct {
 	// consumer finishes (scratch-data lifecycle management).
 	EvictAfterLastRead bool
 	// Background loads share the platform with the workflow (e.g.
-	// checkpoint traffic, internal/checkpoint).
+	// checkpoint traffic, internal/ckpttraffic).
 	Background []exec.Background
 	// Faults injects seeded failures into the run (internal/faults). Fault
 	// models are single-use, so a fresh one is needed per Run.

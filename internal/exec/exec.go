@@ -95,7 +95,7 @@ type Config struct {
 	// smaller than the workflow footprint.
 	EvictAfterLastRead bool
 	// Background loads run alongside the workflow (e.g. checkpoint
-	// traffic from other jobs, internal/checkpoint). They start just
+	// traffic from other jobs, internal/ckpttraffic). They start just
 	// before execution and stop implicitly when the workflow completes
 	// (the engine halts at the last task's finish).
 	Background []Background

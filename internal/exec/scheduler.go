@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"sort"
 
 	"bbwfsim/internal/platform"
@@ -37,6 +38,34 @@ const (
 	// the classic HEFT-style list-scheduling priority.
 	OrderCriticalPath
 )
+
+// ParseNodePolicy maps a node-policy name to its NodePolicy; "" names the
+// default, first-fit.
+func ParseNodePolicy(s string) (NodePolicy, error) {
+	switch s {
+	case "", "first-fit":
+		return NodeFirstFit, nil
+	case "least-loaded":
+		return NodeLeastLoaded, nil
+	case "round-robin":
+		return NodeRoundRobin, nil
+	}
+	return 0, fmt.Errorf("unknown node policy %q", s)
+}
+
+// ParseOrderPolicy maps an order-policy name to its OrderPolicy; "" names
+// the default, fifo.
+func ParseOrderPolicy(s string) (OrderPolicy, error) {
+	switch s {
+	case "", "fifo":
+		return OrderFIFO, nil
+	case "largest-work":
+		return OrderLargestWork, nil
+	case "critical-path":
+		return OrderCriticalPath, nil
+	}
+	return 0, fmt.Errorf("unknown order policy %q", s)
+}
 
 // scheduler bundles the two policies and their state.
 type scheduler struct {

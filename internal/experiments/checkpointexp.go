@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"bbwfsim/internal/checkpoint"
+	"bbwfsim/internal/ckpttraffic"
 	"bbwfsim/internal/core"
 	"bbwfsim/internal/exec"
 	"bbwfsim/internal/stats"
@@ -48,7 +48,7 @@ func RunAblationCheckpoint(opts Options) ([]*Table, error) {
 			// Aggressive defensive-I/O regime: a new 2 GB checkpoint
 			// every 2 s per node, so waves overlap and the background
 			// load claims a large share of the storage bandwidth.
-			inj, err := checkpoint.New(checkpoint.Params{
+			inj, err := ckpttraffic.New(ckpttraffic.Params{
 				Interval:  2,
 				Size:      2 * units.GB,
 				ToBB:      c.target == "bb",

@@ -134,7 +134,7 @@ func TestSchedTraceBitIdenticalAcrossJobs(t *testing.T) {
 //
 //	go test ./internal/integration -run TestExistingExperimentGoldens -update-goldens
 func TestExistingExperimentGoldens(t *testing.T) {
-	for _, id := range []string{"table1", "fig4"} {
+	for _, id := range []string{"table1", "fig4", "fig10"} {
 		e, ok := experiments.Find(id)
 		if !ok {
 			t.Fatalf("unknown experiment %q", id)

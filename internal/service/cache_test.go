@@ -134,3 +134,29 @@ func TestCacheWaiterCancellation(t *testing.T) {
 		t.Fatalf("post-cancel get: %q, %v", data, err)
 	}
 }
+
+// TestCacheHitZeroAllocs pins the cache's serving contract: a hit hands
+// back the stored bytes without re-encoding or copying, so a warmed key
+// allocates nothing.
+func TestCacheHitZeroAllocs(t *testing.T) {
+	req := SeededRequest(7)
+	hash, err := req.CanonicalHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(16, nil)
+	ctx := context.Background()
+	if _, _, err := c.GetOrFill(ctx, hash, func() ([]byte, error) { return Execute(&req) }); err != nil {
+		t.Fatal(err)
+	}
+	miss := func() ([]byte, error) { return nil, errors.New("cache miss on a warmed key") }
+	allocs := testing.AllocsPerRun(100, func() {
+		data, hit, err := c.GetOrFill(ctx, hash, miss)
+		if err != nil || !hit || len(data) == 0 {
+			t.Fatalf("warmed key not served from cache (hit=%v err=%v)", hit, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("cache hit allocated %.1f times per call; want 0", allocs)
+	}
+}

@@ -61,11 +61,11 @@ func executeRun(req *Request) ([]byte, error) {
 		// retains them — memory per request stays bounded at any DAG size.
 		TraceSink: trace.Discard,
 	}
-	if opts.NodePolicy, err = nodePolicy(req.Run.NodePolicy); err != nil {
-		return nil, err
+	if opts.NodePolicy, err = exec.ParseNodePolicy(req.Run.NodePolicy); err != nil {
+		return nil, badField("run.node_policy", "unknown policy %q", req.Run.NodePolicy)
 	}
-	if opts.OrderPolicy, err = orderPolicy(req.Run.OrderPolicy); err != nil {
-		return nil, err
+	if opts.OrderPolicy, err = exec.ParseOrderPolicy(req.Run.OrderPolicy); err != nil {
+		return nil, badField("run.order_policy", "unknown policy %q", req.Run.OrderPolicy)
 	}
 	if c := req.Ckpt; c != nil {
 		tier := ckpt.Target(c.Tier)
@@ -158,28 +158,4 @@ func buildWorkflow(w *WorkflowSpec, seed int64) (*workflow.Workflow, error) {
 		panic("service: panic-kind workflow evaluated (test hook)")
 	}
 	return nil, badField("workflow.kind", "unknown kind %q", w.Kind)
-}
-
-func nodePolicy(s string) (exec.NodePolicy, error) {
-	switch s {
-	case "", "first-fit":
-		return exec.NodeFirstFit, nil
-	case "least-loaded":
-		return exec.NodeLeastLoaded, nil
-	case "round-robin":
-		return exec.NodeRoundRobin, nil
-	}
-	return 0, badField("run.node_policy", "unknown policy %q", s)
-}
-
-func orderPolicy(s string) (exec.OrderPolicy, error) {
-	switch s {
-	case "", "fifo":
-		return exec.OrderFIFO, nil
-	case "largest-work":
-		return exec.OrderLargestWork, nil
-	case "critical-path":
-		return exec.OrderCriticalPath, nil
-	}
-	return 0, badField("run.order_policy", "unknown policy %q", s)
 }

@@ -21,6 +21,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+
+	"bbwfsim/internal/exec"
 )
 
 // MaxRequestBytes caps the serialized size of a single request (and of a
@@ -341,14 +343,10 @@ func (r *RunSpec) validate() error {
 	if r.CoresPerTask < 0 {
 		return badField("run.cores_per_task", "must be non-negative, got %d", r.CoresPerTask)
 	}
-	switch r.NodePolicy {
-	case "", "first-fit", "least-loaded", "round-robin":
-	default:
+	if _, err := exec.ParseNodePolicy(r.NodePolicy); err != nil {
 		return badField("run.node_policy", "unknown policy %q", r.NodePolicy)
 	}
-	switch r.OrderPolicy {
-	case "", "fifo", "largest-work", "critical-path":
-	default:
+	if _, err := exec.ParseOrderPolicy(r.OrderPolicy); err != nil {
 		return badField("run.order_policy", "unknown policy %q", r.OrderPolicy)
 	}
 	return nil
