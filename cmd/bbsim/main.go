@@ -15,6 +15,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -26,6 +27,7 @@ import (
 	"bbwfsim/internal/core"
 	"bbwfsim/internal/exec"
 	"bbwfsim/internal/faults"
+	"bbwfsim/internal/metrics"
 	"bbwfsim/internal/platform"
 	"bbwfsim/internal/sched"
 	"bbwfsim/internal/trace"
@@ -264,38 +266,42 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "trace streamed to %s (%s)\n", *tracePath, *traceOut)
 	}
 
-	if *metricsJS != "" {
-		data, err := res.Metrics.JSON()
-		if err != nil {
-			return fail(err)
-		}
-		if err := os.WriteFile(*metricsJS, data, 0o644); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "metrics written to %s\n", *metricsJS)
-	}
-	if *promPath != "" {
-		if *promPath == "-" {
-			fmt.Fprintln(stdout)
-			if err := res.Metrics.WriteProm(stdout); err != nil {
-				return fail(err)
-			}
-		} else {
-			f, err := os.Create(*promPath)
-			if err != nil {
-				return fail(err)
-			}
-			if err := res.Metrics.WriteProm(f); err != nil {
-				f.Close()
-				return fail(err)
-			}
-			if err := f.Close(); err != nil {
-				return fail(err)
-			}
-			fmt.Fprintf(stdout, "metrics written to %s\n", *promPath)
-		}
+	if err := writeMetrics(res.Metrics, *metricsJS, *promPath, stdout); err != nil {
+		return fail(err)
 	}
 	return 0
+}
+
+// writeMetrics writes a run's metrics snapshot as JSON to jsonPath and in
+// Prometheus text format to promPath ("-" = stdout); an empty path skips
+// that format.
+func writeMetrics(snap *metrics.Snapshot, jsonPath, promPath string, stdout io.Writer) error {
+	if jsonPath != "" {
+		data, err := snap.JSON()
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "metrics written to %s\n", jsonPath)
+	}
+	switch promPath {
+	case "":
+		return nil
+	case "-":
+		fmt.Fprintln(stdout)
+		return snap.WriteProm(stdout)
+	}
+	var buf bytes.Buffer
+	if err := snap.WriteProm(&buf); err != nil {
+		return err
+	}
+	if err := os.WriteFile(promPath, buf.Bytes(), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "metrics written to %s\n", promPath)
+	return nil
 }
 
 // schedCampaignOpts collects the -sched flag family.
@@ -380,36 +386,8 @@ func runSchedCampaign(o schedCampaignOpts, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "trace written to %s\n", o.tracePath)
 	}
-	if o.metricsPath != "" {
-		data, err := res.Metrics.JSON()
-		if err != nil {
-			return fail(err)
-		}
-		if err := os.WriteFile(o.metricsPath, data, 0o644); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "metrics written to %s\n", o.metricsPath)
-	}
-	if o.promPath != "" {
-		if o.promPath == "-" {
-			fmt.Fprintln(stdout)
-			if err := res.Metrics.WriteProm(stdout); err != nil {
-				return fail(err)
-			}
-		} else {
-			f, err := os.Create(o.promPath)
-			if err != nil {
-				return fail(err)
-			}
-			if err := res.Metrics.WriteProm(f); err != nil {
-				f.Close()
-				return fail(err)
-			}
-			if err := f.Close(); err != nil {
-				return fail(err)
-			}
-			fmt.Fprintf(stdout, "metrics written to %s\n", o.promPath)
-		}
+	if err := writeMetrics(res.Metrics, o.metricsPath, o.promPath, stdout); err != nil {
+		return fail(err)
 	}
 	return 0
 }

@@ -51,13 +51,16 @@ func TestBadGenSpec(t *testing.T) {
 }
 
 // TestGenCountingRun: a generated workflow simulates end to end in counting
-// mode and reports the kernel cost counters instead of a trace.
+// mode and reports the kernel cost counters instead of a trace, then its
+// Prometheus metrics on stdout (-prom -).
 func TestGenCountingRun(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run([]string{"-gen", "chain:20", "-no-trace", "-fraction", "1", "-intermediates-bb"}, &out, &errOut); code != 0 {
+	args := []string{"-gen", "chain:20", "-no-trace", "-fraction", "1", "-intermediates-bb", "-prom", "-"}
+	if code := run(args, &out, &errOut); code != 0 {
 		t.Fatalf("run = %d, want 0 (stderr: %s)", code, errOut.String())
 	}
-	for _, want := range []string{"scale-chain-20 (20 tasks", "makespan:", "counting mode, no retained trace"} {
+	for _, want := range []string{"scale-chain-20 (20 tasks", "makespan:", "counting mode, no retained trace",
+		"\n# TYPE bbwfsim_makespan_seconds gauge\nbbwfsim_makespan_seconds 104.03"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("stdout missing %q:\n%s", want, out.String())
 		}
@@ -65,21 +68,24 @@ func TestGenCountingRun(t *testing.T) {
 }
 
 // TestSchedCampaignRun: the -sched mode runs a synthetic campaign end to
-// end, reports the outcome ledger, and writes trace and metrics artifacts.
+// end, reports the outcome ledger, and writes trace and metrics (JSON and
+// Prometheus) artifacts.
 func TestSchedCampaignRun(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "campaign.json")
 	metricsPath := filepath.Join(dir, "campaign-metrics.json")
+	promPath := filepath.Join(dir, "campaign.prom")
 	args := []string{"-sched", "easy", "-platform", "cori-private", "-nodes", "16",
 		"-sched-jobs", "200", "-sched-seed", "7",
 		"-sched-fault-mean", "5000", "-sched-fault-budget", "3",
-		"-trace", tracePath, "-metrics", metricsPath}
+		"-trace", tracePath, "-metrics", metricsPath, "-prom", promPath}
 	var out, errOut strings.Builder
 	if code := run(args, &out, &errOut); code != 0 {
 		t.Fatalf("run = %d, want 0 (stderr: %s)", code, errOut.String())
 	}
 	for _, want := range []string{"policy:    easy", "campaign:  200 jobs (synthetic, seed 7)",
-		"outcomes:", "mean wait:", "makespan:", "trace written to", "metrics written to"} {
+		"outcomes:", "mean wait:", "makespan:", "trace written to",
+		"metrics written to " + metricsPath, "metrics written to " + promPath} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("stdout missing %q:\n%s", want, out.String())
 		}
@@ -93,6 +99,13 @@ func TestSchedCampaignRun(t *testing.T) {
 		if err := json.Unmarshal(data, &v); err != nil {
 			t.Errorf("%s is not JSON: %v", p, err)
 		}
+	}
+	prom, err := os.ReadFile(promPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(prom), "# TYPE bbwfsim_sched_jobs_total counter\n") {
+		t.Errorf("%s lacks the sched job counter:\n%s", promPath, prom)
 	}
 }
 

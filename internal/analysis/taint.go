@@ -71,7 +71,7 @@ type sinkSpec struct{ recv, name string }
 // exactly as the package-scoped rules do.
 var taintSinks = map[string][]sinkSpec{
 	"exec":    {{"", "Run"}},
-	"core":    {{"Simulator", "Run"}, {"Simulator", "SweepFractions"}},
+	"core":    {{"Simulator", "Run"}},
 	"testbed": {{"Runner", "Run"}, {"Runner", "RunOnce"}},
 	"sim":     {{"Engine", "Run"}, {"Engine", "RunUntil"}, {"Engine", "Step"}},
 	"experiments": {

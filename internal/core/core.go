@@ -5,22 +5,20 @@
 // A Simulator wraps a platform description (Table I parameters via
 // internal/platform presets, or any custom Config) and runs workflow DAGs
 // against it under a data-placement policy, returning the trace and
-// makespan. Calibration from observed executions (the paper's Eq. 4
-// pipeline) lives in CalibrateWorks.
+// makespan. Calibration from observed executions (the paper's Eq. 3/4
+// pipeline) lives in calib.FromObservations, whose per-task works plug
+// into the workload generators' Work parameters.
 //
-// Typical use:
+// Typical use (ExampleSimulator_Run is a complete, checked program):
 //
-//	sim := core.NewSimulator(platform.Cori(1, platform.BBPrivate))
+//	sim := core.MustNewSimulator(platform.Cori(1, platform.BBPrivate))
 //	wf := swarp.MustNew(swarp.Params{Pipelines: 1})
 //	res, err := sim.Run(wf, core.RunOptions{StagedFraction: 1, IntermediatesToBB: true})
 //	fmt.Println(res.Makespan)
 package core
 
 import (
-	"fmt"
-
 	"bbwfsim/internal/adapt"
-	"bbwfsim/internal/calib"
 	"bbwfsim/internal/ckpt"
 	"bbwfsim/internal/exec"
 	"bbwfsim/internal/metrics"
@@ -29,7 +27,6 @@ import (
 	"bbwfsim/internal/sim"
 	"bbwfsim/internal/storage"
 	"bbwfsim/internal/trace"
-	"bbwfsim/internal/units"
 	"bbwfsim/internal/workflow"
 )
 
@@ -312,29 +309,4 @@ func finishSnapshot(col *metrics.Collector, eng *sim.Engine, plat *platform.Plat
 	col.Add(metrics.AdaptReplicationsTotal, metrics.Key{}, float64(fs.AdaptReplications))
 	col.Add(metrics.AdaptFallbacksTotal, metrics.Key{}, float64(fs.AdaptFallbacks))
 	col.GaugeMax(metrics.MakespanSeconds, metrics.Key{}, tr.Makespan())
-}
-
-// SweepFractions runs wf once per staged fraction and returns the
-// makespans, in order.
-func (s *Simulator) SweepFractions(wf *workflow.Workflow, fractions []float64, opts RunOptions) ([]float64, error) {
-	out := make([]float64, 0, len(fractions))
-	for _, q := range fractions {
-		o := opts
-		o.StagedFraction = q
-		o.Placement = nil
-		res, err := s.Run(wf, o)
-		if err != nil {
-			return nil, fmt.Errorf("core: sweep at fraction %g: %w", q, err)
-		}
-		out = append(out, res.Makespan)
-	}
-	return out, nil
-}
-
-// CalibrateWorks runs the paper's calibration pipeline (Eq. 3/4): from
-// observed task executions, compute per-category sequential compute work at
-// the given core speed. The returned map plugs into the workload
-// generators' Work parameters.
-func CalibrateWorks(obs []calib.Observation, coreSpeed units.FlopRate) (calib.Calibration, error) {
-	return calib.FromObservations(obs, coreSpeed)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"bbwfsim/internal/calib"
 	"bbwfsim/internal/genomes"
 	"bbwfsim/internal/platform"
 	"bbwfsim/internal/swarp"
@@ -80,28 +79,6 @@ func TestBBSpeedsUpSimulatedSWarp(t *testing.T) {
 	}
 }
 
-func TestSweepFractions(t *testing.T) {
-	wf := genomes.MustNew(genomes.Params{Chromosomes: 2})
-	sim := MustNewSimulator(platform.Cori(4, platform.BBPrivate))
-	fractions := []float64{0, 0.5, 1}
-	ms, err := sim.SweepFractions(wf, fractions, RunOptions{PrePlaceInputs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 3 {
-		t.Fatalf("got %d makespans", len(ms))
-	}
-	// More staged input → faster, up to the plateau the paper observes on
-	// Cori past ~80% staged (bandwidth saturation: with everything on the
-	// BB, the PFS no longer contributes parallel bandwidth).
-	if !(ms[0] > ms[1] && ms[0] > ms[2]) {
-		t.Errorf("staging does not speed up the workflow: %v", ms)
-	}
-	if ms[2] > ms[1]*1.1 {
-		t.Errorf("plateau regression too large: %v", ms)
-	}
-}
-
 func TestGenomesOnSummit(t *testing.T) {
 	wf := genomes.MustNew(genomes.Params{Chromosomes: 2})
 	sim := MustNewSimulator(platform.Summit(4))
@@ -114,29 +91,5 @@ func TestGenomesOnSummit(t *testing.T) {
 	}
 	if len(res.Trace.Records()) != 83 {
 		t.Errorf("records = %d, want 83", len(res.Trace.Records()))
-	}
-}
-
-func TestSweepPropagatesErrors(t *testing.T) {
-	wf := swarp.MustNew(swarp.Params{Pipelines: 1})
-	sim := MustNewSimulator(platform.Cori(1, platform.BBPrivate))
-	if _, err := sim.SweepFractions(wf, []float64{0, 2}, RunOptions{}); err == nil {
-		t.Error("invalid fraction accepted")
-	}
-}
-
-func TestCalibrateWorks(t *testing.T) {
-	c, err := CalibrateWorks([]calib.Observation{
-		{TaskName: "resample", Cores: 32, Time: 12, LambdaIO: 0.203},
-	}, 36.80*units.GFlopPerSec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := c.Work("resample")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w != swarp.ResampleWork {
-		t.Errorf("calibrated work %v != swarp anchor %v", w, swarp.ResampleWork)
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"bbwfsim/internal/calib"
 	"bbwfsim/internal/core"
 	"bbwfsim/internal/exec"
 	"bbwfsim/internal/genomes"
@@ -107,33 +106,13 @@ func RunAblationModel(opts Options) ([]*Table, error) {
 	}
 	trueAlpha := prof.Alpha
 
-	calibrate := func(alphaRes, alphaCom float64) (units.Flops, units.Flops, error) {
-		obs := []calib.Observation{
-			{TaskName: "resample", Cores: anchorCores, Time: anchor.TaskMean("resample"),
-				LambdaIO: calib.LambdaIOResample, Alpha: alphaRes},
-			{TaskName: "combine", Cores: anchorCores, Time: anchor.TaskMean("combine"),
-				LambdaIO: calib.LambdaIOCombine, Alpha: alphaCom},
-		}
-		cal, err := core.CalibrateWorks(obs, prof.Platform.CoreSpeed)
-		if err != nil {
-			return 0, 0, err
-		}
-		rw, err := cal.Work("resample")
-		if err != nil {
-			return 0, 0, err
-		}
-		cw, err := cal.Work("combine")
-		if err != nil {
-			return 0, 0, err
-		}
-		return rw, cw, nil
-	}
-
-	rw4, cw4, err := calibrate(0, 0) // Eq. 4
+	speed := prof.Platform.CoreSpeed
+	rw4, cw4, err := calibrateSwarpWorks(anchor, speed, anchorCores, paperLambda, [2]float64{}) // Eq. 4
 	if err != nil {
 		return nil, err
 	}
-	rw3, cw3, err := calibrate(trueAlpha["resample"], trueAlpha["combine"]) // Eq. 3
+	rw3, cw3, err := calibrateSwarpWorks(anchor, speed, anchorCores, paperLambda,
+		[2]float64{trueAlpha["resample"], trueAlpha["combine"]}) // Eq. 3
 	if err != nil {
 		return nil, err
 	}

@@ -33,22 +33,8 @@ func RunAblationScheduler(opts Options) ([]*Table, error) {
 			chrom),
 		Header: []string{"node policy", "order policy", "makespan [s]", "vs baseline"},
 	}
-	nodePolicies := []struct {
-		name string
-		p    exec.NodePolicy
-	}{
-		{"first-fit", exec.NodeFirstFit},
-		{"least-loaded", exec.NodeLeastLoaded},
-		{"round-robin", exec.NodeRoundRobin},
-	}
-	orderPolicies := []struct {
-		name string
-		p    exec.OrderPolicy
-	}{
-		{"fifo", exec.OrderFIFO},
-		{"largest-work", exec.OrderLargestWork},
-		{"critical-path", exec.OrderCriticalPath},
-	}
+	nodePolicies := []string{"first-fit", "least-loaded", "round-robin"}
+	orderPolicies := []string{"fifo", "largest-work", "critical-path"}
 	type schedPoint struct{ node, order int }
 	var pts []schedPoint
 	for ni := range nodePolicies {
@@ -58,15 +44,23 @@ func RunAblationScheduler(opts Options) ([]*Table, error) {
 	}
 	makespans, err := runPoints(o, pts, func(p schedPoint) (float64, error) {
 		np, op := nodePolicies[p.node], orderPolicies[p.order]
+		node, err := exec.ParseNodePolicy(np)
+		if err != nil {
+			return 0, err
+		}
+		order, err := exec.ParseOrderPolicy(op)
+		if err != nil {
+			return 0, err
+		}
 		res, err := core.MustNewSimulator(cfg).Run(wf, core.RunOptions{
 			StagedFraction:    1,
 			IntermediatesToBB: true,
 			PrePlaceInputs:    true,
-			NodePolicy:        np.p,
-			OrderPolicy:       op.p,
+			NodePolicy:        node,
+			OrderPolicy:       order,
 		})
 		if err != nil {
-			return 0, fmt.Errorf("scheduler %s/%s: %w", np.name, op.name, err)
+			return 0, fmt.Errorf("scheduler %s/%s: %w", np, op, err)
 		}
 		return res.Makespan, nil
 	})
@@ -76,7 +70,7 @@ func RunAblationScheduler(opts Options) ([]*Table, error) {
 	baseline := makespans[0]
 	for i, p := range pts {
 		t.Rows = append(t.Rows, []string{
-			nodePolicies[p.node].name, orderPolicies[p.order].name, fsec(makespans[i]),
+			nodePolicies[p.node], orderPolicies[p.order], fsec(makespans[i]),
 			fmt.Sprintf("%.3f", makespans[i]/baseline),
 		})
 	}
@@ -180,13 +174,7 @@ func RunAblationVisibility(opts Options) ([]*Table, error) {
 			chrom),
 		Header: []string{"visibility rule", "node policy", "makespan [s]"},
 	}
-	nodePolicies := []struct {
-		name string
-		p    exec.NodePolicy
-	}{
-		{"first-fit", exec.NodeFirstFit},
-		{"round-robin", exec.NodeRoundRobin},
-	}
+	nodePolicies := []string{"first-fit", "round-robin"}
 	type visPoint struct {
 		node    int
 		enforce bool
@@ -197,12 +185,16 @@ func RunAblationVisibility(opts Options) ([]*Table, error) {
 	}
 	makespans, err := runPoints(o, pts, func(p visPoint) (float64, error) {
 		np := nodePolicies[p.node]
+		node, err := exec.ParseNodePolicy(np)
+		if err != nil {
+			return 0, err
+		}
 		res, err := core.MustNewSimulator(cfg).Run(wf, core.RunOptions{
 			StagedFraction: 1, IntermediatesToBB: true, PrePlaceInputs: true,
-			NodePolicy: np.p, EnforcePrivateVisibility: p.enforce,
+			NodePolicy: node, EnforcePrivateVisibility: p.enforce,
 		})
 		if err != nil {
-			return 0, fmt.Errorf("visibility %v/%s: %w", p.enforce, np.name, err)
+			return 0, fmt.Errorf("visibility %v/%s: %w", p.enforce, np, err)
 		}
 		return res.Makespan, nil
 	})
@@ -218,7 +210,7 @@ func RunAblationVisibility(opts Options) ([]*Table, error) {
 		} else {
 			lax = append(lax, makespans[i])
 		}
-		t.Rows = append(t.Rows, []string{label, nodePolicies[p.node].name, fsec(makespans[i])})
+		t.Rows = append(t.Rows, []string{label, nodePolicies[p.node], fsec(makespans[i])})
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"enforcement costs %.0f%% on average — the \"difficult data management challenges\"",

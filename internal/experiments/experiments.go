@@ -17,7 +17,6 @@ import (
 	"unicode/utf8"
 
 	"bbwfsim/internal/calib"
-	"bbwfsim/internal/core"
 	"bbwfsim/internal/metrics"
 	"bbwfsim/internal/platform"
 	"bbwfsim/internal/runner"
@@ -327,28 +326,38 @@ func calibrateSwarp(prof testbed.Profile, pipelines, cores int, o Options) (*wor
 	if err != nil {
 		return nil, fmt.Errorf("calibration anchor on %s: %w", prof.Name, err)
 	}
-	obs := []calib.Observation{
-		{TaskName: "resample", Cores: cores, Time: anchor.TaskMean("resample"), LambdaIO: calib.LambdaIOResample},
-		{TaskName: "combine", Cores: cores, Time: anchor.TaskMean("combine"), LambdaIO: calib.LambdaIOCombine},
-	}
-	cal, err := core.CalibrateWorks(obs, prof.Platform.CoreSpeed)
+	rw, cw, err := calibrateSwarpWorks(anchor, prof.Platform.CoreSpeed, cores, paperLambda, [2]float64{})
 	if err != nil {
 		return nil, err
 	}
-	rw, err := cal.Work("resample")
-	if err != nil {
-		return nil, err
+	return swarpWithWorks(pipelines, cores, rw, cw), nil
+}
+
+// paperLambda is the paper's PFS-characterized λ_io pair (resample,
+// combine), reused for every storage mode.
+var paperLambda = [2]float64{calib.LambdaIOResample, calib.LambdaIOCombine}
+
+// calibrateSwarpWorks applies Eq. 3 (Eq. 4 when both α are 0) to the
+// anchor run's mean resample and combine times at the given core count.
+// lambda and alpha are (resample, combine) pairs.
+func calibrateSwarpWorks(anchor *testbed.Result, coreSpeed units.FlopRate, cores int, lambda, alpha [2]float64) (resample, combine units.Flops, err error) {
+	tasks := [2]string{"resample", "combine"}
+	obs := make([]calib.Observation, len(tasks))
+	for i, name := range tasks {
+		obs[i] = calib.Observation{TaskName: name, Cores: cores, Time: anchor.TaskMean(name),
+			LambdaIO: lambda[i], Alpha: alpha[i]}
 	}
-	cw, err := cal.Work("combine")
+	cal, err := calib.FromObservations(obs, coreSpeed)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	return swarp.MustNew(swarp.Params{
-		Pipelines:    pipelines,
-		CoresPerTask: cores,
-		ResampleWork: rw,
-		CombineWork:  cw,
-	}), nil
+	if resample, err = cal.Work(tasks[0]); err != nil {
+		return 0, 0, err
+	}
+	if combine, err = cal.Work(tasks[1]); err != nil {
+		return 0, 0, err
+	}
+	return resample, combine, nil
 }
 
 // runPoints fans one simulation run per element of ps across o.Jobs

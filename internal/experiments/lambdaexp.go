@@ -61,19 +61,6 @@ func RunAblationLambda(opts Options) ([]*Table, error) {
 		paperRW, paperCW     units.Flops
 		measureRW, measureCW units.Flops
 	}
-	calibrate := func(prof testbed.Profile, anchor *testbed.Result, lambdaRes, lambdaCom float64) (units.Flops, units.Flops, error) {
-		obs := []calib.Observation{
-			{TaskName: "resample", Cores: 32, Time: anchor.TaskMean("resample"), LambdaIO: lambdaRes},
-			{TaskName: "combine", Cores: 32, Time: anchor.TaskMean("combine"), LambdaIO: lambdaCom},
-		}
-		cal, err := core.CalibrateWorks(obs, prof.Platform.CoreSpeed)
-		if err != nil {
-			return 0, 0, err
-		}
-		rw, _ := cal.Work("resample")
-		cw, _ := cal.Work("combine")
-		return rw, cw, nil
-	}
 	calibrations, err := runPoints(o, profiles, func(prof testbed.Profile) (calibration, error) {
 		anchor, err := testbed.NewRunner(prof, o.Seed).Run(testWF,
 			testbed.Scenario{StagedFraction: 1, IntermediatesToBB: true}, o.Reps)
@@ -81,10 +68,12 @@ func RunAblationLambda(opts Options) ([]*Table, error) {
 			return calibration{}, err
 		}
 		c := calibration{lambda: lambdaFromTrace(anchor.LastTrace)}
-		if c.paperRW, c.paperCW, err = calibrate(prof, anchor, calib.LambdaIOResample, calib.LambdaIOCombine); err != nil {
+		speed := prof.Platform.CoreSpeed
+		if c.paperRW, c.paperCW, err = calibrateSwarpWorks(anchor, speed, 32, paperLambda, [2]float64{}); err != nil {
 			return calibration{}, err
 		}
-		if c.measureRW, c.measureCW, err = calibrate(prof, anchor, c.lambda["resample"], c.lambda["combine"]); err != nil {
+		measured := [2]float64{c.lambda["resample"], c.lambda["combine"]}
+		if c.measureRW, c.measureCW, err = calibrateSwarpWorks(anchor, speed, 32, measured, [2]float64{}); err != nil {
 			return calibration{}, err
 		}
 		return c, nil

@@ -107,16 +107,8 @@ func RunAblationOptimizer(opts Options) ([]*Table, error) {
 	baseline, fanoutMs := points[0].ms, points[1].ms
 	lsMs, gmMs := points[2].ms, points[3].ms
 	for i, s := range strategies {
-		t.Rows = append(t.Rows, []string{s.name, fsec(points[i].ms), "", fmt.Sprint(points[i].evals)})
-	}
-	// Fill speedups.
-	for i := range t.Rows {
-		if t.Rows[i][2] == "" || i == 0 {
-			msRow := t.Rows[i][1]
-			var ms float64
-			fmt.Sscanf(msRow, "%f", &ms)
-			t.Rows[i][2] = fmt.Sprintf("%.2f", baseline/ms)
-		}
+		t.Rows = append(t.Rows, []string{s.name, fsec(points[i].ms),
+			fmt.Sprintf("%.2f", baseline/points[i].ms), fmt.Sprint(points[i].evals)})
 	}
 	best := lsMs
 	if gmMs < best {

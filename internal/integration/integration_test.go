@@ -121,7 +121,7 @@ func TestCalibrationLoopClosesAtAnchor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cal, err := core.CalibrateWorks([]calib.Observation{
+		cal, err := calib.FromObservations([]calib.Observation{
 			{TaskName: "resample", Cores: 32, Time: obs.TaskMean("resample"), LambdaIO: calib.LambdaIOResample},
 			{TaskName: "combine", Cores: 32, Time: obs.TaskMean("combine"), LambdaIO: calib.LambdaIOCombine},
 		}, prof.Platform.CoreSpeed)
