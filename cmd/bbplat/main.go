@@ -1,11 +1,11 @@
-// Command bbplat exports the built-in platform presets as editable JSON or
-// XML description files — the starting point for modeling a machine that
-// is not Cori or Summit.
+// Command bbplat exports the built-in platform presets as editable JSON
+// description files — the starting point for modeling a machine that is
+// not Cori or Summit. bbsim loads them with -platform <file>.json.
 //
 // Usage:
 //
-//	bbplat -preset summit -format xml           # one preset to stdout
-//	bbplat -all -dir platforms                  # every preset, both formats
+//	bbplat -preset summit                       # one preset to stdout
+//	bbplat -all -dir platforms                  # every preset
 //	bbplat -preset cori-striped -nodes 16       # resized preset
 package main
 
@@ -21,9 +21,8 @@ import (
 func main() {
 	var (
 		preset = flag.String("preset", "", "preset name: cori-private, cori-striped, summit")
-		format = flag.String("format", "json", "output format: json or xml")
 		nodes  = flag.Int("nodes", 1, "node count")
-		all    = flag.Bool("all", false, "write every preset in both formats into -dir")
+		all    = flag.Bool("all", false, "write every preset into -dir")
 		dir    = flag.String("dir", "platforms", "output directory for -all")
 	)
 	flag.Parse()
@@ -37,11 +36,8 @@ func main() {
 			if err := platform.SaveConfig(filepath.Join(*dir, name+".json"), cfg); err != nil {
 				fatal(err)
 			}
-			if err := platform.SaveXML(filepath.Join(*dir, name+".xml"), cfg); err != nil {
-				fatal(err)
-			}
 		}
-		fmt.Printf("wrote %d presets (json + xml) to %s/\n", len(presets), *dir)
+		fmt.Printf("wrote %d presets to %s/\n", len(presets), *dir)
 		return
 	}
 
@@ -50,18 +46,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bbplat: unknown preset %q (want cori-private, cori-striped, summit)\n", *preset)
 		os.Exit(2)
 	}
-	var (
-		data []byte
-		err  error
-	)
-	switch *format {
-	case "json":
-		data, err = platform.MarshalConfig(cfg)
-	case "xml":
-		data, err = platform.MarshalXML(cfg)
-	default:
-		err = fmt.Errorf("unknown format %q (want json or xml)", *format)
-	}
+	data, err := platform.MarshalConfig(cfg)
 	if err != nil {
 		fatal(err)
 	}

@@ -110,28 +110,39 @@ func TestSchedCampaignRun(t *testing.T) {
 }
 
 // TestSchedCampaignSWF: the -sched-swf path parses an SWF trace into the
-// campaign.
+// campaign, including a trace whose records are not in submit order.
 func TestSchedCampaignSWF(t *testing.T) {
-	dir := t.TempDir()
-	swf := filepath.Join(dir, "t.swf")
-	lines := []string{
-		"; SWF header comment",
-		"1 0 0 120 2 -1 -1 2 300 -1 1 1 1 1 1 1 1 1",
-		"2 60 0 240 1 -1 -1 1 600 -1 1 1 1 1 1 1 1 1",
-	}
-	if err := os.WriteFile(swf, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out, errOut strings.Builder
-	args := []string{"-sched", "fcfs", "-platform", "summit", "-nodes", "4", "-sched-swf", swf}
-	if code := run(args, &out, &errOut); code != 0 {
-		t.Fatalf("run = %d, want 0 (stderr: %s)", code, errOut.String())
-	}
-	if !strings.Contains(out.String(), "campaign:  2 jobs (SWF trace "+swf+")") {
-		t.Errorf("stdout missing SWF campaign line:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "2 completed, 0 failed, 0 rejected") {
-		t.Errorf("stdout missing outcomes:\n%s", out.String())
+	for _, tc := range []struct {
+		name  string
+		lines []string
+	}{
+		{"sorted", []string{
+			"; SWF header comment",
+			"1 0 0 120 2 -1 -1 2 300 -1 1 1 1 1 1 1 1 1",
+			"2 60 0 240 1 -1 -1 1 600 -1 1 1 1 1 1 1 1 1",
+		}},
+		{"unsorted", []string{
+			"1 100 0 120 2 -1 -1 2 300 -1 1 1 1 1 1 1 1 1",
+			"2 50 0 240 1 -1 -1 1 600 -1 1 1 1 1 1 1 1 1",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			swf := filepath.Join(t.TempDir(), "t.swf")
+			if err := os.WriteFile(swf, []byte(strings.Join(tc.lines, "\n")+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var out, errOut strings.Builder
+			args := []string{"-sched", "fcfs", "-platform", "summit", "-nodes", "4", "-sched-swf", swf}
+			if code := run(args, &out, &errOut); code != 0 {
+				t.Fatalf("run = %d, want 0 (stderr: %s)", code, errOut.String())
+			}
+			if !strings.Contains(out.String(), "campaign:  2 jobs (SWF trace "+swf+")") {
+				t.Errorf("stdout missing SWF campaign line:\n%s", out.String())
+			}
+			if !strings.Contains(out.String(), "2 completed, 0 failed, 0 rejected") {
+				t.Errorf("stdout missing outcomes:\n%s", out.String())
+			}
+		})
 	}
 }
 

@@ -209,7 +209,7 @@ var kernelPackages = map[string]bool{
 // end-to-end integration tests, which exist only as test files but assert
 // exactly those bit-identity contracts.
 var deterministicOutputPackages = map[string]bool{
-	"experiments": true, "trace": true, "wfcommons": true,
+	"experiments": true, "trace": true,
 	"swarp": true, "genomes": true, "workloads": true,
 	"ckpttraffic": true, "workflow": true, "stats": true,
 	"integration": true,
@@ -218,8 +218,7 @@ var deterministicOutputPackages = map[string]bool{
 // emitterPackages write CSV/JSON artifacts whose I/O errors must not be
 // dropped.
 var emitterPackages = map[string]bool{
-	"trace": true, "experiments": true, "wfcommons": true,
-	"metrics": true,
+	"trace": true, "experiments": true, "metrics": true,
 	// The daemon's handlers, journal, and offline mode write JSON/Prom
 	// artifacts; dropped I/O errors there are served corruption. The
 	// package is deliberately NOT in deterministicOutputPackages — the

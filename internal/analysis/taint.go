@@ -72,7 +72,7 @@ type sinkSpec struct{ recv, name string }
 var taintSinks = map[string][]sinkSpec{
 	"exec":    {{"", "Run"}},
 	"core":    {{"Simulator", "Run"}},
-	"testbed": {{"Runner", "Run"}, {"Runner", "RunOnce"}},
+	"testbed": {{"Runner", "Run"}},
 	"sim":     {{"Engine", "Run"}, {"Engine", "RunUntil"}, {"Engine", "Step"}},
 	"experiments": {
 		{"", "Run*"},

@@ -24,7 +24,7 @@ func uncheckedErrorRule() Rule {
 	return Rule{
 		Name: "unchecked-error",
 		Doc: "flag discarded error results from encoding/json and io-writer calls in the " +
-			"CSV/JSON emitters (trace, experiments, wfcommons); a silently truncated artifact " +
+			"CSV/JSON emitters (trace, experiments, metrics, service); a silently truncated artifact " +
 			"poisons every comparison made from it",
 		AppliesTo: isEmitterPackage,
 		Run: func(p *Pass) {

@@ -78,9 +78,7 @@ func (e *engine) writeCheckpoint(a *attempt) {
 	f := e.ckptWf.MustAddFile(fmt.Sprintf("ckpt-%s-%06d", t.ID(), e.ckptSeq), size)
 	e.ckptSeq++
 	svc := e.ckptTarget(node)
-	if svc != e.sys.PFS() && e.cfg.Faults != nil && e.cfg.Faults.RejectBBAlloc(t, f) {
-		e.tr.Record(e.now(), trace.BBReject, t.ID(), f.ID()+"@"+svc.Name())
-		e.tr.Record(e.now(), trace.Fallback, t.ID(), f.ID()+"->pfs")
+	if svc != e.sys.PFS() && e.bbRejected(t, f, svc) {
 		svc = e.sys.PFS()
 	}
 	begin := e.now()

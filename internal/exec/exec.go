@@ -537,9 +537,7 @@ func (e *engine) runStageIn(a *attempt, i int) {
 			i++
 			continue
 		}
-		if e.cfg.Faults != nil && e.cfg.Faults.RejectBBAlloc(t, f) {
-			e.tr.Record(e.now(), trace.BBReject, t.ID(), f.ID()+"@"+svc.Name())
-			e.tr.Record(e.now(), trace.Fallback, t.ID(), f.ID()+"->pfs")
+		if e.bbRejected(t, f, svc) {
 			i++
 			continue
 		}
@@ -570,6 +568,18 @@ func (e *engine) runStageIn(a *attempt, i int) {
 	rec.ReadDoneAt = e.now()
 	rec.ComputeDone = e.now()
 	e.finishTask(a)
+}
+
+// bbRejected reports whether the fault model rejects the burst-buffer
+// allocation for f on svc, recording the rejection and the caller's
+// fallback to the PFS.
+func (e *engine) bbRejected(t *workflow.Task, f *workflow.File, svc storage.Service) bool {
+	if e.cfg.Faults == nil || !e.cfg.Faults.RejectBBAlloc(t, f) {
+		return false
+	}
+	e.tr.Record(e.now(), trace.BBReject, t.ID(), f.ID()+"@"+svc.Name())
+	e.tr.Record(e.now(), trace.Fallback, t.ID(), f.ID()+"->pfs")
+	return true
 }
 
 // runReads reads the task's inputs with at most `cores` concurrent streams
@@ -760,9 +770,7 @@ func (e *engine) runWrites(a *attempt) {
 		if svc != e.sys.PFS() && e.adaptFallback(t, f, svc) {
 			svc = e.sys.PFS()
 		}
-		if svc != e.sys.PFS() && e.cfg.Faults != nil && e.cfg.Faults.RejectBBAlloc(t, f) {
-			e.tr.Record(e.now(), trace.BBReject, t.ID(), f.ID()+"@"+svc.Name())
-			e.tr.Record(e.now(), trace.Fallback, t.ID(), f.ID()+"->pfs")
+		if svc != e.sys.PFS() && e.bbRejected(t, f, svc) {
 			svc = e.sys.PFS()
 		}
 		onDone := func() {

@@ -95,10 +95,6 @@ func loadSWFJobs(path string) ([]workloads.Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The scheduler contract wants non-decreasing submit times; real
-	// traces are usually sorted already, but enforce it rather than trust
-	// it. Stable keeps equal-submit records in trace order.
-	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].Submit < jobs[j].Submit })
 	return jobs, nil
 }
 

@@ -16,7 +16,6 @@ import (
 	"bbwfsim/internal/swarp"
 	"bbwfsim/internal/testbed"
 	"bbwfsim/internal/units"
-	"bbwfsim/internal/wfcommons"
 	"bbwfsim/internal/workflow"
 )
 
@@ -25,10 +24,9 @@ func approx(got, want, tol float64) bool {
 }
 
 // TestFileFormatPipeline drives the full artifact path: generate a
-// workflow, export it through both serialization formats and the platform
-// through JSON and XML, reload everything from disk, and verify the
-// simulated makespan is bit-identical to simulating the in-memory
-// originals.
+// workflow, write it and the platform as JSON, reload both from disk, and
+// verify the simulated makespan is bit-identical to simulating the
+// in-memory originals.
 func TestFileFormatPipeline(t *testing.T) {
 	dir := t.TempDir()
 	wf := swarp.MustNew(swarp.Params{Pipelines: 2})
@@ -61,45 +59,6 @@ func TestFileFormatPipeline(t *testing.T) {
 	}
 	if got := run(wf2, cfg2); got != want {
 		t.Errorf("JSON round trip changed makespan: %v vs %v", got, want)
-	}
-
-	// Platform XML.
-	if err := platform.SaveXML(dir+"/plat.xml", cfg); err != nil {
-		t.Fatal(err)
-	}
-	cfg3, err := platform.LoadXML(dir + "/plat.xml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := run(wf2, cfg3); got != want {
-		t.Errorf("XML round trip changed makespan: %v vs %v", got, want)
-	}
-
-	// WfCommons trace format (runtime-based, so work round-trips through
-	// Eq. 4 — identical because λ and speed match).
-	tr, err := wfcommons.FromWorkflow(wf, cfg.CoreSpeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Save(dir + "/trace.json"); err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := wfcommons.Load(dir + "/trace.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wf3, err := tr2.ToWorkflow(wfcommons.Options{
-		RefSpeed: cfg.CoreSpeed,
-		LambdaIO: map[string]float64{
-			"resample": calib.LambdaIOResample,
-			"combine":  calib.LambdaIOCombine,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := run(wf3, cfg); !approx(got, want, 1e-9) {
-		t.Errorf("WfCommons round trip changed makespan: %v vs %v", got, want)
 	}
 }
 

@@ -1,7 +1,11 @@
 package platform
 
 import (
+	"bytes"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -241,6 +245,39 @@ func TestSpecRoundTrip(t *testing.T) {
 		if !EqualConfigs(cfg, back) {
 			t.Errorf("%s: round trip changed config:\n%+v\n!=\n%+v", name, cfg, back)
 		}
+	}
+}
+
+// TestShippedPlatformFilesMatchPresets: platforms/ holds exactly one JSON
+// file per preset, byte-identical to what bbplat -all writes for it.
+func TestShippedPlatformFilesMatchPresets(t *testing.T) {
+	const dir = "../../platforms"
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	for name, cfg := range Presets(1) {
+		want = append(want, name+".json")
+		data, err := MarshalConfig(cfg)
+		if err != nil {
+			t.Fatalf("%s: marshal: %v", name, err)
+		}
+		file, err := os.ReadFile(filepath.Join(dir, name+".json"))
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		if !bytes.Equal(file, append(data, '\n')) {
+			t.Errorf("%s.json differs from the preset; regenerate with bbplat -all -dir platforms", name)
+		}
+	}
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("%s holds %v, want %v", dir, got, want)
 	}
 }
 

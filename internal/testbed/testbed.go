@@ -36,6 +36,7 @@ import (
 	"bbwfsim/internal/placement"
 	"bbwfsim/internal/platform"
 	"bbwfsim/internal/sim"
+	"bbwfsim/internal/stats"
 	"bbwfsim/internal/storage"
 	"bbwfsim/internal/trace"
 	"bbwfsim/internal/units"
@@ -124,22 +125,11 @@ type Result struct {
 }
 
 // MeanMakespan returns the mean makespan across repetitions.
-func (r *Result) MeanMakespan() float64 { return mean(r.Makespans) }
+func (r *Result) MeanMakespan() float64 { return stats.Mean(r.Makespans) }
 
 // TaskMean returns the across-repetition mean execution time of a task
 // category.
-func (r *Result) TaskMean(name string) float64 { return mean(r.TaskMeans[name]) }
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
+func (r *Result) TaskMean(name string) float64 { return stats.Mean(r.TaskMeans[name]) }
 
 // Runner executes scenarios against a profile.
 type Runner struct {
@@ -150,29 +140,6 @@ type Runner struct {
 // NewRunner returns a runner with the given base seed.
 func NewRunner(p Profile, seed int64) *Runner {
 	return &Runner{Profile: p, Seed: seed}
-}
-
-// RunOnce executes one repetition and returns its trace.
-func (r *Runner) RunOnce(wf *workflow.Workflow, sc Scenario, rep int) (*trace.Trace, error) {
-	eng := sim.NewEngine()
-	plat, err := platform.New(eng, r.Profile.Platform)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(r.Seed + int64(rep)*1_000_003))
-	model := newOpModel(&r.Profile, sc, rng)
-	sys := storage.NewSystem(plat, model)
-	pol, err := placement.NewFraction(wf, sc.StagedFraction, sc.IntermediatesToBB)
-	if err != nil {
-		return nil, err
-	}
-	cm := &computeModel{prof: &r.Profile, rng: rand.New(rand.NewSource(r.Seed + int64(rep)*1_000_003 + 17))}
-	return exec.Run(sys, wf, exec.Config{
-		Placement:      pol,
-		Compute:        cm,
-		CoresPerTask:   sc.CoresPerTask,
-		PrePlaceInputs: sc.PrePlaceInputs,
-	})
 }
 
 // Run executes reps repetitions (the paper averages over 15) and

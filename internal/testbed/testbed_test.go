@@ -220,31 +220,14 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-func TestRunOnceMatchesRunRep(t *testing.T) {
-	wf := swarpWF(1, 32)
-	sc := Scenario{StagedFraction: 1, IntermediatesToBB: true}
-	r := NewRunner(CoriPrivate(1), 5)
-	tr, err := r.RunOnce(wf, sc, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.Run(wf, sc, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Makespan() != res.Makespans[2] {
-		t.Errorf("RunOnce(rep=2) = %v, Run rep 2 = %v", tr.Makespan(), res.Makespans[2])
-	}
-}
-
 func TestSummitUsesOnNodeBBs(t *testing.T) {
 	wf := swarpWF(1, 32)
 	r := NewRunner(Summit(2), 1)
-	tr, err := r.RunOnce(wf, Scenario{StagedFraction: 1, IntermediatesToBB: true}, 0)
+	res, err := r.Run(wf, Scenario{StagedFraction: 1, IntermediatesToBB: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Makespan() <= 0 {
+	if res.Makespans[0] <= 0 {
 		t.Fatal("empty run")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -39,6 +40,11 @@ const swfFields = 18
 // processors — are skipped, not errors (real traces carry cancelled
 // jobs); malformed lines (wrong field count, non-numeric fields, negative
 // submit times) are errors. Processor counts map 1:1 to sched nodes.
+//
+// The accepted jobs (the first MaxJobs in trace order) are returned
+// stable-sorted by submit time, the order the scheduler requires: real
+// traces are usually sorted already, but this is enforced rather than
+// trusted, and equal-submit records keep their trace order.
 func ParseSWF(r io.Reader, opts SWFOptions) ([]Job, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -105,5 +111,6 @@ func ParseSWF(r io.Reader, opts SWFOptions) ([]Job, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("workloads: swf: %w", err)
 	}
+	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].Submit < jobs[j].Submit })
 	return jobs, nil
 }

@@ -88,7 +88,8 @@ func TestParseSWFErrors(t *testing.T) {
 }
 
 // FuzzParseSWF is the native fuzz target: whatever the input, ParseSWF
-// must return jobs that each pass Validate, or an error — never panic.
+// must return jobs that each pass Validate, in non-decreasing submit
+// order, or an error — never panic.
 func FuzzParseSWF(f *testing.F) {
 	seeds := []string{
 		"",
@@ -101,6 +102,7 @@ func FuzzParseSWF(f *testing.F) {
 		strings.Repeat("1 ", 18),
 		"\x00\x01\x02",
 		swfLine(2, 0, 1e308, 1, 1, 1e308, 1e308),
+		swfLine(1, 100, 120, 2, 2, 300, -1) + "\n" + swfLine(2, 50, 240, 1, 1, 600, -1),
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -113,6 +115,9 @@ func FuzzParseSWF(f *testing.F) {
 		for i := range jobs {
 			if verr := jobs[i].Validate(); verr != nil {
 				t.Fatalf("ParseSWF accepted a job Validate rejects: %v", verr)
+			}
+			if i > 0 && jobs[i].Submit < jobs[i-1].Submit {
+				t.Fatalf("job %d submits at %v, before job %d at %v", i, jobs[i].Submit, i-1, jobs[i-1].Submit)
 			}
 		}
 	})
