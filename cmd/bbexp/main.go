@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"time"
 
 	"bbwfsim/internal/experiments"
 	"bbwfsim/internal/metrics"
@@ -31,7 +30,6 @@ func main() {
 		quick   = flag.Bool("quick", false, "reduced sweeps and repetitions")
 		out     = flag.String("o", "", "write output to file instead of stdout")
 		format  = flag.String("format", "text", "output format: text or csv")
-		wall    = flag.Bool("walltime", false, "add wall-clock columns to the scalability experiment (output no longer bit-reproducible)")
 		jobs    = flag.Int("j", runtime.NumCPU(), "worker goroutines for independent simulation runs; output is bit-identical at any value (-j 1 = serial)")
 		metPath = flag.String("metrics", "", "write the merged observability snapshot of the instrumented experiments to this JSON file (bit-identical at any -j)")
 		recPol  = flag.String("recovery", "", "restrict the resilience-ckpt sweep to one recovery policy: lineage, ckpt-bb, ckpt-pfs, or ckpt-bb+drain")
@@ -84,13 +82,6 @@ func main() {
 		// sink runs on the main goroutine (experiments call it after their
 		// sweeps complete), and collection order is experiment order.
 		opts.Metrics = func(s *metrics.Snapshot) { snaps = append(snaps, s) }
-	}
-	if *wall {
-		// Experiments cannot read the wall clock themselves (bbvet's
-		// no-walltime rule): the CLI injects it, keeping the default
-		// output bit-identical across runs.
-		start := time.Now()
-		opts.Stopwatch = func() time.Duration { return time.Since(start) }
 	}
 	for _, e := range selected {
 		tables, err := e.Run(opts)

@@ -55,9 +55,6 @@ func MustNewSimulator(cfg platform.Config) *Simulator {
 	return s
 }
 
-// PlatformConfig returns the simulator's platform configuration.
-func (s *Simulator) PlatformConfig() platform.Config { return s.cfg }
-
 // RunOptions tunes one simulated execution.
 type RunOptions struct {
 	// StagedFraction is the fraction of the workflow's stageable input
@@ -113,6 +110,13 @@ type RunOptions struct {
 	// identical whatever the sink. The caller owns a non-nil sink and must
 	// Close it after the run.
 	TraceSink trace.Sink
+	// OpModel adjusts every storage operation's latency, rate cap and
+	// size; nil is the identity model of the lightweight simulator. The
+	// synthetic testbed (internal/testbed) sets its machine model here.
+	OpModel storage.OpModel
+	// Compute overrides the compute-time model; nil is Amdahl's law on
+	// each task's Work and Alpha. The testbed sets its scaling truth here.
+	Compute exec.ComputeModel
 }
 
 // FaultStats counts the fault and recovery events of one execution.
@@ -220,12 +224,6 @@ type Result struct {
 	Sched *SchedStats
 }
 
-// MeanTaskTime returns the mean execution time of a task category, or an
-// error if the category never ran.
-func (r *Result) MeanTaskTime(name string) (float64, error) {
-	return r.Trace.MeanExecByName(name)
-}
-
 // Run simulates wf on the simulator's platform.
 func (s *Simulator) Run(wf *workflow.Workflow, opts RunOptions) (*Result, error) {
 	eng := sim.NewEngine()
@@ -233,7 +231,7 @@ func (s *Simulator) Run(wf *workflow.Workflow, opts RunOptions) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	sys := storage.NewSystem(plat, nil) // identity op model: the lightweight simulator
+	sys := storage.NewSystem(plat, opts.OpModel)
 	col := metrics.New(s.cfg.Name, wf.Name())
 	sys.Manager().SetMetrics(col)
 	pol := opts.Placement
@@ -246,6 +244,7 @@ func (s *Simulator) Run(wf *workflow.Workflow, opts RunOptions) (*Result, error)
 	}
 	tr, err := exec.Run(sys, wf, exec.Config{
 		Placement:                pol,
+		Compute:                  opts.Compute,
 		TraceSink:                opts.TraceSink,
 		CoresPerTask:             opts.CoresPerTask,
 		PrePlaceInputs:           opts.PrePlaceInputs,

@@ -38,12 +38,6 @@ func TestSWarpOnCoriRuns(t *testing.T) {
 	if res.BB.BytesWritten != 768*units.MiB+768*units.MiB+96*units.MiB {
 		t.Errorf("BB bytes written = %v", res.BB.BytesWritten)
 	}
-	if _, err := res.MeanTaskTime("resample"); err != nil {
-		t.Errorf("MeanTaskTime: %v", err)
-	}
-	if _, err := res.MeanTaskTime("nothing"); err == nil {
-		t.Error("MeanTaskTime on missing category succeeded")
-	}
 }
 
 func TestSimulatorDeterministic(t *testing.T) {

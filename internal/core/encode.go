@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"bbwfsim/internal/metrics"
 	"bbwfsim/internal/storage"
@@ -77,12 +79,18 @@ func EncodeResult(r *Result) ([]byte, error) {
 }
 
 // DecodeResult parses bytes EncodeResult produced, rejecting unknown
-// fields and schema mismatches — the validation a cache journal applies
-// before serving restored entries.
+// fields, data after the document, and schema mismatches. It is the
+// inverse of EncodeResult for clients of the wire form; the service's
+// cache journal does not yet validate its entries through it.
 func DecodeResult(data []byte) (*ResultDoc, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var doc ResultDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
+	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("core: decoding result document: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("core: decoding result document: data after the document")
 	}
 	if doc.Schema != ResultDocSchema {
 		return nil, fmt.Errorf("core: result document schema %d, want %d", doc.Schema, ResultDocSchema)

@@ -69,4 +69,10 @@ func TestDecodeResultRejectsSchemaMismatch(t *testing.T) {
 	if _, err := DecodeResult([]byte(`not json`)); err == nil {
 		t.Error("malformed document decoded without error")
 	}
+	if _, err := DecodeResult([]byte(`{"schema": 1, "bogus": 0}`)); err == nil {
+		t.Error("document with an unknown field decoded without error")
+	}
+	if _, err := DecodeResult([]byte(`{"schema": 1} {"schema": 1}`)); err == nil {
+		t.Error("document with trailing data decoded without error")
+	}
 }

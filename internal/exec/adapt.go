@@ -340,10 +340,11 @@ func (e *engine) adaptReplicaLost(f *workflow.File, svc storage.Service) {
 	}
 }
 
-// copyNode returns the node an adaptation copy off svc routes through: the
-// replica's creator while it is up (data locality, and the only node that
-// can see a private-mode or node-local replica), else the first surviving
-// node. Nil when the whole platform is down.
+// copyNode returns the node a copy of f off svc routes through — an
+// adaptation spill or replication, or a checkpoint drain: the replica's
+// creator while it is up (data locality, and the only node that can see a
+// private-mode or node-local replica), else the first surviving node. Nil
+// when the whole platform is down.
 func (e *engine) copyNode(f *workflow.File, svc storage.Service) *platform.Node {
 	if n := e.sys.Registry().Creator(f, svc); n != nil && !n.Down() {
 		return n

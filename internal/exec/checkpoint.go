@@ -37,7 +37,6 @@ type ckptRec struct {
 	task *workflow.Task
 	file *workflow.File
 	svc  storage.Service // commit target
-	node *platform.Node  // writer; preferred drain source node
 	// progress is the cumulative compute seconds the snapshot captures.
 	progress float64
 	// drained marks a PFS replica (direct commit or completed drain): the
@@ -94,7 +93,7 @@ func (e *engine) writeCheckpoint(a *attempt) {
 				metrics.Key{Tier: tier, Op: metrics.OpWrite}, float64(size))
 			e.cfg.Metrics.Add(metrics.CkptOverheadSecondsTotal,
 				metrics.Key{Tier: tier, Op: metrics.OpWrite}, e.now()-begin)
-			rec := &ckptRec{task: t, file: f, svc: svc, node: node, progress: p,
+			rec := &ckptRec{task: t, file: f, svc: svc, progress: p,
 				drained: svc.Kind() == storage.KindPFS}
 			e.ckpts[t] = append(e.ckpts[t], rec)
 			e.ckptOf[f] = rec
@@ -130,28 +129,18 @@ func (e *engine) writeCheckpoint(a *attempt) {
 	e.track(a, op)
 }
 
-// startDrain copies a committed burst-buffer snapshot to the PFS. The copy
-// goes through the writing node when it is still up, else through the first
-// surviving node (a shared BB outlives its writer). A source replica that
-// vanished in the meantime — rotated out or destroyed — silently skips the
-// drain: a newer snapshot superseded this one, or CkptLost already
-// recorded the loss.
+// startDrain copies a committed burst-buffer snapshot to the PFS, through
+// the node copyNode picks (a shared BB outlives its writer). A source
+// replica that vanished in the meantime — rotated out or destroyed —
+// silently skips the drain: a newer snapshot superseded this one, or
+// CkptLost already recorded the loss.
 func (e *engine) startDrain(rec *ckptRec) {
 	if e.err != nil || rec.drained || !e.sys.Registry().Has(rec.file, rec.svc) {
 		return
 	}
-	node := rec.node
-	if node.Down() {
-		node = nil
-		for _, n := range e.sys.Platform().Nodes() {
-			if !n.Down() {
-				node = n
-				break
-			}
-		}
-		if node == nil {
-			return
-		}
+	node := e.copyNode(rec.file, rec.svc)
+	if node == nil {
+		return
 	}
 	op, err := e.sys.Manager().Copy(node, rec.file, rec.svc, e.sys.PFS(), func() {
 		rec.drainOp = nil

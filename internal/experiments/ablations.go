@@ -100,7 +100,7 @@ func RunAblationModel(opts Options) ([]*Table, error) {
 	tb := testbed.NewRunner(prof, o.Seed)
 	anchorCores := 32
 	anchor, err := tb.Run(testbedSwarp(1, anchorCores),
-		testbed.Scenario{StagedFraction: 1, IntermediatesToBB: true, CoresPerTask: anchorCores}, o.Reps)
+		core.RunOptions{StagedFraction: 1, IntermediatesToBB: true, CoresPerTask: anchorCores}, o.Reps)
 	if err != nil {
 		return nil, err
 	}
@@ -117,14 +117,14 @@ func RunAblationModel(opts Options) ([]*Table, error) {
 		return nil, err
 	}
 
-	runSim := func(cores int, rw, cw units.Flops, alphaRes, alphaCom float64) (float64, error) {
+	runSim := func(cell core.RunOptions, rw, cw units.Flops, alphaRes, alphaCom float64) (float64, error) {
 		wf := swarp.MustNew(swarp.Params{
-			Pipelines: 1, CoresPerTask: cores,
+			Pipelines: 1, CoresPerTask: cell.CoresPerTask,
 			ResampleWork: rw, CombineWork: cw,
 			ResampleAlpha: alphaRes, CombineAlpha: alphaCom,
 		})
 		sim := core.MustNewSimulator(simPreset("cori-private", 1))
-		res, err := sim.Run(wf, core.RunOptions{StagedFraction: 1, IntermediatesToBB: true, CoresPerTask: cores})
+		res, err := sim.Run(wf, cell)
 		if err != nil {
 			return 0, err
 		}
@@ -139,16 +139,16 @@ func RunAblationModel(opts Options) ([]*Table, error) {
 	type modelPoint struct{ real, m4, m3 float64 }
 	counts := coreCounts(o)
 	points, err := runPoints(o, counts, func(cores int) (modelPoint, error) {
-		res, err := testbed.NewRunner(prof, o.Seed).Run(testbedSwarp(1, cores),
-			testbed.Scenario{StagedFraction: 1, IntermediatesToBB: true, CoresPerTask: cores}, o.Reps)
+		cell := core.RunOptions{StagedFraction: 1, IntermediatesToBB: true, CoresPerTask: cores}
+		res, err := testbed.NewRunner(prof, o.Seed).Run(testbedSwarp(1, cores), cell, o.Reps)
 		if err != nil {
 			return modelPoint{}, err
 		}
-		m4, err := runSim(cores, rw4, cw4, 0, 0)
+		m4, err := runSim(cell, rw4, cw4, 0, 0)
 		if err != nil {
 			return modelPoint{}, err
 		}
-		m3, err := runSim(cores, rw3, cw3, trueAlpha["resample"], trueAlpha["combine"])
+		m3, err := runSim(cell, rw3, cw3, trueAlpha["resample"], trueAlpha["combine"])
 		if err != nil {
 			return modelPoint{}, err
 		}

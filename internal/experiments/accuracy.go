@@ -58,13 +58,12 @@ func RunFig10(opts Options) ([]*Table, error) {
 	points, err := runner.Map(context.TODO(), o.Jobs, len(profiles)*len(qs), func(i int) (accuracyPoint, error) {
 		pi, qi := i/len(qs), i%len(qs)
 		prof, q := profiles[pi], qs[qi]
-		res, err := testbed.NewRunner(prof, o.Seed).Run(testWF,
-			testbed.Scenario{StagedFraction: q, IntermediatesToBB: true}, o.Reps)
+		cell := core.RunOptions{StagedFraction: q, IntermediatesToBB: true}
+		res, err := testbed.NewRunner(prof, o.Seed).Run(testWF, cell, o.Reps)
 		if err != nil {
 			return accuracyPoint{}, err
 		}
-		simRes, err := core.MustNewSimulator(simPreset(prof.Name, 1)).Run(simWFs[pi],
-			core.RunOptions{StagedFraction: q, IntermediatesToBB: true})
+		simRes, err := core.MustNewSimulator(simPreset(prof.Name, 1)).Run(simWFs[pi], cell)
 		if err != nil {
 			return accuracyPoint{}, err
 		}
@@ -143,14 +142,13 @@ func RunFig11(opts Options) ([]*Table, error) {
 	points, err := runner.Map(context.TODO(), o.Jobs, len(profiles)*len(counts), func(i int) (accuracyPoint, error) {
 		pi, ni := i/len(counts), i%len(counts)
 		prof, n := profiles[pi], counts[ni]
-		res, err := testbed.NewRunner(prof, o.Seed).Run(testbedSwarp(n, 1),
-			testbed.Scenario{StagedFraction: 1, IntermediatesToBB: true, CoresPerTask: 1}, o.Reps)
+		cell := core.RunOptions{StagedFraction: 1, IntermediatesToBB: true, CoresPerTask: 1}
+		res, err := testbed.NewRunner(prof, o.Seed).Run(testbedSwarp(n, 1), cell, o.Reps)
 		if err != nil {
 			return accuracyPoint{}, err
 		}
 		simWF := swarpWithWorks(n, 1, calibrated[pi].rw, calibrated[pi].cw)
-		simRes, err := core.MustNewSimulator(simPreset(prof.Name, 1)).Run(simWF,
-			core.RunOptions{StagedFraction: 1, IntermediatesToBB: true, CoresPerTask: 1})
+		simRes, err := core.MustNewSimulator(simPreset(prof.Name, 1)).Run(simWF, cell)
 		if err != nil {
 			return accuracyPoint{}, err
 		}

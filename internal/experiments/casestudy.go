@@ -127,7 +127,7 @@ func RunFig14(opts Options) ([]*Table, error) {
 	refFracs := []float64{0, 0.5, 1}
 	refMs, err := runPoints(o, refFracs, func(q float64) (float64, error) {
 		res, err := testbed.NewRunner(testbed.CoriPrivate(caseStudyNodes), o.Seed).Run(refWF,
-			testbed.Scenario{StagedFraction: q, PrePlaceInputs: true}, o.Reps)
+			core.RunOptions{StagedFraction: q, PrePlaceInputs: true}, o.Reps)
 		if err != nil {
 			return 0, err
 		}

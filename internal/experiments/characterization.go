@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"bbwfsim/internal/core"
 	"bbwfsim/internal/platform"
 	"bbwfsim/internal/stats"
 	"bbwfsim/internal/testbed"
@@ -50,11 +51,11 @@ func RunTable1(opts Options) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-// testbedPoint is one cell of a characterization grid: a profile × scenario
-// pair, run on a private testbed.Runner.
+// testbedPoint is one cell of a characterization grid: a profile and the
+// run options of one testbed run, on a private testbed.Runner.
 type testbedPoint struct {
 	prof testbed.Profile
-	sc   testbed.Scenario
+	opts core.RunOptions
 	wf   int // index into the sweep's workflow list
 }
 
@@ -78,11 +79,11 @@ func RunFig4(opts Options) ([]*Table, error) {
 	for _, q := range qs {
 		for _, prof := range profiles {
 			pts = append(pts, testbedPoint{prof: prof,
-				sc: testbed.Scenario{StagedFraction: q, IntermediatesToBB: true}})
+				opts: core.RunOptions{StagedFraction: q, IntermediatesToBB: true}})
 		}
 	}
 	cells, err := runPoints(o, pts, func(p testbedPoint) (string, error) {
-		res, err := testbed.NewRunner(p.prof, o.Seed).Run(wf, p.sc, o.Reps)
+		res, err := testbed.NewRunner(p.prof, o.Seed).Run(wf, p.opts, o.Reps)
 		if err != nil {
 			return "", err
 		}
@@ -119,12 +120,12 @@ func RunFig5(opts Options) ([]*Table, error) {
 		for _, prof := range profiles {
 			for _, intBB := range []bool{true, false} {
 				pts = append(pts, testbedPoint{prof: prof,
-					sc: testbed.Scenario{StagedFraction: q, IntermediatesToBB: intBB}})
+					opts: core.RunOptions{StagedFraction: q, IntermediatesToBB: intBB}})
 			}
 		}
 	}
 	results, err := runPoints(o, pts, func(p testbedPoint) (*testbed.Result, error) {
-		return testbed.NewRunner(p.prof, o.Seed).Run(wf, p.sc, o.Reps)
+		return testbed.NewRunner(p.prof, o.Seed).Run(wf, p.opts, o.Reps)
 	})
 	if err != nil {
 		return nil, err
@@ -171,11 +172,11 @@ func RunFig6(opts Options) ([]*Table, error) {
 		wfs[ci] = testbedSwarp(1, c)
 		for _, prof := range profiles {
 			pts = append(pts, testbedPoint{prof: prof, wf: ci,
-				sc: testbed.Scenario{StagedFraction: 1, IntermediatesToBB: true, CoresPerTask: c}})
+				opts: core.RunOptions{StagedFraction: 1, IntermediatesToBB: true, CoresPerTask: c}})
 		}
 	}
 	results, err := runPoints(o, pts, func(p testbedPoint) (*testbed.Result, error) {
-		return testbed.NewRunner(p.prof, o.Seed).Run(wfs[p.wf], p.sc, o.Reps)
+		return testbed.NewRunner(p.prof, o.Seed).Run(wfs[p.wf], p.opts, o.Reps)
 	})
 	if err != nil {
 		return nil, err
@@ -219,11 +220,11 @@ func RunFig7(opts Options) ([]*Table, error) {
 		wfs[ni] = testbedSwarp(n, 1)
 		for _, prof := range profiles {
 			pts = append(pts, testbedPoint{prof: prof, wf: ni,
-				sc: testbed.Scenario{StagedFraction: 1, IntermediatesToBB: true, CoresPerTask: 1}})
+				opts: core.RunOptions{StagedFraction: 1, IntermediatesToBB: true, CoresPerTask: 1}})
 		}
 	}
 	results, err := runPoints(o, pts, func(p testbedPoint) (*testbed.Result, error) {
-		return testbed.NewRunner(p.prof, o.Seed).Run(wfs[p.wf], p.sc, o.Reps)
+		return testbed.NewRunner(p.prof, o.Seed).Run(wfs[p.wf], p.opts, o.Reps)
 	})
 	if err != nil {
 		return nil, err
@@ -270,11 +271,11 @@ func RunFig8(opts Options) ([]*Table, error) {
 		wfs[ni] = testbedSwarp(n, 1)
 		for _, prof := range profiles {
 			pts = append(pts, testbedPoint{prof: prof, wf: ni,
-				sc: testbed.Scenario{StagedFraction: 1, IntermediatesToBB: true, CoresPerTask: 1}})
+				opts: core.RunOptions{StagedFraction: 1, IntermediatesToBB: true, CoresPerTask: 1}})
 		}
 	}
 	cells, err := runPoints(o, pts, func(p testbedPoint) (string, error) {
-		res, err := testbed.NewRunner(p.prof, o.Seed).Run(wfs[p.wf], p.sc, o.Reps)
+		res, err := testbed.NewRunner(p.prof, o.Seed).Run(wfs[p.wf], p.opts, o.Reps)
 		if err != nil {
 			return "", err
 		}
@@ -308,7 +309,7 @@ func RunFig9(opts Options) ([]*Table, error) {
 	profiles := orderedProfiles(1)
 	rows, err := runPoints(o, profiles, func(prof testbed.Profile) ([]string, error) {
 		res, err := testbed.NewRunner(prof, o.Seed).Run(wf,
-			testbed.Scenario{StagedFraction: 1, IntermediatesToBB: true}, o.Reps)
+			core.RunOptions{StagedFraction: 1, IntermediatesToBB: true}, o.Reps)
 		if err != nil {
 			return nil, err
 		}

@@ -13,10 +13,10 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"time"
 	"unicode/utf8"
 
 	"bbwfsim/internal/calib"
+	"bbwfsim/internal/core"
 	"bbwfsim/internal/metrics"
 	"bbwfsim/internal/platform"
 	"bbwfsim/internal/runner"
@@ -36,13 +36,6 @@ type Options struct {
 	// Quick shrinks sweeps (fewer fractions, pipeline counts, reps) for
 	// benchmarks and smoke tests.
 	Quick bool
-	// Stopwatch, when non-nil, returns elapsed wall time and enables the
-	// wall-clock columns of the scalability experiment. It is nil by
-	// default so experiment output depends only on inputs (bit-identical
-	// repeated runs); callers that want real timings inject a clock, as
-	// `bbexp -walltime` does. Deterministic packages cannot read the wall
-	// clock themselves (bbvet's no-walltime rule).
-	Stopwatch func() time.Duration
 	// Jobs is the worker count for fanning a sweep's independent run
 	// points across goroutines via internal/runner. Values < 1 resolve to
 	// GOMAXPROCS; 1 executes serially. Every run point owns private
@@ -322,7 +315,7 @@ func swarpWithWorks(pipelines, cores int, resampleWork, combineWork units.Flops)
 func calibrateSwarp(prof testbed.Profile, pipelines, cores int, o Options) (*workflow.Workflow, error) {
 	runner := testbed.NewRunner(prof, o.Seed)
 	anchor, err := runner.Run(testbedSwarp(1, cores),
-		testbed.Scenario{StagedFraction: 1, IntermediatesToBB: true, CoresPerTask: cores}, o.Reps)
+		core.RunOptions{StagedFraction: 1, IntermediatesToBB: true, CoresPerTask: cores}, o.Reps)
 	if err != nil {
 		return nil, fmt.Errorf("calibration anchor on %s: %w", prof.Name, err)
 	}

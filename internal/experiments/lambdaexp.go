@@ -63,7 +63,7 @@ func RunAblationLambda(opts Options) ([]*Table, error) {
 	}
 	calibrations, err := runPoints(o, profiles, func(prof testbed.Profile) (calibration, error) {
 		anchor, err := testbed.NewRunner(prof, o.Seed).Run(testWF,
-			testbed.Scenario{StagedFraction: 1, IntermediatesToBB: true}, o.Reps)
+			core.RunOptions{StagedFraction: 1, IntermediatesToBB: true}, o.Reps)
 		if err != nil {
 			return calibration{}, err
 		}
@@ -88,14 +88,13 @@ func RunAblationLambda(opts Options) ([]*Table, error) {
 	points, err := runner.Map(context.TODO(), o.Jobs, len(profiles)*len(qs), func(i int) (lambdaPoint, error) {
 		pi, qi := i/len(qs), i%len(qs)
 		prof, q, c := profiles[pi], qs[qi], calibrations[pi]
-		res, err := testbed.NewRunner(prof, o.Seed).Run(testWF,
-			testbed.Scenario{StagedFraction: q, IntermediatesToBB: true}, o.Reps)
+		cell := core.RunOptions{StagedFraction: q, IntermediatesToBB: true}
+		res, err := testbed.NewRunner(prof, o.Seed).Run(testWF, cell, o.Reps)
 		if err != nil {
 			return lambdaPoint{}, err
 		}
 		simRun := func(rw, cw units.Flops) (float64, error) {
-			r, err := core.MustNewSimulator(simPreset(prof.Name, 1)).Run(swarpWithWorks(1, 32, rw, cw),
-				core.RunOptions{StagedFraction: q, IntermediatesToBB: true})
+			r, err := core.MustNewSimulator(simPreset(prof.Name, 1)).Run(swarpWithWorks(1, 32, rw, cw), cell)
 			if err != nil {
 				return 0, err
 			}

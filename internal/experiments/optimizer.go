@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"bbwfsim/internal/core"
 	"bbwfsim/internal/genomes"
@@ -124,58 +123,35 @@ func RunAblationOptimizer(opts Options) ([]*Table, error) {
 // RunScalability measures the simulator's own cost — the paper's pitch is
 // a lightweight simulator that "can run scalably on a single computer" and
 // explores the design space "thoroughly and quickly". Rows sweep the
-// workflow size; the default columns are deterministic (event counts, not
-// wall time), so repeated runs emit bit-identical tables. Injecting
-// Options.Stopwatch adds wall-clock columns for interactive use.
+// workflow size; the columns are deterministic (event counts, not wall
+// time), so repeated runs emit bit-identical tables.
 func RunScalability(opts Options) ([]*Table, error) {
 	o, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	header := []string{"tasks", "files", "events", "events per sim-second"}
-	if o.Stopwatch != nil {
-		header = append(header, "wall time [ms]", "sim-seconds per wall-second")
-	}
 	t := &Table{
 		ID:     "scalability",
 		Title:  "Simulator cost vs. workflow size (SWarp pipelines on one Cori node, all data in BB)",
-		Header: header,
+		Header: []string{"tasks", "files", "events", "events per sim-second"},
 	}
 	counts := []int{8, 32, 128, 512}
 	if o.Quick {
 		counts = []int{8, 64}
 	}
-	// With a stopwatch injected, the points must run one at a time in row
-	// order — concurrent runs would time each other's interference.
-	po := o
-	if o.Stopwatch != nil {
-		po.Jobs = 1
-	}
-	rows, err := runPoints(po, counts, func(pipelines int) ([]string, error) {
+	rows, err := runPoints(o, counts, func(pipelines int) ([]string, error) {
 		wf := swarp.MustNew(swarp.Params{Pipelines: pipelines, CoresPerTask: 1})
 		sim := core.MustNewSimulator(platform.Cori(1, platform.BBPrivate))
-		var start time.Duration
-		if o.Stopwatch != nil {
-			start = o.Stopwatch()
-		}
 		res, err := sim.Run(wf, core.RunOptions{StagedFraction: 1, IntermediatesToBB: true, CoresPerTask: 1})
 		if err != nil {
 			return nil, err
 		}
-		row := []string{
+		return []string{
 			fmt.Sprint(len(wf.Tasks())),
 			fmt.Sprint(len(wf.Files())),
 			fmt.Sprint(res.Events),
 			fmt.Sprintf("%.0f", float64(res.Events)/res.Makespan),
-		}
-		if o.Stopwatch != nil {
-			wall := o.Stopwatch() - start
-			row = append(row,
-				fmt.Sprintf("%.1f", float64(wall.Microseconds())/1000),
-				fmt.Sprintf("%.0f", res.Makespan/wall.Seconds()),
-			)
-		}
-		return row, nil
+		}, nil
 	})
 	if err != nil {
 		return nil, err

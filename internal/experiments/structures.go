@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"bbwfsim/internal/core"
 	"bbwfsim/internal/testbed"
 	"bbwfsim/internal/units"
 	"bbwfsim/internal/workflow"
@@ -68,11 +69,11 @@ func RunAblationStructures(opts Options) ([]*Table, error) {
 	}
 	cells, err := runPoints(o, pts, func(p structPoint) (string, error) {
 		tb := testbed.NewRunner(p.prof, o.Seed)
-		pfs, err := tb.Run(p.wf, testbed.Scenario{IntermediatesToBB: false}, reps)
+		pfs, err := tb.Run(p.wf, core.RunOptions{IntermediatesToBB: false}, reps)
 		if err != nil {
 			return "", fmt.Errorf("structures %s/%s pfs: %w", p.pattern, p.prof.Name, err)
 		}
-		bb, err := tb.Run(p.wf, testbed.Scenario{IntermediatesToBB: true}, reps)
+		bb, err := tb.Run(p.wf, core.RunOptions{IntermediatesToBB: true}, reps)
 		if err != nil {
 			return "", fmt.Errorf("structures %s/%s bb: %w", p.pattern, p.prof.Name, err)
 		}

@@ -75,8 +75,8 @@ func TestCalibrationLoopClosesAtAnchor(t *testing.T) {
 			Pipelines: 1, CoresPerTask: 32,
 			ResampleWork: testbed.TrueResampleWork, CombineWork: testbed.TrueCombineWork,
 		})
-		sc := testbed.Scenario{StagedFraction: 1, IntermediatesToBB: true}
-		obs, err := runner.Run(anchorWF, sc, 10)
+		cell := core.RunOptions{StagedFraction: 1, IntermediatesToBB: true}
+		obs, err := runner.Run(anchorWF, cell, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestCalibrationLoopClosesAtAnchor(t *testing.T) {
 			Pipelines: 1, CoresPerTask: 32, ResampleWork: rw, CombineWork: cw,
 		})
 		sim := core.MustNewSimulator(platform.Presets(1)[name])
-		res, err := sim.Run(simWF, core.RunOptions{StagedFraction: 1, IntermediatesToBB: true})
+		res, err := sim.Run(simWF, cell)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -163,14 +163,6 @@ func NewManager(eng *sim.Engine, net *flow.Network, reg *Registry, model OpModel
 	}
 }
 
-// SetModel replaces the operation model (used when wiring a testbed).
-func (m *Manager) SetModel(model OpModel) {
-	if model == nil {
-		model = IdentityModel{}
-	}
-	m.model = model
-}
-
 // SetMetrics attaches a collector; every operation completion then records
 // bytes, op counts, and virtual-duration histograms per (tier, op).
 func (m *Manager) SetMetrics(col *metrics.Collector) { m.col = col }

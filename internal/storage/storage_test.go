@@ -429,21 +429,6 @@ func TestCopySourceMissing(t *testing.T) {
 	}
 }
 
-func TestSetModelSwapsAtRuntime(t *testing.T) {
-	e, sys, w := coriSystem(t, platform.BBPrivate)
-	f := w.MustAddFile("f", 100*units.MB)
-	sys.PlaceInitial(f, sys.PFS())
-	sys.Manager().SetModel(latencyModel{})
-	var done float64
-	sys.Manager().Read(sys.Platform().Node(0), f, sys.PFS(), func() { done = e.Now() })
-	e.Run()
-	// latencyModel: latency 1s + 150MB effective at 100MB/s (PFS disk).
-	if !approx(done, 2.5, 1e-9) {
-		t.Errorf("swapped model read = %v, want 2.5", done)
-	}
-	sys.Manager().SetModel(nil) // back to identity; no panic
-}
-
 func TestCreatorTracking(t *testing.T) {
 	e, sys, w := coriSystem(t, platform.BBPrivate)
 	f := w.MustAddFile("f", 10*units.MB)

@@ -3,9 +3,10 @@
 // for the real machines the paper measured (see DESIGN.md, substitution
 // table).
 //
-// It runs the same execution engine as the lightweight simulator but adds
-// the behaviors the paper observed and the lightweight model deliberately
-// ignores:
+// A testbed run is the lightweight simulator itself — core.Simulator.Run —
+// with two machine-model hooks installed: a storage.OpModel and an
+// exec.ComputeModel. Together they add the behaviors the paper observed
+// and the lightweight model deliberately ignores:
 //
 //   - per-operation latency and metadata cost, mode-dependent (the striped
 //     DataWarp mode is far more expensive per file operation than the
@@ -24,7 +25,7 @@
 //     outperforms the conservative calibrated figure, one of the error
 //     sources the paper discusses).
 //
-// Every run is deterministic in (profile, scenario, seed, repetition).
+// Every run is deterministic in (profile, run options, seed, repetition).
 package testbed
 
 import (
@@ -32,10 +33,8 @@ import (
 	"math"
 	"math/rand"
 
-	"bbwfsim/internal/exec"
-	"bbwfsim/internal/placement"
+	"bbwfsim/internal/core"
 	"bbwfsim/internal/platform"
-	"bbwfsim/internal/sim"
 	"bbwfsim/internal/stats"
 	"bbwfsim/internal/storage"
 	"bbwfsim/internal/trace"
@@ -94,22 +93,6 @@ type Profile struct {
 	GammaPerCore map[string]float64
 }
 
-// Scenario describes one experimental configuration.
-type Scenario struct {
-	// StagedFraction is the fraction of stageable input files placed on
-	// the burst buffer (the paper's x-axis).
-	StagedFraction float64
-	// IntermediatesToBB sends intermediate files to the BB instead of the
-	// PFS (the two series of Fig. 5).
-	IntermediatesToBB bool
-	// CoresPerTask overrides compute tasks' core request when positive.
-	CoresPerTask int
-	// PrePlaceInputs places true workflow inputs on their targets at time
-	// zero (used by the 1000Genomes case study, whose stage-in is outside
-	// the measured makespan).
-	PrePlaceInputs bool
-}
-
 // Result aggregates the repetitions of one scenario.
 type Result struct {
 	Makespans []float64
@@ -142,62 +125,52 @@ func NewRunner(p Profile, seed int64) *Runner {
 	return &Runner{Profile: p, Seed: seed}
 }
 
-// Run executes reps repetitions (the paper averages over 15) and
-// aggregates.
-func (r *Runner) Run(wf *workflow.Workflow, sc Scenario, reps int) (*Result, error) {
+// Run executes reps repetitions (the paper averages over 15) of wf under
+// opts and aggregates them. Every repetition is one core.Simulator.Run on
+// the profile's platform with opts.OpModel and opts.Compute overwritten by
+// the profile's machine model, freshly seeded per repetition.
+func (r *Runner) Run(wf *workflow.Workflow, opts core.RunOptions, reps int) (*Result, error) {
 	if reps <= 0 {
 		return nil, fmt.Errorf("testbed: reps must be positive, got %d", reps)
 	}
+	sim, err := core.NewSimulator(r.Profile.Platform)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{TaskMeans: map[string][]float64{}}
 	for rep := 0; rep < reps; rep++ {
-		eng := sim.NewEngine()
-		plat, err := platform.New(eng, r.Profile.Platform)
+		seed := r.Seed + int64(rep)*1_000_003
+		opts.OpModel = newOpModel(&r.Profile, opts.StagedFraction, rand.New(rand.NewSource(seed)))
+		opts.Compute = &computeModel{prof: &r.Profile, rng: rand.New(rand.NewSource(seed + 17))}
+		run, err := sim.Run(wf, opts)
 		if err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(r.Seed + int64(rep)*1_000_003))
-		model := newOpModel(&r.Profile, sc, rng)
-		sys := storage.NewSystem(plat, model)
-		pol, err := placement.NewFraction(wf, sc.StagedFraction, sc.IntermediatesToBB)
-		if err != nil {
-			return nil, err
-		}
-		cm := &computeModel{prof: &r.Profile, rng: rand.New(rand.NewSource(r.Seed + int64(rep)*1_000_003 + 17))}
-		tr, err := exec.Run(sys, wf, exec.Config{
-			Placement:      pol,
-			Compute:        cm,
-			CoresPerTask:   sc.CoresPerTask,
-			PrePlaceInputs: sc.PrePlaceInputs,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Makespans = append(res.Makespans, tr.Makespan())
-		for _, s := range tr.Summarize() {
+		res.Makespans = append(res.Makespans, run.Makespan)
+		for _, s := range run.Summaries {
 			res.TaskMeans[s.Name] = append(res.TaskMeans[s.Name], s.MeanExec)
 		}
-		bb := sys.BBStats()
-		if bw := bb.ReadBandwidth(); bw > 0 {
+		if bw := run.BB.ReadBandwidth(); bw > 0 {
 			res.BBReadBW = append(res.BBReadBW, float64(bw))
 		}
-		if bw := bb.WriteBandwidth(); bw > 0 {
+		if bw := run.BB.WriteBandwidth(); bw > 0 {
 			res.BBWriteBW = append(res.BBWriteBW, float64(bw))
 		}
-		res.LastTrace = tr
+		res.LastTrace = run.Trace
 	}
 	return res, nil
 }
 
 // opModel implements storage.OpModel with the profile's overheads.
 type opModel struct {
-	prof *Profile
-	sc   Scenario
-	rng  *rand.Rand
-	load float64 // per-run background-load factor, ≥ drawn once
+	prof     *Profile
+	fraction float64 // the run's staged fraction, for the Fig. 4 anomaly
+	rng      *rand.Rand
+	load     float64 // per-run background-load factor, ≥ drawn once
 }
 
-func newOpModel(prof *Profile, sc Scenario, rng *rand.Rand) *opModel {
-	m := &opModel{prof: prof, sc: sc, rng: rng, load: 1}
+func newOpModel(prof *Profile, fraction float64, rng *rand.Rand) *opModel {
+	m := &opModel{prof: prof, fraction: fraction, rng: rng, load: 1}
 	if prof.LoadNoiseCV > 0 {
 		m.load = lognormalFactor(rng, prof.LoadNoiseCV)
 	}
@@ -236,7 +209,7 @@ func (m *opModel) Adjust(ctx storage.OpContext, base storage.OpParams) storage.O
 			}
 		}
 		if m.prof.AnomalyFactor > 1 && stageWrite &&
-			m.sc.StagedFraction >= m.prof.AnomalyLow && m.sc.StagedFraction < m.prof.AnomalyHigh {
+			m.fraction >= m.prof.AnomalyLow && m.fraction < m.prof.AnomalyHigh {
 			p.SizeFactor *= m.prof.AnomalyFactor
 		}
 	}

@@ -3,6 +3,7 @@ package testbed
 import (
 	"testing"
 
+	"bbwfsim/internal/core"
 	"bbwfsim/internal/stats"
 	"bbwfsim/internal/swarp"
 	"bbwfsim/internal/workflow"
@@ -19,7 +20,7 @@ func swarpWF(pipelines, cores int) *workflow.Workflow {
 
 func TestDeterministicPerSeed(t *testing.T) {
 	wf := swarpWF(1, 32)
-	sc := Scenario{StagedFraction: 1, IntermediatesToBB: true}
+	sc := core.RunOptions{StagedFraction: 1, IntermediatesToBB: true}
 	r := NewRunner(CoriPrivate(1), 42)
 	a, err := r.Run(wf, sc, 3)
 	if err != nil {
@@ -39,7 +40,7 @@ func TestDeterministicPerSeed(t *testing.T) {
 func TestRepetitionsVary(t *testing.T) {
 	wf := swarpWF(1, 32)
 	r := NewRunner(CoriPrivate(1), 7)
-	res, err := r.Run(wf, Scenario{StagedFraction: 1, IntermediatesToBB: true}, 5)
+	res, err := r.Run(wf, core.RunOptions{StagedFraction: 1, IntermediatesToBB: true}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestRepetitionsVary(t *testing.T) {
 
 func TestStripedTaskIOCollapse(t *testing.T) {
 	wf := swarpWF(1, 32)
-	sc := Scenario{StagedFraction: 1, IntermediatesToBB: true}
+	sc := core.RunOptions{StagedFraction: 1, IntermediatesToBB: true}
 	priv, err := NewRunner(CoriPrivate(1), 1).Run(wf, sc, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +73,7 @@ func TestStripedTaskIOCollapse(t *testing.T) {
 }
 
 func TestOnNodeBeatsShared(t *testing.T) {
-	sc := Scenario{StagedFraction: 1, IntermediatesToBB: true}
+	sc := core.RunOptions{StagedFraction: 1, IntermediatesToBB: true}
 	wf := swarpWF(1, 32)
 	priv, err := NewRunner(CoriPrivate(1), 1).Run(wf, sc, 5)
 	if err != nil {
@@ -96,7 +97,7 @@ func TestStripedAnomalyAt75(t *testing.T) {
 	wf := swarpWF(1, 32)
 	r := NewRunner(CoriStriped(1), 3)
 	stage := func(frac float64) float64 {
-		res, err := r.Run(wf, Scenario{StagedFraction: frac, IntermediatesToBB: true}, 5)
+		res, err := r.Run(wf, core.RunOptions{StagedFraction: frac, IntermediatesToBB: true}, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,9 +113,9 @@ func TestStripedAnomalyAt75(t *testing.T) {
 	}
 	// The private mode has no anomaly.
 	rp := NewRunner(CoriPrivate(1), 3)
-	p50r, _ := rp.Run(wf, Scenario{StagedFraction: 0.50, IntermediatesToBB: true}, 5)
-	p75r, _ := rp.Run(wf, Scenario{StagedFraction: 0.75, IntermediatesToBB: true}, 5)
-	p100r, _ := rp.Run(wf, Scenario{StagedFraction: 1.0, IntermediatesToBB: true}, 5)
+	p50r, _ := rp.Run(wf, core.RunOptions{StagedFraction: 0.50, IntermediatesToBB: true}, 5)
+	p75r, _ := rp.Run(wf, core.RunOptions{StagedFraction: 0.75, IntermediatesToBB: true}, 5)
+	p100r, _ := rp.Run(wf, core.RunOptions{StagedFraction: 1.0, IntermediatesToBB: true}, 5)
 	pInterp := (p50r.TaskMean("stage_in") + p100r.TaskMean("stage_in")) / 2
 	if p75r.TaskMean("stage_in") > pInterp*1.25 {
 		t.Error("private mode shows an anomaly it should not have")
@@ -127,7 +128,7 @@ func TestStageInGrowsWithFraction(t *testing.T) {
 		r := NewRunner(prof, 11)
 		var prev float64 = -1
 		for _, frac := range []float64{0, 0.25, 0.5, 1.0} {
-			res, err := r.Run(wf, Scenario{StagedFraction: frac, IntermediatesToBB: true}, 3)
+			res, err := r.Run(wf, core.RunOptions{StagedFraction: frac, IntermediatesToBB: true}, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +144,7 @@ func TestStageInGrowsWithFraction(t *testing.T) {
 func TestVariabilityOrdering(t *testing.T) {
 	// Paper Fig. 8: striped is the most variable, on-node the least.
 	wf := swarpWF(4, 1)
-	sc := Scenario{StagedFraction: 1, IntermediatesToBB: true}
+	sc := core.RunOptions{StagedFraction: 1, IntermediatesToBB: true}
 	cv := func(p Profile) float64 {
 		res, err := NewRunner(p, 5).Run(wf, sc, 10)
 		if err != nil {
@@ -161,7 +162,7 @@ func TestVariabilityOrdering(t *testing.T) {
 func TestPipelineContentionOnCori(t *testing.T) {
 	// Paper Fig. 7: up to ~3× slowdown at 32 concurrent pipelines on Cori,
 	// near-negligible on Summit for resample.
-	sc := Scenario{StagedFraction: 1, IntermediatesToBB: true, CoresPerTask: 1}
+	sc := core.RunOptions{StagedFraction: 1, IntermediatesToBB: true, CoresPerTask: 1}
 	slowdown := func(p Profile) float64 {
 		one, err := NewRunner(p, 2).Run(swarpWF(1, 1), sc, 3)
 		if err != nil {
@@ -189,7 +190,7 @@ func TestComputeModelShapes(t *testing.T) {
 	wf1 := swarpWF(1, 1)
 	wf32 := swarpWF(1, 32)
 	r := NewRunner(CoriPrivate(1), 9)
-	sc := Scenario{StagedFraction: 1, IntermediatesToBB: true}
+	sc := core.RunOptions{StagedFraction: 1, IntermediatesToBB: true}
 	one, err := r.Run(wf1, sc, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -212,10 +213,10 @@ func TestComputeModelShapes(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	wf := swarpWF(1, 1)
 	r := NewRunner(CoriPrivate(1), 1)
-	if _, err := r.Run(wf, Scenario{}, 0); err == nil {
+	if _, err := r.Run(wf, core.RunOptions{}, 0); err == nil {
 		t.Error("0 reps accepted")
 	}
-	if _, err := r.Run(wf, Scenario{StagedFraction: 2}, 1); err == nil {
+	if _, err := r.Run(wf, core.RunOptions{StagedFraction: 2}, 1); err == nil {
 		t.Error("fraction > 1 accepted")
 	}
 }
@@ -223,7 +224,7 @@ func TestRunValidation(t *testing.T) {
 func TestSummitUsesOnNodeBBs(t *testing.T) {
 	wf := swarpWF(1, 32)
 	r := NewRunner(Summit(2), 1)
-	res, err := r.Run(wf, Scenario{StagedFraction: 1, IntermediatesToBB: true}, 1)
+	res, err := r.Run(wf, core.RunOptions{StagedFraction: 1, IntermediatesToBB: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -367,17 +367,6 @@ func (t *Trace) liveRecords() []*TaskRecord {
 	return live
 }
 
-// MeanExecByName returns the mean exec time of tasks with the given name,
-// or an error if none exist.
-func (t *Trace) MeanExecByName(name string) (float64, error) {
-	for _, s := range t.Summarize() {
-		if s.Name == name {
-			return s.MeanExec, nil
-		}
-	}
-	return 0, fmt.Errorf("trace: no tasks named %q", name)
-}
-
 // GanttRow is one bar of a Gantt chart.
 type GanttRow struct {
 	TaskID string  `json:"task"`

@@ -110,17 +110,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestMeanExecByName(t *testing.T) {
-	tr := buildTrace()
-	m, err := tr.MeanExecByName("resample")
-	if err != nil || math.Abs(m-9.5) > 1e-12 {
-		t.Errorf("MeanExecByName = %v (%v)", m, err)
-	}
-	if _, err := tr.MeanExecByName("ghost"); err == nil {
-		t.Error("MeanExecByName on missing name succeeded")
-	}
-}
-
 func TestGanttRows(t *testing.T) {
 	tr := buildTrace()
 	rows := tr.Gantt()
