@@ -49,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers      = fs.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		queue        = fs.Int("queue", 64, "admission queue length beyond the in-flight gate; full queue sheds 429")
 		cacheEntries = fs.Int("cache-entries", 1024, "result cache capacity in entries (FIFO eviction; <0 = unbounded)")
-		journalPath  = fs.String("journal", "", "append-only cache journal file (validated and truncated past corruption on restart)")
+		journalPath  = fs.String("journal", "", "append-only cache journal file (validated and truncated past corruption on restart; discarded if written under another model version)")
 		defTimeout   = fs.Duration("default-timeout", 30*time.Second, "deadline for requests that carry no timeout_s")
 		maxTimeout   = fs.Duration("max-timeout", 120*time.Second, "upper clamp on client-supplied timeout_s")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long SIGTERM drain waits for in-flight requests")

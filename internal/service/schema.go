@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 
+	"bbwfsim/internal/core"
 	"bbwfsim/internal/exec"
 )
 
@@ -458,14 +459,17 @@ func (r *Request) Normalized() Request {
 }
 
 // CanonicalHash is the content address of the request: the SHA-256 of the
-// normalized request's canonical JSON, hex-encoded. Two requests with the
-// same hash run the same simulation and produce byte-identical result
-// documents — the property internal/invariants replays 100 seeds to pin.
+// model identity (core.ModelVersion and core.ResultDocSchema) followed by
+// the normalized request's canonical JSON, hex-encoded. Two requests with
+// the same hash run the same simulation on the same model and produce
+// byte-identical result documents — the property internal/invariants
+// replays 100 seeds to pin.
 func (r *Request) CanonicalHash() (string, error) {
 	n := r.Normalized()
 	b, err := json.Marshal(&n)
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("%x", sha256.Sum256(b)), nil
+	id := fmt.Appendf(make([]byte, 0, 32+len(b)), "model %d schema %d\n", core.ModelVersion, core.ResultDocSchema)
+	return fmt.Sprintf("%x", sha256.Sum256(append(id, b...))), nil
 }

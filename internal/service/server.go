@@ -407,6 +407,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	c.Add(metrics.ServiceShedsTotal, metrics.Key{}, float64(s.sheds.Load()))
 	c.Add(metrics.ServicePanicsTotal, metrics.Key{}, float64(s.panics.Load()))
 	c.Add(metrics.ServiceDeadlineKillsTotal, metrics.Key{}, float64(s.deadlineKills.Load()))
+	c.Add(metrics.ServiceJournalDiscardsTotal, metrics.Key{}, float64(s.journalDiscards()))
 	c.GaugeMax(metrics.ServiceQueueDepth, metrics.Key{}, float64(s.gate.QueueDepth()))
 	c.GaugeMax(metrics.ServiceInFlight, metrics.Key{}, float64(s.gate.InFlight()))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -421,6 +422,9 @@ type Stats struct {
 	RequestsRun, RequestsCampaign       int64
 	Hits, Sheds, Panics, DeadlineKills  int64
 	QueueDepth, InFlight, CachedEntries int64
+	// JournalDiscards is 1 when the configured journal was written under
+	// another model version and started afresh at open, else 0.
+	JournalDiscards int64
 }
 
 // Stats snapshots the live counters.
@@ -435,7 +439,15 @@ func (s *Server) Stats() Stats {
 		QueueDepth:       s.gate.QueueDepth(),
 		InFlight:         s.gate.InFlight(),
 		CachedEntries:    int64(s.cache.Len()),
+		JournalDiscards:  s.journalDiscards(),
 	}
+}
+
+func (s *Server) journalDiscards() int64 {
+	if s.cfg.Journal != nil && s.cfg.Journal.Discarded() {
+		return 1
+	}
+	return 0
 }
 
 // BeginDrain stops admitting work (readyz flips to 503, handlers reject
