@@ -87,7 +87,7 @@ func BenchmarkSparsePlatform(b *testing.B) {
 
 // TestRecomputeZeroAllocs asserts the hot path's steady state allocates
 // nothing: once the Network's scratch slices have grown to fit, recompute
-// and schedule reuse them on every subsequent rate change.
+// reuses them on every subsequent solve.
 func TestRecomputeZeroAllocs(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)
@@ -99,9 +99,9 @@ func TestRecomputeZeroAllocs(t *testing.T) {
 	}
 	e.Run()
 	// Steady state: flows already active, measure recompute alone.
-	// (schedule is excluded: arming the next-completion event allocates a
-	// sim.Event by design; the ISSUE's zero-allocation target is the rate
-	// recomputation scratch.)
+	// (resolve is excluded: arming the next-completion event may take a
+	// fresh sim.Event; the zero-allocation target is the rate recomputation
+	// scratch. TestInvalidateZeroAllocs covers moving the pending slot.)
 	for j := 0; j < 8; j++ {
 		n.StartFlow(1e12, []*Resource{link, disk}, Options{}, nil)
 	}

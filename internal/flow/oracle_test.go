@@ -1,0 +1,359 @@
+package flow
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"bbwfsim/internal/sim"
+)
+
+// checkMaxMin verifies the active flows' rates against the certificate of
+// a max–min fair allocation, independently of progressive filling: every
+// rate is positive and within its cap, no resource carries more than its
+// capacity, and every flow below its cap crosses a saturated resource on
+// which no other flow gets a higher rate. An allocation with that
+// certificate is the unique max–min fair one.
+func checkMaxMin(n *Network) error {
+	const tol = 1e-9
+	load := make(map[*Resource]float64)
+	for i, f := range n.active {
+		if !(f.rate > 0) || f.rate > f.rateCap*(1+tol) {
+			return fmt.Errorf("flow %d: rate %g outside (0, cap %g]", i, f.rate, f.rateCap)
+		}
+		for _, r := range f.path {
+			load[r] += f.rate
+		}
+	}
+	for r, l := range load {
+		if l > r.capacity*(1+tol) {
+			return fmt.Errorf("resource %q carries %g over capacity %g", r.name, l, r.capacity)
+		}
+	}
+	for i, f := range n.active {
+		if f.rate >= f.rateCap*(1-tol) {
+			continue // its cap binds
+		}
+		if !hasBottleneck(n, f, load, tol) {
+			return fmt.Errorf("flow %d: rate %g below cap %g, but no saturated resource on its path gives it the highest rate", i, f.rate, f.rateCap)
+		}
+	}
+	return nil
+}
+
+// hasBottleneck reports whether f crosses a saturated resource on which
+// its rate is maximal.
+func hasBottleneck(n *Network, f *Flow, load map[*Resource]float64, tol float64) bool {
+	for _, r := range f.path {
+		if load[r] < r.capacity*(1-tol) {
+			continue
+		}
+		maximal := true
+		for _, g := range n.active {
+			if g.rate > f.rate*(1+tol) && crosses(g, r) {
+				maximal = false
+				break
+			}
+		}
+		if maximal {
+			return true
+		}
+	}
+	return false
+}
+
+func crosses(f *Flow, r *Resource) bool {
+	for _, p := range f.path {
+		if p == r {
+			return true
+		}
+	}
+	return false
+}
+
+// checkEveryResolve makes n run checkMaxMin after each solve. It must be
+// called before the first change, since a slot keeps the resolve function
+// it was placed with.
+func checkEveryResolve(t testing.TB, n *Network) {
+	n.resolveFn = func(seq uint64) {
+		n.resolve(seq)
+		if err := checkMaxMin(n); err != nil {
+			t.Fatalf("t=%g: %v", n.eng.Now(), err)
+		}
+	}
+}
+
+// FuzzRecompute decodes a random topology — resources, flows over random
+// subsets of them with optional caps, latencies and zero sizes, and
+// capacity changes and cancellations at a few shared instants — runs it to
+// completion, and checks the max–min certificate after every solve and
+// that every flow ends.
+func FuzzRecompute(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 48; i++ {
+		seed := make([]byte, 8+rng.Intn(120))
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := int(data[0])
+			data = data[1:]
+			return b
+		}
+		e := sim.NewEngine()
+		n := NewNetwork(e)
+		checkEveryResolve(t, n)
+		res := make([]*Resource, 1+next()%6)
+		for i := range res {
+			res[i] = n.NewResource(fmt.Sprint("r", i), float64(1+next()%16)*10)
+		}
+		var flows []*Flow
+		for k := 1 + next()%24; k > 0; k-- {
+			var path []*Resource
+			mask := next()
+			for i, r := range res {
+				if mask&(1<<i) != 0 {
+					path = append(path, r)
+				}
+			}
+			opts := Options{Latency: float64(next()%4) / 2}
+			if c := next() % 5; c > 0 && c < 3 {
+				opts.RateCap = float64(c) * 7
+			}
+			if len(path) == 0 && opts.RateCap == 0 && next()%2 == 0 {
+				path = res[:1]
+			}
+			amount := float64(next() % 64 * 10)
+			flows = append(flows, n.StartFlow(amount, path, opts, nil))
+		}
+		for k := next() % 6; k > 0; k-- {
+			at := float64(next() % 8)
+			op, arg := next(), next()
+			e.At(at, func() {
+				if op%2 == 0 {
+					flows[arg%len(flows)].Cancel()
+				} else {
+					n.SetCapacity(res[arg%len(res)], float64(1+op%16)*10)
+				}
+			})
+		}
+		e.Run()
+		for i, fl := range flows {
+			if !fl.Done() {
+				t.Fatalf("flow %d never finished", i)
+			}
+		}
+		if n.ActiveFlows() != 0 || e.Pending() != 0 {
+			t.Fatalf("drained run left %d active flows, %d pending events", n.ActiveFlows(), e.Pending())
+		}
+	})
+}
+
+// diffNet drives one scenario on a fresh engine and network. Eager mode
+// resolves the pending solve after every change the scenario makes — the
+// solver's behaviour before solves were deferred; coalesced mode leaves
+// it to the kernel's once-per-instant slot. Every observable the two
+// must agree on is recorded bit for bit.
+type diffNet struct {
+	eager bool
+	e     *sim.Engine
+	n     *Network
+	rng   *rand.Rand
+	res   []*Resource
+	flows []*Flow
+	log   []string
+}
+
+func newDiffNet(t testing.TB, seed int64, eager bool) *diffNet {
+	e := sim.NewEngine()
+	d := &diffNet{eager: eager, e: e, n: NewNetwork(e), rng: rand.New(rand.NewSource(seed))}
+	checkEveryResolve(t, d.n)
+	for i := 0; i < 4; i++ {
+		d.res = append(d.res, d.n.NewResource(fmt.Sprint("r", i), float64(int(10)<<i)))
+	}
+	return d
+}
+
+// sync is the eager reference's immediate solve.
+func (d *diffNet) sync() {
+	if d.eager {
+		d.e.Resolve(d.n.nextEv)
+	}
+}
+
+func (d *diffNet) note(format string, args ...any) {
+	d.log = append(d.log, fmt.Sprintf("%x ", math.Float64bits(d.e.Now()))+fmt.Sprintf(format, args...))
+}
+
+// start begins a flow; then runs inside its completion callback.
+func (d *diffNet) start(amount float64, path []*Resource, opts Options, then func()) {
+	id := len(d.flows)
+	d.flows = append(d.flows, d.n.StartFlow(amount, path, opts, func() {
+		d.sync() // eager: the completion batch is solved before callbacks run
+		d.note("done %d", id)
+		if then != nil {
+			then()
+		}
+	}))
+	d.sync()
+}
+
+func (d *diffNet) cancel(id int) {
+	d.note("cancel %d", id)
+	d.flows[id].Cancel()
+	d.sync()
+}
+
+func (d *diffNet) setCapacity(r int, c float64) {
+	d.note("capacity %d %g", r, c)
+	d.n.SetCapacity(d.res[r], c)
+	d.sync()
+}
+
+// randomOp starts, cancels or re-caps at random; sizes and capacities
+// are multiples of 10 so completions keep landing on each other's and the
+// script's instants.
+func (d *diffNet) randomOp(depth int) {
+	switch op := d.rng.Intn(8); {
+	case op < 4:
+		var path []*Resource
+		for _, r := range d.res {
+			if d.rng.Intn(3) == 0 {
+				path = append(path, r)
+			}
+		}
+		opts := Options{Latency: float64(d.rng.Intn(3)) / 2}
+		if d.rng.Intn(3) == 0 {
+			opts.RateCap = float64(5 * (1 + d.rng.Intn(4)))
+		}
+		if len(path) == 0 && opts.RateCap == 0 && d.rng.Intn(2) == 0 {
+			path = d.res[1:2]
+		}
+		var then func()
+		if depth < 3 && d.rng.Intn(2) == 0 {
+			then = func() { d.randomOp(depth + 1) }
+		}
+		d.start(float64(10*d.rng.Intn(12)), path, opts, then)
+	case op < 6:
+		if len(d.flows) > 0 {
+			d.cancel(d.rng.Intn(len(d.flows)))
+		}
+	default:
+		d.setCapacity(d.rng.Intn(len(d.res)), float64(10*(1+d.rng.Intn(8))))
+	}
+}
+
+// outcome is everything eager and coalesced runs must agree on.
+func (d *diffNet) outcome() string {
+	var b strings.Builder
+	for _, l := range d.log {
+		b.WriteString(l + "\n")
+	}
+	fmt.Fprintf(&b, "now %x fired %d maxPending %d flows %d\n", math.Float64bits(d.e.Now()),
+		d.e.EventsFired(), d.e.MaxPending(), d.n.Stats().FlowsStarted)
+	for _, r := range d.res {
+		fmt.Fprintf(&b, "%s processed %x\n", r.name, math.Float64bits(r.Processed()))
+	}
+	return b.String()
+}
+
+// diffScenarios are scripted cases the random ones may miss: a cancel and
+// a capacity change landing on the instant a completion is due, ordered
+// both before and after it, and same-instant starts behind latency.
+var diffScenarios = map[string]func(d *diffNet){
+	"cancel-and-recap-at-completion": func(d *diffNet) {
+		d.e.At(10, func() { d.cancel(1) })                  // before the completion at t=10
+		d.start(100, d.res[:1], Options{}, nil)             // 10 u/s alone: due at t=10
+		d.start(1000, d.res[1:2], Options{RateCap: 5}, nil) // still running at t=10
+		d.e.At(10, func() { d.setCapacity(0, 40) })         // after the completion at t=10
+		d.e.At(10, func() { d.start(0, d.res[:1], Options{}, nil) })
+	},
+	"ties-latency-instantaneous": func(d *diffNet) {
+		for i := 0; i < 4; i++ {
+			d.start(40, d.res[:2], Options{Latency: 1}, func() { d.start(0, nil, Options{}, nil) })
+			d.start(0, nil, Options{Latency: 1}, nil)
+			d.start(20, d.res[1:3], Options{RateCap: 10}, func() { d.cancel(0) })
+		}
+		d.e.At(1, func() { d.setCapacity(1, 20) })
+		d.e.At(5, func() { d.setCapacity(1, 20) }) // an exact no-op
+	},
+}
+
+// TestEagerCoalescedEquivalence runs scripted and random scenarios with
+// an immediate solve after every change and with one deferred solve per
+// instant: callback order and times, EventsFired, MaxPending and
+// per-resource Processed must agree bit for bit, the certificate must hold
+// after every solve, and deferral must never solve more often.
+func TestEagerCoalescedEquivalence(t *testing.T) {
+	run := func(t *testing.T, seed int64, script func(d *diffNet)) {
+		var outs [2]string
+		var solves [2]uint64
+		for i, eager := range []bool{true, false} {
+			d := newDiffNet(t, seed, eager)
+			script(d)
+			d.e.Run()
+			outs[i], solves[i] = d.outcome(), d.n.Stats().Recomputes
+		}
+		if outs[0] != outs[1] {
+			t.Fatalf("eager and coalesced runs diverge\neager:\n%s\ncoalesced:\n%s", outs[0], outs[1])
+		}
+		if solves[1] > solves[0] {
+			t.Errorf("coalesced run solved %d times, eager %d", solves[1], solves[0])
+		}
+	}
+	for name, script := range diffScenarios {
+		t.Run(name, func(t *testing.T) { run(t, 1, script) })
+	}
+	for seed := int64(1); seed <= 300; seed++ {
+		run(t, seed, func(d *diffNet) {
+			for k := 6 + d.rng.Intn(10); k > 0; k-- {
+				d.randomOp(0)
+			}
+			for k := d.rng.Intn(12); k > 0; k-- {
+				d.e.At(float64(d.rng.Intn(6)), func() { d.randomOp(0) })
+			}
+		})
+	}
+}
+
+// TestInvalidateZeroAllocs: once the network's slot is pending, further
+// changes at the same instant move it without allocating.
+func TestInvalidateZeroAllocs(t *testing.T) {
+	e := sim.NewEngine()
+	n := NewNetwork(e)
+	link := n.NewResource("link", 1000)
+	for j := 0; j < 8; j++ {
+		n.StartFlow(1e12, []*Resource{link}, Options{}, nil)
+	}
+	if avg := testing.AllocsPerRun(100, n.invalidate); avg != 0 {
+		t.Fatalf("invalidate allocated %.1f times per run, want 0", avg)
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("pending %d after repeated invalidation, want the one slot", e.Pending())
+	}
+}
+
+// TestRearmedCompletionTakesChangeSeq: a change re-arms the next
+// completion under the sequence number of the change, not of the event it
+// replaces, exactly as an immediate re-arm did: here a start at t=5 that
+// leaves flow a's completion at t=10 still moves it behind an event
+// scheduled for t=10 before the start.
+func TestRearmedCompletionTakesChangeSeq(t *testing.T) {
+	e := sim.NewEngine()
+	n := NewNetwork(e)
+	r0, r1 := n.NewResource("r0", 10), n.NewResource("r1", 10)
+	var log []string
+	n.StartFlow(100, []*Resource{r0}, Options{}, func() { log = append(log, "a done") })
+	e.At(10, func() { log = append(log, "event at 10") })
+	e.At(5, func() { n.StartFlow(1000, []*Resource{r1}, Options{}, nil) })
+	e.Run()
+	if got, want := strings.Join(log, ", "), "event at 10, a done"; got != want {
+		t.Errorf("order %q, want %q", got, want)
+	}
+}

@@ -6,6 +6,16 @@
 // bit-for-bit): events scheduled for the same instant fire in scheduling
 // order, and nothing in the kernel consults wall-clock time or global
 // randomness.
+//
+// Besides events the queue holds deferred slots (Engine.Defer): a decision
+// that must be taken at the current instant, but only once, after every
+// same-instant change ordered before it. The flow solver uses one to solve
+// the network once per instant however many flows start, end or are
+// cancelled there. A slot is pending like an event and takes a sequence
+// number like one; when it reaches the head of the queue the run loop
+// retires it without firing it or advancing the clock and calls its
+// resolve function with that sequence number, which the resolver may hand
+// to AtSeq so whatever it schedules ties exactly where the slot stood.
 package sim
 
 import (
@@ -19,11 +29,12 @@ import (
 // returns a Handle that pairs the pointer with the generation it was issued
 // for, so operations on a stale handle are safe no-ops.
 type Event struct {
-	Time float64 // virtual time at which the event fires, in seconds
-	fn   func()
-	seq  uint64 // tie-breaker: same-time events fire in scheduling order
-	idx  int    // heap index, -1 once removed
-	gen  uint64 // bumped on retirement; invalidates outstanding Handles
+	Time    float64 // virtual time at which the event fires, in seconds
+	fn      func()
+	resolve func(seq uint64) // non-nil marks a deferred slot (see Defer)
+	seq     uint64           // tie-breaker: same-time events fire in scheduling order
+	idx     int              // heap index, -1 once removed
+	gen     uint64           // bumped on retirement; invalidates outstanding Handles
 }
 
 // Handle identifies one scheduled occurrence of a pooled event. The zero
@@ -103,6 +114,13 @@ func (h *eventHeap) pop() *Event {
 	return h.remove(0)
 }
 
+// fix restores heap order after the key of the event at slot i changed.
+func (h eventHeap) fix(i int) {
+	if !h.down(i, len(h)) {
+		h.up(i)
+	}
+}
+
 // remove takes the event at slot i out of the heap and returns it with
 // idx -1.
 func (h *eventHeap) remove(i int) *Event {
@@ -146,7 +164,8 @@ func (e *Engine) Now() float64 { return e.now }
 // complexity assertions in tests.
 func (e *Engine) EventsFired() uint64 { return e.fired }
 
-// Pending returns the number of events currently scheduled.
+// Pending returns the number of events currently scheduled, deferred slots
+// included.
 func (e *Engine) Pending() int { return len(e.queue) }
 
 // MaxPending returns the event queue's high-water mark: the largest number
@@ -159,32 +178,9 @@ func (e *Engine) MaxPending() int { return e.maxPend }
 // panics: it always indicates a modeling bug, and silently clamping would
 // corrupt causality.
 func (e *Engine) At(t float64, fn func()) Handle {
-	if math.IsNaN(t) {
-		panic("sim: scheduling at NaN time")
-	}
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at t=%g before now=%g", t, e.now))
-	}
-	if fn == nil {
-		panic("sim: scheduling nil callback")
-	}
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	} else {
-		ev = &Event{}
-	}
-	ev.Time = t
-	ev.fn = fn
-	ev.seq = e.seq
+	e.check(t, fn)
 	e.seq++
-	e.queue.push(ev)
-	if len(e.queue) > e.maxPend {
-		e.maxPend = len(e.queue)
-	}
-	return Handle{ev: ev, gen: ev.gen}
+	return e.push(t, e.seq-1, fn, nil)
 }
 
 // After schedules fn to run d seconds from now. Negative delays panic.
@@ -195,6 +191,100 @@ func (e *Engine) After(d float64, fn func()) Handle {
 	return e.At(e.now+d, fn)
 }
 
+// AtSeq schedules fn at absolute virtual time t under a sequence number
+// already issued — the one a deferred slot hands its resolve function — so
+// the event ties with same-instant events exactly as if it had been
+// scheduled when that number was taken. It panics like At, and on a
+// sequence number the engine has not issued yet.
+func (e *Engine) AtSeq(t float64, seq uint64, fn func()) Handle {
+	if seq >= e.seq {
+		panic(fmt.Sprintf("sim: AtSeq with unissued sequence number %d", seq))
+	}
+	e.check(t, fn)
+	return e.push(t, seq, fn, nil)
+}
+
+// check panics on an event no model may schedule.
+func (e *Engine) check(t float64, fn func()) {
+	if math.IsNaN(t) {
+		panic("sim: scheduling at NaN time")
+	}
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at t=%g before now=%g", t, e.now))
+	}
+	if fn == nil {
+		panic("sim: scheduling nil callback")
+	}
+}
+
+// push queues a pooled event or slot at (t, seq).
+func (e *Engine) push(t float64, seq uint64, fn func(), resolve func(uint64)) Handle {
+	var ev *Event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+	} else {
+		ev = &Event{}
+	}
+	ev.Time = t
+	ev.fn = fn
+	ev.resolve = resolve
+	ev.seq = seq
+	e.queue.push(ev)
+	if len(e.queue) > e.maxPend {
+		e.maxPend = len(e.queue)
+	}
+	return Handle{ev: ev, gen: ev.gen}
+}
+
+// Defer places a deferred slot at the current instant under a fresh
+// sequence number, or — when h is still pending, slot or event — moves h
+// there instead, which allocates nothing and leaves Pending unchanged. The
+// slot is resolved once, when it reaches the head of the queue: after
+// every event ordered before it at this instant and before any ordered
+// after it, the run loop retires it and calls resolve with its sequence
+// number. A slot never fires, never counts in EventsFired and never moves
+// the clock, but it does count in Pending and MaxPending, and Cancel
+// removes it like an event.
+func (e *Engine) Defer(h Handle, resolve func(seq uint64)) Handle {
+	if resolve == nil {
+		panic("sim: deferring nil resolve")
+	}
+	e.seq++
+	ev := h.ev
+	if ev == nil || ev.gen != h.gen || ev.idx < 0 {
+		return e.push(e.now, e.seq-1, nil, resolve)
+	}
+	ev.Time = e.now
+	ev.fn = nil
+	ev.resolve = resolve
+	ev.seq = e.seq - 1
+	e.queue.fix(ev.idx)
+	return h
+}
+
+// Resolve resolves h now if it is a pending deferred slot, exactly as the
+// run loop would; anything else is a no-op. Readers of state a slot
+// settles (the flow solver's rates) call it to see current values between
+// events.
+func (e *Engine) Resolve(h Handle) {
+	ev := h.ev
+	if ev == nil || ev.gen != h.gen || ev.idx < 0 || ev.resolve == nil {
+		return
+	}
+	e.queue.remove(ev.idx)
+	e.resolveSlot(ev)
+}
+
+// resolveSlot retires a slot already taken out of the queue and runs its
+// resolve function.
+func (e *Engine) resolveSlot(ev *Event) {
+	resolve, seq := ev.resolve, ev.seq
+	e.retire(ev)
+	resolve(seq)
+}
+
 // retire returns a popped or removed event to the free list. Bumping the
 // generation first invalidates every outstanding Handle to this occurrence,
 // so the struct can be reused immediately — even by a callback scheduled
@@ -202,6 +292,7 @@ func (e *Engine) After(d float64, fn func()) Handle {
 func (e *Engine) retire(ev *Event) {
 	ev.gen++
 	ev.fn = nil
+	ev.resolve = nil
 	ev.idx = -1
 	e.free = append(e.free, ev)
 }
@@ -252,8 +343,9 @@ func (e *Engine) Run() float64 {
 
 // RunUntil executes events in time order until the queue drains, Stop is
 // called, or the next event would fire strictly after horizon. Events at
-// exactly the horizon still fire. It returns the final virtual time (which
-// never exceeds the horizon).
+// exactly the horizon still fire, and deferred slots are resolved as they
+// reach the head. It returns the final virtual time (which never exceeds
+// the horizon).
 func (e *Engine) RunUntil(horizon float64) float64 {
 	if e.running {
 		panic("sim: Run re-entered")
@@ -271,6 +363,10 @@ func (e *Engine) RunUntil(horizon float64) float64 {
 		if next.Time < e.now {
 			panic("sim: event queue time went backwards")
 		}
+		if next.resolve != nil {
+			e.resolveSlot(next)
+			continue
+		}
 		e.now = next.Time
 		fn := next.fn
 		e.retire(next)
@@ -285,16 +381,22 @@ func (e *Engine) RunUntil(horizon float64) float64 {
 	return e.now
 }
 
-// Step executes exactly the next event, if any, and reports whether one ran.
+// Step executes exactly the next event, if any, and reports whether one
+// ran. Deferred slots ahead of it are resolved on the way and do not count
+// as the step.
 func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
-		return false
+	for len(e.queue) > 0 {
+		next := e.queue.pop()
+		if next.resolve != nil {
+			e.resolveSlot(next)
+			continue
+		}
+		e.now = next.Time
+		fn := next.fn
+		e.retire(next)
+		e.fired++
+		fn()
+		return true
 	}
-	next := e.queue.pop()
-	e.now = next.Time
-	fn := next.fn
-	e.retire(next)
-	e.fired++
-	fn()
-	return true
+	return false
 }
