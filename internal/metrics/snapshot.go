@@ -65,7 +65,7 @@ func (c *Collector) Snapshot() *Snapshot {
 		BucketBounds: append([]float64{}, DefaultBuckets...),
 	}
 	for _, sr := range sortedSeries(c.counters) {
-		s.Counters = append(s.Counters, Sample{Family: sr.family, Key: sr.key, Value: c.counters[sr]})
+		s.Counters = append(s.Counters, Sample{Family: sr.family, Key: sr.key, Value: c.counts[c.counters[sr]]})
 	}
 	for _, sr := range sortedSeries(c.gauges) {
 		s.Gauges = append(s.Gauges, Sample{Family: sr.family, Key: sr.key, Value: c.gauges[sr]})
