@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"bbwfsim/internal/metrics"
 	"bbwfsim/internal/platform"
 	"bbwfsim/internal/sim"
 	"bbwfsim/internal/units"
@@ -445,5 +446,60 @@ func TestCreatorTracking(t *testing.T) {
 	sys.PlaceInitial(g, sys.PFS())
 	if got := sys.Registry().Creator(g, sys.PFS()); got != nil {
 		t.Errorf("Creator of initial placement = %v, want nil (visible everywhere)", got)
+	}
+}
+
+// TestOpMetricsPerTierAndOp: every completed leg lands in its (tier, op)
+// series — held after the first operation on a known tier, looked up each
+// time on a kind the manager does not know — and untouched pairs never
+// appear.
+func TestOpMetricsPerTierAndOp(t *testing.T) {
+	e, sys, w := coriSystem(t, platform.BBPrivate)
+	col := metrics.New("cori", "wf")
+	m := sys.Manager()
+	m.SetMetrics(col)
+	node := sys.Platform().Node(0)
+	scratch := NewRemote(sys.Platform(), "scratch", Kind("scratch"), platform.BBModeNone, platform.Cori(1, platform.BBPrivate).PFS)
+	f1 := w.MustAddFile("f1", 80*units.MB)
+	f2 := w.MustAddFile("f2", 160*units.MB)
+	for _, start := range []func() (*Op, error){
+		func() (*Op, error) { return m.Write(node, f1, sys.SharedBB(), nil) },
+		func() (*Op, error) { return m.Write(node, f2, sys.SharedBB(), nil) },
+		func() (*Op, error) { return m.Write(node, f1, scratch, nil) },
+		func() (*Op, error) { return m.Write(node, f2, scratch, nil) },
+	} {
+		if _, err := start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Run()
+	if _, err := m.Copy(node, f1, sys.SharedBB(), sys.PFS(), nil); err != nil {
+		t.Fatal(err)
+	}
+	e.Run()
+
+	snap := col.Snapshot()
+	want := map[metrics.Key]float64{
+		{Tier: "shared-bb", Op: metrics.OpWrite}: 2,
+		{Tier: "scratch", Op: metrics.OpWrite}:   2,
+		{Tier: "shared-bb", Op: metrics.OpRead}:  1,
+		{Tier: "pfs", Op: metrics.OpWrite}:       1,
+	}
+	got := map[metrics.Key]float64{}
+	for _, c := range snap.Counters {
+		if c.Family == metrics.StorageOpsTotal {
+			got[c.Key] = c.Value
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("ops series %v, want %v", got, want)
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("%s %v = %g, want %g", metrics.StorageOpsTotal, k, got[k], v)
+		}
+	}
+	if b := snap.Counter(metrics.StorageBytesTotal, metrics.Key{Tier: "scratch", Op: metrics.OpWrite}); b != float64(240*units.MB) {
+		t.Errorf("scratch write bytes = %g, want %g", b, float64(240*units.MB))
 	}
 }
