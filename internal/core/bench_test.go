@@ -8,6 +8,7 @@ import (
 	"bbwfsim/internal/genomes"
 	"bbwfsim/internal/platform"
 	"bbwfsim/internal/trace"
+	"bbwfsim/internal/workflow"
 	"bbwfsim/internal/workloads"
 )
 
@@ -63,15 +64,55 @@ func liveRunBytes(t *testing.T, cfg platform.Config, sink trace.Sink) int64 {
 // them staged into the BB) through Simulator.Run; its allocs/op is the
 // cold-path allocation target.
 func BenchmarkGenomesSingleRun(b *testing.B) {
-	wf := genomes.MustNew(genomes.Params{Chromosomes: genomes.DefaultChromosomes})
-	cfg := platform.Presets(8)["cori-private"]
+	wf, cfg := genomesCell()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.MustNewSimulator(cfg).Run(wf, core.RunOptions{
-			PrePlaceInputs: true, StagedFraction: 0.5,
-		}); err != nil {
+		if err := runGenomesCell(wf, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// genomesCellBytesBudget is the heap a BenchmarkGenomesSingleRun run may
+// allocate: about 15% above the 2,682,000 bytes one run allocated when it
+// was pinned (go1.24, linux/amd64), leaving room for other Go releases.
+// The run allocated 3,613,000 bytes before the retained trace's fixed
+// chunks, the map-free replica registry, the one-pass completion batch and
+// the closure-free storage ops.
+const genomesCellBytesBudget = 3_080_000
+
+// TestGenomesRunBytesBudget pins the bytes one run of the
+// BenchmarkGenomesSingleRun cell allocates. With a live heap near the
+// runtime's minimum, the number of GC cycles of a campaign of such runs
+// scales with these bytes. The test is deliberately not parallel: the
+// delta must not see another test's allocations.
+func TestGenomesRunBytesBudget(t *testing.T) {
+	wf, cfg := genomesCell()
+	if err := runGenomesCell(wf, cfg); err != nil { // warm-up
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := runGenomesCell(wf, cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("one run allocated %d bytes (budget %d)", got, genomesCellBytesBudget)
+	if got > genomesCellBytesBudget {
+		t.Fatalf("one run allocated %d bytes, over the %d budget", got, genomesCellBytesBudget)
+	}
+}
+
+func genomesCell() (*workflow.Workflow, platform.Config) {
+	return genomes.MustNew(genomes.Params{Chromosomes: genomes.DefaultChromosomes}),
+		platform.Presets(8)["cori-private"]
+}
+
+func runGenomesCell(wf *workflow.Workflow, cfg platform.Config) error {
+	_, err := core.MustNewSimulator(cfg).Run(wf, core.RunOptions{
+		PrePlaceInputs: true, StagedFraction: 0.5,
+	})
+	return err
 }

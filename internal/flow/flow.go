@@ -524,16 +524,26 @@ func (n *Network) onCompletion() {
 	n.settle()
 	// Collect finished flows first: completion callbacks may start new flows,
 	// and the batch's removal must be ordered before anything they change.
+	// One pass splits the batch off and compacts the survivors in place,
+	// in their order, rather than searching and shifting n.active once per
+	// finished flow — each moved pointer costs a GC write barrier.
 	finished := n.finished[:0]
-	for _, f := range n.active {
+	kept := 0
+	for i, f := range n.active {
 		if f.remaining <= completionTolerance(f.amount) {
 			finished = append(finished, f)
+			f.active = false
+			f.rate = 0
+			continue
 		}
+		if kept != i {
+			n.active[kept] = f
+		}
+		kept++
 	}
+	clear(n.active[kept:])
+	n.active = n.active[:kept]
 	n.finished = finished
-	for _, f := range finished {
-		n.remove(f)
-	}
 	n.invalidate()
 	for _, f := range finished {
 		n.complete(f)

@@ -156,10 +156,11 @@ func FuzzRecompute(f *testing.F) {
 }
 
 // diffNet drives one scenario on a fresh engine and network. Eager mode
-// resolves the pending solve after every change the scenario makes — the
-// solver's behaviour before solves were deferred; coalesced mode leaves
-// it to the kernel's once-per-instant slot. Every observable the two
-// must agree on is recorded bit for bit.
+// resolves the pending solve after every change the scenario makes and
+// removes a completion batch one flow at a time (removeEachCompletion) —
+// the solver's behaviour before solves were deferred and batches were
+// compacted in one pass; coalesced mode is the production solver. Every
+// observable the two must agree on is recorded bit for bit.
 type diffNet struct {
 	eager bool
 	e     *sim.Engine
@@ -174,10 +175,34 @@ func newDiffNet(t testing.TB, seed int64, eager bool) *diffNet {
 	e := sim.NewEngine()
 	d := &diffNet{eager: eager, e: e, n: NewNetwork(e), rng: rand.New(rand.NewSource(seed))}
 	checkEveryResolve(t, d.n)
+	if eager {
+		d.n.completionFn = func() { removeEachCompletion(d.n) }
+	}
 	for i := 0; i < 4; i++ {
 		d.res = append(d.res, d.n.NewResource(fmt.Sprint("r", i), float64(int(10)<<i)))
 	}
 	return d
+}
+
+// removeEachCompletion is the completion handler as it was before batches
+// were compacted in one pass: each finished flow is searched for and
+// shifted out of the active list on its own.
+func removeEachCompletion(n *Network) {
+	n.nextEv = sim.Handle{}
+	n.settle()
+	var finished []*Flow
+	for _, f := range n.active {
+		if f.remaining <= completionTolerance(f.amount) {
+			finished = append(finished, f)
+		}
+	}
+	for _, f := range finished {
+		n.remove(f)
+	}
+	n.invalidate()
+	for _, f := range finished {
+		n.complete(f)
+	}
 }
 
 // sync is the eager reference's immediate solve.
@@ -282,6 +307,49 @@ var diffScenarios = map[string]func(d *diffNet){
 		}
 		d.e.At(1, func() { d.setCapacity(1, 20) })
 		d.e.At(5, func() { d.setCapacity(1, 20) }) // an exact no-op
+	},
+	// Three of seven capped flows finish together at t=10, at the first,
+	// a middle and the last position of the active list.
+	"batch-first-middle-last": func(d *diffNet) {
+		for i := 0; i < 7; i++ {
+			amount := 100.0
+			if i == 0 || i == 3 || i == 6 {
+				amount = 50
+			}
+			d.start(amount, d.res[3:], Options{RateCap: 5}, nil)
+		}
+		d.start(200, d.res[2:], Options{}, nil) // shares r3 uncapped
+	},
+	// A batch of four whose callbacks change the active list: the first
+	// cancels a survivor and starts a flow on the shared resource, the
+	// second starts a flow due with the survivors, the third cancels the
+	// fourth, whose callback must then not run.
+	"batch-callbacks-cancel-and-start": func(d *diffNet) {
+		d.start(50, d.res[3:], Options{RateCap: 5}, func() {
+			d.cancel(5)
+			d.start(30, d.res[2:], Options{}, nil)
+		})
+		d.start(100, d.res[3:], Options{RateCap: 5}, nil)
+		d.start(50, d.res[3:], Options{RateCap: 5}, func() {
+			d.start(50, d.res[3:], Options{RateCap: 5}, nil)
+		})
+		d.start(100, d.res[3:], Options{RateCap: 5}, nil)
+		d.start(50, d.res[3:], Options{RateCap: 5}, func() { d.cancel(6) })
+		d.start(100, d.res[3:], Options{RateCap: 5}, nil)
+		d.start(50, d.res[3:], Options{RateCap: 5}, func() {
+			d.start(10, d.res[:1], Options{}, nil)
+		})
+		d.start(400, d.res[:1], Options{}, nil) // bound by r0 alone
+	},
+	// Every active flow finishes at one instant.
+	"batch-whole-list": func(d *diffNet) {
+		for i := 0; i < 5; i++ {
+			d.start(40, d.res[3:], Options{RateCap: 4}, func() {
+				if i == 2 {
+					d.start(8, d.res[3:], Options{RateCap: 4}, nil)
+				}
+			})
+		}
 	},
 }
 

@@ -105,6 +105,7 @@ type Op struct {
 
 	fl        *flow.Flow
 	mgr       *Manager
+	onDone    func() // the caller's completion callback; may be nil
 	reserved  units.Bytes
 	cancelled bool
 	finished  bool
@@ -288,26 +289,38 @@ func (m *Manager) Read(node *platform.Node, f *workflow.File, svc Service, onDon
 		OpContext{Kind: OpRead, Service: svc, Node: node, File: f},
 		OpParams{Latency: svc.ReadLatency(), RateCap: svc.StreamCap(node), SizeFactor: 1},
 	)
-	op := &Op{Kind: OpRead, File: f, Service: svc, Node: node, Started: m.eng.Now(), mgr: m}
+	op := &Op{Kind: OpRead, File: f, Service: svc, Node: node, Started: m.eng.Now(), mgr: m, onDone: onDone}
 	m.inFlight[svc]++
 	op.fl = m.net.StartFlow(
 		float64(f.Size())*params.SizeFactor,
 		svc.ReadPath(node),
 		flow.Options{RateCap: float64(params.RateCap), Latency: params.Latency},
-		func() {
-			op.finished = true
-			m.inFlight[svc]--
-			st := m.statsFor(svc)
-			st.BytesRead += f.Size()
-			st.ReadOps++
-			st.ReadSeconds += m.eng.Now() - op.Started
-			m.observeOp(svc, metrics.OpRead, f.Size(), m.eng.Now()-op.Started)
-			if onDone != nil {
-				onDone()
-			}
-		},
+		op.readDone,
 	)
 	return op, nil
+}
+
+// readDone completes a read. The flow calls it through a method value,
+// which unlike a closure over the operation's arguments captures nothing
+// but op.
+func (op *Op) readDone() {
+	m, svc, size := op.mgr, op.Service, op.File.Size()
+	op.finished = true
+	m.inFlight[svc]--
+	dur := m.eng.Now() - op.Started
+	st := m.statsFor(svc)
+	st.BytesRead += size
+	st.ReadOps++
+	st.ReadSeconds += dur
+	m.observeOp(svc, metrics.OpRead, size, dur)
+	op.done()
+}
+
+// done runs the caller's callback, if any.
+func (op *Op) done() {
+	if op.onDone != nil {
+		op.onDone()
+	}
 }
 
 // Write starts writing f from node to svc. Space is reserved up front; the
@@ -320,39 +333,49 @@ func (m *Manager) Write(node *platform.Node, f *workflow.File, svc Service, onDo
 		OpContext{Kind: OpWrite, Service: svc, Node: node, File: f},
 		OpParams{Latency: svc.WriteLatency(), RateCap: svc.StreamCap(node), SizeFactor: 1},
 	)
-	op := &Op{Kind: OpWrite, File: f, Service: svc, Node: node, Started: m.eng.Now(), mgr: m, reserved: f.Size()}
+	op := &Op{Kind: OpWrite, File: f, Service: svc, Node: node, Started: m.eng.Now(), mgr: m, onDone: onDone, reserved: f.Size()}
 	m.inFlight[svc]++
 	m.pending[svc] += f.Size()
 	op.fl = m.net.StartFlow(
 		float64(f.Size())*params.SizeFactor,
 		svc.WritePath(node),
 		flow.Options{RateCap: float64(params.RateCap), Latency: params.Latency},
-		func() {
-			op.finished = true
-			m.inFlight[svc]--
-			m.pending[svc] -= f.Size()
-			if m.reg.Has(f, svc) {
-				// A concurrent operation already registered this replica
-				// (e.g. two consumers relocating the same private-BB file to
-				// the PFS); the duplicate's reservation must be returned or
-				// the space leaks.
-				svc.Release(f.Size())
-			}
-			m.reg.AddFrom(f, svc, node)
-			st := m.statsFor(svc)
-			st.BytesWritten += f.Size()
-			st.WriteOps++
-			st.WriteSeconds += m.eng.Now() - op.Started
-			m.observeOp(svc, metrics.OpWrite, f.Size(), m.eng.Now()-op.Started)
-			if onDone != nil {
-				onDone()
-			}
-		},
+		op.writeDone,
 	)
 	if m.onReserve != nil {
 		m.onReserve(svc)
 	}
 	return op, nil
+}
+
+// writeDone completes a write: the reservation becomes a registered
+// replica created by the writing node.
+func (op *Op) writeDone() {
+	m, svc, size := op.mgr, op.Service, op.File.Size()
+	op.finished = true
+	m.inFlight[svc]--
+	m.landReplica(op)
+	dur := m.eng.Now() - op.Started
+	st := m.statsFor(svc)
+	st.BytesWritten += size
+	st.WriteOps++
+	st.WriteSeconds += dur
+	m.observeOp(svc, metrics.OpWrite, size, dur)
+	op.done()
+}
+
+// landReplica turns a finished write's or copy's reservation on
+// op.Service into a replica created by op.Node.
+func (m *Manager) landReplica(op *Op) {
+	f, svc := op.File, op.Service
+	m.pending[svc] -= f.Size()
+	if m.reg.Has(f, svc) {
+		// A concurrent operation already registered this replica (e.g. two
+		// consumers relocating the same private-BB file to the PFS); the
+		// duplicate's reservation must be returned or the space leaks.
+		svc.Release(f.Size())
+	}
+	m.reg.AddFrom(f, svc, op.Node)
 }
 
 // Copy stages f from src to dst through node: one flow across the
@@ -380,42 +403,40 @@ func (m *Manager) Copy(node *platform.Node, f *workflow.File, src, dst Service, 
 		OpParams{Latency: src.ReadLatency() + dst.WriteLatency(), RateCap: cap, SizeFactor: 1},
 	)
 	path := append(append([]*flow.Resource{}, src.ReadPath(node)...), dst.WritePath(node)...)
-	op := &Op{Kind: OpCopy, File: f, Service: dst, Source: src, Node: node, Started: m.eng.Now(), mgr: m, reserved: f.Size()}
+	op := &Op{Kind: OpCopy, File: f, Service: dst, Source: src, Node: node, Started: m.eng.Now(), mgr: m, onDone: onDone, reserved: f.Size()}
 	m.inFlight[dst]++
 	m.pending[dst] += f.Size()
 	op.fl = m.net.StartFlow(
 		float64(f.Size())*params.SizeFactor,
 		path,
 		flow.Options{RateCap: float64(params.RateCap), Latency: params.Latency},
-		func() {
-			op.finished = true
-			m.inFlight[dst]--
-			m.pending[dst] -= f.Size()
-			if m.reg.Has(f, dst) {
-				// See Write: a racing duplicate's reservation is returned.
-				dst.Release(f.Size())
-			}
-			m.reg.AddFrom(f, dst, node)
-			dur := m.eng.Now() - op.Started
-			sst := m.statsFor(src)
-			sst.BytesRead += f.Size()
-			sst.ReadOps++
-			sst.ReadSeconds += dur
-			dstStats := m.statsFor(dst)
-			dstStats.BytesWritten += f.Size()
-			dstStats.WriteOps++
-			dstStats.WriteSeconds += dur
-			m.observeOp(src, metrics.OpRead, f.Size(), dur)
-			m.observeOp(dst, metrics.OpWrite, f.Size(), dur)
-			if onDone != nil {
-				onDone()
-			}
-		},
+		op.copyDone,
 	)
 	if m.onReserve != nil {
 		m.onReserve(dst)
 	}
 	return op, nil
+}
+
+// copyDone completes a copy: a read leg on the source and a write leg,
+// landing the replica, on the destination.
+func (op *Op) copyDone() {
+	m, src, dst, size := op.mgr, op.Source, op.Service, op.File.Size()
+	op.finished = true
+	m.inFlight[dst]--
+	m.landReplica(op)
+	dur := m.eng.Now() - op.Started
+	sst := m.statsFor(src)
+	sst.BytesRead += size
+	sst.ReadOps++
+	sst.ReadSeconds += dur
+	dstStats := m.statsFor(dst)
+	dstStats.BytesWritten += size
+	dstStats.WriteOps++
+	dstStats.WriteSeconds += dur
+	m.observeOp(src, metrics.OpRead, size, dur)
+	m.observeOp(dst, metrics.OpWrite, size, dur)
+	op.done()
 }
 
 // Evict removes the replica of f on svc and frees its space.

@@ -16,26 +16,38 @@ import (
 // ("access to files in the BB are limited to the compute node that created
 // them", paper Section III-D) is enforced against.
 type Registry struct {
-	locations map[*workflow.File]map[Service]replica
+	locations map[*workflow.File][]replica
 	// resident tallies the bytes of all replicas per service, maintained
 	// incrementally so the capacity-invariant audit (System.AuditCapacity)
 	// is cheap. Updated in event order, hence deterministic.
 	resident map[Service]units.Bytes
 }
 
-// replica is one copy of a file on one service. Stored by value: a replica
-// is registered on every write completion, so a pointer here would be one
-// heap allocation per I/O operation.
+// replica is one copy of a file on one service. A file's replicas are a
+// short value-typed list (a file lives on a handful of services at most),
+// so registering one allocates no per-file map and no per-replica object:
+// replicas are registered on every write completion.
 type replica struct {
+	svc Service
 	// creator is the compute node that wrote the replica; nil means the
 	// replica pre-exists (initial placement) and is visible to everyone.
 	creator *platform.Node
 }
 
+// find returns the index of svc's replica in reps, or -1.
+func find(reps []replica, svc Service) int {
+	for i := range reps {
+		if reps[i].svc == svc {
+			return i
+		}
+	}
+	return -1
+}
+
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		locations: map[*workflow.File]map[Service]replica{},
+		locations: map[*workflow.File][]replica{},
 		resident:  map[Service]units.Bytes{},
 	}
 }
@@ -48,24 +60,28 @@ func (r *Registry) Add(f *workflow.File, svc Service) {
 
 // AddFrom records that svc holds a replica of f created by node.
 func (r *Registry) AddFrom(f *workflow.File, svc Service, node *platform.Node) {
-	m := r.locations[f]
-	if m == nil {
-		m = map[Service]replica{}
-		r.locations[f] = m
+	reps := r.locations[f]
+	if i := find(reps, svc); i >= 0 {
+		reps[i].creator = node
+		return
 	}
-	if _, held := m[svc]; !held {
-		r.resident[svc] += f.Size()
-	}
-	m[svc] = replica{creator: node}
+	r.resident[svc] += f.Size()
+	r.locations[f] = append(reps, replica{svc: svc, creator: node})
 }
 
 // Remove forgets the replica of f on svc. Removing an absent replica is a
 // no-op.
 func (r *Registry) Remove(f *workflow.File, svc Service) {
-	if _, held := r.locations[f][svc]; held {
-		r.resident[svc] -= f.Size()
+	reps := r.locations[f]
+	i := find(reps, svc)
+	if i < 0 {
+		return
 	}
-	delete(r.locations[f], svc)
+	r.resident[svc] -= f.Size()
+	last := len(reps) - 1
+	copy(reps[i:], reps[i+1:])
+	reps[last] = replica{}
+	r.locations[f] = reps[:last]
 }
 
 // BytesOn returns the total size of the replicas svc currently holds.
@@ -76,8 +92,8 @@ func (r *Registry) BytesOn(svc Service) units.Bytes { return r.resident[svc] }
 func (r *Registry) FilesOn(svc Service) []*workflow.File {
 	var files []*workflow.File
 	//bbvet:ordered -- collected files are sorted by ID immediately below
-	for f, m := range r.locations {
-		if _, held := m[svc]; held {
+	for f, reps := range r.locations {
+		if find(reps, svc) >= 0 {
 			files = append(files, f)
 		}
 	}
@@ -87,22 +103,24 @@ func (r *Registry) FilesOn(svc Service) []*workflow.File {
 
 // Has reports whether svc holds a replica of f.
 func (r *Registry) Has(f *workflow.File, svc Service) bool {
-	_, held := r.locations[f][svc]
-	return held
+	return find(r.locations[f], svc) >= 0
 }
 
 // Creator returns the node that created the replica of f on svc, or nil
 // when the replica pre-exists or is absent.
 func (r *Registry) Creator(f *workflow.File, svc Service) *platform.Node {
-	return r.locations[f][svc].creator
+	reps := r.locations[f]
+	if i := find(reps, svc); i >= 0 {
+		return reps[i].creator
+	}
+	return nil
 }
 
 // Locations returns the services holding f, sorted by name for determinism.
 func (r *Registry) Locations(f *workflow.File) []Service {
 	var svcs []Service
-	//bbvet:ordered -- collected services are sorted by name immediately below
-	for svc := range r.locations[f] {
-		svcs = append(svcs, svc)
+	for _, rep := range r.locations[f] {
+		svcs = append(svcs, rep.svc)
 	}
 	sort.Slice(svcs, func(i, j int) bool { return svcs[i].Name() < svcs[j].Name() })
 	return svcs
@@ -129,11 +147,11 @@ func (r *Registry) BestVisible(f *workflow.File, node *platform.Node, enforcePri
 	var best Service
 	bestRank := -1
 	// This runs once per read operation, so it must not allocate: instead
-	// of ranging over name-sorted Locations, reduce over the map under the
-	// total order (rank desc, name asc) — the maximum of a total order is
-	// the same service regardless of iteration order.
-	//bbvet:ordered -- order-insensitive max-reduction: (rank, name) is a total order over candidates
-	for svc, rep := range r.locations[f] {
+	// of ranging over name-sorted Locations, reduce over the replicas under
+	// the total order (rank desc, name asc) — the maximum of a total order
+	// is the same service regardless of the replicas' order.
+	for _, rep := range r.locations[f] {
+		svc := rep.svc
 		if enforcePrivate && svc.Kind() == KindSharedBB && svc.Mode() == platform.BBPrivate {
 			if c := rep.creator; c != nil && c != node {
 				continue

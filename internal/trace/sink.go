@@ -19,28 +19,29 @@ type Sink interface {
 	Close() error
 }
 
-// chunkEvents is the size of the retaining sink's storage chunks.
-const chunkEvents = 4096
+// chunkEvents is the size of the retaining sink's storage chunks: 256
+// events, 14 KiB.
+const chunkEvents = 256
 
 // memory is the retaining sink of a trace built without one. It also holds
 // the trace's task records: a trace retains both or neither.
 //
-// Events go into fixed chunks, so a long trace never copies what it has
-// already recorded the way one doubling slice would. The first chunk grows
-// by append, so a short trace allocates only what it uses. events flattens
-// the chunks once, on read.
+// Events go into fixed chunks from the first event on, and a chunk is
+// never grown, so recording copies no event it has already stored. The
+// chunk list starts in first, so a trace shorter than one chunk allocates
+// that chunk and nothing else. events flattens the chunks once, on read.
 type memory struct {
-	chunks  [][]Event
+	chunks  [][]Event // in emission order; the last one is being filled
+	first   [1][]Event
 	records []*TaskRecord
 }
 
 func (m *memory) Emit(ev Event) {
 	n := len(m.chunks)
-	switch {
-	case n == 0:
-		m.chunks = append(m.chunks, nil)
-		n = 1
-	case len(m.chunks[n-1]) >= chunkEvents:
+	if n == 0 || len(m.chunks[n-1]) == cap(m.chunks[n-1]) {
+		if m.chunks == nil {
+			m.chunks = m.first[:0]
+		}
 		m.chunks = append(m.chunks, make([]Event, 0, chunkEvents))
 		n++
 	}
@@ -50,7 +51,8 @@ func (m *memory) Emit(ev Event) {
 func (m *memory) Close() error { return nil }
 
 // events returns every event in emission order. It joins the chunks into
-// one, which later Emits append after.
+// one full chunk, so later Emits start a new chunk and never write into a
+// slice it returned.
 func (m *memory) events() []Event {
 	switch len(m.chunks) {
 	case 0:
@@ -66,7 +68,8 @@ func (m *memory) events() []Event {
 	for _, c := range m.chunks {
 		flat = append(flat, c...)
 	}
-	m.chunks = [][]Event{flat}
+	clear(m.chunks)
+	m.chunks = append(m.chunks[:0], flat)
 	return flat
 }
 

@@ -297,3 +297,61 @@ func TestRetainedChunks(t *testing.T) {
 		t.Fatal("Save bytes differ from saving a plain event slice")
 	}
 }
+
+// TestRetainedChunkBoundaries checks the retained events against a plain
+// slice at every chunk boundary: empty, one event, one short of a chunk,
+// a full chunk, one past it and several chunks, each followed by one more
+// Emit after Events has flattened.
+func TestRetainedChunkBoundaries(t *testing.T) {
+	for _, n := range []int{0, 1, chunkEvents - 1, chunkEvents, chunkEvents + 1, 3*chunkEvents + 7} {
+		tr := New("wf", "plat", nil)
+		var want []Event
+		emit := func() {
+			k := len(want)
+			ev := Event{Time: float64(k), Kind: TaskStart, TaskID: "t" + strconv.Itoa(k)}
+			tr.Record(ev.Time, ev.Kind, ev.TaskID, ev.Detail)
+			want = append(want, ev)
+		}
+		for i := 0; i < n; i++ {
+			emit()
+		}
+		got := tr.Events()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%d events: Events() differs from the emission order", n)
+		}
+		before := slices.Clone(got)
+		emit()
+		if !slices.Equal(tr.Events(), want) {
+			t.Fatalf("%d events: Events() after one more Emit differs from the emission order", n)
+		}
+		if !slices.Equal(got, before) {
+			t.Fatalf("%d events: an Emit after Events() changed its result", n)
+		}
+		for _, c := range tr.mem.chunks {
+			if cap(c) != chunkEvents && len(c) != cap(c) {
+				t.Fatalf("%d events: a chunk of capacity %d holding %d events", n, cap(c), len(c))
+			}
+		}
+	}
+}
+
+// TestShortTraceAllocatesOneChunk: a trace shorter than one chunk costs
+// exactly one allocation, its chunk, and that chunk is never grown.
+func TestShortTraceAllocatesOneChunk(t *testing.T) {
+	const runs = 20
+	sinks := make([]memory, runs+1)
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		m := &sinks[next]
+		next++
+		for i := 0; i < chunkEvents-1; i++ {
+			m.Emit(Event{Time: float64(i), Kind: TaskStart})
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("%d events allocated %v times, want 1 (one chunk)", chunkEvents-1, allocs)
+	}
+	if c := sinks[0].chunks; len(c) != 1 || cap(c[0]) != chunkEvents {
+		t.Fatalf("%d events went into %d chunks, the first of capacity %d", chunkEvents-1, len(c), cap(c[0]))
+	}
+}
