@@ -98,7 +98,7 @@ func (i *Injector) wave() {
 		target := i.target(node)
 		f := i.wf.MustAddFile(fmt.Sprintf("ckpt-%s-%06d", node.Name(), i.seq), i.params.Size)
 		i.seq++
-		op, err := i.sys.Manager().Write(node, f, target, func() {
+		_, err := i.sys.Manager().Write(node, f, target, storage.Func(func() {
 			i.Waves++
 			i.BytesWritten += i.params.Size
 			// Rotate: drop the node's previous checkpoint.
@@ -110,14 +110,13 @@ func (i *Injector) wave() {
 				}
 			}
 			i.prev[node] = f
-		})
+		}), 0)
 		if err != nil {
 			// A full target skips this node's wave rather than failing the
 			// whole simulation: real checkpoint libraries degrade the same
 			// way (drop to the next level of the hierarchy).
 			continue
 		}
-		_ = op
 	}
 	i.sys.Platform().Engine().After(i.params.Interval, i.wave)
 }

@@ -75,12 +75,20 @@ func BenchmarkGenomesSingleRun(b *testing.B) {
 }
 
 // genomesCellBytesBudget is the heap a BenchmarkGenomesSingleRun run may
-// allocate: about 15% above the 2,682,000 bytes one run allocated when it
+// allocate: about 15% above the 1,716,000 bytes one run allocated when it
 // was pinned (go1.24, linux/amd64), leaving room for other Go releases.
 // The run allocated 3,613,000 bytes before the retained trace's fixed
 // chunks, the map-free replica registry, the one-pass completion batch and
-// the closure-free storage ops.
-const genomesCellBytesBudget = 3_080_000
+// the closure-free storage ops, and 2,682,000 before flows and operations
+// moved into slabs and exec's I/O phases into per-attempt cursors.
+const genomesCellBytesBudget = 1_975_000
+
+// genomesCellAllocsBudget is the number of heap objects such a run may
+// allocate: about 15% above the 7,128 it allocated when pinned (go1.24,
+// linux/amd64), down from 27,049 before the slab-backed flows and
+// operations. Most of what remains is per-event trace detail strings,
+// replica-list growth, task records and attempts.
+const genomesCellAllocsBudget = 8_200
 
 // TestGenomesRunBytesBudget pins the bytes one run of the
 // BenchmarkGenomesSingleRun cell allocates. With a live heap near the
@@ -88,6 +96,30 @@ const genomesCellBytesBudget = 3_080_000
 // scales with these bytes. The test is deliberately not parallel: the
 // delta must not see another test's allocations.
 func TestGenomesRunBytesBudget(t *testing.T) {
+	got, _ := genomesRunAllocs(t)
+	t.Logf("one run allocated %d bytes (budget %d)", got, genomesCellBytesBudget)
+	if got > genomesCellBytesBudget {
+		t.Fatalf("one run allocated %d bytes, over the %d budget", got, genomesCellBytesBudget)
+	}
+}
+
+// TestGenomesRunAllocsBudget pins the heap objects one run of the
+// BenchmarkGenomesSingleRun cell allocates: every one is work for the
+// allocator and the collector, so a per-operation allocation creeping back
+// into the flow, storage or exec path shows here. Not parallel, like
+// TestGenomesRunBytesBudget.
+func TestGenomesRunAllocsBudget(t *testing.T) {
+	_, got := genomesRunAllocs(t)
+	t.Logf("one run allocated %d objects (budget %d)", got, genomesCellAllocsBudget)
+	if got > genomesCellAllocsBudget {
+		t.Fatalf("one run allocated %d objects, over the %d budget", got, genomesCellAllocsBudget)
+	}
+}
+
+// genomesRunAllocs returns the bytes and objects one warmed-up run of the
+// BenchmarkGenomesSingleRun cell allocates.
+func genomesRunAllocs(t *testing.T) (bytes, objects uint64) {
+	t.Helper()
 	wf, cfg := genomesCell()
 	if err := runGenomesCell(wf, cfg); err != nil { // warm-up
 		t.Fatal(err)
@@ -98,11 +130,7 @@ func TestGenomesRunBytesBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("one run allocated %d bytes (budget %d)", got, genomesCellBytesBudget)
-	if got > genomesCellBytesBudget {
-		t.Fatalf("one run allocated %d bytes, over the %d budget", got, genomesCellBytesBudget)
-	}
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 }
 
 func genomesCell() (*workflow.Workflow, platform.Config) {

@@ -45,7 +45,7 @@ import (
 // replica can cancel it.
 type adaptCopy struct {
 	src storage.Service
-	op  *storage.Op
+	op  storage.OpHandle
 }
 
 // adaptState is the engine's adaptation bookkeeping; nil on runs without an
@@ -210,7 +210,7 @@ func (e *engine) spillFile(f *workflow.File, svc storage.Service) bool {
 	if node == nil {
 		return false
 	}
-	op, err := e.sys.Manager().Copy(node, f, svc, e.sys.PFS(), func() {
+	op, err := e.sys.Manager().Copy(node, f, svc, e.sys.PFS(), storage.Func(func() {
 		delete(e.ad.spills, f)
 		e.ad.spillBytes[svc] -= f.Size()
 		if e.err != nil {
@@ -229,7 +229,7 @@ func (e *engine) spillFile(f *workflow.File, svc storage.Service) bool {
 		e.cfg.Metrics.Add(metrics.AdaptBytesTotal,
 			metrics.Key{Tier: string(svc.Kind()), Op: metrics.OpSpill}, float64(f.Size()))
 		e.adaptSpill(svc) // top up the drain, or re-arm the trigger
-	})
+	}), 0)
 	if err != nil {
 		return false // the PFS cannot take it now; keep the BB replica
 	}
@@ -245,7 +245,7 @@ func (e *engine) cancelSpill(f *workflow.File) {
 	if rec == nil {
 		return
 	}
-	rec.op.Cancel()
+	e.sys.Manager().Cancel(rec.op)
 	delete(e.ad.spills, f)
 	e.ad.spillBytes[rec.src] -= f.Size()
 }
@@ -300,7 +300,7 @@ func (e *engine) replicateFile(f *workflow.File, only storage.Service) {
 	if node == nil {
 		return
 	}
-	op, err := e.sys.Manager().Copy(node, f, src, e.sys.PFS(), func() {
+	op, err := e.sys.Manager().Copy(node, f, src, e.sys.PFS(), storage.Func(func() {
 		delete(ad.repls, f)
 		if e.err != nil {
 			return
@@ -308,7 +308,7 @@ func (e *engine) replicateFile(f *workflow.File, only storage.Service) {
 		e.tr.Record(e.now(), trace.AdaptReplicate, "", f.ID()+"@"+src.Name()+"->pfs")
 		e.cfg.Metrics.Add(metrics.AdaptBytesTotal,
 			metrics.Key{Tier: string(src.Kind()), Op: metrics.OpReplicate}, float64(f.Size()))
-	})
+	}), 0)
 	if err != nil {
 		return // the PFS cannot take it now; the replica stays sole
 	}
@@ -324,7 +324,7 @@ func (e *engine) cancelReplication(f *workflow.File) {
 	if rec == nil {
 		return
 	}
-	rec.op.Cancel()
+	e.sys.Manager().Cancel(rec.op)
 	delete(e.ad.repls, f)
 }
 

@@ -42,8 +42,8 @@ type ckptRec struct {
 	// drained marks a PFS replica (direct commit or completed drain): the
 	// snapshot survives any node failure.
 	drained bool
-	drainEv sim.Handle  // pending drain start, if scheduled
-	drainOp *storage.Op // in-flight drain copy, if started
+	drainEv sim.Handle       // pending drain start, if scheduled
+	drainOp storage.OpHandle // drain copy, if started; Done once it ends
 }
 
 // durablePFS reports whether the snapshot holds a PFS replica.
@@ -81,7 +81,7 @@ func (e *engine) writeCheckpoint(a *attempt) {
 		svc = e.sys.PFS()
 	}
 	begin := e.now()
-	commit := func(svc storage.Service) func() {
+	commit := func(svc storage.Service) storage.Func {
 		return func() {
 			if a.aborted || e.err != nil {
 				return
@@ -107,7 +107,7 @@ func (e *engine) writeCheckpoint(a *attempt) {
 			e.computeSegment(a)
 		}
 	}
-	op, err := e.sys.Manager().Write(node, f, svc, commit(svc))
+	op, err := e.sys.Manager().Write(node, f, svc, commit(svc), 0)
 	if err != nil && svc != e.sys.PFS() {
 		// A full burst buffer never kills a checkpoint: drop to the PFS,
 		// the way real multi-level checkpoint libraries degrade.
@@ -115,7 +115,7 @@ func (e *engine) writeCheckpoint(a *attempt) {
 		if errors.As(err, &full) {
 			e.tr.Record(e.now(), trace.Fallback, t.ID(), f.ID()+"->pfs (bb full)")
 			svc = e.sys.PFS()
-			op, err = e.sys.Manager().Write(node, f, svc, commit(svc))
+			op, err = e.sys.Manager().Write(node, f, svc, commit(svc), 0)
 		}
 	}
 	if err != nil {
@@ -142,8 +142,7 @@ func (e *engine) startDrain(rec *ckptRec) {
 	if node == nil {
 		return
 	}
-	op, err := e.sys.Manager().Copy(node, rec.file, rec.svc, e.sys.PFS(), func() {
-		rec.drainOp = nil
+	op, err := e.sys.Manager().Copy(node, rec.file, rec.svc, e.sys.PFS(), storage.Func(func() {
 		if e.err != nil {
 			return
 		}
@@ -155,7 +154,7 @@ func (e *engine) startDrain(rec *ckptRec) {
 		e.cfg.Metrics.Add(metrics.CkptBytesTotal,
 			metrics.Key{Tier: string(storage.KindPFS), Op: metrics.OpWrite}, size)
 		e.pruneCkpts(rec.task, rec)
-	})
+	}), 0)
 	if err != nil {
 		return // PFS cannot take it now; the snapshot stays BB-only
 	}
@@ -183,7 +182,7 @@ func (e *engine) pruneCkpts(t *workflow.Task, latest *ckptRec) {
 			e.discardCkpt(m)
 			continue
 		}
-		if m.drainOp != nil {
+		if !e.sys.Manager().Done(m.drainOp) {
 			kept = append(kept, m)
 			continue
 		}
@@ -214,10 +213,7 @@ func (e *engine) discardCkpt(m *ckptRec) {
 		e.sys.Platform().Engine().Cancel(m.drainEv)
 		m.drainEv = sim.Handle{}
 	}
-	if m.drainOp != nil {
-		m.drainOp.Cancel()
-		m.drainOp = nil
-	}
+	e.sys.Manager().Cancel(m.drainOp) // no-op unless a drain is in flight
 	for _, svc := range e.sys.Registry().Locations(m.file) {
 		if err := e.sys.Manager().Evict(m.file, svc); err != nil {
 			e.fail(err)
@@ -247,10 +243,7 @@ func (e *engine) clearCkpts(t *workflow.Task) {
 // falls back to the previous durable one.
 func (e *engine) loseCkptReplica(rec *ckptRec, svc storage.Service) {
 	e.tr.Record(e.now(), trace.CkptLost, rec.task.ID(), rec.file.ID()+"@"+svc.Name())
-	if rec.drainOp != nil {
-		rec.drainOp.Cancel()
-		rec.drainOp = nil
-	}
+	e.sys.Manager().Cancel(rec.drainOp) // no-op unless a drain is in flight
 	if !rec.drainEv.Cancelled() {
 		e.sys.Platform().Engine().Cancel(rec.drainEv)
 		rec.drainEv = sim.Handle{}
@@ -301,7 +294,7 @@ func (e *engine) restoreFromCkpt(a *attempt, rec *ckptRec, svc storage.Service) 
 	tier := string(svc.Kind())
 	e.cfg.Metrics.Add(metrics.CkptRecoveredSecondsTotal, metrics.Key{Tier: tier}, rec.progress)
 	start := e.now()
-	op, err := e.sys.Manager().Read(a.node, rec.file, svc, func() {
+	op, err := e.sys.Manager().Read(a.node, rec.file, svc, storage.Func(func() {
 		if a.aborted || e.err != nil {
 			return
 		}
@@ -309,9 +302,9 @@ func (e *engine) restoreFromCkpt(a *attempt, rec *ckptRec, svc storage.Service) 
 			metrics.Key{Tier: tier, Op: metrics.OpRead}, float64(rec.file.Size()))
 		e.cfg.Metrics.Add(metrics.CkptOverheadSecondsTotal,
 			metrics.Key{Tier: tier, Op: metrics.OpRead}, e.now()-start)
-		e.tr.Task(t.ID()).ReadDoneAt = e.now()
+		a.rec.ReadDoneAt = e.now()
 		e.runCompute(a)
-	})
+	}), 0)
 	if err != nil {
 		e.fail(fmt.Errorf("exec: task %s restore %s: %w", t.ID(), rec.file.ID(), err))
 		return

@@ -209,6 +209,7 @@ func Run(sys *storage.System, wf *workflow.Workflow, cfg Config) (*trace.Trace, 
 		tries:     make([]int, len(wf.Tasks())),
 		kills:     make([]int, len(wf.Tasks())),
 	}
+	e.computeDoneFn = e.computeDone
 	if cfg.Faults != nil && cfg.Retry.Jitter > 0 {
 		e.retryRng = rand.New(rand.NewSource(cfg.Retry.Seed))
 	}
@@ -298,6 +299,8 @@ type engine struct {
 
 	// Adaptation state (adapt.go); nil unless the run has an adapt policy.
 	ad *adaptState
+
+	computeDoneFn func(tag uint64) // bound e.computeDone, hoisted once
 
 	finished   int
 	running    int
@@ -433,9 +436,9 @@ func (e *engine) freeCores() int {
 
 func (e *engine) startTask(t *workflow.Task, node *platform.Node, cores int) {
 	e.tries[t.Index()]++
-	a := &attempt{task: t, node: node, cores: cores, n: e.tries[t.Index()]}
-	e.active[t.Index()] = a
 	rec := e.tr.Task(t.ID())
+	a := &attempt{e: e, task: t, node: node, cores: cores, n: e.tries[t.Index()], rec: rec}
+	e.active[t.Index()] = a
 	rec.Name = t.Name()
 	rec.Node = node.Name()
 	rec.Cores = cores
@@ -482,16 +485,8 @@ func (e *engine) runStageOut(a *attempt, i int) {
 			e.fail(fmt.Errorf("exec: stage-out %s: %w", t.ID(), err))
 			return
 		}
-		next := i + 1
 		e.tr.Record(e.now(), trace.StageStart, t.ID(), f.ID()+"@"+src.Name()+"->pfs")
-		op, cerr := e.sys.Manager().Copy(node, f, src, e.sys.PFS(), func() {
-			if a.aborted {
-				return
-			}
-			e.tr.Record(e.now(), trace.StageEnd, t.ID(), f.ID()+"@pfs")
-			e.tr.Task(t.ID()).BytesWritten += f.Size()
-			e.runStageOut(a, next)
-		})
+		op, cerr := e.sys.Manager().Copy(node, f, src, e.sys.PFS(), a, opTag(opStageOut, i))
 		if cerr != nil {
 			e.fail(fmt.Errorf("exec: stage-out %s: %w", t.ID(), cerr))
 			return
@@ -499,10 +494,20 @@ func (e *engine) runStageOut(a *attempt, i int) {
 		e.track(a, op)
 		return
 	}
-	rec := e.tr.Task(t.ID())
-	rec.ReadDoneAt = e.now()
-	rec.ComputeDone = e.now()
+	a.rec.ReadDoneAt = e.now()
+	a.rec.ComputeDone = e.now()
 	e.finishTask(a)
+}
+
+// stageOutDone resumes a stage-out past input i, whose copy landed.
+func (e *engine) stageOutDone(a *attempt, i int) {
+	if a.aborted {
+		return
+	}
+	f := a.task.Inputs()[i]
+	e.tr.Record(e.now(), trace.StageEnd, a.task.ID(), f.ID()+"@pfs")
+	a.rec.BytesWritten += f.Size()
+	e.runStageOut(a, i+1)
 }
 
 // runStageIn stages the task's output files one at a time, starting at
@@ -541,16 +546,8 @@ func (e *engine) runStageIn(a *attempt, i int) {
 			i++
 			continue
 		}
-		next := i + 1
 		e.tr.Record(e.now(), trace.StageStart, t.ID(), f.ID()+"->"+svc.Name())
-		op, err := e.sys.Manager().Write(node, f, svc, func() {
-			if a.aborted {
-				return
-			}
-			e.tr.Record(e.now(), trace.StageEnd, t.ID(), f.ID())
-			e.tr.Task(t.ID()).BytesWritten += f.Size()
-			e.runStageIn(a, next)
-		})
+		op, err := e.sys.Manager().Write(node, f, svc, a, opTag(opStageIn, i))
 		if err != nil {
 			var full *storage.FullError
 			if e.cfg.BBFallback && errors.As(err, &full) {
@@ -564,10 +561,20 @@ func (e *engine) runStageIn(a *attempt, i int) {
 		e.track(a, op)
 		return
 	}
-	rec := e.tr.Task(t.ID())
-	rec.ReadDoneAt = e.now()
-	rec.ComputeDone = e.now()
+	a.rec.ReadDoneAt = e.now()
+	a.rec.ComputeDone = e.now()
 	e.finishTask(a)
+}
+
+// stageInDone resumes a stage-in past output i, whose write landed.
+func (e *engine) stageInDone(a *attempt, i int) {
+	if a.aborted {
+		return
+	}
+	f := a.task.Outputs()[i]
+	e.tr.Record(e.now(), trace.StageEnd, a.task.ID(), f.ID())
+	a.rec.BytesWritten += f.Size()
+	e.runStageIn(a, i+1)
 }
 
 // bbRejected reports whether the fault model rejects the burst-buffer
@@ -585,67 +592,71 @@ func (e *engine) bbRejected(t *workflow.Task, f *workflow.File, svc storage.Serv
 // runReads reads the task's inputs with at most `cores` concurrent streams
 // — one POSIX thread per core handles one file at a time, which is what
 // makes I/O time shrink with the core count (the behavior the paper's
-// Eq. 4 calibration implicitly assumes). It advances to the compute phase
-// when the last read completes.
+// Eq. 4 calibration implicitly assumes). The attempt's read cursor hands
+// the next input to each stream that frees up, and the phase advances to
+// compute when the last read completes.
 func (e *engine) runReads(a *attempt) {
-	t := a.task
-	inputs := t.Inputs()
-	rec := e.tr.Task(t.ID())
+	inputs := a.task.Inputs()
 	if len(inputs) == 0 {
-		rec.ReadDoneAt = e.now()
+		a.rec.ReadDoneAt = e.now()
 		e.runCompute(a)
 		return
 	}
-	pending := len(inputs)
-	next := 0
-	var startOne func()
-	startOne = func() {
-		if e.err != nil || a.aborted || next >= len(inputs) {
-			return
-		}
-		f := inputs[next]
-		next++
-		done := func() {
-			if a.aborted {
-				return
-			}
-			e.tr.Record(e.now(), trace.ReadEnd, t.ID(), f.ID())
-			rec.BytesRead += f.Size()
-			pending--
-			if e.err != nil {
-				return
-			}
-			if pending == 0 {
-				rec.ReadDoneAt = e.now()
-				e.runCompute(a)
-				return
-			}
-			startOne()
-		}
-		e.readInput(a, f, done)
-	}
+	a.rd = ioCursor{pending: len(inputs)}
 	for i := 0; i < a.cores && i < len(inputs); i++ {
-		startOne()
+		e.startRead(a)
 		if e.err != nil || a.aborted {
 			return
 		}
 	}
 }
 
-// readInput reads one input file, handling the private-mode visibility
-// rule: when the only replica sits on a private shared BB created by
-// another node, the creator first relocates it to the PFS (an on-demand
-// stage-out — the data-management cost the paper attributes to shared BB
-// designs), then the consumer reads the PFS copy. Under fault injection a
-// file may have no replica at all (a node failure destroyed it after this
-// task was scheduled); the attempt then parks behind the producer's
-// re-execution instead of failing the run.
-func (e *engine) readInput(a *attempt, f *workflow.File, onDone func()) {
+// startRead starts reading the input under the read cursor, if any is
+// left.
+func (e *engine) startRead(a *attempt) {
+	if e.err != nil || a.aborted || a.rd.next >= len(a.task.Inputs()) {
+		return
+	}
+	a.rd.next++
+	e.readInput(a, a.rd.next-1)
+}
+
+// readDone completes the read of input i and starts the next one, or the
+// compute phase after the last.
+func (e *engine) readDone(a *attempt, i int) {
+	if a.aborted {
+		return
+	}
+	f := a.task.Inputs()[i]
+	e.tr.Record(e.now(), trace.ReadEnd, a.task.ID(), f.ID())
+	a.rec.BytesRead += f.Size()
+	a.rd.pending--
+	if e.err != nil {
+		return
+	}
+	if a.rd.pending == 0 {
+		a.rec.ReadDoneAt = e.now()
+		e.runCompute(a)
+		return
+	}
+	e.startRead(a)
+}
+
+// readInput reads input i, handling the private-mode visibility rule: when
+// the only replica sits on a private shared BB created by another node,
+// the creator first relocates it to the PFS (an on-demand stage-out — the
+// data-management cost the paper attributes to shared BB designs), then
+// the consumer reads the PFS copy. Under fault injection a file may have
+// no replica at all (a node failure destroyed it after this task was
+// scheduled); the attempt then parks behind the producer's re-execution
+// instead of failing the run.
+func (e *engine) readInput(a *attempt, i int) {
 	t, node := a.task, a.node
+	f := t.Inputs()[i]
 	svc, err := e.sys.Registry().BestVisible(f, node, e.cfg.EnforcePrivateVisibility)
 	if err == nil {
 		e.tr.Record(e.now(), trace.ReadStart, t.ID(), f.ID()+"@"+svc.Name())
-		op, rerr := e.sys.Manager().Read(node, f, svc, onDone)
+		op, rerr := e.sys.Manager().Read(node, f, svc, a, opTag(opRead, i))
 		if rerr != nil {
 			e.fail(fmt.Errorf("exec: task %s read %s: %w", t.ID(), f.ID(), rerr))
 			return
@@ -661,16 +672,7 @@ func (e *engine) readInput(a *attempt, f *workflow.File, onDone func()) {
 		if loc.Kind() != storage.KindPFS && creator != nil && creator != node {
 			relocator := creator
 			e.tr.Record(e.now(), trace.StageStart, t.ID(), f.ID()+"@"+loc.Name()+"->pfs")
-			op, cerr := e.sys.Manager().Copy(relocator, f, loc, e.sys.PFS(), func() {
-				if a.aborted {
-					return
-				}
-				e.tr.Record(e.now(), trace.StageEnd, t.ID(), f.ID()+"@pfs")
-				if e.err != nil {
-					return
-				}
-				e.readInput(a, f, onDone)
-			})
+			op, cerr := e.sys.Manager().Copy(relocator, f, loc, e.sys.PFS(), a, opTag(opRelocate, i))
 			if cerr != nil {
 				e.fail(fmt.Errorf("exec: task %s relocate %s: %w", t.ID(), f.ID(), cerr))
 				return
@@ -683,6 +685,19 @@ func (e *engine) readInput(a *attempt, f *workflow.File, onDone func()) {
 		return
 	}
 	e.fail(fmt.Errorf("exec: task %s: %w", t.ID(), err))
+}
+
+// relocateDone reads input i from the PFS copy its relocation landed.
+func (e *engine) relocateDone(a *attempt, i int) {
+	if a.aborted {
+		return
+	}
+	f := a.task.Inputs()[i]
+	e.tr.Record(e.now(), trace.StageEnd, a.task.ID(), f.ID()+"@pfs")
+	if e.err != nil {
+		return
+	}
+	e.readInput(a, i)
 }
 
 func (e *engine) runCompute(a *attempt) {
@@ -719,99 +734,111 @@ func (e *engine) computeSegment(a *attempt) {
 	if remaining < 0 {
 		remaining = 0
 	}
-	seg := remaining
-	ckptAfter := false
+	a.seg = remaining
+	a.ckptAfter = false
 	if pol := e.cfg.Checkpoint; pol.Enabled() && !a.ckptOff &&
 		pol.Interval < remaining && pol.SizeFor(t) > 0 {
-		seg = pol.Interval
-		ckptAfter = true
+		a.seg = pol.Interval
+		a.ckptAfter = true
 	}
 	a.segStart = e.now()
-	a.computeEv = e.sys.Platform().Engine().After(seg, func() {
-		a.computeEv = sim.Handle{}
-		a.progress += seg
-		if ckptAfter {
-			e.writeCheckpoint(a)
-			return
-		}
-		rec := e.tr.Task(t.ID())
-		rec.ComputeDone = e.now()
-		e.tr.Record(e.now(), trace.ComputeEnd, t.ID(), "")
-		e.runWrites(a)
-	})
+	a.computeEv = e.sys.Platform().Engine().AfterTag(a.seg, e.computeDoneFn, uint64(t.Index()))
+}
+
+// computeDone ends the compute segment of the attempt running the task
+// whose index is the tag. An abort cancels the segment's event, so the
+// task's active attempt is the one that scheduled it.
+func (e *engine) computeDone(tag uint64) {
+	a := e.active[tag]
+	a.computeEv = sim.Handle{}
+	a.progress += a.seg
+	if a.ckptAfter {
+		e.writeCheckpoint(a)
+		return
+	}
+	a.rec.ComputeDone = e.now()
+	e.tr.Record(e.now(), trace.ComputeEnd, a.task.ID(), "")
+	e.runWrites(a)
 }
 
 // runWrites writes the task's outputs with at most `cores` concurrent
-// streams (see runReads) and finishes the task when the last one
-// completes. A burst-buffer target rejected by the fault model — or full,
-// when BBFallback is set — degrades to the PFS instead of failing the run.
+// streams through the attempt's write cursor (see runReads) and finishes
+// the task when the last one completes. A burst-buffer target rejected by
+// the fault model — or full, when BBFallback is set — degrades to the PFS
+// instead of failing the run.
 func (e *engine) runWrites(a *attempt) {
-	t, node := a.task, a.node
 	a.phase = phaseWrite
-	outputs := t.Outputs()
-	rec := e.tr.Task(t.ID())
+	outputs := a.task.Outputs()
 	if len(outputs) == 0 {
 		e.finishTask(a)
 		return
 	}
-	pending := len(outputs)
-	next := 0
-	var startOne func()
-	startOne = func() {
-		if e.err != nil || a.aborted || next >= len(outputs) {
-			return
-		}
-		f := outputs[next]
-		next++
-		svc := e.cfg.Placement.OutputTarget(t, f, e.sys, node)
-		if svc == nil {
-			svc = e.sys.PFS()
-		}
-		if svc != e.sys.PFS() && e.adaptFallback(t, f, svc) {
-			svc = e.sys.PFS()
-		}
-		if svc != e.sys.PFS() && e.bbRejected(t, f, svc) {
-			svc = e.sys.PFS()
-		}
-		onDone := func() {
-			if a.aborted {
-				return
-			}
-			e.tr.Record(e.now(), trace.WriteEnd, t.ID(), f.ID())
-			rec.BytesWritten += f.Size()
-			pending--
-			if e.err != nil {
-				return
-			}
-			if pending == 0 {
-				e.finishTask(a)
-				return
-			}
-			startOne()
-		}
-		e.tr.Record(e.now(), trace.WriteStart, t.ID(), f.ID()+"@"+svc.Name())
-		op, err := e.sys.Manager().Write(node, f, svc, onDone)
-		if err != nil && svc != e.sys.PFS() && e.cfg.BBFallback {
-			var full *storage.FullError
-			if errors.As(err, &full) {
-				e.tr.Record(e.now(), trace.Fallback, t.ID(), f.ID()+"->pfs (bb full)")
-				svc = e.sys.PFS()
-				e.tr.Record(e.now(), trace.WriteStart, t.ID(), f.ID()+"@"+svc.Name())
-				op, err = e.sys.Manager().Write(node, f, svc, onDone)
-			}
-		}
-		if err != nil {
-			e.fail(fmt.Errorf("exec: task %s write %s: %w", t.ID(), f.ID(), err))
-			return
-		}
-		e.track(a, op)
-	}
+	a.wr = ioCursor{pending: len(outputs)}
 	for i := 0; i < a.cores && i < len(outputs); i++ {
-		startOne()
+		e.startWrite(a)
 		if e.err != nil || a.aborted {
 			return
 		}
 	}
+}
+
+// startWrite starts writing the output under the write cursor, if any is
+// left.
+func (e *engine) startWrite(a *attempt) {
+	t, node := a.task, a.node
+	outputs := t.Outputs()
+	if e.err != nil || a.aborted || a.wr.next >= len(outputs) {
+		return
+	}
+	i := a.wr.next
+	a.wr.next++
+	f := outputs[i]
+	svc := e.cfg.Placement.OutputTarget(t, f, e.sys, node)
+	if svc == nil {
+		svc = e.sys.PFS()
+	}
+	if svc != e.sys.PFS() && e.adaptFallback(t, f, svc) {
+		svc = e.sys.PFS()
+	}
+	if svc != e.sys.PFS() && e.bbRejected(t, f, svc) {
+		svc = e.sys.PFS()
+	}
+	e.tr.Record(e.now(), trace.WriteStart, t.ID(), f.ID()+"@"+svc.Name())
+	op, err := e.sys.Manager().Write(node, f, svc, a, opTag(opWrite, i))
+	if err != nil && svc != e.sys.PFS() && e.cfg.BBFallback {
+		var full *storage.FullError
+		if errors.As(err, &full) {
+			e.tr.Record(e.now(), trace.Fallback, t.ID(), f.ID()+"->pfs (bb full)")
+			svc = e.sys.PFS()
+			e.tr.Record(e.now(), trace.WriteStart, t.ID(), f.ID()+"@"+svc.Name())
+			op, err = e.sys.Manager().Write(node, f, svc, a, opTag(opWrite, i))
+		}
+	}
+	if err != nil {
+		e.fail(fmt.Errorf("exec: task %s write %s: %w", t.ID(), f.ID(), err))
+		return
+	}
+	e.track(a, op)
+}
+
+// writeDone completes the write of output i and starts the next one, or
+// finishes the task after the last.
+func (e *engine) writeDone(a *attempt, i int) {
+	if a.aborted {
+		return
+	}
+	f := a.task.Outputs()[i]
+	e.tr.Record(e.now(), trace.WriteEnd, a.task.ID(), f.ID())
+	a.rec.BytesWritten += f.Size()
+	a.wr.pending--
+	if e.err != nil {
+		return
+	}
+	if a.wr.pending == 0 {
+		e.finishTask(a)
+		return
+	}
+	e.startWrite(a)
 }
 
 func (e *engine) finishTask(a *attempt) {

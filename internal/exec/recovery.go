@@ -134,7 +134,9 @@ func (p RetryPolicy) delay(failures int, rng *rand.Rand) float64 {
 		d = p.MaxDelay
 	}
 	if p.Jitter > 0 && rng != nil {
-		d *= 1 + p.Jitter*rng.Float64()
+		// The conversion rounds the product, so no platform fuses it
+		// with the addition.
+		d *= 1 + float64(p.Jitter*rng.Float64())
 	}
 	return d
 }
@@ -154,31 +156,78 @@ const (
 // attempt cancels its in-flight storage operations and its compute timer,
 // releases its node resources, and discards its partially written outputs.
 type attempt struct {
+	e         *engine
 	task      *workflow.Task
 	node      *platform.Node
 	cores     int
 	n         int // 1-based start count for this task
 	phase     phase
 	aborted   bool
-	ops       []*storage.Op // in-flight and completed ops, start order
-	computeEv sim.Handle    // pending compute-segment completion, if scheduled
+	rec       *trace.TaskRecord  // the task's trace record
+	rd, wr    ioCursor           // read and write phase progress
+	ops       []storage.OpHandle // in-flight and completed ops, start order
+	computeEv sim.Handle         // pending compute-segment completion, if scheduled
 
 	// Compute-phase segmentation (checkpoint.go). computeTotal is the full
 	// compute duration of this attempt; progress counts the seconds whose
 	// segments completed; restored is the prefix a checkpoint restore
 	// contributed (zero on first attempts); segStart stamps the running
-	// segment. ckptOff disables checkpointing for the rest of an attempt
+	// segment, seg is its length, and ckptAfter tells whether a checkpoint
+	// follows it. ckptOff disables checkpointing for the rest of an attempt
 	// whose snapshot write found no tier with space.
 	computeTotal float64
 	progress     float64
 	restored     float64
 	segStart     float64
+	seg          float64
+	ckptAfter    bool
 	ckptOff      bool
+}
+
+// ioCursor walks the files of one I/O phase, a few streams at a time: next
+// is the position of the next file to start, pending counts the files not
+// yet completed.
+type ioCursor struct {
+	next, pending int
+}
+
+// opRole says which step of an attempt a storage operation serves. It
+// rides in the high half of the operation's tag, above the position of the
+// file in the task's inputs or outputs.
+type opRole uint64
+
+const (
+	opRead     opRole = iota // read of input i
+	opRelocate               // relocation of input i to the PFS, then its read
+	opWrite                  // write of output i
+	opStageIn                // stage-in of output i
+	opStageOut               // stage-out of input i
+)
+
+// opTag packs a role and a file position into an operation tag.
+func opTag(role opRole, i int) uint64 { return uint64(role)<<32 | uint64(uint32(i)) }
+
+// OpDone implements storage.Completer: the attempt completes its own
+// operations, so starting one allocates no callback.
+func (a *attempt) OpDone(tag uint64) {
+	i := int(uint32(tag))
+	switch opRole(tag >> 32) {
+	case opRead:
+		a.e.readDone(a, i)
+	case opRelocate:
+		a.e.relocateDone(a, i)
+	case opWrite:
+		a.e.writeDone(a, i)
+	case opStageIn:
+		a.e.stageInDone(a, i)
+	case opStageOut:
+		a.e.stageOutDone(a, i)
+	}
 }
 
 // track remembers an operation so an abort can cancel it. Only fault-enabled
 // runs pay for the bookkeeping.
-func (e *engine) track(a *attempt, op *storage.Op) {
+func (e *engine) track(a *attempt, op storage.OpHandle) {
 	if e.cfg.Faults != nil {
 		a.ops = append(a.ops, op)
 	}
@@ -318,7 +367,7 @@ func (e *engine) abortAttempt(a *attempt) {
 		a.computeEv = sim.Handle{}
 	}
 	for _, op := range a.ops {
-		op.Cancel() // no-op for ops that already completed
+		e.sys.Manager().Cancel(op) // no-op for ops that already completed
 	}
 	a.ops = nil
 	a.node.ReleaseResources(a.cores, a.task.Memory())

@@ -22,7 +22,7 @@ func BenchmarkConcurrentFlows(b *testing.B) {
 				for j := 0; j < k; j++ {
 					// Staggered sizes so completions interleave and force
 					// k reallocations.
-					n.StartFlow(float64(100+j), []*Resource{link, disk}, Options{}, func() { done++ })
+					n.StartFlow(float64(100+j), []*Resource{link, disk}, Options{}, Func(func() { done++ }), 0)
 				}
 				e.Run()
 				if done != k {
@@ -46,7 +46,7 @@ func BenchmarkFlowChurn(b *testing.B) {
 			return
 		}
 		started++
-		n.StartFlow(50, []*Resource{link}, Options{}, launch)
+		n.StartFlow(50, []*Resource{link}, Options{}, Func(launch), 0)
 	}
 	for i := 0; i < 16 && i < b.N; i++ {
 		launch()
@@ -76,7 +76,7 @@ func BenchmarkSparsePlatform(b *testing.B) {
 		// staggered sizes so completions interleave.
 		for j := 0; j < 4*nodes; j++ {
 			src := j % nodes
-			n.StartFlow(float64(100+j), []*Resource{links[src], disks[(src+1)%nodes]}, Options{}, func() { done++ })
+			n.StartFlow(float64(100+j), []*Resource{links[src], disks[(src+1)%nodes]}, Options{}, Func(func() { done++ }), 0)
 		}
 		e.Run()
 		if done != 4*nodes {
@@ -95,7 +95,7 @@ func TestRecomputeZeroAllocs(t *testing.T) {
 	disk := n.NewResource("disk", 800)
 	// Warm up the scratch: a first wave grows touched/finished to capacity.
 	for j := 0; j < 8; j++ {
-		n.StartFlow(float64(10+j), []*Resource{link, disk}, Options{}, nil)
+		n.StartFlow(float64(10+j), []*Resource{link, disk}, Options{}, nil, 0)
 	}
 	e.Run()
 	// Steady state: flows already active, measure recompute alone.
@@ -103,7 +103,7 @@ func TestRecomputeZeroAllocs(t *testing.T) {
 	// fresh sim.Event; the zero-allocation target is the rate recomputation
 	// scratch. TestInvalidateZeroAllocs covers moving the pending slot.)
 	for j := 0; j < 8; j++ {
-		n.StartFlow(1e12, []*Resource{link, disk}, Options{}, nil)
+		n.StartFlow(1e12, []*Resource{link, disk}, Options{}, nil, 0)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		n.recompute()

@@ -21,8 +21,9 @@
 // is independent of transfer sizes: per solve, progressive filling visits
 // only the resources actually crossed by an active flow (idle resources
 // cost nothing) and computes the next completion as a side product — no
-// separate scan of the active set. All scratch is pooled on the Network,
-// so the steady state allocates nothing.
+// separate scan of the active set. Flows live in a slab on the Network,
+// reached through generation-counted Handles, and all scratch is pooled
+// there too, so the steady state allocates nothing.
 package flow
 
 import (
@@ -57,34 +58,46 @@ func (r *Resource) Capacity() float64 { return r.capacity }
 // Processed returns the total number of units this resource has carried.
 func (r *Resource) Processed() float64 { return r.processed }
 
-// Flow is one in-progress transfer.
-type Flow struct {
-	net       *Network
+// Handle identifies one flow of a Network. Flows live in the network's
+// slab and their slots are reused once a flow completes or is cancelled,
+// so a handle pairs the slot with the generation it was issued for — the
+// scheme sim.Handle uses for pooled events. A handle whose flow has ended
+// is stale: Cancel on it is a no-op, Done reports true and Rate zero, even
+// after the slot was reissued to another flow. The zero Handle behaves
+// like an ended flow.
+type Handle struct {
+	slot int32
+	gen  uint32 // slot generations start at 1, so the zero Handle is stale
+}
+
+// tag packs the handle into an event tag.
+func (h Handle) tag() uint64 { return uint64(h.gen)<<32 | uint64(uint32(h.slot)) }
+
+// handleOf unpacks an event tag.
+func handleOf(tag uint64) Handle { return Handle{slot: int32(uint32(tag)), gen: uint32(tag >> 32)} }
+
+// Completer is told when a flow completes. The tag is the one the flow was
+// started with, so one long-lived completer — a pointer, stored in an
+// interface without allocating — can serve every flow it starts.
+type Completer interface {
+	FlowDone(tag uint64)
+}
+
+// flowSlot is one slab entry: a flow while its generation matches the
+// issued handle, free (on Network.free) otherwise.
+type flowSlot struct {
 	path      []*Resource
+	done      Completer
+	tag       uint64
 	remaining float64
 	amount    float64
 	rateCap   float64 // +Inf when uncapped
 	rate      float64
-	onDone    func()
-	started   float64 // virtual time the flow became active
-	latEv     sim.Handle
+	latEv     sim.Handle // pending latency activation
+	gen       uint32
 	active    bool
-	done      bool
 	frozen    bool // scratch for progressive filling
 }
-
-// Rate returns the flow's current allocated rate in units per second,
-// solving the network first if a change at this instant is still pending.
-func (f *Flow) Rate() float64 {
-	f.net.eng.Resolve(f.net.nextEv)
-	return f.rate
-}
-
-// Remaining returns the units left to transfer.
-func (f *Flow) Remaining() float64 { return f.remaining }
-
-// Done reports whether the flow has completed or been cancelled.
-func (f *Flow) Done() bool { return f.done }
 
 // Options tunes a flow started with StartFlow.
 type Options struct {
@@ -100,19 +113,28 @@ type Options struct {
 type Network struct {
 	eng       *sim.Engine
 	resources []*Resource
-	active    []*Flow
-	settled   float64    // virtual time of the last settle
-	changed   float64    // virtual time of the last change, -Inf before any
-	nextEv    sim.Handle // the deferred solve, or else the next completion
+	// flows is the slab every flow lives in; free holds the slots of ended
+	// flows for reuse, so the steady state allocates no flow at all.
+	flows []flowSlot
+	free  []int32
+	// active lists the slots of the flows holding resources, in activation
+	// order. Compacting int32 slot indices pays no GC write barrier, unlike
+	// a slice of pointers.
+	active  []int32
+	settled float64    // virtual time of the last settle
+	changed float64    // virtual time of the last change, -Inf before any
+	nextEv  sim.Handle // the deferred solve, or else the next completion
 
 	// Hot-path scratch, reused across recomputes so the steady state
 	// allocates nothing (asserted by TestRecomputeZeroAllocs):
 	gen          uint64           // recompute generation, stamps Resource.gen
 	touched      []*Resource      // resources crossed by ≥1 active flow
-	finished     []*Flow          // completion batch, collected per event
+	finished     []Handle         // completion batch, collected per event
 	minDt        float64          // next completion delay, folded into recompute
 	completionFn func()           // bound n.onCompletion, hoisted once
 	resolveFn    func(seq uint64) // bound n.resolve, hoisted once
+	activateFn   func(tag uint64) // bound n.activateTag, hoisted once
+	instantFn    func(tag uint64) // bound n.completeTag, hoisted once
 
 	stats Stats // cumulative solver counters, read post-run
 }
@@ -142,6 +164,8 @@ func NewNetwork(eng *sim.Engine) *Network {
 	n := &Network{eng: eng, settled: eng.Now(), changed: math.Inf(-1), minDt: math.Inf(1)}
 	n.completionFn = n.onCompletion
 	n.resolveFn = n.resolve
+	n.activateFn = n.activateTag
+	n.instantFn = n.completeTag
 	return n
 }
 
@@ -160,27 +184,6 @@ func (n *Network) NewResource(name string, capacity float64) *Resource {
 
 // ActiveFlows returns the number of currently active flows.
 func (n *Network) ActiveFlows() int { return len(n.active) }
-
-// Reset prepares the network for another run on the same resources after
-// its engine was Reset: the settle clock, solver counters, and per-resource
-// processed totals return to zero while the registered resources and the
-// hot-path scratch (and its warmed-up capacity) are kept. Resetting with
-// flows still active panics — cancel or drain them first. The recompute
-// generation is deliberately NOT reset: it only ever grows, so stale
-// Resource.gen stamps from the previous run read as "not yet visited".
-func (n *Network) Reset() {
-	if len(n.active) > 0 {
-		panic(fmt.Sprintf("flow: Reset with %d active flows", len(n.active)))
-	}
-	n.settled = n.eng.Now()
-	n.changed = math.Inf(-1)
-	n.nextEv = sim.Handle{}
-	n.minDt = math.Inf(1)
-	n.stats = Stats{}
-	for _, r := range n.resources {
-		r.processed = 0
-	}
-}
 
 // Stats returns the cumulative solver counters.
 func (n *Network) Stats() Stats { return n.stats }
@@ -202,10 +205,11 @@ func (n *Network) SetCapacity(r *Resource, capacity float64) {
 	n.invalidate()
 }
 
-// StartFlow begins transferring amount units across path. onDone runs when
-// the transfer completes. The returned flow can be cancelled. A flow with an
-// empty path and no rate cap completes after just its latency.
-func (n *Network) StartFlow(amount float64, path []*Resource, opts Options, onDone func()) *Flow {
+// StartFlow begins transferring amount units across path. When the
+// transfer completes, done (if non-nil) is called with tag. The returned
+// handle can cancel the flow. A flow with an empty path and no rate cap
+// completes after just its latency.
+func (n *Network) StartFlow(amount float64, path []*Resource, opts Options, done Completer, tag uint64) Handle {
 	if amount < 0 || math.IsNaN(amount) {
 		panic(fmt.Sprintf("flow: invalid amount %g", amount))
 	}
@@ -228,23 +232,68 @@ func (n *Network) StartFlow(amount float64, path []*Resource, opts Options, onDo
 		dedup = dedupPath(path)
 	}
 	n.stats.FlowsStarted++
-	f := &Flow{
-		net:       n,
-		path:      dedup,
-		remaining: amount,
-		amount:    amount,
-		rateCap:   cap,
-		onDone:    onDone,
-	}
+	h := n.alloc()
+	f := &n.flows[h.slot]
+	f.path = dedup
+	f.done = done
+	f.tag = tag
+	f.remaining = amount
+	f.amount = amount
+	f.rateCap = cap
+	f.rate = 0
 	if opts.Latency > 0 {
-		f.latEv = n.eng.After(opts.Latency, func() {
-			f.latEv = sim.Handle{}
-			n.activate(f)
-		})
+		f.latEv = n.eng.AfterTag(opts.Latency, n.activateFn, h.tag())
 	} else {
-		n.activate(f)
+		n.activate(h.slot)
 	}
-	return f
+	return h
+}
+
+// alloc takes a free slot, or grows the slab by one.
+func (n *Network) alloc() Handle {
+	if k := len(n.free); k > 0 {
+		slot := n.free[k-1]
+		n.free = n.free[:k-1]
+		return Handle{slot: slot, gen: n.flows[slot].gen}
+	}
+	n.flows = append(n.flows, flowSlot{gen: 1})
+	return Handle{slot: int32(len(n.flows) - 1), gen: 1}
+}
+
+// release ends the flow in slot: the generation bump makes every handle
+// to it stale, and the slot returns to the free list.
+func (n *Network) release(slot int32) {
+	f := &n.flows[slot]
+	f.gen++
+	f.path = nil
+	f.done = nil
+	f.latEv = sim.Handle{}
+	n.free = append(n.free, slot)
+}
+
+// live returns the slot h names, or nil when h is stale.
+func (n *Network) live(h Handle) *flowSlot {
+	if h.gen == 0 || int(h.slot) >= len(n.flows) {
+		return nil
+	}
+	if f := &n.flows[h.slot]; f.gen == h.gen {
+		return f
+	}
+	return nil
+}
+
+// Done reports whether the flow has completed or been cancelled.
+func (n *Network) Done(h Handle) bool { return n.live(h) == nil }
+
+// Rate returns the flow's current allocated rate in units per second,
+// solving the network first if a change at this instant is still pending.
+// An ended flow's rate is zero.
+func (n *Network) Rate(h Handle) float64 {
+	n.eng.Resolve(n.nextEv)
+	if f := n.live(h); f != nil {
+		return f.rate
+	}
+	return 0
 }
 
 // hasDuplicate reports whether path mentions any resource twice. Paths are
@@ -279,56 +328,67 @@ func dedupPath(path []*Resource) []*Resource {
 	return dedup
 }
 
-func (n *Network) activate(f *Flow) {
-	f.started = n.eng.Now()
+// activateTag ends a flow's latency. Cancel removes a pending latency
+// event, so the tag always names a live flow.
+func (n *Network) activateTag(tag uint64) {
+	h := handleOf(tag)
+	n.flows[h.slot].latEv = sim.Handle{}
+	n.activate(h.slot)
+}
+
+func (n *Network) activate(slot int32) {
+	f := &n.flows[slot]
 	if f.remaining <= 0 || (len(f.path) == 0 && math.IsInf(f.rateCap, 1)) {
 		// Instantaneous: account the amount and schedule completion now so
 		// callbacks still run from the event loop, never synchronously from
-		// StartFlow (callers rely on that for ordering).
+		// StartFlow (callers rely on that for ordering). A Cancel before the
+		// event fires releases the slot, and the stale tag makes the event
+		// a no-op.
 		for _, r := range f.path {
 			r.processed += f.remaining
 		}
 		f.remaining = 0
-		n.eng.After(0, func() { n.complete(f) })
+		n.eng.AfterTag(0, n.instantFn, Handle{slot: slot, gen: f.gen}.tag())
 		return
 	}
 	n.settle()
 	f.active = true
-	n.active = append(n.active, f)
+	n.active = append(n.active, slot)
 	n.invalidate()
 }
 
-// Cancel aborts an in-progress flow without running its callback.
-func (f *Flow) Cancel() {
-	if f.done {
+// Cancel aborts an in-progress flow without running its completer. A stale
+// handle is a no-op.
+func (n *Network) Cancel(h Handle) {
+	f := n.live(h)
+	if f == nil {
 		return
 	}
-	n := f.net
 	if !f.latEv.Cancelled() {
 		n.eng.Cancel(f.latEv)
-		f.latEv = sim.Handle{}
-		f.done = true
+		n.release(h.slot)
 		return
 	}
 	if !f.active {
-		// Instantaneous completion already queued; mark done so complete()
-		// skips the callback.
-		f.done = true
+		// Instantaneous completion already queued, or completion batched
+		// behind a running callback: releasing the slot makes it skip.
+		n.release(h.slot)
 		return
 	}
 	n.settle()
-	n.remove(f)
-	f.done = true
+	n.remove(h.slot)
+	n.release(h.slot)
 	n.invalidate()
 }
 
-func (n *Network) remove(f *Flow) {
-	for i, g := range n.active {
-		if g == f {
+func (n *Network) remove(slot int32) {
+	for i, s := range n.active {
+		if s == slot {
 			n.active = append(n.active[:i], n.active[i+1:]...)
 			break
 		}
 	}
+	f := &n.flows[slot]
 	f.active = false
 	f.rate = 0
 }
@@ -343,7 +403,8 @@ func (n *Network) settle() {
 	if dt <= 0 {
 		return
 	}
-	for _, f := range n.active {
+	for _, slot := range n.active {
+		f := &n.flows[slot]
 		moved := f.rate * dt
 		if moved > f.remaining {
 			moved = f.remaining
@@ -365,12 +426,11 @@ func (n *Network) settle() {
 // so idle resources cost nothing — and each flow's projected completion
 // delay is folded into minDt the moment its rate freezes, so resolve needs
 // no scan of its own. The inner rounds deliberately iterate n.active with a
-// frozen-flag check rather than maintaining compacted pointer slices: the
-// flag test is branch-cheap, while pointer-slice rebuilding costs a GC
-// write barrier per element per round. Every floating-point operation
-// happens on the same values in the same order as the original
-// full-network recompute, keeping results bit-identical; see DESIGN.md
-// "Campaign parallelism & the flow hot path".
+// frozen-flag check rather than maintaining compacted worklists: the flag
+// test is branch-cheap and the slab keeps the flows contiguous. Every
+// floating-point operation happens on the same values in the same order as
+// the original full-network recompute, keeping results bit-identical; see
+// DESIGN.md "Campaign parallelism & the flow hot path".
 func (n *Network) recompute() {
 	n.stats.Recomputes++
 	n.minDt = math.Inf(1)
@@ -386,8 +446,10 @@ func (n *Network) recompute() {
 		n.touched = make([]*Resource, 0, len(n.resources))
 	}
 	touched := n.touched[:0]
+	flows := n.flows
 	unfrozen := 0
-	for _, f := range n.active {
+	for _, slot := range n.active {
+		f := &flows[slot]
 		f.frozen = false
 		f.rate = 0
 		for _, r := range f.path {
@@ -413,8 +475,8 @@ func (n *Network) recompute() {
 				}
 			}
 		}
-		for _, f := range n.active {
-			if !f.frozen && f.rateCap < m {
+		for _, slot := range n.active {
+			if f := &flows[slot]; !f.frozen && f.rateCap < m {
 				m = f.rateCap
 			}
 		}
@@ -427,7 +489,8 @@ func (n *Network) recompute() {
 		// the minimum, and flows crossing a resource whose share equals it.
 		const tol = 1 + 1e-12
 		froze := 0
-		for _, f := range n.active {
+		for _, slot := range n.active {
+			f := &flows[slot]
 			if f.frozen {
 				continue
 			}
@@ -461,7 +524,8 @@ func (n *Network) recompute() {
 			r.count = 0
 		}
 		unfrozen = 0
-		for _, f := range n.active {
+		for _, slot := range n.active {
+			f := &flows[slot]
 			if f.frozen {
 				for _, r := range f.path {
 					r.avail -= f.rate
@@ -526,43 +590,54 @@ func (n *Network) onCompletion() {
 	// and the batch's removal must be ordered before anything they change.
 	// One pass splits the batch off and compacts the survivors in place,
 	// in their order, rather than searching and shifting n.active once per
-	// finished flow — each moved pointer costs a GC write barrier.
+	// finished flow.
 	finished := n.finished[:0]
 	kept := 0
-	for i, f := range n.active {
+	for i, slot := range n.active {
+		f := &n.flows[slot]
 		if f.remaining <= completionTolerance(f.amount) {
-			finished = append(finished, f)
+			finished = append(finished, Handle{slot: slot, gen: f.gen})
 			f.active = false
 			f.rate = 0
 			continue
 		}
 		if kept != i {
-			n.active[kept] = f
+			n.active[kept] = slot
 		}
 		kept++
 	}
-	clear(n.active[kept:])
 	n.active = n.active[:kept]
 	n.finished = finished
 	n.invalidate()
-	for _, f := range finished {
-		n.complete(f)
+	for _, h := range finished {
+		n.complete(h)
 	}
 }
 
-func (n *Network) complete(f *Flow) {
-	if f.done {
+// completeTag fires a queued instantaneous completion.
+func (n *Network) completeTag(tag uint64) { n.complete(handleOf(tag)) }
+
+// complete ends the flow h names and runs its completer. The slot is
+// released first, so the completer sees the flow Done and may reuse the
+// slot for a flow of its own; a handle made stale by a Cancel in the
+// meantime is skipped.
+func (n *Network) complete(h Handle) {
+	f := n.live(h)
+	if f == nil {
 		return
 	}
-	f.done = true
-	f.remaining = 0
-	if f.onDone != nil {
-		f.onDone()
+	done, tag := f.done, f.tag
+	n.release(h.slot)
+	if done != nil {
+		done.FlowDone(tag)
 	}
 }
 
+// completionTolerance is the remaining amount below which a flow counts as
+// finished. The explicit conversion rounds the product, so no platform
+// fuses it with the addition.
 func completionTolerance(amount float64) float64 {
-	return 1e-9*amount + 1e-9
+	return float64(1e-9*amount) + 1e-9
 }
 
 // Utilization returns the fraction of capacity currently allocated on r
@@ -571,7 +646,8 @@ func completionTolerance(amount float64) float64 {
 func (n *Network) Utilization(r *Resource) float64 {
 	n.eng.Resolve(n.nextEv)
 	used := 0.0
-	for _, f := range n.active {
+	for _, slot := range n.active {
+		f := &n.flows[slot]
 		for _, p := range f.path {
 			if p == r {
 				used += f.rate

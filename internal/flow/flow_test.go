@@ -20,7 +20,7 @@ func TestSingleFlowTime(t *testing.T) {
 	n := NewNetwork(e)
 	r := n.NewResource("link", 100) // 100 units/s
 	var done float64 = -1
-	n.StartFlow(1000, []*Resource{r}, Options{}, func() { done = e.Now() })
+	n.StartFlow(1000, []*Resource{r}, Options{}, Func(func() { done = e.Now() }), 0)
 	e.Run()
 	if !approx(done, 10, eps) {
 		t.Errorf("single flow completed at %v, want 10", done)
@@ -32,8 +32,8 @@ func TestTwoFlowsShareFairly(t *testing.T) {
 	n := NewNetwork(e)
 	r := n.NewResource("link", 100)
 	var t1, t2 float64
-	n.StartFlow(1000, []*Resource{r}, Options{}, func() { t1 = e.Now() })
-	n.StartFlow(1000, []*Resource{r}, Options{}, func() { t2 = e.Now() })
+	n.StartFlow(1000, []*Resource{r}, Options{}, Func(func() { t1 = e.Now() }), 0)
+	n.StartFlow(1000, []*Resource{r}, Options{}, Func(func() { t2 = e.Now() }), 0)
 	e.Run()
 	// Both at 50 units/s for the full transfer: both finish at 20s.
 	if !approx(t1, 20, eps) || !approx(t2, 20, eps) {
@@ -46,8 +46,8 @@ func TestShorterFlowFreesBandwidth(t *testing.T) {
 	n := NewNetwork(e)
 	r := n.NewResource("link", 100)
 	var tShort, tLong float64
-	n.StartFlow(500, []*Resource{r}, Options{}, func() { tShort = e.Now() })
-	n.StartFlow(1500, []*Resource{r}, Options{}, func() { tLong = e.Now() })
+	n.StartFlow(500, []*Resource{r}, Options{}, Func(func() { tShort = e.Now() }), 0)
+	n.StartFlow(1500, []*Resource{r}, Options{}, Func(func() { tLong = e.Now() }), 0)
 	e.Run()
 	// Phase 1: both at 50 u/s until the short one finishes at t=10 (500/50).
 	// Phase 2: long has 1000 left at 100 u/s → finishes at t=20.
@@ -64,8 +64,8 @@ func TestRateCapBinds(t *testing.T) {
 	n := NewNetwork(e)
 	r := n.NewResource("link", 100)
 	var tCapped, tFree float64
-	n.StartFlow(300, []*Resource{r}, Options{RateCap: 30}, func() { tCapped = e.Now() })
-	n.StartFlow(700, []*Resource{r}, Options{}, func() { tFree = e.Now() })
+	n.StartFlow(300, []*Resource{r}, Options{RateCap: 30}, Func(func() { tCapped = e.Now() }), 0)
+	n.StartFlow(700, []*Resource{r}, Options{}, Func(func() { tFree = e.Now() }), 0)
 	e.Run()
 	// Capped runs at 30; free gets the remaining 70. Both end at t=10.
 	if !approx(tCapped, 10, eps) || !approx(tFree, 10, eps) {
@@ -78,7 +78,7 @@ func TestCapBelowFairShareAlone(t *testing.T) {
 	n := NewNetwork(e)
 	r := n.NewResource("link", 1000)
 	var done float64
-	n.StartFlow(100, []*Resource{r}, Options{RateCap: 10}, func() { done = e.Now() })
+	n.StartFlow(100, []*Resource{r}, Options{RateCap: 10}, Func(func() { done = e.Now() }), 0)
 	e.Run()
 	if !approx(done, 10, eps) {
 		t.Errorf("capped lone flow completed at %v, want 10", done)
@@ -91,7 +91,7 @@ func TestSerialPathBottleneck(t *testing.T) {
 	net := n.NewResource("net", 800)
 	disk := n.NewResource("disk", 100)
 	var done float64
-	n.StartFlow(1000, []*Resource{net, disk}, Options{}, func() { done = e.Now() })
+	n.StartFlow(1000, []*Resource{net, disk}, Options{}, Func(func() { done = e.Now() }), 0)
 	e.Run()
 	if !approx(done, 10, eps) {
 		t.Errorf("serial path flow completed at %v, want 10 (disk bound)", done)
@@ -107,8 +107,8 @@ func TestCrossTrafficOnSharedLink(t *testing.T) {
 	link1 := n.NewResource("link1", 30)
 	shared := n.NewResource("shared", 100)
 	var tA, tB float64
-	n.StartFlow(300, []*Resource{link1, shared}, Options{}, func() { tA = e.Now() })
-	n.StartFlow(700, []*Resource{shared}, Options{}, func() { tB = e.Now() })
+	n.StartFlow(300, []*Resource{link1, shared}, Options{}, Func(func() { tA = e.Now() }), 0)
+	n.StartFlow(700, []*Resource{shared}, Options{}, Func(func() { tB = e.Now() }), 0)
 	e.Run()
 	if !approx(tA, 10, eps) || !approx(tB, 10, eps) {
 		t.Errorf("completion times %v, %v; want 10, 10", tA, tB)
@@ -120,7 +120,7 @@ func TestLatencyDelaysStart(t *testing.T) {
 	n := NewNetwork(e)
 	r := n.NewResource("link", 100)
 	var done float64
-	n.StartFlow(1000, []*Resource{r}, Options{Latency: 5}, func() { done = e.Now() })
+	n.StartFlow(1000, []*Resource{r}, Options{Latency: 5}, Func(func() { done = e.Now() }), 0)
 	e.Run()
 	if !approx(done, 15, eps) {
 		t.Errorf("latency flow completed at %v, want 15", done)
@@ -131,7 +131,7 @@ func TestZeroAmountCompletesAfterLatency(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)
 	var done float64 = -1
-	n.StartFlow(0, nil, Options{Latency: 2}, func() { done = e.Now() })
+	n.StartFlow(0, nil, Options{Latency: 2}, Func(func() { done = e.Now() }), 0)
 	e.Run()
 	if !approx(done, 2, eps) {
 		t.Errorf("zero-amount flow completed at %v, want 2", done)
@@ -142,13 +142,13 @@ func TestCallbackNeverSynchronous(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)
 	sync := true
-	n.StartFlow(0, nil, Options{}, func() { _ = sync })
+	n.StartFlow(0, nil, Options{}, Func(func() { _ = sync }), 0)
 	returned := false
-	n.StartFlow(0, nil, Options{}, func() {
+	n.StartFlow(0, nil, Options{}, Func(func() {
 		if !returned {
 			t.Error("callback ran synchronously from StartFlow")
 		}
-	})
+	}), 0)
 	returned = true
 	e.Run()
 }
@@ -157,18 +157,18 @@ func TestCancelSpeedsUpRemaining(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)
 	r := n.NewResource("link", 100)
-	cancelled := n.StartFlow(10000, []*Resource{r}, Options{}, func() {
+	cancelled := n.StartFlow(10000, []*Resource{r}, Options{}, Func(func() {
 		t.Error("cancelled flow's callback ran")
-	})
+	}), 0)
 	var done float64
-	n.StartFlow(1000, []*Resource{r}, Options{}, func() { done = e.Now() })
-	e.After(5, func() { cancelled.Cancel() })
+	n.StartFlow(1000, []*Resource{r}, Options{}, Func(func() { done = e.Now() }), 0)
+	e.After(5, func() { n.Cancel(cancelled) })
 	e.Run()
 	// 0-5s at 50 u/s (250 done), then 750 left at 100 u/s → 5+7.5 = 12.5.
 	if !approx(done, 12.5, eps) {
 		t.Errorf("survivor completed at %v, want 12.5", done)
 	}
-	if !cancelled.Done() {
+	if !n.Done(cancelled) {
 		t.Error("cancelled flow not marked done")
 	}
 }
@@ -177,10 +177,10 @@ func TestCancelDuringLatency(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)
 	r := n.NewResource("link", 100)
-	f := n.StartFlow(1000, []*Resource{r}, Options{Latency: 10}, func() {
+	f := n.StartFlow(1000, []*Resource{r}, Options{Latency: 10}, Func(func() {
 		t.Error("cancelled latent flow's callback ran")
-	})
-	e.After(1, func() { f.Cancel() })
+	}), 0)
+	e.After(1, func() { n.Cancel(f) })
 	e.Run()
 	if n.ActiveFlows() != 0 {
 		t.Errorf("ActiveFlows() = %d, want 0", n.ActiveFlows())
@@ -191,8 +191,8 @@ func TestProcessedAccounting(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)
 	r := n.NewResource("link", 100)
-	n.StartFlow(300, []*Resource{r}, Options{}, nil)
-	n.StartFlow(700, []*Resource{r}, Options{}, nil)
+	n.StartFlow(300, []*Resource{r}, Options{}, nil, 0)
+	n.StartFlow(700, []*Resource{r}, Options{}, nil, 0)
 	e.Run()
 	if !approx(r.Processed(), 1000, 1e-6) {
 		t.Errorf("Processed() = %v, want 1000", r.Processed())
@@ -222,7 +222,7 @@ func TestManyFlowsFairShare(t *testing.T) {
 	var finish [k]float64
 	for i := 0; i < k; i++ {
 		i := i
-		n.StartFlow(100, []*Resource{r}, Options{}, func() { finish[i] = e.Now() })
+		n.StartFlow(100, []*Resource{r}, Options{}, Func(func() { finish[i] = e.Now() }), 0)
 	}
 	e.Run()
 	// Each gets 10 u/s → all finish at t=10.
@@ -277,7 +277,7 @@ func runRandomScenario(seed int64) scenarioResult {
 		for _, r := range path {
 			totalPerResource[r] += amount
 		}
-		n.StartFlow(amount, path, opts, func() {
+		n.StartFlow(amount, path, opts, Func(func() {
 			completed++
 			res.finishedOrder = append(res.finishedOrder, e.Now())
 			// Invariant: at any completion, no resource is over capacity.
@@ -286,7 +286,7 @@ func runRandomScenario(seed int64) scenarioResult {
 					res.overCapacity = true
 				}
 			}
-		})
+		}), 0)
 	}
 	e.Run()
 	res.allCompleted = completed == nFlows
@@ -344,7 +344,7 @@ func TestMaxMinBottleneckProperty(t *testing.T) {
 		for i := range resources {
 			resources[i] = n.NewResource("r", 10+rng.Float64()*100)
 		}
-		var flows []*Flow
+		var flows []Handle
 		nFlows := 1 + rng.Intn(10)
 		for i := 0; i < nFlows; i++ {
 			path := []*Resource{resources[rng.Intn(nRes)]}
@@ -355,21 +355,21 @@ func TestMaxMinBottleneckProperty(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				opts.RateCap = 1 + rng.Float64()*50
 			}
-			flows = append(flows, n.StartFlow(1e12, path, opts, nil))
+			flows = append(flows, n.StartFlow(1e12, path, opts, nil, 0))
 		}
 		// Inspect the allocation mid-flight.
 		ok := true
 		e.At(1e-9, func() {
 			for _, f := range flows {
-				if f.Rate() <= 0 {
+				if n.Rate(f) <= 0 {
 					ok = false
 					continue
 				}
-				if f.Rate() >= f.rateCap*(1-1e-9) {
+				if n.Rate(f) >= n.flows[f.slot].rateCap*(1-1e-9) {
 					continue // cap binds
 				}
 				bottleneck := false
-				for _, r := range f.path {
+				for _, r := range n.flows[f.slot].path {
 					if n.Utilization(r) >= 1-1e-6 {
 						bottleneck = true
 						break
@@ -393,7 +393,7 @@ func TestUtilizationReporting(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)
 	r := n.NewResource("link", 100)
-	n.StartFlow(1e6, []*Resource{r}, Options{RateCap: 25}, nil)
+	n.StartFlow(1e6, []*Resource{r}, Options{RateCap: 25}, nil, 0)
 	e.At(0.001, func() {
 		if u := n.Utilization(r); !approx(u, 0.25, 1e-9) {
 			t.Errorf("Utilization = %v, want 0.25", u)

@@ -19,7 +19,8 @@ import (
 func checkMaxMin(n *Network) error {
 	const tol = 1e-9
 	load := make(map[*Resource]float64)
-	for i, f := range n.active {
+	for i, slot := range n.active {
+		f := &n.flows[slot]
 		if !(f.rate > 0) || f.rate > f.rateCap*(1+tol) {
 			return fmt.Errorf("flow %d: rate %g outside (0, cap %g]", i, f.rate, f.rateCap)
 		}
@@ -32,7 +33,8 @@ func checkMaxMin(n *Network) error {
 			return fmt.Errorf("resource %q carries %g over capacity %g", r.name, l, r.capacity)
 		}
 	}
-	for i, f := range n.active {
+	for i, slot := range n.active {
+		f := &n.flows[slot]
 		if f.rate >= f.rateCap*(1-tol) {
 			continue // its cap binds
 		}
@@ -45,14 +47,14 @@ func checkMaxMin(n *Network) error {
 
 // hasBottleneck reports whether f crosses a saturated resource on which
 // its rate is maximal.
-func hasBottleneck(n *Network, f *Flow, load map[*Resource]float64, tol float64) bool {
+func hasBottleneck(n *Network, f *flowSlot, load map[*Resource]float64, tol float64) bool {
 	for _, r := range f.path {
 		if load[r] < r.capacity*(1-tol) {
 			continue
 		}
 		maximal := true
-		for _, g := range n.active {
-			if g.rate > f.rate*(1+tol) && crosses(g, r) {
+		for _, slot := range n.active {
+			if g := &n.flows[slot]; g.rate > f.rate*(1+tol) && crosses(g, r) {
 				maximal = false
 				break
 			}
@@ -64,7 +66,7 @@ func hasBottleneck(n *Network, f *Flow, load map[*Resource]float64, tol float64)
 	return false
 }
 
-func crosses(f *Flow, r *Resource) bool {
+func crosses(f *flowSlot, r *Resource) bool {
 	for _, p := range f.path {
 		if p == r {
 			return true
@@ -113,7 +115,7 @@ func FuzzRecompute(f *testing.F) {
 		for i := range res {
 			res[i] = n.NewResource(fmt.Sprint("r", i), float64(1+next()%16)*10)
 		}
-		var flows []*Flow
+		var flows []Handle
 		for k := 1 + next()%24; k > 0; k-- {
 			var path []*Resource
 			mask := next()
@@ -130,14 +132,14 @@ func FuzzRecompute(f *testing.F) {
 				path = res[:1]
 			}
 			amount := float64(next() % 64 * 10)
-			flows = append(flows, n.StartFlow(amount, path, opts, nil))
+			flows = append(flows, n.StartFlow(amount, path, opts, nil, 0))
 		}
 		for k := next() % 6; k > 0; k-- {
 			at := float64(next() % 8)
 			op, arg := next(), next()
 			e.At(at, func() {
 				if op%2 == 0 {
-					flows[arg%len(flows)].Cancel()
+					n.Cancel(flows[arg%len(flows)])
 				} else {
 					n.SetCapacity(res[arg%len(res)], float64(1+op%16)*10)
 				}
@@ -145,7 +147,7 @@ func FuzzRecompute(f *testing.F) {
 		}
 		e.Run()
 		for i, fl := range flows {
-			if !fl.Done() {
+			if !n.Done(fl) {
 				t.Fatalf("flow %d never finished", i)
 			}
 		}
@@ -167,7 +169,7 @@ type diffNet struct {
 	n     *Network
 	rng   *rand.Rand
 	res   []*Resource
-	flows []*Flow
+	flows []Handle
 	log   []string
 }
 
@@ -190,18 +192,18 @@ func newDiffNet(t testing.TB, seed int64, eager bool) *diffNet {
 func removeEachCompletion(n *Network) {
 	n.nextEv = sim.Handle{}
 	n.settle()
-	var finished []*Flow
-	for _, f := range n.active {
-		if f.remaining <= completionTolerance(f.amount) {
-			finished = append(finished, f)
+	var finished []Handle
+	for _, slot := range n.active {
+		if f := &n.flows[slot]; f.remaining <= completionTolerance(f.amount) {
+			finished = append(finished, Handle{slot: slot, gen: f.gen})
 		}
 	}
-	for _, f := range finished {
-		n.remove(f)
+	for _, h := range finished {
+		n.remove(h.slot)
 	}
 	n.invalidate()
-	for _, f := range finished {
-		n.complete(f)
+	for _, h := range finished {
+		n.complete(h)
 	}
 }
 
@@ -219,19 +221,19 @@ func (d *diffNet) note(format string, args ...any) {
 // start begins a flow; then runs inside its completion callback.
 func (d *diffNet) start(amount float64, path []*Resource, opts Options, then func()) {
 	id := len(d.flows)
-	d.flows = append(d.flows, d.n.StartFlow(amount, path, opts, func() {
+	d.flows = append(d.flows, d.n.StartFlow(amount, path, opts, Func(func() {
 		d.sync() // eager: the completion batch is solved before callbacks run
 		d.note("done %d", id)
 		if then != nil {
 			then()
 		}
-	}))
+	}), 0))
 	d.sync()
 }
 
 func (d *diffNet) cancel(id int) {
 	d.note("cancel %d", id)
-	d.flows[id].Cancel()
+	d.n.Cancel(d.flows[id])
 	d.sync()
 }
 
@@ -397,7 +399,7 @@ func TestInvalidateZeroAllocs(t *testing.T) {
 	n := NewNetwork(e)
 	link := n.NewResource("link", 1000)
 	for j := 0; j < 8; j++ {
-		n.StartFlow(1e12, []*Resource{link}, Options{}, nil)
+		n.StartFlow(1e12, []*Resource{link}, Options{}, nil, 0)
 	}
 	if avg := testing.AllocsPerRun(100, n.invalidate); avg != 0 {
 		t.Fatalf("invalidate allocated %.1f times per run, want 0", avg)
@@ -417,9 +419,9 @@ func TestRearmedCompletionTakesChangeSeq(t *testing.T) {
 	n := NewNetwork(e)
 	r0, r1 := n.NewResource("r0", 10), n.NewResource("r1", 10)
 	var log []string
-	n.StartFlow(100, []*Resource{r0}, Options{}, func() { log = append(log, "a done") })
+	n.StartFlow(100, []*Resource{r0}, Options{}, Func(func() { log = append(log, "a done") }), 0)
 	e.At(10, func() { log = append(log, "event at 10") })
-	e.At(5, func() { n.StartFlow(1000, []*Resource{r1}, Options{}, nil) })
+	e.At(5, func() { n.StartFlow(1000, []*Resource{r1}, Options{}, nil, 0) })
 	e.Run()
 	if got, want := strings.Join(log, ", "), "event at 10, a done"; got != want {
 		t.Errorf("order %q, want %q", got, want)

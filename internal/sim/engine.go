@@ -31,6 +31,8 @@ import (
 type Event struct {
 	Time    float64 // virtual time at which the event fires, in seconds
 	fn      func()
+	fnTag   func(tag uint64) // AfterTag callback, called with tag instead of fn
+	tag     uint64
 	resolve func(seq uint64) // non-nil marks a deferred slot (see Defer)
 	seq     uint64           // tie-breaker: same-time events fire in scheduling order
 	idx     int              // heap index, -1 once removed
@@ -178,7 +180,7 @@ func (e *Engine) MaxPending() int { return e.maxPend }
 // panics: it always indicates a modeling bug, and silently clamping would
 // corrupt causality.
 func (e *Engine) At(t float64, fn func()) Handle {
-	e.check(t, fn)
+	e.check(t, fn == nil)
 	e.seq++
 	return e.push(t, e.seq-1, fn, nil)
 }
@@ -191,6 +193,24 @@ func (e *Engine) After(d float64, fn func()) Handle {
 	return e.At(e.now+d, fn)
 }
 
+// AfterTag schedules fn(tag) d seconds from now, exactly as After would
+// schedule a closure. It serves callers with many concurrent timers and
+// one callback, hoisted once — typically a method value: the tag says
+// which of the caller's records the event is for (a slab slot, a task
+// index), so scheduling allocates nothing per event.
+func (e *Engine) AfterTag(d float64, fn func(tag uint64), tag uint64) Handle {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %g", d))
+	}
+	t := e.now + d
+	e.check(t, fn == nil)
+	e.seq++
+	h := e.push(t, e.seq-1, nil, nil)
+	h.ev.fnTag = fn
+	h.ev.tag = tag
+	return h
+}
+
 // AtSeq schedules fn at absolute virtual time t under a sequence number
 // already issued — the one a deferred slot hands its resolve function — so
 // the event ties with same-instant events exactly as if it had been
@@ -200,19 +220,19 @@ func (e *Engine) AtSeq(t float64, seq uint64, fn func()) Handle {
 	if seq >= e.seq {
 		panic(fmt.Sprintf("sim: AtSeq with unissued sequence number %d", seq))
 	}
-	e.check(t, fn)
+	e.check(t, fn == nil)
 	return e.push(t, seq, fn, nil)
 }
 
 // check panics on an event no model may schedule.
-func (e *Engine) check(t float64, fn func()) {
+func (e *Engine) check(t float64, nilCallback bool) {
 	if math.IsNaN(t) {
 		panic("sim: scheduling at NaN time")
 	}
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at t=%g before now=%g", t, e.now))
 	}
-	if fn == nil {
+	if nilCallback {
 		panic("sim: scheduling nil callback")
 	}
 }
@@ -258,6 +278,7 @@ func (e *Engine) Defer(h Handle, resolve func(seq uint64)) Handle {
 	}
 	ev.Time = e.now
 	ev.fn = nil
+	ev.fnTag = nil
 	ev.resolve = resolve
 	ev.seq = e.seq - 1
 	e.queue.fix(ev.idx)
@@ -292,6 +313,7 @@ func (e *Engine) resolveSlot(ev *Event) {
 func (e *Engine) retire(ev *Event) {
 	ev.gen++
 	ev.fn = nil
+	ev.fnTag = nil
 	ev.resolve = nil
 	ev.idx = -1
 	e.free = append(e.free, ev)
@@ -367,11 +389,7 @@ func (e *Engine) RunUntil(horizon float64) float64 {
 			e.resolveSlot(next)
 			continue
 		}
-		e.now = next.Time
-		fn := next.fn
-		e.retire(next)
-		e.fired++
-		fn()
+		e.fire(next)
 	}
 	if !math.IsInf(horizon, 1) && e.now < horizon && len(e.queue) > 0 && !e.stopped {
 		// We stopped because the next event is past the horizon; the clock
@@ -379,6 +397,20 @@ func (e *Engine) RunUntil(horizon float64) float64 {
 		e.now = horizon
 	}
 	return e.now
+}
+
+// fire advances the clock to a popped event, retires it and runs its
+// callback.
+func (e *Engine) fire(ev *Event) {
+	e.now = ev.Time
+	fn, fnTag, tag := ev.fn, ev.fnTag, ev.tag
+	e.retire(ev)
+	e.fired++
+	if fnTag != nil {
+		fnTag(tag)
+		return
+	}
+	fn()
 }
 
 // Step executes exactly the next event, if any, and reports whether one
@@ -391,11 +423,7 @@ func (e *Engine) Step() bool {
 			e.resolveSlot(next)
 			continue
 		}
-		e.now = next.Time
-		fn := next.fn
-		e.retire(next)
-		e.fired++
-		fn()
+		e.fire(next)
 		return true
 	}
 	return false

@@ -244,3 +244,31 @@ func TestDeterminismQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAfterTagOrdersLikeAfter: a tagged event takes its sequence number
+// where After would, fires with its tag, and cancels like any event.
+func TestAfterTagOrdersLikeAfter(t *testing.T) {
+	e := NewEngine()
+	var order []uint64
+	fn := func(tag uint64) { order = append(order, tag) }
+	e.After(2, func() { order = append(order, 100) })
+	e.AfterTag(2, fn, 1)
+	e.After(2, func() { order = append(order, 101) })
+	e.AfterTag(1, fn, 2)
+	e.Cancel(e.AfterTag(1, fn, 3))
+	if end := e.Run(); end != 2 {
+		t.Errorf("Run() = %v, want 2", end)
+	}
+	want := []uint64{2, 100, 1, 101}
+	if len(order) != len(want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("fired %v, want %v", order, want)
+		}
+	}
+	if e.EventsFired() != 4 {
+		t.Errorf("EventsFired = %d, want 4", e.EventsFired())
+	}
+}

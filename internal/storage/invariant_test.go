@@ -32,16 +32,16 @@ func TestAuditCapacityThroughLifecycle(t *testing.T) {
 	}
 
 	// Write a and b; cancel b mid-flight, which must return its reservation.
-	if _, err := sys.Manager().Write(node, a, bb, nil); err != nil {
+	if _, err := sys.Manager().Write(node, a, bb, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	opB, err := sys.Manager().Write(node, b, bb, nil)
+	opB, err := sys.Manager().Write(node, b, bb, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	audit("writes started (reservations pending)")
 	e.After(0.05, func() {
-		opB.Cancel()
+		sys.Manager().Cancel(opB)
 		if err := sys.AuditCapacity(); err != nil {
 			t.Errorf("after cancelled write: %v", err)
 		}
@@ -54,10 +54,10 @@ func TestAuditCapacityThroughLifecycle(t *testing.T) {
 
 	// Copy c to the BB twice concurrently: the duplicate's reservation must
 	// be released when the first copy registers the replica.
-	if _, err := sys.Manager().Copy(node, c, sys.PFS(), bb, nil); err != nil {
+	if _, err := sys.Manager().Copy(node, c, sys.PFS(), bb, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Manager().Copy(node, c, sys.PFS(), bb, nil); err != nil {
+	if _, err := sys.Manager().Copy(node, c, sys.PFS(), bb, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	audit("duplicate copies in flight")
@@ -72,11 +72,11 @@ func TestAuditCapacityThroughLifecycle(t *testing.T) {
 	if err := sys.PlaceInitial(d, sys.PFS()); err != nil {
 		t.Fatal(err)
 	}
-	opD, err := sys.Manager().Copy(node, d, sys.PFS(), bb, nil)
+	opD, err := sys.Manager().Copy(node, d, sys.PFS(), bb, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.After(0.01, func() { opD.Cancel() })
+	e.After(0.01, func() { sys.Manager().Cancel(opD) })
 	e.Run()
 	audit("cancelled copy rolled back")
 
@@ -99,7 +99,7 @@ func TestAuditCapacityDetectsDrift(t *testing.T) {
 	node := sys.Platform().Node(0)
 	bb := sys.BBFor(node)
 	f := w.MustAddFile("f", 100*units.MB)
-	if _, err := sys.Manager().Write(node, f, bb, nil); err != nil {
+	if _, err := sys.Manager().Write(node, f, bb, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	e.Run()

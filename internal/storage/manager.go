@@ -94,44 +94,57 @@ func (s ServiceStats) WriteBandwidth() units.Bandwidth {
 	return units.Bandwidth(float64(s.BytesWritten) / s.WriteSeconds)
 }
 
-// Op is a storage operation in flight.
-type Op struct {
-	Kind    OpKind
-	File    *workflow.File
-	Service Service
-	Source  Service
-	Node    *platform.Node
-	Started float64
-
-	fl        *flow.Flow
-	mgr       *Manager
-	onDone    func() // the caller's completion callback; may be nil
-	reserved  units.Bytes
-	cancelled bool
-	finished  bool
+// OpHandle identifies one storage operation of a Manager. Operations live
+// in the manager's slab and their slots are reused once an operation
+// completes or is cancelled, so a handle carries the generation it was
+// issued for: Cancel on a handle whose operation has ended is a no-op,
+// even after the slot was reissued. The zero OpHandle behaves like an
+// ended operation.
+type OpHandle struct {
+	slot int32
+	gen  uint32 // slot generations start at 1, so the zero handle is stale
 }
 
-// Cancel aborts the operation: its callback will not run, and a write's
-// reservation is returned.
-func (o *Op) Cancel() {
-	if o.finished || o.cancelled {
-		return
-	}
-	o.cancelled = true
-	o.fl.Cancel()
-	o.mgr.inFlight[o.Service]--
-	if o.reserved > 0 {
-		o.mgr.pending[o.Service] -= o.reserved
-		o.Service.Release(o.reserved)
-	}
+// Completer is told when an operation completes. The tag is the one the
+// operation was started with, so one long-lived completer — a pointer,
+// stored in an interface without allocating — can serve many operations.
+type Completer interface {
+	OpDone(tag uint64)
+}
+
+// Func adapts a plain callback to a Completer, ignoring the tag, for call
+// sites too cold to need one.
+type Func func()
+
+// OpDone implements Completer.
+func (f Func) OpDone(uint64) { f() }
+
+// op is one slab entry: an operation in flight while its generation
+// matches the issued handle, free (on Manager.free) otherwise.
+type op struct {
+	kind     OpKind
+	file     *workflow.File
+	service  Service // read source, write or copy destination
+	source   Service // copy source; nil otherwise
+	node     *platform.Node
+	started  float64
+	fl       flow.Handle
+	done     Completer // the caller's completer; may be nil
+	tag      uint64
+	reserved units.Bytes
+	gen      uint32
 }
 
 // Manager starts storage operations and keeps per-service accounting.
 type Manager struct {
-	eng      *sim.Engine
-	net      *flow.Network
-	reg      *Registry
-	model    OpModel
+	eng   *sim.Engine
+	net   *flow.Network
+	reg   *Registry
+	model OpModel
+	// ops is the slab every operation lives in; free holds the slots of
+	// ended operations for reuse.
+	ops      []op
+	free     []int32
 	inFlight map[Service]int
 	// pending tracks capacity reserved by writes/copies still in flight:
 	// space that Used() already counts but the registry does not yet see.
@@ -280,116 +293,66 @@ func (m *Manager) adjust(ctx OpContext, base OpParams) OpParams {
 	return p
 }
 
-// Read starts reading f from svc into node. onDone runs at completion.
-func (m *Manager) Read(node *platform.Node, f *workflow.File, svc Service, onDone func()) (*Op, error) {
+// Read starts reading f from svc into node. When it completes, done (if
+// non-nil) is called with tag.
+func (m *Manager) Read(node *platform.Node, f *workflow.File, svc Service, done Completer, tag uint64) (OpHandle, error) {
 	if !m.reg.Has(f, svc) {
-		return nil, fmt.Errorf("storage: read %q from %s: no replica there", f.ID(), svc.Name())
+		return OpHandle{}, fmt.Errorf("storage: read %q from %s: no replica there", f.ID(), svc.Name())
 	}
 	params := m.adjust(
 		OpContext{Kind: OpRead, Service: svc, Node: node, File: f},
 		OpParams{Latency: svc.ReadLatency(), RateCap: svc.StreamCap(node), SizeFactor: 1},
 	)
-	op := &Op{Kind: OpRead, File: f, Service: svc, Node: node, Started: m.eng.Now(), mgr: m, onDone: onDone}
+	h := m.start(op{kind: OpRead, file: f, service: svc, node: node, done: done, tag: tag})
 	m.inFlight[svc]++
-	op.fl = m.net.StartFlow(
+	m.ops[h.slot].fl = m.net.StartFlow(
 		float64(f.Size())*params.SizeFactor,
 		svc.ReadPath(node),
 		flow.Options{RateCap: float64(params.RateCap), Latency: params.Latency},
-		op.readDone,
+		m, h.tag(),
 	)
-	return op, nil
-}
-
-// readDone completes a read. The flow calls it through a method value,
-// which unlike a closure over the operation's arguments captures nothing
-// but op.
-func (op *Op) readDone() {
-	m, svc, size := op.mgr, op.Service, op.File.Size()
-	op.finished = true
-	m.inFlight[svc]--
-	dur := m.eng.Now() - op.Started
-	st := m.statsFor(svc)
-	st.BytesRead += size
-	st.ReadOps++
-	st.ReadSeconds += dur
-	m.observeOp(svc, metrics.OpRead, size, dur)
-	op.done()
-}
-
-// done runs the caller's callback, if any.
-func (op *Op) done() {
-	if op.onDone != nil {
-		op.onDone()
-	}
+	return h, nil
 }
 
 // Write starts writing f from node to svc. Space is reserved up front; the
-// replica registers when the write completes.
-func (m *Manager) Write(node *platform.Node, f *workflow.File, svc Service, onDone func()) (*Op, error) {
+// replica registers when the write completes, and then done (if non-nil)
+// is called with tag.
+func (m *Manager) Write(node *platform.Node, f *workflow.File, svc Service, done Completer, tag uint64) (OpHandle, error) {
 	if err := svc.Reserve(f.Size()); err != nil {
-		return nil, err
+		return OpHandle{}, err
 	}
 	params := m.adjust(
 		OpContext{Kind: OpWrite, Service: svc, Node: node, File: f},
 		OpParams{Latency: svc.WriteLatency(), RateCap: svc.StreamCap(node), SizeFactor: 1},
 	)
-	op := &Op{Kind: OpWrite, File: f, Service: svc, Node: node, Started: m.eng.Now(), mgr: m, onDone: onDone, reserved: f.Size()}
+	h := m.start(op{kind: OpWrite, file: f, service: svc, node: node, done: done, tag: tag, reserved: f.Size()})
 	m.inFlight[svc]++
 	m.pending[svc] += f.Size()
-	op.fl = m.net.StartFlow(
+	m.ops[h.slot].fl = m.net.StartFlow(
 		float64(f.Size())*params.SizeFactor,
 		svc.WritePath(node),
 		flow.Options{RateCap: float64(params.RateCap), Latency: params.Latency},
-		op.writeDone,
+		m, h.tag(),
 	)
 	if m.onReserve != nil {
 		m.onReserve(svc)
 	}
-	return op, nil
-}
-
-// writeDone completes a write: the reservation becomes a registered
-// replica created by the writing node.
-func (op *Op) writeDone() {
-	m, svc, size := op.mgr, op.Service, op.File.Size()
-	op.finished = true
-	m.inFlight[svc]--
-	m.landReplica(op)
-	dur := m.eng.Now() - op.Started
-	st := m.statsFor(svc)
-	st.BytesWritten += size
-	st.WriteOps++
-	st.WriteSeconds += dur
-	m.observeOp(svc, metrics.OpWrite, size, dur)
-	op.done()
-}
-
-// landReplica turns a finished write's or copy's reservation on
-// op.Service into a replica created by op.Node.
-func (m *Manager) landReplica(op *Op) {
-	f, svc := op.File, op.Service
-	m.pending[svc] -= f.Size()
-	if m.reg.Has(f, svc) {
-		// A concurrent operation already registered this replica (e.g. two
-		// consumers relocating the same private-BB file to the PFS); the
-		// duplicate's reservation must be returned or the space leaks.
-		svc.Release(f.Size())
-	}
-	m.reg.AddFrom(f, svc, op.Node)
+	return h, nil
 }
 
 // Copy stages f from src to dst through node: one flow across the
 // concatenation of the read and write paths, bounded by the tighter stream
 // cap, paying both services' latencies. Space is reserved on dst up front.
-func (m *Manager) Copy(node *platform.Node, f *workflow.File, src, dst Service, onDone func()) (*Op, error) {
+// When the copy completes, done (if non-nil) is called with tag.
+func (m *Manager) Copy(node *platform.Node, f *workflow.File, src, dst Service, done Completer, tag uint64) (OpHandle, error) {
 	if !m.reg.Has(f, src) {
-		return nil, fmt.Errorf("storage: copy %q from %s: no replica there", f.ID(), src.Name())
+		return OpHandle{}, fmt.Errorf("storage: copy %q from %s: no replica there", f.ID(), src.Name())
 	}
 	if src == dst {
-		return nil, fmt.Errorf("storage: copy %q onto itself (%s)", f.ID(), src.Name())
+		return OpHandle{}, fmt.Errorf("storage: copy %q onto itself (%s)", f.ID(), src.Name())
 	}
 	if err := dst.Reserve(f.Size()); err != nil {
-		return nil, err
+		return OpHandle{}, err
 	}
 	readCap := src.StreamCap(node)
 	writeCap := dst.StreamCap(node)
@@ -403,40 +366,140 @@ func (m *Manager) Copy(node *platform.Node, f *workflow.File, src, dst Service, 
 		OpParams{Latency: src.ReadLatency() + dst.WriteLatency(), RateCap: cap, SizeFactor: 1},
 	)
 	path := append(append([]*flow.Resource{}, src.ReadPath(node)...), dst.WritePath(node)...)
-	op := &Op{Kind: OpCopy, File: f, Service: dst, Source: src, Node: node, Started: m.eng.Now(), mgr: m, onDone: onDone, reserved: f.Size()}
+	h := m.start(op{kind: OpCopy, file: f, service: dst, source: src, node: node, done: done, tag: tag, reserved: f.Size()})
 	m.inFlight[dst]++
 	m.pending[dst] += f.Size()
-	op.fl = m.net.StartFlow(
+	m.ops[h.slot].fl = m.net.StartFlow(
 		float64(f.Size())*params.SizeFactor,
 		path,
 		flow.Options{RateCap: float64(params.RateCap), Latency: params.Latency},
-		op.copyDone,
+		m, h.tag(),
 	)
 	if m.onReserve != nil {
 		m.onReserve(dst)
 	}
-	return op, nil
+	return h, nil
 }
 
-// copyDone completes a copy: a read leg on the source and a write leg,
-// landing the replica, on the destination.
-func (op *Op) copyDone() {
-	m, src, dst, size := op.mgr, op.Source, op.Service, op.File.Size()
-	op.finished = true
-	m.inFlight[dst]--
-	m.landReplica(op)
-	dur := m.eng.Now() - op.Started
-	sst := m.statsFor(src)
-	sst.BytesRead += size
-	sst.ReadOps++
-	sst.ReadSeconds += dur
-	dstStats := m.statsFor(dst)
-	dstStats.BytesWritten += size
-	dstStats.WriteOps++
-	dstStats.WriteSeconds += dur
-	m.observeOp(src, metrics.OpRead, size, dur)
-	m.observeOp(dst, metrics.OpWrite, size, dur)
-	op.done()
+// start stores o in a free slot, or grows the slab by one, stamped with
+// the current time.
+func (m *Manager) start(o op) OpHandle {
+	o.started = m.eng.Now()
+	if k := len(m.free); k > 0 {
+		slot := m.free[k-1]
+		m.free = m.free[:k-1]
+		o.gen = m.ops[slot].gen
+		m.ops[slot] = o
+		return OpHandle{slot: slot, gen: o.gen}
+	}
+	o.gen = 1
+	m.ops = append(m.ops, o)
+	return OpHandle{slot: int32(len(m.ops) - 1), gen: 1}
+}
+
+// release ends the operation in slot: the generation bump makes every
+// handle to it stale, and the slot returns to the free list.
+func (m *Manager) release(slot int32) {
+	m.ops[slot] = op{gen: m.ops[slot].gen + 1}
+	m.free = append(m.free, slot)
+}
+
+// live returns the slot h names, or nil when h is stale.
+func (m *Manager) live(h OpHandle) *op {
+	if h.gen == 0 || int(h.slot) >= len(m.ops) {
+		return nil
+	}
+	if o := &m.ops[h.slot]; o.gen == h.gen {
+		return o
+	}
+	return nil
+}
+
+// tag packs the handle into a flow tag.
+func (h OpHandle) tag() uint64 { return uint64(h.gen)<<32 | uint64(uint32(h.slot)) }
+
+// Done reports whether the operation has completed or been cancelled.
+func (m *Manager) Done(h OpHandle) bool { return m.live(h) == nil }
+
+// Cancel aborts the operation: its completer will not run, and a write's
+// or copy's reservation is returned. A stale handle is a no-op.
+func (m *Manager) Cancel(h OpHandle) {
+	o := m.live(h)
+	if o == nil {
+		return
+	}
+	m.net.Cancel(o.fl)
+	m.inFlight[o.service]--
+	if o.reserved > 0 {
+		m.pending[o.service] -= o.reserved
+		o.service.Release(o.reserved)
+	}
+	m.release(h.slot)
+}
+
+// FlowDone implements flow.Completer: every operation's flow completes
+// through the manager, tagged with the operation's handle, so starting an
+// operation allocates no callback. A flow is cancelled with its operation,
+// so the tag always names a live one.
+func (m *Manager) FlowDone(tag uint64) {
+	slot := int32(uint32(tag))
+	o := &m.ops[slot]
+	svc, size := o.service, o.file.Size()
+	m.inFlight[svc]--
+	switch o.kind {
+	case OpRead:
+		dur := m.eng.Now() - o.started
+		st := m.statsFor(svc)
+		st.BytesRead += size
+		st.ReadOps++
+		st.ReadSeconds += dur
+		m.observeOp(svc, metrics.OpRead, size, dur)
+	case OpWrite:
+		// The reservation becomes a registered replica created by the
+		// writing node.
+		m.landReplica(o)
+		dur := m.eng.Now() - o.started
+		st := m.statsFor(svc)
+		st.BytesWritten += size
+		st.WriteOps++
+		st.WriteSeconds += dur
+		m.observeOp(svc, metrics.OpWrite, size, dur)
+	case OpCopy:
+		// A read leg on the source and a write leg, landing the replica, on
+		// the destination.
+		src := o.source
+		m.landReplica(o)
+		dur := m.eng.Now() - o.started
+		sst := m.statsFor(src)
+		sst.BytesRead += size
+		sst.ReadOps++
+		sst.ReadSeconds += dur
+		dstStats := m.statsFor(svc)
+		dstStats.BytesWritten += size
+		dstStats.WriteOps++
+		dstStats.WriteSeconds += dur
+		m.observeOp(src, metrics.OpRead, size, dur)
+		m.observeOp(svc, metrics.OpWrite, size, dur)
+	}
+	done, dtag := o.done, o.tag
+	m.release(slot)
+	if done != nil {
+		done.OpDone(dtag)
+	}
+}
+
+// landReplica turns a finished write's or copy's reservation on
+// o.service into a replica created by o.node.
+func (m *Manager) landReplica(o *op) {
+	f, svc := o.file, o.service
+	m.pending[svc] -= f.Size()
+	if m.reg.Has(f, svc) {
+		// A concurrent operation already registered this replica (e.g. two
+		// consumers relocating the same private-BB file to the PFS); the
+		// duplicate's reservation must be returned or the space leaks.
+		svc.Release(f.Size())
+	}
+	m.reg.AddFrom(f, svc, o.node)
 }
 
 // Evict removes the replica of f on svc and frees its space.

@@ -39,10 +39,10 @@ func TestConcurrentTenantsShareOneReplica(t *testing.T) {
 	if err := sys.PlaceInitial(f, sys.PFS()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Manager().Copy(node0, f, sys.PFS(), bb, nil); err != nil {
+	if _, err := sys.Manager().Copy(node0, f, sys.PFS(), bb, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Manager().Copy(node1, f, sys.PFS(), bb, nil); err != nil {
+	if _, err := sys.Manager().Copy(node1, f, sys.PFS(), bb, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Both reservations are pending: used = 2 sizes, resident = 0.
@@ -75,10 +75,10 @@ func TestConcurrentTenantsShareOneReplica(t *testing.T) {
 
 	// The same race on the write path: both tenants write one output.
 	g := w.MustAddFile("shared-output", 64*units.MB)
-	if _, err := sys.Manager().Write(node0, g, bb, nil); err != nil {
+	if _, err := sys.Manager().Write(node0, g, bb, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Manager().Write(node1, g, bb, nil); err != nil {
+	if _, err := sys.Manager().Write(node1, g, bb, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	audit("duplicate writes in flight")

@@ -45,7 +45,7 @@ func TestPFSReadDuration(t *testing.T) {
 	}
 	var done float64 = -1
 	node := sys.Platform().Node(0)
-	if _, err := sys.Manager().Read(node, f, sys.PFS(), func() { done = e.Now() }); err != nil {
+	if _, err := sys.Manager().Read(node, f, sys.PFS(), Func(func() { done = e.Now() }), 0); err != nil {
 		t.Fatal(err)
 	}
 	e.Run()
@@ -63,7 +63,7 @@ func TestSharedBBWriteDurationAndRegistration(t *testing.T) {
 		t.Fatalf("BBFor returned %v/%v", bb.Kind(), bb.Mode())
 	}
 	var done float64 = -1
-	if _, err := sys.Manager().Write(sys.Platform().Node(0), f, bb, func() { done = e.Now() }); err != nil {
+	if _, err := sys.Manager().Write(sys.Platform().Node(0), f, bb, Func(func() { done = e.Now() }), 0); err != nil {
 		t.Fatal(err)
 	}
 	if !approx(float64(bb.Used()), 800e6, 1e-9) {
@@ -85,7 +85,7 @@ func TestSharedBBWriteDurationAndRegistration(t *testing.T) {
 func TestReadWithoutReplicaFails(t *testing.T) {
 	_, sys, w := coriSystem(t, platform.BBPrivate)
 	f := w.MustAddFile("f", 1*units.MB)
-	if _, err := sys.Manager().Read(sys.Platform().Node(0), f, sys.PFS(), nil); err == nil {
+	if _, err := sys.Manager().Read(sys.Platform().Node(0), f, sys.PFS(), nil, 0); err == nil {
 		t.Error("read of unplaced file succeeded")
 	}
 }
@@ -96,10 +96,10 @@ func TestCapacityFull(t *testing.T) {
 	big := w.MustAddFile("big", bb.Capacity())
 	over := w.MustAddFile("over", 1*units.MB)
 	node := sys.Platform().Node(0)
-	if _, err := sys.Manager().Write(node, big, bb, nil); err != nil {
+	if _, err := sys.Manager().Write(node, big, bb, nil, 0); err != nil {
 		t.Fatalf("first write rejected: %v", err)
 	}
-	_, err := sys.Manager().Write(node, over, bb, nil)
+	_, err := sys.Manager().Write(node, over, bb, nil, 0)
 	if err == nil {
 		t.Fatal("write beyond capacity succeeded")
 	}
@@ -118,7 +118,7 @@ func TestCopyStagesFile(t *testing.T) {
 	node := sys.Platform().Node(0)
 	bb := sys.BBFor(node)
 	var done float64 = -1
-	if _, err := sys.Manager().Copy(node, f, sys.PFS(), bb, func() { done = e.Now() }); err != nil {
+	if _, err := sys.Manager().Copy(node, f, sys.PFS(), bb, Func(func() { done = e.Now() }), 0); err != nil {
 		t.Fatal(err)
 	}
 	e.Run()
@@ -137,7 +137,7 @@ func TestCopyToSelfFails(t *testing.T) {
 	if err := sys.PlaceInitial(f, sys.PFS()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Manager().Copy(sys.Platform().Node(0), f, sys.PFS(), sys.PFS(), nil); err == nil {
+	if _, err := sys.Manager().Copy(sys.Platform().Node(0), f, sys.PFS(), sys.PFS(), nil, 0); err == nil {
 		t.Error("copy onto itself succeeded")
 	}
 }
@@ -154,7 +154,7 @@ func TestOnNodeBBLocalAndRemote(t *testing.T) {
 	}
 	f := w.MustAddFile("f", 3.3*1000*units.MB)
 	var wrote float64 = -1
-	if _, err := sys.Manager().Write(n0, f, bb0, func() { wrote = e.Now() }); err != nil {
+	if _, err := sys.Manager().Write(n0, f, bb0, Func(func() { wrote = e.Now() }), 0); err != nil {
 		t.Fatal(err)
 	}
 	e.Run()
@@ -164,7 +164,7 @@ func TestOnNodeBBLocalAndRemote(t *testing.T) {
 	}
 	// Remote read from n1 crosses both links and the disk.
 	var read float64 = -1
-	if _, err := sys.Manager().Read(n1, f, bb0, func() { read = e.Now() }); err != nil {
+	if _, err := sys.Manager().Read(n1, f, bb0, Func(func() { read = e.Now() }), 0); err != nil {
 		t.Fatal(err)
 	}
 	start := e.Now()
@@ -185,11 +185,11 @@ func TestRemoteStreamCapOnNodeBB(t *testing.T) {
 	f := w.MustAddFile("f", 1000*units.MB)
 	n0, n1 := p.Node(0), p.Node(1)
 	bb0 := sys.BBFor(n0)
-	sys.Manager().Write(n0, f, bb0, nil)
+	sys.Manager().Write(n0, f, bb0, nil, 0)
 	e.Run()
 	var read float64 = -1
 	start := e.Now()
-	if _, err := sys.Manager().Read(n1, f, bb0, func() { read = e.Now() }); err != nil {
+	if _, err := sys.Manager().Read(n1, f, bb0, Func(func() { read = e.Now() }), 0); err != nil {
 		t.Fatal(err)
 	}
 	e.Run()
@@ -228,7 +228,7 @@ func TestEvictFreesSpace(t *testing.T) {
 	e, sys, w := coriSystem(t, platform.BBPrivate)
 	f := w.MustAddFile("f", 10*units.MB)
 	bb := sys.SharedBB()
-	sys.Manager().Write(sys.Platform().Node(0), f, bb, nil)
+	sys.Manager().Write(sys.Platform().Node(0), f, bb, nil, 0)
 	e.Run()
 	if err := sys.Manager().Evict(f, bb); err != nil {
 		t.Fatal(err)
@@ -249,11 +249,11 @@ func TestCancelWriteReleasesReservation(t *testing.T) {
 	f := w.MustAddFile("f", 100*units.MB)
 	bb := sys.SharedBB()
 	node := sys.Platform().Node(0)
-	op, err := sys.Manager().Write(node, f, bb, func() { t.Error("cancelled write callback ran") })
+	op, err := sys.Manager().Write(node, f, bb, Func(func() { t.Error("cancelled write callback ran") }), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.After(0.01, func() { op.Cancel() })
+	e.After(0.01, func() { sys.Manager().Cancel(op) })
 	e.Run()
 	if bb.Used() != 0 {
 		t.Errorf("Used = %v after cancel, want 0", bb.Used())
@@ -272,7 +272,7 @@ func TestInFlightCounting(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		f := w.MustAddFile(string(rune('a'+i)), 50*units.MB)
 		sys.PlaceInitial(f, sys.PFS())
-		sys.Manager().Read(node, f, sys.PFS(), nil)
+		sys.Manager().Read(node, f, sys.PFS(), nil, 0)
 	}
 	if got := sys.Manager().InFlight(sys.PFS()); got != 3 {
 		t.Errorf("InFlight = %d, want 3", got)
@@ -289,8 +289,8 @@ func TestStatsAccumulate(t *testing.T) {
 	bb := sys.SharedBB()
 	f1 := w.MustAddFile("f1", 80*units.MB)
 	f2 := w.MustAddFile("f2", 160*units.MB)
-	sys.Manager().Write(node, f1, bb, nil)
-	sys.Manager().Write(node, f2, bb, nil)
+	sys.Manager().Write(node, f1, bb, nil, 0)
+	sys.Manager().Write(node, f2, bb, nil, 0)
 	e.Run()
 	st := sys.Manager().Stats(bb)
 	if st.WriteOps != 2 || st.BytesWritten != 240*units.MB {
@@ -325,7 +325,7 @@ func TestOpModelAdjusts(t *testing.T) {
 	f := w.MustAddFile("f", 100*units.MB)
 	sys.PlaceInitial(f, sys.PFS())
 	var done float64 = -1
-	sys.Manager().Read(p.Node(0), f, sys.PFS(), func() { done = e.Now() })
+	sys.Manager().Read(p.Node(0), f, sys.PFS(), Func(func() { done = e.Now() }), 0)
 	e.Run()
 	// Latency 0*2+1 = 1 s, transfer 150 MB effective at 100 MB/s = 1.5 s.
 	if !approx(done, 2.5, 1e-9) {
@@ -345,7 +345,7 @@ func TestStreamCapLimitsSingleStream(t *testing.T) {
 	w := workflow.New("wf")
 	f := w.MustAddFile("f", 160*units.MB)
 	var done float64 = -1
-	sys.Manager().Write(p.Node(0), f, sys.SharedBB(), func() { done = e.Now() })
+	sys.Manager().Write(p.Node(0), f, sys.SharedBB(), Func(func() { done = e.Now() }), 0)
 	e.Run()
 	// One stream is capped at 160 MB/s even though the BB path allows 800.
 	if !approx(done, 1.0, 1e-9) {
@@ -365,7 +365,7 @@ func TestConcurrentStreamsSaturateSharedBB(t *testing.T) {
 	var last float64
 	for i := 0; i < 10; i++ {
 		f := w.MustAddFile(string(rune('a'+i)), 160*units.MB)
-		sys.Manager().Write(node, f, sys.SharedBB(), func() { last = e.Now() })
+		sys.Manager().Write(node, f, sys.SharedBB(), Func(func() { last = e.Now() }), 0)
 	}
 	e.Run()
 	if !approx(last, 2.0, 1e-9) {
@@ -404,13 +404,13 @@ func TestCancelCopyReleasesReservation(t *testing.T) {
 	sys.PlaceInitial(f, sys.PFS())
 	bb := sys.SharedBB()
 	node := sys.Platform().Node(0)
-	op, err := sys.Manager().Copy(node, f, sys.PFS(), bb, func() {
+	op, err := sys.Manager().Copy(node, f, sys.PFS(), bb, Func(func() {
 		t.Error("cancelled copy callback ran")
-	})
+	}), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.After(0.01, func() { op.Cancel() })
+	e.After(0.01, func() { sys.Manager().Cancel(op) })
 	e.Run()
 	if bb.Used() != 0 {
 		t.Errorf("Used = %v after cancelled copy, want 0", bb.Used())
@@ -419,13 +419,13 @@ func TestCancelCopyReleasesReservation(t *testing.T) {
 		t.Error("cancelled copy registered a replica")
 	}
 	// Double cancel is a no-op.
-	op.Cancel()
+	sys.Manager().Cancel(op)
 }
 
 func TestCopySourceMissing(t *testing.T) {
 	_, sys, w := coriSystem(t, platform.BBPrivate)
 	f := w.MustAddFile("f", 1*units.MB)
-	if _, err := sys.Manager().Copy(sys.Platform().Node(0), f, sys.PFS(), sys.SharedBB(), nil); err == nil {
+	if _, err := sys.Manager().Copy(sys.Platform().Node(0), f, sys.PFS(), sys.SharedBB(), nil, 0); err == nil {
 		t.Error("copy from a service without the file succeeded")
 	}
 }
@@ -434,7 +434,7 @@ func TestCreatorTracking(t *testing.T) {
 	e, sys, w := coriSystem(t, platform.BBPrivate)
 	f := w.MustAddFile("f", 10*units.MB)
 	node := sys.Platform().Node(0)
-	sys.Manager().Write(node, f, sys.SharedBB(), nil)
+	sys.Manager().Write(node, f, sys.SharedBB(), nil, 0)
 	e.Run()
 	if got := sys.Registry().Creator(f, sys.SharedBB()); got != node {
 		t.Errorf("Creator = %v, want %v", got, node)
@@ -462,18 +462,18 @@ func TestOpMetricsPerTierAndOp(t *testing.T) {
 	scratch := NewRemote(sys.Platform(), "scratch", Kind("scratch"), platform.BBModeNone, platform.Cori(1, platform.BBPrivate).PFS)
 	f1 := w.MustAddFile("f1", 80*units.MB)
 	f2 := w.MustAddFile("f2", 160*units.MB)
-	for _, start := range []func() (*Op, error){
-		func() (*Op, error) { return m.Write(node, f1, sys.SharedBB(), nil) },
-		func() (*Op, error) { return m.Write(node, f2, sys.SharedBB(), nil) },
-		func() (*Op, error) { return m.Write(node, f1, scratch, nil) },
-		func() (*Op, error) { return m.Write(node, f2, scratch, nil) },
+	for _, start := range []func() (OpHandle, error){
+		func() (OpHandle, error) { return m.Write(node, f1, sys.SharedBB(), nil, 0) },
+		func() (OpHandle, error) { return m.Write(node, f2, sys.SharedBB(), nil, 0) },
+		func() (OpHandle, error) { return m.Write(node, f1, scratch, nil, 0) },
+		func() (OpHandle, error) { return m.Write(node, f2, scratch, nil, 0) },
 	} {
 		if _, err := start(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	e.Run()
-	if _, err := m.Copy(node, f1, sys.SharedBB(), sys.PFS(), nil); err != nil {
+	if _, err := m.Copy(node, f1, sys.SharedBB(), sys.PFS(), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	e.Run()

@@ -125,6 +125,85 @@ const (
 	JobFail EventKind = "job-fail"
 )
 
+// numKinds is the number of declared event kinds.
+const numKinds = 34
+
+// ordinal numbers the declared event kinds densely from 0, so per-kind
+// counts live in a fixed array instead of a map; -1 for any other value.
+func (k EventKind) ordinal() int {
+	switch k {
+	case TaskReady:
+		return 0
+	case TaskStart:
+		return 1
+	case ReadStart:
+		return 2
+	case ReadEnd:
+		return 3
+	case ComputeStart:
+		return 4
+	case ComputeEnd:
+		return 5
+	case WriteStart:
+		return 6
+	case WriteEnd:
+		return 7
+	case StageStart:
+		return 8
+	case StageEnd:
+		return 9
+	case TaskEnd:
+		return 10
+	case TaskFail:
+		return 11
+	case TaskRetry:
+		return 12
+	case NodeFail:
+		return 13
+	case NodeRepair:
+		return 14
+	case BBReject:
+		return 15
+	case Fallback:
+		return 16
+	case DegradeStart:
+		return 17
+	case DegradeEnd:
+		return 18
+	case CkptBegin:
+		return 19
+	case CkptCommit:
+		return 20
+	case CkptDrain:
+		return 21
+	case CkptLost:
+		return 22
+	case RestartFrom:
+		return 23
+	case AdaptSpill:
+		return 24
+	case AdaptReplicate:
+		return 25
+	case AdaptFallback:
+		return 26
+	case JobSubmit:
+		return 27
+	case JobReject:
+		return 28
+	case JobStart:
+		return 29
+	case JobRun:
+		return 30
+	case JobStageOut:
+		return 31
+	case JobEnd:
+		return 32
+	case JobFail:
+		return 33
+	}
+	return -1
+}
+
 // Event is one time-stamped occurrence.
 type Event struct {
 	Time   float64   `json:"time"`
@@ -183,7 +262,7 @@ type Trace struct {
 	mem      *memory
 	byTask   map[string]*TaskRecord
 	makespan float64
-	counts   map[EventKind]int
+	counts   [numKinds]int // per-kind event counts, by EventKind.ordinal
 	// folded accumulates summary sums for task records released by a
 	// non-retaining trace; foldedOrder remembers first-fold order only so
 	// Summarize's output stays deterministic without sorting a map.
@@ -204,7 +283,6 @@ func New(workflowName, platformName string, sink Sink) *Trace {
 		PlatformName: platformName,
 		sink:         sink,
 		byTask:       map[string]*TaskRecord{},
-		counts:       map[EventKind]int{},
 	}
 	if sink == nil {
 		t.mem = &memory{}
@@ -214,9 +292,14 @@ func New(workflowName, platformName string, sink Sink) *Trace {
 }
 
 // Record logs an event: the per-kind count and makespan advance, and the
-// event goes to the trace's sink.
+// event goes to the trace's sink. The kind must be one of the declared
+// EventKind constants.
 func (t *Trace) Record(time float64, kind EventKind, taskID, detail string) {
-	t.counts[kind]++
+	i := kind.ordinal()
+	if i < 0 {
+		panic(fmt.Sprintf("trace: undeclared event kind %q", kind))
+	}
+	t.counts[i]++
 	if time > t.makespan {
 		t.makespan = time
 	}
@@ -307,7 +390,12 @@ func (t *Trace) Makespan() float64 { return t.makespan }
 // basis of the fault/recovery counters in core.Result. The counts are
 // maintained incrementally by Record, so this is O(1) whatever the sink
 // (TestCountKindMatchesScan pins it against a full scan).
-func (t *Trace) CountKind(kind EventKind) int { return t.counts[kind] }
+func (t *Trace) CountKind(kind EventKind) int {
+	if i := kind.ordinal(); i >= 0 {
+		return t.counts[i]
+	}
+	return 0
+}
 
 // Summary aggregates task records by task name.
 type Summary struct {
