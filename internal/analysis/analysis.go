@@ -156,6 +156,7 @@ func Rules() []Rule {
 		determinismTaintRule(),
 		unstableSortRule(),
 		globalMutableStateRule(),
+		unreachedRule(),
 		staleDirectiveRule(),
 	}
 }

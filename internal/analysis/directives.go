@@ -134,15 +134,24 @@ func splitDirective(s string) (head, justification string) {
 // position (same line, or the line immediately above), marking the
 // directive used.
 func (s *directiveSet) allows(pos token.Position, rule string) bool {
+	d := s.allowFor(pos, rule)
+	if d != nil {
+		d.used = true
+	}
+	return d != nil
+}
+
+// allowFor returns the //bbvet:allow for rule covering pos, or nil, without
+// marking it used.
+func (s *directiveSet) allowFor(pos token.Position, rule string) *allowDirective {
 	for _, line := range []int{pos.Line, pos.Line - 1} {
 		for _, d := range s.allowAt[lineKey{pos.Filename, line}] {
 			if d.rule == rule {
-				d.used = true
-				return true
+				return d
 			}
 		}
 	}
-	return false
+	return nil
 }
 
 // ordered reports whether an //bbvet:ordered directive covers the given

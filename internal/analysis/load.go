@@ -84,36 +84,6 @@ func LoadModule(dir string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir parses and type-checks the single package in dir as if it had
-// the given import path. Used by the fixture tests, whose testdata
-// packages stand in for real module packages. Returns the package plus,
-// when the fixture carries same-package _test.go files and the import
-// path is one whose tests are analyzed, the Test view of it.
-func LoadDir(dir, importPath string) ([]*Package, error) {
-	fset := token.NewFileSet()
-	pkg, err := parseDir(fset, dir, filepath.Dir(dir), "")
-	if err != nil {
-		return nil, err
-	}
-	if pkg == nil || len(pkg.Files) == 0 {
-		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
-	}
-	pkg.Path = importPath
-	imp, err := newModuleImporter(fset, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := check(fset, pkg, imp); err != nil {
-		return nil, err
-	}
-	pkgs := []*Package{pkg}
-	tests, err := checkTestPackages(fset, pkg, imp)
-	if err != nil {
-		return nil, err
-	}
-	return append(pkgs, tests...), nil
-}
-
 // findModule walks upward from dir to the enclosing go.mod and returns the
 // module root and module path.
 func findModule(dir string) (root, modPath string, err error) {

@@ -77,7 +77,9 @@ func (o *Observation) Work(coreSpeed units.FlopRate) (units.Flops, error) {
 
 // PredictTime inverts the model: given the sequential compute time, predict
 // the observed wall time on p cores (compute via Eq. 2, inflated back by
-// λ_io). Used by tests to check the algebra and by the ablation benchmark.
+// λ_io). Tests use it to check the algebra.
+//
+//bbvet:allow unreached -- the Eq. 4 calibration round-trip relation planned among the independent oracles is its next caller
 func PredictTime(seqComputeTime float64, p int, lambdaIO, alpha float64) (float64, error) {
 	if p <= 0 {
 		return 0, fmt.Errorf("calib: predict with %d cores", p)

@@ -38,7 +38,7 @@ func DalyInterval(cost, mtbf float64) float64 {
 		return mtbf
 	}
 	x := math.Sqrt(cost / (2 * mtbf))
-	return math.Sqrt(2*cost*mtbf)*(1+x/3+x*x/9) - cost
+	return float64(math.Sqrt(2*cost*mtbf)*(1+x/3+x*x/9)) - cost
 }
 
 // WriteCost estimates the time one checkpoint commit occupies the writing

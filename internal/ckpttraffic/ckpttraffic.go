@@ -71,15 +71,6 @@ func New(p Params) (*Injector, error) {
 	}, nil
 }
 
-// MustNew is New for known-good parameters.
-func MustNew(p Params) *Injector {
-	i, err := New(p)
-	if err != nil {
-		panic(err)
-	}
-	return i
-}
-
 // Start implements exec.Background: it schedules the first wave.
 func (i *Injector) Start(sys *storage.System) {
 	i.sys = sys

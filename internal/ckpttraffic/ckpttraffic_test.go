@@ -47,7 +47,7 @@ func TestWavesFireAndRotate(t *testing.T) {
 	e := sim.NewEngine()
 	p := platform.MustNew(e, testConfig())
 	sys := storage.NewSystem(p, nil)
-	inj := MustNew(Params{Interval: 1, Size: 80 * units.MB, ToBB: true})
+	inj := newInjector(t, Params{Interval: 1, Size: 80 * units.MB, ToBB: true})
 	inj.Start(sys)
 	e.RunUntil(10.5)
 	// Waves at t=1..10, each 80MB at 800MB/s = 0.1s: 10 complete.
@@ -58,7 +58,7 @@ func TestWavesFireAndRotate(t *testing.T) {
 		t.Errorf("BytesWritten = %v, want 800 MB", inj.BytesWritten)
 	}
 	// Rotation: only the latest checkpoint resident.
-	bb := sys.SharedBB()
+	bb := sys.AllBBs()[0]
 	if bb.Used() != 80*units.MB {
 		t.Errorf("BB used = %v, want 80 MB (one rotating checkpoint)", bb.Used())
 	}
@@ -82,7 +82,7 @@ func TestCheckpointInterferenceSlowsWorkflow(t *testing.T) {
 		return tr.Makespan()
 	}
 	alone := build(nil)
-	inj := MustNew(Params{Interval: 0.2, Size: 400 * units.MB, ToBB: true, FirstWave: 0.01})
+	inj := newInjector(t, Params{Interval: 0.2, Size: 400 * units.MB, ToBB: true, FirstWave: 0.01})
 	loaded := build([]exec.Background{inj})
 	if !approx(alone, 1.0, 1e-9) {
 		t.Fatalf("alone makespan = %v, want 1.0", alone)
@@ -103,7 +103,7 @@ func TestEngineStopsAtWorkflowEnd(t *testing.T) {
 	sys := storage.NewSystem(p, nil)
 	wf := workflow.New("wf")
 	wf.MustAddTask(workflow.TaskSpec{ID: "t", Work: 2e9}) // 2 s
-	inj := MustNew(Params{Interval: 0.5, Size: 10 * units.MB, ToBB: false})
+	inj := newInjector(t, Params{Interval: 0.5, Size: 10 * units.MB, ToBB: false})
 	tr, err := exec.Run(sys, wf, exec.Config{Background: []exec.Background{inj}})
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestMidRunTerminationCountersConsistent(t *testing.T) {
 	wf.MustAddTask(workflow.TaskSpec{ID: "t", Work: 2e9}) // 2 s
 	// PFS disk 100 MB/s → each 80 MB wave takes 0.8 s. Waves start at 0.9
 	// and 1.8; the second is still in flight when the workflow ends at 2.0.
-	inj := MustNew(Params{Interval: 0.9, Size: 80 * units.MB, ToBB: false})
+	inj := newInjector(t, Params{Interval: 0.9, Size: 80 * units.MB, ToBB: false})
 	tr, err := exec.Run(sys, wf, exec.Config{Background: []exec.Background{inj}})
 	if err != nil {
 		t.Fatal(err)
@@ -162,14 +162,14 @@ func TestTerminationBeforeFirstWave(t *testing.T) {
 	sys := storage.NewSystem(p, nil)
 	wf := workflow.New("wf")
 	wf.MustAddTask(workflow.TaskSpec{ID: "t", Work: 1e9}) // 1 s
-	inj := MustNew(Params{Interval: 5, Size: 10 * units.MB, ToBB: true})
+	inj := newInjector(t, Params{Interval: 5, Size: 10 * units.MB, ToBB: true})
 	if _, err := exec.Run(sys, wf, exec.Config{Background: []exec.Background{inj}}); err != nil {
 		t.Fatal(err)
 	}
 	if inj.Waves != 0 || inj.BytesWritten != 0 {
 		t.Errorf("injector ran before its first wave: %d waves, %v", inj.Waves, inj.BytesWritten)
 	}
-	if used := sys.SharedBB().Used(); used != 0 {
+	if used := sys.AllBBs()[0].Used(); used != 0 {
 		t.Errorf("BB used = %v with no completed wave", used)
 	}
 }
@@ -180,7 +180,7 @@ func TestDownNodesSkipWaves(t *testing.T) {
 	e := sim.NewEngine()
 	p := platform.MustNew(e, testConfig())
 	sys := storage.NewSystem(p, nil)
-	inj := MustNew(Params{Interval: 1, Size: 80 * units.MB, ToBB: true})
+	inj := newInjector(t, Params{Interval: 1, Size: 80 * units.MB, ToBB: true})
 	inj.Start(sys)
 	node := p.Node(0)
 	e.After(2.5, func() { node.SetDown(true) })
@@ -201,7 +201,7 @@ func TestFullTargetDegradesGracefully(t *testing.T) {
 	e := sim.NewEngine()
 	p := platform.MustNew(e, cfg)
 	sys := storage.NewSystem(p, nil)
-	inj := MustNew(Params{Interval: 1, Size: 80 * units.MB, ToBB: true})
+	inj := newInjector(t, Params{Interval: 1, Size: 80 * units.MB, ToBB: true})
 	inj.Start(sys)
 	e.RunUntil(5)
 	if inj.Waves != 0 {
@@ -218,4 +218,13 @@ func (bbPolicy) StageTarget(*workflow.File, *storage.System, *platform.Node) sto
 
 func (bbPolicy) OutputTarget(_ *workflow.Task, _ *workflow.File, sys *storage.System, node *platform.Node) storage.Service {
 	return sys.BBFor(node)
+}
+
+func newInjector(t *testing.T, p Params) *Injector {
+	t.Helper()
+	inj, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inj
 }

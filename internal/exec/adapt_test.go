@@ -69,11 +69,11 @@ func TestPressureSpillDrainsBB(t *testing.T) {
 		if !sys.Registry().Has(f, sys.PFS()) {
 			t.Errorf("%s not on PFS after spill", id)
 		}
-		if sys.Registry().Has(f, sys.SharedBB()) {
+		if sys.Registry().Has(f, sys.AllBBs()[0]) {
 			t.Errorf("%s still on BB after spill", id)
 		}
 	}
-	if used := sys.SharedBB().Used(); used != 0 {
+	if used := sys.AllBBs()[0].Used(); used != 0 {
 		t.Errorf("BB used = %v after drain, want 0", used)
 	}
 	snap := col.Snapshot()
@@ -188,8 +188,8 @@ func TestDegradationWindowDuringReplication(t *testing.T) {
 		eng.After(1.2, func() {
 			ctrl.FailNode(ctrl.System().Platform().Node(2), "scripted failure")
 		})
-		eng.After(1.5, func() { ctrl.SetDegraded(ctrl.System().SharedBB(), true) })
-		eng.After(2.5, func() { ctrl.SetDegraded(ctrl.System().SharedBB(), false) })
+		eng.After(1.5, func() { ctrl.SetDegraded(ctrl.System().AllBBs()[0], true) })
+		eng.After(2.5, func() { ctrl.SetDegraded(ctrl.System().AllBBs()[0], false) })
 	}}
 	col := metrics.New("test", "degrade-mid-repl")
 	tr, err := exec.Run(sys, wf, exec.Config{
@@ -251,7 +251,7 @@ func TestSpillRacesEvictAfterLastRead(t *testing.T) {
 	if locs := sys.Registry().Locations(wf.File("a")); len(locs) != 0 {
 		t.Errorf("a still located on %d services after last-read eviction", len(locs))
 	}
-	if used, want := sys.SharedBB().Used(), units.Bytes(150*units.MB); used != want {
+	if used, want := sys.AllBBs()[0].Used(), units.Bytes(150*units.MB); used != want {
 		t.Errorf("BB used = %v, want %v (only c)", used, want)
 	}
 	if err := sys.AuditCapacity(); err != nil {
@@ -269,10 +269,10 @@ func TestDegradedFallbackRedirectsWrites(t *testing.T) {
 	wf.MustAddTask(workflow.TaskSpec{ID: "p", Work: 2e9, Outputs: []string{"out"}})
 	fm := &scripted{script: func(ctrl exec.FaultController) {
 		ctrl.System().Platform().Engine().After(0.5, func() {
-			ctrl.SetDegraded(ctrl.System().SharedBB(), true)
+			ctrl.SetDegraded(ctrl.System().AllBBs()[0], true)
 		})
 		ctrl.System().Platform().Engine().After(10, func() {
-			ctrl.SetDegraded(ctrl.System().SharedBB(), false)
+			ctrl.SetDegraded(ctrl.System().AllBBs()[0], false)
 		})
 	}}
 	tr, err := exec.Run(sys, wf, exec.Config{
@@ -289,7 +289,7 @@ func TestDegradedFallbackRedirectsWrites(t *testing.T) {
 	if !sys.Registry().Has(wf.File("out"), sys.PFS()) {
 		t.Error("out not on PFS after degraded fallback")
 	}
-	if sys.Registry().Has(wf.File("out"), sys.SharedBB()) {
+	if sys.Registry().Has(wf.File("out"), sys.AllBBs()[0]) {
 		t.Error("out placed on the degraded BB despite the fallback")
 	}
 	// 2 s compute + 80 MB at the PFS's 100 MB/s (not the BB's 800 MB/s).
@@ -351,7 +351,7 @@ func TestOverlappingPressureWavesSpillEachReplicaOnce(t *testing.T) {
 		metrics.Key{Tier: "shared-bb", Op: metrics.OpSpill}); got != want {
 		t.Errorf("adapt spill bytes = %g, want %g", got, want)
 	}
-	if used := sys.SharedBB().Used(); used != 0 {
+	if used := sys.AllBBs()[0].Used(); used != 0 {
 		t.Errorf("BB used = %v after all spills drained, want 0", used)
 	}
 	if err := sys.AuditCapacity(); err != nil {

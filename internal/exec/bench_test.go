@@ -17,7 +17,10 @@ import (
 // "thoroughly and quickly" workload.
 func BenchmarkGenomes903Tasks(b *testing.B) {
 	wf := genomes.MustNew(genomes.Params{})
-	pol := placement.MustFraction(wf, 0.5, false)
+	pol, err := placement.NewFraction(wf, 0.5, false)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := sim.NewEngine()
@@ -37,7 +40,10 @@ func BenchmarkGenomes903Tasks(b *testing.B) {
 // configuration.
 func BenchmarkSWarp32Pipelines(b *testing.B) {
 	wf := swarp.MustNew(swarp.Params{Pipelines: 32, CoresPerTask: 1})
-	pol := placement.MustFraction(wf, 1, true)
+	pol, err := placement.NewFraction(wf, 1, true)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := sim.NewEngine()

@@ -9,6 +9,7 @@ import (
 	"bbwfsim/internal/faults"
 	"bbwfsim/internal/metrics"
 	"bbwfsim/internal/placement"
+	"bbwfsim/internal/platform"
 	"bbwfsim/internal/trace"
 	"bbwfsim/internal/units"
 	"bbwfsim/internal/workflow"
@@ -103,7 +104,7 @@ func TestCheckpointLifecycleFaultFree(t *testing.T) {
 		t.Errorf("makespan = %v, want 10.3", tr.Makespan())
 	}
 	// Completion retires the whole snapshot chain.
-	if used := sys.SharedBB().Used(); used != 0 {
+	if used := sys.AllBBs()[0].Used(); used != 0 {
 		t.Errorf("BB used = %v after completion, want 0", used)
 	}
 	snap := col.Snapshot()
@@ -184,10 +185,8 @@ func TestNodeFailureLosesBBCheckpoints(t *testing.T) {
 		wf.MustAddTask(workflow.TaskSpec{ID: "t", Work: 10e9, Cores: 1})
 		fm := &scripted{script: func(ctrl exec.FaultController) {
 			ctrl.System().Platform().Engine().After(8, func() {
-				if running := ctrl.Running(); len(running) > 0 {
-					if n := ctrl.NodeOf(running[0]); n != nil {
-						ctrl.FailNode(n, "scripted failure")
-					}
+				if n := busyNode(ctrl); n != nil {
+					ctrl.FailNode(n, "scripted failure")
 				}
 			})
 		}}
@@ -235,10 +234,8 @@ func TestCrashBetweenCommitAndDrain(t *testing.T) {
 		// after commit and take 0.5 s (50 MB at the PFS's 100 MB/s). At
 		// t=4.5 the first snapshot is drained, the second is not.
 		ctrl.System().Platform().Engine().After(4.5, func() {
-			if running := ctrl.Running(); len(running) > 0 {
-				if n := ctrl.NodeOf(running[0]); n != nil {
-					ctrl.FailNode(n, "scripted failure")
-				}
+			if n := busyNode(ctrl); n != nil {
+				ctrl.FailNode(n, "scripted failure")
 			}
 		})
 	}}
@@ -311,10 +308,8 @@ func TestNodeFailureDuringStageOut(t *testing.T) {
 		// produce ends ≈1.25 s; the stage-out copy (200 MB at the PFS's
 		// 100 MB/s) runs ≈1.25–3.25 s. Fail the stage-out's node mid-copy.
 		ctrl.System().Platform().Engine().After(2, func() {
-			if running := ctrl.Running(); len(running) > 0 {
-				if n := ctrl.NodeOf(running[0]); n != nil {
-					ctrl.FailNode(n, "scripted failure")
-				}
+			if n := busyNode(ctrl); n != nil {
+				ctrl.FailNode(n, "scripted failure")
 			}
 		})
 	}}
@@ -376,4 +371,15 @@ func TestTasksWithoutMemoryNotCheckpointed(t *testing.T) {
 	if !approx(tr.Makespan(), 10, 1e-9) {
 		t.Errorf("makespan = %v, want 10", tr.Makespan())
 	}
+}
+
+// busyNode returns the first up node with cores in use: in these
+// single-task scripts, the node the running task occupies.
+func busyNode(ctrl exec.FaultController) *platform.Node {
+	for _, n := range ctrl.UpNodes() {
+		if n.FreeCores() < n.Cores() {
+			return n
+		}
+	}
+	return nil
 }

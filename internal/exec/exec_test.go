@@ -382,7 +382,11 @@ func TestMakespanBoundsQuick(t *testing.T) {
 		var serial float64
 		for _, t := range wf.Tasks() {
 			serial += node.ComputeTime(t.Work(), 1, 0)
-			serial += (t.InputBytes() + t.OutputBytes()).Seconds(100 * units.MBps)
+			for _, fs := range [][]*workflow.File{t.Inputs(), t.Outputs()} {
+				for _, f := range fs {
+					serial += f.Size().Seconds(100 * units.MBps)
+				}
+			}
 		}
 		return m1 >= cpLower-1e-6 && m1 <= serial+1e-6
 	}

@@ -52,8 +52,6 @@ type FaultController interface {
 	System() *storage.System
 	// Running returns the currently running tasks, ordered by task index.
 	Running() []*workflow.Task
-	// NodeOf returns the node a running task occupies, or nil.
-	NodeOf(t *workflow.Task) *platform.Node
 	// UpNodes returns the nodes currently up, in index order.
 	UpNodes() []*platform.Node
 	// KillTask crashes a running task attempt. The task retries under the
@@ -248,14 +246,6 @@ func (e *engine) Running() []*workflow.Task {
 		}
 	}
 	return ts
-}
-
-// NodeOf implements FaultController.
-func (e *engine) NodeOf(t *workflow.Task) *platform.Node {
-	if a := e.active[t.Index()]; a != nil {
-		return a.node
-	}
-	return nil
 }
 
 // UpNodes implements FaultController.

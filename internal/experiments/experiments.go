@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"unicode/utf8"
 
@@ -373,12 +372,3 @@ func fpct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
 func ffrac(q float64) string { return fmt.Sprintf("%.0f%%", 100*q) }
 
 func fbw(v float64) string { return units.Bandwidth(v).String() }
-
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}

@@ -51,9 +51,6 @@ type Dist struct {
 // Exp returns an exponential distribution with the given mean.
 func Exp(mean float64) Dist { return Dist{Kind: Exponential, Scale: mean} }
 
-// Wei returns a Weibull distribution with the given scale and shape.
-func Wei(scale, shape float64) Dist { return Dist{Kind: Weibull, Scale: scale, Shape: shape} }
-
 func (d Dist) validate(what string) error {
 	switch d.Kind {
 	case Exponential:
@@ -85,7 +82,7 @@ func (d Dist) Sample(rng *rand.Rand) float64 { return d.sample(rng) }
 // sample draws one inter-arrival time by inversion. 1-U keeps the argument
 // of the logarithm in (0, 1]: rand.Float64 may return exactly 0.
 func (d Dist) sample(rng *rand.Rand) float64 {
-	u := 1 - rng.Float64()
+	u := 1 - float64(rng.Float64())
 	switch d.Kind {
 	case Weibull:
 		return d.Scale * math.Pow(-math.Log(u), 1/d.Shape)

@@ -20,7 +20,7 @@ func TestDistValidation(t *testing.T) {
 		{TaskCrash: &CrashProcess{Arrival: Exp(-5)}},
 		{TaskCrash: &CrashProcess{Arrival: Dist{Kind: "zipf", Scale: 1}}},
 		{NodeFailure: &NodeProcess{Arrival: Exp(100), MTTR: 0}},
-		{NodeFailure: &NodeProcess{Arrival: Wei(100, 0)}},
+		{NodeFailure: &NodeProcess{Arrival: Dist{Kind: Weibull, Scale: 100}}},
 		{BBReject: &RejectPolicy{Prob: 1.5}},
 		{BBReject: &RejectPolicy{Prob: -0.1}},
 		{BBDegrade: &DegradeProcess{Arrival: Exp(10), Duration: 0, Factor: 0.5}},
@@ -54,7 +54,7 @@ func TestDistSampling(t *testing.T) {
 	// Weibull with shape 1 is exponential with the same scale.
 	sum = 0
 	for i := 0; i < n; i++ {
-		d := Wei(30, 1).sample(rng)
+		d := Dist{Kind: Weibull, Scale: 30, Shape: 1}.sample(rng)
 		if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
 			t.Fatalf("weibull sample %g out of range", d)
 		}
@@ -178,7 +178,7 @@ func TestReplayBitIdentical(t *testing.T) {
 	cfg := Config{
 		Seed:        21,
 		TaskCrash:   &CrashProcess{Arrival: Exp(60)},
-		NodeFailure: &NodeProcess{Arrival: Wei(300, 1.5), MTTR: 45},
+		NodeFailure: &NodeProcess{Arrival: Dist{Kind: Weibull, Scale: 300, Shape: 1.5}, MTTR: 45},
 		BBReject:    &RejectPolicy{Prob: 0.2},
 		BBDegrade:   &DegradeProcess{Arrival: Exp(120), Duration: 15, Factor: 0.25},
 		PFSDegrade:  &DegradeProcess{Arrival: Exp(200), Duration: 10, Factor: 0.5},

@@ -49,13 +49,12 @@ type Resource struct {
 	gen   uint64
 }
 
-// Name returns the resource's identifier.
-func (r *Resource) Name() string { return r.name }
-
 // Capacity returns the resource's capacity in units per second.
 func (r *Resource) Capacity() float64 { return r.capacity }
 
 // Processed returns the total number of units this resource has carried.
+//
+//bbvet:allow unreached -- observation hook the flow oracle and handle tests read
 func (r *Resource) Processed() float64 { return r.processed }
 
 // Handle identifies one flow of a Network. Flows live in the network's
@@ -169,9 +168,6 @@ func NewNetwork(eng *sim.Engine) *Network {
 	return n
 }
 
-// Engine returns the engine the network schedules on.
-func (n *Network) Engine() *sim.Engine { return n.eng }
-
 // NewResource registers a resource with the given capacity (> 0).
 func (n *Network) NewResource(name string, capacity float64) *Resource {
 	if capacity <= 0 || math.IsNaN(capacity) || math.IsInf(capacity, 0) {
@@ -183,6 +179,8 @@ func (n *Network) NewResource(name string, capacity float64) *Resource {
 }
 
 // ActiveFlows returns the number of currently active flows.
+//
+//bbvet:allow unreached -- observation hook the flow oracle and handle tests read
 func (n *Network) ActiveFlows() int { return len(n.active) }
 
 // Stats returns the cumulative solver counters.
@@ -282,12 +280,11 @@ func (n *Network) live(h Handle) *flowSlot {
 	return nil
 }
 
-// Done reports whether the flow has completed or been cancelled.
-func (n *Network) Done(h Handle) bool { return n.live(h) == nil }
-
 // Rate returns the flow's current allocated rate in units per second,
 // solving the network first if a change at this instant is still pending.
 // An ended flow's rate is zero.
+//
+//bbvet:allow unreached -- observation hook the flow oracle and handle tests read
 func (n *Network) Rate(h Handle) float64 {
 	n.eng.Resolve(n.nextEv)
 	if f := n.live(h); f != nil {
@@ -643,6 +640,8 @@ func completionTolerance(amount float64) float64 {
 // Utilization returns the fraction of capacity currently allocated on r
 // across all active flows, solving the network first if a change at this
 // instant is still pending. Intended for tests and instrumentation.
+//
+//bbvet:allow unreached -- observation hook the flow oracle and handle tests read
 func (n *Network) Utilization(r *Resource) float64 {
 	n.eng.Resolve(n.nextEv)
 	used := 0.0

@@ -168,7 +168,7 @@ func TestCancelSpeedsUpRemaining(t *testing.T) {
 	if !approx(done, 12.5, eps) {
 		t.Errorf("survivor completed at %v, want 12.5", done)
 	}
-	if !n.Done(cancelled) {
+	if !ended(n, cancelled) {
 		t.Error("cancelled flow not marked done")
 	}
 }

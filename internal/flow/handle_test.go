@@ -6,6 +6,9 @@ import (
 	"bbwfsim/internal/sim"
 )
 
+// ended reports whether h's flow has completed or been cancelled.
+func ended(n *Network, h Handle) bool { return n.live(h) == nil }
+
 // TestCancelAfterCompletionIsNoop: cancelling a finished flow's handle
 // changes nothing, and the handle reads as done at rate zero.
 func TestCancelAfterCompletionIsNoop(t *testing.T) {
@@ -15,8 +18,8 @@ func TestCancelAfterCompletionIsNoop(t *testing.T) {
 	h := n.StartFlow(100, []*Resource{r}, Options{}, nil, 0)
 	e.Run()
 	n.Cancel(h)
-	if !n.Done(h) || n.Rate(h) != 0 {
-		t.Errorf("finished flow: Done %v, Rate %v; want true, 0", n.Done(h), n.Rate(h))
+	if !ended(n, h) || n.Rate(h) != 0 {
+		t.Errorf("finished flow: Done %v, Rate %v; want true, 0", ended(n, h), n.Rate(h))
 	}
 	if n.ActiveFlows() != 0 || e.Pending() != 0 {
 		t.Errorf("cancel after completion left %d active flows, %d pending events", n.ActiveFlows(), e.Pending())
@@ -37,8 +40,8 @@ func TestCancelStaleHandleSparesReissuedSlot(t *testing.T) {
 		t.Fatalf("new flow got %+v, want the old slot %d under a new generation", h, old.slot)
 	}
 	n.Cancel(old)
-	if n.Done(h) || n.ActiveFlows() != 1 {
-		t.Fatalf("stale cancel ended the reissued flow (Done %v, %d active)", n.Done(h), n.ActiveFlows())
+	if ended(n, h) || n.ActiveFlows() != 1 {
+		t.Fatalf("stale cancel ended the reissued flow (Done %v, %d active)", ended(n, h), n.ActiveFlows())
 	}
 	e.Run()
 	if !approx(done, 6, eps) {
@@ -58,18 +61,18 @@ func TestDoneOnRecycledFlow(t *testing.T) {
 	if h.slot != old.slot {
 		t.Fatalf("new flow got slot %d, want the recycled slot %d", h.slot, old.slot)
 	}
-	if !n.Done(old) || n.Rate(old) != 0 {
-		t.Errorf("recycled handle: Done %v, Rate %v; want true, 0", n.Done(old), n.Rate(old))
+	if !ended(n, old) || n.Rate(old) != 0 {
+		t.Errorf("recycled handle: Done %v, Rate %v; want true, 0", ended(n, old), n.Rate(old))
 	}
-	if n.Done(h) || n.Rate(h) != 100 {
-		t.Errorf("live flow: Done %v, Rate %v; want false, 100", n.Done(h), n.Rate(h))
+	if ended(n, h) || n.Rate(h) != 100 {
+		t.Errorf("live flow: Done %v, Rate %v; want false, 100", ended(n, h), n.Rate(h))
 	}
 	var zero Handle
-	if !n.Done(zero) {
+	if !ended(n, zero) {
 		t.Error("zero Handle is not done")
 	}
 	n.Cancel(zero) // a no-op, like a stale handle
-	if n.Done(h) {
+	if ended(n, h) {
 		t.Error("cancelling the zero Handle ended a live flow")
 	}
 }
@@ -88,8 +91,8 @@ func TestCancelledInstantSlotReissuedBeforeItsEvent(t *testing.T) {
 		t.Fatalf("new flow got slot %d, want the recycled slot %d", h.slot, old.slot)
 	}
 	e.Run()
-	if calls != 1 || !n.Done(h) {
-		t.Errorf("reissued flow completed %d times (Done %v), want once", calls, n.Done(h))
+	if calls != 1 || !ended(n, h) {
+		t.Errorf("reissued flow completed %d times (Done %v), want once", calls, ended(n, h))
 	}
 }
 

@@ -21,8 +21,12 @@ func TestOneSolvePerInstant(t *testing.T) {
 	eng := sim.NewEngine()
 	plat := platform.MustNew(eng, platform.Presets(8)["cori-private"])
 	sys := storage.NewSystem(plat, nil)
+	pol, err := placement.NewFraction(wf, 0.5, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := exec.Run(sys, wf, exec.Config{
-		Placement:      placement.MustFraction(wf, 0.5, false),
+		Placement:      pol,
 		PrePlaceInputs: true,
 	}); err != nil {
 		t.Fatal(err)

@@ -147,7 +147,7 @@ func FuzzRecompute(f *testing.F) {
 		}
 		e.Run()
 		for i, fl := range flows {
-			if !n.Done(fl) {
+			if !ended(n, fl) {
 				t.Fatalf("flow %d never finished", i)
 			}
 		}

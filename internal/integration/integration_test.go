@@ -5,6 +5,7 @@ package integration
 
 import (
 	"math"
+	"os"
 	"testing"
 
 	"bbwfsim/internal/calib"
@@ -43,7 +44,11 @@ func TestFileFormatPipeline(t *testing.T) {
 	want := run(wf, cfg)
 
 	// Native workflow JSON + platform JSON.
-	if err := workflow.Save(dir+"/wf.json", wf); err != nil {
+	data, err := workflow.Marshal(wf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir+"/wf.json", data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := platform.SaveConfig(dir+"/plat.json", cfg); err != nil {

@@ -79,7 +79,7 @@ func checkCkpt(snap *metrics.Snapshot, res *core.Result, violation func(string, 
 				violation("event %d: task %s restarted from %s@%s, which is not durable at t=%g",
 					i, ev.TaskID, file, svc, ev.Time)
 			}
-			if max := aborted[ev.TaskID]; p > max+spanEps*(1+max) {
+			if max := aborted[ev.TaskID]; p > max+float64(spanEps*(1+max)) {
 				violation("event %d: task %s recovered %g compute seconds but only lost %g to aborts",
 					i, ev.TaskID, p, max)
 			}

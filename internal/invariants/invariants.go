@@ -146,6 +146,8 @@ const spanEps = 1e-9
 //     traffic they became — adaptation copies ride the same storage
 //     manager as workflow data, and the adapt event tallies (spills,
 //     replications, fallbacks) match the trace through invariant 5.
+//
+//bbvet:allow unreached -- entry point of the seeded invariant harness, a test-only package by design
 func Check(cfg platform.Config, wf *workflow.Workflow, res *core.Result) []string {
 	var v []string
 	violation := func(format string, args ...any) {

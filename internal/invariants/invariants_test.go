@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bbwfsim/internal/core"
+	"bbwfsim/internal/faults"
 	"bbwfsim/internal/metrics"
 	"bbwfsim/internal/trace"
 )
@@ -473,4 +474,28 @@ func TestCheckDetectsAdaptTampering(t *testing.T) {
 	if v := Check(c.Platform, c.Workflow, res); len(v) != 0 {
 		t.Fatalf("restored run still reports violations: %v", v)
 	}
+}
+
+// FaultOptions returns the run options for the case's fault campaign,
+// calibrated against the fault-free makespan: task crashes with MTBF
+// makespan/CrashDiv, about one node outage, occasional burst-buffer
+// rejections, and a transient bandwidth-degradation window. All processes
+// are budget-bounded so recovery always terminates.
+func (c Case) FaultOptions(baseline float64) (core.RunOptions, error) {
+	if c.CrashDiv <= 0 {
+		return core.RunOptions{}, fmt.Errorf("invariants: case %s has no fault regime", c.Name)
+	}
+	inj, err := faults.New(faults.Config{
+		Seed:        c.Seed,
+		TaskCrash:   &faults.CrashProcess{Arrival: faults.Exp(baseline / c.CrashDiv), Budget: int(2 * c.CrashDiv)},
+		NodeFailure: &faults.NodeProcess{Arrival: faults.Exp(baseline), MTTR: baseline / 10, Budget: 2},
+		BBReject:    &faults.RejectPolicy{Prob: 0.05},
+		BBDegrade:   &faults.DegradeProcess{Arrival: faults.Exp(baseline / 2), Duration: baseline / 20, Factor: 0.3},
+	})
+	if err != nil {
+		return core.RunOptions{}, err
+	}
+	fo := c.Opts
+	fo.Faults = inj
+	return fo, nil
 }

@@ -180,30 +180,6 @@ func TestWriteProm(t *testing.T) {
 	}
 }
 
-func TestDiff(t *testing.T) {
-	mk := func(v float64, extra bool) *Snapshot {
-		c := New("p", "w")
-		c.Add(SimEventsTotal, Key{}, v)
-		if extra {
-			c.GaugeMax(MakespanSeconds, Key{}, 1)
-		}
-		return c.Snapshot()
-	}
-	if d := Diff(mk(5, false), mk(5, false)); len(d) != 0 {
-		t.Fatalf("equal snapshots diff = %v", d)
-	}
-	d := Diff(mk(5, false), mk(6, true))
-	if len(d) != 2 {
-		t.Fatalf("diff = %v, want 2 lines", d)
-	}
-	if !strings.Contains(d[0], "sim_events_total") || !strings.Contains(d[0], "5 vs 6") {
-		t.Errorf("unexpected diff line %q", d[0])
-	}
-	if !strings.Contains(d[1], "makespan_seconds") || !strings.Contains(d[1], "absent") {
-		t.Errorf("unexpected diff line %q", d[1])
-	}
-}
-
 // TestHeldSeriesMatchLookups: series fed through held handles render the
 // same snapshot bytes as series fed by family and key, past the counters
 // the collector backs without growing; handles from a nil collector, and

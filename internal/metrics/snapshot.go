@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"encoding/json"
-	"fmt"
 	"sort"
 	"strconv"
 )
@@ -222,58 +221,4 @@ func (k Key) labels() string {
 
 func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// Diff lists the series whose values differ between two snapshots, one
-// human-readable line per difference, in deterministic order — the
-// programmatic counterpart of diffing two `bbsim -metrics` files.
-func Diff(a, b *Snapshot) []string {
-	var out []string
-	type val struct {
-		a, b float64
-		inA  bool
-		inB  bool
-	}
-	collect := func(samples []Sample, m map[series]*val, order *[]series, side int) {
-		for _, s := range samples {
-			sr := series{s.Family, s.Key}
-			v := m[sr]
-			if v == nil {
-				v = &val{}
-				m[sr] = v
-				*order = append(*order, sr)
-			}
-			if side == 0 {
-				v.a, v.inA = s.Value, true
-			} else {
-				v.b, v.inB = s.Value, true
-			}
-		}
-	}
-	for _, fam := range []struct {
-		name string
-		a, b []Sample
-	}{
-		{"counter", a.Counters, b.Counters},
-		{"gauge", a.Gauges, b.Gauges},
-	} {
-		m := map[series]*val{}
-		var order []series
-		collect(fam.a, m, &order, 0)
-		collect(fam.b, m, &order, 1)
-		sort.Slice(order, func(i, j int) bool { return order[i].less(order[j]) })
-		for _, sr := range order {
-			v := m[sr]
-			differs := v.a != v.b //bbvet:allow float-compare -- a diff tool must surface any bitwise difference, however small
-			switch {
-			case !v.inB:
-				out = append(out, fmt.Sprintf("%s %s%s: %s vs (absent)", fam.name, sr.family, sr.key.labels(), formatValue(v.a)))
-			case !v.inA:
-				out = append(out, fmt.Sprintf("%s %s%s: (absent) vs %s", fam.name, sr.family, sr.key.labels(), formatValue(v.b)))
-			case differs:
-				out = append(out, fmt.Sprintf("%s %s%s: %s vs %s", fam.name, sr.family, sr.key.labels(), formatValue(v.a), formatValue(v.b)))
-			}
-		}
-	}
-	return out
 }

@@ -156,15 +156,6 @@ func NewFraction(wf *workflow.Workflow, q float64, intermediatesToBB bool) (*Set
 	return &Set{name: name, ids: ids}, nil
 }
 
-// MustFraction is NewFraction for known-good arguments.
-func MustFraction(wf *workflow.Workflow, q float64, intermediatesToBB bool) *Set {
-	s, err := NewFraction(wf, q, intermediatesToBB)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // candidate scoring for the budgeted heuristics: every file that is read or
 // written during execution is a candidate.
 func candidates(wf *workflow.Workflow) []*workflow.File {

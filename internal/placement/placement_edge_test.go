@@ -31,7 +31,7 @@ func edgeWorkflow(t *testing.T, sizes []units.Bytes) *workflow.Workflow {
 // consume budget.
 func TestZeroSizeFiles(t *testing.T) {
 	wf := edgeWorkflow(t, []units.Bytes{0, 0, 0})
-	s := MustFraction(wf, 1, true)
+	s := mustFraction(t, wf, 1, true)
 	if got := s.BBBytes(wf); got != 0 {
 		t.Errorf("BBBytes of zero-size selection = %v, want 0", got)
 	}
@@ -49,11 +49,11 @@ func TestZeroSizeFiles(t *testing.T) {
 // compute task).
 func TestFractionExtremes(t *testing.T) {
 	wf := edgeWorkflow(t, []units.Bytes{units.MiB, 2 * units.MiB})
-	zero := MustFraction(wf, 0, false)
+	zero := mustFraction(t, wf, 0, false)
 	if zero.Count() != 0 {
 		t.Errorf("fraction 0 selected %d files, want 0", zero.Count())
 	}
-	full := MustFraction(wf, 1, false)
+	full := mustFraction(t, wf, 1, false)
 	for _, id := range []string{"ina", "inb"} {
 		if !full.Contains(id) {
 			t.Errorf("fraction 1 did not stage input %s", id)
@@ -67,7 +67,7 @@ func TestFractionExtremes(t *testing.T) {
 	noInputs.MustAddFile("out", units.MiB)
 	noInputs.MustAddTask(workflow.TaskSpec{ID: "gen", Name: "gen", Work: 1, Outputs: []string{"out"}})
 	noInputs.MustAddTask(workflow.TaskSpec{ID: "use", Name: "use", Work: 1, Inputs: []string{"out"}})
-	if s := MustFraction(noInputs, 1, false); s.Count() != 0 {
+	if s := mustFraction(t, noInputs, 1, false); s.Count() != 0 {
 		t.Errorf("fraction 1 on a workflow with no stageable files selected %d", s.Count())
 	}
 }

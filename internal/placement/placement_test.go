@@ -46,7 +46,7 @@ func TestFractionCounts(t *testing.T) {
 func TestFractionStrideSpreads(t *testing.T) {
 	// With 50% staged, both halves of the file list must be represented.
 	wf := swarp.MustNew(swarp.Params{Pipelines: 2})
-	pol := MustFraction(wf, 0.5, false)
+	pol := mustFraction(t, wf, 0.5, false)
 	var stageables []*workflow.File
 	for _, f := range wf.Files() {
 		if f.IsInput() || (f.Producer() != nil && f.Producer().Kind() == workflow.KindStageIn) {
@@ -79,8 +79,8 @@ func TestFractionValidation(t *testing.T) {
 
 func TestFractionIntermediates(t *testing.T) {
 	wf := swarp.MustNew(swarp.Params{Pipelines: 1})
-	with := MustFraction(wf, 0, true)
-	without := MustFraction(wf, 0, false)
+	with := mustFraction(t, wf, 0, true)
+	without := mustFraction(t, wf, 0, false)
 	if without.Count() != 0 {
 		t.Errorf("q=0 without intermediates: count = %d", without.Count())
 	}
@@ -100,16 +100,16 @@ func TestStageAndOutputTargets(t *testing.T) {
 	wf := swarp.MustNew(swarp.Params{Pipelines: 1})
 	sys := testSystem(t, platform.Cori(1, platform.BBPrivate))
 	node := sys.Platform().Node(0)
-	pol := MustFraction(wf, 1, true)
+	pol := mustFraction(t, wf, 1, true)
 	in := wf.File("p000_img00.fits")
-	if svc := pol.StageTarget(in, sys, node); svc != sys.SharedBB() {
+	if svc := pol.StageTarget(in, sys, node); svc != sys.AllBBs()[0] {
 		t.Errorf("StageTarget = %v, want shared BB", svc)
 	}
 	inter := wf.File("p000_rimg00.fits")
-	if svc := pol.OutputTarget(wf.Task("resample_000"), inter, sys, node); svc != sys.SharedBB() {
+	if svc := pol.OutputTarget(wf.Task("resample_000"), inter, sys, node); svc != sys.AllBBs()[0] {
 		t.Errorf("OutputTarget = %v, want shared BB", svc)
 	}
-	none := MustFraction(wf, 0, false)
+	none := mustFraction(t, wf, 0, false)
 	if svc := none.StageTarget(in, sys, node); svc != nil {
 		t.Errorf("StageTarget under all-PFS = %v, want nil", svc)
 	}
@@ -119,7 +119,7 @@ func TestOnNodeTarget(t *testing.T) {
 	wf := swarp.MustNew(swarp.Params{Pipelines: 1})
 	sys := testSystem(t, platform.Summit(2))
 	n1 := sys.Platform().Node(1)
-	pol := MustFraction(wf, 1, false)
+	pol := mustFraction(t, wf, 1, false)
 	f := wf.File("p000_img00.fits")
 	if svc := pol.StageTarget(f, sys, n1); svc != sys.BBFor(n1) {
 		t.Errorf("StageTarget on summit = %v, want node-local BB of n1", svc)
@@ -225,7 +225,7 @@ func TestFractionCountQuick(t *testing.T) {
 	}
 	f := func(rawQ uint16) bool {
 		q := float64(rawQ%1001) / 1000
-		p := MustFraction(wf, q, false)
+		p := mustFraction(t, wf, q, false)
 		if p.Count() != int(math.Ceil(q*float64(n))) {
 			return false
 		}
@@ -263,3 +263,12 @@ func TestBudgetRespectedQuick(t *testing.T) {
 }
 
 var _ = fmt.Sprintf // keep fmt for debugging additions
+
+func mustFraction(t *testing.T, wf *workflow.Workflow, q float64, intermediatesToBB bool) *Set {
+	t.Helper()
+	s, err := NewFraction(wf, q, intermediatesToBB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}

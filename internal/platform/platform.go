@@ -165,26 +165,11 @@ func (n *Node) Cores() int { return n.cores }
 // CoreSpeed returns the per-core compute speed.
 func (n *Node) CoreSpeed() units.FlopRate { return n.coreSpeed }
 
-// RAM returns the node's memory size.
-func (n *Node) RAM() units.Bytes { return n.ram }
-
 // Link returns the node's injection-link resource.
 func (n *Node) Link() *flow.Resource { return n.link }
 
 // FreeCores returns the number of unallocated cores.
 func (n *Node) FreeCores() int { return n.cores - n.coresInUse }
-
-// Allocate reserves k cores, reporting whether the reservation succeeded.
-func (n *Node) Allocate(k int) bool {
-	if k <= 0 {
-		panic(fmt.Sprintf("platform: allocate %d cores", k))
-	}
-	if n.coresInUse+k > n.cores {
-		return false
-	}
-	n.coresInUse += k
-	return true
-}
 
 // Release returns k cores to the free pool.
 func (n *Node) Release(k int) {
@@ -261,7 +246,7 @@ func (n *Node) ComputeTime(work units.Flops, p int, alpha float64) float64 {
 		panic(fmt.Sprintf("platform: Amdahl fraction %g out of [0,1]", alpha))
 	}
 	seq := work.Seconds(n.coreSpeed)
-	return alpha*seq + (1-alpha)*seq/float64(p)
+	return float64(alpha*seq) + (1-alpha)*seq/float64(p)
 }
 
 // Platform is a Config instantiated on a simulation engine.
@@ -295,6 +280,8 @@ func New(eng *sim.Engine, cfg Config) (*Platform, error) {
 
 // MustNew is New for known-good configurations (the presets); it panics on
 // error.
+//
+//bbvet:allow unreached -- the preset constructor behind about thirty test call sites; porting each to New adds an error check apiece
 func MustNew(eng *sim.Engine, cfg Config) *Platform {
 	p, err := New(eng, cfg)
 	if err != nil {
@@ -317,29 +304,3 @@ func (p *Platform) Nodes() []*Node { return p.nodes }
 
 // Node returns node i.
 func (p *Platform) Node(i int) *Node { return p.nodes[i] }
-
-// TotalCores returns the platform-wide core count.
-func (p *Platform) TotalCores() int { return p.cfg.Nodes * p.cfg.CoresPerNode }
-
-// EqualConfigs reports whether two configs are numerically identical,
-// tolerating float representation noise. Used by tests and the spec
-// round-trip check.
-func EqualConfigs(a, b Config) bool {
-	feq := func(x, y float64) bool {
-		return math.Abs(x-y) <= 1e-9*math.Max(1, math.Max(math.Abs(x), math.Abs(y)))
-	}
-	seq := func(x, y StorageConfig) bool {
-		return feq(float64(x.NetworkBW), float64(y.NetworkBW)) &&
-			feq(float64(x.DiskBW), float64(y.DiskBW)) &&
-			feq(float64(x.Capacity), float64(y.Capacity)) &&
-			feq(float64(x.StreamCap), float64(y.StreamCap)) &&
-			feq(x.ReadLatency, y.ReadLatency) &&
-			feq(x.WriteLatency, y.WriteLatency)
-	}
-	return a.Name == b.Name && a.Nodes == b.Nodes && a.CoresPerNode == b.CoresPerNode &&
-		feq(float64(a.CoreSpeed), float64(b.CoreSpeed)) &&
-		feq(float64(a.RAMPerNode), float64(b.RAMPerNode)) &&
-		feq(float64(a.NodeLinkBW), float64(b.NodeLinkBW)) &&
-		seq(a.PFS, b.PFS) && seq(a.BB, b.BB) &&
-		a.BBKind == b.BBKind && a.BBMode == b.BBMode
-}

@@ -86,7 +86,7 @@ func (c *channel) progress() {
 		dt := now - c.last
 		if dt > 0 {
 			for _, t := range c.active {
-				t.remaining -= rate * dt
+				t.remaining -= float64(rate * dt)
 			}
 		}
 	}

@@ -113,6 +113,7 @@ func planPickFull(s *scheduler) []*jobState {
 // the plan policy it also runs the unpruned pass and checks the picks.
 type checkedPolicy struct {
 	policy
+	name   string
 	t      *testing.T
 	passes *int
 }
@@ -122,7 +123,7 @@ func (c checkedPolicy) pick(s *scheduler) []*jobState {
 	for k := 1; k < len(s.queue); k++ {
 		if !c.less(s.queue[k-1], s.queue[k]) {
 			c.t.Fatalf("%s pass %d: queue out of policy order at %d (%s before %s)",
-				c.name(), *c.passes, k, s.queue[k-1].ID, s.queue[k].ID)
+				c.name, *c.passes, k, s.queue[k-1].ID, s.queue[k].ID)
 		}
 	}
 	var active []*jobState
@@ -132,14 +133,14 @@ func (c checkedPolicy) pick(s *scheduler) []*jobState {
 		}
 	}
 	if !slices.Equal(s.active, active) {
-		c.t.Fatalf("%s pass %d: active set %v, full scan %v", c.name(), *c.passes, ids(s.active), ids(active))
+		c.t.Fatalf("%s pass %d: active set %v, full scan %v", c.name, *c.passes, ids(s.active), ids(active))
 	}
 	want := releaseProfileFullScan(s)
 	if got := s.releaseProfile(); !slices.Equal(got, want) {
-		c.t.Fatalf("%s pass %d at t=%g: release profile %v, full scan %v", c.name(), *c.passes, s.eng.Now(), got, want)
+		c.t.Fatalf("%s pass %d at t=%g: release profile %v, full scan %v", c.name, *c.passes, s.eng.Now(), got, want)
 	}
 	picks := c.policy.pick(s)
-	if c.name() == PolicyPlan {
+	if c.name == PolicyPlan {
 		if full := planPickFull(s); !slices.Equal(picks, full) {
 			c.t.Fatalf("plan pass %d at t=%g: picks %v, unpruned pass %v", *c.passes, s.eng.Now(), ids(picks), ids(full))
 		}
@@ -185,7 +186,7 @@ func TestIncrementalStateMatchesFullScan(t *testing.T) {
 			}
 			passes := 0
 			cfg := Config{Cluster: c.cl, Policy: name, Jobs: jobs, Faults: c.faults}
-			checked, err := run(cfg, checkedPolicy{policy: pol, t: t, passes: &passes})
+			checked, err := run(cfg, checkedPolicy{policy: pol, name: name, t: t, passes: &passes})
 			if err != nil {
 				t.Fatal(err)
 			}

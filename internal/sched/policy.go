@@ -31,7 +31,6 @@ func Policies() []string {
 // called, in start order; the scheduler dequeues them afterwards. less is
 // the strict total order the scheduler keeps the wait queue in.
 type policy interface {
-	name() string
 	directIO() bool
 	less(a, b *jobState) bool
 	pick(s *scheduler) []*jobState
@@ -70,7 +69,6 @@ func newPolicy(name string) (policy, error) {
 // first that does not fit: simple, fair, and head-of-line blocked.
 type fcfsPolicy struct{ submissionOrder }
 
-func (fcfsPolicy) name() string   { return PolicyFCFS }
 func (fcfsPolicy) directIO() bool { return false }
 
 func (fcfsPolicy) pick(s *scheduler) []*jobState {
@@ -110,7 +108,6 @@ func fitsFree(s *scheduler, j *jobState, freeNodes int, freeBB units.Bytes) bool
 // the classic starvation-freedom argument.
 type easyPolicy struct{ submissionOrder }
 
-func (easyPolicy) name() string   { return PolicyEASY }
 func (easyPolicy) directIO() bool { return false }
 
 func (easyPolicy) pick(s *scheduler) []*jobState {
@@ -213,7 +210,6 @@ type planPolicy struct {
 	suf  *suffixMin // likewise
 }
 
-func (planPolicy) name() string   { return PolicyPlan }
 func (planPolicy) directIO() bool { return false }
 
 // pick plans the queue in order and starts the jobs whose slot is now. The
@@ -368,7 +364,6 @@ func (p *profile) insertBreak(t float64) {
 // state; on finite campaigns the queue drains when arrivals stop.
 type greedyPolicy struct{ id string }
 
-func (g greedyPolicy) name() string { return g.id }
 func (greedyPolicy) directIO() bool { return false }
 
 // less orders MaxBB by descending BB demand and MaxParallel by ascending
@@ -417,7 +412,6 @@ func (g greedyPolicy) pick(s *scheduler) []*jobState {
 // Queueing is plain FCFS on nodes.
 type directIOPolicy struct{ submissionOrder }
 
-func (directIOPolicy) name() string   { return PolicyDirectIO }
 func (directIOPolicy) directIO() bool { return true }
 
 func (directIOPolicy) pick(s *scheduler) []*jobState {

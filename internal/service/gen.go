@@ -63,7 +63,7 @@ func SeededRequest(seed int64) Request {
 		req.Run.OrderPolicy = "critical-path"
 	}
 	if rng.Intn(4) == 0 {
-		req.Ckpt = &CkptSpec{IntervalSeconds: 30 + 30*float64(rng.Intn(4)), Tier: []string{"bb", "pfs"}[rng.Intn(2)]}
+		req.Ckpt = &CkptSpec{IntervalSeconds: 30 + float64(30*float64(rng.Intn(4))), Tier: []string{"bb", "pfs"}[rng.Intn(2)]}
 	}
 	if rng.Intn(4) == 0 {
 		req.Adapt = &AdaptSpec{SpillHighWater: 0.8, ReplicateOnFault: true}

@@ -98,9 +98,6 @@ func NewServer(cfg Config) *Server {
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Cache exposes the result cache (tests and the -once path reuse it).
-func (s *Server) Cache() *Cache { return s.cache }
-
 // errorKind labels structured error responses.
 const (
 	kindBadRequest = "bad_request"

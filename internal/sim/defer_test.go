@@ -134,23 +134,6 @@ func TestResolveAndCancelSlot(t *testing.T) {
 	}
 }
 
-// TestResetRetiresSlot: Reset retires a pending slot like any event, so it
-// never resolves in a later run.
-func TestResetRetiresSlot(t *testing.T) {
-	e := NewEngine()
-	calls := 0
-	h := e.Defer(Handle{}, func(uint64) { calls++ })
-	e.Reset()
-	if !h.Cancelled() || e.Pending() != 0 || e.MaxPending() != 0 {
-		t.Fatalf("after Reset: cancelled=%v pending=%d max=%d", h.Cancelled(), e.Pending(), e.MaxPending())
-	}
-	e.At(1, func() {})
-	e.Run()
-	if calls != 0 {
-		t.Errorf("slot retired by Reset resolved %d times", calls)
-	}
-}
-
 // TestStepSkipsSlots: Step resolves slots on its way to the next event and
 // counts only the event; a queue holding nothing but a slot steps nothing.
 func TestStepSkipsSlots(t *testing.T) {

@@ -33,51 +33,6 @@ func TestChurnZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestEngineResetReuse: Reset drains the queue into the free list and
-// returns the clock and counters to zero, so a second run on the same
-// engine behaves exactly like a fresh one — without re-growing the event
-// pool (zero allocations once warm).
-func TestEngineResetReuse(t *testing.T) {
-	e := NewEngine()
-	var order []float64
-	pending := e.At(5, func() { t.Error("event from before Reset fired") })
-	e.At(1, func() { order = append(order, e.Now()) })
-	e.RunUntil(1)
-
-	e.Reset()
-	if e.Now() != 0 {
-		t.Fatalf("Now() = %v after Reset, want 0", e.Now())
-	}
-	if e.Pending() != 0 || e.EventsFired() != 0 || e.MaxPending() != 0 {
-		t.Fatalf("counters not cleared: pending=%d fired=%d maxPend=%d",
-			e.Pending(), e.EventsFired(), e.MaxPending())
-	}
-	if !pending.Cancelled() {
-		t.Fatal("handle pending across Reset should read Cancelled")
-	}
-	e.Cancel(pending) // stale: must not disturb the reused pool
-
-	e.At(2, func() { order = append(order, e.Now()) })
-	e.Run()
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("fired at %v, want [1 2]", order)
-	}
-
-	// A reset engine reuses its warm free list: run/reset cycles allocate
-	// nothing in the steady state.
-	cycle := func() {
-		for i := 0; i < 4; i++ {
-			e.After(float64(i+1), func() {})
-		}
-		e.Run()
-		e.Reset()
-	}
-	cycle() // warm up
-	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
-		t.Fatalf("run/reset cycle allocated %.1f allocs/op, want 0", avg)
-	}
-}
-
 // TestStaleHandleSafeAcrossReuse pins the generation-counter contract: once
 // an event fires or is cancelled, its struct may be reissued, and the old
 // handle must neither cancel nor observe the new occurrence.

@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean; it is 0 for an empty slice.
@@ -31,7 +30,7 @@ func Std(xs []float64) float64 {
 	sum := 0.0
 	for _, x := range xs {
 		d := x - m
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return math.Sqrt(sum / float64(len(xs)-1))
 }
@@ -61,20 +60,6 @@ func MinMax(xs []float64) (min, max float64) {
 		}
 	}
 	return min, max
-}
-
-// Median returns the median; it is 0 for an empty slice.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64{}, xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // RelErr returns |predicted − reference| / reference. A zero reference with

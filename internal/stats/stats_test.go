@@ -49,15 +49,6 @@ func TestMinMaxMedian(t *testing.T) {
 	if m, _ := MinMax(nil); m != 0 {
 		t.Error("MinMax(nil) != 0")
 	}
-	if Median([]float64{3, 1, 2}) != 2 {
-		t.Error("odd median wrong")
-	}
-	if !approx(Median([]float64{4, 1, 2, 3}), 2.5) {
-		t.Error("even median wrong")
-	}
-	if Median(nil) != 0 {
-		t.Error("Median(nil) != 0")
-	}
 }
 
 func TestRelErr(t *testing.T) {
@@ -148,7 +139,7 @@ func TestMomentsQuick(t *testing.T) {
 	}
 }
 
-// Property: min ≤ median ≤ max and min ≤ mean ≤ max.
+// Property: min ≤ mean ≤ max.
 func TestOrderQuick(t *testing.T) {
 	f := func(raw []uint16) bool {
 		if len(raw) == 0 {
@@ -159,8 +150,8 @@ func TestOrderQuick(t *testing.T) {
 			xs[i] = float64(r)
 		}
 		min, max := MinMax(xs)
-		med, mean := Median(xs), Mean(xs)
-		return min <= med+1e-9 && med <= max+1e-9 && min <= mean+1e-9 && mean <= max+1e-9
+		mean := Mean(xs)
+		return min <= mean+1e-9 && mean <= max+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -12,7 +12,7 @@ import (
 func TestCancelOpAfterCompletionIsNoop(t *testing.T) {
 	e, sys, w := coriSystem(t, platform.BBPrivate)
 	f := w.MustAddFile("f", 100*units.MB)
-	bb := sys.SharedBB()
+	bb := sys.AllBBs()[0]
 	m := sys.Manager()
 	h, err := m.Write(sys.Platform().Node(0), f, bb, nil, 0)
 	if err != nil {
@@ -23,9 +23,9 @@ func TestCancelOpAfterCompletionIsNoop(t *testing.T) {
 	if !m.Done(h) {
 		t.Error("completed write not Done")
 	}
-	if bb.Used() != f.Size() || m.PendingReserved(bb) != 0 || m.InFlight(bb) != 0 {
+	if bb.Used() != f.Size() || m.PendingReserved(bb) != 0 || m.inFlight[bb] != 0 {
 		t.Errorf("after a stale cancel: Used %v (want %v), pending %v, in flight %d",
-			bb.Used(), f.Size(), m.PendingReserved(bb), m.InFlight(bb))
+			bb.Used(), f.Size(), m.PendingReserved(bb), m.inFlight[bb])
 	}
 	if !sys.Registry().Has(f, bb) {
 		t.Error("stale cancel unregistered the written replica")
@@ -39,7 +39,7 @@ func TestCancelStaleOpSparesReissuedSlot(t *testing.T) {
 	e, sys, w := coriSystem(t, platform.BBPrivate)
 	f1 := w.MustAddFile("f1", 100*units.MB)
 	f2 := w.MustAddFile("f2", 200*units.MB)
-	bb := sys.SharedBB()
+	bb := sys.AllBBs()[0]
 	m := sys.Manager()
 	node := sys.Platform().Node(0)
 	old, err := m.Write(node, f1, bb, nil, 0)
@@ -56,9 +56,9 @@ func TestCancelStaleOpSparesReissuedSlot(t *testing.T) {
 		t.Fatalf("new op got %+v, want the old slot %d under a new generation", h, old.slot)
 	}
 	m.Cancel(old)
-	if m.Done(h) || m.InFlight(bb) != 1 || m.PendingReserved(bb) != f2.Size() {
+	if m.Done(h) || m.inFlight[bb] != 1 || m.PendingReserved(bb) != f2.Size() {
 		t.Fatalf("stale cancel touched the reissued op: Done %v, in flight %d, pending %v",
-			m.Done(h), m.InFlight(bb), m.PendingReserved(bb))
+			m.Done(h), m.inFlight[bb], m.PendingReserved(bb))
 	}
 	e.Run()
 	if len(done) != 1 || done[0] != 5 {
@@ -78,7 +78,7 @@ func TestOpPathZeroAllocs(t *testing.T) {
 	if err := sys.PlaceInitial(f, sys.PFS()); err != nil {
 		t.Fatal(err)
 	}
-	bb := sys.SharedBB()
+	bb := sys.AllBBs()[0]
 	m := sys.Manager()
 	node := sys.Platform().Node(0)
 	var done tagLog

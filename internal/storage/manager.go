@@ -253,12 +253,6 @@ func (m *Manager) series(tier Kind, opKind string) opSeries {
 	return s
 }
 
-// Registry returns the file-location registry the manager updates.
-func (m *Manager) Registry() *Registry { return m.reg }
-
-// InFlight returns the number of operations currently running on svc.
-func (m *Manager) InFlight(svc Service) int { return m.inFlight[svc] }
-
 // PendingReserved returns the bytes reserved on svc by writes and copies
 // still in flight (reservations not yet backed by a registered replica).
 func (m *Manager) PendingReserved(svc Service) units.Bytes { return m.pending[svc] }

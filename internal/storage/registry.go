@@ -131,18 +131,13 @@ func (r *Registry) Located(f *workflow.File) bool {
 	return len(r.locations[f]) > 0
 }
 
-// Best picks the replica of f a task on node should read: a node-local BB
-// on that node beats any other burst buffer, which beats the PFS. Ties are
-// broken by service name. It returns an error when no replica exists.
-func (r *Registry) Best(f *workflow.File, node *platform.Node) (Service, error) {
-	return r.BestVisible(f, node, false)
-}
-
-// BestVisible is Best with optional enforcement of the private DataWarp
-// visibility rule: when enforcePrivate is set, replicas on a private-mode
-// shared burst buffer that were created by a *different* compute node are
-// invisible, and the reader falls back to another replica (typically the
-// PFS).
+// BestVisible picks the replica of f a task on node should read: a
+// node-local BB on that node beats any other burst buffer, which beats the
+// PFS. Ties are broken by service name. It returns an error when no
+// replica exists. When enforcePrivate is set, the private DataWarp
+// visibility rule applies: replicas on a private-mode shared burst buffer
+// that were created by a *different* compute node are invisible, and the
+// reader falls back to another replica (typically the PFS).
 func (r *Registry) BestVisible(f *workflow.File, node *platform.Node, enforcePrivate bool) (Service, error) {
 	var best Service
 	bestRank := -1

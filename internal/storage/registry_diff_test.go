@@ -122,7 +122,7 @@ func registryDiff(t *testing.T, seed int64, ops int) {
 	p := platform.MustNew(sim.NewEngine(), cfg)
 	sys := NewSystem(p, nil)
 	nodes := p.Nodes()
-	svcs := []Service{sys.PFS(), sys.SharedBB()}
+	svcs := []Service{sys.PFS(), sys.AllBBs()[0]}
 	for _, n := range nodes {
 		svcs = append(svcs, NewNodeLocal(p, n, cfg.BB))
 	}

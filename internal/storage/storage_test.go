@@ -92,7 +92,7 @@ func TestReadWithoutReplicaFails(t *testing.T) {
 
 func TestCapacityFull(t *testing.T) {
 	e, sys, w := coriSystem(t, platform.BBPrivate)
-	bb := sys.SharedBB()
+	bb := sys.AllBBs()[0]
 	big := w.MustAddFile("big", bb.Capacity())
 	over := w.MustAddFile("over", 1*units.MB)
 	node := sys.Platform().Node(0)
@@ -205,12 +205,12 @@ func TestRegistryBestPrefersLocalBB(t *testing.T) {
 	reg := sys.Registry()
 	reg.Add(f, sys.PFS())
 	reg.Add(f, sys.BBFor(n0))
-	best, err := reg.Best(f, n0)
+	best, err := reg.BestVisible(f, n0, false)
 	if err != nil || best != sys.BBFor(n0) {
 		t.Errorf("Best on n0 = %v, want local BB", best)
 	}
 	// From n1 the remote node BB still beats the PFS.
-	best, err = reg.Best(f, n1)
+	best, err = reg.BestVisible(f, n1, false)
 	if err != nil || best.Kind() != KindNodeBB {
 		t.Errorf("Best on n1 = %v, want node BB", best)
 	}
@@ -219,7 +219,7 @@ func TestRegistryBestPrefersLocalBB(t *testing.T) {
 func TestRegistryBestNoReplica(t *testing.T) {
 	_, sys, w := coriSystem(t, platform.BBPrivate)
 	f := w.MustAddFile("f", 1*units.MB)
-	if _, err := sys.Registry().Best(f, sys.Platform().Node(0)); err == nil {
+	if _, err := sys.Registry().BestVisible(f, sys.Platform().Node(0), false); err == nil {
 		t.Error("Best on unplaced file succeeded")
 	}
 }
@@ -227,7 +227,7 @@ func TestRegistryBestNoReplica(t *testing.T) {
 func TestEvictFreesSpace(t *testing.T) {
 	e, sys, w := coriSystem(t, platform.BBPrivate)
 	f := w.MustAddFile("f", 10*units.MB)
-	bb := sys.SharedBB()
+	bb := sys.AllBBs()[0]
 	sys.Manager().Write(sys.Platform().Node(0), f, bb, nil, 0)
 	e.Run()
 	if err := sys.Manager().Evict(f, bb); err != nil {
@@ -247,7 +247,7 @@ func TestEvictFreesSpace(t *testing.T) {
 func TestCancelWriteReleasesReservation(t *testing.T) {
 	e, sys, w := coriSystem(t, platform.BBPrivate)
 	f := w.MustAddFile("f", 100*units.MB)
-	bb := sys.SharedBB()
+	bb := sys.AllBBs()[0]
 	node := sys.Platform().Node(0)
 	op, err := sys.Manager().Write(node, f, bb, Func(func() { t.Error("cancelled write callback ran") }), 0)
 	if err != nil {
@@ -261,8 +261,8 @@ func TestCancelWriteReleasesReservation(t *testing.T) {
 	if sys.Registry().Has(f, bb) {
 		t.Error("cancelled write registered a replica")
 	}
-	if sys.Manager().InFlight(bb) != 0 {
-		t.Errorf("InFlight = %d after cancel, want 0", sys.Manager().InFlight(bb))
+	if sys.Manager().inFlight[bb] != 0 {
+		t.Errorf("InFlight = %d after cancel, want 0", sys.Manager().inFlight[bb])
 	}
 }
 
@@ -274,11 +274,11 @@ func TestInFlightCounting(t *testing.T) {
 		sys.PlaceInitial(f, sys.PFS())
 		sys.Manager().Read(node, f, sys.PFS(), nil, 0)
 	}
-	if got := sys.Manager().InFlight(sys.PFS()); got != 3 {
+	if got := sys.Manager().inFlight[sys.PFS()]; got != 3 {
 		t.Errorf("InFlight = %d, want 3", got)
 	}
 	e.Run()
-	if got := sys.Manager().InFlight(sys.PFS()); got != 0 {
+	if got := sys.Manager().inFlight[sys.PFS()]; got != 0 {
 		t.Errorf("InFlight = %d after run, want 0", got)
 	}
 }
@@ -286,7 +286,7 @@ func TestInFlightCounting(t *testing.T) {
 func TestStatsAccumulate(t *testing.T) {
 	e, sys, w := coriSystem(t, platform.BBPrivate)
 	node := sys.Platform().Node(0)
-	bb := sys.SharedBB()
+	bb := sys.AllBBs()[0]
 	f1 := w.MustAddFile("f1", 80*units.MB)
 	f2 := w.MustAddFile("f2", 160*units.MB)
 	sys.Manager().Write(node, f1, bb, nil, 0)
@@ -345,7 +345,7 @@ func TestStreamCapLimitsSingleStream(t *testing.T) {
 	w := workflow.New("wf")
 	f := w.MustAddFile("f", 160*units.MB)
 	var done float64 = -1
-	sys.Manager().Write(p.Node(0), f, sys.SharedBB(), Func(func() { done = e.Now() }), 0)
+	sys.Manager().Write(p.Node(0), f, sys.AllBBs()[0], Func(func() { done = e.Now() }), 0)
 	e.Run()
 	// One stream is capped at 160 MB/s even though the BB path allows 800.
 	if !approx(done, 1.0, 1e-9) {
@@ -365,7 +365,7 @@ func TestConcurrentStreamsSaturateSharedBB(t *testing.T) {
 	var last float64
 	for i := 0; i < 10; i++ {
 		f := w.MustAddFile(string(rune('a'+i)), 160*units.MB)
-		sys.Manager().Write(node, f, sys.SharedBB(), Func(func() { last = e.Now() }), 0)
+		sys.Manager().Write(node, f, sys.AllBBs()[0], Func(func() { last = e.Now() }), 0)
 	}
 	e.Run()
 	if !approx(last, 2.0, 1e-9) {
@@ -393,8 +393,10 @@ func TestServicesEnumeration(t *testing.T) {
 	if got := len(sysSummit.Services()); got != 4 { // pfs + 3 node BBs
 		t.Errorf("Summit services = %d, want 4", got)
 	}
-	if sysSummit.SharedBB() != nil {
-		t.Error("Summit reports a shared BB")
+	for _, bb := range sysSummit.AllBBs() {
+		if bb.Kind() != KindNodeBB {
+			t.Errorf("Summit reports a %v burst buffer", bb.Kind())
+		}
 	}
 }
 
@@ -402,7 +404,7 @@ func TestCancelCopyReleasesReservation(t *testing.T) {
 	e, sys, w := coriSystem(t, platform.BBPrivate)
 	f := w.MustAddFile("f", 100*units.MB)
 	sys.PlaceInitial(f, sys.PFS())
-	bb := sys.SharedBB()
+	bb := sys.AllBBs()[0]
 	node := sys.Platform().Node(0)
 	op, err := sys.Manager().Copy(node, f, sys.PFS(), bb, Func(func() {
 		t.Error("cancelled copy callback ran")
@@ -425,7 +427,7 @@ func TestCancelCopyReleasesReservation(t *testing.T) {
 func TestCopySourceMissing(t *testing.T) {
 	_, sys, w := coriSystem(t, platform.BBPrivate)
 	f := w.MustAddFile("f", 1*units.MB)
-	if _, err := sys.Manager().Copy(sys.Platform().Node(0), f, sys.PFS(), sys.SharedBB(), nil, 0); err == nil {
+	if _, err := sys.Manager().Copy(sys.Platform().Node(0), f, sys.PFS(), sys.AllBBs()[0], nil, 0); err == nil {
 		t.Error("copy from a service without the file succeeded")
 	}
 }
@@ -434,9 +436,9 @@ func TestCreatorTracking(t *testing.T) {
 	e, sys, w := coriSystem(t, platform.BBPrivate)
 	f := w.MustAddFile("f", 10*units.MB)
 	node := sys.Platform().Node(0)
-	sys.Manager().Write(node, f, sys.SharedBB(), nil, 0)
+	sys.Manager().Write(node, f, sys.AllBBs()[0], nil, 0)
 	e.Run()
-	if got := sys.Registry().Creator(f, sys.SharedBB()); got != node {
+	if got := sys.Registry().Creator(f, sys.AllBBs()[0]); got != node {
 		t.Errorf("Creator = %v, want %v", got, node)
 	}
 	if got := sys.Registry().Creator(f, sys.PFS()); got != nil {
@@ -463,8 +465,8 @@ func TestOpMetricsPerTierAndOp(t *testing.T) {
 	f1 := w.MustAddFile("f1", 80*units.MB)
 	f2 := w.MustAddFile("f2", 160*units.MB)
 	for _, start := range []func() (OpHandle, error){
-		func() (OpHandle, error) { return m.Write(node, f1, sys.SharedBB(), nil, 0) },
-		func() (OpHandle, error) { return m.Write(node, f2, sys.SharedBB(), nil, 0) },
+		func() (OpHandle, error) { return m.Write(node, f1, sys.AllBBs()[0], nil, 0) },
+		func() (OpHandle, error) { return m.Write(node, f2, sys.AllBBs()[0], nil, 0) },
 		func() (OpHandle, error) { return m.Write(node, f1, scratch, nil, 0) },
 		func() (OpHandle, error) { return m.Write(node, f2, scratch, nil, 0) },
 	} {
@@ -473,7 +475,7 @@ func TestOpMetricsPerTierAndOp(t *testing.T) {
 		}
 	}
 	e.Run()
-	if _, err := m.Copy(node, f1, sys.SharedBB(), sys.PFS(), nil, 0); err != nil {
+	if _, err := m.Copy(node, f1, sys.AllBBs()[0], sys.PFS(), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	e.Run()

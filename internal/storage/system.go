@@ -54,9 +54,6 @@ func (s *System) Manager() *Manager { return s.mgr }
 // PFS returns the parallel file system service.
 func (s *System) PFS() Service { return s.pfs }
 
-// SharedBB returns the shared burst buffer, or nil on an on-node platform.
-func (s *System) SharedBB() Service { return s.sharedBB }
-
 // BBFor returns the burst buffer a task on node targets: the shared BB on a
 // shared platform, the node's own BB on an on-node platform.
 func (s *System) BBFor(node *platform.Node) Service {

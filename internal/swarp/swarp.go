@@ -177,11 +177,3 @@ func MustNew(params Params) *workflow.Workflow {
 	}
 	return w
 }
-
-// InputBytesPerPipeline returns the staged data volume of one pipeline.
-func InputBytesPerPipeline(images int) units.Bytes {
-	if images <= 0 {
-		images = ImagesPerPipeline
-	}
-	return units.Bytes(images) * (ImageSize + WeightSize)
-}

@@ -1,6 +1,7 @@
 package swarp
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -56,18 +57,38 @@ func TestFileSizesMatchPaper(t *testing.T) {
 	if got := w.File("p000_wht00.fits").Size(); got != 16*units.MiB {
 		t.Errorf("weight size = %v, want 16 MiB", got)
 	}
-	if got := InputBytesPerPipeline(0); got != 16*(32+16)*units.MiB {
-		t.Errorf("input bytes per pipeline = %v, want 768 MiB", got)
+	var staged units.Bytes
+	for _, f := range w.Task("stage_in").Outputs() {
+		staged += f.Size()
+	}
+	if staged != 16*(32+16)*units.MiB {
+		t.Errorf("input bytes per pipeline = %v, want 768 MiB", staged)
 	}
 }
 
 func TestLambdaAnnotations(t *testing.T) {
-	w := MustNew(Params{Pipelines: 2})
-	if got := w.Task("resample_001").LambdaIO(); got != calib.LambdaIOResample {
-		t.Errorf("resample λ = %v, want %v", got, calib.LambdaIOResample)
+	data, err := workflow.Marshal(MustNew(Params{Pipelines: 2}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := w.Task("combine_001").LambdaIO(); got != calib.LambdaIOCombine {
-		t.Errorf("combine λ = %v, want %v", got, calib.LambdaIOCombine)
+	var doc struct {
+		Tasks []struct {
+			ID       string  `json:"id"`
+			LambdaIO float64 `json:"lambdaIO"`
+		} `json:"tasks"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{"resample_001": calib.LambdaIOResample, "combine_001": calib.LambdaIOCombine}
+	for _, task := range doc.Tasks {
+		if w, ok := want[task.ID]; ok && task.LambdaIO != w {
+			t.Errorf("%s λ = %v, want %v", task.ID, task.LambdaIO, w)
+		}
+		delete(want, task.ID)
+	}
+	if len(want) > 0 {
+		t.Errorf("tasks missing from the encoded workflow: %v", want)
 	}
 }
 

@@ -187,7 +187,7 @@ func (m *opModel) Adjust(ctx storage.OpContext, base storage.OpParams) storage.O
 		default:
 			p.Latency += m.prof.PFSWriteLatency
 		}
-		p.Latency += m.prof.PFSMetaPenalty * float64(ctx.InFlight)
+		p.Latency += float64(m.prof.PFSMetaPenalty * float64(ctx.InFlight))
 	default: // burst buffers, shared or on-node
 		// A write of a stage-in task's file is the staging itself: it uses
 		// the efficient staging path, not the POSIX task-I/O path.
@@ -201,7 +201,7 @@ func (m *opModel) Adjust(ctx storage.OpContext, base storage.OpParams) storage.O
 		default:
 			p.Latency += m.prof.BBWriteLatency
 		}
-		p.Latency += m.prof.BBMetaPenalty * float64(ctx.InFlight)
+		p.Latency += float64(m.prof.BBMetaPenalty * float64(ctx.InFlight))
 		if !stageWrite && m.prof.SmallFileStreamCap > 0 && ctx.File.Size() < m.prof.SmallFileThreshold {
 			//bbvet:allow float-compare -- zero is the "uncapped" sentinel bandwidth, never a computed rate
 			if p.RateCap == 0 || m.prof.SmallFileStreamCap < p.RateCap {
@@ -235,7 +235,7 @@ func (m *computeModel) Duration(t *workflow.Task, node *platform.Node, cores int
 	alpha := m.prof.Alpha[t.Name()]
 	gamma := m.prof.GammaPerCore[t.Name()]
 	seq := float64(t.Work()) / float64(node.CoreSpeed())
-	dur := seq*(alpha+(1-alpha)/float64(cores)) + gamma*float64(cores)
+	dur := float64(seq*(alpha+(1-alpha)/float64(cores))) + float64(gamma*float64(cores))
 	if m.prof.ComputeNoiseCV > 0 {
 		dur *= lognormalFactor(m.rng, m.prof.ComputeNoiseCV)
 	}
@@ -246,7 +246,7 @@ func (m *computeModel) Duration(t *workflow.Task, node *platform.Node, cores int
 // coefficient of variation and unit median, clamped to [0.5, 3] so a tail
 // draw cannot wreck a run.
 func lognormalFactor(rng *rand.Rand, cv float64) float64 {
-	sigma := math.Sqrt(math.Log(1 + cv*cv))
+	sigma := math.Sqrt(math.Log(1 + float64(cv*cv)))
 	f := math.Exp(sigma * rng.NormFloat64())
 	return math.Min(3, math.Max(0.5, f))
 }

@@ -81,3 +81,20 @@ func TestRenderGanttTinyTaskVisible(t *testing.T) {
 		}
 	}
 }
+
+func TestGanttSkipsEmptyPhases(t *testing.T) {
+	tr := New("w", "p", nil)
+	r := tr.Task("t")
+	r.StartedAt = 1
+	r.ReadDoneAt = 1 // no read phase
+	r.ComputeDone = 2
+	r.FinishedAt = 2 // no write phase
+	tr.Record(2, TaskEnd, "t", "")
+	var buf bytes.Buffer
+	if err := tr.RenderGantt(&buf, 40); err != nil {
+		t.Fatal(err)
+	}
+	if bar := strings.TrimSpace(buf.String()); !strings.Contains(bar, "#") || strings.ContainsAny(bar[1:], "rw") {
+		t.Errorf("bar = %q, want compute glyphs only", bar)
+	}
+}

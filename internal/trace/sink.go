@@ -20,7 +20,7 @@ type Sink interface {
 }
 
 // chunkEvents is the size of the retaining sink's storage chunks: 256
-// events, 14 KiB.
+// events, 12 KiB.
 const chunkEvents = 256
 
 // memory is the retaining sink of a trace built without one. It also holds
@@ -149,7 +149,7 @@ func (s *CSVSink) Emit(ev Event) {
 		}
 	}
 	s.scratch[0] = strconv.FormatFloat(ev.Time, 'g', -1, 64)
-	s.scratch[1] = string(ev.Kind)
+	s.scratch[1] = ev.Kind.String()
 	s.scratch[2] = ev.TaskID
 	s.scratch[3] = ev.Detail
 	s.err = s.w.Write(s.scratch[:])

@@ -13,196 +13,161 @@ import (
 	"bbwfsim/internal/units"
 )
 
-// EventKind labels a trace event.
-type EventKind string
+// EventKind labels a trace event. Kinds are small dense integers, so
+// Record counts them in a fixed array; String and MarshalText give the
+// names the JSON, JSONL and CSV outputs carry.
+type EventKind uint8
 
-// The event kinds emitted by the execution engine.
 const (
-	TaskReady    EventKind = "task-ready"
-	TaskStart    EventKind = "task-start"
-	ReadStart    EventKind = "read-start"
-	ReadEnd      EventKind = "read-end"
-	ComputeStart EventKind = "compute-start"
-	ComputeEnd   EventKind = "compute-end"
-	WriteStart   EventKind = "write-start"
-	WriteEnd     EventKind = "write-end"
-	StageStart   EventKind = "stage-start"
-	StageEnd     EventKind = "stage-end"
-	TaskEnd      EventKind = "task-end"
-)
+	// Task lifecycle event kinds, emitted by the execution engine.
+	TaskReady EventKind = iota
+	TaskStart
+	ReadStart
+	ReadEnd
+	ComputeStart
+	ComputeEnd
+	WriteStart
+	WriteEnd
+	StageStart
+	StageEnd
+	TaskEnd
 
-// Fault-injection and recovery event kinds (internal/faults, exec recovery
-// policies). Traces of fault-free runs never contain them.
-const (
+	// Fault-injection and recovery event kinds (internal/faults, exec
+	// recovery policies). Traces of fault-free runs never contain them.
+
 	// TaskFail records a task attempt aborted by a fault (task crash, node
 	// failure, or a lost input); the detail names the cause.
-	TaskFail EventKind = "task-fail"
+	TaskFail
 	// TaskRetry records a failed task re-entering the ready queue after its
 	// recovery backoff, or a finished task re-executing because a node
 	// failure destroyed the only replica of one of its outputs.
-	TaskRetry EventKind = "task-retry"
+	TaskRetry
 	// NodeFail and NodeRepair bracket a whole-node outage; the detail is
 	// the node name.
-	NodeFail   EventKind = "node-fail"
-	NodeRepair EventKind = "node-repair"
+	NodeFail
+	NodeRepair
 	// BBReject records a burst-buffer allocation rejection injected by the
 	// fault model.
-	BBReject EventKind = "bb-reject"
+	BBReject
 	// Fallback records a write gracefully redirected to the PFS after its
 	// burst-buffer target was rejected, full, or degraded away.
-	Fallback EventKind = "fallback"
+	Fallback
 	// DegradeStart and DegradeEnd bracket a transient bandwidth-degradation
 	// window on a storage service (BB degradation or PFS brown-out).
-	DegradeStart EventKind = "degrade-start"
-	DegradeEnd   EventKind = "degrade-end"
-)
+	DegradeStart
+	DegradeEnd
 
-// Task-level checkpoint/restart event kinds (internal/ckpt policy, exec
-// engine). Runs without a checkpoint policy never contain them.
-const (
+	// Task-level checkpoint/restart event kinds (internal/ckpt policy,
+	// exec engine). Runs without a checkpoint policy never contain them.
+
 	// CkptBegin records a task starting a checkpoint write; the detail is
 	// "file@service".
-	CkptBegin EventKind = "ckpt-begin"
+	CkptBegin
 	// CkptCommit records a completed checkpoint: the snapshot is readable
 	// from its target tier. The detail is "file@service p=<progress>",
 	// where progress is the compute seconds the snapshot captures.
-	CkptCommit EventKind = "ckpt-commit"
+	CkptCommit
 	// CkptDrain records an asynchronous BB→PFS drain copy completing; the
 	// checkpoint is durable against node loss from this instant. The detail
 	// is "file@service->pfs".
-	CkptDrain EventKind = "ckpt-drain"
+	CkptDrain
 	// CkptLost records a checkpoint replica destroyed by a fault (a node
 	// failure taking its burst buffer down); the detail is "file@service".
-	CkptLost EventKind = "ckpt-lost"
+	CkptLost
 	// RestartFrom records a retried task resuming from a surviving
 	// checkpoint instead of recomputing from scratch. The detail mirrors
 	// CkptCommit: "file@service p=<progress>", the compute seconds
 	// recovered.
-	RestartFrom EventKind = "restart-from"
-)
+	RestartFrom
 
-// Runtime-adaptation event kinds (internal/adapt policy, exec engine). Runs
-// without an adaptation policy never contain them.
-const (
+	// Runtime-adaptation event kinds (internal/adapt policy, exec
+	// engine). Runs without an adaptation policy never contain them.
+
 	// AdaptSpill records a replica spilled from a pressured burst buffer to
 	// the PFS (evicted outright when the PFS already held a copy, copied
 	// then evicted otherwise); the detail is "file@service".
-	AdaptSpill EventKind = "adapt-spill"
+	AdaptSpill
 	// AdaptReplicate records a sole-replica input of a still-pending task
 	// proactively copied to the PFS after a node failure or at the opening
 	// of a BB degradation window; the detail is "file@service->pfs".
-	AdaptReplicate EventKind = "adapt-replicate"
+	AdaptReplicate
 	// AdaptFallback records a stage-in or task write redirected from a
 	// degraded burst buffer to the PFS by the degradation-aware admission
 	// reaction; the detail is "file@service".
-	AdaptFallback EventKind = "adapt-fallback"
-)
+	AdaptFallback
 
-// Batch-scheduler event kinds (internal/sched). The TaskID field carries
-// the job ID; single-workflow runs never contain them.
-const (
+	// Batch-scheduler event kinds (internal/sched). The TaskID field
+	// carries the job ID; single-workflow runs never contain them.
+
 	// JobSubmit records a job arriving in the scheduler's queue; the
 	// detail is "nodes=<n> bb=<bytes> est=<estimated span>", the demands
 	// every downstream consistency check needs.
-	JobSubmit EventKind = "job-submit"
+	JobSubmit
 	// JobReject records a job whose demands exceed the whole cluster,
 	// refused at admission.
-	JobReject EventKind = "job-reject"
+	JobReject
 	// JobStart records a job acquiring its nodes and burst-buffer
 	// reservation and beginning stage-in; the detail repeats the held
 	// resources ("nodes=<n> bb=<bytes>").
-	JobStart EventKind = "job-start"
+	JobStart
 	// JobRun records stage-in completing and the compute phase starting.
-	JobRun EventKind = "job-run"
+	JobRun
 	// JobStageOut records the compute phase completing and stage-out
 	// starting.
-	JobStageOut EventKind = "job-stage-out"
+	JobStageOut
 	// JobEnd records stage-out completing: the job releases its nodes and
 	// burst-buffer reservation.
-	JobEnd EventKind = "job-end"
+	JobEnd
 	// JobFail records a running job killed by a node failure; it releases
 	// its resources at this instant. The detail names the failed node.
-	JobFail EventKind = "job-fail"
+	JobFail
+
+	numKinds // the number of declared kinds
 )
 
-// numKinds is the number of declared event kinds.
-const numKinds = 34
-
-// ordinal numbers the declared event kinds densely from 0, so per-kind
-// counts live in a fixed array instead of a map; -1 for any other value.
-func (k EventKind) ordinal() int {
-	switch k {
-	case TaskReady:
-		return 0
-	case TaskStart:
-		return 1
-	case ReadStart:
-		return 2
-	case ReadEnd:
-		return 3
-	case ComputeStart:
-		return 4
-	case ComputeEnd:
-		return 5
-	case WriteStart:
-		return 6
-	case WriteEnd:
-		return 7
-	case StageStart:
-		return 8
-	case StageEnd:
-		return 9
-	case TaskEnd:
-		return 10
-	case TaskFail:
-		return 11
-	case TaskRetry:
-		return 12
-	case NodeFail:
-		return 13
-	case NodeRepair:
-		return 14
-	case BBReject:
-		return 15
-	case Fallback:
-		return 16
-	case DegradeStart:
-		return 17
-	case DegradeEnd:
-		return 18
-	case CkptBegin:
-		return 19
-	case CkptCommit:
-		return 20
-	case CkptDrain:
-		return 21
-	case CkptLost:
-		return 22
-	case RestartFrom:
-		return 23
-	case AdaptSpill:
-		return 24
-	case AdaptReplicate:
-		return 25
-	case AdaptFallback:
-		return 26
-	case JobSubmit:
-		return 27
-	case JobReject:
-		return 28
-	case JobStart:
-		return 29
-	case JobRun:
-		return 30
-	case JobStageOut:
-		return 31
-	case JobEnd:
-		return 32
-	case JobFail:
-		return 33
-	}
-	return -1
+// kindNames are the kinds' names on output.
+var kindNames = [numKinds]string{
+	TaskReady:      "task-ready",
+	TaskStart:      "task-start",
+	ReadStart:      "read-start",
+	ReadEnd:        "read-end",
+	ComputeStart:   "compute-start",
+	ComputeEnd:     "compute-end",
+	WriteStart:     "write-start",
+	WriteEnd:       "write-end",
+	StageStart:     "stage-start",
+	StageEnd:       "stage-end",
+	TaskEnd:        "task-end",
+	TaskFail:       "task-fail",
+	TaskRetry:      "task-retry",
+	NodeFail:       "node-fail",
+	NodeRepair:     "node-repair",
+	BBReject:       "bb-reject",
+	Fallback:       "fallback",
+	DegradeStart:   "degrade-start",
+	DegradeEnd:     "degrade-end",
+	CkptBegin:      "ckpt-begin",
+	CkptCommit:     "ckpt-commit",
+	CkptDrain:      "ckpt-drain",
+	CkptLost:       "ckpt-lost",
+	RestartFrom:    "restart-from",
+	AdaptSpill:     "adapt-spill",
+	AdaptReplicate: "adapt-replicate",
+	AdaptFallback:  "adapt-fallback",
+	JobSubmit:      "job-submit",
+	JobReject:      "job-reject",
+	JobStart:       "job-start",
+	JobRun:         "job-run",
+	JobStageOut:    "job-stage-out",
+	JobEnd:         "job-end",
+	JobFail:        "job-fail",
 }
+
+// String returns the kind's name, e.g. "task-start".
+func (k EventKind) String() string { return kindNames[k] }
+
+// MarshalText encodes the kind as its name, so JSON carries "task-start".
+func (k EventKind) MarshalText() ([]byte, error) { return []byte(kindNames[k]), nil }
 
 // Event is one time-stamped occurrence.
 type Event struct {
@@ -262,7 +227,7 @@ type Trace struct {
 	mem      *memory
 	byTask   map[string]*TaskRecord
 	makespan float64
-	counts   [numKinds]int // per-kind event counts, by EventKind.ordinal
+	counts   [numKinds]int // per-kind event counts
 	// folded accumulates summary sums for task records released by a
 	// non-retaining trace; foldedOrder remembers first-fold order only so
 	// Summarize's output stays deterministic without sorting a map.
@@ -272,7 +237,7 @@ type Trace struct {
 
 // New returns an empty trace whose events go to sink. A nil sink retains:
 // every event and task record stays in memory, which Events, Records,
-// Gantt, MarshalJSON, Save and the invariants/replay harness require. Any
+// RenderGantt, MarshalJSON, Save and the invariants/replay harness require. Any
 // other sink (JSONLSink, CSVSink, Discard) receives each event as it is
 // recorded, and the trace folds each task record into per-name summaries
 // when the task is released, so memory is O(active tasks), not O(total
@@ -292,14 +257,9 @@ func New(workflowName, platformName string, sink Sink) *Trace {
 }
 
 // Record logs an event: the per-kind count and makespan advance, and the
-// event goes to the trace's sink. The kind must be one of the declared
-// EventKind constants.
+// event goes to the trace's sink.
 func (t *Trace) Record(time float64, kind EventKind, taskID, detail string) {
-	i := kind.ordinal()
-	if i < 0 {
-		panic(fmt.Sprintf("trace: undeclared event kind %q", kind))
-	}
-	t.counts[i]++
+	t.counts[kind]++
 	if time > t.makespan {
 		t.makespan = time
 	}
@@ -390,12 +350,7 @@ func (t *Trace) Makespan() float64 { return t.makespan }
 // basis of the fault/recovery counters in core.Result. The counts are
 // maintained incrementally by Record, so this is O(1) whatever the sink
 // (TestCountKindMatchesScan pins it against a full scan).
-func (t *Trace) CountKind(kind EventKind) int {
-	if i := kind.ordinal(); i >= 0 {
-		return t.counts[i]
-	}
-	return 0
-}
+func (t *Trace) CountKind(kind EventKind) int { return t.counts[kind] }
 
 // Summary aggregates task records by task name.
 type Summary struct {
@@ -453,41 +408,6 @@ func (t *Trace) liveRecords() []*TaskRecord {
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].TaskID < live[j].TaskID })
 	return live
-}
-
-// GanttRow is one bar of a Gantt chart.
-type GanttRow struct {
-	TaskID string  `json:"task"`
-	Name   string  `json:"name"`
-	Node   string  `json:"node"`
-	Start  float64 `json:"start"`
-	End    float64 `json:"end"`
-	Phase  string  `json:"phase"` // "read", "compute", "write"
-}
-
-// Gantt expands each task record into its read/compute/write bars, sorted
-// by start time then task ID.
-func (t *Trace) Gantt() []GanttRow {
-	var rows []GanttRow
-	for _, r := range t.Records() {
-		if r.ReadDoneAt > r.StartedAt {
-			rows = append(rows, GanttRow{r.TaskID, r.Name, r.Node, r.StartedAt, r.ReadDoneAt, "read"})
-		}
-		if r.ComputeDone > r.ReadDoneAt {
-			rows = append(rows, GanttRow{r.TaskID, r.Name, r.Node, r.ReadDoneAt, r.ComputeDone, "compute"})
-		}
-		if r.FinishedAt > r.ComputeDone {
-			rows = append(rows, GanttRow{r.TaskID, r.Name, r.Node, r.ComputeDone, r.FinishedAt, "write"})
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		//bbvet:allow float-compare -- sort tie-break: exact equality falls through to the TaskID tie-breaker for a deterministic order
-		if rows[i].Start != rows[j].Start {
-			return rows[i].Start < rows[j].Start
-		}
-		return rows[i].TaskID < rows[j].TaskID
-	})
-	return rows
 }
 
 // jsonTrace is the export schema.

@@ -117,12 +117,3 @@ func Load(path string) (*Workflow, error) {
 	}
 	return Parse(data)
 }
-
-// Save writes a workflow description file.
-func Save(path string, w *Workflow) error {
-	data, err := Marshal(w)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}

@@ -105,10 +105,6 @@ func (t *Task) Memory() units.Bytes { return t.memory }
 // Alpha returns the task's Amdahl non-parallelizable fraction.
 func (t *Task) Alpha() float64 { return t.alpha }
 
-// LambdaIO returns the observed fraction of execution time the task spends
-// in I/O (λ_io in the paper), an annotation consumed by calibration.
-func (t *Task) LambdaIO() float64 { return t.lambdaIO }
-
 // Index returns the task's insertion index.
 func (t *Task) Index() int { return t.index }
 
@@ -117,24 +113,6 @@ func (t *Task) Inputs() []*File { return t.inputs }
 
 // Outputs returns the files the task writes.
 func (t *Task) Outputs() []*File { return t.outputs }
-
-// InputBytes returns the total size of the task's inputs.
-func (t *Task) InputBytes() units.Bytes {
-	var total units.Bytes
-	for _, f := range t.inputs {
-		total += f.size
-	}
-	return total
-}
-
-// OutputBytes returns the total size of the task's outputs.
-func (t *Task) OutputBytes() units.Bytes {
-	var total units.Bytes
-	for _, f := range t.outputs {
-		total += f.size
-	}
-	return total
-}
 
 // Parents returns the distinct producers of the task's inputs, ordered by
 // task insertion index. The slice is the task's own edge list — callers

@@ -123,8 +123,8 @@ func Campaign(spec CampaignSpec) ([]Job, error) {
 	now := 0.0
 	logMax := math.Log(float64(s.MaxNodes))
 	for i := 0; i < s.Jobs; i++ {
-		now += -s.ArrivalMean * math.Log(1-rng.Float64())
-		runtime := -s.RuntimeMean * math.Log(1-rng.Float64())
+		now += float64(-s.ArrivalMean * math.Log(1-float64(rng.Float64())))
+		runtime := -s.RuntimeMean * math.Log(1-float64(rng.Float64()))
 		if runtime < 10 {
 			runtime = 10
 		}
@@ -135,9 +135,9 @@ func Campaign(spec CampaignSpec) ([]Job, error) {
 		if nodes > s.MaxNodes {
 			nodes = s.MaxNodes
 		}
-		factor := 1 + 2*rng.Float64()
+		factor := 1 + 2*float64(rng.Float64())
 		if rng.Intn(8) == 0 {
-			factor = 0.5 + 0.5*rng.Float64()
+			factor = 0.5 + float64(0.5*rng.Float64())
 		}
 		// Whole-MiB demands: exact float sums regardless of order.
 		span := int(2 * s.BBMean / units.MiB)

@@ -129,7 +129,7 @@ func Scale(spec ScaleSpec) (*workflow.Workflow, error) {
 // work returns the next jittered task work: mean ±20%, deterministic in
 // generation order.
 func (g *scaleGen) work(spec ScaleSpec) units.Flops {
-	return units.Flops(float64(spec.Work) * (0.8 + 0.4*g.rng.Float64()))
+	return units.Flops(float64(spec.Work) * (0.8 + float64(0.4*g.rng.Float64())))
 }
 
 // task adds one task consuming in and producing out.

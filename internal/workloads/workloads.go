@@ -34,9 +34,6 @@ var (
 	FewLarge  = FileRegime{Count: 1, Size: 256 * units.MiB}
 )
 
-// Bytes returns the regime's per-edge volume.
-func (r FileRegime) Bytes() units.Bytes { return units.Bytes(r.Count) * r.Size }
-
 // Params configures task properties shared by all patterns.
 type Params struct {
 	// Work is each task's sequential compute work (default 60 s at Cori

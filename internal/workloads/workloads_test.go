@@ -101,8 +101,9 @@ func TestBroadcastSharesOneEdge(t *testing.T) {
 }
 
 func TestRegimesCarrySameBytes(t *testing.T) {
-	if ManySmall.Bytes() != FewLarge.Bytes() {
-		t.Errorf("regimes differ in volume: %v vs %v", ManySmall.Bytes(), FewLarge.Bytes())
+	volume := func(r FileRegime) units.Bytes { return units.Bytes(r.Count) * r.Size }
+	if volume(ManySmall) != volume(FewLarge) {
+		t.Errorf("regimes differ in volume: %v vs %v", volume(ManySmall), volume(FewLarge))
 	}
 	small, err := Chain(3, Params{Regime: ManySmall})
 	if err != nil {
