@@ -157,6 +157,7 @@ func Rules() []Rule {
 		unstableSortRule(),
 		globalMutableStateRule(),
 		unreachedRule(),
+		implicitFMARule(),
 		staleDirectiveRule(),
 	}
 }

@@ -131,7 +131,8 @@ func TestRuleNamesStable(t *testing.T) {
 		"no-walltime", "seeded-rand-only", "ordered-map-iteration",
 		"no-goroutines-in-kernel", "runner-isolation", "float-compare", "unchecked-error",
 		"metrics-virtual-time",
-		"determinism-taint", "unstable-sort", "global-mutable-state", "unreached", "stale-directive",
+		"determinism-taint", "unstable-sort", "global-mutable-state", "unreached", "implicit-fma",
+		"stale-directive",
 	}
 	got := RuleNames()
 	if len(got) != len(want) {

@@ -20,5 +20,6 @@ func compare(a, b float64, xs []float32) (int, bool) {
 	}
 	//bbvet:allow float-compare -- fixture: a justified exact comparison is honored
 	exact := a == b
+	_ = a*b + 1                 // outside the deterministic packages implicit-fma does not apply
 	return hits, a < b || exact // ordering comparisons are fine
 }

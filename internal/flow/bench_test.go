@@ -123,3 +123,34 @@ func byteCount(k int) string {
 		return "flows=256"
 	}
 }
+
+// TestClassChurnZeroAllocs asserts that class bookkeeping allocates
+// nothing once warmed: each cycle, the flows of one class finish and
+// restart on the same path slice, so the class empties and refills, and a
+// flow starts on a path that repeats a resource, which its class
+// deduplicates into storage the class slot keeps.
+func TestClassChurnZeroAllocs(t *testing.T) {
+	e := sim.NewEngine()
+	n := NewNetwork(e)
+	link := n.NewResource("link", 1000)
+	disk := n.NewResource("disk", 800)
+	shared := []*Resource{link, disk}
+	looped := []*Resource{link, disk, link}
+	n.StartFlow(1e15, []*Resource{disk}, Options{}, nil, 0) // outlives every cycle
+	cycle := func() {
+		for j := 0; j < 4; j++ {
+			n.StartFlow(float64(100+j), shared, Options{}, nil, 0)
+		}
+		n.StartFlow(50, looped, Options{RateCap: 100}, nil, 0)
+		e.RunUntil(e.Now() + 10)
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a class churn cycle allocated %.1f times; want 0", allocs)
+	}
+	if n.ActiveFlows() != 1 || len(n.inUse) != 1 {
+		t.Fatalf("%d active flows in %d classes after the cycles; want the one long flow", n.ActiveFlows(), len(n.inUse))
+	}
+}

@@ -18,10 +18,14 @@
 // arms the next-completion event under the slot's sequence number — so
 // events fire exactly as if every change had re-solved on the spot.
 // Between instants every flow progresses linearly, so the simulation cost
-// is independent of transfer sizes: per solve, progressive filling visits
-// only the resources actually crossed by an active flow (idle resources
-// cost nothing) and computes the next completion as a side product — no
-// separate scan of the active set. Flows live in a slab on the Network,
+// is independent of transfer sizes. Flows that share one path slice and
+// one rate cap are symmetric under max-min fairness, so the solver works
+// on these classes rather than on flows: a flow joins its class when it
+// activates and leaves it when it ends, each resource counts the active
+// flows crossing it as they join and leave, and progressive filling runs
+// its rounds over the live classes and the resources they cross (idle
+// resources cost nothing). The next completion falls out of the solve as a
+// side product. Flows and classes live in slabs on the Network, flows
 // reached through generation-counted Handles, and all scratch is pooled
 // there too, so the steady state allocates nothing.
 package flow
@@ -38,24 +42,49 @@ import (
 type Resource struct {
 	name     string
 	capacity float64 // units per second (> 0)
+	net      *Network
 
-	processed float64 // total units pushed through, for accounting/tests
+	processed float64 // units carried by flows that have ended
 
-	// scratch state used during recompute; owned by the Network. gen marks
-	// the recompute that last initialized it, so idle resources cost
-	// nothing: a resource crossed by no active flow is never visited.
-	avail float64
+	// Kept up to date as flows join and leave: the active flows crossing
+	// the resource, and its position in Network.touched while there are
+	// any.
 	count int
-	gen   uint64
+	at    int
+
+	// Solve scratch, owned by recompute: the capacity left and the flows
+	// not yet frozen this round, their equal share, and how many frozen
+	// flows the resource carries at which rate (mixed once two frozen
+	// flows differ in rate). dirty marks a resource whose frozen set grew
+	// in the current round.
+	avail      float64
+	unfrozen   int
+	share      float64
+	nFrozen    int
+	frozenRate float64
+	mixed      bool
+	dirty      bool
 }
 
 // Capacity returns the resource's capacity in units per second.
 func (r *Resource) Capacity() float64 { return r.capacity }
 
-// Processed returns the total number of units this resource has carried.
+// Processed returns the total number of units this resource has carried:
+// every ended flow's settled amount, plus the progress of the flows still
+// crossing it as of the last settle.
 //
 //bbvet:allow unreached -- observation hook the flow oracle and handle tests read
-func (r *Resource) Processed() float64 { return r.processed }
+func (r *Resource) Processed() float64 {
+	n := r.net
+	p := r.processed
+	for _, slot := range n.active {
+		f := &n.flows[slot]
+		if crosses(n.classes[f.class].path, r) {
+			p += f.amount - f.remaining
+		}
+	}
+	return p
+}
 
 // Handle identifies one flow of a Network. Flows live in the network's
 // slab and their slots are reused once a flow completes or is cancelled,
@@ -85,17 +114,32 @@ type Completer interface {
 // flowSlot is one slab entry: a flow while its generation matches the
 // issued handle, free (on Network.free) otherwise.
 type flowSlot struct {
-	path      []*Resource
+	path      []*Resource // as given to StartFlow; its class holds the set
 	done      Completer
 	tag       uint64
 	remaining float64
 	amount    float64
-	rateCap   float64 // +Inf when uncapped
-	rate      float64
+	rateCap   float64    // +Inf when uncapped
 	latEv     sim.Handle // pending latency activation
+	class     int32      // the class the flow belongs to while active
 	gen       uint32
 	active    bool
-	frozen    bool // scratch for progressive filling
+}
+
+// class is one slab entry of flows that share a path slice and a rate cap.
+// Max-min fairness treats such flows alike, so they freeze in the same
+// round at the same rate and the solver handles them as one.
+type class struct {
+	key     *(*Resource) // &path[0] of the flows' path slice, nil when empty
+	keyLen  int
+	rateCap float64
+	path    []*Resource // the flows' path, deduplicated into buf if it repeats
+	buf     []*Resource // the slot's own storage for deduplicated paths
+	n       int         // active flows in the class
+	at      int         // position in Network.inUse
+	rate    float64
+	minRem  float64 // solve scratch: the least remaining amount of a member
+	frozen  bool    // solve scratch
 }
 
 // Options tunes a flow started with StartFlow.
@@ -110,8 +154,7 @@ type Options struct {
 
 // Network owns a set of resources and the active flows crossing them.
 type Network struct {
-	eng       *sim.Engine
-	resources []*Resource
+	eng *sim.Engine
 	// flows is the slab every flow lives in; free holds the slots of ended
 	// flows for reuse, so the steady state allocates no flow at all.
 	flows []flowSlot
@@ -119,15 +162,21 @@ type Network struct {
 	// active lists the slots of the flows holding resources, in activation
 	// order. Compacting int32 slot indices pays no GC write barrier, unlike
 	// a slice of pointers.
-	active  []int32
+	active []int32
+	// classes is the class slab; inUse lists the slots of the classes with
+	// active flows, and freeClasses the others for reuse.
+	classes     []class
+	inUse       []int32
+	freeClasses []int32
+	// touched lists the resources crossed by at least one active flow,
+	// kept up to date as flows join and leave.
+	touched []*Resource
 	settled float64    // virtual time of the last settle
 	changed float64    // virtual time of the last change, -Inf before any
 	nextEv  sim.Handle // the deferred solve, or else the next completion
 
 	// Hot-path scratch, reused across recomputes so the steady state
 	// allocates nothing (asserted by TestRecomputeZeroAllocs):
-	gen          uint64           // recompute generation, stamps Resource.gen
-	touched      []*Resource      // resources crossed by ≥1 active flow
 	finished     []Handle         // completion batch, collected per event
 	minDt        float64          // next completion delay, folded into recompute
 	completionFn func()           // bound n.onCompletion, hoisted once
@@ -173,9 +222,7 @@ func (n *Network) NewResource(name string, capacity float64) *Resource {
 	if capacity <= 0 || math.IsNaN(capacity) || math.IsInf(capacity, 0) {
 		panic(fmt.Sprintf("flow: resource %q capacity must be positive and finite, got %g", name, capacity))
 	}
-	r := &Resource{name: name, capacity: capacity}
-	n.resources = append(n.resources, r)
-	return r
+	return &Resource{name: name, capacity: capacity, net: n}
 }
 
 // ActiveFlows returns the number of currently active flows.
@@ -218,27 +265,18 @@ func (n *Network) StartFlow(amount float64, path []*Resource, opts Options, done
 	if cap <= 0 {
 		cap = math.Inf(1)
 	}
-	// The path is a set: a flow consumes a resource's share once no matter
-	// how often the resource appears in the route description. Paths are
-	// almost always duplicate-free already (storage services hand out cached
-	// immutable paths), so the common case aliases the caller's slice rather
-	// than copying it; callers must not mutate a path while its flow is
-	// active. Only a path with repeats (e.g. a copy looping through the same
-	// link) pays for a deduplicated copy.
-	dedup := path
-	if hasDuplicate(path) {
-		dedup = dedupPath(path)
-	}
+	// The flow aliases the caller's path rather than copying it (storage
+	// services hand out cached immutable paths), so callers must not mutate
+	// a path while its flow is pending or active.
 	n.stats.FlowsStarted++
 	h := n.alloc()
 	f := &n.flows[h.slot]
-	f.path = dedup
+	f.path = path
 	f.done = done
 	f.tag = tag
 	f.remaining = amount
 	f.amount = amount
 	f.rateCap = cap
-	f.rate = 0
 	if opts.Latency > 0 {
 		f.latEv = n.eng.AfterTag(opts.Latency, n.activateFn, h.tag())
 	} else {
@@ -287,8 +325,8 @@ func (n *Network) live(h Handle) *flowSlot {
 //bbvet:allow unreached -- observation hook the flow oracle and handle tests read
 func (n *Network) Rate(h Handle) float64 {
 	n.eng.Resolve(n.nextEv)
-	if f := n.live(h); f != nil {
-		return f.rate
+	if f := n.live(h); f != nil && f.active {
+		return n.classes[f.class].rate
 	}
 	return 0
 }
@@ -297,32 +335,33 @@ func (n *Network) Rate(h Handle) float64 {
 // 1-6 resources long, so the quadratic scan beats any map or sort.
 func hasDuplicate(path []*Resource) bool {
 	for i, r := range path {
-		for _, d := range path[:i] {
-			if d == r {
-				return true
-			}
+		if crosses(path[:i], r) {
+			return true
 		}
 	}
 	return false
 }
 
-// dedupPath returns a copy of path with repeats removed, preserving first
+// dedupInto appends path to dst[:0] with repeats removed, preserving first
 // occurrence order.
-func dedupPath(path []*Resource) []*Resource {
-	dedup := make([]*Resource, 0, len(path))
+func dedupInto(dst, path []*Resource) []*Resource {
+	dst = dst[:0]
 	for _, r := range path {
-		seen := false
-		for _, d := range dedup {
-			if d == r {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			dedup = append(dedup, r)
+		if !crosses(dst, r) {
+			dst = append(dst, r)
 		}
 	}
-	return dedup
+	return dst
+}
+
+// crosses reports whether path mentions r.
+func crosses(path []*Resource, r *Resource) bool {
+	for _, p := range path {
+		if p == r {
+			return true
+		}
+	}
+	return false
 }
 
 // activateTag ends a flow's latency. Cancel removes a pending latency
@@ -340,10 +379,7 @@ func (n *Network) activate(slot int32) {
 		// callbacks still run from the event loop, never synchronously from
 		// StartFlow (callers rely on that for ordering). A Cancel before the
 		// event fires releases the slot, and the stale tag makes the event
-		// a no-op.
-		for _, r := range f.path {
-			r.processed += f.remaining
-		}
+		// a no-op. The flow carries nothing, so no resource is charged.
 		f.remaining = 0
 		n.eng.AfterTag(0, n.instantFn, Handle{slot: slot, gen: f.gen}.tag())
 		return
@@ -351,7 +387,93 @@ func (n *Network) activate(slot int32) {
 	n.settle()
 	f.active = true
 	n.active = append(n.active, slot)
+	n.join(slot)
 	n.invalidate()
+}
+
+// join adds the flow in slot to its class, making one if the flow is the
+// class's only active member, and counts it on every resource it crosses.
+func (n *Network) join(slot int32) {
+	f := &n.flows[slot]
+	ci := n.classOf(f.path, f.rateCap)
+	f.class = ci
+	c := &n.classes[ci]
+	c.n++
+	for _, r := range c.path {
+		if r.count == 0 {
+			r.at = len(n.touched)
+			n.touched = append(n.touched, r)
+		}
+		r.count++
+	}
+}
+
+// classOf returns the live class of the flows on path with rateCap, or a
+// fresh one. A path is identified by its slice (first element and length),
+// not by its contents: storage hands every flow between a node and a
+// service the same cached slice, and two classes with equal contents are
+// merely solved apart. Live classes number about as many as the distinct
+// (path, cap) pairs in flight, so a linear scan beats hashing.
+func (n *Network) classOf(path []*Resource, rateCap float64) int32 {
+	var key *(*Resource)
+	if len(path) > 0 {
+		key = &path[0]
+	}
+	bits := math.Float64bits(rateCap)
+	for _, ci := range n.inUse {
+		if c := &n.classes[ci]; c.key == key && c.keyLen == len(path) && math.Float64bits(c.rateCap) == bits {
+			return ci
+		}
+	}
+	var ci int32
+	if k := len(n.freeClasses); k > 0 {
+		ci = n.freeClasses[k-1]
+		n.freeClasses = n.freeClasses[:k-1]
+	} else {
+		ci = int32(len(n.classes))
+		n.classes = append(n.classes, class{})
+	}
+	c := &n.classes[ci]
+	c.key, c.keyLen, c.rateCap = key, len(path), rateCap
+	// The path is a set: a flow consumes a resource's share once no matter
+	// how often the resource appears in the route description. Only a path
+	// with repeats (a copy looping through the same link) is deduplicated,
+	// into storage the class slot keeps for reuse.
+	c.path = path
+	if hasDuplicate(path) {
+		c.buf = dedupInto(c.buf, path)
+		c.path = c.buf
+	}
+	c.at = len(n.inUse)
+	n.inUse = append(n.inUse, ci)
+	return ci
+}
+
+// leave ends the active part of the flow in slot: it charges the flow's
+// settled amount to the resources it crossed, uncounts it there, and
+// frees its class once empty.
+func (n *Network) leave(slot int32) {
+	f := &n.flows[slot]
+	f.active = false
+	c := &n.classes[f.class]
+	moved := f.amount - f.remaining
+	for _, r := range c.path {
+		r.processed += moved
+		if r.count--; r.count == 0 {
+			last := n.touched[len(n.touched)-1]
+			last.at = r.at
+			n.touched[r.at] = last
+			n.touched = n.touched[:len(n.touched)-1]
+		}
+	}
+	if c.n--; c.n == 0 {
+		last := n.inUse[len(n.inUse)-1]
+		n.classes[last].at = c.at
+		n.inUse[c.at] = last
+		n.inUse = n.inUse[:len(n.inUse)-1]
+		c.key, c.path = nil, nil
+		n.freeClasses = append(n.freeClasses, f.class)
+	}
 }
 
 // Cancel aborts an in-progress flow without running its completer. A stale
@@ -385,14 +507,13 @@ func (n *Network) remove(slot int32) {
 			break
 		}
 	}
-	f := &n.flows[slot]
-	f.active = false
-	f.rate = 0
+	n.leave(slot)
 }
 
-// settle advances every active flow to the current time at its last
-// computed rate. Rates are solved before the clock leaves an instant, so
-// whenever dt > 0 they are the ones the previous instant settled on.
+// settle advances every active flow to the current time at its class's
+// last computed rate. Rates are solved before the clock leaves an instant,
+// so whenever dt > 0 they are the ones the previous instant settled on.
+// Resources are charged once per flow, when it ends (leave).
 func (n *Network) settle() {
 	now := n.eng.Now()
 	dt := now - n.settled
@@ -400,81 +521,73 @@ func (n *Network) settle() {
 	if dt <= 0 {
 		return
 	}
+	classes := n.classes
 	for _, slot := range n.active {
 		f := &n.flows[slot]
-		moved := f.rate * dt
+		moved := classes[f.class].rate * dt
 		if moved > f.remaining {
 			moved = f.remaining
 		}
 		f.remaining -= moved
-		for _, r := range f.path {
-			r.processed += moved
-		}
 	}
 }
 
 // recompute assigns max-min fair rates to all active flows by progressive
-// filling over the touched-resource set: repeatedly find the tightest
-// constraint (a resource's equal share or a flow's cap), freeze the flows
-// it binds, and subtract their usage.
+// filling over the live classes and the touched resources: repeatedly find
+// the tightest constraint (a resource's equal share or a class's cap),
+// freeze the classes it binds, and subtract their usage.
 //
-// Only resources actually crossed by an active flow participate at all —
-// the generation stamp identifies them in one pass over the active paths,
-// so idle resources cost nothing — and each flow's projected completion
-// delay is folded into minDt the moment its rate freezes, so resolve needs
-// no scan of its own. The inner rounds deliberately iterate n.active with a
-// frozen-flag check rather than maintaining compacted worklists: the flag
-// test is branch-cheap and the slab keeps the flows contiguous. Every
-// floating-point operation happens on the same values in the same order as
-// the original full-network recompute, keeping results bit-identical; see
-// DESIGN.md "Campaign parallelism & the flow hot path".
+// The result is bit-identical to progressive filling over single flows in
+// activation order (refSolve in the tests), for three reasons; see
+// DESIGN.md "Class-aggregated solve". Division by a positive rate is
+// monotone, so a class's least remaining amount over its rate is the least
+// completion delay of its members. A resource whose frozen flows all run
+// at one rate has that rate subtracted from its capacity once per flow,
+// and the order of equal subtractions does not matter. A resource carrying
+// frozen flows of different rates, which only multi-round solves produce,
+// rebuilds its capacity left by walking the active flows in activation
+// order (rebuildMixed).
 func (n *Network) recompute() {
 	n.stats.Recomputes++
 	n.minDt = math.Inf(1)
 	if len(n.active) == 0 {
 		return
 	}
-	// Stamp the touched-resource set. Scratch is reused across recomputes,
-	// so the steady state allocates nothing; the set never outgrows the
-	// registered resources, so one allocation sized to them replaces the
-	// doublings of growing it.
-	n.gen++
-	if cap(n.touched) < len(n.resources) {
-		n.touched = make([]*Resource, 0, len(n.resources))
+	classes := n.classes
+	for _, ci := range n.inUse {
+		c := &classes[ci]
+		c.frozen = false
+		c.minRem = math.Inf(1)
 	}
-	touched := n.touched[:0]
-	flows := n.flows
-	unfrozen := 0
 	for _, slot := range n.active {
-		f := &flows[slot]
-		f.frozen = false
-		f.rate = 0
-		for _, r := range f.path {
-			if r.gen != n.gen {
-				r.gen = n.gen
-				r.avail = r.capacity
-				r.count = 0
-				touched = append(touched, r)
-			}
-			r.count++
+		f := &n.flows[slot]
+		if c := &classes[f.class]; f.remaining < c.minRem {
+			c.minRem = f.remaining
 		}
-		unfrozen++
 	}
-	n.touched = touched
-	for unfrozen > 0 {
+	touched := n.touched
+	for _, r := range touched {
+		r.avail = r.capacity
+		r.unfrozen = r.count
+		r.nFrozen = 0
+		r.mixed = false
+	}
+	for unfrozen := len(n.inUse); unfrozen > 0; {
 		n.stats.FreezeRounds++
-		// Tightest constraint this round.
+		// Tightest constraint this round. avail and unfrozen stay put
+		// within a round, so each resource's share is divided out once.
 		m := math.Inf(1)
 		for _, r := range touched {
-			if r.count > 0 {
-				if share := r.avail / float64(r.count); share < m {
-					m = share
+			if r.unfrozen > 0 {
+				r.share = r.avail / float64(r.unfrozen)
+				if r.share < m {
+					m = r.share
 				}
 			}
 		}
-		for _, slot := range n.active {
-			if f := &flows[slot]; !f.frozen && f.rateCap < m {
-				m = f.rateCap
+		for _, ci := range n.inUse {
+			if c := &classes[ci]; !c.frozen && c.rateCap < m {
+				m = c.rateCap
 			}
 		}
 		if math.IsInf(m, 1) {
@@ -482,64 +595,106 @@ func (n *Network) recompute() {
 			// handled as instantaneous in activate, so this cannot happen.
 			panic("flow: unconstrained flow in recompute")
 		}
-		// Freeze every flow bound by this constraint: flows whose cap equals
-		// the minimum, and flows crossing a resource whose share equals it.
+		// Freeze every class bound by this constraint: classes whose cap
+		// equals the minimum, and classes crossing a resource whose share
+		// equals it.
 		const tol = 1 + 1e-12
+		bound := m * tol
 		froze := 0
-		for _, slot := range n.active {
-			f := &flows[slot]
-			if f.frozen {
+		for _, ci := range n.inUse {
+			c := &classes[ci]
+			if c.frozen {
 				continue
 			}
-			bind := f.rateCap <= m*tol
+			bind := c.rateCap <= bound
 			if !bind {
-				for _, r := range f.path {
-					if r.avail/float64(r.count) <= m*tol {
+				for _, r := range c.path {
+					if r.share <= bound {
 						bind = true
 						break
 					}
 				}
 			}
-			if bind {
-				f.frozen = true
-				f.rate = math.Min(m, f.rateCap)
-				froze++
-				if f.rate > 0 {
-					if dt := f.remaining / f.rate; dt < n.minDt {
-						n.minDt = dt
-					}
+			if !bind {
+				continue
+			}
+			c.frozen = true
+			c.rate = math.Min(m, c.rateCap)
+			froze++
+			if c.rate > 0 {
+				if dt := c.minRem / c.rate; dt < n.minDt {
+					n.minDt = dt
 				}
+			}
+			bits := math.Float64bits(c.rate)
+			for _, r := range c.path {
+				if r.nFrozen == 0 {
+					r.frozenRate = c.rate
+				} else if math.Float64bits(r.frozenRate) != bits {
+					r.mixed = true
+				}
+				r.nFrozen += c.n
+				r.unfrozen -= c.n
+				r.dirty = true
 			}
 		}
 		if froze == 0 {
 			panic("flow: progressive filling made no progress")
 		}
-		// Subtract frozen usage; rebuild avail/count on the touched
-		// resources for the next round.
+		unfrozen -= froze
+		// Subtract the frozen usage from the resources whose frozen set
+		// grew; the others keep last round's capacity left.
+		mixed := false
 		for _, r := range touched {
-			r.avail = r.capacity
-			r.count = 0
-		}
-		unfrozen = 0
-		for _, slot := range n.active {
-			f := &flows[slot]
-			if f.frozen {
-				for _, r := range f.path {
-					r.avail -= f.rate
-				}
-			} else {
-				for _, r := range f.path {
-					r.count++
-				}
-				unfrozen++
+			if !r.dirty {
+				continue
 			}
+			if r.mixed {
+				mixed = true
+				continue
+			}
+			avail, rate := r.capacity, r.frozenRate
+			for i := 0; i < r.nFrozen; i++ {
+				avail -= rate
+			}
+			r.avail = avail
+		}
+		if mixed {
+			n.rebuildMixed()
 		}
 		for _, r := range touched {
+			if !r.dirty {
+				continue
+			}
+			r.dirty = false
 			if r.avail < 0 {
 				if r.avail < -1e-6*r.capacity {
 					panic(fmt.Sprintf("flow: resource %q over-allocated by %g", r.name, -r.avail))
 				}
 				r.avail = 0
+			}
+		}
+	}
+}
+
+// rebuildMixed recomputes the capacity left on the dirty resources whose
+// frozen flows differ in rate, subtracting each frozen flow's rate in
+// activation order: the order progressive filling over single flows
+// subtracts in, which unequal rates make significant.
+func (n *Network) rebuildMixed() {
+	for _, r := range n.touched {
+		if r.dirty && r.mixed {
+			r.avail = r.capacity
+		}
+	}
+	for _, slot := range n.active {
+		c := &n.classes[n.flows[slot].class]
+		if !c.frozen {
+			continue
+		}
+		for _, r := range c.path {
+			if r.dirty && r.mixed {
+				r.avail -= c.rate
 			}
 		}
 	}
@@ -594,8 +749,7 @@ func (n *Network) onCompletion() {
 		f := &n.flows[slot]
 		if f.remaining <= completionTolerance(f.amount) {
 			finished = append(finished, Handle{slot: slot, gen: f.gen})
-			f.active = false
-			f.rate = 0
+			n.leave(slot)
 			continue
 		}
 		if kept != i {
@@ -646,12 +800,8 @@ func (n *Network) Utilization(r *Resource) float64 {
 	n.eng.Resolve(n.nextEv)
 	used := 0.0
 	for _, slot := range n.active {
-		f := &n.flows[slot]
-		for _, p := range f.path {
-			if p == r {
-				used += f.rate
-				break
-			}
+		if c := &n.classes[n.flows[slot].class]; crosses(c.path, r) {
+			used += c.rate
 		}
 	}
 	return used / r.capacity

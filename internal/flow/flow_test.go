@@ -199,6 +199,63 @@ func TestProcessedAccounting(t *testing.T) {
 	}
 }
 
+// TestProcessedCancelledFlow: a flow cancelled mid-transfer charges
+// exactly the amount it settled: here 50 u/s for 5 s beside a survivor
+// that then runs alone.
+func TestProcessedCancelledFlow(t *testing.T) {
+	e := sim.NewEngine()
+	n := NewNetwork(e)
+	r := n.NewResource("link", 100)
+	cancelled := n.StartFlow(10000, []*Resource{r}, Options{}, nil, 0)
+	n.StartFlow(1000, []*Resource{r}, Options{}, nil, 0)
+	e.At(5, func() {
+		n.Cancel(cancelled)
+		if got := r.Processed(); got != 500 {
+			t.Errorf("Processed() after the cancel = %v, want 500", got)
+		}
+	})
+	e.Run()
+	if got := r.Processed(); got != 1250 {
+		t.Errorf("Processed() = %v, want 250 from the cancelled flow and 1000 from the survivor", got)
+	}
+}
+
+// TestProcessedInstantFlows: a zero-size flow, and an instantaneous flow
+// cancelled before its completion event, charge nothing.
+func TestProcessedInstantFlows(t *testing.T) {
+	e := sim.NewEngine()
+	n := NewNetwork(e)
+	r := n.NewResource("link", 100)
+	n.StartFlow(0, []*Resource{r}, Options{}, nil, 0)
+	h := n.StartFlow(0, []*Resource{r}, Options{}, Func(func() {
+		t.Error("cancelled instantaneous flow's callback ran")
+	}), 0)
+	n.Cancel(h)
+	e.Run()
+	if got := r.Processed(); math.Float64bits(got) != 0 {
+		t.Errorf("Processed() = %v, want +0", got)
+	}
+}
+
+// TestProcessedMidRun: Processed includes the progress of flows still in
+// flight. When the 300-unit flow finishes at t=6, the 700-unit one has
+// moved 300 as well.
+func TestProcessedMidRun(t *testing.T) {
+	e := sim.NewEngine()
+	n := NewNetwork(e)
+	r := n.NewResource("link", 100)
+	n.StartFlow(300, []*Resource{r}, Options{}, Func(func() {
+		if got := r.Processed(); got != 600 {
+			t.Errorf("Processed() at t=%v = %v, want 600", e.Now(), got)
+		}
+	}), 0)
+	n.StartFlow(700, []*Resource{r}, Options{}, nil, 0)
+	e.Run()
+	if got := r.Processed(); got != 1000 {
+		t.Errorf("Processed() = %v, want 1000", got)
+	}
+}
+
 func TestNewResourceValidation(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)

@@ -20,12 +20,12 @@ func checkMaxMin(n *Network) error {
 	const tol = 1e-9
 	load := make(map[*Resource]float64)
 	for i, slot := range n.active {
-		f := &n.flows[slot]
-		if !(f.rate > 0) || f.rate > f.rateCap*(1+tol) {
-			return fmt.Errorf("flow %d: rate %g outside (0, cap %g]", i, f.rate, f.rateCap)
+		f, rate := &n.flows[slot], rateOf(n, slot)
+		if !(rate > 0) || rate > f.rateCap*(1+tol) {
+			return fmt.Errorf("flow %d: rate %g outside (0, cap %g]", i, rate, f.rateCap)
 		}
-		for _, r := range f.path {
-			load[r] += f.rate
+		for _, r := range pathOf(n, slot) {
+			load[r] += rate
 		}
 	}
 	for r, l := range load {
@@ -34,27 +34,33 @@ func checkMaxMin(n *Network) error {
 		}
 	}
 	for i, slot := range n.active {
-		f := &n.flows[slot]
-		if f.rate >= f.rateCap*(1-tol) {
+		f, rate := &n.flows[slot], rateOf(n, slot)
+		if rate >= f.rateCap*(1-tol) {
 			continue // its cap binds
 		}
-		if !hasBottleneck(n, f, load, tol) {
-			return fmt.Errorf("flow %d: rate %g below cap %g, but no saturated resource on its path gives it the highest rate", i, f.rate, f.rateCap)
+		if !hasBottleneck(n, slot, load, tol) {
+			return fmt.Errorf("flow %d: rate %g below cap %g, but no saturated resource on its path gives it the highest rate", i, rate, f.rateCap)
 		}
 	}
 	return nil
 }
 
-// hasBottleneck reports whether f crosses a saturated resource on which
-// its rate is maximal.
-func hasBottleneck(n *Network, f *flowSlot, load map[*Resource]float64, tol float64) bool {
-	for _, r := range f.path {
+// rateOf and pathOf read an active flow's rate and deduplicated path off
+// its class.
+func rateOf(n *Network, slot int32) float64     { return n.classes[n.flows[slot].class].rate }
+func pathOf(n *Network, slot int32) []*Resource { return n.classes[n.flows[slot].class].path }
+
+// hasBottleneck reports whether the flow in slot crosses a saturated
+// resource on which its rate is maximal.
+func hasBottleneck(n *Network, slot int32, load map[*Resource]float64, tol float64) bool {
+	rate := rateOf(n, slot)
+	for _, r := range pathOf(n, slot) {
 		if load[r] < r.capacity*(1-tol) {
 			continue
 		}
 		maximal := true
-		for _, slot := range n.active {
-			if g := &n.flows[slot]; g.rate > f.rate*(1+tol) && crosses(g, r) {
+		for _, other := range n.active {
+			if rateOf(n, other) > rate*(1+tol) && crosses(pathOf(n, other), r) {
 				maximal = false
 				break
 			}
@@ -66,32 +72,31 @@ func hasBottleneck(n *Network, f *flowSlot, load map[*Resource]float64, tol floa
 	return false
 }
 
-func crosses(f *flowSlot, r *Resource) bool {
-	for _, p := range f.path {
-		if p == r {
-			return true
-		}
-	}
-	return false
-}
-
-// checkEveryResolve makes n run checkMaxMin after each solve. It must be
-// called before the first change, since a slot keeps the resolve function
-// it was placed with.
-func checkEveryResolve(t testing.TB, n *Network) {
+// checkEveryResolve makes n check each solve against the per-flow
+// reference solver, bit for bit, and against the max–min certificate. It
+// must be called before the first change, since a slot keeps the resolve
+// function it was placed with. The returned counters tally the solves
+// checked.
+func checkEveryResolve(t testing.TB, n *Network) *refCoverage {
+	cov := &refCoverage{}
 	n.resolveFn = func(seq uint64) {
+		rounds := n.stats.FreezeRounds
 		n.resolve(seq)
+		if err := checkReference(n, n.stats.FreezeRounds-rounds, cov); err != nil {
+			t.Fatalf("t=%g: %v", n.eng.Now(), err)
+		}
 		if err := checkMaxMin(n); err != nil {
 			t.Fatalf("t=%g: %v", n.eng.Now(), err)
 		}
 	}
+	return cov
 }
 
 // FuzzRecompute decodes a random topology — resources, flows over random
 // subsets of them with optional caps, latencies and zero sizes, and
 // capacity changes and cancellations at a few shared instants — runs it to
-// completion, and checks the max–min certificate after every solve and
-// that every flow ends.
+// completion, and checks every solve against the per-flow reference and
+// the max–min certificate, and that every flow ends.
 func FuzzRecompute(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 48; i++ {
@@ -116,12 +121,23 @@ func FuzzRecompute(f *testing.F) {
 			res[i] = n.NewResource(fmt.Sprint("r", i), float64(1+next()%16)*10)
 		}
 		var flows []Handle
+		// Odd masks reuse one slice per resource set, as storage hands out
+		// cached paths, so those flows share classes; even masks build a
+		// fresh slice per flow.
+		shared := map[int][]*Resource{}
 		for k := 1 + next()%24; k > 0; k-- {
 			var path []*Resource
 			mask := next()
 			for i, r := range res {
-				if mask&(1<<i) != 0 {
+				if mask&(2<<i) != 0 {
 					path = append(path, r)
+				}
+			}
+			if mask%2 == 1 {
+				if p, ok := shared[mask]; ok {
+					path = p
+				} else {
+					shared[mask] = path
 				}
 			}
 			opts := Options{Latency: float64(next()%4) / 2}

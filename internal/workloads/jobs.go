@@ -135,6 +135,7 @@ func Campaign(spec CampaignSpec) ([]Job, error) {
 		if nodes > s.MaxNodes {
 			nodes = s.MaxNodes
 		}
+		//bbvet:allow implicit-fma -- doubling is exact, so a fused and an unfused 1 + 2x round alike
 		factor := 1 + 2*float64(rng.Float64())
 		if rng.Intn(8) == 0 {
 			factor = 0.5 + float64(0.5*rng.Float64())
