@@ -108,7 +108,7 @@ func (e *engine) adaptFallback(t *workflow.Task, f *workflow.File, svc storage.S
 	if e.ad == nil || !e.ad.pol.DegradedFallback || e.ad.degraded[svc] == 0 {
 		return false
 	}
-	e.tr.Record(e.now(), trace.AdaptFallback, t.ID(), f.ID()+"@"+svc.Name())
+	e.tr.Record(e.now(), trace.AdaptFallback, t.ID(), trace.At(f.ID(), svc.Name()))
 	return true
 }
 
@@ -203,7 +203,7 @@ func (e *engine) spillFile(f *workflow.File, svc storage.Service) bool {
 			e.fail(err)
 			return false
 		}
-		e.tr.Record(e.now(), trace.AdaptSpill, "", f.ID()+"@"+svc.Name())
+		e.tr.Record(e.now(), trace.AdaptSpill, "", trace.At(f.ID(), svc.Name()))
 		return true
 	}
 	node := e.copyNode(f, svc)
@@ -225,7 +225,7 @@ func (e *engine) spillFile(f *workflow.File, svc storage.Service) bool {
 				return
 			}
 		}
-		e.tr.Record(e.now(), trace.AdaptSpill, "", f.ID()+"@"+svc.Name())
+		e.tr.Record(e.now(), trace.AdaptSpill, "", trace.At(f.ID(), svc.Name()))
 		e.cfg.Metrics.Add(metrics.AdaptBytesTotal,
 			metrics.Key{Tier: string(svc.Kind()), Op: metrics.OpSpill}, float64(f.Size()))
 		e.adaptSpill(svc) // top up the drain, or re-arm the trigger
@@ -305,7 +305,7 @@ func (e *engine) replicateFile(f *workflow.File, only storage.Service) {
 		if e.err != nil {
 			return
 		}
-		e.tr.Record(e.now(), trace.AdaptReplicate, "", f.ID()+"@"+src.Name()+"->pfs")
+		e.tr.Record(e.now(), trace.AdaptReplicate, "", trace.CopyToPFS(f.ID(), src.Name()))
 		e.cfg.Metrics.Add(metrics.AdaptBytesTotal,
 			metrics.Key{Tier: string(src.Kind()), Op: metrics.OpReplicate}, float64(f.Size()))
 	}), 0)

@@ -332,14 +332,14 @@ func TestOverlappingPressureWavesSpillEachReplicaOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spilled := map[string]int{}
+	spilled := map[[2]string]int{}
 	for _, ev := range tr.Events() {
 		if ev.Kind == trace.AdaptSpill {
-			spilled[ev.Detail]++
+			spilled[[2]string{ev.Name, ev.Place}]++
 		}
 	}
 	for _, id := range []string{"a", "b", "c"} {
-		if got := spilled[id+"@bb"]; got != 1 {
+		if got := spilled[[2]string{id, "bb"}]; got != 1 {
 			t.Errorf("%s spilled %d times, want exactly 1", id, got)
 		}
 	}

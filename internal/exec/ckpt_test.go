@@ -25,14 +25,14 @@ func (s *scripted) Attach(ctrl exec.FaultController) { s.script(ctrl) }
 
 func (s *scripted) RejectBBAlloc(*workflow.Task, *workflow.File) bool { return false }
 
-// detailOf returns the detail of the first event of the given kind.
-func detailOf(tr *trace.Trace, kind trace.EventKind) (string, bool) {
+// firstEvent returns the first event of the given kind.
+func firstEvent(tr *trace.Trace, kind trace.EventKind) (trace.Event, bool) {
 	for _, ev := range tr.Events() {
 		if ev.Kind == kind {
-			return ev.Detail, true
+			return ev, true
 		}
 	}
-	return "", false
+	return trace.Event{}, false
 }
 
 // TestNilBackgroundRejected: a nil entry in Background would panic at
@@ -157,8 +157,8 @@ func TestRestartFromCheckpointBeatsLineage(t *testing.T) {
 	if got := ck.CountKind(trace.RestartFrom); got != 1 {
 		t.Fatalf("RestartFrom count = %d, want 1", got)
 	}
-	if d, _ := detailOf(ck, trace.RestartFrom); !strings.Contains(d, "p=6") {
-		t.Errorf("RestartFrom detail = %q, want progress 6 (commits at 3 and 6 before the crash at t=8)", d)
+	if ev, _ := firstEvent(ck, trace.RestartFrom); ev.X != 6 {
+		t.Errorf("RestartFrom progress = %g, want 6 (commits at 3 and 6 before the crash at t=8)", ev.X)
 	}
 	if ck.Makespan() >= lineage.Makespan() {
 		t.Errorf("checkpointed makespan %v not less than lineage %v", ck.Makespan(), lineage.Makespan())
@@ -256,12 +256,12 @@ func TestCrashBetweenCommitAndDrain(t *testing.T) {
 	if got := tr.CountKind(trace.CkptLost); got == 0 {
 		t.Error("the un-drained snapshot was not recorded lost")
 	}
-	d, ok := detailOf(tr, trace.RestartFrom)
+	ev, ok := firstEvent(tr, trace.RestartFrom)
 	if !ok {
 		t.Fatal("no RestartFrom: recovery did not fall back to the drained snapshot")
 	}
-	if !strings.Contains(d, "p=2") {
-		t.Errorf("RestartFrom detail = %q, want fallback to the drained snapshot at p=2", d)
+	if ev.X != 2 {
+		t.Errorf("RestartFrom progress = %g, want fallback to the drained snapshot at p=2", ev.X)
 	}
 }
 

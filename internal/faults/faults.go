@@ -295,7 +295,7 @@ func (in *Injector) degradeArrival(p *DegradeProcess, rng *rand.Rand, bb bool) {
 	}
 	net := sys.Platform().Network()
 	resources := servicePath(svc)
-	in.ctrl.Note(trace.DegradeStart, fmt.Sprintf("%s x%g for %gs", svc.Name(), p.Factor, p.Duration))
+	in.ctrl.Note(trace.DegradeStart, trace.Degrade(svc.Name(), p.Factor, p.Duration))
 	in.ctrl.SetDegraded(svc, true)
 	saved := make([]float64, len(resources))
 	for i, r := range resources {
@@ -307,7 +307,7 @@ func (in *Injector) degradeArrival(p *DegradeProcess, rng *rand.Rand, bb bool) {
 			net.SetCapacity(r, saved[i])
 		}
 		in.ctrl.SetDegraded(svc, false)
-		in.ctrl.Note(trace.DegradeEnd, svc.Name())
+		in.ctrl.Note(trace.DegradeEnd, trace.Named(svc.Name()))
 		in.eng.After(p.Arrival.sample(rng), func() { in.degradeArrival(p, rng, bb) })
 	})
 }

@@ -1,9 +1,6 @@
 package invariants
 
 import (
-	"strconv"
-	"strings"
-
 	"bbwfsim/internal/core"
 	"bbwfsim/internal/metrics"
 	"bbwfsim/internal/trace"
@@ -21,8 +18,8 @@ import (
 //	   aborted attempts so far — a checkpoint cannot recover work that was
 //	   never executed;
 //	c. the recovered-seconds counters sum to the progress marks the
-//	   restart-from events carry (the %g details round-trip exactly; only
-//	   the regrouping by tier needs a tolerance);
+//	   restart-from events carry (only the regrouping by tier needs a
+//	   tolerance);
 //	d. checkpoint traffic is a subset of storage traffic: ckpt_bytes_total
 //	   never exceeds storage_bytes_total for any (tier, op) — snapshots
 //	   move through the same storage manager as workflow data, so byte
@@ -42,39 +39,20 @@ func checkCkpt(snap *metrics.Snapshot, res *core.Result, violation func(string, 
 		case trace.TaskFail:
 			aborted[ev.TaskID] += ev.Time - started[ev.TaskID]
 		case trace.CkptCommit:
-			file, svc, _, ok := parseCkptDetail(ev.Detail)
-			if !ok {
-				violation("event %d: malformed ckpt-commit detail %q", i, ev.Detail)
-				continue
+			if live[ev.Name] == nil {
+				live[ev.Name] = map[string]bool{}
 			}
-			if live[file] == nil {
-				live[file] = map[string]bool{}
-			}
-			live[file][svc] = true
+			live[ev.Name][ev.Place] = true
 		case trace.CkptDrain:
-			file, _, _, ok := parseCkptDetail(strings.TrimSuffix(ev.Detail, "->pfs"))
-			if !ok || !strings.HasSuffix(ev.Detail, "->pfs") {
-				violation("event %d: malformed ckpt-drain detail %q", i, ev.Detail)
+			if live[ev.Name] == nil {
+				violation("event %d: drain of never-committed snapshot %q", i, ev.Name)
 				continue
 			}
-			if live[file] == nil {
-				violation("event %d: drain of never-committed snapshot %q", i, file)
-				continue
-			}
-			live[file]["pfs"] = true
+			live[ev.Name]["pfs"] = true
 		case trace.CkptLost:
-			file, svc, _, ok := parseCkptDetail(ev.Detail)
-			if !ok {
-				violation("event %d: malformed ckpt-lost detail %q", i, ev.Detail)
-				continue
-			}
-			delete(live[file], svc)
+			delete(live[ev.Name], ev.Place)
 		case trace.RestartFrom:
-			file, svc, p, ok := parseCkptDetail(ev.Detail)
-			if !ok {
-				violation("event %d: malformed restart-from detail %q", i, ev.Detail)
-				continue
-			}
+			file, svc, p := ev.Name, ev.Place, ev.X
 			if !live[file][svc] {
 				violation("event %d: task %s restarted from %s@%s, which is not durable at t=%g",
 					i, ev.TaskID, file, svc, ev.Time)
@@ -107,25 +85,4 @@ func checkCkpt(snap *metrics.Snapshot, res *core.Result, violation func(string, 
 				s.Key, s.Value, storageBytes)
 		}
 	}
-}
-
-// parseCkptDetail splits a checkpoint event detail of the form
-// "file@service" or "file@service p=<progress>". Service names may
-// themselves contain '@' ("bb@node003"), so the split is at the first '@'
-// (snapshot file IDs never contain one) and the last " p=".
-func parseCkptDetail(detail string) (file, svc string, p float64, ok bool) {
-	file, rest, found := strings.Cut(detail, "@")
-	if !found || file == "" || rest == "" {
-		return "", "", 0, false
-	}
-	svc = rest
-	if at := strings.LastIndex(rest, " p="); at >= 0 {
-		svc = rest[:at]
-		var err error
-		p, err = strconv.ParseFloat(rest[at+len(" p="):], 64)
-		if err != nil || svc == "" {
-			return "", "", 0, false
-		}
-	}
-	return file, svc, p, true
 }

@@ -354,23 +354,17 @@ func TestCheckDetectsCkptTampering(t *testing.T) {
 	if restart < 0 {
 		t.Fatal("fault run has no restart-from event")
 	}
-	origDetail := events[restart].Detail
+	origEv := events[restart]
 
 	// Claim the restart recovered more compute than the task ever lost.
-	file, svc, _, ok := parseCkptDetail(origDetail)
-	if !ok {
-		t.Fatalf("unparseable restart detail %q", origDetail)
-	}
-	tamper("inflated restart progress", func() {
-		events[restart].Detail = fmt.Sprintf("%s@%s p=%g", file, svc, 1e9)
-	})
-	events[restart].Detail = origDetail
+	tamper("inflated restart progress", func() { events[restart].X = 1e9 })
+	events[restart] = origEv
 
 	// Claim the restart read a replica that was never committed anywhere.
 	tamper("restart from never-committed snapshot", func() {
-		events[restart].Detail = fmt.Sprintf("ckpt-ghost-000000@%s p=%g", svc, 0.0)
+		events[restart].Name, events[restart].X = "ckpt-ghost-000000", 0
 	})
-	events[restart].Detail = origDetail
+	events[restart] = origEv
 
 	if v := Check(c.Platform, c.Workflow, res); len(v) != 0 {
 		t.Fatalf("restored run still reports violations: %v", v)

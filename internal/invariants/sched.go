@@ -178,12 +178,7 @@ func CheckSched(cfg sched.Config, res *sched.Result) []string {
 				violation("job %s submitted twice", ev.TaskID)
 				continue
 			}
-			r := &schedReplay{submitted: true, submitAt: ev.Time}
-			if n, err := fmt.Sscanf(ev.Detail, "nodes=%d bb=%f", &r.nodes, &r.bb); n != 2 || err != nil {
-				violation("job %s: unparseable submit detail %q", ev.TaskID, ev.Detail)
-				continue
-			}
-			replay[ev.TaskID] = r
+			replay[ev.TaskID] = &schedReplay{submitted: true, submitAt: ev.Time, nodes: int(ev.N), bb: ev.X}
 			tSubmitted++
 		case trace.JobReject:
 			if j == nil || !j.submitted || j.started || j.terminal {
@@ -197,15 +192,9 @@ func CheckSched(cfg sched.Config, res *sched.Result) []string {
 				violation("job %s started without a pending submission", ev.TaskID)
 				continue
 			}
-			var n int
-			var bb float64
-			if c, err := fmt.Sscanf(ev.Detail, "nodes=%d bb=%f", &n, &bb); c != 2 || err != nil {
-				violation("job %s: unparseable start detail %q", ev.TaskID, ev.Detail)
-				continue
-			}
-			if n != j.nodes || differs(bb, j.bb) {
+			if int(ev.N) != j.nodes || differs(ev.X, j.bb) {
 				violation("job %s: start demands (%d nodes, %g BB) differ from submitted (%d, %g)",
-					ev.TaskID, n, bb, j.nodes, j.bb)
+					ev.TaskID, ev.N, ev.X, j.nodes, j.bb)
 			}
 			j.started = true
 			j.startAt = ev.Time

@@ -178,11 +178,9 @@ func TestCheckSchedDetectsTampering(t *testing.T) {
 	if start < 0 {
 		t.Fatal("campaign trace has no job-start event")
 	}
-	origDetail := events[start].Detail
-	tamper("oversubscribed start detail", func() {
-		events[start].Detail = "nodes=999 bb=0"
-	})
-	events[start].Detail = origDetail
+	origEv := events[start]
+	tamper("oversubscribed start detail", func() { events[start].N, events[start].X = 999, 0 })
+	events[start] = origEv
 
 	origMakespan := res.Makespan
 	tamper("shifted makespan", func() { res.Makespan *= 1.5 })

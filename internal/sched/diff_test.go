@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -235,41 +234,6 @@ func TestSubmitKeepsPolicyOrder(t *testing.T) {
 				s.dequeue()
 				sorted("dequeue")
 			}
-		}
-	}
-}
-
-// TestDetailsMatchFmt pins the strconv-built job details to the fmt verbs
-// that define the documented schema of trace.JobSubmit and trace.JobStart,
-// over seeded values and the formats' edge cases.
-func TestDetailsMatchFmt(t *testing.T) {
-	type demand struct {
-		nodes   int
-		bb, est float64
-	}
-	cases := []demand{
-		{0, 0, 0}, {1, 1e21, 1e21}, {16, 1e20, 999999.5}, {2, 0.5, 1.5}, {3, 2.5, 0.000123456789},
-		{4, math.MaxFloat64, math.MaxFloat64}, {5, math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64},
-		{math.MaxInt, 4 * float64(units.GiB), 1e-300}, {32, 1e15, 1e300}, {7, 123456789.5, 123456.5},
-	}
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 20000; i++ {
-		c := demand{nodes: rng.Intn(1 << 20), bb: rng.Float64() * math.Pow(10, float64(rng.Intn(25))), est: rng.ExpFloat64() * math.Pow(10, float64(rng.Intn(40)-20))}
-		if i%2 == 0 {
-			c.bb = math.Float64frombits(rng.Uint64() &^ (1 << 63))
-			c.est = math.Float64frombits(rng.Uint64() &^ (1 << 63))
-		}
-		cases = append(cases, c)
-	}
-	var buf []byte
-	for _, c := range cases {
-		b, held := appendSubmitDetail(buf[:0], c.nodes, c.bb, c.est)
-		buf = b
-		if want := fmt.Sprintf("nodes=%d bb=%.0f est=%.6g", c.nodes, c.bb, c.est); string(b) != want {
-			t.Fatalf("submit detail %q, fmt %q", b, want)
-		}
-		if want := fmt.Sprintf("nodes=%d bb=%.0f", c.nodes, c.bb); string(b[:held]) != want {
-			t.Fatalf("start detail %q, fmt %q", b[:held], want)
 		}
 	}
 }
