@@ -2,6 +2,8 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -106,6 +108,64 @@ func TestSchedCampaignRun(t *testing.T) {
 	}
 	if !strings.Contains(string(prom), "# TYPE bbwfsim_sched_jobs_total counter\n") {
 		t.Errorf("%s lacks the sched job counter:\n%s", promPath, prom)
+	}
+}
+
+// TestSchedCampaignTraceOut: a -sched campaign writes its trace in every
+// format, and the JSON, JSONL and CSV outputs carry the same events, in
+// the same order.
+func TestSchedCampaignTraceOut(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{"-sched", "easy", "-platform", "cori-private", "-nodes", "16",
+		"-sched-jobs", "150", "-sched-seed", "7", "-sched-fault-mean", "5000", "-sched-bb-cap", "40"}
+	outputs := map[string][]byte{}
+	for _, format := range []string{"", "jsonl", "csv"} {
+		path := filepath.Join(dir, "campaign."+format)
+		args := append(append([]string(nil), base...), "-trace", path)
+		if format != "" {
+			args = append(args, "-trace-out", format)
+		}
+		var out, errOut strings.Builder
+		if code := run(args, &out, &errOut); code != 0 {
+			t.Fatalf("%s: run = %d, want 0 (stderr: %s)", format, code, errOut.String())
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outputs[format] = data
+	}
+	var saved struct {
+		Events []struct {
+			Time   float64 `json:"time"`
+			Kind   string  `json:"kind"`
+			Task   string  `json:"task"`
+			Detail string  `json:"detail"`
+		} `json:"events"`
+	}
+	if err := json.Unmarshal(outputs[""], &saved); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(outputs["jsonl"]), "\n"), "\n")
+	rows, err := csv.NewReader(bytes.NewReader(outputs["csv"])).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(saved.Events) == 0 || len(lines) != len(saved.Events) || len(rows)-1 != len(saved.Events) {
+		t.Fatalf("%d JSON events, %d JSONL lines, %d CSV rows after the header",
+			len(saved.Events), len(lines), len(rows)-1)
+	}
+	for i, ev := range saved.Events {
+		line, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := strings.Replace(string(line), `,"detail":""`, "", 1); lines[i] != want {
+			t.Fatalf("JSONL line %d = %s, JSON event %s", i, lines[i], want)
+		}
+		if row := rows[i+1]; row[1] != ev.Kind || row[2] != ev.Task || row[3] != ev.Detail {
+			t.Fatalf("CSV row %d = %q, JSON event %+v", i+1, row, ev)
+		}
 	}
 }
 

@@ -203,16 +203,10 @@ func RunFig6(opts Options) ([]*Table, error) {
 	return tables, nil
 }
 
-// RunFig7 reproduces Figure 7: execution time versus the number of
-// concurrent pipelines on one node (1 core per task, everything in the
-// BB). Each (pipelines, profile) point runs once; the three task tables
-// read from the same result.
-func RunFig7(opts Options) ([]*Table, error) {
-	o, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	profiles := orderedProfiles(1)
+// pipelineGrid is the grid Figs. 7 and 8 sweep: one SWarp workflow per
+// pipeline count (1 core per task), and one all-in-BB point per (count,
+// profile), count-major.
+func pipelineGrid(o Options, profiles []testbed.Profile) ([]int, []*workflow.Workflow, []testbedPoint) {
 	counts := pipelineCounts(o)
 	wfs := make([]*workflow.Workflow, len(counts))
 	var pts []testbedPoint
@@ -223,6 +217,20 @@ func RunFig7(opts Options) ([]*Table, error) {
 				opts: core.RunOptions{StagedFraction: 1, IntermediatesToBB: true, CoresPerTask: 1}})
 		}
 	}
+	return counts, wfs, pts
+}
+
+// RunFig7 reproduces Figure 7: execution time versus the number of
+// concurrent pipelines on one node (1 core per task, everything in the
+// BB). Each (pipelines, profile) point runs once; the three task tables
+// read from the same result.
+func RunFig7(opts Options) ([]*Table, error) {
+	o, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	profiles := orderedProfiles(1)
+	counts, wfs, pts := pipelineGrid(o, profiles)
 	results, err := runPoints(o, pts, func(p testbedPoint) (*testbed.Result, error) {
 		return testbed.NewRunner(p.prof, o.Seed).Run(wfs[p.wf], p.opts, o.Reps)
 	})
@@ -258,22 +266,13 @@ func RunFig8(opts Options) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	profiles := orderedProfiles(1)
-	counts := pipelineCounts(o)
 	t := &Table{
 		ID:     "fig8",
 		Title:  "Resample variability vs. #pipelines (all data in BB, 1 core/task)",
 		Header: []string{"pipelines", "private CV", "striped CV", "summit CV"},
 	}
-	wfs := make([]*workflow.Workflow, len(counts))
-	var pts []testbedPoint
-	for ni, n := range counts {
-		wfs[ni] = testbedSwarp(n, 1)
-		for _, prof := range profiles {
-			pts = append(pts, testbedPoint{prof: prof, wf: ni,
-				opts: core.RunOptions{StagedFraction: 1, IntermediatesToBB: true, CoresPerTask: 1}})
-		}
-	}
+	profiles := orderedProfiles(1)
+	counts, wfs, pts := pipelineGrid(o, profiles)
 	cells, err := runPoints(o, pts, func(p testbedPoint) (string, error) {
 		res, err := testbed.NewRunner(p.prof, o.Seed).Run(wfs[p.wf], p.opts, o.Reps)
 		if err != nil {
