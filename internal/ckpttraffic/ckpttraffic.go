@@ -43,9 +43,8 @@ type Injector struct {
 	BytesWritten units.Bytes
 
 	sys  *storage.System
-	wf   *workflow.Workflow // holds the synthetic checkpoint files
+	side *workflow.Workflow // the run's side workflow, which holds the checkpoint files
 	prev map[*platform.Node]*workflow.File
-	seq  int
 }
 
 var _ exec.Background = (*Injector)(nil)
@@ -66,14 +65,13 @@ func New(p Params) (*Injector, error) {
 	}
 	return &Injector{
 		params: p,
-		wf:     workflow.New("checkpoint-traffic"),
 		prev:   map[*platform.Node]*workflow.File{},
 	}, nil
 }
 
 // Start implements exec.Background: it schedules the first wave.
-func (i *Injector) Start(sys *storage.System) {
-	i.sys = sys
+func (i *Injector) Start(sys *storage.System, side *workflow.Workflow) {
+	i.sys, i.side = sys, side
 	sys.Platform().Engine().After(i.params.FirstWave, i.wave)
 }
 
@@ -87,8 +85,9 @@ func (i *Injector) wave() {
 		}
 		node := node
 		target := i.target(node)
-		f := i.wf.MustAddFile(fmt.Sprintf("ckpt-%s-%06d", node.Name(), i.seq), i.params.Size)
-		i.seq++
+		// The side workflow's file count numbers the file, so IDs stay
+		// unique beside other injectors' and exec's snapshot files.
+		f := i.side.MustAddFile(fmt.Sprintf("traffic-%s-%06d", node.Name(), len(i.side.Files())), i.params.Size)
 		_, err := i.sys.Manager().Write(node, f, target, storage.Func(func() {
 			i.Waves++
 			i.BytesWritten += i.params.Size

@@ -48,7 +48,7 @@ func TestWavesFireAndRotate(t *testing.T) {
 	p := platform.MustNew(e, testConfig())
 	sys := storage.NewSystem(p, nil)
 	inj := newInjector(t, Params{Interval: 1, Size: 80 * units.MB, ToBB: true})
-	inj.Start(sys)
+	inj.Start(sys, workflow.New("side"))
 	e.RunUntil(10.5)
 	// Waves at t=1..10, each 80MB at 800MB/s = 0.1s: 10 complete.
 	if inj.Waves != 10 {
@@ -181,7 +181,7 @@ func TestDownNodesSkipWaves(t *testing.T) {
 	p := platform.MustNew(e, testConfig())
 	sys := storage.NewSystem(p, nil)
 	inj := newInjector(t, Params{Interval: 1, Size: 80 * units.MB, ToBB: true})
-	inj.Start(sys)
+	inj.Start(sys, workflow.New("side"))
 	node := p.Node(0)
 	e.After(2.5, func() { node.SetDown(true) })
 	e.After(6.5, func() { node.SetDown(false) })
@@ -202,7 +202,7 @@ func TestFullTargetDegradesGracefully(t *testing.T) {
 	p := platform.MustNew(e, cfg)
 	sys := storage.NewSystem(p, nil)
 	inj := newInjector(t, Params{Interval: 1, Size: 80 * units.MB, ToBB: true})
-	inj.Start(sys)
+	inj.Start(sys, workflow.New("side"))
 	e.RunUntil(5)
 	if inj.Waves != 0 {
 		t.Errorf("Waves = %d on a too-small BB, want 0 (skipped, not crashed)", inj.Waves)

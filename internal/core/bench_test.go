@@ -84,13 +84,14 @@ func BenchmarkGenomesSingleRun(b *testing.B) {
 const genomesCellBytesBudget = 1_975_000
 
 // genomesCellAllocsBudget is the number of heap objects such a run may
-// allocate: about 15% above the 4,170 it allocated when pinned (go1.24,
+// allocate: about 15% above the 2,390 it allocated when pinned (go1.24,
 // linux/amd64), down from 27,049 before the slab-backed flows and
-// operations and from 7,128 before trace events carried typed operands
-// instead of detail strings. Most of what remains is replica-list growth
-// in the storage registry, one task record and one attempt per task, and
-// the simulation event heap's growth.
-const genomesCellAllocsBudget = 4_800
+// operations, from 7,128 before trace events carried typed operands
+// instead of detail strings, and from 4,170 before the storage registry
+// became a table indexed by file with replica lists carved from a slab.
+// Most of what remains is one task record and one attempt per task, the
+// simulation event heap's growth and per-run setup.
+const genomesCellAllocsBudget = 2_750
 
 // TestGenomesRunBytesBudget pins the bytes one run of the
 // BenchmarkGenomesSingleRun cell allocates. With a live heap near the

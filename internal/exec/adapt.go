@@ -165,12 +165,13 @@ func (e *engine) adaptSpill(svc storage.Service) {
 // spillCandidate picks the next replica to spill off svc: fewest
 // unfinished consumers first (cold data leaves before hot), then largest
 // size (fewest copies per freed byte), then file ID — a total order, so
-// replays pick identically. Checkpoint snapshots are excluded (their chains
-// manage their own replicas), as are files already mid-spill.
+// replays pick identically whatever order FilesOn walks. Files of the side
+// workflow are excluded (checkpoint chains and background loads manage
+// their own replicas), as are files already mid-spill.
 func (e *engine) spillCandidate(svc storage.Service) *workflow.File {
 	var best *workflow.File
 	for _, f := range e.sys.Registry().FilesOn(svc) {
-		if e.ad.spills[f] != nil || e.ckptOf[f] != nil {
+		if f.Index() >= len(e.readers) || e.ad.spills[f] != nil {
 			continue
 		}
 		if best == nil || e.spillBefore(f, best) {

@@ -24,7 +24,7 @@ type auditor struct {
 	until float64
 }
 
-func (a *auditor) Start(sys *storage.System) {
+func (a *auditor) Start(sys *storage.System, _ *workflow.Workflow) {
 	for at := a.every; at <= a.until; at += a.every {
 		when := at
 		sys.Platform().Engine().After(when, func() {

@@ -74,7 +74,7 @@ func (e *engine) writeCheckpoint(a *attempt) {
 	}
 	t, node := a.task, a.node
 	size := e.cfg.Checkpoint.SizeFor(t)
-	f := e.ckptWf.MustAddFile(fmt.Sprintf("ckpt-%s-%06d", t.ID(), e.ckptSeq), size)
+	f := e.side.MustAddFile(fmt.Sprintf("ckpt-%s-%06d", t.ID(), e.ckptSeq), size)
 	e.ckptSeq++
 	svc := e.ckptTarget(node)
 	if svc != e.sys.PFS() && e.bbRejected(t, f, svc) {

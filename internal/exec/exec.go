@@ -143,9 +143,10 @@ type Config struct {
 // Background is a load generator that shares the platform with the
 // workflow. Start is called once, after the storage system is primed and
 // before the first task runs; implementations schedule their own activity
-// on the platform's engine.
+// on the platform's engine. The files they write go into side, the run's
+// workflow of files outside the DAG (numbered after the DAG's files).
 type Background interface {
-	Start(sys *storage.System)
+	Start(sys *storage.System, side *workflow.Workflow)
 }
 
 // Run simulates the workflow on the storage system's platform and returns
@@ -213,8 +214,10 @@ func Run(sys *storage.System, wf *workflow.Workflow, cfg Config) (*trace.Trace, 
 	if cfg.Faults != nil && cfg.Retry.Jitter > 0 {
 		e.retryRng = rand.New(rand.NewSource(cfg.Retry.Seed))
 	}
+	if cfg.Checkpoint.Enabled() || len(cfg.Background) > 0 {
+		e.side = workflow.NewFrom(wf.Name()+"+side", len(wf.Files()))
+	}
 	if cfg.Checkpoint.Enabled() {
-		e.ckptWf = workflow.New(wf.Name() + "+ckpt")
 		e.ckpts = map[*workflow.Task][]*ckptRec{}
 		e.ckptOf = map[*workflow.File]*ckptRec{}
 	}
@@ -243,7 +246,7 @@ func Run(sys *storage.System, wf *workflow.Workflow, cfg Config) (*trace.Trace, 
 		}
 	}
 	for _, bg := range cfg.Background {
-		bg.Start(sys)
+		bg.Start(sys, e.side)
 	}
 	if cfg.Faults != nil {
 		cfg.Faults.Attach(e)
@@ -275,8 +278,8 @@ type engine struct {
 	// Per-task and per-file run state, indexed by Task.Index()/File.Index():
 	// dense slices, not maps — a million-task run touches these on every
 	// event, and the hash+GC cost of pointer-keyed maps dominated profiles.
-	// Checkpoint snapshot files (ckptWf) never appear here; they are
-	// excluded before every readers consultation.
+	// Files of the side workflow never appear here; they are excluded
+	// before every readers consultation.
 	remaining []int            // unfinished parents, per task
 	readers   []int            // consumers not yet finished, per file
 	ready     []*workflow.Task // sorted by the scheduler's order
@@ -290,9 +293,11 @@ type engine struct {
 	kills    []int      // fault-charged failures, per task
 	retryRng *rand.Rand // jitter stream; nil unless configured
 
+	// side holds checkpoint snapshots and background-load files, numbered
+	// after wf's files; nil unless the run has either.
+	side *workflow.Workflow
 	// Checkpoint state (checkpoint.go); all nil/zero unless the run has a
 	// checkpoint policy.
-	ckptWf  *workflow.Workflow            // holds snapshot files, outside the DAG
 	ckpts   map[*workflow.Task][]*ckptRec // committed snapshots, oldest first
 	ckptOf  map[*workflow.File]*ckptRec   // reverse index for replica-loss hooks
 	ckptSeq int                           // snapshot file id counter

@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 
 	"bbwfsim/internal/metrics"
 	"bbwfsim/internal/platform"
@@ -409,6 +411,8 @@ func (e *engine) loseNodeReplicas(n *platform.Node) {
 				}
 			}
 		}
+		// Tear down in ID order; FilesOn walks files in index order.
+		slices.SortFunc(lost, func(a, b *workflow.File) int { return strings.Compare(a.ID(), b.ID()) })
 		for _, f := range lost {
 			if !e.sys.Registry().Has(f, svc) {
 				// Recovering an earlier file already tore this replica down

@@ -23,9 +23,9 @@ func TestCancelOpAfterCompletionIsNoop(t *testing.T) {
 	if !m.Done(h) {
 		t.Error("completed write not Done")
 	}
-	if bb.Used() != f.Size() || m.PendingReserved(bb) != 0 || m.inFlight[bb] != 0 {
+	if bb.Used() != f.Size() || m.PendingReserved(bb) != 0 || bb.state().inFlight != 0 {
 		t.Errorf("after a stale cancel: Used %v (want %v), pending %v, in flight %d",
-			bb.Used(), f.Size(), m.PendingReserved(bb), m.inFlight[bb])
+			bb.Used(), f.Size(), m.PendingReserved(bb), bb.state().inFlight)
 	}
 	if !sys.Registry().Has(f, bb) {
 		t.Error("stale cancel unregistered the written replica")
@@ -56,9 +56,9 @@ func TestCancelStaleOpSparesReissuedSlot(t *testing.T) {
 		t.Fatalf("new op got %+v, want the old slot %d under a new generation", h, old.slot)
 	}
 	m.Cancel(old)
-	if m.Done(h) || m.inFlight[bb] != 1 || m.PendingReserved(bb) != f2.Size() {
+	if m.Done(h) || bb.state().inFlight != 1 || m.PendingReserved(bb) != f2.Size() {
 		t.Fatalf("stale cancel touched the reissued op: Done %v, in flight %d, pending %v",
-			m.Done(h), m.inFlight[bb], m.PendingReserved(bb))
+			m.Done(h), bb.state().inFlight, m.PendingReserved(bb))
 	}
 	e.Run()
 	if len(done) != 1 || done[0] != 5 {
@@ -69,9 +69,9 @@ func TestCancelStaleOpSparesReissuedSlot(t *testing.T) {
 	}
 }
 
-// TestOpPathZeroAllocs: once the slabs, the event pool and the registry
-// have warmed up, a Read→complete and a Write→complete cycle allocate
-// nothing.
+// TestOpPathZeroAllocs: once the slabs, the event pool, the registry and
+// the path caches have warmed up, a Read→complete, a Write→complete and a
+// Copy→complete cycle allocate nothing.
 func TestOpPathZeroAllocs(t *testing.T) {
 	e, sys, w := coriSystem(t, platform.BBPrivate)
 	f := w.MustAddFile("f", 100*units.MB)
@@ -96,11 +96,15 @@ func TestOpPathZeroAllocs(t *testing.T) {
 	}
 	read := cycle(func() (OpHandle, error) { return m.Read(node, f, sys.PFS(), &done, 1) })
 	write := cycle(func() (OpHandle, error) { return m.Write(node, f, bb, &done, 2) })
+	copyIn := cycle(func() (OpHandle, error) { return m.Copy(node, f, sys.PFS(), bb, &done, 3) })
 	if avg := testing.AllocsPerRun(50, read); avg != 0 {
 		t.Errorf("Read→complete allocated %.1f times per cycle, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(50, write); avg != 0 {
 		t.Errorf("Write→complete allocated %.1f times per cycle, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(50, copyIn); avg != 0 {
+		t.Errorf("Copy→complete allocated %.1f times per cycle, want 0", avg)
 	}
 }
 

@@ -15,13 +15,28 @@ import (
 // created it, which is what the private DataWarp mode's visibility rule
 // ("access to files in the BB are limited to the compute node that created
 // them", paper Section III-D) is enforced against.
+//
+// Files are looked up by File.Index(), so every file a run registers must
+// have an index of its own: files outside the workflow's DAG (checkpoint
+// snapshots, background traffic) are numbered after the workflow's own
+// (workflow.NewFrom).
 type Registry struct {
-	locations map[*workflow.File][]replica
-	// resident tallies the bytes of all replicas per service, maintained
-	// incrementally so the capacity-invariant audit (System.AuditCapacity)
-	// is cheap. Updated in event order, hence deterministic.
-	resident map[Service]units.Bytes
+	// files is indexed by File.Index(); a slot belongs to the first file
+	// registered under its index.
+	files []fileSlot
+	// slab is the unused tail of the chunk that replica lists are carved
+	// from, two entries per file.
+	slab []replica
 }
+
+// fileSlot is one file's entry in the registry table.
+type fileSlot struct {
+	f    *workflow.File // owner; nil while the slot is unused
+	reps []replica
+}
+
+// replicaChunk is the number of replicas one slab chunk holds.
+const replicaChunk = 512
 
 // replica is one copy of a file on one service. A file's replicas are a
 // short value-typed list (a file lives on a handful of services at most),
@@ -45,11 +60,20 @@ func find(reps []replica, svc Service) int {
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		locations: map[*workflow.File][]replica{},
-		resident:  map[Service]units.Bytes{},
+func NewRegistry() *Registry { return &Registry{} }
+
+// replicas returns the replica list of f, nil when f has none. It panics
+// when f's slot belongs to another file: two files sharing an index would
+// otherwise share replicas silently.
+func (r *Registry) replicas(f *workflow.File) []replica {
+	if i := f.Index(); i < len(r.files) {
+		s := &r.files[i]
+		if s.f != f && s.f != nil {
+			panic(fmt.Sprintf("storage: files %q and %q share registry index %d", s.f.ID(), f.ID(), i))
+		}
+		return s.reps
 	}
+	return nil
 }
 
 // Add records that svc holds a replica of f with no particular creator
@@ -60,56 +84,60 @@ func (r *Registry) Add(f *workflow.File, svc Service) {
 
 // AddFrom records that svc holds a replica of f created by node.
 func (r *Registry) AddFrom(f *workflow.File, svc Service, node *platform.Node) {
-	reps := r.locations[f]
-	if i := find(reps, svc); i >= 0 {
-		reps[i].creator = node
+	r.files = reach(r.files, f.Index())
+	slot := &r.files[f.Index()]
+	if i := find(r.replicas(f), svc); i >= 0 {
+		slot.reps[i].creator = node
 		return
 	}
-	r.resident[svc] += f.Size()
-	r.locations[f] = append(reps, replica{svc: svc, creator: node})
+	if slot.f == nil {
+		if len(r.slab) < 2 {
+			r.slab = make([]replica, replicaChunk)
+		}
+		slot.f, slot.reps, r.slab = f, r.slab[:0:2], r.slab[2:]
+	}
+	svc.state().resident += f.Size()
+	slot.reps = append(slot.reps, replica{svc: svc, creator: node})
 }
 
 // Remove forgets the replica of f on svc. Removing an absent replica is a
 // no-op.
 func (r *Registry) Remove(f *workflow.File, svc Service) {
-	reps := r.locations[f]
+	reps := r.replicas(f)
 	i := find(reps, svc)
 	if i < 0 {
 		return
 	}
-	r.resident[svc] -= f.Size()
+	svc.state().resident -= f.Size()
 	last := len(reps) - 1
 	copy(reps[i:], reps[i+1:])
 	reps[last] = replica{}
-	r.locations[f] = reps[:last]
+	r.files[f.Index()].reps = reps[:last]
 }
 
 // BytesOn returns the total size of the replicas svc currently holds.
-func (r *Registry) BytesOn(svc Service) units.Bytes { return r.resident[svc] }
+func (r *Registry) BytesOn(svc Service) units.Bytes { return svc.state().resident }
 
-// FilesOn returns the files with a replica on svc, sorted by ID for
-// deterministic teardown order (node-failure replica eviction).
+// FilesOn returns the files with a replica on svc in File.Index() order.
 func (r *Registry) FilesOn(svc Service) []*workflow.File {
 	var files []*workflow.File
-	//bbvet:ordered -- collected files are sorted by ID immediately below
-	for f, reps := range r.locations {
-		if find(reps, svc) >= 0 {
-			files = append(files, f)
+	for _, slot := range r.files {
+		if find(slot.reps, svc) >= 0 {
+			files = append(files, slot.f)
 		}
 	}
-	sort.Slice(files, func(i, j int) bool { return files[i].ID() < files[j].ID() })
 	return files
 }
 
 // Has reports whether svc holds a replica of f.
 func (r *Registry) Has(f *workflow.File, svc Service) bool {
-	return find(r.locations[f], svc) >= 0
+	return find(r.replicas(f), svc) >= 0
 }
 
 // Creator returns the node that created the replica of f on svc, or nil
 // when the replica pre-exists or is absent.
 func (r *Registry) Creator(f *workflow.File, svc Service) *platform.Node {
-	reps := r.locations[f]
+	reps := r.replicas(f)
 	if i := find(reps, svc); i >= 0 {
 		return reps[i].creator
 	}
@@ -119,7 +147,7 @@ func (r *Registry) Creator(f *workflow.File, svc Service) *platform.Node {
 // Locations returns the services holding f, sorted by name for determinism.
 func (r *Registry) Locations(f *workflow.File) []Service {
 	var svcs []Service
-	for _, rep := range r.locations[f] {
+	for _, rep := range r.replicas(f) {
 		svcs = append(svcs, rep.svc)
 	}
 	sort.Slice(svcs, func(i, j int) bool { return svcs[i].Name() < svcs[j].Name() })
@@ -128,7 +156,7 @@ func (r *Registry) Locations(f *workflow.File) []Service {
 
 // Located reports whether any service holds f.
 func (r *Registry) Located(f *workflow.File) bool {
-	return len(r.locations[f]) > 0
+	return len(r.replicas(f)) > 0
 }
 
 // BestVisible picks the replica of f a task on node should read: a
@@ -145,7 +173,7 @@ func (r *Registry) BestVisible(f *workflow.File, node *platform.Node, enforcePri
 	// of ranging over name-sorted Locations, reduce over the replicas under
 	// the total order (rank desc, name asc) — the maximum of a total order
 	// is the same service regardless of the replicas' order.
-	for _, rep := range r.locations[f] {
+	for _, rep := range r.replicas(f) {
 		svc := rep.svc
 		if enforcePrivate && svc.Kind() == KindSharedBB && svc.Mode() == platform.BBPrivate {
 			if c := rep.creator; c != nil && c != node {

@@ -60,7 +60,7 @@ func (r *mapRegistry) FilesOn(svc Service) []*workflow.File {
 			files = append(files, f)
 		}
 	}
-	sort.Slice(files, func(i, j int) bool { return files[i].ID() < files[j].ID() })
+	sort.Slice(files, func(i, j int) bool { return files[i].Index() < files[j].Index() })
 	return files
 }
 
@@ -107,7 +107,9 @@ func (r *mapRegistry) BestVisible(f *workflow.File, node *platform.Node, enforce
 // TestRegistryMatchesMapOracle drives the registry and the map-of-maps
 // oracle with the same seeded random Add, AddFrom, Remove and Manager.Evict
 // operations over a PFS, a private shared BB and one node-local BB per
-// node, and compares every query after every operation.
+// node, and compares every query after every operation. The files come
+// from a workflow and a checkpoint-style side workflow numbered after it,
+// whose indices would collide with the first's without the base.
 func TestRegistryMatchesMapOracle(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {
@@ -130,6 +132,10 @@ func registryDiff(t *testing.T, seed int64, ops int) {
 	var files []*workflow.File
 	for i := 0; i < 10; i++ {
 		files = append(files, w.MustAddFile("f"+strconv.Itoa(i), units.Bytes(1+rng.Intn(64))*units.MB))
+	}
+	side := workflow.NewFrom("wf+side", len(w.Files()))
+	for i := 0; i < 4; i++ {
+		files = append(files, side.MustAddFile("ckpt-"+strconv.Itoa(i), units.Bytes(1+rng.Intn(64))*units.MB))
 	}
 	reg, oracle := sys.Registry(), newMapRegistry()
 	for op := 0; op < ops; op++ {
@@ -173,6 +179,21 @@ func registryDiff(t *testing.T, seed int64, ops int) {
 		}
 		compareRegistries(t, fmt.Sprintf("op %d %s", op, what), reg, oracle, files, svcs, nodes)
 	}
+}
+
+// TestRegistryRejectsSharedIndex: two files with one index must not share
+// a registry slot silently.
+func TestRegistryRejectsSharedIndex(t *testing.T) {
+	_, sys, w := coriSystem(t, platform.BBPrivate)
+	f := w.MustAddFile("f", units.MB)
+	g := workflow.New("other").MustAddFile("g", units.MB)
+	sys.Registry().Add(f, sys.PFS())
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Has of a file sharing an index with a registered one did not panic")
+		}
+	}()
+	sys.Registry().Has(g, sys.PFS())
 }
 
 func compareRegistries(t *testing.T, at string, reg *Registry, oracle *mapRegistry, files []*workflow.File, svcs []Service, nodes []*platform.Node) {

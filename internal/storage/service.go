@@ -61,15 +61,37 @@ type Service interface {
 	// Local reports whether the service is local to the given node (no
 	// network hop on access).
 	Local(node *platform.Node) bool
+	// state returns the service's per-run tallies. Every run builds its
+	// own services, so the manager and registry keep their per-service
+	// accounting here instead of in maps keyed by service.
+	state() *capacityTracker
 }
 
-// capacityTracker implements the Reserve/Release half of Service.
+// capacityTracker implements the Reserve/Release half of Service and holds
+// the per-run state the Manager and Registry keep for the service.
 type capacityTracker struct {
 	name     string
 	capacity units.Bytes
 	used     units.Bytes
 	peak     units.Bytes
+	// inFlight counts the manager's operations targeting the service;
+	// pending is the space reserved by writes and copies still in flight:
+	// space that used already counts but the registry does not yet see.
+	inFlight int
+	pending  units.Bytes
+	stats    ServiceStats
+	// resident tallies the bytes of all registered replicas, maintained
+	// incrementally so the capacity audit (System.AuditCapacity) is cheap.
+	resident units.Bytes
+	// paths memoizes the per-node resource paths, indexed by nodeSlot. A
+	// path never changes after construction, and building it fresh was one
+	// of the hottest allocation sites of a run (every read and write needs
+	// one). Callers treat returned paths as immutable; one slice per node
+	// also lets the flow network solve its operations as one class.
+	paths [][]*flow.Resource
 }
+
+func (c *capacityTracker) state() *capacityTracker { return c }
 
 func (c *capacityTracker) Capacity() units.Bytes { return c.capacity }
 func (c *capacityTracker) Used() units.Bytes     { return c.used }
@@ -112,6 +134,30 @@ func (e *FullError) Error() string {
 		e.Service, e.Used, e.Capacity, e.Requested)
 }
 
+// nodeSlot indexes the per-node caches of this package: the node's index
+// plus one, with slot 0 for the nil node.
+func nodeSlot(node *platform.Node) int {
+	if node == nil {
+		return 0
+	}
+	return node.Index() + 1
+}
+
+// reach returns s extended with zero values so that index i exists.
+func reach[T any](s []T, i int) []T {
+	var zero T
+	for len(s) <= i {
+		s = append(s, zero)
+	}
+	return s
+}
+
+// pathSlot returns node's entry of the path cache, growing it to reach it.
+func (c *capacityTracker) pathSlot(node *platform.Node) *[]*flow.Resource {
+	c.paths = reach(c.paths, nodeSlot(node))
+	return &c.paths[nodeSlot(node)]
+}
+
 // remoteService is a storage system behind the interconnect, shared by all
 // compute nodes: the PFS or a Cori-style shared burst buffer. All traffic
 // funnels through one network resource and one disk resource.
@@ -124,11 +170,6 @@ type remoteService struct {
 	readLat   float64
 	writeLat  float64
 	streamCap units.Bandwidth
-	// pathCache memoizes the per-node resource path: the path never changes
-	// after construction, and building it fresh was one of the hottest
-	// allocation sites of a run (every read/write hits it). Callers treat
-	// returned paths as immutable.
-	pathCache map[*platform.Node][]*flow.Resource
 }
 
 // NewRemote builds a remote shared service (PFS or shared BB) from its
@@ -160,22 +201,18 @@ func (s *remoteService) StreamCap(*platform.Node) units.Bandwidth { return s.str
 func (s *remoteService) Local(*platform.Node) bool                { return false }
 
 func (s *remoteService) path(node *platform.Node) []*flow.Resource {
-	if p, ok := s.pathCache[node]; ok {
-		return p
+	p := s.pathSlot(node)
+	if *p == nil {
+		res := make([]*flow.Resource, 0, 3)
+		if node != nil {
+			res = append(res, node.Link())
+		}
+		if s.netRes != nil {
+			res = append(res, s.netRes)
+		}
+		*p = append(res, s.diskRes)
 	}
-	res := make([]*flow.Resource, 0, 3)
-	if node != nil {
-		res = append(res, node.Link())
-	}
-	if s.netRes != nil {
-		res = append(res, s.netRes)
-	}
-	res = append(res, s.diskRes)
-	if s.pathCache == nil {
-		s.pathCache = map[*platform.Node][]*flow.Resource{}
-	}
-	s.pathCache[node] = res
-	return res
+	return *p
 }
 
 func (s *remoteService) ReadPath(node *platform.Node) []*flow.Resource  { return s.path(node) }
@@ -192,8 +229,6 @@ type localService struct {
 	writeLat  float64
 	streamCap units.Bandwidth
 	remoteCap units.Bandwidth // caps remote access (NVMe-over-fabric path)
-	// pathCache as in remoteService: immutable per-node paths, built once.
-	pathCache map[*platform.Node][]*flow.Resource
 }
 
 // NewNodeLocal builds the node-local burst buffer of one compute node.
@@ -231,20 +266,15 @@ func (s *localService) StreamCap(node *platform.Node) units.Bandwidth {
 }
 
 func (s *localService) path(node *platform.Node) []*flow.Resource {
-	if p, ok := s.pathCache[node]; ok {
-		return p
+	p := s.pathSlot(node)
+	if *p == nil {
+		if node == nil || node == s.owner {
+			*p = []*flow.Resource{s.diskRes}
+		} else {
+			*p = []*flow.Resource{node.Link(), s.owner.Link(), s.diskRes}
+		}
 	}
-	var res []*flow.Resource
-	if node == nil || node == s.owner {
-		res = []*flow.Resource{s.diskRes}
-	} else {
-		res = []*flow.Resource{node.Link(), s.owner.Link(), s.diskRes}
-	}
-	if s.pathCache == nil {
-		s.pathCache = map[*platform.Node][]*flow.Resource{}
-	}
-	s.pathCache[node] = res
-	return res
+	return *p
 }
 
 func (s *localService) ReadPath(node *platform.Node) []*flow.Resource  { return s.path(node) }

@@ -261,8 +261,8 @@ func TestCancelWriteReleasesReservation(t *testing.T) {
 	if sys.Registry().Has(f, bb) {
 		t.Error("cancelled write registered a replica")
 	}
-	if sys.Manager().inFlight[bb] != 0 {
-		t.Errorf("InFlight = %d after cancel, want 0", sys.Manager().inFlight[bb])
+	if bb.state().inFlight != 0 {
+		t.Errorf("InFlight = %d after cancel, want 0", bb.state().inFlight)
 	}
 }
 
@@ -274,11 +274,11 @@ func TestInFlightCounting(t *testing.T) {
 		sys.PlaceInitial(f, sys.PFS())
 		sys.Manager().Read(node, f, sys.PFS(), nil, 0)
 	}
-	if got := sys.Manager().inFlight[sys.PFS()]; got != 3 {
+	if got := sys.PFS().state().inFlight; got != 3 {
 		t.Errorf("InFlight = %d, want 3", got)
 	}
 	e.Run()
-	if got := sys.Manager().inFlight[sys.PFS()]; got != 0 {
+	if got := sys.PFS().state().inFlight; got != 0 {
 		t.Errorf("InFlight = %d after run, want 0", got)
 	}
 }

@@ -46,9 +46,10 @@ type File struct {
 // ID returns the file's unique identifier.
 func (f *File) ID() string { return f.id }
 
-// Index returns the file's insertion index within its workflow — a dense
-// 0..len(Files())-1 range, so per-file run state can live in slices instead
-// of maps.
+// Index returns the file's insertion index within its workflow plus the
+// workflow's file base (0 unless built by NewFrom) — a dense
+// base..base+len(Files())-1 range, so per-file run state can live in
+// slices instead of maps.
 func (f *File) Index() int { return f.index }
 
 // Size returns the file's size.
@@ -145,14 +146,22 @@ type Workflow struct {
 	taskByID map[string]*Task
 	files    []*File
 	fileByID map[string]*File
+	fileBase int // index of the first file
 }
 
 // New returns an empty workflow.
-func New(name string) *Workflow {
+func New(name string) *Workflow { return NewFrom(name, 0) }
+
+// NewFrom returns an empty workflow whose files are numbered from base. A
+// run's files outside its workflow's DAG (checkpoint snapshots, background
+// traffic) live in such a workflow, numbered after the DAG's files, so
+// every file of the run has an index of its own.
+func NewFrom(name string, base int) *Workflow {
 	return &Workflow{
 		name:     name,
 		taskByID: map[string]*Task{},
 		fileByID: map[string]*File{},
+		fileBase: base,
 	}
 }
 
@@ -182,7 +191,7 @@ func (w *Workflow) AddFile(id string, size units.Bytes) (*File, error) {
 	if _, dup := w.fileByID[id]; dup {
 		return nil, fmt.Errorf("workflow: duplicate file ID %q", id)
 	}
-	f := &File{id: id, size: size, index: len(w.files)}
+	f := &File{id: id, size: size, index: w.fileBase + len(w.files)}
 	w.fileByID[id] = f
 	w.files = append(w.files, f)
 	return f, nil
