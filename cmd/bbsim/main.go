@@ -54,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cores     = fs.Int("cores", 0, "override cores per compute task (0 = task request)")
 		prePlace  = fs.Bool("preplace", false, "pre-place workflow inputs on their targets at no cost")
 		tracePath = fs.String("trace", "", "write the event trace to this file (JSON, or one row per event with -trace-out)")
-		traceOut  = fs.String("trace-out", "", "stream events to -trace as they fire instead of retaining them (a -sched campaign writes them as it ends): jsonl or csv")
+		traceOut  = fs.String("trace-out", "", "stream events to -trace as they fire instead of retaining them: jsonl or csv")
 		noTrace   = fs.Bool("no-trace", false, "keep only per-kind event counts — no retained trace, lowest memory")
 		gantt     = fs.Bool("gantt", false, "print an ASCII Gantt chart of the execution")
 		evict     = fs.Bool("evict", false, "free BB replicas after their last consumer (lifecycle management)")
@@ -142,10 +142,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	// The trace sink decides what the run materializes: everything (nil,
-	// the retained default), a stream to disk, or counters only. The
-	// retained-only outputs (-gantt, plain -trace) are rejected up front
-	// with the other sinks rather than failing after the simulation ran.
+	// The trace sink decides what the run materializes: counters only (nil,
+	// the default), a stream to disk, or everything for the retained-only
+	// outputs (-gantt, plain -trace). Those are rejected up front with the
+	// other sinks rather than failing after the simulation ran.
 	var sink trace.Sink
 	var sinkFile *os.File
 	switch {
@@ -153,7 +153,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *tracePath != "" || *traceOut != "" || *gantt {
 			return usage("-no-trace is incompatible with -trace, -trace-out, and -gantt")
 		}
-		sink = trace.Discard
 	case *traceOut != "":
 		if *gantt {
 			return usage("-gantt needs the retained trace; drop -trace-out")
@@ -163,6 +162,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		sink = newSink(*traceOut, sinkFile)
+	case *tracePath != "" || *gantt:
+		sink = trace.Retain
 	}
 
 	cfg, err := loadPlatform(*platName, *nodes)
@@ -253,7 +254,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *tracePath != "" && sink == nil {
+	if *tracePath != "" && sinkFile == nil {
 		if err := res.Trace.Save(*tracePath); err != nil {
 			return fail(err)
 		}
@@ -362,6 +363,19 @@ func runSchedCampaign(o schedCampaignOpts, stdout, stderr io.Writer) int {
 			Node: &faults.NodeProcess{Arrival: faults.Exp(o.faultMean), MTTR: o.mttr, Budget: o.faultBudget},
 		}
 	}
+	// -trace alone saves the retained trace as JSON; with -trace-out the
+	// events stream to the file as the campaign fires them.
+	var sinkFile *os.File
+	switch {
+	case o.traceOut != "":
+		if sinkFile, err = os.Create(o.tracePath); err != nil {
+			return fail(err)
+		}
+		defer sinkFile.Close()
+		cfg.TraceSink = newSink(o.traceOut, sinkFile)
+	case o.tracePath != "":
+		cfg.TraceSink = trace.Retain
+	}
 	sres, err := sched.Run(cfg)
 	if err != nil {
 		return fail(err)
@@ -379,7 +393,12 @@ func runSchedCampaign(o schedCampaignOpts, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "makespan:  %.2f s (%d events)\n", res.Makespan, res.Events)
 
 	if o.tracePath != "" {
-		if err := writeTrace(res.Trace, o.tracePath, o.traceOut); err != nil {
+		if sinkFile != nil {
+			err = errors.Join(cfg.TraceSink.Close(), sinkFile.Close())
+		} else {
+			err = res.Trace.Save(o.tracePath)
+		}
+		if err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(stdout, "trace written to %s\n", o.tracePath)
@@ -396,23 +415,6 @@ func newSink(format string, w io.Writer) trace.Sink {
 		return trace.NewJSONLSink(w)
 	}
 	return trace.NewCSVSink(w)
-}
-
-// writeTrace writes a retained trace to path: indented JSON, or one row
-// per event in the -trace-out format.
-func writeTrace(tr *trace.Trace, path, format string) error {
-	if format == "" {
-		return tr.Save(path)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	sink := newSink(format, f)
-	for _, ev := range tr.Events() {
-		sink.Emit(ev)
-	}
-	return errors.Join(sink.Close(), f.Close())
 }
 
 func loadPlatform(name string, nodes int) (platform.Config, error) {

@@ -138,7 +138,8 @@ const (
 )
 
 // TaskPhases is the slice of per-task phase measurements LambdaFromRecords
-// consumes; trace.TaskRecord satisfies it via the adapter in the caller.
+// consumes; testbed.Result.Phases carries a run's, read from its task
+// records.
 type TaskPhases struct {
 	Name     string
 	ExecTime float64

@@ -102,13 +102,13 @@ type RunOptions struct {
 	// spill with hysteresis, fault-aware proactive replication, and
 	// degradation-aware admission fallback. The zero value disables it.
 	Adapt adapt.Policy
-	// TraceSink receives the run's events. Nil — the default — retains
-	// every event and task record in memory, which replay/invariant
-	// consumers and Trace.Save require. trace.JSONLSink and trace.CSVSink
-	// stream events out; trace.Discard keeps only per-kind counts and
-	// folded summaries. Makespan, Faults, and Metrics in the Result are
-	// identical whatever the sink. The caller owns a non-nil sink and must
-	// Close it after the run.
+	// TraceSink receives the run's events. Nil — the default — keeps only
+	// per-kind counts and folded summaries. trace.Retain keeps every event
+	// and task record in memory, which replay/invariant consumers,
+	// Trace.Save and RenderGantt require. trace.JSONLSink and
+	// trace.CSVSink stream events out. Makespan, Faults, and Metrics in
+	// the Result are identical whatever the sink. The caller owns a
+	// streaming sink and must Close it after the run.
 	TraceSink trace.Sink
 	// OpModel adjusts every storage operation's latency, rate cap and
 	// size; nil is the identity model of the lightweight simulator. The
@@ -195,7 +195,8 @@ type SchedStats struct {
 type Result struct {
 	// Makespan is the time of the last task completion, in seconds.
 	Makespan float64
-	// Trace is the full time-stamped event trace.
+	// Trace is the run's trace: its event log and task records only when
+	// RunOptions.TraceSink is trace.Retain.
 	Trace *trace.Trace
 	// Summaries aggregates task records by category.
 	Summaries []trace.Summary

@@ -6,6 +6,7 @@ import (
 	"bbwfsim/internal/genomes"
 	"bbwfsim/internal/platform"
 	"bbwfsim/internal/swarp"
+	"bbwfsim/internal/trace"
 	"bbwfsim/internal/units"
 )
 
@@ -76,7 +77,7 @@ func TestBBSpeedsUpSimulatedSWarp(t *testing.T) {
 func TestGenomesOnSummit(t *testing.T) {
 	wf := genomes.MustNew(genomes.Params{Chromosomes: 2})
 	sim := MustNewSimulator(platform.Summit(4))
-	res, err := sim.Run(wf, RunOptions{StagedFraction: 1, PrePlaceInputs: true})
+	res, err := sim.Run(wf, RunOptions{TraceSink: trace.Retain, StagedFraction: 1, PrePlaceInputs: true})
 	if err != nil {
 		t.Fatal(err)
 	}

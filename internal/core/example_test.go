@@ -6,6 +6,7 @@ import (
 
 	"bbwfsim/internal/core"
 	"bbwfsim/internal/platform"
+	"bbwfsim/internal/trace"
 	"bbwfsim/internal/units"
 	"bbwfsim/internal/workflow"
 )
@@ -41,7 +42,8 @@ func ExampleSimulator_Run() {
 		log.Fatal(err)
 	}
 	for _, useBB := range []bool{false, true} {
-		opts := core.RunOptions{IntermediatesToBB: useBB, PrePlaceInputs: true}
+		// Retain keeps the task records printed below.
+		opts := core.RunOptions{IntermediatesToBB: useBB, PrePlaceInputs: true, TraceSink: trace.Retain}
 		where := "PFS only"
 		if useBB {
 			opts.StagedFraction = 1

@@ -324,6 +324,7 @@ func TestOverlappingPressureWavesSpillEachReplicaOnce(t *testing.T) {
 	wf.MustAddTask(workflow.TaskSpec{ID: "t4", Work: 20e9, Inputs: []string{"a", "b", "c"}})
 	col := metrics.New("test", "waves")
 	tr, err := exec.Run(sys, wf, exec.Config{
+		TraceSink:  trace.Retain,
 		Placement:  placement.NewExplicit("bb", []string{"a", "b", "c"}),
 		Adapt:      adapt.Policy{SpillHighWater: 0.3, SpillLowWater: 0.12},
 		Metrics:    col,

@@ -323,6 +323,13 @@ func (e *engine) chargeExecuted(a *attempt, completed bool) {
 	if !completed && !a.computeEv.Cancelled() {
 		ex += e.now() - a.segStart
 	}
-	e.cfg.Metrics.Add(metrics.ComputeExecutedSecondsTotal,
-		metrics.Key{Task: a.task.Name()}, ex)
+	if e.cfg.Metrics == nil {
+		return
+	}
+	s := e.series[a.task.Index()]
+	if !s.executedHeld {
+		s.executedHeld = true
+		s.executed = e.cfg.Metrics.HoldCounter(metrics.ComputeExecutedSecondsTotal, metrics.Key{Task: a.task.Name()})
+	}
+	s.executed.Add(ex)
 }

@@ -144,6 +144,7 @@ func TestRestartFromCheckpointBeatsLineage(t *testing.T) {
 			Faults:     fm,
 			Retry:      exec.RetryPolicy{MaxRetries: 1},
 			Metrics:    col,
+			TraceSink:  trace.Retain,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -244,8 +245,9 @@ func TestCrashBetweenCommitAndDrain(t *testing.T) {
 			Interval: 2, Target: ckpt.TargetBB, Drain: true, DrainDelay: 0.5,
 			MinSize: 50 * units.MB,
 		},
-		Faults: fm,
-		Retry:  exec.RetryPolicy{MaxRetries: 1},
+		Faults:    fm,
+		Retry:     exec.RetryPolicy{MaxRetries: 1},
+		TraceSink: trace.Retain,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +315,7 @@ func TestNodeFailureDuringStageOut(t *testing.T) {
 			}
 		})
 	}}
-	tr, err := exec.Run(sys, wf, exec.Config{Placement: pol, Faults: fm,
+	tr, err := exec.Run(sys, wf, exec.Config{TraceSink: trace.Retain, Placement: pol, Faults: fm,
 		Retry: exec.RetryPolicy{MaxRetries: 2}})
 	if err != nil {
 		t.Fatal(err)

@@ -134,8 +134,8 @@ type Config struct {
 	// simulated behavior either way.
 	Metrics *metrics.Collector
 	// TraceSink receives the run's events (see trace.New). Nil — the
-	// default — retains the whole trace in memory; trace.Discard keeps only
-	// counts and folded summaries. The engine emits the exact same event
+	// default — keeps only counts and folded summaries; trace.Retain keeps
+	// the whole trace in memory. The engine emits the exact same event
 	// sequence whatever the sink.
 	TraceSink trace.Sink
 }
@@ -196,6 +196,7 @@ func Run(sys *storage.System, wf *workflow.Workflow, cfg Config) (*trace.Trace, 
 		return nil, err
 	}
 	tr := trace.New(wf.Name(), sys.Platform().Config().Name, cfg.TraceSink)
+	sys.Registry().Reserve(len(wf.Files()))
 	e := &engine{
 		sys:       sys,
 		wf:        wf,
@@ -223,6 +224,17 @@ func Run(sys *storage.System, wf *workflow.Workflow, cfg Config) (*trace.Trace, 
 	}
 	if cfg.Adapt.Enabled() {
 		e.ad = newAdaptState(cfg.Adapt)
+	}
+	if cfg.Metrics != nil {
+		e.series = make([]*taskSeries, len(wf.Tasks()))
+		byCategory := map[taskCategory]*taskSeries{}
+		for _, t := range wf.Tasks() {
+			c := taskCategory{t.Kind(), t.Name()}
+			if byCategory[c] == nil {
+				byCategory[c] = &taskSeries{}
+			}
+			e.series[t.Index()] = byCategory[c]
+		}
 	}
 	for _, f := range wf.Files() {
 		e.readers[f.Index()] = len(f.Consumers())
@@ -306,6 +318,10 @@ type engine struct {
 	ad *adaptState
 
 	computeDoneFn func(tag uint64) // bound e.computeDone, hoisted once
+
+	// series holds the metric series of each task's category, per task;
+	// nil without metrics.
+	series []*taskSeries
 
 	finished   int
 	running    int
@@ -853,9 +869,9 @@ func (e *engine) finishTask(a *attempt) {
 	e.tr.Record(e.now(), trace.TaskEnd, t.ID(), trace.Event{})
 	e.commitPhases(t, rec)
 	e.chargeExecuted(a, true)
-	// A trace with a sink folds the finished record into its per-name
-	// summary here, keeping live trace state O(active tasks); a retaining
-	// trace no-ops.
+	// A counting or streaming trace folds the finished record into its
+	// per-name summary here, keeping live trace state O(active tasks); a
+	// retaining trace no-ops.
 	e.tr.Release(t.ID())
 	e.clearCkpts(t)
 	a.node.ReleaseResources(a.cores, t.Memory())
@@ -906,24 +922,55 @@ func (e *engine) commitPhases(t *workflow.Task, rec *trace.TaskRecord) {
 	if col == nil {
 		return
 	}
-	name := t.Name()
-	switch t.Kind() {
-	case workflow.KindStageIn:
-		col.Add(metrics.TaskPhaseSecondsTotal,
-			metrics.Key{Task: name, Phase: metrics.PhaseStageIn}, rec.FinishedAt-rec.StartedAt)
-	case workflow.KindStageOut:
-		col.Add(metrics.TaskPhaseSecondsTotal,
-			metrics.Key{Task: name, Phase: metrics.PhaseStageOut}, rec.FinishedAt-rec.StartedAt)
-	default:
-		col.Add(metrics.TaskPhaseSecondsTotal,
-			metrics.Key{Task: name, Phase: metrics.PhaseRead}, rec.ReadDoneAt-rec.StartedAt)
-		col.Add(metrics.TaskPhaseSecondsTotal,
-			metrics.Key{Task: name, Phase: metrics.PhaseCompute}, rec.ComputeDone-rec.ReadDoneAt)
-		col.Add(metrics.TaskPhaseSecondsTotal,
-			metrics.Key{Task: name, Phase: metrics.PhaseWrite}, rec.FinishedAt-rec.ComputeDone)
+	s := e.series[t.Index()]
+	if !s.phasesHeld {
+		s.phasesHeld = true
+		name := t.Name()
+		phase := func(p string) metrics.HeldCounter {
+			return col.HoldCounter(metrics.TaskPhaseSecondsTotal, metrics.Key{Task: name, Phase: p})
+		}
+		switch t.Kind() {
+		case workflow.KindStageIn:
+			s.phases[0] = phase(metrics.PhaseStageIn)
+		case workflow.KindStageOut:
+			s.phases[0] = phase(metrics.PhaseStageOut)
+		default:
+			s.phases = [3]metrics.HeldCounter{
+				phase(metrics.PhaseRead), phase(metrics.PhaseCompute), phase(metrics.PhaseWrite),
+			}
+		}
+		s.wait = col.HoldCounter(metrics.TaskWaitSecondsTotal, metrics.Key{Task: name})
+		s.completed = col.HoldCounter(metrics.TasksCompletedTotal, metrics.Key{Task: name})
 	}
-	col.Add(metrics.TaskWaitSecondsTotal, metrics.Key{Task: name}, rec.StartedAt-rec.ReadyAt)
-	col.Add(metrics.TasksCompletedTotal, metrics.Key{Task: name}, 1)
+	switch t.Kind() {
+	case workflow.KindStageIn, workflow.KindStageOut:
+		s.phases[0].Add(rec.FinishedAt - rec.StartedAt)
+	default:
+		s.phases[0].Add(rec.ReadDoneAt - rec.StartedAt)
+		s.phases[1].Add(rec.ComputeDone - rec.ReadDoneAt)
+		s.phases[2].Add(rec.FinishedAt - rec.ComputeDone)
+	}
+	s.wait.Add(rec.StartedAt - rec.ReadyAt)
+	s.completed.Add(1)
+}
+
+// taskCategory is what a task's metric series are labelled with.
+type taskCategory struct {
+	kind workflow.Kind
+	name string
+}
+
+// taskSeries are the collector series of one task category, each group
+// held on its first use so the collector creates the series in the order
+// and at the moments plain Adds would.
+type taskSeries struct {
+	// phases are the phase-time series: stage-in or stage-out alone, or
+	// read, compute and write.
+	phases          [3]metrics.HeldCounter
+	wait, completed metrics.HeldCounter
+	executed        metrics.HeldCounter
+	phasesHeld      bool
+	executedHeld    bool
 }
 
 // evictScratch frees the burst-buffer replicas of a file whose last

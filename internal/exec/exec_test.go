@@ -10,6 +10,7 @@ import (
 	"bbwfsim/internal/platform"
 	"bbwfsim/internal/sim"
 	"bbwfsim/internal/storage"
+	"bbwfsim/internal/trace"
 	"bbwfsim/internal/units"
 	"bbwfsim/internal/workflow"
 )
@@ -49,7 +50,7 @@ func TestSingleComputeTask(t *testing.T) {
 	sys := newSystem(t, testConfig(1, 4))
 	wf := workflow.New("one")
 	wf.MustAddTask(workflow.TaskSpec{ID: "t", Work: 4e9, Cores: 1})
-	tr, err := exec.Run(sys, wf, exec.Config{})
+	tr, err := exec.Run(sys, wf, exec.Config{TraceSink: trace.Retain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestCoresOverrideAndClamp(t *testing.T) {
 	wf := workflow.New("one")
 	wf.MustAddTask(workflow.TaskSpec{ID: "t", Work: 4e9, Cores: 1})
 	// Override to 8, clamped to the node's 4 cores.
-	tr, err := exec.Run(sys, wf, exec.Config{CoresPerTask: 8})
+	tr, err := exec.Run(sys, wf, exec.Config{TraceSink: trace.Retain, CoresPerTask: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestPipelineWithIO(t *testing.T) {
 	wf.MustAddFile("mid", 100*units.MB)
 	wf.MustAddTask(workflow.TaskSpec{ID: "t1", Work: 4e9, Cores: 1, Inputs: []string{"in"}, Outputs: []string{"mid"}})
 	wf.MustAddTask(workflow.TaskSpec{ID: "t2", Work: 1e9, Cores: 1, Inputs: []string{"mid"}})
-	tr, err := exec.Run(sys, wf, exec.Config{})
+	tr, err := exec.Run(sys, wf, exec.Config{TraceSink: trace.Retain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestDiamondParallelism(t *testing.T) {
 	wf.MustAddTask(workflow.TaskSpec{ID: "b", Work: 3e9, Inputs: []string{"ab"}, Outputs: []string{"bd"}})
 	wf.MustAddTask(workflow.TaskSpec{ID: "c", Work: 3e9, Inputs: []string{"ac"}, Outputs: []string{"cd"}})
 	wf.MustAddTask(workflow.TaskSpec{ID: "d", Work: 1e9, Inputs: []string{"bd", "cd"}})
-	tr, err := exec.Run(sys, wf, exec.Config{})
+	tr, err := exec.Run(sys, wf, exec.Config{TraceSink: trace.Retain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestCoreContentionSerializes(t *testing.T) {
 	wf := workflow.New("pair")
 	wf.MustAddTask(workflow.TaskSpec{ID: "a", Work: 2e9})
 	wf.MustAddTask(workflow.TaskSpec{ID: "b", Work: 2e9})
-	tr, err := exec.Run(sys, wf, exec.Config{})
+	tr, err := exec.Run(sys, wf, exec.Config{TraceSink: trace.Retain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +312,7 @@ func TestTraceEventsWellFormed(t *testing.T) {
 	wf.MustAddFile("mid", 10*units.MB)
 	wf.MustAddTask(workflow.TaskSpec{ID: "t1", Work: 1e9, Inputs: []string{"in"}, Outputs: []string{"mid"}})
 	wf.MustAddTask(workflow.TaskSpec{ID: "t2", Work: 1e9, Inputs: []string{"mid"}})
-	tr, err := exec.Run(sys, wf, exec.Config{})
+	tr, err := exec.Run(sys, wf, exec.Config{TraceSink: trace.Retain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +339,7 @@ func TestMultiNodeScheduling(t *testing.T) {
 	wf := workflow.New("pair")
 	wf.MustAddTask(workflow.TaskSpec{ID: "a", Work: 2e9})
 	wf.MustAddTask(workflow.TaskSpec{ID: "b", Work: 2e9})
-	tr, err := exec.Run(sys, wf, exec.Config{})
+	tr, err := exec.Run(sys, wf, exec.Config{TraceSink: trace.Retain})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"bbwfsim/internal/exec"
 	"bbwfsim/internal/placement"
+	"bbwfsim/internal/trace"
 	"bbwfsim/internal/units"
 	"bbwfsim/internal/workflow"
 )
@@ -97,6 +98,7 @@ func TestPrivateVisibilityFallsBackToPFS(t *testing.T) {
 	run := func(enforce bool) float64 {
 		sys := newSystem(t, testConfig(2, 1))
 		tr, err := exec.Run(sys, wf, exec.Config{
+			TraceSink:                trace.Retain,
 			Placement:                pol,
 			NodePolicy:               exec.NodeRoundRobin,
 			EnforcePrivateVisibility: enforce,

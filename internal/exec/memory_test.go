@@ -5,6 +5,7 @@ import (
 
 	"bbwfsim/internal/exec"
 	"bbwfsim/internal/platform"
+	"bbwfsim/internal/trace"
 	"bbwfsim/internal/units"
 	"bbwfsim/internal/workflow"
 )
@@ -22,7 +23,7 @@ func TestMemoryConstraintSerializes(t *testing.T) {
 	// Two 6 GiB tasks cannot share a 10 GiB node despite free cores.
 	wf.MustAddTask(workflow.TaskSpec{ID: "a", Work: 2e9, Memory: 6 * units.GiB})
 	wf.MustAddTask(workflow.TaskSpec{ID: "b", Work: 2e9, Memory: 6 * units.GiB})
-	tr, err := exec.Run(sys, wf, exec.Config{})
+	tr, err := exec.Run(sys, wf, exec.Config{TraceSink: trace.Retain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestMemorySpreadsAcrossNodes(t *testing.T) {
 	wf := workflow.New("mem")
 	wf.MustAddTask(workflow.TaskSpec{ID: "a", Work: 2e9, Memory: 6 * units.GiB})
 	wf.MustAddTask(workflow.TaskSpec{ID: "b", Work: 2e9, Memory: 6 * units.GiB})
-	tr, err := exec.Run(sys, wf, exec.Config{})
+	tr, err := exec.Run(sys, wf, exec.Config{TraceSink: trace.Retain})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bbwfsim/internal/exec"
+	"bbwfsim/internal/trace"
 	"bbwfsim/internal/units"
 	"bbwfsim/internal/workflow"
 )
@@ -14,7 +15,7 @@ func TestRoundRobinSpreadsTasks(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		wf.MustAddTask(workflow.TaskSpec{ID: fileID("t", i), Work: 1e9, Cores: 1})
 	}
-	tr, err := exec.Run(sys, wf, exec.Config{NodePolicy: exec.NodeRoundRobin})
+	tr, err := exec.Run(sys, wf, exec.Config{TraceSink: trace.Retain, NodePolicy: exec.NodeRoundRobin})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestFirstFitPacksTasks(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		wf.MustAddTask(workflow.TaskSpec{ID: fileID("t", i), Work: 1e9, Cores: 1})
 	}
-	tr, err := exec.Run(sys, wf, exec.Config{}) // first fit
+	tr, err := exec.Run(sys, wf, exec.Config{TraceSink: trace.Retain}) // first fit
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestLeastLoadedBalances(t *testing.T) {
 	// Two 3-core tasks: least-loaded must put them on different nodes.
 	wf.MustAddTask(workflow.TaskSpec{ID: "a", Work: 1e9, Cores: 3})
 	wf.MustAddTask(workflow.TaskSpec{ID: "b", Work: 1e9, Cores: 3})
-	tr, err := exec.Run(sys, wf, exec.Config{NodePolicy: exec.NodeLeastLoaded})
+	tr, err := exec.Run(sys, wf, exec.Config{TraceSink: trace.Retain, NodePolicy: exec.NodeLeastLoaded})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestLargestWorkFirstOrder(t *testing.T) {
 	wf := workflow.New("order")
 	wf.MustAddTask(workflow.TaskSpec{ID: "small", Work: 1e9})
 	wf.MustAddTask(workflow.TaskSpec{ID: "big", Work: 9e9})
-	tr, err := exec.Run(sys, wf, exec.Config{OrderPolicy: exec.OrderLargestWork})
+	tr, err := exec.Run(sys, wf, exec.Config{TraceSink: trace.Retain, OrderPolicy: exec.OrderLargestWork})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestRoundRobinFallsBackWhenFull(t *testing.T) {
 	wf.MustAddTask(workflow.TaskSpec{ID: "a", Work: units.Flops(10e9), Cores: 2})
 	wf.MustAddTask(workflow.TaskSpec{ID: "b", Work: 1e9, Cores: 1})
 	wf.MustAddTask(workflow.TaskSpec{ID: "c", Work: 1e9, Cores: 1})
-	tr, err := exec.Run(sys, wf, exec.Config{NodePolicy: exec.NodeRoundRobin})
+	tr, err := exec.Run(sys, wf, exec.Config{TraceSink: trace.Retain, NodePolicy: exec.NodeRoundRobin})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"bbwfsim/internal/exec"
 	"bbwfsim/internal/placement"
+	"bbwfsim/internal/trace"
 	"bbwfsim/internal/units"
 	"bbwfsim/internal/workflow"
 )
@@ -25,7 +26,7 @@ func TestStageOutDrainsToPFS(t *testing.T) {
 	sys := newSystem(t, testConfig(1, 4))
 	wf := stageOutWF()
 	pol := placement.NewExplicit("res", []string{"result"})
-	tr, err := exec.Run(sys, wf, exec.Config{Placement: pol})
+	tr, err := exec.Run(sys, wf, exec.Config{TraceSink: trace.Retain, Placement: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestStageOutSkipsPFSResidentFiles(t *testing.T) {
 	sys := newSystem(t, testConfig(1, 4))
 	wf := stageOutWF()
 	// No placement: produce writes straight to the PFS; stage-out is free.
-	tr, err := exec.Run(sys, wf, exec.Config{})
+	tr, err := exec.Run(sys, wf, exec.Config{TraceSink: trace.Retain})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"bbwfsim/internal/placement"
 	"bbwfsim/internal/platform"
 	"bbwfsim/internal/swarp"
-	"bbwfsim/internal/trace"
 	"bbwfsim/internal/units"
 	"bbwfsim/internal/workflow"
 )
@@ -112,7 +111,7 @@ func RunAdaptive(opts Options) ([]*Table, error) {
 	// makespan and compute that "slowdown" and "re-exec compute" reference.
 	baselines, err := runPoints(o, bps, func(bp basePoint) (*core.Result, error) {
 		sim := core.MustNewSimulator(simPreset(bp.profile, bp.wl.nodes))
-		res, err := sim.Run(bp.wl.wf, core.RunOptions{Placement: placement.AllBB(bp.wl.wf), TraceSink: trace.Discard})
+		res, err := sim.Run(bp.wl.wf, core.RunOptions{Placement: placement.AllBB(bp.wl.wf)})
 		if err != nil {
 			return nil, fmt.Errorf("adaptive %s/%s baseline: %w", bp.wl.label, bp.profile, err)
 		}
@@ -161,9 +160,7 @@ func RunAdaptive(opts Options) ([]*Table, error) {
 		footprint := placement.AllBB(wf).BBBytes(wf)
 		total := units.Bytes(float64(footprint) * c.press.frac)
 		cfg := adaptCapacity(simPreset(c.profile, c.wl.nodes), total, c.wl.nodes)
-		// The table reads only makespans, metrics and fault counts, so no
-		// run keeps its events.
-		ro := core.RunOptions{TraceSink: trace.Discard}
+		var ro core.RunOptions
 		switch c.policy {
 		case "static":
 			ro.Placement = placement.AllBB(wf)

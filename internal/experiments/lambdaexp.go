@@ -13,21 +13,16 @@ import (
 	"bbwfsim/internal/units"
 )
 
-// lambdaFromTrace adapts a trace into calib.LambdaFromRecords input,
-// skipping staging tasks (whose time is all I/O by construction).
-func lambdaFromTrace(tr *trace.Trace) map[string]float64 {
-	var phases []calib.TaskPhases
-	for _, r := range tr.Records() {
-		if r.Name == "stage_in" {
-			continue
+// lambdaFromPhases estimates λ_io from a run's task phases, skipping
+// staging tasks (whose time is all I/O by construction).
+func lambdaFromPhases(phases []calib.TaskPhases) map[string]float64 {
+	var tasks []calib.TaskPhases
+	for _, p := range phases {
+		if p.Name != "stage_in" {
+			tasks = append(tasks, p)
 		}
-		phases = append(phases, calib.TaskPhases{
-			Name:     r.Name,
-			ExecTime: r.ExecTime(),
-			IOTime:   r.IOTime(),
-		})
 	}
-	return calib.LambdaFromRecords(phases)
+	return calib.LambdaFromRecords(tasks)
 }
 
 // RunAblationLambda repeats the Fig. 10 accuracy evaluation with one
@@ -63,11 +58,11 @@ func RunAblationLambda(opts Options) ([]*Table, error) {
 	}
 	calibrations, err := runPoints(o, profiles, func(prof testbed.Profile) (calibration, error) {
 		anchor, err := testbed.NewRunner(prof, o.Seed).Run(testWF,
-			core.RunOptions{StagedFraction: 1, IntermediatesToBB: true}, o.Reps)
+			core.RunOptions{StagedFraction: 1, IntermediatesToBB: true, TraceSink: trace.Retain}, o.Reps)
 		if err != nil {
 			return calibration{}, err
 		}
-		c := calibration{lambda: lambdaFromTrace(anchor.LastTrace)}
+		c := calibration{lambda: lambdaFromPhases(anchor.Phases)}
 		speed := prof.Platform.CoreSpeed
 		if c.paperRW, c.paperCW, err = calibrateSwarpWorks(anchor, speed, 32, paperLambda, [2]float64{}); err != nil {
 			return calibration{}, err

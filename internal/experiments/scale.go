@@ -5,7 +5,6 @@ import (
 
 	"bbwfsim/internal/core"
 	"bbwfsim/internal/platform"
-	"bbwfsim/internal/trace"
 	"bbwfsim/internal/workloads"
 )
 
@@ -42,7 +41,6 @@ func RunScale(opts Options) ([]*Table, error) {
 			PrePlaceInputs:     true,
 			EvictAfterLastRead: true,
 			BBFallback:         true,
-			TraceSink:          trace.Discard,
 		})
 		if err != nil {
 			return nil, err

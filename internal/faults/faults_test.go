@@ -81,6 +81,7 @@ func run(t *testing.T, mode platform.BBMode, cfg Config, retry exec.RetryPolicy)
 		Faults:            inj,
 		Retry:             retry,
 		BBFallback:        true,
+		TraceSink:         trace.Retain,
 	})
 }
 

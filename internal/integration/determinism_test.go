@@ -9,6 +9,7 @@ import (
 	"bbwfsim/internal/experiments"
 	"bbwfsim/internal/platform"
 	"bbwfsim/internal/swarp"
+	"bbwfsim/internal/trace"
 )
 
 // TestFig10Deterministic is the dynamic witness for what bbvet
@@ -47,7 +48,7 @@ func TestTraceDeterministic(t *testing.T) {
 	run := func() []byte {
 		wf := swarp.MustNew(swarp.Params{Pipelines: 4, CoresPerTask: 2})
 		sim := core.MustNewSimulator(platform.Cori(2, platform.BBStriped))
-		res, err := sim.Run(wf, core.RunOptions{StagedFraction: 0.5, IntermediatesToBB: true})
+		res, err := sim.Run(wf, core.RunOptions{TraceSink: trace.Retain, StagedFraction: 0.5, IntermediatesToBB: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,6 +16,7 @@ import (
 	"bbwfsim/internal/platform"
 	"bbwfsim/internal/swarp"
 	"bbwfsim/internal/testbed"
+	"bbwfsim/internal/trace"
 	"bbwfsim/internal/units"
 	"bbwfsim/internal/workflow"
 )
@@ -149,6 +150,7 @@ func TestFullFeatureStack(t *testing.T) {
 	cfg.BB.Capacity = 1450 * units.MB
 	sim := core.MustNewSimulator(cfg)
 	res, err := sim.Run(wf, core.RunOptions{
+		TraceSink:                trace.Retain,
 		Placement:                placement.AllBB(wf),
 		EvictAfterLastRead:       true,
 		EnforcePrivateVisibility: true,
@@ -176,6 +178,7 @@ func TestFullFeatureStack(t *testing.T) {
 	// Determinism with the whole stack on.
 	sim2 := core.MustNewSimulator(cfg)
 	res2, err := sim2.Run(wf, core.RunOptions{
+		TraceSink:                trace.Retain,
 		Placement:                placement.AllBB(wf),
 		EvictAfterLastRead:       true,
 		EnforcePrivateVisibility: true,
@@ -196,7 +199,7 @@ func TestFullFeatureStack(t *testing.T) {
 func TestTraceConservation(t *testing.T) {
 	wf := genomes.MustNew(genomes.Params{Chromosomes: 2})
 	sim := core.MustNewSimulator(platform.Cori(2, platform.BBPrivate))
-	res, err := sim.Run(wf, core.RunOptions{StagedFraction: 0.5, PrePlaceInputs: true})
+	res, err := sim.Run(wf, core.RunOptions{TraceSink: trace.Retain, StagedFraction: 0.5, PrePlaceInputs: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"bbwfsim/internal/genomes"
 	"bbwfsim/internal/platform"
 	"bbwfsim/internal/runner"
+	"bbwfsim/internal/trace"
 )
 
 // campaignJobCounts are the worker counts every parallelism test compares
@@ -77,6 +78,7 @@ func TestParallelTraceBitIdentical(t *testing.T) {
 		traces, err := runner.Map(context.Background(), jobs, points, func(i int) ([]byte, error) {
 			sim := core.MustNewSimulator(cfg)
 			res, err := sim.Run(wf, core.RunOptions{
+				TraceSink:      trace.Retain,
 				PrePlaceInputs: true,
 				StagedFraction: float64(i) / (points - 1),
 			})

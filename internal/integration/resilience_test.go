@@ -34,6 +34,7 @@ func resilienceRun(t *testing.T) (*core.Result, []byte) {
 	wf := genomes.MustNew(genomes.Params{Chromosomes: 4})
 	sim := core.MustNewSimulator(platform.Cori(4, platform.BBPrivate))
 	res, err := sim.Run(wf, core.RunOptions{
+		TraceSink:         trace.Retain,
 		PrePlaceInputs:    true,
 		StagedFraction:    1,
 		IntermediatesToBB: true,
@@ -113,7 +114,7 @@ func TestZeroFailureRateMatchesFaultFree(t *testing.T) {
 	run := func(withInjector bool) []byte {
 		wf := genomes.MustNew(genomes.Params{Chromosomes: 4})
 		sim := core.MustNewSimulator(platform.Cori(4, platform.BBPrivate))
-		opts := core.RunOptions{PrePlaceInputs: true, StagedFraction: 1, IntermediatesToBB: true}
+		opts := core.RunOptions{TraceSink: trace.Retain, PrePlaceInputs: true, StagedFraction: 1, IntermediatesToBB: true}
 		if withInjector {
 			inj, err := faults.New(faults.Config{Seed: 99})
 			if err != nil {

@@ -14,6 +14,7 @@ import (
 	"bbwfsim/internal/faults"
 	"bbwfsim/internal/runner"
 	"bbwfsim/internal/sched"
+	"bbwfsim/internal/trace"
 	"bbwfsim/internal/units"
 	"bbwfsim/internal/workloads"
 )
@@ -81,6 +82,7 @@ func TestSchedTraceBitIdenticalAcrossJobs(t *testing.T) {
 				return nil, err
 			}
 			cfg := sched.Config{
+				TraceSink: trace.Retain,
 				Cluster: sched.Cluster{
 					Nodes:        16,
 					BBCapacity:   64 * units.GiB,

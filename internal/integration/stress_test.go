@@ -8,6 +8,7 @@ import (
 	"bbwfsim/internal/core"
 	"bbwfsim/internal/exec"
 	"bbwfsim/internal/platform"
+	"bbwfsim/internal/trace"
 	"bbwfsim/internal/units"
 	"bbwfsim/internal/workloads"
 )
@@ -50,6 +51,7 @@ func stressRun(t *testing.T, seed int64) float64 {
 
 	// Random feature combination.
 	opts := core.RunOptions{
+		TraceSink:                trace.Retain,
 		StagedFraction:           rng.Float64(),
 		IntermediatesToBB:        rng.Intn(2) == 0,
 		PrePlaceInputs:           rng.Intn(2) == 0,

@@ -70,6 +70,7 @@ func runStaging(t *testing.T) *trace.Trace {
 	cfg.CoresPerNode = 8
 	cfg.BB.Capacity = 900 * units.MB
 	res, err := core.MustNewSimulator(cfg).Run(wf, core.RunOptions{
+		TraceSink: trace.Retain,
 		Placement: placement.AllBB(wf), BBFallback: true,
 	})
 	if err != nil {
@@ -84,6 +85,7 @@ func runStaging(t *testing.T) *trace.Trace {
 func runRelocation(t *testing.T) *trace.Trace {
 	res, err := core.MustNewSimulator(platform.Cori(2, platform.BBPrivate)).Run(
 		swarp.MustNew(swarp.Params{Pipelines: 2, CoresPerTask: 8}), core.RunOptions{
+			TraceSink:      trace.Retain,
 			StagedFraction: 1, IntermediatesToBB: true, EnforcePrivateVisibility: true,
 			NodePolicy: exec.NodeLeastLoaded,
 		})
@@ -110,6 +112,7 @@ func runFaultCampaign(t *testing.T) *trace.Trace {
 	}
 	res, err := core.MustNewSimulator(platform.Cori(4, platform.BBPrivate)).Run(
 		genomes.MustNew(genomes.Params{Chromosomes: 4}), core.RunOptions{
+			TraceSink:      trace.Retain,
 			PrePlaceInputs: true, StagedFraction: 1, IntermediatesToBB: true,
 			Faults: inj,
 			Retry: exec.RetryPolicy{
@@ -137,6 +140,7 @@ func runCkptCampaign(t *testing.T) *trace.Trace {
 	}
 	res, err := core.MustNewSimulator(platform.Summit(2)).Run(
 		swarp.MustNew(swarp.Params{Pipelines: 4, CoresPerTask: 8}), core.RunOptions{
+			TraceSink:      trace.Retain,
 			StagedFraction: 1, IntermediatesToBB: true, BBFallback: true,
 			Faults: inj,
 			Retry: exec.RetryPolicy{
@@ -169,6 +173,7 @@ func runAdaptCampaign(t *testing.T) *trace.Trace {
 	cfg.BB.Capacity = units.GB
 	res, err := core.MustNewSimulator(cfg).Run(
 		swarp.MustNew(swarp.Params{Pipelines: 4, CoresPerTask: 8}), core.RunOptions{
+			TraceSink:      trace.Retain,
 			StagedFraction: 1, IntermediatesToBB: true, BBFallback: true,
 			Faults: inj,
 			Retry:  exec.RetryPolicy{MaxRetries: 20},
@@ -198,6 +203,7 @@ func runSchedCampaign(t *testing.T) *trace.Trace {
 	jobs = append(jobs[:len(jobs)/2+1:len(jobs)/2+1], jobs[len(jobs)/2:]...)
 	jobs[len(jobs)/2] = wide
 	res, err := sched.Run(sched.Config{
+		TraceSink: trace.Retain,
 		Cluster: sched.Cluster{
 			Nodes:        16,
 			BBCapacity:   64 * units.GiB,

@@ -12,17 +12,19 @@ import (
 	"bbwfsim/internal/metrics"
 	"bbwfsim/internal/platform"
 	"bbwfsim/internal/swarp"
+	"bbwfsim/internal/trace"
 	"bbwfsim/internal/workflow"
 )
 
-// runAndCheck executes one configuration and asserts every cross-layer
-// invariant, returning the result for further assertions.
+// runAndCheck executes one configuration with a retained trace and asserts
+// every cross-layer invariant, returning the result for further assertions.
 func runAndCheck(t *testing.T, label string, cfg platform.Config, wf *workflow.Workflow, ro core.RunOptions) *core.Result {
 	t.Helper()
 	sim, err := core.NewSimulator(cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
+	ro.TraceSink = trace.Retain
 	res, err := sim.Run(wf, ro)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)

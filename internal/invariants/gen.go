@@ -9,6 +9,7 @@ import (
 	"bbwfsim/internal/core"
 	"bbwfsim/internal/exec"
 	"bbwfsim/internal/platform"
+	"bbwfsim/internal/trace"
 	"bbwfsim/internal/units"
 	"bbwfsim/internal/workflow"
 	"bbwfsim/internal/workloads"
@@ -84,6 +85,8 @@ func RandomCase(seed int64) (Case, error) {
 		IntermediatesToBB:  rng.Intn(2) == 0,
 		EvictAfterLastRead: rng.Intn(2) == 0,
 		PrePlaceInputs:     rng.Intn(2) == 0,
+		// The checkers replay the retained events and task records.
+		TraceSink: trace.Retain,
 	}
 	if name == "cori-private" && rng.Intn(4) == 0 {
 		c.Opts.EnforcePrivateVisibility = true

@@ -157,6 +157,9 @@ func Check(cfg platform.Config, wf *workflow.Workflow, res *core.Result) []strin
 	if snap == nil {
 		return []string{"result carries no metrics snapshot"}
 	}
+	if res.Trace.Events() == nil {
+		return []string{"trace retains no events: run with TraceSink trace.Retain"}
+	}
 
 	// 1. Monotone virtual time.
 	prev := 0.0

@@ -63,6 +63,8 @@ func SchedCase(seed int64) (sched.Config, error) {
 		Cluster: cl,
 		Policy:  pols[rng.Intn(len(pols))],
 		Jobs:    jobs,
+		// CheckSched replays the retained events.
+		TraceSink: trace.Retain,
 	}
 	if rng.Intn(3) == 0 {
 		// Outage inter-arrivals scaled to the submission horizon so a few
@@ -137,6 +139,10 @@ func CheckSched(cfg sched.Config, res *sched.Result) []string {
 	}
 	if res == nil || res.Trace == nil || res.Metrics == nil {
 		violation("result is missing its trace or metrics snapshot")
+		return violations
+	}
+	if len(cfg.Jobs) > 0 && res.Trace.Events() == nil {
+		violation("trace retains no events: run with TraceSink trace.Retain")
 		return violations
 	}
 	cl := cfg.Cluster

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"bbwfsim/internal/faults"
+	"bbwfsim/internal/trace"
 	"bbwfsim/internal/units"
 	"bbwfsim/internal/workloads"
 )
@@ -98,7 +99,7 @@ func TestSchedGolden(t *testing.T) {
 		}
 		got[c.name] = map[string]goldenDigest{}
 		for _, pol := range Policies() {
-			res := mustRun(t, Config{Cluster: c.cluster, Policy: pol, Jobs: jobs, Faults: c.faults})
+			res := mustRun(t, Config{Cluster: c.cluster, Policy: pol, Jobs: jobs, Faults: c.faults, TraceSink: trace.Retain})
 			if c.faults != nil && pol == PolicyEASY && res.NodeFailures == 0 {
 				t.Fatalf("%s: fault campaign injected no node failures", c.name)
 			}

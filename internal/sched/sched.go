@@ -152,7 +152,8 @@ type Result struct {
 	// deterministic cost metrics, mirroring core.Result.
 	Events      uint64
 	PeakPending int
-	// Trace is the campaign's event log.
+	// Trace is the campaign's trace: its event log only when
+	// Config.TraceSink is trace.Retain.
 	Trace *trace.Trace
 	// Metrics is the campaign's observability snapshot.
 	Metrics *metrics.Snapshot
@@ -199,6 +200,11 @@ type Config struct {
 	// Metrics optionally receives the campaign's observations; nil
 	// builds a private collector so Result.Metrics is always populated.
 	Metrics *metrics.Collector
+	// TraceSink receives the campaign's events (see trace.New). Nil — the
+	// default — keeps only per-kind counts; trace.Retain keeps the event
+	// log in Result.Trace. The caller owns a streaming sink and must Close
+	// it after the run.
+	TraceSink trace.Sink
 }
 
 // jobState tracks one admitted job through the scheduler.
@@ -292,7 +298,7 @@ func run(cfg Config, pol policy) (*Result, error) {
 		}
 	}
 
-	tr := trace.New("campaign-"+cfg.Policy, "cluster", nil)
+	tr := trace.New("campaign-"+cfg.Policy, "cluster", cfg.TraceSink)
 	col := cfg.Metrics
 	if col == nil {
 		col = metrics.New("cluster", "campaign-"+cfg.Policy)

@@ -313,7 +313,8 @@ func TestDeterminismBitwise(t *testing.T) {
 	for _, pol := range Policies() {
 		cfg := Config{
 			Cluster: testCluster(), Policy: pol, Jobs: jobs,
-			Faults: &FaultPlan{Seed: 99, Node: &faults.NodeProcess{Arrival: faults.Exp(2000), MTTR: 500, Budget: 4}},
+			Faults:    &FaultPlan{Seed: 99, Node: &faults.NodeProcess{Arrival: faults.Exp(2000), MTTR: 500, Budget: 4}},
+			TraceSink: trace.Retain,
 		}
 		a := mustRun(t, cfg)
 		b := mustRun(t, cfg)
@@ -456,5 +457,33 @@ func TestUnlimitedBB(t *testing.T) {
 	res := mustRun(t, Config{Cluster: cl, Policy: PolicyFCFS, Jobs: jobs})
 	if res.Rejected != 0 || res.Completed != 2 {
 		t.Errorf("unlimited BB rejected %d completed %d", res.Rejected, res.Completed)
+	}
+}
+
+// TestDefaultTraceCounts: a campaign without a TraceSink keeps no event
+// log, yet counts every kind and reports the same campaign as one that
+// retains its trace.
+func TestDefaultTraceCounts(t *testing.T) {
+	jobs, err := workloads.Campaign(workloads.CampaignSpec{Jobs: 80, Seed: 4, MaxNodes: 4, BBMean: 2 * units.GiB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Cluster: testCluster(), Policy: PolicyPlan, Jobs: jobs}
+	counted := mustRun(t, cfg)
+	cfg.TraceSink = trace.Retain
+	kept := mustRun(t, cfg)
+	if ev := counted.Trace.Events(); ev != nil {
+		t.Fatalf("default campaign kept %d events", len(ev))
+	}
+	if len(kept.Trace.Events()) == 0 {
+		t.Fatal("retaining campaign kept no events")
+	}
+	for _, k := range []trace.EventKind{trace.JobSubmit, trace.JobStart, trace.JobRun, trace.JobStageOut, trace.JobEnd} {
+		if a, b := counted.Trace.CountKind(k), kept.Trace.CountKind(k); a != b || a == 0 {
+			t.Errorf("%s: counted %d, retained %d", k, a, b)
+		}
+	}
+	if !reflect.DeepEqual(counted.Jobs, kept.Jobs) || counted.Makespan != kept.Makespan {
+		t.Error("retaining the trace changed the campaign")
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"bbwfsim/internal/platform"
 	"bbwfsim/internal/sched"
 	"bbwfsim/internal/swarp"
-	"bbwfsim/internal/trace"
 	"bbwfsim/internal/units"
 	"bbwfsim/internal/workflow"
 	"bbwfsim/internal/workloads"
@@ -57,9 +56,6 @@ func executeRun(req *Request) ([]byte, error) {
 		EvictAfterLastRead:       req.Run.EvictAfterLastRead,
 		EnforcePrivateVisibility: req.Run.EnforcePrivateVisibility,
 		BBFallback:               req.Run.BBFallback,
-		// Counting trace: the service never ships traces, so it never
-		// retains them — memory per request stays bounded at any DAG size.
-		TraceSink: trace.Discard,
 	}
 	if opts.NodePolicy, err = exec.ParseNodePolicy(req.Run.NodePolicy); err != nil {
 		return nil, badField("run.node_policy", "unknown policy %q", req.Run.NodePolicy)

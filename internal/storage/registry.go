@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bbwfsim/internal/platform"
@@ -61,6 +62,15 @@ func find(reps []replica, svc Service) int {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
+
+// Reserve makes room in the table for files indexed below n, so a run
+// that registers its workflow's files grows the table once. Files past n
+// (the side workflow's) still extend it one at a time.
+func (r *Registry) Reserve(n int) {
+	if n > len(r.files) {
+		r.files = slices.Grow(r.files, n-len(r.files))
+	}
+}
 
 // replicas returns the replica list of f, nil when f has none. It panics
 // when f's slot belongs to another file: two files sharing an index would

@@ -138,6 +138,9 @@ func registryDiff(t *testing.T, seed int64, ops int) {
 		files = append(files, side.MustAddFile("ckpt-"+strconv.Itoa(i), units.Bytes(1+rng.Intn(64))*units.MB))
 	}
 	reg, oracle := sys.Registry(), newMapRegistry()
+	if seed%2 == 0 {
+		reg.Reserve(len(w.Files())) // as exec does; the side files still extend it
+	}
 	for op := 0; op < ops; op++ {
 		f, svc := files[rng.Intn(len(files))], svcs[rng.Intn(len(svcs))]
 		var what string
@@ -178,6 +181,31 @@ func registryDiff(t *testing.T, seed int64, ops int) {
 			oracle.Remove(f, svc)
 		}
 		compareRegistries(t, fmt.Sprintf("op %d %s", op, what), reg, oracle, files, svcs, nodes)
+	}
+}
+
+// TestRegistryReserve: once reserved for a workflow's files, the table
+// takes every one of them without growing again, and a side-workflow file
+// numbered past them still extends it.
+func TestRegistryReserve(t *testing.T) {
+	_, sys, w := coriSystem(t, platform.BBPrivate)
+	for i := 0; i < 100; i++ {
+		w.MustAddFile("f"+strconv.Itoa(i), units.MB)
+	}
+	reg := sys.Registry()
+	reg.Reserve(len(w.Files()))
+	table := cap(reg.files)
+	for _, f := range w.Files() {
+		reg.Add(f, sys.PFS())
+	}
+	if cap(reg.files) != table || len(reg.files) != len(w.Files()) {
+		t.Fatalf("table grew to %d of capacity %d registering %d reserved files (capacity %d)",
+			len(reg.files), cap(reg.files), len(w.Files()), table)
+	}
+	ckpt := workflow.NewFrom("wf+side", len(w.Files())).MustAddFile("ckpt", units.MB)
+	reg.Add(ckpt, sys.PFS())
+	if !reg.Has(ckpt, sys.PFS()) || !reg.Has(w.Files()[99], sys.PFS()) {
+		t.Fatal("a file past the reservation, or the last reserved one, is missing")
 	}
 }
 

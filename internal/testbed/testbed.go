@@ -33,6 +33,7 @@ import (
 	"math"
 	"math/rand"
 
+	"bbwfsim/internal/calib"
 	"bbwfsim/internal/core"
 	"bbwfsim/internal/platform"
 	"bbwfsim/internal/stats"
@@ -103,8 +104,10 @@ type Result struct {
 	// bandwidths.
 	BBReadBW  []float64
 	BBWriteBW []float64
-	// LastTrace is the trace of the final repetition (for inspection).
-	LastTrace *trace.Trace
+	// Phases holds the final repetition's task phases in first-touch
+	// order when the run options ask for them with trace.Retain; nil
+	// otherwise.
+	Phases []calib.TaskPhases
 }
 
 // MeanMakespan returns the mean makespan across repetitions.
@@ -128,7 +131,9 @@ func NewRunner(p Profile, seed int64) *Runner {
 // Run executes reps repetitions (the paper averages over 15) of wf under
 // opts and aggregates them. Every repetition is one core.Simulator.Run on
 // the profile's platform with opts.OpModel and opts.Compute overwritten by
-// the profile's machine model, freshly seeded per repetition.
+// the profile's machine model, freshly seeded per repetition. With
+// opts.TraceSink set to trace.Retain only the final repetition retains
+// its trace, for Result.Phases; the others count.
 func (r *Runner) Run(wf *workflow.Workflow, opts core.RunOptions, reps int) (*Result, error) {
 	if reps <= 0 {
 		return nil, fmt.Errorf("testbed: reps must be positive, got %d", reps)
@@ -138,7 +143,14 @@ func (r *Runner) Run(wf *workflow.Workflow, opts core.RunOptions, reps int) (*Re
 		return nil, err
 	}
 	res := &Result{TaskMeans: map[string][]float64{}}
+	final := opts.TraceSink
+	if final == trace.Retain {
+		opts.TraceSink = nil // only the final repetition retains
+	}
 	for rep := 0; rep < reps; rep++ {
+		if rep == reps-1 {
+			opts.TraceSink = final
+		}
 		seed := r.Seed + int64(rep)*1_000_003
 		opts.OpModel = newOpModel(&r.Profile, opts.StagedFraction, rand.New(rand.NewSource(seed)))
 		opts.Compute = &computeModel{prof: &r.Profile, rng: rand.New(rand.NewSource(seed + 17))}
@@ -156,7 +168,12 @@ func (r *Runner) Run(wf *workflow.Workflow, opts core.RunOptions, reps int) (*Re
 		if bw := run.BB.WriteBandwidth(); bw > 0 {
 			res.BBWriteBW = append(res.BBWriteBW, float64(bw))
 		}
-		res.LastTrace = run.Trace
+		if opts.TraceSink == trace.Retain {
+			for _, rec := range run.Trace.Records() {
+				res.Phases = append(res.Phases,
+					calib.TaskPhases{Name: rec.Name, ExecTime: rec.ExecTime(), IOTime: rec.IOTime()})
+			}
+		}
 	}
 	return res, nil
 }

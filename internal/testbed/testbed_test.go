@@ -1,11 +1,13 @@
 package testbed
 
 import (
+	"slices"
 	"testing"
 
 	"bbwfsim/internal/core"
 	"bbwfsim/internal/stats"
 	"bbwfsim/internal/swarp"
+	"bbwfsim/internal/trace"
 	"bbwfsim/internal/workflow"
 )
 
@@ -230,5 +232,45 @@ func TestSummitUsesOnNodeBBs(t *testing.T) {
 	}
 	if res.Makespans[0] <= 0 {
 		t.Fatal("empty run")
+	}
+}
+
+// TestPhasesOnlyOnRequest: a testbed run keeps no task phases unless its
+// options ask with trace.Retain, and then exactly the final repetition's,
+// one per task, without perturbing any repetition.
+func TestPhasesOnlyOnRequest(t *testing.T) {
+	wf := swarpWF(1, 32)
+	sc := core.RunOptions{StagedFraction: 1, IntermediatesToBB: true}
+	r := NewRunner(CoriPrivate(1), 3)
+	plain, err := r.Run(wf, sc, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Phases != nil {
+		t.Fatalf("a run that did not ask kept %d task phases", len(plain.Phases))
+	}
+	sc.TraceSink = trace.Retain
+	kept, err := r.Run(wf, sc, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(kept.Makespans, plain.Makespans) {
+		t.Errorf("retaining changed the makespans: %v vs %v", kept.Makespans, plain.Makespans)
+	}
+	if len(kept.Phases) != len(wf.Tasks()) {
+		t.Fatalf("kept %d task phases, want one per task (%d)", len(kept.Phases), len(wf.Tasks()))
+	}
+	// The phases are the final repetition's: their per-category mean is
+	// that repetition's task mean, bit for bit.
+	sum, n := map[string]float64{}, map[string]int{}
+	for _, p := range kept.Phases {
+		sum[p.Name] += p.ExecTime
+		n[p.Name]++
+	}
+	for name, s := range sum {
+		means := kept.TaskMeans[name]
+		if got, want := s/float64(n[name]), means[len(means)-1]; got != want {
+			t.Errorf("%s: phases average %v, the final repetition's mean is %v", name, got, want)
+		}
 	}
 }

@@ -48,7 +48,7 @@ func TestRenderGantt(t *testing.T) {
 }
 
 func TestRenderGanttEmpty(t *testing.T) {
-	tr := New("w", "p", nil)
+	tr := New("w", "p", Retain)
 	var buf bytes.Buffer
 	if err := tr.RenderGantt(&buf, 40); err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestRenderGanttEmpty(t *testing.T) {
 }
 
 func TestRenderGanttTinyTaskVisible(t *testing.T) {
-	tr := New("w", "p", nil)
+	tr := New("w", "p", Retain)
 	long := tr.Task("long")
 	long.StartedAt = 0
 	long.ReadDoneAt = 0
@@ -83,7 +83,7 @@ func TestRenderGanttTinyTaskVisible(t *testing.T) {
 }
 
 func TestGanttSkipsEmptyPhases(t *testing.T) {
-	tr := New("w", "p", nil)
+	tr := New("w", "p", Retain)
 	r := tr.Task("t")
 	r.StartedAt = 1
 	r.ReadDoneAt = 1 // no read phase

@@ -17,7 +17,7 @@ func TestKindOrdinalsDistinct(t *testing.T) {
 		}
 		seen[name] = k
 	}
-	tr := New("wf", "plat", Discard)
+	tr := New("wf", "plat", nil)
 	for k := EventKind(0); k < numKinds; k++ {
 		for j := EventKind(0); j <= k; j++ {
 			tr.Record(float64(k), k, "t", Event{})

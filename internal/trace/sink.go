@@ -23,7 +23,7 @@ type Sink interface {
 // events of 88 bytes, just under the runtime's 32 KiB size class.
 const chunkEvents = 372
 
-// memory is the retaining sink of a trace built without one. It also holds
+// memory is the retaining sink of a trace built with Retain. It also holds
 // the trace's task records: a trace retains both or neither.
 //
 // Events go into fixed chunks from the first event on, and a chunk is
@@ -73,16 +73,16 @@ func (m *memory) events() []Event {
 	return flat
 }
 
-// Discard is the counting sink: it drops every event, so a trace built on
-// it keeps only the per-kind counts, the makespan and the folded task
-// summaries. It is the sink for million-task runs and for callers that
-// never look at the events.
-var Discard Sink = discard{}
+// Retain asks New for a retaining trace: every event and task record
+// stays in memory for Events, Records, RenderGantt, MarshalJSON and Save.
+// It is a marker, not a sink: New replaces it with the trace's own store,
+// and closing it does nothing.
+var Retain Sink = retain{}
 
-type discard struct{}
+type retain struct{}
 
-func (discard) Emit(Event)   {}
-func (discard) Close() error { return nil }
+func (retain) Emit(Event)   {}
+func (retain) Close() error { return nil }
 
 // JSONLSink writes one JSON object per event per line. Lines use the same
 // field schema as the retained trace's "events" array.

@@ -17,7 +17,7 @@ import (
 // full scan of the retained event slice — the O(1) fast path must stay in
 // lockstep with the ground truth.
 func TestCountKindMatchesScan(t *testing.T) {
-	tr := New("wf", "plat", nil)
+	tr := New("wf", "plat", Retain)
 	kinds := []EventKind{TaskReady, TaskStart, TaskEnd, TaskFail, TaskRetry, Fallback, AdaptSpill}
 	for i := 0; i < 500; i++ {
 		tr.Record(float64(i), kinds[i%len(kinds)], "t", Event{})
@@ -39,9 +39,9 @@ func TestCountKindAllModes(t *testing.T) {
 	var sb strings.Builder
 	jsonl := NewJSONLSink(&sb)
 	traces := []*Trace{
-		New("wf", "plat", nil),
+		New("wf", "plat", Retain),
 		New("wf", "plat", jsonl),
-		New("wf", "plat", Discard),
+		New("wf", "plat", nil),
 	}
 	for _, tr := range traces {
 		tr.Record(1, TaskStart, "a", Event{})
@@ -67,7 +67,7 @@ func TestCountKindAllModes(t *testing.T) {
 		t.Errorf("JSONL sink got %d lines, want 3", n)
 	}
 	if ev := traces[2].Events(); ev != nil {
-		t.Errorf("Discard trace retained %d events", len(ev))
+		t.Errorf("counting trace retained %d events", len(ev))
 	}
 }
 
@@ -173,7 +173,7 @@ func TestSinkErrorLatching(t *testing.T) {
 // TestNonRetainedMarshalRefused: the JSON schema promises full events and
 // records, which only a retaining trace has.
 func TestNonRetainedMarshalRefused(t *testing.T) {
-	if _, err := New("wf", "plat", Discard).MarshalJSON(); err == nil {
+	if _, err := New("wf", "plat", nil).MarshalJSON(); err == nil {
 		t.Fatal("counting trace marshaled without error")
 	}
 	var sb strings.Builder
@@ -202,7 +202,7 @@ func TestReleaseFoldsSummaries(t *testing.T) {
 			}
 		}
 	}
-	retained, counting := New("wf", "p", nil), New("wf", "p", Discard)
+	retained, counting := New("wf", "p", Retain), New("wf", "p", nil)
 	build(retained, false)
 	build(counting, true)
 	a, b := retained.Summarize(), counting.Summarize()
@@ -222,7 +222,7 @@ func TestReleaseFoldsSummaries(t *testing.T) {
 // appending in order, MarshalJSON and Save write the bytes the plain slice
 // marshals to, and Records and CountKind are untouched by the chunking.
 func TestRetainedChunks(t *testing.T) {
-	tr := New("wf", "plat", nil)
+	tr := New("wf", "plat", Retain)
 	kinds := []EventKind{TaskReady, TaskStart, TaskEnd, JobSubmit, JobStart}
 	var want []Event
 	var records []*TaskRecord
@@ -311,7 +311,7 @@ func TestRetainedChunks(t *testing.T) {
 // Emit after Events has flattened.
 func TestRetainedChunkBoundaries(t *testing.T) {
 	for _, n := range []int{0, 1, chunkEvents - 1, chunkEvents, chunkEvents + 1, 3*chunkEvents + 7} {
-		tr := New("wf", "plat", nil)
+		tr := New("wf", "plat", Retain)
 		var want []Event
 		emit := func() {
 			k := len(want)
@@ -360,5 +360,33 @@ func TestShortTraceAllocatesOneChunk(t *testing.T) {
 	}
 	if c := sinks[0].chunks; len(c) != 1 || cap(c[0]) != chunkEvents {
 		t.Fatalf("%d events went into %d chunks, the first of capacity %d", chunkEvents-1, len(c), cap(c[0]))
+	}
+}
+
+// TestNilSinkCounts: a trace built without a sink counts. It keeps no
+// event and no task record past the task's release, so Events and Records
+// are nil, and recording an event allocates nothing (no event chunk).
+func TestNilSinkCounts(t *testing.T) {
+	tr := New("wf", "plat", nil)
+	allocs := testing.AllocsPerRun(3*chunkEvents, func() {
+		tr.Record(1, TaskStart, "t", Named("f"))
+	})
+	if allocs != 0 {
+		t.Errorf("Record on a counting trace allocated %v times per event, want 0", allocs)
+	}
+	r := tr.Task("t")
+	r.Name, r.StartedAt, r.FinishedAt = "n", 1, 2
+	tr.Release("t")
+	if ev, recs := tr.Events(), tr.Records(); ev != nil || recs != nil {
+		t.Errorf("counting trace returned %d events and %d records, want nil", len(ev), len(recs))
+	}
+	if tr.mem != nil {
+		t.Error("counting trace built a retaining store")
+	}
+	if n := tr.CountKind(TaskStart); n != 3*chunkEvents+1 {
+		t.Errorf("CountKind(task-start) = %d, want %d", n, 3*chunkEvents+1)
+	}
+	if s := tr.Summarize(); len(s) != 1 || s[0].Count != 1 || s[0].MeanExec != 1 {
+		t.Errorf("Summarize = %+v, want one record of n with exec 1", s)
 	}
 }

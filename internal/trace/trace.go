@@ -257,9 +257,9 @@ func (r *TaskRecord) WaitTime() float64 { return r.StartedAt - r.ReadyAt }
 type Trace struct {
 	WorkflowName string
 	PlatformName string
-	sink         Sink
-	// mem is the retaining sink when the trace was built without one: the
-	// only case in which events and task records outlive the run.
+	sink         Sink // nil on a counting trace
+	// mem is the retaining sink of a trace built with Retain: the only
+	// case in which events and task records outlive the run.
 	mem      *memory
 	byTask   map[string]*TaskRecord
 	makespan float64
@@ -271,13 +271,15 @@ type Trace struct {
 	foldedOrder []string
 }
 
-// New returns an empty trace whose events go to sink. A nil sink retains:
-// every event and task record stays in memory, which Events, Records,
-// RenderGantt, MarshalJSON, Save and the invariants/replay harness require. Any
-// other sink (JSONLSink, CSVSink, Discard) receives each event as it is
-// recorded, and the trace folds each task record into per-name summaries
-// when the task is released, so memory is O(active tasks), not O(total
-// events). The caller owns a non-nil sink and must Close it after the run.
+// New returns an empty trace whose events go to sink. A nil sink counts:
+// the trace keeps the per-kind counts, the makespan and each task record
+// until the task is released, when it folds the record into per-name
+// summaries, so memory is O(active tasks), not O(total events). Retain
+// keeps every event and task record in memory, which Events, Records,
+// RenderGantt, MarshalJSON, Save and the invariants/replay harness
+// require. Any other sink (JSONLSink, CSVSink) receives each event as it
+// is recorded and folds records as a nil sink does; the caller owns it
+// and must Close it after the run.
 func New(workflowName, platformName string, sink Sink) *Trace {
 	t := &Trace{
 		WorkflowName: workflowName,
@@ -285,7 +287,7 @@ func New(workflowName, platformName string, sink Sink) *Trace {
 		sink:         sink,
 		byTask:       map[string]*TaskRecord{},
 	}
-	if sink == nil {
+	if sink == Retain {
 		t.mem = &memory{}
 		t.sink = t.mem
 	}
@@ -300,8 +302,10 @@ func (t *Trace) Record(time float64, kind EventKind, taskID string, d Event) {
 	if time > t.makespan {
 		t.makespan = time
 	}
-	d.Time, d.Kind, d.TaskID = time, kind, taskID
-	t.sink.Emit(d)
+	if t.sink != nil {
+		d.Time, d.Kind, d.TaskID = time, kind, taskID
+		t.sink.Emit(d)
+	}
 }
 
 // Task returns (creating if necessary) the record for taskID.

@@ -10,7 +10,7 @@ import (
 )
 
 func buildTrace() *Trace {
-	tr := New("wf", "plat", nil)
+	tr := New("wf", "plat", Retain)
 	a := tr.Task("a")
 	a.Name = "resample"
 	a.Node = "n0"
@@ -71,7 +71,7 @@ func TestMakespanTracksLastEvent(t *testing.T) {
 }
 
 func TestTaskIdempotent(t *testing.T) {
-	tr := New("w", "p", nil)
+	tr := New("w", "p", Retain)
 	r1 := tr.Task("x")
 	r2 := tr.Task("x")
 	if r1 != r2 {
