@@ -222,6 +222,29 @@ func TestTraceModesEquivalent(t *testing.T) {
 	}
 }
 
+// TestFaultFreeSummariesEqualAcrossModes: without re-execution, the folded
+// per-name summaries of a counting or streaming trace must be exactly the
+// retained Summarize output — same names, counts, means, and byte totals.
+func TestFaultFreeSummariesEqualAcrossModes(t *testing.T) {
+	c := modeCases()[0] // fig10-like, fault-free
+	var want []byte
+	for _, kind := range sinkKinds {
+		res, err := c.run(newSink(kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(res.Summaries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if string(got) != string(want) {
+			t.Errorf("%s summaries differ:\n  retained: %s\n  %s: %s", kind, want, kind, got)
+		}
+	}
+}
+
 // TestRetainedTraceBytesStableAcrossJobs: the retained trace — the goldens'
 // format — serializes to byte-identical JSON no matter how many runner
 // workers are active around it.
