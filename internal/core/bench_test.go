@@ -75,15 +75,17 @@ func BenchmarkGenomesSingleRun(b *testing.B) {
 }
 
 // genomesCellBytesBudget is the heap a BenchmarkGenomesSingleRun run may
-// allocate with its default, counting trace: about 15% above the 832,600
+// allocate with its default, counting trace: about 15% above the 801,500
 // bytes one run allocated when it was pinned (go1.24, linux/amd64),
 // leaving room for other Go releases. The run allocated 3,613,000 bytes
 // before the retained trace's fixed chunks, the map-free replica
 // registry, the one-pass completion batch and the closure-free storage
 // ops, 2,682,000 before flows and operations moved into slabs and exec's
-// I/O phases into per-attempt cursors, and 1,918,000 while the default
-// trace still retained every event and task record.
-const genomesCellBytesBudget = 957_000
+// I/O phases into per-attempt cursors, 1,918,000 while the default trace
+// still retained every event and task record, and 832,200 before the
+// placement set was indexed by file and the registry's first replica
+// chunk was sized from the workflow.
+const genomesCellBytesBudget = 922_000
 
 // genomesCellRetainedBytesBudget is the heap the same run may allocate
 // with trace.Retain, pinned while retaining was the default: about 15%
@@ -93,15 +95,16 @@ const genomesCellBytesBudget = 957_000
 const genomesCellRetainedBytesBudget = 1_975_000
 
 // genomesCellAllocsBudget is the number of heap objects a counting run of
-// the cell may allocate: about 15% above the 2,353 it allocated when
+// the cell may allocate: about 15% above the 2,143 it allocated when
 // pinned (go1.24, linux/amd64), down from 27,049 before the slab-backed
 // flows and operations, from 7,128 before trace events carried typed
 // operands instead of detail strings, from 4,170 before the storage
 // registry became a table indexed by file with replica lists carved from
-// a slab, and from 2,390 while the default trace retained. Most of what
-// remains is one task record and one attempt per task, the simulation
-// event heap's growth and per-run setup.
-const genomesCellAllocsBudget = 2_705
+// a slab, from 2,390 while the default trace retained, and from 2,353
+// before the simulation events moved into a slab and the placement set's
+// ID map became a per-file index. Most of what remains is one task record
+// and one attempt per task, the event slab's growth and per-run setup.
+const genomesCellAllocsBudget = 2_465
 
 // TestGenomesRunBytesBudget pins the bytes one run of the
 // BenchmarkGenomesSingleRun cell allocates. With a live heap near the

@@ -186,10 +186,8 @@ func (e *engine) pruneCkpts(t *workflow.Task, latest *ckptRec) {
 			kept = append(kept, m)
 			continue
 		}
-		if !m.drainEv.Cancelled() {
-			e.sys.Platform().Engine().Cancel(m.drainEv)
-			m.drainEv = sim.Handle{}
-		}
+		e.sys.Platform().Engine().Cancel(m.drainEv) // no-op once fired or cancelled
+		m.drainEv = sim.Handle{}
 		if m.svc.Kind() != storage.KindPFS && e.sys.Registry().Has(m.file, m.svc) {
 			if err := e.sys.Manager().Evict(m.file, m.svc); err != nil {
 				e.fail(err)
@@ -209,10 +207,8 @@ func (e *engine) pruneCkpts(t *workflow.Task, latest *ckptRec) {
 // drain and evicts every replica. Rotation, not loss — no event is
 // recorded.
 func (e *engine) discardCkpt(m *ckptRec) {
-	if !m.drainEv.Cancelled() {
-		e.sys.Platform().Engine().Cancel(m.drainEv)
-		m.drainEv = sim.Handle{}
-	}
+	e.sys.Platform().Engine().Cancel(m.drainEv) // no-op once fired or cancelled
+	m.drainEv = sim.Handle{}
 	e.sys.Manager().Cancel(m.drainOp) // no-op unless a drain is in flight
 	for _, svc := range e.sys.Registry().Locations(m.file) {
 		if err := e.sys.Manager().Evict(m.file, svc); err != nil {
@@ -243,11 +239,9 @@ func (e *engine) clearCkpts(t *workflow.Task) {
 // falls back to the previous durable one.
 func (e *engine) loseCkptReplica(rec *ckptRec, svc storage.Service) {
 	e.tr.Record(e.now(), trace.CkptLost, rec.task.ID(), trace.At(rec.file.ID(), svc.Name()))
-	e.sys.Manager().Cancel(rec.drainOp) // no-op unless a drain is in flight
-	if !rec.drainEv.Cancelled() {
-		e.sys.Platform().Engine().Cancel(rec.drainEv)
-		rec.drainEv = sim.Handle{}
-	}
+	e.sys.Manager().Cancel(rec.drainOp)           // no-op unless a drain is in flight
+	e.sys.Platform().Engine().Cancel(rec.drainEv) // no-op once fired or cancelled
+	rec.drainEv = sim.Handle{}
 	if !e.sys.Registry().Located(rec.file) {
 		e.removeCkpt(rec)
 	}
@@ -320,7 +314,7 @@ func (e *engine) chargeExecuted(a *attempt, completed bool) {
 		return
 	}
 	ex := a.progress - a.restored
-	if !completed && !a.computeEv.Cancelled() {
+	if !completed && e.sys.Platform().Engine().Scheduled(a.computeEv) {
 		ex += e.now() - a.segStart
 	}
 	if e.cfg.Metrics == nil {

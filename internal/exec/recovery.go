@@ -354,10 +354,8 @@ func (e *engine) abortAttempt(a *attempt) {
 	e.cfg.Metrics.Add(metrics.TaskAbortedSecondsTotal,
 		metrics.Key{Task: a.task.Name()}, e.now()-e.tr.Task(a.task.ID()).StartedAt)
 	e.chargeExecuted(a, false)
-	if !a.computeEv.Cancelled() {
-		e.sys.Platform().Engine().Cancel(a.computeEv)
-		a.computeEv = sim.Handle{}
-	}
+	e.sys.Platform().Engine().Cancel(a.computeEv) // no-op once fired or cancelled
+	a.computeEv = sim.Handle{}
 	for _, op := range a.ops {
 		e.sys.Manager().Cancel(op) // no-op for ops that already completed
 	}

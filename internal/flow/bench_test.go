@@ -100,7 +100,7 @@ func TestRecomputeZeroAllocs(t *testing.T) {
 	e.Run()
 	// Steady state: flows already active, measure recompute alone.
 	// (resolve is excluded: arming the next-completion event may take a
-	// fresh sim.Event; the zero-allocation target is the rate recomputation
+	// fresh event slot; the zero-allocation target is the rate recomputation
 	// scratch. TestInvalidateZeroAllocs covers moving the pending slot.)
 	for j := 0; j < 8; j++ {
 		n.StartFlow(1e12, []*Resource{link, disk}, Options{}, nil, 0)

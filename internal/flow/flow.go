@@ -483,7 +483,7 @@ func (n *Network) Cancel(h Handle) {
 	if f == nil {
 		return
 	}
-	if !f.latEv.Cancelled() {
+	if n.eng.Scheduled(f.latEv) {
 		n.eng.Cancel(f.latEv)
 		n.release(h.slot)
 		return

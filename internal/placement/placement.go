@@ -12,6 +12,7 @@ package placement
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"bbwfsim/internal/exec"
@@ -24,27 +25,77 @@ import (
 // Set sends a fixed set of files to the burst buffer: stage-in files in the
 // set are staged, task outputs in the set are written to the BB. It
 // implements exec.Placement.
+//
+// Membership is by file ID. A set built from a workflow holds it per file
+// index, so the workflow's own files answer without hashing; any other
+// file (exec's side-workflow files, a file of another workflow with the
+// same IDs) answers by looking its ID up in the set's workflow. A set built
+// from an explicit list keeps the IDs sorted.
 type Set struct {
 	name string
-	ids  map[string]bool
+	wf   *workflow.Workflow // the workflow whose files in covers; nil for an ID list
+	in   []bool             // in[f.Index()-base]: wf's file f goes to the BB
+	base int                // Index() of wf's first file
+	ids  []string           // explicit list: sorted, distinct
 }
 
 var _ exec.Placement = (*Set)(nil)
+
+// newSet returns an empty set over wf's files.
+func newSet(name string, wf *workflow.Workflow) *Set {
+	s := &Set{name: name, wf: wf, in: make([]bool, len(wf.Files()))}
+	if len(s.in) > 0 {
+		s.base = wf.Files()[0].Index()
+	}
+	return s
+}
+
+// add sends f, one of the files s indexes, to the BB.
+func (s *Set) add(f *workflow.File) { s.in[f.Index()-s.base] = true }
+
+// has reports whether the policy sends f to the BB: one of the files s
+// indexes by its index, any other file by its ID.
+func (s *Set) has(f *workflow.File) bool {
+	if i := f.Index() - s.base; s.wf != nil && i >= 0 && i < len(s.in) && s.wf.Files()[i] == f {
+		return s.in[i]
+	}
+	return s.Contains(f.ID())
+}
+
+// members returns the IDs of the files the policy sends to the BB.
+func (s *Set) members() []string {
+	if s.wf == nil {
+		return s.ids
+	}
+	var ids []string
+	for i, in := range s.in {
+		if in {
+			ids = append(ids, s.wf.Files()[i].ID())
+		}
+	}
+	return ids
+}
 
 // Name describes the policy (for reports).
 func (s *Set) Name() string { return s.name }
 
 // Contains reports whether the policy sends file id to the BB.
-func (s *Set) Contains(id string) bool { return s.ids[id] }
+func (s *Set) Contains(id string) bool {
+	if s.wf == nil {
+		_, found := slices.BinarySearch(s.ids, id)
+		return found
+	}
+	f := s.wf.File(id)
+	return f != nil && f.Index()-s.base < len(s.in) && s.in[f.Index()-s.base]
+}
 
 // Count returns the number of files sent to the BB.
-func (s *Set) Count() int { return len(s.ids) }
+func (s *Set) Count() int { return len(s.members()) }
 
 // BBBytes returns the total size this policy puts on the BB.
 func (s *Set) BBBytes(wf *workflow.Workflow) units.Bytes {
 	var total units.Bytes
-	//bbvet:ordered -- file sizes are integral and exactly representable in float64, so the sum is exact and order-independent
-	for id := range s.ids {
+	for _, id := range s.members() {
 		if f := wf.File(id); f != nil {
 			total += f.Size()
 		}
@@ -54,7 +105,7 @@ func (s *Set) BBBytes(wf *workflow.Workflow) units.Bytes {
 
 // StageTarget implements exec.Placement.
 func (s *Set) StageTarget(f *workflow.File, sys *storage.System, node *platform.Node) storage.Service {
-	if s.ids[f.ID()] {
+	if s.has(f) {
 		return sys.BBFor(node)
 	}
 	return nil
@@ -62,7 +113,7 @@ func (s *Set) StageTarget(f *workflow.File, sys *storage.System, node *platform.
 
 // OutputTarget implements exec.Placement.
 func (s *Set) OutputTarget(_ *workflow.Task, f *workflow.File, sys *storage.System, node *platform.Node) storage.Service {
-	if s.ids[f.ID()] {
+	if s.has(f) {
 		return sys.BBFor(node)
 	}
 	return nil
@@ -70,26 +121,24 @@ func (s *Set) OutputTarget(_ *workflow.Task, f *workflow.File, sys *storage.Syst
 
 // NewExplicit builds a policy from an explicit list of file IDs.
 func NewExplicit(name string, ids []string) *Set {
-	m := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		m[id] = true
-	}
-	return &Set{name: name, ids: m}
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
+	return &Set{name: name, ids: slices.Compact(sorted)}
 }
 
 // AllBB sends every file to the burst buffer.
 func AllBB(wf *workflow.Workflow) *Set {
-	m := map[string]bool{}
-	for _, f := range wf.Files() {
-		m[f.ID()] = true
+	s := newSet("all-bb", wf)
+	for i := range s.in {
+		s.in[i] = true
 	}
-	return &Set{name: "all-bb", ids: m}
+	return s
 }
 
 // AllPFS keeps every file on the PFS (equivalent to exec.PFSOnly, provided
 // for symmetry in sweeps).
 func AllPFS() *Set {
-	return &Set{name: "all-pfs", ids: map[string]bool{}}
+	return &Set{name: "all-pfs"}
 }
 
 // stageable returns the files eligible for staging — workflow inputs and
@@ -125,7 +174,7 @@ func NewFraction(wf *workflow.Workflow, q float64, intermediatesToBB bool) (*Set
 	if q < 0 || q > 1 || math.IsNaN(q) {
 		return nil, fmt.Errorf("placement: fraction %g outside [0,1]", q)
 	}
-	ids := map[string]bool{}
+	s := newSet("", wf)
 	files := stageable(wf)
 	// Stride selection: pick ceil(q·N) files spread evenly across the
 	// input list, so a 50% staging touches every workflow branch rather
@@ -133,27 +182,27 @@ func NewFraction(wf *workflow.Workflow, q float64, intermediatesToBB bool) (*Set
 	picked := 0
 	for i, f := range files {
 		if int(math.Ceil(q*float64(i+1))) > picked {
-			ids[f.ID()] = true
+			s.add(f)
 			picked++
 		}
 	}
 	if intermediatesToBB {
 		for _, f := range intermediates(wf) {
-			ids[f.ID()] = true
+			s.add(f)
 		}
 		// Terminal outputs follow the intermediates' destination, matching
 		// the experimental setup where the whole scratch area is one mount.
 		for _, f := range wf.Files() {
 			if f.Producer() != nil && f.Producer().Kind() == workflow.KindCompute && len(f.Consumers()) == 0 {
-				ids[f.ID()] = true
+				s.add(f)
 			}
 		}
 	}
-	name := fmt.Sprintf("fraction-%0.2f", q)
+	s.name = fmt.Sprintf("fraction-%0.2f", q)
 	if intermediatesToBB {
-		name += "+intermediates"
+		s.name += "+intermediates"
 	}
-	return &Set{name: name, ids: ids}, nil
+	return s, nil
 }
 
 // candidate scoring for the budgeted heuristics: every file that is read or
@@ -168,18 +217,19 @@ func candidates(wf *workflow.Workflow) []*workflow.File {
 	return files
 }
 
-// pick fills the budget greedily in the given order (stable).
-func pick(name string, files []*workflow.File, budget units.Bytes) *Set {
-	ids := map[string]bool{}
+// pick fills the budget greedily with wf's files in the given order
+// (stable).
+func pick(name string, wf *workflow.Workflow, files []*workflow.File, budget units.Bytes) *Set {
+	s := newSet(name, wf)
 	var used units.Bytes
 	for _, f := range files {
 		if budget > 0 && used+f.Size() > budget {
 			continue
 		}
-		ids[f.ID()] = true
+		s.add(f)
 		used += f.Size()
 	}
-	return &Set{name: name, ids: ids}
+	return s
 }
 
 // NewSizeGreedy fills the burst buffer budget preferring small files first
@@ -198,7 +248,7 @@ func NewSizeGreedy(wf *workflow.Workflow, budget units.Bytes, smallest bool) *Se
 	if smallest {
 		name = "size-greedy-small"
 	}
-	return pick(name, files, budget)
+	return pick(name, wf, files, budget)
 }
 
 // NewFanoutGreedy fills the budget preferring files with the most
@@ -212,7 +262,7 @@ func NewFanoutGreedy(wf *workflow.Workflow, budget units.Bytes) *Set {
 		}
 		return files[i].Size() < files[j].Size()
 	})
-	return pick("fanout-greedy", files, budget)
+	return pick("fanout-greedy", wf, files, budget)
 }
 
 // NewCriticalPath fills the budget preferring files touched by tasks on the
@@ -245,5 +295,5 @@ func NewCriticalPath(wf *workflow.Workflow, budget units.Bytes, dur func(*workfl
 		}
 		return false
 	})
-	return pick("critical-path", files, budget), nil
+	return pick("critical-path", wf, files, budget), nil
 }

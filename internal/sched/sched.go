@@ -262,6 +262,10 @@ type scheduler struct {
 	completed, failed, rejected, nodeFailures int
 	pending                                   int // admitted, not yet terminal
 	toSubmit                                  int // submit events not yet fired
+
+	// Event callbacks, made once per campaign: AfterTag hands each a job
+	// or node index, so queuing an event allocates nothing.
+	submitFn, stageOutFn, failFn, repairFn func(tag uint64)
 }
 
 // Run executes one campaign to completion and returns its accounting. It
@@ -314,6 +318,10 @@ func run(cfg Config, pol policy) (*Result, error) {
 		freeNodes: cfg.Cluster.Nodes,
 		freeBB:    cfg.Cluster.BBCapacity,
 	}
+	s.submitFn = func(i uint64) { s.submit(s.jobs[i]) }
+	s.stageOutFn = func(i uint64) { s.beginStageOut(s.jobs[i]) }
+	s.failFn = func(uint64) { s.nodeFailure() }
+	s.repairFn = func(i uint64) { s.nodeRepair(int(i)) }
 	for i := range s.nodeOwner {
 		s.nodeOwner[i] = -1
 	}
@@ -321,6 +329,7 @@ func run(cfg Config, pol policy) (*Result, error) {
 	s.pfsChan = newChannel(s.eng, float64(cfg.Cluster.PFSBandwidth))
 
 	s.toSubmit = len(cfg.Jobs)
+	s.eng.Reserve(len(cfg.Jobs))
 	states := make([]jobState, len(cfg.Jobs))
 	s.jobs = make([]*jobState, len(cfg.Jobs))
 	for i := range cfg.Jobs {
@@ -331,7 +340,7 @@ func run(cfg Config, pol policy) (*Result, error) {
 		}
 		j.estSpan = s.estimateSpan(&cfg.Jobs[i])
 		s.jobs[i] = j
-		s.eng.At(j.Submit, func() { s.submit(j) })
+		s.eng.AfterTag(j.Submit, s.submitFn, uint64(i)) // at 0, the same as At(j.Submit)
 	}
 	if cfg.Faults != nil && cfg.Faults.Node != nil {
 		s.plan = cfg.Faults
@@ -340,7 +349,7 @@ func run(cfg Config, pol policy) (*Result, error) {
 		if s.failsLeft == 0 {
 			s.failsLeft = math.MaxInt
 		}
-		s.eng.After(s.plan.Node.Arrival.Sample(s.rng), s.nodeFailure)
+		s.eng.AfterTag(s.plan.Node.Arrival.Sample(s.rng), s.failFn, 0)
 	}
 
 	s.eng.Run()
@@ -531,7 +540,7 @@ func (s *scheduler) beginRun(j *jobState) {
 	now := s.eng.Now()
 	j.inRun = true
 	s.tr.Record(now, trace.JobRun, j.ID, trace.Event{})
-	j.phaseEnd = s.eng.After(j.Runtime, func() { s.beginStageOut(j) })
+	j.phaseEnd = s.eng.AfterTag(j.Runtime, s.stageOutFn, uint64(j.idx))
 }
 
 func (s *scheduler) beginStageOut(j *jobState) {
@@ -611,10 +620,10 @@ func (s *scheduler) nodeFailure() {
 		if owner := s.nodeOwner[victim]; owner != -1 {
 			s.failJob(s.jobs[owner], victim)
 		}
-		s.eng.After(s.plan.Node.MTTR, func() { s.nodeRepair(victim) })
+		s.eng.AfterTag(s.plan.Node.MTTR, s.repairFn, uint64(victim))
 	}
 	if s.failsLeft > 0 && (s.toSubmit > 0 || s.pending > 0) {
-		s.eng.After(s.plan.Node.Arrival.Sample(s.rng), s.nodeFailure)
+		s.eng.AfterTag(s.plan.Node.Arrival.Sample(s.rng), s.failFn, 0)
 	}
 }
 

@@ -15,8 +15,8 @@ func TestDeferSlotNeverFires(t *testing.T) {
 	e.Run()
 	var got []uint64
 	h := e.Defer(Handle{}, func(seq uint64) { got = append(got, seq) })
-	if h.Cancelled() || e.Pending() != 1 || e.MaxPending() != 1 {
-		t.Fatalf("fresh slot: cancelled=%v pending=%d max=%d, want false, 1, 1", h.Cancelled(), e.Pending(), e.MaxPending())
+	if !e.Scheduled(h) || e.Pending() != 1 || e.MaxPending() != 1 {
+		t.Fatalf("fresh slot: scheduled=%v pending=%d max=%d, want true, 1, 1", e.Scheduled(h), e.Pending(), e.MaxPending())
 	}
 	if end := e.Run(); end != 3 {
 		t.Errorf("run ended at %g, want the slot's instant 3", end)
@@ -24,8 +24,8 @@ func TestDeferSlotNeverFires(t *testing.T) {
 	if len(got) != 1 || got[0] != 1 {
 		t.Errorf("resolve calls %v, want one with seq 1", got)
 	}
-	if e.EventsFired() != 1 || e.Pending() != 0 || !h.Cancelled() {
-		t.Errorf("after resolve: fired=%d pending=%d cancelled=%v, want 1, 0, true", e.EventsFired(), e.Pending(), h.Cancelled())
+	if e.EventsFired() != 1 || e.Pending() != 0 || e.Scheduled(h) {
+		t.Errorf("after resolve: fired=%d pending=%d scheduled=%v, want 1, 0, false", e.EventsFired(), e.Pending(), e.Scheduled(h))
 	}
 }
 
@@ -123,8 +123,8 @@ func TestResolveAndCancelSlot(t *testing.T) {
 	h := e.Defer(Handle{}, resolve)
 	e.Resolve(h)
 	e.Resolve(h) // stale now
-	if calls != 1 || e.Pending() != 1 || ev.Cancelled() {
-		t.Fatalf("Resolve: calls=%d pending=%d event cancelled=%v, want 1, 1, false", calls, e.Pending(), ev.Cancelled())
+	if calls != 1 || e.Pending() != 1 || !e.Scheduled(ev) {
+		t.Fatalf("Resolve: calls=%d pending=%d event scheduled=%v, want 1, 1, true", calls, e.Pending(), e.Scheduled(ev))
 	}
 	h = e.Defer(Handle{}, resolve)
 	e.Cancel(h)

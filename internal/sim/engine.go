@@ -21,132 +21,119 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
-// Event is a scheduled callback. Events are pooled: once an event fires or
-// is cancelled it returns to the engine's free list and may be reused by a
-// later At/After. Callers therefore never hold *Event directly — scheduling
-// returns a Handle that pairs the pointer with the generation it was issued
-// for, so operations on a stale handle are safe no-ops.
-type Event struct {
-	Time    float64 // virtual time at which the event fires, in seconds
+// event is one slot of the engine's slab: a queued event or deferred slot
+// while its generation matches the issued Handle, free (on Engine.free)
+// otherwise. Exactly one callback field is set while it is queued; its time
+// and sequence number live in its heap entry.
+type event struct {
 	fn      func()
 	fnTag   func(tag uint64) // AfterTag callback, called with tag instead of fn
-	tag     uint64
 	resolve func(seq uint64) // non-nil marks a deferred slot (see Defer)
-	seq     uint64           // tie-breaker: same-time events fire in scheduling order
-	idx     int              // heap index, -1 once removed
-	gen     uint64           // bumped on retirement; invalidates outstanding Handles
+	tag     uint64
+	pos     int32  // heap position while queued
+	gen     uint32 // bumped on retirement; invalidates outstanding Handles
 }
 
-// Handle identifies one scheduled occurrence of a pooled event. The zero
-// Handle is valid and behaves like an event that already fired: Cancelled
-// reports true and Engine.Cancel is a no-op.
+// Handle identifies one scheduled occurrence of a pooled event slot. Slots
+// are reused once an event fires or is cancelled, so a handle pairs the
+// slot with the generation it was issued for, and operations on a stale
+// handle are safe no-ops. The zero Handle behaves like an event that
+// already fired: Engine.Scheduled reports false and Engine.Cancel is a
+// no-op.
 type Handle struct {
-	ev  *Event
-	gen uint64
+	slot int32
+	gen  uint32 // slot generations start at 1, so the zero Handle is stale
 }
 
-// Cancelled reports whether the handle's occurrence was removed from the
-// queue before firing (or has already fired). A zero Handle is Cancelled.
-func (h Handle) Cancelled() bool {
-	return h.ev == nil || h.ev.gen != h.gen || h.ev.idx < 0
+// entry is one element of the engine's binary min-heap: a queued slot
+// under its (time, seq) key. It holds no pointer, so sifting writes none.
+type entry struct {
+	time float64 // virtual time at which the event fires, in seconds
+	seq  uint64  // tie-breaker: same-time events fire in scheduling order
+	slot int32
 }
 
-// eventHeap is a binary min-heap of pending events ordered by (Time, seq),
-// a strict total order: the pop sequence is the same for any correct heap.
-// The sifts are typed rather than container/heap's interface dispatch, and
-// keep every event's idx equal to its slot so Cancel can remove it.
-type eventHeap []*Event
-
-func (h eventHeap) less(i, j int) bool {
+// before orders the heap by (time, seq), a strict total order: the pop
+// sequence is the same for any correct heap.
+func (a entry) before(b entry) bool {
 	//bbvet:allow float-compare -- heap comparator tie-break: events at the bit-identical instant fall through to the scheduling-order tie-breaker; an epsilon would merge distinct instants
-	if h[i].Time != h[j].Time {
-		return h[i].Time < h[j].Time
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h eventHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-
-func (h eventHeap) up(j int) {
+// up fills the hole at j with x, moving x towards the root past every
+// ancestor it pops before.
+func (e *Engine) up(j int, x entry) {
+	q, slots := e.queue, e.slots
 	for j > 0 {
 		i := (j - 1) / 2 // parent
-		if !h.less(j, i) {
+		p := q[i]
+		if !x.before(p) {
 			break
 		}
-		h.swap(i, j)
+		q[j] = p
+		slots[p.slot].pos = int32(j)
 		j = i
 	}
+	q[j] = x
+	slots[x.slot].pos = int32(j)
 }
 
-// down sifts slot i0 towards the leaves of h[:n] and reports whether it
-// moved.
-func (h eventHeap) down(i0, n int) bool {
-	i := i0
+// down fills the hole at i with x, moving x towards the leaves past every
+// child that pops before it, and returns where x landed.
+func (e *Engine) down(i int, x entry) int {
+	q, slots := e.queue, e.slots
 	for {
 		j := 2*i + 1
-		if j >= n {
+		if j >= len(q) {
 			break
 		}
-		if r := j + 1; r < n && h.less(r, j) {
+		if r := j + 1; r < len(q) && q[r].before(q[j]) {
 			j = r // the smaller child
 		}
-		if !h.less(j, i) {
+		c := q[j]
+		if !c.before(x) {
 			break
 		}
-		h.swap(i, j)
+		q[i] = c
+		slots[c.slot].pos = int32(i)
 		i = j
 	}
-	return i > i0
+	q[i] = x
+	slots[x.slot].pos = int32(i)
+	return i
 }
 
-func (h *eventHeap) push(ev *Event) {
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-	h.up(ev.idx)
-}
-
-// pop removes and returns the earliest event.
-func (h *eventHeap) pop() *Event {
-	return h.remove(0)
-}
-
-// fix restores heap order after the key of the event at slot i changed.
-func (h eventHeap) fix(i int) {
-	if !h.down(i, len(h)) {
-		h.up(i)
+// fix re-seats x, whose key changed or which replaces the element at
+// position i.
+func (e *Engine) fix(i int, x entry) {
+	if e.down(i, x) == i && i > 0 {
+		e.up(i, x)
 	}
 }
 
-// remove takes the event at slot i out of the heap and returns it with
-// idx -1.
-func (h *eventHeap) remove(i int) *Event {
-	old := *h
-	n := len(old) - 1
-	if n != i {
-		old.swap(i, n)
-		if !old.down(i, n) {
-			old.up(i)
-		}
+// remove takes the element at heap position i out of the queue.
+func (e *Engine) remove(i int) {
+	n := len(e.queue) - 1
+	last := e.queue[n]
+	e.queue = e.queue[:n]
+	if i < n {
+		e.fix(i, last)
 	}
-	ev := old[n]
-	old[n] = nil
-	ev.idx = -1
-	*h = old[:n]
-	return ev
 }
 
 // Engine is a discrete-event simulation engine. The zero value is not ready
 // for use; call NewEngine.
 type Engine struct {
 	now     float64
-	queue   eventHeap
-	free    []*Event // retired events awaiting reuse (O(peak pending))
+	queue   []entry // binary min-heap of the queued slots
+	slots   []event
+	free    []int32 // retired slots awaiting reuse (O(peak pending))
 	seq     uint64
 	running bool
 	stopped bool
@@ -178,13 +165,39 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // sim_queue_peak_events gauge.
 func (e *Engine) MaxPending() int { return e.maxPend }
 
+// Scheduled reports whether h's occurrence is still queued, as an event or
+// a deferred slot: false once it fired, resolved or was cancelled, and for
+// the zero Handle.
+func (e *Engine) Scheduled(h Handle) bool { return e.queued(h) != nil }
+
+// queued returns h's slot while h is current, else nil. A slot leaves the
+// queue only to be retired at once, so a current generation means queued.
+func (e *Engine) queued(h Handle) *event {
+	if h.gen == 0 || int(h.slot) >= len(e.slots) {
+		return nil
+	}
+	if ev := &e.slots[h.slot]; ev.gen == h.gen {
+		return ev
+	}
+	return nil
+}
+
+// Reserve makes room for n more pending events, so a caller that queues
+// many at once (a campaign's submissions) grows the queue and slab once.
+func (e *Engine) Reserve(n int) {
+	e.queue = slices.Grow(e.queue, n)
+	e.slots = slices.Grow(e.slots, n)
+}
+
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it always indicates a modeling bug, and silently clamping would
 // corrupt causality.
 func (e *Engine) At(t float64, fn func()) Handle {
 	e.check(t, fn == nil)
 	e.seq++
-	return e.push(t, e.seq-1, fn, nil)
+	h, ev := e.push(t, e.seq-1)
+	ev.fn = fn
+	return h
 }
 
 // After schedules fn to run d seconds from now. Negative delays panic.
@@ -207,9 +220,9 @@ func (e *Engine) AfterTag(d float64, fn func(tag uint64), tag uint64) Handle {
 	t := e.now + d
 	e.check(t, fn == nil)
 	e.seq++
-	h := e.push(t, e.seq-1, nil, nil)
-	h.ev.fnTag = fn
-	h.ev.tag = tag
+	h, ev := e.push(t, e.seq-1)
+	ev.fnTag = fn
+	ev.tag = tag
 	return h
 }
 
@@ -223,7 +236,9 @@ func (e *Engine) AtSeq(t float64, seq uint64, fn func()) Handle {
 		panic(fmt.Sprintf("sim: AtSeq with unissued sequence number %d", seq))
 	}
 	e.check(t, fn == nil)
-	return e.push(t, seq, fn, nil)
+	h, ev := e.push(t, seq)
+	ev.fn = fn
+	return h
 }
 
 // check panics on an event no model may schedule.
@@ -239,25 +254,24 @@ func (e *Engine) check(t float64, nilCallback bool) {
 	}
 }
 
-// push queues a pooled event or slot at (t, seq).
-func (e *Engine) push(t float64, seq uint64, fn func(), resolve func(uint64)) Handle {
-	var ev *Event
+// push queues a free slot at (t, seq) and returns it for the caller to set
+// its callback.
+func (e *Engine) push(t float64, seq uint64) (Handle, *event) {
+	var slot int32
 	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
+		slot = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
-		ev = &Event{}
+		e.slots = append(e.slots, event{gen: 1})
+		slot = int32(len(e.slots) - 1)
 	}
-	ev.Time = t
-	ev.fn = fn
-	ev.resolve = resolve
-	ev.seq = seq
-	e.queue.push(ev)
+	e.queue = append(e.queue, entry{})
+	e.up(len(e.queue)-1, entry{time: t, seq: seq, slot: slot})
 	if len(e.queue) > e.maxPend {
 		e.maxPend = len(e.queue)
 	}
-	return Handle{ev: ev, gen: ev.gen}
+	ev := &e.slots[slot]
+	return Handle{slot: slot, gen: ev.gen}, ev
 }
 
 // Defer places a deferred slot at the current instant under a fresh
@@ -274,16 +288,15 @@ func (e *Engine) Defer(h Handle, resolve func(seq uint64)) Handle {
 		panic("sim: deferring nil resolve")
 	}
 	e.seq++
-	ev := h.ev
-	if ev == nil || ev.gen != h.gen || ev.idx < 0 {
-		return e.push(e.now, e.seq-1, nil, resolve)
+	ev := e.queued(h)
+	if ev == nil {
+		h, ev = e.push(e.now, e.seq-1)
+		ev.resolve = resolve
+		return h
 	}
-	ev.Time = e.now
-	ev.fn = nil
-	ev.fnTag = nil
+	ev.clear()
 	ev.resolve = resolve
-	ev.seq = e.seq - 1
-	e.queue.fix(ev.idx)
+	e.fix(int(ev.pos), entry{time: e.now, seq: e.seq - 1, slot: h.slot})
 	return h
 }
 
@@ -292,46 +305,59 @@ func (e *Engine) Defer(h Handle, resolve func(seq uint64)) Handle {
 // settles (the flow solver's rates) call it to see current values between
 // events.
 func (e *Engine) Resolve(h Handle) {
-	ev := h.ev
-	if ev == nil || ev.gen != h.gen || ev.idx < 0 || ev.resolve == nil {
+	ev := e.queued(h)
+	if ev == nil || ev.resolve == nil {
 		return
 	}
-	e.queue.remove(ev.idx)
-	e.resolveSlot(ev)
+	x := e.queue[ev.pos]
+	e.remove(int(ev.pos))
+	e.resolveSlot(x)
 }
 
 // resolveSlot retires a slot already taken out of the queue and runs its
 // resolve function.
-func (e *Engine) resolveSlot(ev *Event) {
-	resolve, seq := ev.resolve, ev.seq
-	e.retire(ev)
-	resolve(seq)
+func (e *Engine) resolveSlot(x entry) {
+	resolve := e.slots[x.slot].resolve
+	e.retire(x.slot)
+	resolve(x.seq)
 }
 
-// retire returns a popped or removed event to the free list. Bumping the
+// clear drops the slot's callback, writing only the field that is set.
+func (ev *event) clear() {
+	switch {
+	case ev.fn != nil:
+		ev.fn = nil
+	case ev.fnTag != nil:
+		ev.fnTag = nil
+	default:
+		ev.resolve = nil
+	}
+}
+
+// retire returns a popped or removed slot to the free list. Bumping the
 // generation first invalidates every outstanding Handle to this occurrence,
-// so the struct can be reused immediately — even by a callback scheduled
+// so the slot can be reused immediately — even by a callback scheduled
 // from inside the event's own fn.
-func (e *Engine) retire(ev *Event) {
-	ev.gen++
-	ev.fn = nil
-	ev.fnTag = nil
-	ev.resolve = nil
-	ev.idx = -1
-	e.free = append(e.free, ev)
+func (e *Engine) retire(slot int32) {
+	ev := &e.slots[slot]
+	if ev.gen++; ev.gen == 0 {
+		ev.gen = 1 // the zero Handle stays stale across wraparound
+	}
+	ev.clear()
+	e.free = append(e.free, slot)
 }
 
 // Cancel removes a pending event from the queue. Cancelling a handle whose
 // event already fired or was already cancelled is a no-op — the generation
-// check makes stale handles harmless even after the pooled Event struct has
-// been reissued to an unrelated caller.
+// check makes stale handles harmless even after the slot has been reissued
+// to an unrelated caller.
 func (e *Engine) Cancel(h Handle) {
-	ev := h.ev
-	if ev == nil || ev.gen != h.gen || ev.idx < 0 {
+	ev := e.queued(h)
+	if ev == nil {
 		return
 	}
-	e.queue.remove(ev.idx)
-	e.retire(ev)
+	e.remove(int(ev.pos))
+	e.retire(h.slot)
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -358,18 +384,13 @@ func (e *Engine) RunUntil(horizon float64) float64 {
 
 	for len(e.queue) > 0 && !e.stopped {
 		next := e.queue[0]
-		if next.Time > horizon {
+		if next.time > horizon {
 			break
 		}
-		e.queue.pop()
-		if next.Time < e.now {
+		if next.time < e.now {
 			panic("sim: event queue time went backwards")
 		}
-		if next.resolve != nil {
-			e.resolveSlot(next)
-			continue
-		}
-		e.fire(next)
+		e.next(next)
 	}
 	if !math.IsInf(horizon, 1) && e.now < horizon && len(e.queue) > 0 && !e.stopped {
 		// We stopped because the next event is past the horizon; the clock
@@ -379,18 +400,26 @@ func (e *Engine) RunUntil(horizon float64) float64 {
 	return e.now
 }
 
-// fire advances the clock to a popped event, retires it and runs its
-// callback.
-func (e *Engine) fire(ev *Event) {
-	e.now = ev.Time
+// next pops the head x of the queue and resolves it if it is a deferred
+// slot, or else fires it: advances the clock, retires the slot and runs
+// its callback. It reports whether an event fired.
+func (e *Engine) next(x entry) bool {
+	e.remove(0)
+	ev := &e.slots[x.slot]
+	if ev.resolve != nil {
+		e.resolveSlot(x)
+		return false
+	}
+	e.now = x.time
 	fn, fnTag, tag := ev.fn, ev.fnTag, ev.tag
-	e.retire(ev)
+	e.retire(x.slot)
 	e.fired++
 	if fnTag != nil {
 		fnTag(tag)
-		return
+		return true
 	}
 	fn()
+	return true
 }
 
 // Step executes exactly the next event, if any, and reports whether one
@@ -400,13 +429,9 @@ func (e *Engine) fire(ev *Event) {
 //bbvet:allow unreached -- observation hook the kernel and handle tests read
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		next := e.queue.pop()
-		if next.resolve != nil {
-			e.resolveSlot(next)
-			continue
+		if e.next(e.queue[0]) {
+			return true
 		}
-		e.fire(next)
-		return true
 	}
 	return false
 }

@@ -63,8 +63,8 @@ func TestCancelPreventsFiring(t *testing.T) {
 	if fired {
 		t.Error("cancelled event fired")
 	}
-	if !ev.Cancelled() {
-		t.Error("Cancelled() = false after Cancel")
+	if e.Scheduled(ev) {
+		t.Error("Scheduled() = true after Cancel")
 	}
 	// Double-cancel and zero-handle cancel are no-ops.
 	e.Cancel(ev)

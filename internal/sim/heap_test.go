@@ -64,7 +64,7 @@ func (q *refQueue) remove(id int) {
 // handles), Step and RunUntil, mirrored onto refQueue. Every firing event
 // checks that it is the reference's (Time, seq) minimum at the engine's
 // clock; after every operation the pending count and every handle's
-// Cancelled state must agree with the reference. Times sit on a coarse
+// Scheduled state must agree with the reference. Times sit on a coarse
 // grid so same-instant ties are common, and some callbacks schedule
 // follow-ups, so events are pushed from inside the run loop too.
 func TestEventHeapMatchesReference(t *testing.T) {
@@ -137,8 +137,8 @@ func TestEventHeapMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d op %d: engine has %d pending, reference %d", seed, op, e.Pending(), len(ref.pending))
 			}
 			for id, h := range handles {
-				if h.Cancelled() == ref.live[id] {
-					t.Fatalf("seed %d op %d: handle %d Cancelled()=%v, reference pending=%v", seed, op, id, h.Cancelled(), ref.live[id])
+				if e.Scheduled(h) != ref.live[id] {
+					t.Fatalf("seed %d op %d: handle %d Scheduled()=%v, reference pending=%v", seed, op, id, e.Scheduled(h), ref.live[id])
 				}
 			}
 		}

@@ -17,8 +17,8 @@ func TestChurnZeroAllocs(t *testing.T) {
 		e.After(2, fn)
 		e.Cancel(a)
 		e.RunUntil(e.Now() + 3)
-		if !a.Cancelled() || !b.Cancelled() {
-			t.Fatal("handles should read Cancelled after cancel/fire")
+		if e.Scheduled(a) || e.Scheduled(b) {
+			t.Fatal("handles should read not Scheduled after cancel/fire")
 		}
 	}
 	for i := 0; i < 10; i++ { // warm up the free list and heap backing array
@@ -34,23 +34,23 @@ func TestChurnZeroAllocs(t *testing.T) {
 }
 
 // TestStaleHandleSafeAcrossReuse pins the generation-counter contract: once
-// an event fires or is cancelled, its struct may be reissued, and the old
+// an event fires or is cancelled, its slot may be reissued, and the old
 // handle must neither cancel nor observe the new occurrence.
 func TestStaleHandleSafeAcrossReuse(t *testing.T) {
 	e := NewEngine()
 	stale := e.At(1, func() {})
-	e.Run() // fires; the struct returns to the free list
+	e.Run() // fires; the slot returns to the free list
 
 	secondFired := false
 	fresh := e.At(2, func() { secondFired = true })
-	if fresh.ev != stale.ev {
-		t.Fatal("free list did not reuse the retired event struct")
+	if fresh.slot != stale.slot {
+		t.Fatal("free list did not reuse the retired event slot")
 	}
-	if !stale.Cancelled() {
-		t.Error("stale handle should read Cancelled after its occurrence fired")
+	if e.Scheduled(stale) {
+		t.Error("stale handle should not read Scheduled after its occurrence fired")
 	}
-	if fresh.Cancelled() {
-		t.Error("fresh handle should be pending")
+	if !e.Scheduled(fresh) {
+		t.Error("fresh handle should be Scheduled")
 	}
 	e.Cancel(stale) // must NOT cancel the reissued occurrence
 	e.Run()
@@ -63,12 +63,31 @@ func TestStaleHandleSafeAcrossReuse(t *testing.T) {
 	e.Cancel(h)
 	thirdFired := false
 	h2 := e.At(e.Now()+1, func() { thirdFired = true })
-	e.Cancel(h) // stale again: struct was reissued to h2
+	e.Cancel(h) // stale again: the slot was reissued to h2
 	e.Run()
 	if !thirdFired {
 		t.Fatal("stale Cancel after cancel removed a reissued event")
 	}
-	if h2.Cancelled() != true {
-		t.Error("h2 should read Cancelled after firing")
+	if e.Scheduled(h2) {
+		t.Error("h2 should not read Scheduled after firing")
+	}
+}
+
+// TestReserveZeroAllocs: once reserved, queuing that many tagged events
+// grows neither the heap nor the slab.
+func TestReserveZeroAllocs(t *testing.T) {
+	e := NewEngine()
+	fn := func(uint64) {}
+	e.Reserve(200) // AllocsPerRun's warm-up call queues the first 100
+	queue := func() {
+		for i := 0; i < 100; i++ {
+			e.AfterTag(float64(i%7), fn, uint64(i))
+		}
+	}
+	if avg := testing.AllocsPerRun(1, queue); avg != 0 {
+		t.Fatalf("queuing 100 reserved events allocated %.1f times, want 0", avg)
+	}
+	if e.Pending() != 200 {
+		t.Fatalf("%d pending, want 200", e.Pending())
 	}
 }

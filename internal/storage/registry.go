@@ -63,12 +63,16 @@ func find(reps []replica, svc Service) int {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// Reserve makes room in the table for files indexed below n, so a run
-// that registers its workflow's files grows the table once. Files past n
-// (the side workflow's) still extend it one at a time.
+// Reserve makes room for files indexed below n, so a run that registers
+// its workflow's files grows the table once and carves their replica lists
+// from one slab chunk sized for them. Files past n (the side workflow's)
+// still extend the table one at a time and take replicaChunk chunks.
 func (r *Registry) Reserve(n int) {
-	if n > len(r.files) {
-		r.files = slices.Grow(r.files, n-len(r.files))
+	if m := n - len(r.files); m > 0 {
+		r.files = slices.Grow(r.files, m)
+		if len(r.slab) < 2*m {
+			r.slab = make([]replica, 2*m)
+		}
 	}
 }
 

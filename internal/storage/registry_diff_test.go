@@ -185,8 +185,9 @@ func registryDiff(t *testing.T, seed int64, ops int) {
 }
 
 // TestRegistryReserve: once reserved for a workflow's files, the table
-// takes every one of them without growing again, and a side-workflow file
-// numbered past them still extends it.
+// takes every one of them without growing again and their replica lists
+// come from one chunk sized for them, and a side-workflow file numbered
+// past them still extends the table and takes a chunk of its own.
 func TestRegistryReserve(t *testing.T) {
 	_, sys, w := coriSystem(t, platform.BBPrivate)
 	for i := 0; i < 100; i++ {
@@ -195,6 +196,9 @@ func TestRegistryReserve(t *testing.T) {
 	reg := sys.Registry()
 	reg.Reserve(len(w.Files()))
 	table := cap(reg.files)
+	if len(reg.slab) != 2*len(w.Files()) {
+		t.Fatalf("first slab chunk holds %d replicas for %d reserved files, want two each", len(reg.slab), len(w.Files()))
+	}
 	for _, f := range w.Files() {
 		reg.Add(f, sys.PFS())
 	}
@@ -202,8 +206,14 @@ func TestRegistryReserve(t *testing.T) {
 		t.Fatalf("table grew to %d of capacity %d registering %d reserved files (capacity %d)",
 			len(reg.files), cap(reg.files), len(w.Files()), table)
 	}
+	if len(reg.slab) != 0 {
+		t.Fatalf("%d replicas of the reserved chunk left after registering every reserved file", len(reg.slab))
+	}
 	ckpt := workflow.NewFrom("wf+side", len(w.Files())).MustAddFile("ckpt", units.MB)
 	reg.Add(ckpt, sys.PFS())
+	if len(reg.slab) != replicaChunk-2 {
+		t.Fatalf("a side-workflow file took a chunk leaving %d replicas, want %d", len(reg.slab), replicaChunk-2)
+	}
 	if !reg.Has(ckpt, sys.PFS()) || !reg.Has(w.Files()[99], sys.PFS()) {
 		t.Fatal("a file past the reservation, or the last reserved one, is missing")
 	}

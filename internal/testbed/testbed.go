@@ -147,13 +147,18 @@ func (r *Runner) Run(wf *workflow.Workflow, opts core.RunOptions, reps int) (*Re
 	if final == trace.Retain {
 		opts.TraceSink = nil // only the final repetition retains
 	}
+	// Seed resets a generator's whole state, so reseeding the same two
+	// per repetition draws exactly the streams fresh ones would.
+	opRNG, computeRNG := rand.New(rand.NewSource(0)), rand.New(rand.NewSource(0))
 	for rep := 0; rep < reps; rep++ {
 		if rep == reps-1 {
 			opts.TraceSink = final
 		}
 		seed := r.Seed + int64(rep)*1_000_003
-		opts.OpModel = newOpModel(&r.Profile, opts.StagedFraction, rand.New(rand.NewSource(seed)))
-		opts.Compute = &computeModel{prof: &r.Profile, rng: rand.New(rand.NewSource(seed + 17))}
+		opRNG.Seed(seed)
+		computeRNG.Seed(seed + 17)
+		opts.OpModel = newOpModel(&r.Profile, opts.StagedFraction, opRNG)
+		opts.Compute = &computeModel{prof: &r.Profile, rng: computeRNG}
 		run, err := sim.Run(wf, opts)
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -35,6 +36,28 @@ func TestDeterministicPerSeed(t *testing.T) {
 	for i := range a.Makespans {
 		if a.Makespans[i] != b.Makespans[i] {
 			t.Errorf("rep %d: %v != %v (not deterministic)", i, a.Makespans[i], b.Makespans[i])
+		}
+	}
+}
+
+// TestRepetitionIsItsOwnRun: repetition k of a run reseeds the runner's
+// generators, so it must equal a one-repetition run whose base seed is
+// repetition k's, which starts from fresh generators.
+func TestRepetitionIsItsOwnRun(t *testing.T) {
+	wf := swarpWF(1, 32)
+	sc := core.RunOptions{StagedFraction: 0.5}
+	const seed, reps = 11, 3
+	all, err := NewRunner(CoriPrivate(1), seed).Run(wf, sc, reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < reps; k++ {
+		one, err := NewRunner(CoriPrivate(1), seed+int64(k)*1_000_003).Run(wf, sc, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(one.Makespans[0]) != math.Float64bits(all.Makespans[k]) {
+			t.Errorf("rep %d: makespan %v, alone %v", k, all.Makespans[k], one.Makespans[0])
 		}
 	}
 }
