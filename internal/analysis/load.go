@@ -321,9 +321,9 @@ func (m *moduleImporter) ImportFrom(path, dir string, mode types.ImportMode) (*t
 }
 
 // synthMetricsPackage builds a typed stand-in for the real metrics package,
-// mirroring its emission surface (Collector.Add/GaugeMax/Observe, Key, New)
-// so fixtures for the metrics-virtual-time rule type-check and their call
-// sites resolve to a package whose base name is "metrics".
+// with an emission surface of its own (Collector.Add/GaugeMax/Observe, Key,
+// New) so fixtures for the metrics-virtual-time rule type-check and their
+// call sites resolve to a package whose base name is "metrics".
 func synthMetricsPackage(path string) *types.Package {
 	pkg := types.NewPackage(path, "metrics")
 	scope := pkg.Scope()

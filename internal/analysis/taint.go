@@ -79,7 +79,7 @@ var taintSinks = map[string][]sinkSpec{
 	},
 	"metrics": {
 		{"Collector", "Add"}, {"Collector", "GaugeMax"},
-		{"Collector", "Observe"}, {"Collector", "Snapshot"},
+		{"HeldHistogram", "Observe"}, {"Collector", "Snapshot"},
 	},
 	"trace": {
 		{"Trace", "Record"}, {"Trace", "Save"}, {"Trace", "MarshalJSON"},

@@ -319,8 +319,8 @@ func (h HeldCounter) Add(v float64) {
 	}
 }
 
-// HeldHistogram is a handle on one histogram series, the HeldCounter of
-// Observe.
+// HeldHistogram is a handle on one histogram series (fixed
+// DefaultBuckets): the only way to observe into one.
 type HeldHistogram struct {
 	h *histogram
 }
@@ -334,7 +334,7 @@ func (c *Collector) HoldHistogram(family string, k Key) HeldHistogram {
 	return HeldHistogram{h: c.histogram(series{family, k})}
 }
 
-// Observe records v into the held series, as Collector.Observe would.
+// Observe records v into the held series.
 func (h HeldHistogram) Observe(v float64) {
 	if h.h != nil {
 		h.h.observe(v)
@@ -351,14 +351,6 @@ func (c *Collector) GaugeMax(family string, k Key, v float64) {
 	if cur, ok := c.gauges[s]; !ok || v > cur {
 		c.gauges[s] = v
 	}
-}
-
-// Observe records v into the histogram series (fixed DefaultBuckets).
-func (c *Collector) Observe(family string, k Key, v float64) {
-	if c == nil {
-		return
-	}
-	c.histogram(series{family, k}).observe(v)
 }
 
 // histogram returns the accumulator of the histogram series, creating it

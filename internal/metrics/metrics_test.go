@@ -10,7 +10,7 @@ func TestNilCollectorIsInert(t *testing.T) {
 	var c *Collector
 	c.Add(StorageBytesTotal, Key{Tier: "pfs", Op: OpRead}, 1)
 	c.GaugeMax(StoragePeakBytes, Key{Service: "pfs"}, 1)
-	c.Observe(StorageOpSeconds, Key{Tier: "pfs", Op: OpRead}, 1)
+	c.HoldHistogram(StorageOpSeconds, Key{Tier: "pfs", Op: OpRead}).Observe(1)
 	if s := c.Snapshot(); s != nil {
 		t.Fatalf("nil collector snapshot = %v, want nil", s)
 	}
@@ -24,7 +24,7 @@ func TestSnapshotSortedAndStable(t *testing.T) {
 			c.Add(StorageBytesTotal, Key{Tier: tier, Op: OpWrite}, 20)
 		}
 		c.GaugeMax(MakespanSeconds, Key{}, 42.5)
-		c.Observe(StorageOpSeconds, Key{Tier: "pfs", Op: OpRead}, 0.05)
+		c.HoldHistogram(StorageOpSeconds, Key{Tier: "pfs", Op: OpRead}).Observe(0.05)
 		return c.Snapshot()
 	}
 	a := build([]string{"pfs", "shared-bb"})
@@ -74,9 +74,9 @@ func TestHistogramBuckets(t *testing.T) {
 	c := New("p", "w")
 	k := Key{Tier: "pfs", Op: OpRead}
 	// One observation per region: <=0.001, <=0.01, and +Inf.
-	c.Observe(StorageOpSeconds, k, 0.001) // boundary lands in its bucket
-	c.Observe(StorageOpSeconds, k, 0.002)
-	c.Observe(StorageOpSeconds, k, 5000)
+	c.HoldHistogram(StorageOpSeconds, k).Observe(0.001) // boundary lands in its bucket
+	c.HoldHistogram(StorageOpSeconds, k).Observe(0.002)
+	c.HoldHistogram(StorageOpSeconds, k).Observe(5000)
 	s := c.Snapshot()
 	if len(s.Histograms) != 1 {
 		t.Fatalf("got %d histograms, want 1", len(s.Histograms))
@@ -99,7 +99,7 @@ func TestMerge(t *testing.T) {
 		c := New("cori", "swarp")
 		c.Add(StorageBytesTotal, Key{Tier: tier, Op: OpRead}, bytes)
 		c.GaugeMax(StoragePeakBytes, Key{Service: "bb"}, peak)
-		c.Observe(StorageOpSeconds, Key{Tier: tier, Op: OpRead}, 0.5)
+		c.HoldHistogram(StorageOpSeconds, Key{Tier: tier, Op: OpRead}).Observe(0.5)
 		return c.Snapshot()
 	}
 	a, b := mk("pfs", 100, 7), mk("pfs", 50, 9)
@@ -155,7 +155,7 @@ func TestWriteProm(t *testing.T) {
 	c.Add(StorageBytesTotal, Key{Tier: "pfs", Op: OpRead}, 1024)
 	c.Add(StorageBytesTotal, Key{Tier: "pfs", Op: OpWrite}, 2048)
 	c.GaugeMax(MakespanSeconds, Key{}, 12.5)
-	c.Observe(StorageOpSeconds, Key{Tier: "pfs", Op: OpRead}, 0.05)
+	c.HoldHistogram(StorageOpSeconds, Key{Tier: "pfs", Op: OpRead}).Observe(0.05)
 	var buf bytes.Buffer
 	if err := c.Snapshot().WriteProm(&buf); err != nil {
 		t.Fatal(err)
@@ -180,8 +180,9 @@ func TestWriteProm(t *testing.T) {
 	}
 }
 
-// TestHeldSeriesMatchLookups: series fed through held handles render the
-// same snapshot bytes as series fed by family and key, past the counters
+// TestHeldSeriesMatchLookups: series fed through handles held once render
+// the same snapshot bytes as series looked up by family and key at every
+// emission, past the counters
 // the collector backs without growing; handles from a nil collector, and
 // zero handles, are inert.
 func TestHeldSeriesMatchLookups(t *testing.T) {
@@ -196,7 +197,7 @@ func TestHeldSeriesMatchLookups(t *testing.T) {
 		}
 		v := float64(i) / 7
 		looked.Add(StorageBytesTotal, k, v)
-		looked.Observe(StorageOpSeconds, k, v)
+		looked.HoldHistogram(StorageOpSeconds, k).Observe(v)
 		counters[i%150].Add(v)
 		hists[i%150].Observe(v)
 	}

@@ -25,15 +25,18 @@ type channel struct {
 	active []*transfer
 	last   float64 // instant of the last progress update
 
-	timer    sim.Handle
-	timerSet bool
+	timer      sim.Handle
+	timerSet   bool
+	completeFn func()      // c.complete, bound once
+	finished   []*transfer // complete's buffer, reused across completions
 }
 
 // transfer is one in-flight staging phase.
 type transfer struct {
 	ch        *channel
 	remaining float64
-	done      func()
+	done      func(tag uint64)
+	tag       uint64
 	cancelled bool
 }
 
@@ -41,18 +44,20 @@ func newChannel(eng *sim.Engine, bw float64) *channel {
 	if bw <= 0 {
 		panic(fmt.Sprintf("sched: channel bandwidth %g", bw))
 	}
-	return &channel{eng: eng, bw: bw}
+	c := &channel{eng: eng, bw: bw}
+	c.completeFn = c.complete
+	return c
 }
 
-// add starts a transfer of the given bytes and fires done when it
+// add starts a transfer of the given bytes and calls done(tag) when it
 // completes. Zero-byte transfers complete on the next event boundary
 // (same virtual instant) without entering the channel.
-func (c *channel) add(bytes float64, done func()) *transfer {
-	t := &transfer{ch: c, remaining: bytes, done: done}
+func (c *channel) add(bytes float64, done func(tag uint64), tag uint64) *transfer {
+	t := &transfer{ch: c, remaining: bytes, done: done, tag: tag}
 	if bytes <= transferEps {
 		c.eng.After(0, func() {
 			if !t.cancelled {
-				t.done()
+				t.done(t.tag)
 			}
 		})
 		return t
@@ -113,7 +118,7 @@ func (c *channel) reschedule() {
 		min = 0
 	}
 	eta := min * float64(len(c.active)) / c.bw
-	c.timer = c.eng.After(eta, c.complete)
+	c.timer = c.eng.After(eta, c.completeFn)
 	c.timerSet = true
 }
 
@@ -126,7 +131,7 @@ func (c *channel) reschedule() {
 func (c *channel) complete() {
 	c.timerSet = false
 	c.progress()
-	var finished []*transfer
+	finished := c.finished[:0]
 	keep := c.active[:0]
 	minIdx := -1
 	for i, t := range c.active {
@@ -142,10 +147,11 @@ func (c *channel) complete() {
 		}
 	}
 	c.active = keep
+	c.finished = finished
 	c.reschedule()
 	for _, t := range finished {
 		if !t.cancelled {
-			t.done()
+			t.done(t.tag)
 		}
 	}
 }

@@ -19,9 +19,84 @@ import (
 // the straightforward algorithms they replace, which live on here only as
 // oracles.
 
+// refProfile is the plan profile as parallel arrays, searched with
+// sort.SearchFloat64s: the layout the step-slice profile replaced.
+type refProfile struct {
+	times []float64
+	nodes []int
+	bb    []units.Bytes
+}
+
+func (p *refProfile) reset(now float64, freeNodes int, freeBB units.Bytes, rel []release) {
+	p.times = append(p.times[:0], now)
+	p.nodes = append(p.nodes[:0], freeNodes)
+	p.bb = append(p.bb[:0], freeBB)
+	for _, r := range rel {
+		n := len(p.times)
+		if r.t > p.times[n-1] {
+			p.times = append(p.times, r.t)
+			p.nodes = append(p.nodes, p.nodes[n-1]+r.nodes)
+			p.bb = append(p.bb, p.bb[n-1]+r.bb)
+		} else {
+			p.nodes[n-1] += r.nodes
+			p.bb[n-1] += r.bb
+		}
+	}
+}
+
+func (p *refProfile) earliest(s *scheduler, j *jobState) float64 {
+	for i := 0; i < len(p.times); {
+		k := p.blocked(s, j, i)
+		if k < 0 {
+			return p.times[i]
+		}
+		i = k + 1
+	}
+	return p.times[len(p.times)-1]
+}
+
+func (p *refProfile) blocked(s *scheduler, j *jobState, from int) int {
+	end := p.times[from] + j.estSpan
+	for i := from; i < len(p.times); i++ {
+		if p.times[i] >= end {
+			break
+		}
+		if p.nodes[i] < j.Nodes {
+			return i
+		}
+		if s.cl.BBCapacity > 0 && p.bb[i] < j.resv {
+			return i
+		}
+	}
+	return -1
+}
+
+func (p *refProfile) reserve(j *jobState, t float64) {
+	end := t + j.estSpan
+	p.insertBreak(t)
+	p.insertBreak(end)
+	for i := sort.SearchFloat64s(p.times, t); i < len(p.times) && p.times[i] < end; i++ {
+		p.nodes[i] -= j.Nodes
+		p.bb[i] -= j.resv
+	}
+}
+
+func (p *refProfile) insertBreak(t float64) {
+	i := sort.SearchFloat64s(p.times, t)
+	if i < len(p.times) && p.times[i] == t {
+		return
+	}
+	if i == 0 {
+		return
+	}
+	p.times = slices.Insert(p.times, i, t)
+	p.nodes = slices.Insert(p.nodes, i, p.nodes[i-1])
+	p.bb = slices.Insert(p.bb, i, p.bb[i-1])
+}
+
 // earliestQuadratic is the first-feasible scan: try every breakpoint as a
 // start and check its whole window.
-func earliestQuadratic(p *profile, s *scheduler, j *jobState) float64 {
+func earliestQuadratic(p *refProfile, s *scheduler, j *jobState) float64 {
 	for from := range p.times {
 		ok := true
 		end := p.times[from] + j.estSpan
@@ -38,9 +113,36 @@ func earliestQuadratic(p *profile, s *scheduler, j *jobState) float64 {
 	return p.times[len(p.times)-1]
 }
 
+// earliestOf runs the step profile's search for j as the plan pass does.
+func earliestOf(p profile, s *scheduler, j *jobState) int {
+	bb := j.resv
+	if s.cl.BBCapacity <= 0 {
+		bb = units.Bytes(math.Inf(-1))
+	}
+	return p.earliest(j.Nodes, bb, j.estSpan)
+}
+
+// sameProfile reports whether the step profile holds the reference's
+// breakpoints, bit for bit.
+func sameProfile(p profile, ref *refProfile) bool {
+	if len(p) != len(ref.times) {
+		return false
+	}
+	for i, st := range p {
+		if math.Float64bits(st.t) != math.Float64bits(ref.times[i]) || st.nodes != ref.nodes[i] ||
+			math.Float64bits(float64(st.bb)) != math.Float64bits(float64(ref.bb[i])) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestEarliestMatchesQuadraticScan checks the linear slot search against
-// the quadratic scan on seeded random profiles. Breakpoints and spans sit
-// on a coarse grid so windows often end exactly on a breakpoint.
+// the quadratic scan on seeded random profiles, then drives a sequence of
+// reservations through the step profile and the parallel-array reference
+// and compares every breakpoint after each, bounded and unbounded.
+// Breakpoints and spans sit on a coarse grid so windows often end exactly
+// on a breakpoint.
 func TestEarliestMatchesQuadraticScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for c := 0; c < 2000; c++ {
@@ -48,13 +150,17 @@ func TestEarliestMatchesQuadraticScan(t *testing.T) {
 		if c%2 == 0 {
 			s.cl.BBCapacity = 64 * units.GiB
 		}
-		p := &profile{}
+		ref := &refProfile{}
 		tm := float64(rng.Intn(100))
 		for b := 1 + rng.Intn(40); b > 0; b-- {
-			p.times = append(p.times, tm)
-			p.nodes = append(p.nodes, rng.Intn(33))
-			p.bb = append(p.bb, units.Bytes(rng.Intn(65))*units.GiB)
+			ref.times = append(ref.times, tm)
+			ref.nodes = append(ref.nodes, rng.Intn(33))
+			ref.bb = append(ref.bb, units.Bytes(rng.Intn(65))*units.GiB)
 			tm += float64(1 + rng.Intn(20))
+		}
+		var p profile
+		for i := range ref.times {
+			p = append(p, step{t: ref.times[i], nodes: ref.nodes[i], bb: ref.bb[i]})
 		}
 		for q := 0; q < 20; q++ {
 			j := &jobState{resv: units.Bytes(rng.Intn(65)) * units.GiB, estSpan: float64(rng.Intn(120))}
@@ -62,10 +168,20 @@ func TestEarliestMatchesQuadraticScan(t *testing.T) {
 			if q%4 == 0 {
 				j.estSpan += rng.Float64()
 			}
-			got, want := p.earliest(s, j), earliestQuadratic(p, s, j)
-			if math.Float64bits(got) != math.Float64bits(want) {
+			if q%3 == 0 { // inexact sums: every bb update must keep its order
+				j.resv += units.Bytes(rng.Float64())
+			}
+			at, want := earliestOf(p, s, j), earliestQuadratic(ref, s, j)
+			if got := p[at].t; math.Float64bits(got) != math.Float64bits(want) || got != ref.earliest(s, j) {
 				t.Fatalf("case %d/%d: earliest %g, quadratic scan %g (job nodes=%d bb=%g span=%g, profile %+v)",
-					c, q, got, want, j.Nodes, float64(j.resv), j.estSpan, *p)
+					c, q, got, want, j.Nodes, float64(j.resv), j.estSpan, p)
+			}
+			if q%2 == 0 {
+				p.reserve(at, j.Nodes, j.resv, j.estSpan)
+				ref.reserve(j, want)
+				if !sameProfile(p, ref) {
+					t.Fatalf("case %d/%d: reserve at %g for %g: steps %+v, reference %+v", c, q, want, j.estSpan, p, *ref)
+				}
 			}
 		}
 	}
@@ -91,10 +207,10 @@ func releaseProfileFullScan(s *scheduler) []release {
 }
 
 // planPickFull is the plan pass without the early exit: it plans every
-// queued job, into a profile of its own.
+// queued job, into a parallel-array profile of its own.
 func planPickFull(s *scheduler) []*jobState {
 	now := s.eng.Now()
-	prof := &profile{}
+	prof := &refProfile{}
 	prof.reset(now, s.freeNodes, s.freeBB, s.releaseProfile())
 	var picks []*jobState
 	for _, j := range s.queue {
@@ -202,7 +318,8 @@ func TestIncrementalStateMatchesFullScan(t *testing.T) {
 
 // TestSubmitKeepsPolicyOrder drives submit directly with jobs arriving in
 // an order the greedy policies must reshuffle, and checks the queue after
-// every insertion and every dequeue.
+// every insertion and every dequeue, and each dequeue against a filter
+// scan of the jobs not picked.
 func TestSubmitKeepsPolicyOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, name := range Policies() {
@@ -228,10 +345,24 @@ func TestSubmitKeepsPolicyOrder(t *testing.T) {
 			s.submit(j)
 			sorted("submit")
 			if i%10 == 9 {
+				var picks []*jobState
 				for _, q := range s.queue {
-					q.started = q.started || rng.Intn(3) == 0
+					if rng.Intn(3) == 0 {
+						q.started = true
+						picks = append(picks, q)
+					}
 				}
-				s.dequeue()
+				// The filter scan the copy-based dequeue replaced.
+				var want []*jobState
+				for _, q := range s.queue {
+					if !q.started {
+						want = append(want, q)
+					}
+				}
+				s.dequeue(picks)
+				if !slices.Equal(s.queue, want) {
+					t.Fatalf("%s: dequeue kept %v, filter scan %v", name, ids(s.queue), ids(want))
+				}
 				sorted("dequeue")
 			}
 		}

@@ -1,9 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 
 	"bbwfsim/internal/units"
 )
@@ -28,8 +29,9 @@ func Policies() []string {
 
 // policy picks the queued jobs to start at a scheduling pass. pick must
 // only return jobs that fit the free resources at the instant it is
-// called, in start order; the scheduler dequeues them afterwards. less is
-// the strict total order the scheduler keeps the wait queue in.
+// called, in queue order, appended to the scheduler's empty pick buffer
+// s.picks; the scheduler starts and dequeues them afterwards. less is the
+// strict total order the scheduler keeps the wait queue in.
 type policy interface {
 	directIO() bool
 	less(a, b *jobState) bool
@@ -72,7 +74,7 @@ type fcfsPolicy struct{ submissionOrder }
 func (fcfsPolicy) directIO() bool { return false }
 
 func (fcfsPolicy) pick(s *scheduler) []*jobState {
-	var picks []*jobState
+	picks := s.picks
 	freeNodes, freeBB := s.freeNodes, s.freeBB
 	for _, j := range s.queue {
 		if !fitsFree(s, j, freeNodes, freeBB) {
@@ -111,7 +113,7 @@ type easyPolicy struct{ submissionOrder }
 func (easyPolicy) directIO() bool { return false }
 
 func (easyPolicy) pick(s *scheduler) []*jobState {
-	var picks []*jobState
+	picks := s.picks
 	freeNodes, freeBB := s.freeNodes, s.freeBB
 	i := 0
 	// Start the prefix that fits, FCFS.
@@ -183,15 +185,17 @@ func shadowFor(s *scheduler, head *jobState, picks []*jobState, freeNodes int, f
 	return last, nodes - head.Nodes, bb - head.resv
 }
 
+// sortReleases orders releases by time, then by descending node count.
+// The sort is unstable, so the input order is part of the result.
 func sortReleases(rel []release) {
-	sort.Slice(rel, func(a, b int) bool {
-		if rel[a].t < rel[b].t {
-			return true
+	slices.SortFunc(rel, func(a, b release) int {
+		if a.t < b.t {
+			return -1
 		}
-		if rel[a].t > rel[b].t {
-			return false
+		if a.t > b.t {
+			return 1
 		}
-		return rel[a].nodes > rel[b].nodes
+		return cmp.Compare(b.nodes, a.nodes)
 	})
 }
 
@@ -206,7 +210,7 @@ func sortReleases(rel []release) {
 // back by a later arrival.
 type planPolicy struct {
 	submissionOrder
-	prof *profile   // rebuilt every pass into the same buffers
+	prof *profile   // rebuilt every pass into the same buffer
 	suf  *suffixMin // likewise
 }
 
@@ -215,25 +219,30 @@ func (planPolicy) directIO() bool { return false }
 // pick plans the queue in order and starts the jobs whose slot is now. The
 // pass stops once the profile at now fits no remaining job: a pick depends
 // only on the reservations made before it in the pass, reserve only
-// subtracts, and insertBreak never inserts before the origin, so index 0
-// never grows during a pass; a job starts now only if it fits there.
+// subtracts, and never inserts a step before the origin, so step 0 never
+// grows during a pass; a job starts now only if it fits there.
 func (pl planPolicy) pick(s *scheduler) []*jobState {
-	now := s.eng.Now()
 	prof := pl.prof
-	prof.reset(now, s.freeNodes, s.freeBB, s.releaseProfile())
+	prof.reset(s.eng.Now(), s.freeNodes, s.freeBB, s.releaseProfile())
 	pl.suf.sweep(s.queue)
-	var picks []*jobState
+	bounded := s.cl.BBCapacity > 0
+	picks := s.picks
 	for i, j := range s.queue {
-		if prof.nodes[0] < pl.suf.nodes[i] || (s.cl.BBCapacity > 0 && prof.bb[0] < pl.suf.bb[i]) {
+		at0 := (*prof)[0]
+		if at0.nodes < pl.suf.nodes[i] || (bounded && at0.bb < pl.suf.bb[i]) {
 			break
 		}
-		t := prof.earliest(s, j)
-		// Index 0 is the profile at now: releases clamp past now, so every
-		// other breakpoint is strictly later.
-		if t <= now && fitsFree(s, j, prof.nodes[0], prof.bb[0]) {
+		bb := j.resv
+		if !bounded {
+			bb = units.Bytes(math.Inf(-1))
+		}
+		at := prof.earliest(j.Nodes, bb, j.estSpan)
+		// Step 0 is the profile at now: releases clamp past now, so every
+		// other step is strictly later.
+		if at == 0 && fitsFree(s, j, at0.nodes, at0.bb) {
 			picks = append(picks, j)
 		}
-		prof.reserve(j, t)
+		prof.reserve(at, j.Nodes, j.resv, j.estSpan)
 	}
 	return picks
 }
@@ -260,99 +269,79 @@ func (m *suffixMin) sweep(queue []*jobState) {
 	}
 }
 
-// profile is a breakpoint list of projected free resources over time.
-type profile struct {
-	times []float64
-	nodes []int
-	bb    []units.Bytes
+// step is the projected free resources from instant t to the next step.
+type step struct {
+	t     float64
+	nodes int
+	bb    units.Bytes
 }
+
+// profile is the availability timeline: steps in strictly increasing time.
+type profile []step
 
 // reset rebuilds the availability timeline from the current free state
 // and the projected releases of running jobs.
 func (p *profile) reset(now float64, freeNodes int, freeBB units.Bytes, rel []release) {
-	p.times = append(p.times[:0], now)
-	p.nodes = append(p.nodes[:0], freeNodes)
-	p.bb = append(p.bb[:0], freeBB)
+	steps := append((*p)[:0], step{t: now, nodes: freeNodes, bb: freeBB})
 	for _, r := range rel { // already sorted by time
-		n := len(p.times)
-		if r.t > p.times[n-1] {
-			p.times = append(p.times, r.t)
-			p.nodes = append(p.nodes, p.nodes[n-1]+r.nodes)
-			p.bb = append(p.bb, p.bb[n-1]+r.bb)
+		last := &steps[len(steps)-1]
+		if r.t > last.t {
+			steps = append(steps, step{t: r.t, nodes: last.nodes + r.nodes, bb: last.bb + r.bb})
 		} else {
-			p.nodes[n-1] += r.nodes
-			p.bb[n-1] += r.bb
+			last.nodes += r.nodes
+			last.bb += r.bb
 		}
 	}
+	*p = steps
 }
 
-// earliest finds the first breakpoint from which the job's demands stay
-// satisfied for its whole estimated span. A window from breakpoint i
-// blocked at breakpoint k blocks every start in [i, k] too — their windows
-// all reach k — so the search resumes at k+1 and visits each breakpoint
-// once.
-func (p *profile) earliest(s *scheduler, j *jobState) float64 {
-	for i := 0; i < len(p.times); {
-		k := p.blocked(s, j, i)
+// earliest returns the first step from which nodes and bb stay free for
+// span, or the last step if none does; bb −Inf leaves BB unchecked. A
+// window from step i blocked at step k blocks every start in [i, k] too
+// (their windows all reach k), so the search resumes at k+1 and visits
+// each step once.
+func (p profile) earliest(nodes int, bb units.Bytes, span float64) int {
+	for i := 0; i < len(p); {
+		k := p.blocked(i, nodes, bb, span)
 		if k < 0 {
-			return p.times[i]
+			return i
 		}
 		i = k + 1
 	}
-	return p.times[len(p.times)-1]
+	return len(p) - 1
 }
 
-// blocked returns the first breakpoint in [t, t+estSpan), for t the
-// breakpoint at index from, whose free resources fall short of the job's
-// demands, or -1 if the demands hold over the whole window. Breakpoints
-// are sorted, so only indices ≥ from can intersect the window.
-func (p *profile) blocked(s *scheduler, j *jobState, from int) int {
-	end := p.times[from] + j.estSpan
-	for i := from; i < len(p.times); i++ {
-		if p.times[i] >= end {
-			break
-		}
-		if p.nodes[i] < j.Nodes {
-			return i
-		}
-		if s.cl.BBCapacity > 0 && p.bb[i] < j.resv {
+// blocked returns the first step in [t, t+span), for t the start of step
+// from, whose free resources fall short of nodes or bb, or -1 if none
+// does.
+func (p profile) blocked(from, nodes int, bb units.Bytes, span float64) int {
+	end := p[from].t + span
+	for i := from; i < len(p) && p[i].t < end; i++ {
+		if p[i].nodes < nodes || p[i].bb < bb {
 			return i
 		}
 	}
 	return -1
 }
 
-// reserve subtracts the job's demands from the profile over its planned
-// window, inserting breakpoints as needed.
-func (p *profile) reserve(j *jobState, t float64) {
-	end := t + j.estSpan
-	p.insertBreak(t)
-	p.insertBreak(end)
-	for i := sort.SearchFloat64s(p.times, t); i < len(p.times) && p.times[i] < end; i++ {
-		p.nodes[i] -= j.Nodes
-		p.bb[i] -= j.resv
+// reserve subtracts the demands over the window from step at for span,
+// splitting the step the window ends in: the new step copies the value in
+// force before the subtraction.
+func (p *profile) reserve(at, nodes int, bb units.Bytes, span float64) {
+	steps := *p
+	end := steps[at].t + span
+	k := at
+	for k < len(steps) && steps[k].t < end {
+		k++
 	}
-}
-
-// insertBreak splits the profile at time t, copying the value in force.
-func (p *profile) insertBreak(t float64) {
-	i := sort.SearchFloat64s(p.times, t)
-	if i < len(p.times) && p.times[i] <= t && t <= p.times[i] {
-		return // exact breakpoint already present
+	if k == len(steps) || steps[k].t > end {
+		steps = slices.Insert(steps, k, step{t: end, nodes: steps[k-1].nodes, bb: steps[k-1].bb})
 	}
-	if i == 0 {
-		// Before the profile's origin: clamp to the origin.
-		return
+	for i := at; i < k; i++ {
+		steps[i].nodes -= nodes
+		steps[i].bb -= bb
 	}
-	p.times = append(p.times, 0)
-	p.nodes = append(p.nodes, 0)
-	p.bb = append(p.bb, 0)
-	copy(p.times[i+1:], p.times[i:])
-	copy(p.nodes[i+1:], p.nodes[i:])
-	copy(p.bb[i+1:], p.bb[i:])
-	p.times[i] = t
-	p.nodes[i] = p.nodes[i-1]
-	p.bb[i] = p.bb[i-1]
+	*p = steps
 }
 
 // --- BBSimulator greedy family -------------------------------------------
@@ -391,7 +380,7 @@ func (g greedyPolicy) less(a, b *jobState) bool {
 }
 
 func (g greedyPolicy) pick(s *scheduler) []*jobState {
-	var picks []*jobState
+	picks := s.picks
 	freeNodes, freeBB := s.freeNodes, s.freeBB
 	for _, j := range s.queue {
 		if !fitsFree(s, j, freeNodes, freeBB) {
@@ -415,7 +404,7 @@ type directIOPolicy struct{ submissionOrder }
 func (directIOPolicy) directIO() bool { return true }
 
 func (directIOPolicy) pick(s *scheduler) []*jobState {
-	var picks []*jobState
+	picks := s.picks
 	freeNodes := s.freeNodes
 	for _, j := range s.queue {
 		if j.Nodes > freeNodes {

@@ -244,14 +244,27 @@ type scheduler struct {
 	// input order part of the result.
 	active []*jobState
 	rel    []release // releaseProfile's buffer, reused across passes
+	// picks is the pick buffer policies append to. A pass never re-enters
+	// schedule, so one buffer serves every pass.
+	picks []*jobState
 
 	nodeDown  []bool // node index → failed
 	nodeOwner []int  // node index → holding job idx, -1 free
 	freeNodes int    // up ∧ unheld
 	freeBB    units.Bytes
 
-	heldNodes int // Σ nodes of active jobs (peak gauge)
+	heldNodes int // Σ nodes of active jobs
 	heldBB    units.Bytes
+	// peakNodes and peakBB are the high-water marks of heldNodes and
+	// heldBB, emitted as gauges once the run ends.
+	peakNodes int
+	peakBB    units.Bytes
+
+	// Completion series, held at the first completion so that a campaign
+	// completing nothing still leaves them out of the snapshot.
+	doneHeld                                  bool
+	doneJobs, doneWait, doneResponse, doneSld metrics.HeldCounter
+	doneWaitHist                              metrics.HeldHistogram
 
 	bbChan, pfsChan *channel
 
@@ -263,9 +276,10 @@ type scheduler struct {
 	pending                                   int // admitted, not yet terminal
 	toSubmit                                  int // submit events not yet fired
 
-	// Event callbacks, made once per campaign: AfterTag hands each a job
-	// or node index, so queuing an event allocates nothing.
-	submitFn, stageOutFn, failFn, repairFn func(tag uint64)
+	// Event and transfer callbacks, made once per campaign: each gets a
+	// job or node index, so queuing an event or a transfer allocates no
+	// closure.
+	submitFn, runFn, stageOutFn, finishFn, failFn, repairFn func(tag uint64)
 }
 
 // Run executes one campaign to completion and returns its accounting. It
@@ -319,7 +333,9 @@ func run(cfg Config, pol policy) (*Result, error) {
 		freeBB:    cfg.Cluster.BBCapacity,
 	}
 	s.submitFn = func(i uint64) { s.submit(s.jobs[i]) }
+	s.runFn = func(i uint64) { s.beginRun(s.jobs[i]) }
 	s.stageOutFn = func(i uint64) { s.beginStageOut(s.jobs[i]) }
+	s.finishFn = func(i uint64) { s.finish(s.jobs[i]) }
 	s.failFn = func(uint64) { s.nodeFailure() }
 	s.repairFn = func(i uint64) { s.nodeRepair(int(i)) }
 	for i := range s.nodeOwner {
@@ -353,6 +369,10 @@ func run(cfg Config, pol policy) (*Result, error) {
 	}
 
 	s.eng.Run()
+	if s.peakNodes > 0 { // some job started
+		col.GaugeMax(metrics.SchedNodesPeak, metrics.Key{}, float64(s.peakNodes))
+		col.GaugeMax(metrics.SchedBBPeakBytes, metrics.Key{}, float64(s.peakBB))
+	}
 	if s.pending > 0 {
 		return nil, fmt.Errorf("sched: %s deadlocked with %d jobs still queued or running at t=%g",
 			cfg.Policy, s.pending, s.eng.Now())
@@ -471,19 +491,24 @@ func (s *scheduler) schedule() {
 		s.startJob(j)
 	}
 	if len(picks) > 0 {
-		s.dequeue()
+		s.dequeue(picks)
 	}
+	s.picks = picks[:0]
 }
 
-// dequeue removes started jobs from the wait queue, preserving order.
-func (s *scheduler) dequeue() {
-	keep := s.queue[:0]
-	for _, j := range s.queue {
-		if !j.started {
-			keep = append(keep, j)
-		}
+// dequeue removes the picks, which are in queue order, from the wait
+// queue: it finds each by binary search and moves the runs between them
+// down by copy.
+func (s *scheduler) dequeue(picks []*jobState) {
+	q := s.queue
+	kept, from := 0, 0
+	for _, p := range picks {
+		at := from + sort.Search(len(q)-from, func(k int) bool { return !s.pol.less(q[from+k], p) })
+		kept += copy(q[kept:], q[from:at])
+		from = at + 1
 	}
-	s.queue = keep
+	kept += copy(q[kept:], q[from:])
+	s.queue = q[:kept]
 }
 
 // startJob allocates nodes (lowest free indices first) and the BB
@@ -514,30 +539,29 @@ func (s *scheduler) startJob(j *jobState) {
 		}
 	}
 	s.heldBB += j.resv
-	s.col.GaugeMax(metrics.SchedNodesPeak, metrics.Key{}, float64(s.heldNodes))
-	s.col.GaugeMax(metrics.SchedBBPeakBytes, metrics.Key{}, float64(s.heldBB))
+	s.peakNodes = max(s.peakNodes, s.heldNodes)
+	s.peakBB = max(s.peakBB, s.heldBB)
 	s.tr.Record(now, trace.JobStart, j.ID, trace.Held(j.Nodes, float64(j.resv)))
-	s.stage(j, float64(j.StageIn), func() { s.beginRun(j) })
+	s.stage(j, float64(j.StageIn), s.runFn)
 }
 
 // bySubmission compares a job's submission index with idx, the order of
 // the active set.
 func bySubmission(j *jobState, idx int) int { return j.idx - idx }
 
-// stage moves bytes through the job's staging channel, then continues.
-func (s *scheduler) stage(j *jobState, bytes float64, done func()) {
+// stage moves bytes through the job's staging channel, then calls done
+// with the job's index.
+func (s *scheduler) stage(j *jobState, bytes float64, done func(tag uint64)) {
 	ch := s.bbChan
 	if s.pol.directIO() {
 		ch = s.pfsChan
 	}
-	j.transfer = ch.add(bytes, func() {
-		j.transfer = nil
-		done()
-	})
+	j.transfer = ch.add(bytes, done, uint64(j.idx))
 }
 
 func (s *scheduler) beginRun(j *jobState) {
 	now := s.eng.Now()
+	j.transfer = nil
 	j.inRun = true
 	s.tr.Record(now, trace.JobRun, j.ID, trace.Event{})
 	j.phaseEnd = s.eng.AfterTag(j.Runtime, s.stageOutFn, uint64(j.idx))
@@ -547,13 +571,14 @@ func (s *scheduler) beginStageOut(j *jobState) {
 	now := s.eng.Now()
 	j.inRun = false
 	s.tr.Record(now, trace.JobStageOut, j.ID, trace.Event{})
-	s.stage(j, float64(j.StageOut), func() { s.finish(j) })
+	s.stage(j, float64(j.StageOut), s.finishFn)
 }
 
 // finish completes a job: releases resources, commits accounting, and
 // reschedules.
 func (s *scheduler) finish(j *jobState) {
 	now := s.eng.Now()
+	j.transfer = nil
 	j.terminal = Completed
 	j.end = now
 	s.completed++
@@ -567,11 +592,19 @@ func (s *scheduler) finish(j *jobState) {
 	if sld < 1 {
 		sld = 1
 	}
-	s.col.Add(metrics.SchedJobsTotal, metrics.Key{Op: metrics.OutcomeCompleted}, 1)
-	s.col.Add(metrics.SchedWaitSecondsTotal, metrics.Key{}, wait)
-	s.col.Add(metrics.SchedResponseSecondsTotal, metrics.Key{}, response)
-	s.col.Add(metrics.SchedSlowdownTotal, metrics.Key{}, sld)
-	s.col.Observe(metrics.SchedWaitSeconds, metrics.Key{}, wait)
+	if !s.doneHeld {
+		s.doneHeld = true
+		s.doneJobs = s.col.HoldCounter(metrics.SchedJobsTotal, metrics.Key{Op: metrics.OutcomeCompleted})
+		s.doneWait = s.col.HoldCounter(metrics.SchedWaitSecondsTotal, metrics.Key{})
+		s.doneResponse = s.col.HoldCounter(metrics.SchedResponseSecondsTotal, metrics.Key{})
+		s.doneSld = s.col.HoldCounter(metrics.SchedSlowdownTotal, metrics.Key{})
+		s.doneWaitHist = s.col.HoldHistogram(metrics.SchedWaitSeconds, metrics.Key{})
+	}
+	s.doneJobs.Add(1)
+	s.doneWait.Add(wait)
+	s.doneResponse.Add(response)
+	s.doneSld.Add(sld)
+	s.doneWaitHist.Observe(wait)
 	s.schedule()
 }
 

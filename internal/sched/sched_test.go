@@ -367,15 +367,20 @@ func TestFaultCampaign(t *testing.T) {
 	}
 }
 
+// addFunc starts a transfer on c that calls done when it completes.
+func addFunc(c *channel, bytes float64, done func()) *transfer {
+	return c.add(bytes, func(uint64) { done() }, 0)
+}
+
 // TestChannelFairShare pins the max–min channel: concurrent transfers
 // split the bandwidth equally and completions re-divide it.
 func TestChannelFairShare(t *testing.T) {
 	eng := sim.NewEngine()
 	ch := newChannel(eng, 100)
 	var doneA, doneB, doneC float64
-	ch.add(100, func() { doneA = eng.Now() })
-	ch.add(100, func() { doneB = eng.Now() })
-	eng.At(0.5, func() { ch.add(25, func() { doneC = eng.Now() }) })
+	addFunc(ch, 100, func() { doneA = eng.Now() })
+	addFunc(ch, 100, func() { doneB = eng.Now() })
+	eng.At(0.5, func() { addFunc(ch, 25, func() { doneC = eng.Now() }) })
 	eng.Run()
 	// A and B share 50 B/s each; C joins at 0.5 with 25 bytes. From 0.5 on
 	// each gets 100/3 B/s: C finishes at 0.5+0.75=1.25; A and B then hold
@@ -395,8 +400,8 @@ func TestChannelFairShare(t *testing.T) {
 	ch2 := newChannel(eng2, 100)
 	var doneD float64
 	cancelled := false
-	ch2.add(100, func() { doneD = eng2.Now() })
-	tr := ch2.add(100, func() { cancelled = true })
+	addFunc(ch2, 100, func() { doneD = eng2.Now() })
+	tr := addFunc(ch2, 100, func() { cancelled = true })
 	eng2.At(0.5, func() { tr.cancel() })
 	eng2.Run()
 	if cancelled {
@@ -411,7 +416,7 @@ func TestChannelFairShare(t *testing.T) {
 	eng3 := sim.NewEngine()
 	ch3 := newChannel(eng3, 100)
 	fired := false
-	ch3.add(0, func() { fired = true })
+	addFunc(ch3, 0, func() { fired = true })
 	eng3.Run()
 	if !fired {
 		t.Error("zero-byte transfer never completed")
