@@ -6,7 +6,7 @@
 //	bbsim -workflow wf.json -platform cori-private -fraction 0.5
 //	bbsim -workflow wf.json -platform my-platform.json -intermediates-bb
 //	bbsim -workflow wf.json -platform summit -trace trace.json
-//	bbsim -gen montage:1000000 -no-trace -evict           # scale run, counters only
+//	bbsim -gen montage:1000000 -evict                     # scale run, counters only
 //	bbsim -gen chain:1000 -trace t.jsonl -trace-out jsonl # stream trace to disk
 //
 // The -platform flag accepts a preset name (cori-private, cori-striped,
@@ -55,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		prePlace  = fs.Bool("preplace", false, "pre-place workflow inputs on their targets at no cost")
 		tracePath = fs.String("trace", "", "write the event trace to this file (JSON, or one row per event with -trace-out)")
 		traceOut  = fs.String("trace-out", "", "stream events to -trace as they fire instead of retaining them: jsonl or csv")
-		noTrace   = fs.Bool("no-trace", false, "keep only per-kind event counts — no retained trace, lowest memory")
 		gantt     = fs.Bool("gantt", false, "print an ASCII Gantt chart of the execution")
 		evict     = fs.Bool("evict", false, "free BB replicas after their last consumer (lifecycle management)")
 		private   = fs.Bool("enforce-private", false, "enforce the private-mode BB visibility rule")
@@ -108,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *wfPath != "" || *genSpec != "" {
 			return usage("-sched is incompatible with -workflow and -gen")
 		}
-		if *noTrace || *gantt {
+		if *gantt {
 			return usage("-sched supports only the retained trace (-trace <file>, as JSON or in the -trace-out format)")
 		}
 		cfg, err := loadPlatform(*platName, *nodes)
@@ -149,10 +148,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var sink trace.Sink
 	var sinkFile *os.File
 	switch {
-	case *noTrace:
-		if *tracePath != "" || *traceOut != "" || *gantt {
-			return usage("-no-trace is incompatible with -trace, -trace-out, and -gantt")
-		}
 	case *traceOut != "":
 		if *gantt {
 			return usage("-gantt needs the retained trace; drop -trace-out")
@@ -242,10 +237,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		res.BB.BytesRead, res.BB.ReadBandwidth(), res.BB.BytesWritten, res.BB.WriteBandwidth())
 	fmt.Fprintf(stdout, "PFS traffic: %v read (%v avg), %v written (%v avg)\n",
 		res.PFS.BytesRead, res.PFS.ReadBandwidth(), res.PFS.BytesWritten, res.PFS.WriteBandwidth())
-	if *noTrace {
-		fmt.Fprintf(stdout, "events:      %d fired, %d peak pending (counting mode, no retained trace)\n",
-			res.Events, res.PeakPending)
-	}
+	fmt.Fprintf(stdout, "events:      %d fired, %d peak pending\n", res.Events, res.PeakPending)
 
 	if *gantt {
 		fmt.Fprintln(stdout)

@@ -21,14 +21,12 @@ func TestFlagValidation(t *testing.T) {
 	}{
 		{"no source", []string{}, "exactly one of -workflow or -gen"},
 		{"both sources", []string{"-workflow", "a.json", "-gen", "chain:5"}, "exactly one of -workflow or -gen"},
-		{"no-trace vs gantt", []string{"-gen", "chain:5", "-no-trace", "-gantt"}, "-no-trace is incompatible"},
-		{"no-trace vs trace", []string{"-gen", "chain:5", "-no-trace", "-trace", "t.json"}, "-no-trace is incompatible"},
 		{"trace-out without trace", []string{"-gen", "chain:5", "-trace-out", "jsonl"}, "-trace-out needs -trace"},
 		{"trace-out vs gantt", []string{"-gen", "chain:5", "-trace", "t", "-trace-out", "csv", "-gantt"}, "-gantt needs the retained trace"},
 		{"bad trace-out format", []string{"-gen", "chain:5", "-trace", "t", "-trace-out", "xml"}, "unknown -trace-out format"},
 		{"sched vs workflow", []string{"-sched", "fcfs", "-workflow", "a.json"}, "-sched is incompatible"},
 		{"sched vs gen", []string{"-sched", "fcfs", "-gen", "chain:5"}, "-sched is incompatible"},
-		{"sched vs no-trace", []string{"-sched", "fcfs", "-no-trace"}, "-sched supports only the retained trace"},
+		{"sched vs gantt", []string{"-sched", "fcfs", "-gantt"}, "-sched supports only the retained trace"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -52,16 +50,16 @@ func TestBadGenSpec(t *testing.T) {
 	}
 }
 
-// TestGenCountingRun: a generated workflow simulates end to end in counting
-// mode and reports the kernel cost counters instead of a trace, then its
-// Prometheus metrics on stdout (-prom -).
+// TestGenCountingRun: a generated workflow simulates end to end with no
+// trace output and reports the kernel cost counters, then its Prometheus
+// metrics on stdout (-prom -).
 func TestGenCountingRun(t *testing.T) {
 	var out, errOut strings.Builder
-	args := []string{"-gen", "chain:20", "-no-trace", "-fraction", "1", "-intermediates-bb", "-prom", "-"}
+	args := []string{"-gen", "chain:20", "-fraction", "1", "-intermediates-bb", "-prom", "-"}
 	if code := run(args, &out, &errOut); code != 0 {
 		t.Fatalf("run = %d, want 0 (stderr: %s)", code, errOut.String())
 	}
-	for _, want := range []string{"scale-chain-20 (20 tasks", "makespan:", "counting mode, no retained trace",
+	for _, want := range []string{"scale-chain-20 (20 tasks", "makespan:", "events:      ",
 		"\n# TYPE bbwfsim_makespan_seconds gauge\nbbwfsim_makespan_seconds 104.03"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("stdout missing %q:\n%s", want, out.String())

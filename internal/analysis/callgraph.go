@@ -153,7 +153,12 @@ func (b *graphBuilder) walk(node *CGNode) {
 	// every direct call into an additional ref edge.
 	callOperands := make(map[ast.Node]bool)
 	add := func(to *types.Func, pos token.Pos, kind EdgeKind) {
-		if to == nil || seen[to] {
+		if to == nil {
+			return
+		}
+		// A method of a generic type is called through an instantiation
+		// (Slab[event].Alloc); the edge goes to the method as declared.
+		if to = to.Origin(); seen[to] {
 			return
 		}
 		if _, inModule := b.graph.nodes[to]; !inModule {

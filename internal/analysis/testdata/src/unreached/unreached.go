@@ -9,11 +9,23 @@ import (
 )
 
 // table reaches its entries only through the variable.
-var table = map[string]func() int{"one": one}
+var table = map[string]func() int{"one": one, "two": two}
 
 func one() int { return helper() }
 
 func helper() int { return 1 }
+
+func two() int {
+	p := pool[int]{vals: []int{2}}
+	return p.get(0)
+}
+
+// pool's methods are called through an instantiation, pool[int].
+type pool[T any] struct{ vals []T }
+
+func (p *pool[T]) get(i int) T { return p.vals[i] }
+
+func (p *pool[T]) unused() int { return len(p.vals) } // want `\[unreached\] unreached\.\(\*pool\)\.unused`
 
 func init() { fromInit() }
 

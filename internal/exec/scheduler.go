@@ -71,8 +71,8 @@ func ParseOrderPolicy(s string) (OrderPolicy, error) {
 type scheduler struct {
 	nodePolicy  NodePolicy
 	orderPolicy OrderPolicy
-	rank        map[*workflow.Task]float64 // upward ranks for OrderCriticalPath
-	rrNext      int                        // round-robin cursor
+	rank        []float64 // upward ranks for OrderCriticalPath, by Task.Index
+	rrNext      int       // round-robin cursor
 }
 
 // newScheduler precomputes whatever the policies need.
@@ -83,17 +83,17 @@ func newScheduler(nodePolicy NodePolicy, orderPolicy OrderPolicy, wf *workflow.W
 		if err != nil {
 			return nil, err
 		}
-		s.rank = make(map[*workflow.Task]float64, len(order))
+		s.rank = make([]float64, len(order))
 		// Walk in reverse topological order: rank(t) = w(t) + max child.
 		for i := len(order) - 1; i >= 0; i-- {
 			t := order[i]
 			best := 0.0
 			for _, c := range t.Children() {
-				if s.rank[c] > best {
-					best = s.rank[c]
+				if s.rank[c.Index()] > best {
+					best = s.rank[c.Index()]
 				}
 			}
-			s.rank[t] = float64(t.Work())/speed + best
+			s.rank[t.Index()] = float64(t.Work())/speed + best
 		}
 	}
 	return s, nil
@@ -110,8 +110,8 @@ func (s *scheduler) less(a, b *workflow.Task) bool {
 		}
 	case OrderCriticalPath:
 		//bbvet:allow float-compare -- comparator tie-break: exact equality detects ties, which then break by insertion index
-		if s.rank[a] != s.rank[b] {
-			return s.rank[a] > s.rank[b]
+		if ra, rb := s.rank[a.Index()], s.rank[b.Index()]; ra != rb {
+			return ra > rb
 		}
 	}
 	return a.Index() < b.Index()

@@ -25,9 +25,9 @@
 // flows crossing it as they join and leave, and progressive filling runs
 // its rounds over the live classes and the resources they cross (idle
 // resources cost nothing). The next completion falls out of the solve as a
-// side product. Flows and classes live in slabs on the Network, flows
-// reached through generation-counted Handles, and all scratch is pooled
-// there too, so the steady state allocates nothing.
+// side product. Flows and classes live in sim.Slab pools on the Network,
+// flows reached through generation-counted Handles, and all scratch is
+// pooled there too, so the steady state allocates nothing.
 package flow
 
 import (
@@ -78,31 +78,21 @@ func (r *Resource) Processed() float64 {
 	n := r.net
 	p := r.processed
 	for _, slot := range n.active {
-		f := &n.flows[slot]
-		if crosses(n.classes[f.class].path, r) {
+		f := n.flows.At(slot)
+		if crosses(n.classes.At(f.class).path, r) {
 			p += f.amount - f.remaining
 		}
 	}
 	return p
 }
 
-// Handle identifies one flow of a Network. Flows live in the network's
-// slab and their slots are reused once a flow completes or is cancelled,
-// so a handle pairs the slot with the generation it was issued for — the
-// scheme sim.Handle uses for pooled events. A handle whose flow has ended
-// is stale: Cancel on it is a no-op, Done reports true and Rate zero, even
+// Handle identifies one flow of a Network: the sim.Ref of its slot in the
+// network's flow pool, whose slots are reused once a flow completes or is
+// cancelled — the scheme sim.Handle uses for pooled events. A handle whose
+// flow has ended is stale: Cancel on it is a no-op and Rate zero, even
 // after the slot was reissued to another flow. The zero Handle behaves
 // like an ended flow.
-type Handle struct {
-	slot int32
-	gen  uint32 // slot generations start at 1, so the zero Handle is stale
-}
-
-// tag packs the handle into an event tag.
-func (h Handle) tag() uint64 { return uint64(h.gen)<<32 | uint64(uint32(h.slot)) }
-
-// handleOf unpacks an event tag.
-func handleOf(tag uint64) Handle { return Handle{slot: int32(uint32(tag)), gen: uint32(tag >> 32)} }
+type Handle sim.Ref
 
 // Completer is told when a flow completes. The tag is the one the flow was
 // started with, so one long-lived completer — a pointer, stored in an
@@ -111,8 +101,8 @@ type Completer interface {
 	FlowDone(tag uint64)
 }
 
-// flowSlot is one slab entry: a flow while its generation matches the
-// issued handle, free (on Network.free) otherwise.
+// flowSlot is one entry of the flow pool: a flow while issued, free
+// otherwise.
 type flowSlot struct {
 	path      []*Resource // as given to StartFlow; its class holds the set
 	done      Completer
@@ -122,11 +112,11 @@ type flowSlot struct {
 	rateCap   float64    // +Inf when uncapped
 	latEv     sim.Handle // pending latency activation
 	class     int32      // the class the flow belongs to while active
-	gen       uint32
 	active    bool
 }
 
-// class is one slab entry of flows that share a path slice and a rate cap.
+// class is one entry of the class pool: flows that share a path slice and a
+// rate cap.
 // Max-min fairness treats such flows alike, so they freeze in the same
 // round at the same rate and the solver handles them as one.
 type class struct {
@@ -155,19 +145,17 @@ type Options struct {
 // Network owns a set of resources and the active flows crossing them.
 type Network struct {
 	eng *sim.Engine
-	// flows is the slab every flow lives in; free holds the slots of ended
-	// flows for reuse, so the steady state allocates no flow at all.
-	flows []flowSlot
-	free  []int32
+	// flows is the pool every flow lives in, so the steady state
+	// allocates no flow at all.
+	flows sim.Slab[flowSlot]
 	// active lists the slots of the flows holding resources, in activation
 	// order. Compacting int32 slot indices pays no GC write barrier, unlike
 	// a slice of pointers.
 	active []int32
-	// classes is the class slab; inUse lists the slots of the classes with
-	// active flows, and freeClasses the others for reuse.
-	classes     []class
-	inUse       []int32
-	freeClasses []int32
+	// classes is the class pool; inUse lists the slots of the classes with
+	// active flows.
+	classes sim.Slab[class]
+	inUse   []int32
 	// touched lists the resources crossed by at least one active flow,
 	// kept up to date as flows join and leave.
 	touched []*Resource
@@ -177,7 +165,7 @@ type Network struct {
 
 	// Hot-path scratch, reused across recomputes so the steady state
 	// allocates nothing (asserted by TestRecomputeZeroAllocs):
-	finished     []Handle         // completion batch, collected per event
+	finished     []sim.Ref        // completion batch, collected per event
 	minDt        float64          // next completion delay, folded into recompute
 	completionFn func()           // bound n.onCompletion, hoisted once
 	resolveFn    func(seq uint64) // bound n.resolve, hoisted once
@@ -269,8 +257,7 @@ func (n *Network) StartFlow(amount float64, path []*Resource, opts Options, done
 	// services hand out cached immutable paths), so callers must not mutate
 	// a path while its flow is pending or active.
 	n.stats.FlowsStarted++
-	h := n.alloc()
-	f := &n.flows[h.slot]
+	r, f := n.flows.Alloc()
 	f.path = path
 	f.done = done
 	f.tag = tag
@@ -278,44 +265,11 @@ func (n *Network) StartFlow(amount float64, path []*Resource, opts Options, done
 	f.amount = amount
 	f.rateCap = cap
 	if opts.Latency > 0 {
-		f.latEv = n.eng.AfterTag(opts.Latency, n.activateFn, h.tag())
+		f.latEv = n.eng.AfterTag(opts.Latency, n.activateFn, r.Tag())
 	} else {
-		n.activate(h.slot)
+		n.activate(r.Index())
 	}
-	return h
-}
-
-// alloc takes a free slot, or grows the slab by one.
-func (n *Network) alloc() Handle {
-	if k := len(n.free); k > 0 {
-		slot := n.free[k-1]
-		n.free = n.free[:k-1]
-		return Handle{slot: slot, gen: n.flows[slot].gen}
-	}
-	n.flows = append(n.flows, flowSlot{gen: 1})
-	return Handle{slot: int32(len(n.flows) - 1), gen: 1}
-}
-
-// release ends the flow in slot: the generation bump makes every handle
-// to it stale, and the slot returns to the free list.
-func (n *Network) release(slot int32) {
-	f := &n.flows[slot]
-	f.gen++
-	f.path = nil
-	f.done = nil
-	f.latEv = sim.Handle{}
-	n.free = append(n.free, slot)
-}
-
-// live returns the slot h names, or nil when h is stale.
-func (n *Network) live(h Handle) *flowSlot {
-	if h.gen == 0 || int(h.slot) >= len(n.flows) {
-		return nil
-	}
-	if f := &n.flows[h.slot]; f.gen == h.gen {
-		return f
-	}
-	return nil
+	return Handle(r)
 }
 
 // Rate returns the flow's current allocated rate in units per second,
@@ -325,8 +279,8 @@ func (n *Network) live(h Handle) *flowSlot {
 //bbvet:allow unreached -- observation hook the flow oracle and handle tests read
 func (n *Network) Rate(h Handle) float64 {
 	n.eng.Resolve(n.nextEv)
-	if f := n.live(h); f != nil && f.active {
-		return n.classes[f.class].rate
+	if f := n.flows.Live(sim.Ref(h)); f != nil && f.active {
+		return n.classes.At(f.class).rate
 	}
 	return 0
 }
@@ -367,13 +321,13 @@ func crosses(path []*Resource, r *Resource) bool {
 // activateTag ends a flow's latency. Cancel removes a pending latency
 // event, so the tag always names a live flow.
 func (n *Network) activateTag(tag uint64) {
-	h := handleOf(tag)
-	n.flows[h.slot].latEv = sim.Handle{}
-	n.activate(h.slot)
+	slot := sim.RefOf(tag).Index()
+	n.flows.At(slot).latEv = sim.Handle{}
+	n.activate(slot)
 }
 
 func (n *Network) activate(slot int32) {
-	f := &n.flows[slot]
+	f := n.flows.At(slot)
 	if f.remaining <= 0 || (len(f.path) == 0 && math.IsInf(f.rateCap, 1)) {
 		// Instantaneous: account the amount and schedule completion now so
 		// callbacks still run from the event loop, never synchronously from
@@ -381,7 +335,7 @@ func (n *Network) activate(slot int32) {
 		// event fires releases the slot, and the stale tag makes the event
 		// a no-op. The flow carries nothing, so no resource is charged.
 		f.remaining = 0
-		n.eng.AfterTag(0, n.instantFn, Handle{slot: slot, gen: f.gen}.tag())
+		n.eng.AfterTag(0, n.instantFn, n.flows.Ref(slot).Tag())
 		return
 	}
 	n.settle()
@@ -394,10 +348,10 @@ func (n *Network) activate(slot int32) {
 // join adds the flow in slot to its class, making one if the flow is the
 // class's only active member, and counts it on every resource it crosses.
 func (n *Network) join(slot int32) {
-	f := &n.flows[slot]
+	f := n.flows.At(slot)
 	ci := n.classOf(f.path, f.rateCap)
 	f.class = ci
-	c := &n.classes[ci]
+	c := n.classes.At(ci)
 	c.n++
 	for _, r := range c.path {
 		if r.count == 0 {
@@ -421,19 +375,12 @@ func (n *Network) classOf(path []*Resource, rateCap float64) int32 {
 	}
 	bits := math.Float64bits(rateCap)
 	for _, ci := range n.inUse {
-		if c := &n.classes[ci]; c.key == key && c.keyLen == len(path) && math.Float64bits(c.rateCap) == bits {
+		if c := n.classes.At(ci); c.key == key && c.keyLen == len(path) && math.Float64bits(c.rateCap) == bits {
 			return ci
 		}
 	}
-	var ci int32
-	if k := len(n.freeClasses); k > 0 {
-		ci = n.freeClasses[k-1]
-		n.freeClasses = n.freeClasses[:k-1]
-	} else {
-		ci = int32(len(n.classes))
-		n.classes = append(n.classes, class{})
-	}
-	c := &n.classes[ci]
+	r, c := n.classes.Alloc()
+	ci := r.Index()
 	c.key, c.keyLen, c.rateCap = key, len(path), rateCap
 	// The path is a set: a flow consumes a resource's share once no matter
 	// how often the resource appears in the route description. Only a path
@@ -453,9 +400,9 @@ func (n *Network) classOf(path []*Resource, rateCap float64) int32 {
 // settled amount to the resources it crossed, uncounts it there, and
 // frees its class once empty.
 func (n *Network) leave(slot int32) {
-	f := &n.flows[slot]
+	f := n.flows.At(slot)
 	f.active = false
-	c := &n.classes[f.class]
+	c := n.classes.At(f.class)
 	moved := f.amount - f.remaining
 	for _, r := range c.path {
 		r.processed += moved
@@ -468,36 +415,35 @@ func (n *Network) leave(slot int32) {
 	}
 	if c.n--; c.n == 0 {
 		last := n.inUse[len(n.inUse)-1]
-		n.classes[last].at = c.at
+		n.classes.At(last).at = c.at
 		n.inUse[c.at] = last
 		n.inUse = n.inUse[:len(n.inUse)-1]
 		c.key, c.path = nil, nil
-		n.freeClasses = append(n.freeClasses, f.class)
+		n.classes.Free(f.class)
 	}
 }
 
 // Cancel aborts an in-progress flow without running its completer. A stale
 // handle is a no-op.
 func (n *Network) Cancel(h Handle) {
-	f := n.live(h)
+	r := sim.Ref(h)
+	f := n.flows.Live(r)
 	if f == nil {
 		return
 	}
-	if n.eng.Scheduled(f.latEv) {
+	switch {
+	case n.eng.Scheduled(f.latEv):
 		n.eng.Cancel(f.latEv)
-		n.release(h.slot)
-		return
+	case f.active:
+		n.settle()
+		n.remove(r.Index())
+		n.invalidate()
 	}
-	if !f.active {
-		// Instantaneous completion already queued, or completion batched
-		// behind a running callback: releasing the slot makes it skip.
-		n.release(h.slot)
-		return
-	}
-	n.settle()
-	n.remove(h.slot)
-	n.release(h.slot)
-	n.invalidate()
+	// An inactive flow past its latency has its instantaneous completion
+	// queued, or its completion batched behind a running callback: freeing
+	// the slot makes that skip.
+	f.path, f.done, f.latEv = nil, nil, sim.Handle{}
+	n.flows.Free(r.Index())
 }
 
 func (n *Network) remove(slot int32) {
@@ -521,10 +467,10 @@ func (n *Network) settle() {
 	if dt <= 0 {
 		return
 	}
-	classes := n.classes
+	flows, classes := n.flows, n.classes
 	for _, slot := range n.active {
-		f := &n.flows[slot]
-		moved := classes[f.class].rate * dt
+		f := flows.At(slot)
+		moved := classes.At(f.class).rate * dt
 		if moved > f.remaining {
 			moved = f.remaining
 		}
@@ -553,15 +499,15 @@ func (n *Network) recompute() {
 	if len(n.active) == 0 {
 		return
 	}
-	classes := n.classes
+	flows, classes := n.flows, n.classes
 	for _, ci := range n.inUse {
-		c := &classes[ci]
+		c := classes.At(ci)
 		c.frozen = false
 		c.minRem = math.Inf(1)
 	}
 	for _, slot := range n.active {
-		f := &n.flows[slot]
-		if c := &classes[f.class]; f.remaining < c.minRem {
+		f := flows.At(slot)
+		if c := classes.At(f.class); f.remaining < c.minRem {
 			c.minRem = f.remaining
 		}
 	}
@@ -586,7 +532,7 @@ func (n *Network) recompute() {
 			}
 		}
 		for _, ci := range n.inUse {
-			if c := &classes[ci]; !c.frozen && c.rateCap < m {
+			if c := classes.At(ci); !c.frozen && c.rateCap < m {
 				m = c.rateCap
 			}
 		}
@@ -602,7 +548,7 @@ func (n *Network) recompute() {
 		bound := m * tol
 		froze := 0
 		for _, ci := range n.inUse {
-			c := &classes[ci]
+			c := classes.At(ci)
 			if c.frozen {
 				continue
 			}
@@ -687,8 +633,9 @@ func (n *Network) rebuildMixed() {
 			r.avail = r.capacity
 		}
 	}
+	flows, classes := n.flows, n.classes
 	for _, slot := range n.active {
-		c := &n.classes[n.flows[slot].class]
+		c := classes.At(flows.At(slot).class)
 		if !c.frozen {
 			continue
 		}
@@ -746,9 +693,9 @@ func (n *Network) onCompletion() {
 	finished := n.finished[:0]
 	kept := 0
 	for i, slot := range n.active {
-		f := &n.flows[slot]
+		f := n.flows.At(slot)
 		if f.remaining <= completionTolerance(f.amount) {
-			finished = append(finished, Handle{slot: slot, gen: f.gen})
+			finished = append(finished, n.flows.Ref(slot))
 			n.leave(slot)
 			continue
 		}
@@ -760,25 +707,26 @@ func (n *Network) onCompletion() {
 	n.active = n.active[:kept]
 	n.finished = finished
 	n.invalidate()
-	for _, h := range finished {
-		n.complete(h)
+	for _, r := range finished {
+		n.complete(r)
 	}
 }
 
 // completeTag fires a queued instantaneous completion.
-func (n *Network) completeTag(tag uint64) { n.complete(handleOf(tag)) }
+func (n *Network) completeTag(tag uint64) { n.complete(sim.RefOf(tag)) }
 
-// complete ends the flow h names and runs its completer. The slot is
-// released first, so the completer sees the flow Done and may reuse the
-// slot for a flow of its own; a handle made stale by a Cancel in the
+// complete ends the flow r names and runs its completer. The slot is
+// released first, so the completer sees the flow ended and may reuse the
+// slot for a flow of its own; a ref made stale by a Cancel in the
 // meantime is skipped.
-func (n *Network) complete(h Handle) {
-	f := n.live(h)
+func (n *Network) complete(r sim.Ref) {
+	f := n.flows.Live(r)
 	if f == nil {
 		return
 	}
 	done, tag := f.done, f.tag
-	n.release(h.slot)
+	f.path, f.done = nil, nil
+	n.flows.Free(r.Index())
 	if done != nil {
 		done.FlowDone(tag)
 	}
@@ -800,7 +748,7 @@ func (n *Network) Utilization(r *Resource) float64 {
 	n.eng.Resolve(n.nextEv)
 	used := 0.0
 	for _, slot := range n.active {
-		if c := &n.classes[n.flows[slot].class]; crosses(c.path, r) {
+		if c := n.classes.At(n.flows.At(slot).class); crosses(c.path, r) {
 			used += c.rate
 		}
 	}

@@ -422,11 +422,11 @@ func TestMaxMinBottleneckProperty(t *testing.T) {
 					ok = false
 					continue
 				}
-				if n.Rate(f) >= n.flows[f.slot].rateCap*(1-1e-9) {
+				if n.Rate(f) >= n.flows.Live(sim.Ref(f)).rateCap*(1-1e-9) {
 					continue // cap binds
 				}
 				bottleneck := false
-				for _, r := range n.flows[f.slot].path {
+				for _, r := range n.flows.Live(sim.Ref(f)).path {
 					if n.Utilization(r) >= 1-1e-6 {
 						bottleneck = true
 						break

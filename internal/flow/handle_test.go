@@ -7,7 +7,7 @@ import (
 )
 
 // ended reports whether h's flow has completed or been cancelled.
-func ended(n *Network, h Handle) bool { return n.live(h) == nil }
+func ended(n *Network, h Handle) bool { return n.flows.Live(sim.Ref(h)) == nil }
 
 // TestCancelAfterCompletionIsNoop: cancelling a finished flow's handle
 // changes nothing, and the handle reads as done at rate zero.
@@ -36,8 +36,8 @@ func TestCancelStaleHandleSparesReissuedSlot(t *testing.T) {
 	e.Run()
 	var done float64 = -1
 	h := n.StartFlow(500, []*Resource{r}, Options{}, Func(func() { done = e.Now() }), 0)
-	if h.slot != old.slot || h.gen == old.gen {
-		t.Fatalf("new flow got %+v, want the old slot %d under a new generation", h, old.slot)
+	if sim.Ref(h).Index() != sim.Ref(old).Index() || h == old {
+		t.Fatalf("new flow got %+v, want the old slot %d under a new generation", h, sim.Ref(old).Index())
 	}
 	n.Cancel(old)
 	if ended(n, h) || n.ActiveFlows() != 1 {
@@ -58,8 +58,8 @@ func TestDoneOnRecycledFlow(t *testing.T) {
 	old := n.StartFlow(0, nil, Options{}, nil, 0)
 	e.Run()
 	h := n.StartFlow(1000, []*Resource{r}, Options{}, nil, 0)
-	if h.slot != old.slot {
-		t.Fatalf("new flow got slot %d, want the recycled slot %d", h.slot, old.slot)
+	if sim.Ref(h).Index() != sim.Ref(old).Index() {
+		t.Fatalf("new flow got slot %d, want the recycled slot %d", sim.Ref(h).Index(), sim.Ref(old).Index())
 	}
 	if !ended(n, old) || n.Rate(old) != 0 {
 		t.Errorf("recycled handle: Done %v, Rate %v; want true, 0", ended(n, old), n.Rate(old))
@@ -87,8 +87,8 @@ func TestCancelledInstantSlotReissuedBeforeItsEvent(t *testing.T) {
 	n.Cancel(old)
 	calls := 0
 	h := n.StartFlow(0, nil, Options{}, Func(func() { calls++ }), 0)
-	if h.slot != old.slot {
-		t.Fatalf("new flow got slot %d, want the recycled slot %d", h.slot, old.slot)
+	if sim.Ref(h).Index() != sim.Ref(old).Index() {
+		t.Fatalf("new flow got slot %d, want the recycled slot %d", sim.Ref(h).Index(), sim.Ref(old).Index())
 	}
 	e.Run()
 	if calls != 1 || !ended(n, h) {

@@ -20,7 +20,7 @@ func checkMaxMin(n *Network) error {
 	const tol = 1e-9
 	load := make(map[*Resource]float64)
 	for i, slot := range n.active {
-		f, rate := &n.flows[slot], rateOf(n, slot)
+		f, rate := n.flows.At(slot), rateOf(n, slot)
 		if !(rate > 0) || rate > f.rateCap*(1+tol) {
 			return fmt.Errorf("flow %d: rate %g outside (0, cap %g]", i, rate, f.rateCap)
 		}
@@ -34,7 +34,7 @@ func checkMaxMin(n *Network) error {
 		}
 	}
 	for i, slot := range n.active {
-		f, rate := &n.flows[slot], rateOf(n, slot)
+		f, rate := n.flows.At(slot), rateOf(n, slot)
 		if rate >= f.rateCap*(1-tol) {
 			continue // its cap binds
 		}
@@ -47,8 +47,8 @@ func checkMaxMin(n *Network) error {
 
 // rateOf and pathOf read an active flow's rate and deduplicated path off
 // its class.
-func rateOf(n *Network, slot int32) float64     { return n.classes[n.flows[slot].class].rate }
-func pathOf(n *Network, slot int32) []*Resource { return n.classes[n.flows[slot].class].path }
+func rateOf(n *Network, slot int32) float64     { return n.classes.At(n.flows.At(slot).class).rate }
+func pathOf(n *Network, slot int32) []*Resource { return n.classes.At(n.flows.At(slot).class).path }
 
 // hasBottleneck reports whether the flow in slot crosses a saturated
 // resource on which its rate is maximal.
@@ -208,18 +208,18 @@ func newDiffNet(t testing.TB, seed int64, eager bool) *diffNet {
 func removeEachCompletion(n *Network) {
 	n.nextEv = sim.Handle{}
 	n.settle()
-	var finished []Handle
+	var finished []sim.Ref
 	for _, slot := range n.active {
-		if f := &n.flows[slot]; f.remaining <= completionTolerance(f.amount) {
-			finished = append(finished, Handle{slot: slot, gen: f.gen})
+		if f := n.flows.At(slot); f.remaining <= completionTolerance(f.amount) {
+			finished = append(finished, n.flows.Ref(slot))
 		}
 	}
-	for _, h := range finished {
-		n.remove(h.slot)
+	for _, r := range finished {
+		n.remove(r.Index())
 	}
 	n.invalidate()
-	for _, h := range finished {
-		n.complete(h)
+	for _, r := range finished {
+		n.complete(r)
 	}
 }
 

@@ -38,7 +38,7 @@ func refSolve(n *Network) refResult {
 	paths := make([][]int, k)
 	for i, slot := range n.active {
 		var seen []*Resource
-		for _, r := range n.flows[slot].path {
+		for _, r := range n.flows.At(slot).path {
 			if crosses(seen, r) {
 				continue
 			}
@@ -66,7 +66,7 @@ func refSolve(n *Network) refResult {
 			}
 		}
 		for i, slot := range n.active {
-			if c := n.flows[slot].rateCap; !frozen[i] && c < m {
+			if c := n.flows.At(slot).rateCap; !frozen[i] && c < m {
 				m = c
 			}
 		}
@@ -79,7 +79,7 @@ func refSolve(n *Network) refResult {
 			if frozen[i] {
 				continue
 			}
-			f := &n.flows[slot]
+			f := n.flows.At(slot)
 			bind := f.rateCap <= m*tol
 			if !bind {
 				for _, j := range paths[i] {

@@ -3,6 +3,7 @@ package sched
 import (
 	"testing"
 
+	"bbwfsim/internal/faults"
 	"bbwfsim/internal/units"
 	"bbwfsim/internal/workloads"
 )
@@ -37,10 +38,12 @@ func BenchmarkSchedCampaign(b *testing.B) {
 }
 
 // allocsPerJob is each policy's allocation budget per scheduled job on
-// benchCampaign: the count measured on amd64 with go1.24, plus 15%. What
-// is left per job is its node list and the two transfers of its stage
-// phases.
+// benchCampaign, and the node-fault case's: the count measured on amd64
+// with go1.24, plus 15%. What is left per job is its node list and the
+// two transfers of its stage phases; a job a failure kills before it
+// starts them allocates less.
 var allocsPerJob = map[string]float64{
+	nodeFaultCase:     2.38 * 1.15,
 	PolicyFCFS:        3.05 * 1.15,
 	PolicyEASY:        3.05 * 1.15,
 	PolicyPlan:        3.06 * 1.15,
@@ -51,20 +54,31 @@ var allocsPerJob = map[string]float64{
 
 // TestSchedCampaignAllocBudget pins the allocations of a whole campaign
 // per job, so an allocation on the per-event or per-pass path shows up as
-// a multiple of the job count.
+// a multiple of the job count. The node-fault case runs benchCampaign
+// under EASY with a failure arriving every 50 s on average, about two per
+// job, so an allocation per arrival shows up the same way.
 func TestSchedCampaignAllocBudget(t *testing.T) {
 	cfg := benchCampaign(t)
-	for _, p := range Policies() {
-		cfg.Policy = p
+	run := func(name string, cfg Config) {
 		var err error
 		allocs := testing.AllocsPerRun(1, func() { _, err = Run(cfg) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		perJob := allocs / float64(len(cfg.Jobs))
-		t.Logf("%s: %.2f allocations per job", p, perJob)
-		if budget := allocsPerJob[p]; perJob > budget {
-			t.Errorf("%s: %.2f allocations per job, budget %.2f", p, perJob, budget)
+		t.Logf("%s: %.2f allocations per job", name, perJob)
+		if budget := allocsPerJob[name]; perJob > budget {
+			t.Errorf("%s: %.2f allocations per job, budget %.2f", name, perJob, budget)
 		}
 	}
+	for _, p := range Policies() {
+		cfg.Policy = p
+		run(p, cfg)
+	}
+	cfg.Policy = PolicyEASY
+	cfg.Faults = &FaultPlan{Seed: 1, Node: &faults.NodeProcess{Arrival: faults.Exp(50), MTTR: 600}}
+	run(nodeFaultCase, cfg)
 }
+
+// nodeFaultCase names TestSchedCampaignAllocBudget's node-fault campaign.
+const nodeFaultCase = "easy+node-faults"

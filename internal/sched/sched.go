@@ -250,6 +250,7 @@ type scheduler struct {
 
 	nodeDown  []bool // node index → failed
 	nodeOwner []int  // node index → holding job idx, -1 free
+	up        []int  // nodeFailure's buffer of up nodes, reused across arrivals
 	freeNodes int    // up ∧ unheld
 	freeBB    units.Bytes
 
@@ -634,12 +635,13 @@ func (s *scheduler) nodeFailure() {
 	if s.failsLeft <= 0 {
 		return
 	}
-	up := make([]int, 0, len(s.nodeDown))
+	up := s.up[:0]
 	for idx, down := range s.nodeDown {
 		if !down {
 			up = append(up, idx)
 		}
 	}
+	s.up = up
 	if len(up) > 1 {
 		s.failsLeft--
 		s.nodeFailures++

@@ -1,6 +1,7 @@
 // Package sim implements the discrete-event simulation kernel the rest of
 // the simulator is built on: a virtual clock, a cancellable event queue, and
-// a run loop.
+// a run loop, plus Slab, the slot pool its events and the flow and storage
+// layers' records live in.
 //
 // Determinism is a hard requirement (the accuracy evaluation compares runs
 // bit-for-bit): events scheduled for the same instant fire in scheduling
@@ -24,29 +25,23 @@ import (
 	"slices"
 )
 
-// event is one slot of the engine's slab: a queued event or deferred slot
-// while its generation matches the issued Handle, free (on Engine.free)
-// otherwise. Exactly one callback field is set while it is queued; its time
-// and sequence number live in its heap entry.
+// event is one slot of the engine's Slab: a queued event or deferred slot
+// while issued, free otherwise. Exactly one callback field is set while it
+// is queued; its time and sequence number live in its heap entry.
 type event struct {
 	fn      func()
 	fnTag   func(tag uint64) // AfterTag callback, called with tag instead of fn
 	resolve func(seq uint64) // non-nil marks a deferred slot (see Defer)
 	tag     uint64
-	pos     int32  // heap position while queued
-	gen     uint32 // bumped on retirement; invalidates outstanding Handles
+	pos     int32 // heap position while queued
 }
 
-// Handle identifies one scheduled occurrence of a pooled event slot. Slots
-// are reused once an event fires or is cancelled, so a handle pairs the
-// slot with the generation it was issued for, and operations on a stale
-// handle are safe no-ops. The zero Handle behaves like an event that
-// already fired: Engine.Scheduled reports false and Engine.Cancel is a
-// no-op.
-type Handle struct {
-	slot int32
-	gen  uint32 // slot generations start at 1, so the zero Handle is stale
-}
+// Handle identifies one scheduled occurrence of a pooled event slot: the
+// slot's Ref. Slots are reused once an event fires or is cancelled, and
+// operations on a stale handle are safe no-ops. The zero Handle behaves
+// like an event that already fired: Engine.Scheduled reports false and
+// Engine.Cancel is a no-op.
+type Handle Ref
 
 // entry is one element of the engine's binary min-heap: a queued slot
 // under its (time, seq) key. It holds no pointer, so sifting writes none.
@@ -69,7 +64,7 @@ func (a entry) before(b entry) bool {
 // up fills the hole at j with x, moving x towards the root past every
 // ancestor it pops before.
 func (e *Engine) up(j int, x entry) {
-	q, slots := e.queue, e.slots
+	q, slots := e.queue, e.events
 	for j > 0 {
 		i := (j - 1) / 2 // parent
 		p := q[i]
@@ -77,17 +72,17 @@ func (e *Engine) up(j int, x entry) {
 			break
 		}
 		q[j] = p
-		slots[p.slot].pos = int32(j)
+		slots.At(p.slot).pos = int32(j)
 		j = i
 	}
 	q[j] = x
-	slots[x.slot].pos = int32(j)
+	slots.At(x.slot).pos = int32(j)
 }
 
 // down fills the hole at i with x, moving x towards the leaves past every
 // child that pops before it, and returns where x landed.
 func (e *Engine) down(i int, x entry) int {
-	q, slots := e.queue, e.slots
+	q, slots := e.queue, e.events
 	for {
 		j := 2*i + 1
 		if j >= len(q) {
@@ -101,11 +96,11 @@ func (e *Engine) down(i int, x entry) int {
 			break
 		}
 		q[i] = c
-		slots[c.slot].pos = int32(i)
+		slots.At(c.slot).pos = int32(i)
 		i = j
 	}
 	q[i] = x
-	slots[x.slot].pos = int32(i)
+	slots.At(x.slot).pos = int32(i)
 	return i
 }
 
@@ -132,8 +127,7 @@ func (e *Engine) remove(i int) {
 type Engine struct {
 	now     float64
 	queue   []entry // binary min-heap of the queued slots
-	slots   []event
-	free    []int32 // retired slots awaiting reuse (O(peak pending))
+	events  Slab[event]
 	seq     uint64
 	running bool
 	stopped bool
@@ -167,26 +161,15 @@ func (e *Engine) MaxPending() int { return e.maxPend }
 
 // Scheduled reports whether h's occurrence is still queued, as an event or
 // a deferred slot: false once it fired, resolved or was cancelled, and for
-// the zero Handle.
-func (e *Engine) Scheduled(h Handle) bool { return e.queued(h) != nil }
-
-// queued returns h's slot while h is current, else nil. A slot leaves the
-// queue only to be retired at once, so a current generation means queued.
-func (e *Engine) queued(h Handle) *event {
-	if h.gen == 0 || int(h.slot) >= len(e.slots) {
-		return nil
-	}
-	if ev := &e.slots[h.slot]; ev.gen == h.gen {
-		return ev
-	}
-	return nil
-}
+// the zero Handle. A slot leaves the queue only to be retired at once, so
+// a live handle means queued.
+func (e *Engine) Scheduled(h Handle) bool { return e.events.Live(Ref(h)) != nil }
 
 // Reserve makes room for n more pending events, so a caller that queues
 // many at once (a campaign's submissions) grows the queue and slab once.
 func (e *Engine) Reserve(n int) {
 	e.queue = slices.Grow(e.queue, n)
-	e.slots = slices.Grow(e.slots, n)
+	e.events.Grow(n)
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
@@ -257,21 +240,13 @@ func (e *Engine) check(t float64, nilCallback bool) {
 // push queues a free slot at (t, seq) and returns it for the caller to set
 // its callback.
 func (e *Engine) push(t float64, seq uint64) (Handle, *event) {
-	var slot int32
-	if n := len(e.free); n > 0 {
-		slot = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		e.slots = append(e.slots, event{gen: 1})
-		slot = int32(len(e.slots) - 1)
-	}
+	r, ev := e.events.Alloc()
 	e.queue = append(e.queue, entry{})
-	e.up(len(e.queue)-1, entry{time: t, seq: seq, slot: slot})
+	e.up(len(e.queue)-1, entry{time: t, seq: seq, slot: r.slot})
 	if len(e.queue) > e.maxPend {
 		e.maxPend = len(e.queue)
 	}
-	ev := &e.slots[slot]
-	return Handle{slot: slot, gen: ev.gen}, ev
+	return Handle(r), ev
 }
 
 // Defer places a deferred slot at the current instant under a fresh
@@ -288,7 +263,7 @@ func (e *Engine) Defer(h Handle, resolve func(seq uint64)) Handle {
 		panic("sim: deferring nil resolve")
 	}
 	e.seq++
-	ev := e.queued(h)
+	ev := e.events.Live(Ref(h))
 	if ev == nil {
 		h, ev = e.push(e.now, e.seq-1)
 		ev.resolve = resolve
@@ -305,7 +280,7 @@ func (e *Engine) Defer(h Handle, resolve func(seq uint64)) Handle {
 // settles (the flow solver's rates) call it to see current values between
 // events.
 func (e *Engine) Resolve(h Handle) {
-	ev := e.queued(h)
+	ev := e.events.Live(Ref(h))
 	if ev == nil || ev.resolve == nil {
 		return
 	}
@@ -317,7 +292,7 @@ func (e *Engine) Resolve(h Handle) {
 // resolveSlot retires a slot already taken out of the queue and runs its
 // resolve function.
 func (e *Engine) resolveSlot(x entry) {
-	resolve := e.slots[x.slot].resolve
+	resolve := e.events.At(x.slot).resolve
 	e.retire(x.slot)
 	resolve(x.seq)
 }
@@ -334,17 +309,13 @@ func (ev *event) clear() {
 	}
 }
 
-// retire returns a popped or removed slot to the free list. Bumping the
-// generation first invalidates every outstanding Handle to this occurrence,
-// so the slot can be reused immediately — even by a callback scheduled
-// from inside the event's own fn.
+// retire clears a popped or removed slot's callback and frees the slot,
+// which invalidates every outstanding Handle to this occurrence at once:
+// the slot can be reused immediately — even by a callback scheduled from
+// inside the event's own fn.
 func (e *Engine) retire(slot int32) {
-	ev := &e.slots[slot]
-	if ev.gen++; ev.gen == 0 {
-		ev.gen = 1 // the zero Handle stays stale across wraparound
-	}
-	ev.clear()
-	e.free = append(e.free, slot)
+	e.events.At(slot).clear()
+	e.events.Free(slot)
 }
 
 // Cancel removes a pending event from the queue. Cancelling a handle whose
@@ -352,7 +323,7 @@ func (e *Engine) retire(slot int32) {
 // check makes stale handles harmless even after the slot has been reissued
 // to an unrelated caller.
 func (e *Engine) Cancel(h Handle) {
-	ev := e.queued(h)
+	ev := e.events.Live(Ref(h))
 	if ev == nil {
 		return
 	}
@@ -405,7 +376,7 @@ func (e *Engine) RunUntil(horizon float64) float64 {
 // its callback. It reports whether an event fired.
 func (e *Engine) next(x entry) bool {
 	e.remove(0)
-	ev := &e.slots[x.slot]
+	ev := e.events.At(x.slot)
 	if ev.resolve != nil {
 		e.resolveSlot(x)
 		return false

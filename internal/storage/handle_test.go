@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bbwfsim/internal/platform"
+	"bbwfsim/internal/sim"
 	"bbwfsim/internal/units"
 )
 
@@ -52,8 +53,8 @@ func TestCancelStaleOpSparesReissuedSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.slot != old.slot || h.gen == old.gen {
-		t.Fatalf("new op got %+v, want the old slot %d under a new generation", h, old.slot)
+	if sim.Ref(h).Index() != sim.Ref(old).Index() || h == old {
+		t.Fatalf("new op got %+v, want the old slot %d under a new generation", h, sim.Ref(old).Index())
 	}
 	m.Cancel(old)
 	if m.Done(h) || bb.state().inFlight != 1 || m.PendingReserved(bb) != f2.Size() {

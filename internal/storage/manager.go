@@ -94,16 +94,12 @@ func (s ServiceStats) WriteBandwidth() units.Bandwidth {
 	return units.Bandwidth(float64(s.BytesWritten) / s.WriteSeconds)
 }
 
-// OpHandle identifies one storage operation of a Manager. Operations live
-// in the manager's slab and their slots are reused once an operation
-// completes or is cancelled, so a handle carries the generation it was
-// issued for: Cancel on a handle whose operation has ended is a no-op,
-// even after the slot was reissued. The zero OpHandle behaves like an
-// ended operation.
-type OpHandle struct {
-	slot int32
-	gen  uint32 // slot generations start at 1, so the zero handle is stale
-}
+// OpHandle identifies one storage operation of a Manager: the sim.Ref of
+// its slot in the manager's operation pool, whose slots are reused once an
+// operation completes or is cancelled. Cancel on a handle whose operation
+// has ended is a no-op, even after the slot was reissued. The zero
+// OpHandle behaves like an ended operation.
+type OpHandle sim.Ref
 
 // Completer is told when an operation completes. The tag is the one the
 // operation was started with, so one long-lived completer — a pointer,
@@ -119,8 +115,8 @@ type Func func()
 // OpDone implements Completer.
 func (f Func) OpDone(uint64) { f() }
 
-// op is one slab entry: an operation in flight while its generation
-// matches the issued handle, free (on Manager.free) otherwise.
+// op is one entry of the operation pool: an operation in flight while
+// issued, zeroed and free otherwise, so a free slot keeps no references.
 type op struct {
 	kind     OpKind
 	file     *workflow.File
@@ -132,7 +128,6 @@ type op struct {
 	done     Completer // the caller's completer; may be nil
 	tag      uint64
 	reserved units.Bytes
-	gen      uint32
 }
 
 // Manager starts storage operations and keeps per-service accounting.
@@ -141,10 +136,8 @@ type Manager struct {
 	net   *flow.Network
 	reg   *Registry
 	model OpModel
-	// ops is the slab every operation lives in; free holds the slots of
-	// ended operations for reuse.
-	ops  []op
-	free []int32
+	// ops is the pool every operation lives in.
+	ops sim.Slab[op]
 	// copyPaths caches Copy's read+write paths, indexed by nodeSlot, in
 	// short lists searched by (source, destination): copies along one
 	// route share one path slice, hence one flow class.
@@ -274,15 +267,16 @@ func (m *Manager) Read(node *platform.Node, f *workflow.File, svc Service, done 
 		OpContext{Kind: OpRead, Service: svc, Node: node, File: f},
 		OpParams{Latency: svc.ReadLatency(), RateCap: svc.StreamCap(node), SizeFactor: 1},
 	)
-	h := m.start(op{kind: OpRead, file: f, service: svc, node: node, done: done, tag: tag})
+	r, o := m.ops.Alloc()
+	*o = op{kind: OpRead, file: f, service: svc, node: node, started: m.eng.Now(), done: done, tag: tag}
 	svc.state().inFlight++
-	m.ops[h.slot].fl = m.net.StartFlow(
+	o.fl = m.net.StartFlow(
 		float64(f.Size())*params.SizeFactor,
 		svc.ReadPath(node),
 		flow.Options{RateCap: float64(params.RateCap), Latency: params.Latency},
-		m, h.tag(),
+		m, r.Tag(),
 	)
-	return h, nil
+	return OpHandle(r), nil
 }
 
 // Write starts writing f from node to svc. Space is reserved up front; the
@@ -296,20 +290,21 @@ func (m *Manager) Write(node *platform.Node, f *workflow.File, svc Service, done
 		OpContext{Kind: OpWrite, Service: svc, Node: node, File: f},
 		OpParams{Latency: svc.WriteLatency(), RateCap: svc.StreamCap(node), SizeFactor: 1},
 	)
-	h := m.start(op{kind: OpWrite, file: f, service: svc, node: node, done: done, tag: tag, reserved: f.Size()})
+	r, o := m.ops.Alloc()
+	*o = op{kind: OpWrite, file: f, service: svc, node: node, started: m.eng.Now(), done: done, tag: tag, reserved: f.Size()}
 	st := svc.state()
 	st.inFlight++
 	st.pending += f.Size()
-	m.ops[h.slot].fl = m.net.StartFlow(
+	o.fl = m.net.StartFlow(
 		float64(f.Size())*params.SizeFactor,
 		svc.WritePath(node),
 		flow.Options{RateCap: float64(params.RateCap), Latency: params.Latency},
-		m, h.tag(),
+		m, r.Tag(),
 	)
 	if m.onReserve != nil {
 		m.onReserve(svc)
 	}
-	return h, nil
+	return OpHandle(r), nil
 }
 
 // Copy stages f from src to dst through node: one flow across the
@@ -337,20 +332,21 @@ func (m *Manager) Copy(node *platform.Node, f *workflow.File, src, dst Service, 
 		OpContext{Kind: OpCopy, Service: dst, Source: src, Node: node, File: f},
 		OpParams{Latency: src.ReadLatency() + dst.WriteLatency(), RateCap: cap, SizeFactor: 1},
 	)
-	h := m.start(op{kind: OpCopy, file: f, service: dst, source: src, node: node, done: done, tag: tag, reserved: f.Size()})
+	r, o := m.ops.Alloc()
+	*o = op{kind: OpCopy, file: f, service: dst, source: src, node: node, started: m.eng.Now(), done: done, tag: tag, reserved: f.Size()}
 	st := dst.state()
 	st.inFlight++
 	st.pending += f.Size()
-	m.ops[h.slot].fl = m.net.StartFlow(
+	o.fl = m.net.StartFlow(
 		float64(f.Size())*params.SizeFactor,
 		m.copyPath(node, src, dst),
 		flow.Options{RateCap: float64(params.RateCap), Latency: params.Latency},
-		m, h.tag(),
+		m, r.Tag(),
 	)
 	if m.onReserve != nil {
 		m.onReserve(dst)
 	}
-	return h, nil
+	return OpHandle(r), nil
 }
 
 // route is one cached Copy path through a node.
@@ -374,50 +370,14 @@ func (m *Manager) copyPath(node *platform.Node, src, dst Service) []*flow.Resour
 	return path
 }
 
-// start stores o in a free slot, or grows the slab by one, stamped with
-// the current time.
-func (m *Manager) start(o op) OpHandle {
-	o.started = m.eng.Now()
-	if k := len(m.free); k > 0 {
-		slot := m.free[k-1]
-		m.free = m.free[:k-1]
-		o.gen = m.ops[slot].gen
-		m.ops[slot] = o
-		return OpHandle{slot: slot, gen: o.gen}
-	}
-	o.gen = 1
-	m.ops = append(m.ops, o)
-	return OpHandle{slot: int32(len(m.ops) - 1), gen: 1}
-}
-
-// release ends the operation in slot: the generation bump makes every
-// handle to it stale, and the slot returns to the free list.
-func (m *Manager) release(slot int32) {
-	m.ops[slot] = op{gen: m.ops[slot].gen + 1}
-	m.free = append(m.free, slot)
-}
-
-// live returns the slot h names, or nil when h is stale.
-func (m *Manager) live(h OpHandle) *op {
-	if h.gen == 0 || int(h.slot) >= len(m.ops) {
-		return nil
-	}
-	if o := &m.ops[h.slot]; o.gen == h.gen {
-		return o
-	}
-	return nil
-}
-
-// tag packs the handle into a flow tag.
-func (h OpHandle) tag() uint64 { return uint64(h.gen)<<32 | uint64(uint32(h.slot)) }
-
 // Done reports whether the operation has completed or been cancelled.
-func (m *Manager) Done(h OpHandle) bool { return m.live(h) == nil }
+func (m *Manager) Done(h OpHandle) bool { return m.ops.Live(sim.Ref(h)) == nil }
 
 // Cancel aborts the operation: its completer will not run, and a write's
 // or copy's reservation is returned. A stale handle is a no-op.
 func (m *Manager) Cancel(h OpHandle) {
-	o := m.live(h)
+	r := sim.Ref(h)
+	o := m.ops.Live(r)
 	if o == nil {
 		return
 	}
@@ -428,7 +388,8 @@ func (m *Manager) Cancel(h OpHandle) {
 		st.pending -= o.reserved
 		o.service.Release(o.reserved)
 	}
-	m.release(h.slot)
+	*o = op{}
+	m.ops.Free(r.Index())
 }
 
 // FlowDone implements flow.Completer: every operation's flow completes
@@ -436,8 +397,8 @@ func (m *Manager) Cancel(h OpHandle) {
 // operation allocates no callback. A flow is cancelled with its operation,
 // so the tag always names a live one.
 func (m *Manager) FlowDone(tag uint64) {
-	slot := int32(uint32(tag))
-	o := &m.ops[slot]
+	slot := sim.RefOf(tag).Index()
+	o := m.ops.At(slot)
 	svc, size := o.service, o.file.Size()
 	svc.state().inFlight--
 	switch o.kind {
@@ -476,7 +437,8 @@ func (m *Manager) FlowDone(tag uint64) {
 		m.observeOp(svc, metrics.OpWrite, size, dur)
 	}
 	done, dtag := o.done, o.tag
-	m.release(slot)
+	*o = op{}
+	m.ops.Free(slot)
 	if done != nil {
 		done.OpDone(dtag)
 	}
