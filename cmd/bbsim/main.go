@@ -206,6 +206,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			DegradedFallback:  *adDegrade,
 		},
 		TraceSink: sink,
+		Metrics:   *metricsJS != "" || *promPath != "",
 	})
 	if err != nil {
 		return fail(err)

@@ -117,6 +117,11 @@ type RunOptions struct {
 	// Compute overrides the compute-time model; nil is Amdahl's law on
 	// each task's Work and Alpha. The testbed sets its scaling truth here.
 	Compute exec.ComputeModel
+	// Metrics asks for the run's observability snapshot in
+	// Result.Metrics. Off — the default — the run builds no collector and
+	// records no series, which is most of a short run's bookkeeping; every
+	// other Result field is bit-identical either way.
+	Metrics bool
 }
 
 // FaultStats counts the fault and recovery events of one execution.
@@ -217,7 +222,9 @@ type Result struct {
 	// Metrics is the run's full observability snapshot: bytes per tier,
 	// virtual time per task phase, occupancy high-water marks, solver and
 	// kernel work counters, fault tallies. Deterministically ordered, so
-	// identical runs marshal to identical bytes.
+	// identical runs marshal to identical bytes. Nil unless
+	// RunOptions.Metrics asked for it; campaigns (sched.Result.Core)
+	// always carry one.
 	Metrics *metrics.Snapshot
 	// Sched carries batch-campaign accounting when the result came from
 	// the multi-tenant scheduler (sched.Result.Core); nil for
@@ -233,8 +240,11 @@ func (s *Simulator) Run(wf *workflow.Workflow, opts RunOptions) (*Result, error)
 		return nil, err
 	}
 	sys := storage.NewSystem(plat, opts.OpModel)
-	col := metrics.New(s.cfg.Name, wf.Name())
-	sys.Manager().SetMetrics(col)
+	var col *metrics.Collector
+	if opts.Metrics {
+		col = metrics.New(s.cfg.Name, wf.Name())
+		sys.Manager().SetMetrics(col)
+	}
 	pol := opts.Placement
 	if pol == nil {
 		set, err := placement.NewFraction(wf, opts.StagedFraction, opts.IntermediatesToBB)
@@ -265,8 +275,7 @@ func (s *Simulator) Run(wf *workflow.Workflow, opts RunOptions) (*Result, error)
 		return nil, err
 	}
 	fs := faultStats(tr)
-	finishSnapshot(col, eng, plat, sys, tr, fs)
-	return &Result{
+	res := &Result{
 		Makespan:    tr.Makespan(),
 		Trace:       tr,
 		Summaries:   tr.Summarize(),
@@ -275,8 +284,12 @@ func (s *Simulator) Run(wf *workflow.Workflow, opts RunOptions) (*Result, error)
 		Events:      eng.EventsFired(),
 		PeakPending: eng.MaxPending(),
 		Faults:      fs,
-		Metrics:     col.Snapshot(),
-	}, nil
+	}
+	if col != nil {
+		finishSnapshot(col, eng, plat, sys, tr, fs)
+		res.Metrics = col.Snapshot()
+	}
+	return res, nil
 }
 
 // finishSnapshot folds the end-of-run observations into the collector: the

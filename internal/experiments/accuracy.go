@@ -63,6 +63,7 @@ func RunFig10(opts Options) ([]*Table, error) {
 		if err != nil {
 			return accuracyPoint{}, err
 		}
+		cell.Metrics = o.Metrics != nil
 		simRes, err := core.MustNewSimulator(simPreset(prof.Name, 1)).Run(simWFs[pi], cell)
 		if err != nil {
 			return accuracyPoint{}, err
@@ -148,6 +149,7 @@ func RunFig11(opts Options) ([]*Table, error) {
 			return accuracyPoint{}, err
 		}
 		simWF := swarpWithWorks(n, 1, calibrated[pi].rw, calibrated[pi].cw)
+		cell.Metrics = o.Metrics != nil
 		simRes, err := core.MustNewSimulator(simPreset(prof.Name, 1)).Run(simWF, cell)
 		if err != nil {
 			return accuracyPoint{}, err

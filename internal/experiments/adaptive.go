@@ -111,7 +111,7 @@ func RunAdaptive(opts Options) ([]*Table, error) {
 	// makespan and compute that "slowdown" and "re-exec compute" reference.
 	baselines, err := runPoints(o, bps, func(bp basePoint) (*core.Result, error) {
 		sim := core.MustNewSimulator(simPreset(bp.profile, bp.wl.nodes))
-		res, err := sim.Run(bp.wl.wf, core.RunOptions{Placement: placement.AllBB(bp.wl.wf)})
+		res, err := sim.Run(bp.wl.wf, core.RunOptions{Placement: placement.AllBB(bp.wl.wf), Metrics: true})
 		if err != nil {
 			return nil, fmt.Errorf("adaptive %s/%s baseline: %w", bp.wl.label, bp.profile, err)
 		}
@@ -160,7 +160,7 @@ func RunAdaptive(opts Options) ([]*Table, error) {
 		footprint := placement.AllBB(wf).BBBytes(wf)
 		total := units.Bytes(float64(footprint) * c.press.frac)
 		cfg := adaptCapacity(simPreset(c.profile, c.wl.nodes), total, c.wl.nodes)
-		var ro core.RunOptions
+		ro := core.RunOptions{Metrics: true} // the table reads re-executed compute
 		switch c.policy {
 		case "static":
 			ro.Placement = placement.AllBB(wf)

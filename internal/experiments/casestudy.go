@@ -50,7 +50,7 @@ func runFig13Series(o Options) ([]float64, []float64, []float64, error) {
 	points, err := runner.Map(context.TODO(), o.Jobs, len(platforms)*len(fracs), func(i int) (point, error) {
 		name, q := platforms[i/len(fracs)], fracs[i%len(fracs)]
 		sim := core.MustNewSimulator(simPreset(name, caseStudyNodes))
-		res, err := sim.Run(wf, core.RunOptions{PrePlaceInputs: true, StagedFraction: q})
+		res, err := sim.Run(wf, core.RunOptions{PrePlaceInputs: true, StagedFraction: q, Metrics: o.Metrics != nil})
 		if err != nil {
 			return point{}, fmt.Errorf("fig13 sweep on %s at fraction %g: %w", name, q, err)
 		}

@@ -72,6 +72,7 @@ func regimeConfig(r faultRegime, baseline float64, seed int64) faults.Config {
 // values the serial caseSeed += 9176 accumulation drew — so every fault
 // stream is bit-identical at any Jobs value.
 func resilienceRows(t *Table, profiles []string, nodes int, wf *workflow.Workflow, ro core.RunOptions, o Options) error {
+	ro.Metrics = o.Metrics != nil
 	baselines, err := runPoints(o, profiles, func(profile string) (*core.Result, error) {
 		sim := core.MustNewSimulator(simPreset(profile, nodes))
 		base, err := sim.Run(wf, ro)

@@ -130,7 +130,8 @@ func RunResilienceCkpt(opts Options) ([]*Table, error) {
 		pipelines = 4
 	}
 	wf := swarp.MustNew(swarp.Params{Pipelines: pipelines, CoresPerTask: 8})
-	ro := core.RunOptions{StagedFraction: 1, IntermediatesToBB: true}
+	// The table reads every run's re-executed compute from its metrics.
+	ro := core.RunOptions{StagedFraction: 1, IntermediatesToBB: true, Metrics: true}
 	retry := exec.RetryPolicy{
 		MaxRetries: 60, Backoff: exec.BackoffExponential,
 		BaseDelay: 2, MaxDelay: 120, Jitter: 0.25, Seed: o.Seed,

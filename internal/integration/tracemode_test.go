@@ -51,7 +51,7 @@ func modeCases() []modeCase {
 			sim := core.MustNewSimulator(platform.Cori(4, platform.BBPrivate))
 			return sim.Run(wf, core.RunOptions{
 				PrePlaceInputs: true, StagedFraction: 1, IntermediatesToBB: true,
-				TraceSink: sink,
+				TraceSink: sink, Metrics: true,
 			})
 		}},
 		{"resilience-like", true, func(sink trace.Sink) (*core.Result, error) {
@@ -76,6 +76,7 @@ func modeCases() []modeCase {
 				},
 				BBFallback: true,
 				TraceSink:  sink,
+				Metrics:    true,
 			})
 		}},
 		{"adaptive-like", false, func(sink trace.Sink) (*core.Result, error) {
@@ -94,7 +95,7 @@ func modeCases() []modeCase {
 				Adapt: adapt.Policy{
 					SpillHighWater: 0.5, ReplicateOnFault: true, DegradedFallback: true,
 				},
-				TraceSink: sink,
+				TraceSink: sink, Metrics: true,
 			})
 		}},
 	}

@@ -25,6 +25,7 @@ func runAndCheck(t *testing.T, label string, cfg platform.Config, wf *workflow.W
 		t.Fatalf("%s: %v", label, err)
 	}
 	ro.TraceSink = trace.Retain
+	ro.Metrics = true
 	res, err := sim.Run(wf, ro)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)

@@ -85,8 +85,10 @@ func RandomCase(seed int64) (Case, error) {
 		IntermediatesToBB:  rng.Intn(2) == 0,
 		EvictAfterLastRead: rng.Intn(2) == 0,
 		PrePlaceInputs:     rng.Intn(2) == 0,
-		// The checkers replay the retained events and task records.
+		// The checkers replay the retained events and task records and
+		// cross-check them against the metrics snapshot.
 		TraceSink: trace.Retain,
+		Metrics:   true,
 	}
 	if name == "cori-private" && rng.Intn(4) == 0 {
 		c.Opts.EnforcePrivateVisibility = true

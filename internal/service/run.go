@@ -56,6 +56,8 @@ func executeRun(req *Request) ([]byte, error) {
 		EvictAfterLastRead:       req.Run.EvictAfterLastRead,
 		EnforcePrivateVisibility: req.Run.EnforcePrivateVisibility,
 		BBFallback:               req.Run.BBFallback,
+		// The encoded result carries the run's metrics snapshot.
+		Metrics: true,
 	}
 	if opts.NodePolicy, err = exec.ParseNodePolicy(req.Run.NodePolicy); err != nil {
 		return nil, badField("run.node_policy", "unknown policy %q", req.Run.NodePolicy)
