@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"bbwfsim/internal/adapt"
 	"bbwfsim/internal/ckpt"
@@ -292,10 +293,10 @@ type engine struct {
 	// event, and the hash+GC cost of pointer-keyed maps dominated profiles.
 	// Files of the side workflow never appear here; they are excluded
 	// before every readers consultation.
-	remaining []int            // unfinished parents, per task
-	readers   []int            // consumers not yet finished, per file
-	ready     []*workflow.Task // sorted by the scheduler's order
-	done      []bool           // task currently counts as finished
+	remaining []int   // unfinished parents, per task
+	readers   []int   // consumers not yet finished, per file
+	ready     []int32 // ready task indices, in the scheduler's order
+	done      []bool  // task currently counts as finished
 	// doneOnce stays true once a task has finished at least once, so a
 	// lineage re-execution (recovery.go) cannot double-decrement the
 	// readers counters.
@@ -416,12 +417,12 @@ func (e *engine) schedule() {
 		// difference between hours and seconds on million-task ready queues.
 		free := e.freeCores()
 		for i := 0; i < len(e.ready) && free > 0; i++ {
-			t := e.ready[i]
+			t := e.sched.tasks[e.ready[i]]
 			chosen, cores := e.sched.pick(t, e.sys.Platform().Nodes(), e.cores)
 			if chosen == nil {
 				continue
 			}
-			e.ready = append(e.ready[:i], e.ready[i+1:]...)
+			e.ready = slices.Delete(e.ready, i, i+1)
 			i--
 			if !chosen.AllocateResources(cores, t.Memory()) {
 				e.fail(fmt.Errorf("exec: resource accounting bug scheduling %s", t.ID()))

@@ -522,22 +522,16 @@ func (e *engine) recoverLostInput(a *attempt, f *workflow.File) bool {
 
 // inReady reports whether t sits in the ready queue.
 func (e *engine) inReady(t *workflow.Task) bool {
-	for _, r := range e.ready {
-		if r == t {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(e.ready, int32(t.Index()))
 }
 
 // removeReady pulls t out of the ready queue, reporting whether it was
 // there.
 func (e *engine) removeReady(t *workflow.Task) bool {
-	for i, r := range e.ready {
-		if r == t {
-			e.ready = append(e.ready[:i], e.ready[i+1:]...)
-			return true
-		}
+	i := slices.Index(e.ready, int32(t.Index()))
+	if i < 0 {
+		return false
 	}
-	return false
+	e.ready = slices.Delete(e.ready, i, i+1)
+	return true
 }

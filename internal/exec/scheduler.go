@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bbwfsim/internal/platform"
@@ -71,13 +72,14 @@ func ParseOrderPolicy(s string) (OrderPolicy, error) {
 type scheduler struct {
 	nodePolicy  NodePolicy
 	orderPolicy OrderPolicy
-	rank        []float64 // upward ranks for OrderCriticalPath, by Task.Index
-	rrNext      int       // round-robin cursor
+	tasks       []*workflow.Task // the workflow's tasks, by Task.Index
+	rank        []float64        // upward ranks for OrderCriticalPath, by Task.Index
+	rrNext      int              // round-robin cursor
 }
 
 // newScheduler precomputes whatever the policies need.
 func newScheduler(nodePolicy NodePolicy, orderPolicy OrderPolicy, wf *workflow.Workflow, speed float64) (*scheduler, error) {
-	s := &scheduler{nodePolicy: nodePolicy, orderPolicy: orderPolicy}
+	s := &scheduler{nodePolicy: nodePolicy, orderPolicy: orderPolicy, tasks: wf.Tasks()}
 	if orderPolicy == OrderCriticalPath {
 		order, err := wf.TopologicalOrder()
 		if err != nil {
@@ -117,13 +119,11 @@ func (s *scheduler) less(a, b *workflow.Task) bool {
 	return a.Index() < b.Index()
 }
 
-// insert places t into the ready queue at its policy position.
-func (s *scheduler) insert(ready []*workflow.Task, t *workflow.Task) []*workflow.Task {
-	i := sort.Search(len(ready), func(i int) bool { return s.less(t, ready[i]) })
-	ready = append(ready, nil)
-	copy(ready[i+1:], ready[i:])
-	ready[i] = t
-	return ready
+// insert places t into the ready queue, a list of task indices, at its
+// policy position.
+func (s *scheduler) insert(ready []int32, t *workflow.Task) []int32 {
+	i := sort.Search(len(ready), func(i int) bool { return s.less(t, s.tasks[ready[i]]) })
+	return slices.Insert(ready, i, int32(t.Index()))
 }
 
 // pick selects a node with enough free cores and memory for t, or nil.
