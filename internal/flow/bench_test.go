@@ -111,6 +111,16 @@ func TestRecomputeZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("recompute allocated %.1f times per run; want 0", allocs)
 	}
+	// A stale least-remaining fold makes recompute rescan the active
+	// flows, also without allocating.
+	rescans := n.rescans
+	allocs = testing.AllocsPerRun(100, func() {
+		n.stale = true
+		n.recompute()
+	})
+	if allocs != 0 || n.rescans == rescans {
+		t.Fatalf("rescanning recompute allocated %.1f times per run (%d rescans); want 0", allocs, n.rescans-rescans)
+	}
 }
 
 func byteCount(k int) string {
