@@ -192,6 +192,9 @@ var simPackages = map[string]bool{
 	"placement": true, "optimize": true, "faults": true,
 	"metrics": true, "invariants": true, "ckpt": true,
 	"adapt": true, "sched": true,
+	// The canonical JSON writer renders the result documents whose bytes
+	// are the service cache's identity witness.
+	"jsonw": true,
 }
 
 // kernelPackages is the single-threaded discrete-event core whose
@@ -220,7 +223,7 @@ var deterministicOutputPackages = map[string]bool{
 // emitterPackages write CSV/JSON artifacts whose I/O errors must not be
 // dropped.
 var emitterPackages = map[string]bool{
-	"trace": true, "experiments": true, "metrics": true,
+	"trace": true, "experiments": true, "metrics": true, "jsonw": true,
 	// The daemon's handlers, journal, and offline mode write JSON/Prom
 	// artifacts; dropped I/O errors there are served corruption. The
 	// package is deliberately NOT in deterministicOutputPackages — the

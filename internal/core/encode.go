@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"bbwfsim/internal/jsonw"
 	"bbwfsim/internal/metrics"
 	"bbwfsim/internal/storage"
 	"bbwfsim/internal/trace"
@@ -19,10 +20,13 @@ import (
 //
 // The encoding is the service cache's identity witness: EncodeResult is a
 // deterministic function of the Result (fixed field order, sorted metric
-// series, exact float formatting via encoding/json), so two executions of
+// series, encoding/json's float and string forms), so two executions of
 // the same request produce byte-identical documents and a cached document
-// is indistinguishable from a recomputation. Schema is versioned so cached
-// bytes from an older daemon never masquerade as current ones.
+// is indistinguishable from a recomputation. The bytes come from a direct
+// writer (internal/jsonw) in the layout json.MarshalIndent gives this
+// struct; its tests keep MarshalIndent as the oracle, so the struct tags
+// below stay the document's schema. Schema is versioned so cached bytes
+// from an older daemon never masquerade as current ones.
 type ResultDoc struct {
 	// Schema is the document version; bump it whenever a field is added,
 	// removed, or re-interpreted so content hashes never collide across
@@ -68,7 +72,7 @@ func EncodeResult(r *Result) ([]byte, error) {
 	if r == nil {
 		return nil, fmt.Errorf("core: cannot encode a nil result")
 	}
-	doc := &ResultDoc{
+	doc := ResultDoc{
 		Schema:      ResultDocSchema,
 		Makespan:    r.Makespan,
 		Events:      r.Events,
@@ -80,19 +84,116 @@ func EncodeResult(r *Result) ([]byte, error) {
 		Sched:       r.Sched,
 		Metrics:     r.Metrics,
 	}
-	b, err := json.MarshalIndent(doc, "", "  ")
+	return doc.encode()
+}
+
+// encode renders the document as json.MarshalIndent(d, "", "  ") does,
+// plus the trailing newline.
+func (d *ResultDoc) encode() ([]byte, error) {
+	// About 1 KiB of fixed members and 320 bytes per summary, so the
+	// writer's buffer rarely has to grow.
+	w := jsonw.New(make([]byte, 0, 1024+320*len(d.Summaries)+d.Metrics.SizeHint()))
+	w.BeginObject()
+	w.IntField("schema", d.Schema)
+	w.FloatField("makespan_s", d.Makespan)
+	w.UintField("events", d.Events)
+	w.IntField("peak_pending", d.PeakPending)
+	if len(d.Summaries) > 0 {
+		w.Key("summaries")
+		w.BeginArray()
+		for i := range d.Summaries {
+			writeSummary(w, &d.Summaries[i])
+		}
+		w.EndArray()
+	}
+	writeServiceStats(w, "bb", &d.BB)
+	writeServiceStats(w, "pfs", &d.PFS)
+	writeFaultStats(w, &d.Faults)
+	if d.Sched != nil {
+		writeSchedStats(w, d.Sched)
+	}
+	if d.Metrics != nil {
+		w.Key("metrics")
+		d.Metrics.WriteJSON(w)
+	}
+	w.EndObject()
+	b, err := w.Bytes()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: encoding result: %w", err)
 	}
 	return append(b, '\n'), nil
 }
 
+// The writers below lay each struct out as encoding/json does: untagged
+// fields under their Go names, in declaration order.
+
+func writeSummary(w *jsonw.Writer, s *trace.Summary) {
+	w.BeginObject()
+	w.StringField("Name", s.Name)
+	w.IntField("Count", s.Count)
+	w.FloatField("MeanExec", s.MeanExec)
+	w.FloatField("MaxExec", s.MaxExec)
+	w.FloatField("MeanIO", s.MeanIO)
+	w.FloatField("MeanCompute", s.MeanCompute)
+	w.FloatField("MeanWait", s.MeanWait)
+	w.FloatField("BytesRead", float64(s.BytesRead))
+	w.FloatField("BytesWritten", float64(s.BytesWritten))
+	w.EndObject()
+}
+
+func writeServiceStats(w *jsonw.Writer, key string, s *storage.ServiceStats) {
+	w.Key(key)
+	w.BeginObject()
+	w.FloatField("BytesRead", float64(s.BytesRead))
+	w.FloatField("BytesWritten", float64(s.BytesWritten))
+	w.IntField("ReadOps", s.ReadOps)
+	w.IntField("WriteOps", s.WriteOps)
+	w.FloatField("ReadSeconds", s.ReadSeconds)
+	w.FloatField("WriteSeconds", s.WriteSeconds)
+	w.EndObject()
+}
+
+func writeFaultStats(w *jsonw.Writer, f *FaultStats) {
+	w.Key("faults")
+	w.BeginObject()
+	w.IntField("TaskFailures", f.TaskFailures)
+	w.IntField("Retries", f.Retries)
+	w.IntField("NodeFailures", f.NodeFailures)
+	w.IntField("BBRejections", f.BBRejections)
+	w.IntField("Fallbacks", f.Fallbacks)
+	w.IntField("DegradeWindows", f.DegradeWindows)
+	w.IntField("CkptCommits", f.CkptCommits)
+	w.IntField("CkptDrains", f.CkptDrains)
+	w.IntField("CkptLosses", f.CkptLosses)
+	w.IntField("CkptRestarts", f.CkptRestarts)
+	w.IntField("AdaptSpills", f.AdaptSpills)
+	w.IntField("AdaptReplications", f.AdaptReplications)
+	w.IntField("AdaptFallbacks", f.AdaptFallbacks)
+	w.EndObject()
+}
+
+func writeSchedStats(w *jsonw.Writer, s *SchedStats) {
+	w.Key("sched")
+	w.BeginObject()
+	w.StringField("Policy", s.Policy)
+	w.IntField("Submitted", s.Submitted)
+	w.IntField("Completed", s.Completed)
+	w.IntField("Failed", s.Failed)
+	w.IntField("Rejected", s.Rejected)
+	w.IntField("NodeFailures", s.NodeFailures)
+	w.FloatField("MeanWait", s.MeanWait)
+	w.FloatField("MeanResponse", s.MeanResponse)
+	w.FloatField("MeanSlowdown", s.MeanSlowdown)
+	w.EndObject()
+}
+
 // DecodeResult parses bytes EncodeResult produced, rejecting unknown
 // fields, data after the document, and schema mismatches. It is the
-// inverse of EncodeResult for clients of the wire form; the service's
-// cache journal does not yet validate its entries through it.
+// inverse of EncodeResult for clients of the wire form, and
+// FuzzEncodeResult checks the round trip; the service's cache journal
+// does not yet validate its entries through it.
 //
-//bbvet:allow unreached -- the EncodeResult round-trip fuzz target planned among the independent oracles is its next caller
+//bbvet:allow unreached -- the wire form's inverse for clients outside this module; FuzzEncodeResult is its caller here
 func DecodeResult(data []byte) (*ResultDoc, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()

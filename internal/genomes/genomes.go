@@ -27,6 +27,7 @@ package genomes
 
 import (
 	"fmt"
+	"strconv"
 
 	"bbwfsim/internal/units"
 	"bbwfsim/internal/workflow"
@@ -107,14 +108,14 @@ func New(params Params) (*workflow.Workflow, error) {
 	if p.Chromosomes <= 0 || p.Slices <= 0 || p.CoresPerTask < 0 {
 		return nil, fmt.Errorf("genomes: invalid parameters %+v", p)
 	}
-	w := workflow.New(fmt.Sprintf("1000genomes-%dchr", p.Chromosomes))
+	w := workflow.New("1000genomes-" + strconv.Itoa(p.Chromosomes) + "chr")
 
 	// Shared populations task: seven super-population files from one small
 	// input.
 	w.MustAddFile("populations.in", PopulationFileSize)
-	var popFiles []string
+	popFiles := make([]string, 0, Populations)
 	for k := 0; k < Populations; k++ {
-		id := fmt.Sprintf("pop_%d.txt", k)
+		id := "pop_" + strconv.Itoa(k) + ".txt"
 		w.MustAddFile(id, PopulationFileSize)
 		popFiles = append(popFiles, id)
 	}
@@ -126,14 +127,16 @@ func New(params Params) (*workflow.Workflow, error) {
 
 	for c := 1; c <= p.Chromosomes; c++ {
 		// individuals fan-out.
-		var sliceOutputs []string
+		chr := "chr" + workflow.PadInt(c, 2)
+		sliceOutputs := make([]string, 0, p.Slices)
 		for s := 0; s < p.Slices; s++ {
-			in := fmt.Sprintf("chr%02d_slice%02d.vcf", c, s)
-			out := fmt.Sprintf("chr%02d_ind%02d.out", c, s)
+			ss := workflow.PadInt(s, 2)
+			in := chr + "_slice" + ss + ".vcf"
+			out := chr + "_ind" + ss + ".out"
 			w.MustAddFile(in, SliceSize)
 			w.MustAddFile(out, IndividualsSliceSize)
 			w.MustAddTask(workflow.TaskSpec{
-				ID:   fmt.Sprintf("individuals_chr%02d_s%02d", c, s),
+				ID:   "individuals_" + chr + "_s" + ss,
 				Name: "individuals", Work: WorkIndividuals, Cores: p.CoresPerTask,
 				LambdaIO: LambdaIndividuals,
 				Inputs:   []string{in}, Outputs: []string{out},
@@ -141,40 +144,41 @@ func New(params Params) (*workflow.Workflow, error) {
 			sliceOutputs = append(sliceOutputs, out)
 		}
 		// individuals_merge.
-		merged := fmt.Sprintf("chr%02d_merged.tar.gz", c)
+		merged := chr + "_merged.tar.gz"
 		w.MustAddFile(merged, MergedSize)
 		w.MustAddTask(workflow.TaskSpec{
-			ID:   fmt.Sprintf("merge_chr%02d", c),
+			ID:   "merge_" + chr,
 			Name: "individuals_merge", Work: WorkMerge, Cores: p.CoresPerTask,
 			LambdaIO: LambdaMerge,
 			Inputs:   sliceOutputs, Outputs: []string{merged},
 		})
 		// sifting.
-		siftIn := fmt.Sprintf("chr%02d_sift.vcf", c)
-		sifted := fmt.Sprintf("chr%02d_sifted.txt", c)
+		siftIn := chr + "_sift.vcf"
+		sifted := chr + "_sifted.txt"
 		w.MustAddFile(siftIn, SiftInputSize)
 		w.MustAddFile(sifted, SiftedSize)
 		w.MustAddTask(workflow.TaskSpec{
-			ID:   fmt.Sprintf("sifting_chr%02d", c),
+			ID:   "sifting_" + chr,
 			Name: "sifting", Work: WorkSifting, Cores: p.CoresPerTask,
 			LambdaIO: LambdaSifting,
 			Inputs:   []string{siftIn}, Outputs: []string{sifted},
 		})
 		// Per-population analyses.
 		for k := 0; k < Populations; k++ {
-			ovl := fmt.Sprintf("chr%02d_pop%d_overlap.tar.gz", c, k)
-			frq := fmt.Sprintf("chr%02d_pop%d_frequency.tar.gz", c, k)
+			pop := chr + "_pop" + strconv.Itoa(k)
+			ovl := pop + "_overlap.tar.gz"
+			frq := pop + "_frequency.tar.gz"
 			w.MustAddFile(ovl, OverlapResultSize)
 			w.MustAddFile(frq, FrequencyResultSize)
 			w.MustAddTask(workflow.TaskSpec{
-				ID:   fmt.Sprintf("overlap_chr%02d_p%d", c, k),
+				ID:   "overlap_" + chr + "_p" + strconv.Itoa(k),
 				Name: "mutation_overlap", Work: WorkOverlap, Cores: p.CoresPerTask,
 				LambdaIO: LambdaOverlap,
 				Inputs:   []string{merged, sifted, popFiles[k]},
 				Outputs:  []string{ovl},
 			})
 			w.MustAddTask(workflow.TaskSpec{
-				ID:   fmt.Sprintf("frequency_chr%02d_p%d", c, k),
+				ID:   "frequency_" + chr + "_p" + strconv.Itoa(k),
 				Name: "frequency", Work: WorkFrequency, Cores: p.CoresPerTask,
 				LambdaIO: LambdaFrequency,
 				Inputs:   []string{merged, sifted, popFiles[k]},

@@ -1,6 +1,8 @@
 package genomes
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"bbwfsim/internal/units"
@@ -125,5 +127,48 @@ func TestCoresParameter(t *testing.T) {
 	w := MustNew(Params{Chromosomes: 1, CoresPerTask: 4})
 	if got := w.Task("sifting_chr01").Cores(); got != 4 {
 		t.Errorf("cores = %d, want 4", got)
+	}
+}
+
+// TestIDsMatchSprintf: the workflow's name and its task and file IDs, in
+// insertion order, equal their fmt.Sprintf forms; adaptation breaks
+// victim ties by file ID, so IDs must not move.
+func TestIDsMatchSprintf(t *testing.T) {
+	for n := 1; n <= 22; n++ {
+		w := MustNew(Params{Chromosomes: n})
+		if want := fmt.Sprintf("1000genomes-%dchr", n); w.Name() != want {
+			t.Fatalf("name %q, want %q", w.Name(), want)
+		}
+		files := []string{"populations.in"}
+		tasks := []string{"populations"}
+		for k := 0; k < Populations; k++ {
+			files = append(files, fmt.Sprintf("pop_%d.txt", k))
+		}
+		for c := 1; c <= n; c++ {
+			for s := 0; s < SlicesPerChromosome; s++ {
+				files = append(files, fmt.Sprintf("chr%02d_slice%02d.vcf", c, s), fmt.Sprintf("chr%02d_ind%02d.out", c, s))
+				tasks = append(tasks, fmt.Sprintf("individuals_chr%02d_s%02d", c, s))
+			}
+			files = append(files, fmt.Sprintf("chr%02d_merged.tar.gz", c),
+				fmt.Sprintf("chr%02d_sift.vcf", c), fmt.Sprintf("chr%02d_sifted.txt", c))
+			tasks = append(tasks, fmt.Sprintf("merge_chr%02d", c), fmt.Sprintf("sifting_chr%02d", c))
+			for k := 0; k < Populations; k++ {
+				files = append(files, fmt.Sprintf("chr%02d_pop%d_overlap.tar.gz", c, k), fmt.Sprintf("chr%02d_pop%d_frequency.tar.gz", c, k))
+				tasks = append(tasks, fmt.Sprintf("overlap_chr%02d_p%d", c, k), fmt.Sprintf("frequency_chr%02d_p%d", c, k))
+			}
+		}
+		var gotFiles, gotTasks []string
+		for _, f := range w.Files() {
+			gotFiles = append(gotFiles, f.ID())
+		}
+		for _, task := range w.Tasks() {
+			gotTasks = append(gotTasks, task.ID())
+		}
+		if !slices.Equal(gotFiles, files) {
+			t.Fatalf("%d chromosomes: file IDs\n%v\nwant\n%v", n, gotFiles, files)
+		}
+		if !slices.Equal(gotTasks, tasks) {
+			t.Fatalf("%d chromosomes: task IDs\n%v\nwant\n%v", n, gotTasks, tasks)
+		}
 	}
 }

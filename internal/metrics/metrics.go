@@ -15,6 +15,8 @@
 // so `-j N` output equals serial output bit for bit.
 package metrics
 
+import "strings"
+
 // Metric family names. Counters end in _total; gauges and histograms do
 // not. The constants keep emission sites, tests, and docs in sync.
 const (
@@ -198,21 +200,22 @@ type Key struct {
 	Service string `json:"service,omitempty"` // individual service name, e.g. "bb@node003"
 }
 
-// less orders keys deterministically (field by field, declaration order).
-func (k Key) less(o Key) bool {
-	if k.Tier != o.Tier {
-		return k.Tier < o.Tier
+// compare orders keys deterministically (field by field, declaration
+// order).
+func (k Key) compare(o Key) int {
+	if c := strings.Compare(k.Tier, o.Tier); c != 0 {
+		return c
 	}
-	if k.Op != o.Op {
-		return k.Op < o.Op
+	if c := strings.Compare(k.Op, o.Op); c != 0 {
+		return c
 	}
-	if k.Phase != o.Phase {
-		return k.Phase < o.Phase
+	if c := strings.Compare(k.Phase, o.Phase); c != 0 {
+		return c
 	}
-	if k.Task != o.Task {
-		return k.Task < o.Task
+	if c := strings.Compare(k.Task, o.Task); c != 0 {
+		return c
 	}
-	return k.Service < o.Service
+	return strings.Compare(k.Service, o.Service)
 }
 
 // series identifies one time series: a family plus its label key.
@@ -221,11 +224,13 @@ type series struct {
 	key    Key
 }
 
-func (s series) less(o series) bool {
-	if s.family != o.family {
-		return s.family < o.family
+// compareSeries orders series by family, then key. Series are unique, so
+// no two compare equal and any sort of them is stable.
+func compareSeries(a, b series) int {
+	if c := strings.Compare(a.family, b.family); c != 0 {
+		return c
 	}
-	return s.key.less(o.key)
+	return a.key.compare(b.key)
 }
 
 // histogram is the mutable accumulator behind one histogram series.

@@ -45,7 +45,7 @@ func TestSnapshotSortedAndStable(t *testing.T) {
 	}
 	for i := 1; i < len(a.Counters); i++ {
 		p, q := a.Counters[i-1], a.Counters[i]
-		if p.Family > q.Family || (p.Family == q.Family && q.Key.less(p.Key)) {
+		if p.Family > q.Family || (p.Family == q.Family && q.Key.compare(p.Key) < 0) {
 			t.Fatalf("counters not sorted at %d: %+v then %+v", i, p, q)
 		}
 	}

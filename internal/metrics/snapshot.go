@@ -1,9 +1,10 @@
 package metrics
 
 import (
-	"encoding/json"
-	"sort"
+	"slices"
 	"strconv"
+
+	"bbwfsim/internal/jsonw"
 )
 
 // Sample is one counter or gauge series with its value.
@@ -47,7 +48,7 @@ func sortedSeries[V any](m map[series]V) []series {
 	for s := range m {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
+	slices.SortFunc(out, compareSeries)
 	return out
 }
 
@@ -102,14 +103,92 @@ func (s *Snapshot) Gauge(family string, k Key) (float64, bool) {
 	return 0, false
 }
 
-// JSON marshals the snapshot as indented JSON with a trailing newline —
-// the byte representation the determinism acceptance tests compare.
+// JSON renders the snapshot as indented JSON with a trailing newline —
+// the byte representation the determinism acceptance tests compare, laid
+// out exactly as json.MarshalIndent(s, "", "  ") lays it out.
 func (s *Snapshot) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(s, "", "  ")
+	w := jsonw.New(make([]byte, 0, s.SizeHint()))
+	s.WriteJSON(w)
+	b, err := w.Bytes()
 	if err != nil {
 		return nil, err
 	}
 	return append(b, '\n'), nil
+}
+
+// SizeHint over-estimates the length of the snapshot's JSON, so a buffer
+// sized by it rarely has to grow.
+func (s *Snapshot) SizeHint() int {
+	if s == nil {
+		return 8
+	}
+	return 512 + 136*(len(s.Counters)+len(s.Gauges)) + 384*len(s.Histograms)
+}
+
+// WriteJSON writes the snapshot as one JSON value: null for a nil
+// snapshot, otherwise an object whose members follow the struct tags.
+func (s *Snapshot) WriteJSON(w *jsonw.Writer) {
+	if s == nil {
+		w.Null()
+		return
+	}
+	w.BeginObject()
+	w.StringField("platform", s.Platform)
+	w.StringField("workflow", s.Workflow)
+	w.IntField("runs", s.Runs)
+	w.Key("bucket_bounds")
+	w.Floats(s.BucketBounds)
+	writeSamples(w, "counters", s.Counters)
+	writeSamples(w, "gauges", s.Gauges)
+	w.Key("histograms")
+	if s.Histograms == nil {
+		w.Null()
+	} else {
+		w.BeginArray()
+		for i := range s.Histograms {
+			h := &s.Histograms[i]
+			w.BeginObject()
+			w.StringField("family", h.Family)
+			h.Key.writeFields(w)
+			w.Key("buckets")
+			w.Uints(h.Buckets)
+			w.UintField("count", h.Count)
+			w.FloatField("sum", h.Sum)
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	w.EndObject()
+}
+
+func writeSamples(w *jsonw.Writer, name string, samples []Sample) {
+	w.Key(name)
+	if samples == nil {
+		w.Null()
+		return
+	}
+	w.BeginArray()
+	for i := range samples {
+		sm := &samples[i]
+		w.BeginObject()
+		w.StringField("family", sm.Family)
+		sm.Key.writeFields(w)
+		w.FloatField("value", sm.Value)
+		w.EndObject()
+	}
+	w.EndArray()
+}
+
+// writeFields writes the key's labels as members of the enclosing object,
+// each omitted when empty, as the omitempty tags say.
+func (k *Key) writeFields(w *jsonw.Writer) {
+	for _, l := range [...]struct{ name, v string }{
+		{"tier", k.Tier}, {"op", k.Op}, {"phase", k.Phase}, {"task", k.Task}, {"service", k.Service},
+	} {
+		if l.v != "" {
+			w.StringField(l.name, l.v)
+		}
+	}
 }
 
 // Merge folds the snapshots in index order into one: counters and
@@ -175,9 +254,9 @@ func Merge(snaps []*Snapshot) *Snapshot {
 	if !any {
 		return nil
 	}
-	sort.Slice(corder, func(i, j int) bool { return corder[i].less(corder[j]) })
-	sort.Slice(gorder, func(i, j int) bool { return gorder[i].less(gorder[j]) })
-	sort.Slice(horder, func(i, j int) bool { return horder[i].less(horder[j]) })
+	slices.SortFunc(corder, compareSeries)
+	slices.SortFunc(gorder, compareSeries)
+	slices.SortFunc(horder, compareSeries)
 	for _, sr := range corder {
 		out.Counters = append(out.Counters, Sample{Family: sr.family, Key: sr.key, Value: counters[sr]})
 	}

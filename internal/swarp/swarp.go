@@ -17,6 +17,7 @@ package swarp
 
 import (
 	"fmt"
+	"strconv"
 
 	"bbwfsim/internal/calib"
 	"bbwfsim/internal/units"
@@ -107,14 +108,18 @@ func New(params Params) (*workflow.Workflow, error) {
 	if p.CoresPerTask < 0 || p.Images <= 0 {
 		return nil, fmt.Errorf("swarp: invalid parameters %+v", p)
 	}
-	w := workflow.New(fmt.Sprintf("swarp-%dp", p.Pipelines))
+	w := workflow.New("swarp-" + strconv.Itoa(p.Pipelines) + "p")
 
-	// All pipeline inputs are produced by the single stage-in task.
-	var stageOutputs []string
+	// All pipeline inputs are produced by the single stage-in task;
+	// pipeline i's are stageOutputs[i*perPipeline:(i+1)*perPipeline].
+	perPipeline := 2 * p.Images
+	stageOutputs := make([]string, 0, p.Pipelines*perPipeline)
 	for i := 0; i < p.Pipelines; i++ {
+		pi := "p" + workflow.PadInt(i, 3)
 		for j := 0; j < p.Images; j++ {
-			img := fmt.Sprintf("p%03d_img%02d.fits", i, j)
-			wht := fmt.Sprintf("p%03d_wht%02d.fits", i, j)
+			jj := workflow.PadInt(j, 2)
+			img := pi + "_img" + jj + ".fits"
+			wht := pi + "_wht" + jj + ".fits"
 			w.MustAddFile(img, ImageSize)
 			w.MustAddFile(wht, WeightSize)
 			stageOutputs = append(stageOutputs, img, wht)
@@ -129,40 +134,38 @@ func New(params Params) (*workflow.Workflow, error) {
 	})
 
 	for i := 0; i < p.Pipelines; i++ {
-		var resampleIn, resampleOut, combineIn []string
+		pi := "p" + workflow.PadInt(i, 3)
+		resampleOut := make([]string, 0, perPipeline)
 		for j := 0; j < p.Images; j++ {
-			resampleIn = append(resampleIn,
-				fmt.Sprintf("p%03d_img%02d.fits", i, j),
-				fmt.Sprintf("p%03d_wht%02d.fits", i, j))
-			rimg := fmt.Sprintf("p%03d_rimg%02d.fits", i, j)
-			rwht := fmt.Sprintf("p%03d_rwht%02d.fits", i, j)
+			jj := workflow.PadInt(j, 2)
+			rimg := pi + "_rimg" + jj + ".fits"
+			rwht := pi + "_rwht" + jj + ".fits"
 			w.MustAddFile(rimg, ImageSize)
 			w.MustAddFile(rwht, WeightSize)
 			resampleOut = append(resampleOut, rimg, rwht)
-			combineIn = append(combineIn, rimg, rwht)
 		}
 		w.MustAddTask(workflow.TaskSpec{
-			ID:       fmt.Sprintf("resample_%03d", i),
+			ID:       "resample_" + workflow.PadInt(i, 3),
 			Name:     "resample",
 			Work:     p.ResampleWork,
 			Cores:    p.CoresPerTask,
 			Alpha:    p.ResampleAlpha,
 			LambdaIO: calib.LambdaIOResample,
-			Inputs:   resampleIn,
+			Inputs:   stageOutputs[i*perPipeline : (i+1)*perPipeline],
 			Outputs:  resampleOut,
 		})
-		coadd := fmt.Sprintf("p%03d_coadd.fits", i)
-		coaddW := fmt.Sprintf("p%03d_coadd_weight.fits", i)
+		coadd := pi + "_coadd.fits"
+		coaddW := pi + "_coadd_weight.fits"
 		w.MustAddFile(coadd, CombinedImageSize)
 		w.MustAddFile(coaddW, CombinedWeightSize)
 		w.MustAddTask(workflow.TaskSpec{
-			ID:       fmt.Sprintf("combine_%03d", i),
+			ID:       "combine_" + workflow.PadInt(i, 3),
 			Name:     "combine",
 			Work:     p.CombineWork,
 			Cores:    p.CoresPerTask,
 			Alpha:    p.CombineAlpha,
 			LambdaIO: calib.LambdaIOCombine,
-			Inputs:   combineIn,
+			Inputs:   resampleOut,
 			Outputs:  []string{coadd, coaddW},
 		})
 	}

@@ -2,7 +2,9 @@ package swarp
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"bbwfsim/internal/calib"
@@ -164,4 +166,62 @@ func TestStatsFootprint(t *testing.T) {
 	if s.TasksByName["resample"] != 1 || s.TasksByName["combine"] != 1 {
 		t.Error("task categories wrong")
 	}
+}
+
+// TestIDsMatchSprintf: the workflow's name, its task and file IDs, and
+// each task's input order equal their fmt.Sprintf forms; adaptation
+// breaks victim ties by file ID, so IDs must not move.
+func TestIDsMatchSprintf(t *testing.T) {
+	for n := 1; n <= 32; n++ {
+		w := MustNew(Params{Pipelines: n})
+		if want := fmt.Sprintf("swarp-%dp", n); w.Name() != want {
+			t.Fatalf("name %q, want %q", w.Name(), want)
+		}
+		var files, tasks []string
+		inputs := map[string][]string{}
+		var stage []string
+		for i := 0; i < n; i++ {
+			for j := 0; j < 16; j++ {
+				stage = append(stage, fmt.Sprintf("p%03d_img%02d.fits", i, j), fmt.Sprintf("p%03d_wht%02d.fits", i, j))
+			}
+		}
+		files = append(files, stage...)
+		tasks = append(tasks, "stage_in")
+		for i := 0; i < n; i++ {
+			var in, out []string
+			for j := 0; j < 16; j++ {
+				in = append(in, fmt.Sprintf("p%03d_img%02d.fits", i, j), fmt.Sprintf("p%03d_wht%02d.fits", i, j))
+				out = append(out, fmt.Sprintf("p%03d_rimg%02d.fits", i, j), fmt.Sprintf("p%03d_rwht%02d.fits", i, j))
+			}
+			files = append(files, out...)
+			files = append(files, fmt.Sprintf("p%03d_coadd.fits", i), fmt.Sprintf("p%03d_coadd_weight.fits", i))
+			resample, combine := fmt.Sprintf("resample_%03d", i), fmt.Sprintf("combine_%03d", i)
+			tasks = append(tasks, resample, combine)
+			inputs[resample], inputs[combine] = in, out
+		}
+		if got := fileIDs(w.Files()); !slices.Equal(got, files) {
+			t.Fatalf("%d pipelines: file IDs\n%v\nwant\n%v", n, got, files)
+		}
+		var got []string
+		for _, task := range w.Tasks() {
+			got = append(got, task.ID())
+			if in := fileIDs(task.Inputs()); !slices.Equal(in, inputs[task.ID()]) {
+				t.Fatalf("%d pipelines: %s reads %v, want %v", n, task.ID(), in, inputs[task.ID()])
+			}
+		}
+		if !slices.Equal(got, tasks) {
+			t.Fatalf("%d pipelines: task IDs\n%v\nwant\n%v", n, got, tasks)
+		}
+		if out := fileIDs(w.Task("stage_in").Outputs()); !slices.Equal(out, stage) {
+			t.Fatalf("%d pipelines: stage_in writes %v, want %v", n, out, stage)
+		}
+	}
+}
+
+func fileIDs(fs []*workflow.File) []string {
+	var ids []string
+	for _, f := range fs {
+		ids = append(ids, f.ID())
+	}
+	return ids
 }

@@ -150,6 +150,7 @@ func (r *Runner) Run(wf *workflow.Workflow, opts core.RunOptions, reps int) (*Re
 	// Seed resets a generator's whole state, so reseeding the same two
 	// per repetition draws exactly the streams fresh ones would.
 	opRNG, computeRNG := rand.New(rand.NewSource(0)), rand.New(rand.NewSource(0))
+	noise := newNoise(&r.Profile)
 	for rep := 0; rep < reps; rep++ {
 		if rep == reps-1 {
 			opts.TraceSink = final
@@ -157,8 +158,8 @@ func (r *Runner) Run(wf *workflow.Workflow, opts core.RunOptions, reps int) (*Re
 		seed := r.Seed + int64(rep)*1_000_003
 		opRNG.Seed(seed)
 		computeRNG.Seed(seed + 17)
-		opts.OpModel = newOpModel(&r.Profile, opts.StagedFraction, opRNG)
-		opts.Compute = &computeModel{prof: &r.Profile, rng: computeRNG}
+		opts.OpModel = newOpModel(&r.Profile, noise, opts.StagedFraction, opRNG)
+		opts.Compute = &computeModel{prof: &r.Profile, sigma: noise.compute, rng: computeRNG}
 		run, err := sim.Run(wf, opts)
 		if err != nil {
 			return nil, err
@@ -183,18 +184,31 @@ func (r *Runner) Run(wf *workflow.Workflow, opts core.RunOptions, reps int) (*Re
 	return res, nil
 }
 
+// noise holds the lognormal sigma of each of a profile's noise sources,
+// computed once from its coefficient of variation (see lognormalSigma).
+type noise struct{ io, compute, load float64 }
+
+func newNoise(prof *Profile) noise {
+	return noise{
+		io:      lognormalSigma(prof.IONoiseCV),
+		compute: lognormalSigma(prof.ComputeNoiseCV),
+		load:    lognormalSigma(prof.LoadNoiseCV),
+	}
+}
+
 // opModel implements storage.OpModel with the profile's overheads.
 type opModel struct {
 	prof     *Profile
+	ioSigma  float64 // lognormal sigma of the per-operation I/O noise
 	fraction float64 // the run's staged fraction, for the Fig. 4 anomaly
 	rng      *rand.Rand
 	load     float64 // per-run background-load factor, ≥ drawn once
 }
 
-func newOpModel(prof *Profile, fraction float64, rng *rand.Rand) *opModel {
-	m := &opModel{prof: prof, fraction: fraction, rng: rng, load: 1}
+func newOpModel(prof *Profile, n noise, fraction float64, rng *rand.Rand) *opModel {
+	m := &opModel{prof: prof, ioSigma: n.io, fraction: fraction, rng: rng, load: 1}
 	if prof.LoadNoiseCV > 0 {
-		m.load = lognormalFactor(rng, prof.LoadNoiseCV)
+		m.load = lognormalFactor(rng, n.load)
 	}
 	return m
 }
@@ -236,7 +250,7 @@ func (m *opModel) Adjust(ctx storage.OpContext, base storage.OpParams) storage.O
 		}
 	}
 	if m.prof.IONoiseCV > 0 {
-		p.SizeFactor *= lognormalFactor(m.rng, m.prof.IONoiseCV)
+		p.SizeFactor *= lognormalFactor(m.rng, m.ioSigma)
 	}
 	p.SizeFactor *= m.load
 	p.Latency *= m.load
@@ -249,8 +263,9 @@ func (m *opModel) Adjust(ctx storage.OpContext, base storage.OpParams) storage.O
 // perfect speedup — which is exactly the modeling gap the paper
 // quantifies.
 type computeModel struct {
-	prof *Profile
-	rng  *rand.Rand
+	prof  *Profile
+	sigma float64 // lognormal sigma of the compute noise
+	rng   *rand.Rand
 }
 
 func (m *computeModel) Duration(t *workflow.Task, node *platform.Node, cores int) float64 {
@@ -259,16 +274,21 @@ func (m *computeModel) Duration(t *workflow.Task, node *platform.Node, cores int
 	seq := float64(t.Work()) / float64(node.CoreSpeed())
 	dur := float64(seq*(alpha+(1-alpha)/float64(cores))) + float64(gamma*float64(cores))
 	if m.prof.ComputeNoiseCV > 0 {
-		dur *= lognormalFactor(m.rng, m.prof.ComputeNoiseCV)
+		dur *= lognormalFactor(m.rng, m.sigma)
 	}
 	return dur
 }
 
-// lognormalFactor draws a multiplicative noise factor with the given
-// coefficient of variation and unit median, clamped to [0.5, 3] so a tail
-// draw cannot wreck a run.
-func lognormalFactor(rng *rand.Rand, cv float64) float64 {
-	sigma := math.Sqrt(math.Log(1 + float64(cv*cv)))
+// lognormalSigma is the sigma of the unit-median lognormal distribution
+// whose coefficient of variation is cv.
+func lognormalSigma(cv float64) float64 {
+	return math.Sqrt(math.Log(1 + float64(cv*cv)))
+}
+
+// lognormalFactor draws a multiplicative noise factor with unit median and
+// the given lognormal sigma, clamped to [0.5, 3] so a tail draw cannot
+// wreck a run.
+func lognormalFactor(rng *rand.Rand, sigma float64) float64 {
 	f := math.Exp(sigma * rng.NormFloat64())
 	return math.Min(3, math.Max(0.5, f))
 }

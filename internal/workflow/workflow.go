@@ -15,6 +15,7 @@ import (
 	"container/heap"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"bbwfsim/internal/units"
 )
@@ -149,8 +150,9 @@ type Workflow struct {
 	fileByID map[string]*File
 	fileBase int // index of the first file
 	// seen is AddTask's scratch set: which of the task's files it reads
-	// and writes. It is empty between calls.
-	seen map[*File]uint8
+	// and writes, indexed by File.Index() - fileBase. It is all zero
+	// between calls.
+	seen []uint8
 }
 
 // Bits of Workflow.seen.
@@ -204,6 +206,7 @@ func (w *Workflow) AddFile(id string, size units.Bytes) (*File, error) {
 	f := &File{id: id, size: size, index: w.fileBase + len(w.files)}
 	w.fileByID[id] = f
 	w.files = append(w.files, f)
+	w.seen = append(w.seen, 0)
 	return f, nil
 }
 
@@ -305,49 +308,54 @@ func (w *Workflow) AddTask(spec TaskSpec) (*Task, error) {
 // lists, rejecting unknown, repeated and already-produced files in spec
 // order. IDs name files one to one, so a repeated file is a repeated ID.
 func (w *Workflow) resolveFiles(t *Task, spec TaskSpec) error {
-	if w.seen == nil {
-		w.seen = map[*File]uint8{}
-	}
 	defer w.clearSeen(t)
+	if len(spec.Inputs) > 0 {
+		t.inputs = make([]*File, 0, len(spec.Inputs))
+	}
 	for _, id := range spec.Inputs {
 		f := w.fileByID[id]
 		if f == nil {
 			return fmt.Errorf("workflow: task %q reads unknown file %q", spec.ID, id)
 		}
-		if w.seen[f]&seenRead != 0 {
+		seen := &w.seen[f.index-w.fileBase]
+		if *seen&seenRead != 0 {
 			return fmt.Errorf("workflow: task %q reads file %q twice", spec.ID, id)
 		}
-		w.seen[f] |= seenRead
+		*seen |= seenRead
 		t.inputs = append(t.inputs, f)
+	}
+	if len(spec.Outputs) > 0 {
+		t.outputs = make([]*File, 0, len(spec.Outputs))
 	}
 	for _, id := range spec.Outputs {
 		f := w.fileByID[id]
 		if f == nil {
 			return fmt.Errorf("workflow: task %q writes unknown file %q", spec.ID, id)
 		}
-		if w.seen[f]&seenWritten != 0 {
+		seen := &w.seen[f.index-w.fileBase]
+		if *seen&seenWritten != 0 {
 			return fmt.Errorf("workflow: task %q writes file %q twice", spec.ID, id)
 		}
-		if w.seen[f]&seenRead != 0 {
+		if *seen&seenRead != 0 {
 			return fmt.Errorf("workflow: task %q both reads and writes file %q", spec.ID, id)
 		}
 		if f.producer != nil {
 			return fmt.Errorf("workflow: file %q produced by both %q and %q", id, f.producer.id, spec.ID)
 		}
-		w.seen[f] |= seenWritten
+		*seen |= seenWritten
 		t.outputs = append(t.outputs, f)
 	}
 	return nil
 }
 
-// clearSeen empties the scratch set of t's files, entry by entry, so a
-// later task pays for its own files only.
+// clearSeen zeroes the scratch-set entries of t's files, so a later task
+// starts from an empty set.
 func (w *Workflow) clearSeen(t *Task) {
 	for _, f := range t.inputs {
-		delete(w.seen, f)
+		w.seen[f.index-w.fileBase] = 0
 	}
 	for _, f := range t.outputs {
-		delete(w.seen, f)
+		w.seen[f.index-w.fileBase] = 0
 	}
 }
 
@@ -358,6 +366,14 @@ func sortByIndex(ts []*Task) {
 	if !slices.IsSortedFunc(ts, byIndex) {
 		slices.SortFunc(ts, byIndex)
 	}
+}
+
+// PadInt formats a non-negative i in decimal, zero-padded to width
+// (at most 16) digits: fmt's %0<width>d, for generators that build their
+// IDs with strconv rather than fmt.Sprintf.
+func PadInt(i, width int) string {
+	s := strconv.Itoa(i)
+	return "0000000000000000"[:max(width-len(s), 0)] + s
 }
 
 // MustAddTask is AddTask for generator code with known-good inputs.
@@ -420,10 +436,36 @@ func (w *Workflow) TopologicalOrder() ([]*Task, error) {
 
 // Validate checks structural invariants not enforced incrementally: the
 // graph must be acyclic. (Unique IDs and single producers are enforced by
-// AddFile/AddTask.)
+// AddFile/AddTask.) It is Kahn's algorithm without the order: a stack
+// instead of TopologicalOrder's heap, and a count of the tasks it frees.
+// Which tasks a Kahn pass frees does not depend on the order it takes
+// them in, so the error, and its count of the tasks left on or behind a
+// cycle, is TopologicalOrder's.
 func (w *Workflow) Validate() error {
-	_, err := w.TopologicalOrder()
-	return err
+	indegree := make([]int32, len(w.tasks))
+	ready := make([]int32, 0, len(w.tasks))
+	for i, t := range w.tasks {
+		indegree[i] = int32(len(t.parents))
+		if len(t.parents) == 0 {
+			ready = append(ready, int32(i))
+		}
+	}
+	freed := 0
+	for len(ready) > 0 {
+		t := w.tasks[ready[len(ready)-1]]
+		ready = ready[:len(ready)-1]
+		freed++
+		for _, c := range t.children {
+			indegree[c.index]--
+			if indegree[c.index] == 0 {
+				ready = append(ready, int32(c.index))
+			}
+		}
+	}
+	if freed != len(w.tasks) {
+		return fmt.Errorf("workflow %q: dependency cycle among %d tasks", w.name, len(w.tasks)-freed)
+	}
+	return nil
 }
 
 // Sources returns tasks with no parents, in insertion order.

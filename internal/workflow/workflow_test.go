@@ -472,6 +472,17 @@ func TestTaskMemory(t *testing.T) {
 	}
 }
 
+// scratchSize counts the files AddTask's scratch set holds.
+func scratchSize(w *Workflow) int {
+	n := 0
+	for _, s := range w.seen {
+		if s != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // TestAddTaskFileErrors: AddTask reports the first bad file in spec order,
 // leaves its scratch set empty, and wires nothing on failure.
 func TestAddTaskFileErrors(t *testing.T) {
@@ -509,8 +520,8 @@ func TestAddTaskFileErrors(t *testing.T) {
 		if err == nil || err.Error() != c.want {
 			t.Errorf("case %d: err = %v, want %s", i, err, c.want)
 		}
-		if len(w.seen) != 0 {
-			t.Errorf("case %d: scratch set keeps %d files", i, len(w.seen))
+		if n := scratchSize(w); n != 0 {
+			t.Errorf("case %d: scratch set keeps %d files", i, n)
 		}
 	}
 	for _, f := range w.Files() {
@@ -519,9 +530,9 @@ func TestAddTaskFileErrors(t *testing.T) {
 		}
 	}
 	x := w.MustAddTask(TaskSpec{ID: "x", Inputs: with(ins, "taken"), Outputs: outs})
-	if len(w.seen) != 0 || len(x.Inputs()) != width+1 || len(x.Outputs()) != width {
+	if scratchSize(w) != 0 || len(x.Inputs()) != width+1 || len(x.Outputs()) != width {
 		t.Errorf("accepted task has %d inputs, %d outputs, scratch %d",
-			len(x.Inputs()), len(x.Outputs()), len(w.seen))
+			len(x.Inputs()), len(x.Outputs()), scratchSize(w))
 	}
 	if ps := x.Parents(); len(ps) != 1 || ps[0].ID() != "p" {
 		t.Errorf("parents of x = %v", ps)
@@ -567,5 +578,47 @@ func TestEdgeListsSorted(t *testing.T) {
 	}
 	if got := w.Task("q").Children(); len(got) != 2 || got[0].ID() != "d0" {
 		t.Errorf("q's children = %v, want d0, d1", got)
+	}
+}
+
+// TestValidateMatchesTopologicalOrder: the count-only Validate reports
+// exactly TopologicalOrder's error, on seeded random DAGs and on graphs
+// whose consumers are added before their producers, which can close
+// cycles (with tasks downstream of them left unordered too).
+func TestValidateMatchesTopologicalOrder(t *testing.T) {
+	cyclic := 0
+	for seed := int64(0); seed < 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(40)
+		dag := seed%2 == 0
+		w := New("v" + strconv.FormatInt(seed, 10))
+		for i := 0; i < n; i++ {
+			w.MustAddFile("f"+strconv.Itoa(i), 1)
+		}
+		for i := 0; i < n; i++ {
+			var ins []string
+			for j := 0; j < n; j++ {
+				// A DAG reads only earlier tasks' files; otherwise any
+				// other task's file, producer added yet or not.
+				if j != i && (j < i || !dag) && rng.Intn(n) < 2 {
+					ins = append(ins, "f"+strconv.Itoa(j))
+				}
+			}
+			w.MustAddTask(TaskSpec{ID: "t" + strconv.Itoa(i), Inputs: ins, Outputs: []string{"f" + strconv.Itoa(i)}})
+		}
+		_, want := w.TopologicalOrder()
+		got := w.Validate()
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Fatalf("seed %d: Validate() = %v, TopologicalOrder error %v", seed, got, want)
+		}
+		if dag && got != nil {
+			t.Fatalf("seed %d: DAG rejected: %v", seed, got)
+		}
+		if got != nil {
+			cyclic++
+		}
+	}
+	if cyclic < 50 {
+		t.Fatalf("only %d of the seeded graphs have a cycle", cyclic)
 	}
 }

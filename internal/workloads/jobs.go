@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"bbwfsim/internal/units"
+	"bbwfsim/internal/workflow"
 )
 
 // Job is one batch job of a multi-tenant campaign (internal/sched): a
@@ -148,7 +149,7 @@ func Campaign(spec CampaignSpec) ([]Job, error) {
 		perNode := units.Bytes(1+rng.Intn(span)) * units.MiB
 		demand := perNode * units.Bytes(nodes)
 		jobs = append(jobs, Job{
-			ID:       fmt.Sprintf("job-%06d", i),
+			ID:       "job-" + workflow.PadInt(i, 6),
 			Submit:   now,
 			Runtime:  runtime,
 			Walltime: runtime * factor,

@@ -90,7 +90,7 @@ func Scale(spec ScaleSpec) (*workflow.Workflow, error) {
 	if spec.Tasks < 1 {
 		return nil, fmt.Errorf("workloads: scale task count %d", spec.Tasks)
 	}
-	name := fmt.Sprintf("scale-%s-%d", spec.Topology, spec.Tasks)
+	name := "scale-" + spec.Topology + "-" + strconv.Itoa(spec.Tasks)
 	g := &scaleGen{
 		b:   newBuilder(name, Params{Work: spec.Work, Regime: FileRegime{Count: 1, Size: spec.FileSize}}),
 		rng: rand.New(rand.NewSource(spec.Seed)),

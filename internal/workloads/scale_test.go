@@ -1,6 +1,10 @@
 package workloads
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"strings"
 	"testing"
 
 	"bbwfsim/internal/workflow"
@@ -83,5 +87,34 @@ func TestParseScaleSpec(t *testing.T) {
 	}
 	if _, err := Scale(ScaleSpec{Topology: "ring", Tasks: 5}); err == nil {
 		t.Error("unknown topology: no error")
+	}
+}
+
+// scaleIDDigests pins the SHA-256 of each scale topology's name, task IDs
+// and names and file IDs (workflowIDs, joined by newlines) at 3,000 tasks
+// and width 16, so no change to how the generator formats them can move
+// one.
+var scaleIDDigests = map[string]string{
+	"chain":    "f424453c41d92a0adf4a16549176298245d0c75a682155707cbd61b0cd0ae80a",
+	"forkjoin": "6f2b8efd4a2b067b04a8da7359af9aef814defbdc9223138adc715f78f07cf34",
+	"montage":  "865972935326eeaa9b86e866415ab89c68c58dcbc5cfcc39d0d06a6a2cc82edc",
+}
+
+// TestScaleIDsMatchSprintf: each scale topology's name is the
+// fmt.Sprintf form, and its IDs are the pinned ones; adaptation breaks
+// victim ties by file ID, so IDs must not move.
+func TestScaleIDsMatchSprintf(t *testing.T) {
+	for topo, digest := range scaleIDDigests {
+		w, err := Scale(ScaleSpec{Topology: topo, Tasks: 3000, Width: 16, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("scale-%s-%d", topo, 3000); w.Name() != want {
+			t.Errorf("%s: name %q, want %q", topo, w.Name(), want)
+		}
+		sum := sha256.Sum256([]byte(strings.Join(workflowIDs(w), "\n")))
+		if got := hex.EncodeToString(sum[:]); got != digest {
+			t.Errorf("%s: ID digest %s, pinned %s", topo, got, digest)
+		}
 	}
 }

@@ -13,6 +13,7 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"bbwfsim/internal/units"
 	"bbwfsim/internal/workflow"
@@ -80,7 +81,7 @@ func newBuilder(name string, p Params) *builder {
 func (b *builder) edge(label string) []string {
 	ids := make([]string, 0, b.p.Regime.Count)
 	for i := 0; i < b.p.Regime.Count; i++ {
-		id := fmt.Sprintf("%s_f%03d", label, i)
+		id := label + "_f" + workflow.PadInt(i, 3)
 		b.w.MustAddFile(id, b.p.Regime.Size)
 		ids = append(ids, id)
 	}
@@ -101,14 +102,14 @@ func Chain(n int, p Params) (*workflow.Workflow, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("workloads: chain length %d", n)
 	}
-	b := newBuilder(fmt.Sprintf("chain-%d", n), p)
+	b := newBuilder("chain-"+strconv.Itoa(n), p)
 	var prev []string
 	for i := 0; i < n; i++ {
 		var out []string
 		if i < n-1 {
-			out = b.edge(fmt.Sprintf("e%03d", i))
+			out = b.edge("e" + workflow.PadInt(i, 3))
 		}
-		b.task(fmt.Sprintf("t%03d", i), "stage", prev, out)
+		b.task("t"+workflow.PadInt(i, 3), "stage", prev, out)
 		prev = out
 	}
 	return b.w, nil
@@ -120,19 +121,19 @@ func ForkJoin(width int, p Params) (*workflow.Workflow, error) {
 	if width < 1 {
 		return nil, fmt.Errorf("workloads: fork-join width %d", width)
 	}
-	b := newBuilder(fmt.Sprintf("forkjoin-%d", width), p)
+	b := newBuilder("forkjoin-"+strconv.Itoa(width), p)
 	var sourceOuts, sinkIns []string
 	branchIn := make([][]string, width)
 	branchOut := make([][]string, width)
 	for i := 0; i < width; i++ {
-		branchIn[i] = b.edge(fmt.Sprintf("fork%03d", i))
+		branchIn[i] = b.edge("fork" + workflow.PadInt(i, 3))
 		sourceOuts = append(sourceOuts, branchIn[i]...)
 	}
 	b.task("source", "source", nil, sourceOuts)
 	for i := 0; i < width; i++ {
-		branchOut[i] = b.edge(fmt.Sprintf("join%03d", i))
+		branchOut[i] = b.edge("join" + workflow.PadInt(i, 3))
 		sinkIns = append(sinkIns, branchOut[i]...)
-		b.task(fmt.Sprintf("worker%03d", i), "worker", branchIn[i], branchOut[i])
+		b.task("worker"+workflow.PadInt(i, 3), "worker", branchIn[i], branchOut[i])
 	}
 	b.task("sink", "sink", sinkIns, nil)
 	return b.w, nil
@@ -144,11 +145,12 @@ func ReduceTree(leaves int, p Params) (*workflow.Workflow, error) {
 	if leaves < 2 {
 		return nil, fmt.Errorf("workloads: reduce tree needs ≥2 leaves, got %d", leaves)
 	}
-	b := newBuilder(fmt.Sprintf("reduce-%d", leaves), p)
+	b := newBuilder("reduce-"+strconv.Itoa(leaves), p)
 	level := make([][]string, 0, leaves)
 	for i := 0; i < leaves; i++ {
-		out := b.edge(fmt.Sprintf("leaf%03d", i))
-		b.task(fmt.Sprintf("leaf%03d", i), "leaf", nil, out)
+		id := "leaf" + workflow.PadInt(i, 3)
+		out := b.edge(id)
+		b.task(id, "leaf", nil, out)
 		level = append(level, out)
 	}
 	round := 0
@@ -160,9 +162,9 @@ func ReduceTree(leaves int, p Params) (*workflow.Workflow, error) {
 			in = append(in, level[i+1]...)
 			var out []string
 			if len(level) > 2 {
-				out = b.edge(fmt.Sprintf("r%d_%03d", round, i/2))
+				out = b.edge("r" + strconv.Itoa(round) + "_" + workflow.PadInt(i/2, 3))
 			}
-			b.task(fmt.Sprintf("reduce%d_%03d", round, i/2), "reduce", in, out)
+			b.task("reduce"+strconv.Itoa(round)+"_"+workflow.PadInt(i/2, 3), "reduce", in, out)
 			if out != nil {
 				next = append(next, out)
 			}
@@ -183,11 +185,11 @@ func Broadcast(width int, p Params) (*workflow.Workflow, error) {
 	if width < 1 {
 		return nil, fmt.Errorf("workloads: broadcast width %d", width)
 	}
-	b := newBuilder(fmt.Sprintf("broadcast-%d", width), p)
+	b := newBuilder("broadcast-"+strconv.Itoa(width), p)
 	shared := b.edge("shared")
 	b.task("producer", "producer", nil, shared)
 	for i := 0; i < width; i++ {
-		b.task(fmt.Sprintf("reader%03d", i), "reader", shared, nil)
+		b.task("reader"+workflow.PadInt(i, 3), "reader", shared, nil)
 	}
 	return b.w, nil
 }
@@ -203,7 +205,7 @@ func RandomLayered(seed int64, layers, width int, density float64, p Params) (*w
 		return nil, fmt.Errorf("workloads: density %g outside [0,1]", density)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	b := newBuilder(fmt.Sprintf("layered-%dx%d", layers, width), p)
+	b := newBuilder("layered-"+strconv.Itoa(layers)+"x"+strconv.Itoa(width), p)
 	prevOut := make([][]string, 0, width)
 	for l := 0; l < layers; l++ {
 		curOut := make([][]string, 0, width)
@@ -224,9 +226,9 @@ func RandomLayered(seed int64, layers, width int, density float64, p Params) (*w
 			}
 			var out []string
 			if l < layers-1 {
-				out = b.edge(fmt.Sprintf("l%02d_%03d", l, i))
+				out = b.edge("l" + workflow.PadInt(l, 2) + "_" + workflow.PadInt(i, 3))
 			}
-			b.task(fmt.Sprintf("t%02d_%03d", l, i), fmt.Sprintf("layer%02d", l), in, out)
+			b.task("t"+workflow.PadInt(l, 2)+"_"+workflow.PadInt(i, 3), "layer"+workflow.PadInt(l, 2), in, out)
 			curOut = append(curOut, out)
 		}
 		prevOut = curOut

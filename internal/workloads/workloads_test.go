@@ -1,10 +1,13 @@
 package workloads
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"bbwfsim/internal/units"
+	"bbwfsim/internal/workflow"
 )
 
 func TestChainShape(t *testing.T) {
@@ -192,6 +195,118 @@ func TestPatternsCatalog(t *testing.T) {
 		}
 		if err := w.Validate(); err != nil {
 			t.Errorf("pattern %q invalid: %v", name, err)
+		}
+	}
+}
+
+// workflowIDs lists a workflow's name, task IDs, task names and file IDs
+// in insertion order.
+func workflowIDs(w *workflow.Workflow) []string {
+	ids := []string{w.Name()}
+	for _, t := range w.Tasks() {
+		ids = append(ids, t.ID(), t.Name())
+	}
+	for _, f := range w.Files() {
+		ids = append(ids, f.ID())
+	}
+	return ids
+}
+
+// TestGeneratorIDsMatchSprintf: the pattern generators' workflow names,
+// task IDs and names and file IDs, in insertion order, and the campaign's
+// job IDs equal their fmt.Sprintf forms; adaptation breaks victim ties by
+// file ID, so IDs must not move.
+func TestGeneratorIDsMatchSprintf(t *testing.T) {
+	for _, regime := range []FileRegime{FewLarge, ManySmall} {
+		p := Params{Regime: regime}
+		edge := func(label string) (ids []string) {
+			for i := 0; i < regime.Count; i++ {
+				ids = append(ids, fmt.Sprintf("%s_f%03d", label, i))
+			}
+			return ids
+		}
+		check := func(w *workflow.Workflow, err error, name string, tasks [][2]string, files []string) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []string{name}
+			for _, task := range tasks {
+				want = append(want, task[0], task[1])
+			}
+			want = append(want, files...)
+			if got := workflowIDs(w); !slices.Equal(got, want) {
+				t.Fatalf("%s: IDs\n%v\nwant\n%v", name, got, want)
+			}
+		}
+
+		var tasks [][2]string
+		var files []string
+		w, err := Chain(12, p)
+		for i := 0; i < 12; i++ {
+			if i < 11 {
+				files = append(files, edge(fmt.Sprintf("e%03d", i))...)
+			}
+			tasks = append(tasks, [2]string{fmt.Sprintf("t%03d", i), "stage"})
+		}
+		check(w, err, fmt.Sprintf("chain-%d", 12), tasks, files)
+
+		tasks, files = nil, nil
+		w, err = ForkJoin(11, p)
+		for i := 0; i < 11; i++ {
+			files = append(files, edge(fmt.Sprintf("fork%03d", i))...)
+		}
+		tasks = append(tasks, [2]string{"source", "source"})
+		for i := 0; i < 11; i++ {
+			files = append(files, edge(fmt.Sprintf("join%03d", i))...)
+			tasks = append(tasks, [2]string{fmt.Sprintf("worker%03d", i), "worker"})
+		}
+		tasks = append(tasks, [2]string{"sink", "sink"})
+		check(w, err, fmt.Sprintf("forkjoin-%d", 11), tasks, files)
+
+		tasks, files = nil, nil
+		w, err = ReduceTree(13, p)
+		for i := 0; i < 13; i++ {
+			files = append(files, edge(fmt.Sprintf("leaf%03d", i))...)
+			tasks = append(tasks, [2]string{fmt.Sprintf("leaf%03d", i), "leaf"})
+		}
+		for n, round := 13, 0; n > 1; n, round = (n+1)/2, round+1 {
+			for i := 0; i+1 < n; i += 2 {
+				if n > 2 {
+					files = append(files, edge(fmt.Sprintf("r%d_%03d", round, i/2))...)
+				}
+				tasks = append(tasks, [2]string{fmt.Sprintf("reduce%d_%03d", round, i/2), "reduce"})
+			}
+		}
+		check(w, err, fmt.Sprintf("reduce-%d", 13), tasks, files)
+
+		tasks = [][2]string{{"producer", "producer"}}
+		w, err = Broadcast(10, p)
+		for i := 0; i < 10; i++ {
+			tasks = append(tasks, [2]string{fmt.Sprintf("reader%03d", i), "reader"})
+		}
+		check(w, err, fmt.Sprintf("broadcast-%d", 10), tasks, edge("shared"))
+
+		tasks, files = nil, nil
+		w, err = RandomLayered(5, 11, 12, 0.3, p)
+		for l := 0; l < 11; l++ {
+			for i := 0; i < 12; i++ {
+				if l < 10 {
+					files = append(files, edge(fmt.Sprintf("l%02d_%03d", l, i))...)
+				}
+				tasks = append(tasks, [2]string{fmt.Sprintf("t%02d_%03d", l, i), fmt.Sprintf("layer%02d", l)})
+			}
+		}
+		check(w, err, fmt.Sprintf("layered-%dx%d", 11, 12), tasks, files)
+	}
+
+	jobs, err := Campaign(CampaignSpec{Jobs: 1200, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range jobs {
+		if want := fmt.Sprintf("job-%06d", i); j.ID != want {
+			t.Fatalf("job %d: ID %q, want %q", i, j.ID, want)
 		}
 	}
 }
