@@ -120,7 +120,12 @@ type RunOptions struct {
 	// Metrics asks for the run's observability snapshot in
 	// Result.Metrics. Off — the default — the run builds no collector and
 	// records no series, which is most of a short run's bookkeeping; every
-	// other Result field is bit-identical either way.
+	// other Result field is bit-identical either way. On, the storage layer
+	// counts its operations, the metrics fold (NewMetricsFold) derives the
+	// task, checkpoint and adaptation families from the run's events beside
+	// whatever TraceSink receives them, and the end-of-run families are
+	// added last (finishSnapshot). The events and every sink's output are
+	// the same either way.
 	Metrics bool
 }
 
@@ -241,9 +246,11 @@ func (s *Simulator) Run(wf *workflow.Workflow, opts RunOptions) (*Result, error)
 	}
 	sys := storage.NewSystem(plat, opts.OpModel)
 	var col *metrics.Collector
+	sink := opts.TraceSink
 	if opts.Metrics {
 		col = metrics.New(s.cfg.Name, wf.Name())
 		sys.Manager().SetMetrics(col)
+		sink = trace.Tee(sink, NewMetricsFold(col, wf, sys))
 	}
 	pol := opts.Placement
 	if pol == nil {
@@ -256,7 +263,7 @@ func (s *Simulator) Run(wf *workflow.Workflow, opts RunOptions) (*Result, error)
 	tr, err := exec.Run(sys, wf, exec.Config{
 		Placement:                pol,
 		Compute:                  opts.Compute,
-		TraceSink:                opts.TraceSink,
+		TraceSink:                sink,
 		CoresPerTask:             opts.CoresPerTask,
 		PrePlaceInputs:           opts.PrePlaceInputs,
 		NodePolicy:               opts.NodePolicy,
@@ -269,7 +276,6 @@ func (s *Simulator) Run(wf *workflow.Workflow, opts RunOptions) (*Result, error)
 		BBFallback:               opts.BBFallback,
 		Checkpoint:               opts.Checkpoint,
 		Adapt:                    opts.Adapt,
-		Metrics:                  col,
 	})
 	if err != nil {
 		return nil, err

@@ -10,8 +10,12 @@ import (
 	"bbwfsim/internal/exec"
 	"bbwfsim/internal/faults"
 	"bbwfsim/internal/genomes"
+	"bbwfsim/internal/metrics"
 	"bbwfsim/internal/platform"
+	"bbwfsim/internal/sim"
+	"bbwfsim/internal/storage"
 	"bbwfsim/internal/swarp"
+	"bbwfsim/internal/trace"
 	"bbwfsim/internal/units"
 	"bbwfsim/internal/workflow"
 )
@@ -134,4 +138,39 @@ func runFingerprint(r *Result) string {
 		s += fmt.Sprintf(" %#v", sum)
 	}
 	return s
+}
+
+// TestMetricsFoldSpillForms: a spill that copied its replica adds its
+// bytes to adapt_bytes_total, even zero of them, and so creates the
+// series; a spill that only evicted moves nothing and adds nothing.
+func TestMetricsFoldSpillForms(t *testing.T) {
+	cases := []struct {
+		name   string
+		ev     trace.Event
+		series int // adapt_bytes_total series the spill creates
+	}{
+		{"eviction", trace.At("f", "bb"), 0},
+		{"zero-byte copy", trace.At("f", "bb").Moved(0), 1},
+		{"copy", trace.At("f", "bb").Moved(3 * units.MiB), 1},
+	}
+	for _, tc := range cases {
+		sys := storage.NewSystem(platform.MustNew(sim.NewEngine(), platform.Cori(1, platform.BBStriped)), nil)
+		col := metrics.New("test", "wf")
+		fold := NewMetricsFold(col, workflow.New("wf"), sys)
+		tc.ev.Kind = trace.AdaptSpill
+		fold.Emit(tc.ev)
+		k := metrics.Key{Tier: string(storage.KindSharedBB), Op: metrics.OpSpill}
+		got := 0
+		for _, s := range col.Snapshot().Counters {
+			if s.Family == metrics.AdaptBytesTotal {
+				got++
+				if s.Key != k || s.Value != tc.ev.Y {
+					t.Errorf("%s: series %+v = %g, want %+v = %g", tc.name, s.Key, s.Value, k, tc.ev.Y)
+				}
+			}
+		}
+		if got != tc.series {
+			t.Errorf("%s: %d adapt_bytes_total series, want %d", tc.name, got, tc.series)
+		}
+	}
 }

@@ -32,7 +32,6 @@ package exec
 
 import (
 	"bbwfsim/internal/adapt"
-	"bbwfsim/internal/metrics"
 	"bbwfsim/internal/platform"
 	"bbwfsim/internal/storage"
 	"bbwfsim/internal/trace"
@@ -108,7 +107,7 @@ func (e *engine) adaptFallback(t *workflow.Task, f *workflow.File, svc storage.S
 	if e.ad == nil || !e.ad.pol.DegradedFallback || e.ad.degraded[svc] == 0 {
 		return false
 	}
-	e.tr.Record(e.now(), trace.AdaptFallback, t.ID(), trace.At(f.ID(), svc.Name()))
+	e.record(trace.AdaptFallback, t, trace.At(f.ID(), svc.Name()))
 	return true
 }
 
@@ -226,9 +225,7 @@ func (e *engine) spillFile(f *workflow.File, svc storage.Service) bool {
 				return
 			}
 		}
-		e.tr.Record(e.now(), trace.AdaptSpill, "", trace.At(f.ID(), svc.Name()))
-		e.cfg.Metrics.Add(metrics.AdaptBytesTotal,
-			metrics.Key{Tier: string(svc.Kind()), Op: metrics.OpSpill}, float64(f.Size()))
+		e.tr.Record(e.now(), trace.AdaptSpill, "", trace.At(f.ID(), svc.Name()).Moved(f.Size()))
 		e.adaptSpill(svc) // top up the drain, or re-arm the trigger
 	}), 0)
 	if err != nil {
@@ -306,9 +303,7 @@ func (e *engine) replicateFile(f *workflow.File, only storage.Service) {
 		if e.err != nil {
 			return
 		}
-		e.tr.Record(e.now(), trace.AdaptReplicate, "", trace.CopyToPFS(f.ID(), src.Name()))
-		e.cfg.Metrics.Add(metrics.AdaptBytesTotal,
-			metrics.Key{Tier: string(src.Kind()), Op: metrics.OpReplicate}, float64(f.Size()))
+		e.tr.Record(e.now(), trace.AdaptReplicate, "", trace.CopyToPFS(f.ID(), src.Name()).Moved(f.Size()))
 	}), 0)
 	if err != nil {
 		return // the PFS cannot take it now; the replica stays sole

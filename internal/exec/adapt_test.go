@@ -5,6 +5,7 @@ import (
 
 	"bbwfsim/internal/adapt"
 	"bbwfsim/internal/ckpt"
+	"bbwfsim/internal/core"
 	"bbwfsim/internal/exec"
 	"bbwfsim/internal/metrics"
 	"bbwfsim/internal/placement"
@@ -54,7 +55,7 @@ func TestPressureSpillDrainsBB(t *testing.T) {
 	tr, err := exec.Run(sys, wf, exec.Config{
 		Placement: placement.NewExplicit("bb", []string{"a", "b"}),
 		Adapt:     adapt.Policy{SpillHighWater: 0.5, SpillLowWater: 0.25},
-		Metrics:   col,
+		TraceSink: core.NewMetricsFold(col, wf, sys),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +198,7 @@ func TestDegradationWindowDuringReplication(t *testing.T) {
 		Adapt:     adapt.Policy{ReplicateOnFault: true},
 		Faults:    fm,
 		Retry:     exec.RetryPolicy{MaxRetries: 2},
-		Metrics:   col,
+		TraceSink: core.NewMetricsFold(col, wf, sys),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -324,10 +325,9 @@ func TestOverlappingPressureWavesSpillEachReplicaOnce(t *testing.T) {
 	wf.MustAddTask(workflow.TaskSpec{ID: "t4", Work: 20e9, Inputs: []string{"a", "b", "c"}})
 	col := metrics.New("test", "waves")
 	tr, err := exec.Run(sys, wf, exec.Config{
-		TraceSink:  trace.Retain,
+		TraceSink:  trace.Tee(trace.Retain, core.NewMetricsFold(col, wf, sys)),
 		Placement:  placement.NewExplicit("bb", []string{"a", "b", "c"}),
 		Adapt:      adapt.Policy{SpillHighWater: 0.3, SpillLowWater: 0.12},
-		Metrics:    col,
 		Background: []exec.Background{&auditor{t: t, every: 0.1, until: 25}},
 	})
 	if err != nil {

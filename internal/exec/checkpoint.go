@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 
-	"bbwfsim/internal/metrics"
 	"bbwfsim/internal/platform"
 	"bbwfsim/internal/sim"
 	"bbwfsim/internal/storage"
@@ -80,19 +79,13 @@ func (e *engine) writeCheckpoint(a *attempt) {
 	if svc != e.sys.PFS() && e.bbRejected(t, f, svc) {
 		svc = e.sys.PFS()
 	}
-	begin := e.now()
 	commit := func(svc storage.Service) storage.Func {
 		return func() {
 			if a.aborted || e.err != nil {
 				return
 			}
 			p := a.progress
-			e.tr.Record(e.now(), trace.CkptCommit, t.ID(), trace.Progress(f.ID(), svc.Name(), p))
-			tier := string(svc.Kind())
-			e.cfg.Metrics.Add(metrics.CkptBytesTotal,
-				metrics.Key{Tier: tier, Op: metrics.OpWrite}, float64(size))
-			e.cfg.Metrics.Add(metrics.CkptOverheadSecondsTotal,
-				metrics.Key{Tier: tier, Op: metrics.OpWrite}, e.now()-begin)
+			e.record(trace.CkptCommit, t, trace.Progress(f.ID(), svc.Name(), p).Moved(size))
 			rec := &ckptRec{task: t, file: f, svc: svc, progress: p,
 				drained: svc.Kind() == storage.KindPFS}
 			e.ckpts[t] = append(e.ckpts[t], rec)
@@ -113,7 +106,7 @@ func (e *engine) writeCheckpoint(a *attempt) {
 		// the way real multi-level checkpoint libraries degrade.
 		var full *storage.FullError
 		if errors.As(err, &full) {
-			e.tr.Record(e.now(), trace.Fallback, t.ID(), trace.Full(f.ID()))
+			e.record(trace.Fallback, t, trace.Full(f.ID()))
 			svc = e.sys.PFS()
 			op, err = e.sys.Manager().Write(node, f, svc, commit(svc), 0)
 		}
@@ -125,7 +118,7 @@ func (e *engine) writeCheckpoint(a *attempt) {
 		e.computeSegment(a)
 		return
 	}
-	e.tr.Record(e.now(), trace.CkptBegin, t.ID(), trace.At(f.ID(), svc.Name()))
+	e.record(trace.CkptBegin, t, trace.At(f.ID(), svc.Name()))
 	e.track(a, op)
 }
 
@@ -147,12 +140,8 @@ func (e *engine) startDrain(rec *ckptRec) {
 			return
 		}
 		rec.drained = true
-		e.tr.Record(e.now(), trace.CkptDrain, rec.task.ID(), trace.CopyToPFS(rec.file.ID(), rec.svc.Name()))
-		size := float64(rec.file.Size())
-		e.cfg.Metrics.Add(metrics.CkptBytesTotal,
-			metrics.Key{Tier: string(rec.svc.Kind()), Op: metrics.OpRead}, size)
-		e.cfg.Metrics.Add(metrics.CkptBytesTotal,
-			metrics.Key{Tier: string(storage.KindPFS), Op: metrics.OpWrite}, size)
+		e.record(trace.CkptDrain, rec.task,
+			trace.CopyToPFS(rec.file.ID(), rec.svc.Name()).Moved(rec.file.Size()))
 		e.pruneCkpts(rec.task, rec)
 	}), 0)
 	if err != nil {
@@ -238,7 +227,7 @@ func (e *engine) clearCkpts(t *workflow.Task) {
 // vanished is cancelled: the snapshot was lost mid-drain, and recovery
 // falls back to the previous durable one.
 func (e *engine) loseCkptReplica(rec *ckptRec, svc storage.Service) {
-	e.tr.Record(e.now(), trace.CkptLost, rec.task.ID(), trace.At(rec.file.ID(), svc.Name()))
+	e.record(trace.CkptLost, rec.task, trace.At(rec.file.ID(), svc.Name()))
 	e.sys.Manager().Cancel(rec.drainOp)           // no-op unless a drain is in flight
 	e.sys.Platform().Engine().Cancel(rec.drainEv) // no-op once fired or cancelled
 	rec.drainEv = sim.Handle{}
@@ -277,24 +266,18 @@ func (e *engine) newestDurableCkpt(t *workflow.Task, node *platform.Node) (*ckpt
 // restoreFromCkpt resumes a retried attempt from a surviving snapshot: the
 // attempt pays a restore read of the snapshot (instead of re-reading its
 // inputs — the image holds the task's full state) and then computes only
-// the remaining work. The recovered compute seconds are credited to the
-// tier the snapshot was restored from.
+// the remaining work. The compute phase starts the moment the restore read
+// ends.
 func (e *engine) restoreFromCkpt(a *attempt, rec *ckptRec, svc storage.Service) {
 	t := a.task
 	a.restored = rec.progress
 	a.progress = rec.progress
-	e.tr.Record(e.now(), trace.RestartFrom, t.ID(), trace.Progress(rec.file.ID(), svc.Name(), rec.progress))
-	tier := string(svc.Kind())
-	e.cfg.Metrics.Add(metrics.CkptRecoveredSecondsTotal, metrics.Key{Tier: tier}, rec.progress)
-	start := e.now()
+	e.record(trace.RestartFrom, t,
+		trace.Progress(rec.file.ID(), svc.Name(), rec.progress).Moved(rec.file.Size()))
 	op, err := e.sys.Manager().Read(a.node, rec.file, svc, storage.Func(func() {
 		if a.aborted || e.err != nil {
 			return
 		}
-		e.cfg.Metrics.Add(metrics.CkptBytesTotal,
-			metrics.Key{Tier: tier, Op: metrics.OpRead}, float64(rec.file.Size()))
-		e.cfg.Metrics.Add(metrics.CkptOverheadSecondsTotal,
-			metrics.Key{Tier: tier, Op: metrics.OpRead}, e.now()-start)
 		a.rec.ReadDoneAt = e.now()
 		e.runCompute(a)
 	}), 0)
@@ -305,25 +288,14 @@ func (e *engine) restoreFromCkpt(a *attempt, rec *ckptRec, svc storage.Service) 
 	e.track(a, op)
 }
 
-// chargeExecuted emits the compute seconds one attempt actually executed:
+// executed returns the compute seconds the attempt actually executed:
 // finished segments beyond the restored mark, plus the in-flight portion
-// of a segment cut down mid-compute. The counter's growth across retries
-// is exactly the re-executed compute a recovery policy is trying to avoid.
-func (e *engine) chargeExecuted(a *attempt, completed bool) {
-	if a.task.Kind() != workflow.KindCompute {
-		return
-	}
+// of a segment an abort cuts short. Its growth across a task's attempts is
+// exactly the re-executed compute a recovery policy is trying to avoid.
+func (e *engine) executed(a *attempt) float64 {
 	ex := a.progress - a.restored
-	if !completed && e.sys.Platform().Engine().Scheduled(a.computeEv) {
+	if e.sys.Platform().Engine().Scheduled(a.computeEv) {
 		ex += e.now() - a.segStart
 	}
-	if e.cfg.Metrics == nil {
-		return
-	}
-	s := e.series[a.task.Index()]
-	if !s.executedHeld {
-		s.executedHeld = true
-		s.executed = e.cfg.Metrics.HoldCounter(metrics.ComputeExecutedSecondsTotal, metrics.Key{Task: a.task.Name()})
-	}
-	s.executed.Add(ex)
+	return ex
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bbwfsim/internal/ckpt"
+	"bbwfsim/internal/core"
 	"bbwfsim/internal/exec"
 	"bbwfsim/internal/faults"
 	"bbwfsim/internal/metrics"
@@ -88,7 +89,7 @@ func TestCheckpointLifecycleFaultFree(t *testing.T) {
 	col := metrics.New("test", "one")
 	tr, err := exec.Run(sys, wf, exec.Config{
 		Checkpoint: ckpt.Policy{Interval: 3, Target: ckpt.TargetBB, MinSize: 80 * units.MB},
-		Metrics:    col,
+		TraceSink:  core.NewMetricsFold(col, wf, sys),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,8 +144,7 @@ func TestRestartFromCheckpointBeatsLineage(t *testing.T) {
 			Checkpoint: pol,
 			Faults:     fm,
 			Retry:      exec.RetryPolicy{MaxRetries: 1},
-			Metrics:    col,
-			TraceSink:  trace.Retain,
+			TraceSink:  trace.Tee(trace.Retain, core.NewMetricsFold(col, wf, sys)),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -326,7 +326,7 @@ func TestNodeFailureDuringStageOut(t *testing.T) {
 	if got := tr.CountKind(trace.TaskFail); got == 0 {
 		t.Error("scripted node failure killed nothing")
 	}
-	if rec := tr.Lookup("stage_out"); rec.Retries == 0 {
+	if rec := tr.Task("stage_out"); rec.Retries == 0 {
 		t.Error("stage-out completed without the expected retry")
 	}
 }

@@ -22,7 +22,6 @@ import (
 
 	"bbwfsim/internal/adapt"
 	"bbwfsim/internal/ckpt"
-	"bbwfsim/internal/metrics"
 	"bbwfsim/internal/platform"
 	"bbwfsim/internal/sim"
 	"bbwfsim/internal/storage"
@@ -127,17 +126,13 @@ type Config struct {
 	// workflow slows down rather than dying). Rejections injected by the
 	// fault model always fall back, with or without this flag.
 	BBFallback bool
-	// Metrics receives the run's phase profile: per-category virtual time
-	// in each phase, committed once per task completion from the same
-	// timestamps the trace records (so trace and metrics agree exactly),
-	// plus wait times, completion counts, and fault-aborted partial time.
-	// Nil — the default — records nothing; metrics never influence
-	// simulated behavior either way.
-	Metrics *metrics.Collector
 	// TraceSink receives the run's events (see trace.New). Nil — the
 	// default — keeps only counts and folded summaries; trace.Retain keeps
 	// the whole trace in memory. The engine emits the exact same event
-	// sequence whatever the sink.
+	// sequence whatever the sink. The engine keeps no metrics: a run's
+	// task, checkpoint and adaptation metrics are a fold over these
+	// events (core.NewMetricsFold), which is why some events carry
+	// operands their text does not render (see trace.Event).
 	TraceSink trace.Sink
 }
 
@@ -226,17 +221,6 @@ func Run(sys *storage.System, wf *workflow.Workflow, cfg Config) (*trace.Trace, 
 	if cfg.Adapt.Enabled() {
 		e.ad = newAdaptState(cfg.Adapt)
 	}
-	if cfg.Metrics != nil {
-		e.series = make([]*taskSeries, len(wf.Tasks()))
-		byCategory := map[taskCategory]*taskSeries{}
-		for _, t := range wf.Tasks() {
-			c := taskCategory{t.Kind(), t.Name()}
-			if byCategory[c] == nil {
-				byCategory[c] = &taskSeries{}
-			}
-			e.series[t.Index()] = byCategory[c]
-		}
-	}
 	for _, f := range wf.Files() {
 		e.readers[f.Index()] = len(f.Consumers())
 	}
@@ -320,10 +304,6 @@ type engine struct {
 
 	computeDoneFn func(tag uint64) // bound e.computeDone, hoisted once
 
-	// series holds the metric series of each task's category, per task;
-	// nil without metrics.
-	series []*taskSeries
-
 	finished   int
 	running    int
 	inSchedule bool
@@ -331,6 +311,13 @@ type engine struct {
 }
 
 func (e *engine) now() float64 { return e.sys.Platform().Engine().Now() }
+
+// record records an event of task t now, carrying t's index in M: the
+// metrics fold keeps its per-task state by index, so it needs no lookup.
+func (e *engine) record(kind trace.EventKind, t *workflow.Task, d trace.Event) {
+	d.M = int32(t.Index())
+	e.tr.Record(e.now(), kind, t.ID(), d)
+}
 
 func (e *engine) fail(err error) {
 	if e.err == nil {
@@ -376,7 +363,7 @@ func (e *engine) nodeHint(t *workflow.Task) *platform.Node {
 
 func (e *engine) pushReady(t *workflow.Task) {
 	e.ready = e.sched.insert(e.ready, t)
-	e.tr.Record(e.now(), trace.TaskReady, t.ID(), trace.Event{})
+	e.record(trace.TaskReady, t, trace.Event{})
 	e.tr.Task(t.ID()).ReadyAt = e.now()
 }
 
@@ -466,7 +453,7 @@ func (e *engine) startTask(t *workflow.Task, node *platform.Node, cores int) {
 	rec.Cores = cores
 	rec.StartedAt = e.now()
 	rec.Retries = a.n - 1
-	e.tr.Record(e.now(), trace.TaskStart, t.ID(), trace.Named(node.Name()))
+	e.record(trace.TaskStart, t, trace.Named(node.Name()))
 	switch t.Kind() {
 	case workflow.KindStageIn:
 		e.runStageIn(a, 0)
@@ -507,7 +494,7 @@ func (e *engine) runStageOut(a *attempt, i int) {
 			e.fail(fmt.Errorf("exec: stage-out %s: %w", t.ID(), err))
 			return
 		}
-		e.tr.Record(e.now(), trace.StageStart, t.ID(), trace.CopyToPFS(f.ID(), src.Name()))
+		e.record(trace.StageStart, t, trace.CopyToPFS(f.ID(), src.Name()))
 		op, cerr := e.sys.Manager().Copy(node, f, src, e.sys.PFS(), a, opTag(opStageOut, i))
 		if cerr != nil {
 			e.fail(fmt.Errorf("exec: stage-out %s: %w", t.ID(), cerr))
@@ -527,7 +514,7 @@ func (e *engine) stageOutDone(a *attempt, i int) {
 		return
 	}
 	f := a.task.Inputs()[i]
-	e.tr.Record(e.now(), trace.StageEnd, a.task.ID(), trace.At(f.ID(), e.sys.PFS().Name()))
+	e.record(trace.StageEnd, a.task, trace.At(f.ID(), e.sys.PFS().Name()))
 	a.rec.BytesWritten += f.Size()
 	e.runStageOut(a, i+1)
 }
@@ -568,12 +555,12 @@ func (e *engine) runStageIn(a *attempt, i int) {
 			i++
 			continue
 		}
-		e.tr.Record(e.now(), trace.StageStart, t.ID(), trace.To(f.ID(), svc.Name()))
+		e.record(trace.StageStart, t, trace.To(f.ID(), svc.Name()))
 		op, err := e.sys.Manager().Write(node, f, svc, a, opTag(opStageIn, i))
 		if err != nil {
 			var full *storage.FullError
 			if e.cfg.BBFallback && errors.As(err, &full) {
-				e.tr.Record(e.now(), trace.Fallback, t.ID(), trace.Full(f.ID()))
+				e.record(trace.Fallback, t, trace.Full(f.ID()))
 				i++
 				continue
 			}
@@ -594,7 +581,7 @@ func (e *engine) stageInDone(a *attempt, i int) {
 		return
 	}
 	f := a.task.Outputs()[i]
-	e.tr.Record(e.now(), trace.StageEnd, a.task.ID(), trace.Named(f.ID()))
+	e.record(trace.StageEnd, a.task, trace.Named(f.ID()))
 	a.rec.BytesWritten += f.Size()
 	e.runStageIn(a, i+1)
 }
@@ -606,8 +593,8 @@ func (e *engine) bbRejected(t *workflow.Task, f *workflow.File, svc storage.Serv
 	if e.cfg.Faults == nil || !e.cfg.Faults.RejectBBAlloc(t, f) {
 		return false
 	}
-	e.tr.Record(e.now(), trace.BBReject, t.ID(), trace.At(f.ID(), svc.Name()))
-	e.tr.Record(e.now(), trace.Fallback, t.ID(), trace.To(f.ID(), e.sys.PFS().Name()))
+	e.record(trace.BBReject, t, trace.At(f.ID(), svc.Name()))
+	e.record(trace.Fallback, t, trace.To(f.ID(), e.sys.PFS().Name()))
 	return true
 }
 
@@ -650,7 +637,7 @@ func (e *engine) readDone(a *attempt, i int) {
 		return
 	}
 	f := a.task.Inputs()[i]
-	e.tr.Record(e.now(), trace.ReadEnd, a.task.ID(), trace.Named(f.ID()))
+	e.record(trace.ReadEnd, a.task, trace.Named(f.ID()))
 	a.rec.BytesRead += f.Size()
 	a.rd.pending--
 	if e.err != nil {
@@ -677,7 +664,7 @@ func (e *engine) readInput(a *attempt, i int) {
 	f := t.Inputs()[i]
 	svc, err := e.sys.Registry().BestVisible(f, node, e.cfg.EnforcePrivateVisibility)
 	if err == nil {
-		e.tr.Record(e.now(), trace.ReadStart, t.ID(), trace.At(f.ID(), svc.Name()))
+		e.record(trace.ReadStart, t, trace.At(f.ID(), svc.Name()))
 		op, rerr := e.sys.Manager().Read(node, f, svc, a, opTag(opRead, i))
 		if rerr != nil {
 			e.fail(fmt.Errorf("exec: task %s read %s: %w", t.ID(), f.ID(), rerr))
@@ -693,7 +680,7 @@ func (e *engine) readInput(a *attempt, i int) {
 		creator := e.sys.Registry().Creator(f, loc)
 		if loc.Kind() != storage.KindPFS && creator != nil && creator != node {
 			relocator := creator
-			e.tr.Record(e.now(), trace.StageStart, t.ID(), trace.CopyToPFS(f.ID(), loc.Name()))
+			e.record(trace.StageStart, t, trace.CopyToPFS(f.ID(), loc.Name()))
 			op, cerr := e.sys.Manager().Copy(relocator, f, loc, e.sys.PFS(), a, opTag(opRelocate, i))
 			if cerr != nil {
 				e.fail(fmt.Errorf("exec: task %s relocate %s: %w", t.ID(), f.ID(), cerr))
@@ -715,7 +702,7 @@ func (e *engine) relocateDone(a *attempt, i int) {
 		return
 	}
 	f := a.task.Inputs()[i]
-	e.tr.Record(e.now(), trace.StageEnd, a.task.ID(), trace.At(f.ID(), e.sys.PFS().Name()))
+	e.record(trace.StageEnd, a.task, trace.At(f.ID(), e.sys.PFS().Name()))
 	if e.err != nil {
 		return
 	}
@@ -725,7 +712,7 @@ func (e *engine) relocateDone(a *attempt, i int) {
 func (e *engine) runCompute(a *attempt) {
 	t, node, cores := a.task, a.node, a.cores
 	a.phase = phaseCompute
-	e.tr.Record(e.now(), trace.ComputeStart, t.ID(), trace.Event{})
+	e.record(trace.ComputeStart, t, trace.Event{})
 	var dur float64
 	if e.cfg.Compute != nil {
 		dur = e.cfg.Compute.Duration(t, node, cores)
@@ -779,7 +766,7 @@ func (e *engine) computeDone(tag uint64) {
 		return
 	}
 	a.rec.ComputeDone = e.now()
-	e.tr.Record(e.now(), trace.ComputeEnd, a.task.ID(), trace.Event{})
+	e.record(trace.ComputeEnd, a.task, trace.Event{})
 	e.runWrites(a)
 }
 
@@ -825,14 +812,14 @@ func (e *engine) startWrite(a *attempt) {
 	if svc != e.sys.PFS() && e.bbRejected(t, f, svc) {
 		svc = e.sys.PFS()
 	}
-	e.tr.Record(e.now(), trace.WriteStart, t.ID(), trace.At(f.ID(), svc.Name()))
+	e.record(trace.WriteStart, t, trace.At(f.ID(), svc.Name()))
 	op, err := e.sys.Manager().Write(node, f, svc, a, opTag(opWrite, i))
 	if err != nil && svc != e.sys.PFS() && e.cfg.BBFallback {
 		var full *storage.FullError
 		if errors.As(err, &full) {
-			e.tr.Record(e.now(), trace.Fallback, t.ID(), trace.Full(f.ID()))
+			e.record(trace.Fallback, t, trace.Full(f.ID()))
 			svc = e.sys.PFS()
-			e.tr.Record(e.now(), trace.WriteStart, t.ID(), trace.At(f.ID(), svc.Name()))
+			e.record(trace.WriteStart, t, trace.At(f.ID(), svc.Name()))
 			op, err = e.sys.Manager().Write(node, f, svc, a, opTag(opWrite, i))
 		}
 	}
@@ -850,7 +837,7 @@ func (e *engine) writeDone(a *attempt, i int) {
 		return
 	}
 	f := a.task.Outputs()[i]
-	e.tr.Record(e.now(), trace.WriteEnd, a.task.ID(), trace.Named(f.ID()))
+	e.record(trace.WriteEnd, a.task, trace.Named(f.ID()))
 	a.rec.BytesWritten += f.Size()
 	a.wr.pending--
 	if e.err != nil {
@@ -867,9 +854,7 @@ func (e *engine) finishTask(a *attempt) {
 	t := a.task
 	rec := e.tr.Task(t.ID())
 	rec.FinishedAt = e.now()
-	e.tr.Record(e.now(), trace.TaskEnd, t.ID(), trace.Event{})
-	e.commitPhases(t, rec)
-	e.chargeExecuted(a, true)
+	e.record(trace.TaskEnd, t, trace.Event{X: e.executed(a)})
 	// A counting or streaming trace folds the finished record into its
 	// per-name summary here, keeping live trace state O(active tasks); a
 	// retaining trace no-ops.
@@ -910,68 +895,6 @@ func (e *engine) finishTask(a *attempt) {
 		return
 	}
 	e.schedule()
-}
-
-// commitPhases records the completed task's phase profile, once per
-// completion. The durations are differences of the exact timestamps the
-// trace's task record carries for the final attempt, and they are added to
-// the per-category counters in completion order — so a reconstruction of
-// the same differences from the event trace (internal/invariants) matches
-// the emitted snapshot bitwise, including under retries and fallbacks.
-func (e *engine) commitPhases(t *workflow.Task, rec *trace.TaskRecord) {
-	col := e.cfg.Metrics
-	if col == nil {
-		return
-	}
-	s := e.series[t.Index()]
-	if !s.phasesHeld {
-		s.phasesHeld = true
-		name := t.Name()
-		phase := func(p string) metrics.HeldCounter {
-			return col.HoldCounter(metrics.TaskPhaseSecondsTotal, metrics.Key{Task: name, Phase: p})
-		}
-		switch t.Kind() {
-		case workflow.KindStageIn:
-			s.phases[0] = phase(metrics.PhaseStageIn)
-		case workflow.KindStageOut:
-			s.phases[0] = phase(metrics.PhaseStageOut)
-		default:
-			s.phases = [3]metrics.HeldCounter{
-				phase(metrics.PhaseRead), phase(metrics.PhaseCompute), phase(metrics.PhaseWrite),
-			}
-		}
-		s.wait = col.HoldCounter(metrics.TaskWaitSecondsTotal, metrics.Key{Task: name})
-		s.completed = col.HoldCounter(metrics.TasksCompletedTotal, metrics.Key{Task: name})
-	}
-	switch t.Kind() {
-	case workflow.KindStageIn, workflow.KindStageOut:
-		s.phases[0].Add(rec.FinishedAt - rec.StartedAt)
-	default:
-		s.phases[0].Add(rec.ReadDoneAt - rec.StartedAt)
-		s.phases[1].Add(rec.ComputeDone - rec.ReadDoneAt)
-		s.phases[2].Add(rec.FinishedAt - rec.ComputeDone)
-	}
-	s.wait.Add(rec.StartedAt - rec.ReadyAt)
-	s.completed.Add(1)
-}
-
-// taskCategory is what a task's metric series are labelled with.
-type taskCategory struct {
-	kind workflow.Kind
-	name string
-}
-
-// taskSeries are the collector series of one task category, each group
-// held on its first use so the collector creates the series in the order
-// and at the moments plain Adds would.
-type taskSeries struct {
-	// phases are the phase-time series: stage-in or stage-out alone, or
-	// read, compute and write.
-	phases          [3]metrics.HeldCounter
-	wait, completed metrics.HeldCounter
-	executed        metrics.HeldCounter
-	phasesHeld      bool
-	executedHeld    bool
 }
 
 // evictScratch frees the burst-buffer replicas of a file whose last

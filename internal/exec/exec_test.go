@@ -57,7 +57,7 @@ func TestSingleComputeTask(t *testing.T) {
 	if !approx(tr.Makespan(), 4.0, 1e-9) {
 		t.Errorf("makespan = %v, want 4.0 (4 GFlop at 1 GFlop/s)", tr.Makespan())
 	}
-	rec := tr.Lookup("t")
+	rec := tr.Task("t")
 	if rec == nil || rec.Cores != 1 || rec.Node == "" {
 		t.Fatalf("bad record: %+v", rec)
 	}
@@ -91,8 +91,8 @@ func TestCoresOverrideAndClamp(t *testing.T) {
 	if !approx(tr.Makespan(), 1.0, 1e-9) {
 		t.Errorf("makespan = %v, want 1.0", tr.Makespan())
 	}
-	if tr.Lookup("t").Cores != 4 {
-		t.Errorf("cores = %d, want clamped 4", tr.Lookup("t").Cores)
+	if tr.Task("t").Cores != 4 {
+		t.Errorf("cores = %d, want clamped 4", tr.Task("t").Cores)
 	}
 }
 
@@ -112,7 +112,7 @@ func TestPipelineWithIO(t *testing.T) {
 	if !approx(tr.Makespan(), 8.0, 1e-9) {
 		t.Errorf("makespan = %v, want 8.0", tr.Makespan())
 	}
-	r1 := tr.Lookup("t1")
+	r1 := tr.Task("t1")
 	if !approx(r1.IOTime(), 2.0, 1e-9) {
 		t.Errorf("t1 IO time = %v, want 2.0", r1.IOTime())
 	}
@@ -120,7 +120,7 @@ func TestPipelineWithIO(t *testing.T) {
 		t.Errorf("t1 bytes = %v/%v", r1.BytesRead, r1.BytesWritten)
 	}
 	// Dependency respected.
-	if tr.Lookup("t2").StartedAt < r1.FinishedAt {
+	if tr.Task("t2").StartedAt < r1.FinishedAt {
 		t.Error("t2 started before t1 finished")
 	}
 }
@@ -144,7 +144,7 @@ func TestDiamondParallelism(t *testing.T) {
 	if !approx(tr.Makespan(), 5.0, 1e-6) {
 		t.Errorf("makespan = %v, want 5.0", tr.Makespan())
 	}
-	b, c := tr.Lookup("b"), tr.Lookup("c")
+	b, c := tr.Task("b"), tr.Task("c")
 	if !approx(b.StartedAt, c.StartedAt, 1e-6) {
 		t.Errorf("b and c should start together: %v vs %v", b.StartedAt, c.StartedAt)
 	}
@@ -162,7 +162,7 @@ func TestCoreContentionSerializes(t *testing.T) {
 	if !approx(tr.Makespan(), 4.0, 1e-9) {
 		t.Errorf("makespan = %v, want 4.0 (serialized on one core)", tr.Makespan())
 	}
-	if w := tr.Lookup("b").WaitTime(); !approx(w, 2.0, 1e-9) {
+	if w := tr.Task("b").WaitTime(); !approx(w, 2.0, 1e-9) {
 		t.Errorf("b wait time = %v, want 2.0", w)
 	}
 }
@@ -329,7 +329,7 @@ func TestTraceEventsWellFormed(t *testing.T) {
 		}
 		last = ev.Time
 	}
-	if tr.Makespan() != tr.Lookup("t2").FinishedAt {
+	if tr.Makespan() != tr.Task("t2").FinishedAt {
 		t.Error("makespan is not the last task completion")
 	}
 }
@@ -346,7 +346,7 @@ func TestMultiNodeScheduling(t *testing.T) {
 	if !approx(tr.Makespan(), 2.0, 1e-9) {
 		t.Errorf("makespan = %v, want 2.0 (two nodes in parallel)", tr.Makespan())
 	}
-	if tr.Lookup("a").Node == tr.Lookup("b").Node {
+	if tr.Task("a").Node == tr.Task("b").Node {
 		t.Error("both tasks on the same node despite a free second node")
 	}
 }

@@ -30,7 +30,7 @@ func TestMemoryConstraintSerializes(t *testing.T) {
 	if !approx(tr.Makespan(), 4.0, 1e-9) {
 		t.Errorf("makespan = %v, want 4.0 (memory-serialized)", tr.Makespan())
 	}
-	if tr.Lookup("b").StartedAt < tr.Lookup("a").FinishedAt {
+	if tr.Task("b").StartedAt < tr.Task("a").FinishedAt {
 		t.Error("b overlapped a despite the memory constraint")
 	}
 }
@@ -88,7 +88,7 @@ func TestMemorySpreadsAcrossNodes(t *testing.T) {
 	if !approx(tr.Makespan(), 2.0, 1e-9) {
 		t.Errorf("makespan = %v, want 2.0 (second node absorbs b)", tr.Makespan())
 	}
-	if tr.Lookup("a").Node == tr.Lookup("b").Node {
+	if tr.Task("a").Node == tr.Task("b").Node {
 		t.Error("both memory-heavy tasks on one node")
 	}
 }

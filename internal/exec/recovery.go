@@ -23,7 +23,6 @@ import (
 	"slices"
 	"strings"
 
-	"bbwfsim/internal/metrics"
 	"bbwfsim/internal/platform"
 	"bbwfsim/internal/sim"
 	"bbwfsim/internal/storage"
@@ -284,8 +283,7 @@ func (e *engine) KillTask(t *workflow.Task, reason string) {
 // that batch several kills (node failure); why is the task-fail detail.
 func (e *engine) crashAttempt(a *attempt, why trace.Event) {
 	t := a.task
-	e.abortAttempt(a)
-	e.tr.Record(e.now(), trace.TaskFail, t.ID(), why)
+	e.abortAttempt(a, why)
 	if e.err != nil {
 		return
 	}
@@ -302,7 +300,7 @@ func (e *engine) crashAttempt(a *attempt, why trace.Event) {
 		if e.err != nil || e.done[t.Index()] || e.active[t.Index()] != nil || e.remaining[t.Index()] > 0 || e.inReady(t) {
 			return
 		}
-		e.tr.Record(e.now(), trace.TaskRetry, t.ID(), trace.Attempt(e.tries[t.Index()]+1))
+		e.record(trace.TaskRetry, t, trace.Attempt(e.tries[t.Index()]+1))
 		e.pushReady(t)
 		e.schedule()
 	})
@@ -344,16 +342,12 @@ func (e *engine) RepairNode(n *platform.Node) {
 	e.schedule()
 }
 
-// abortAttempt tears one attempt down: no more callbacks, no leaked
-// resources, no half-written outputs. The attempt's partial virtual time
-// is charged to the aborted-seconds counter (every abort is followed by a
-// TaskFail record at this same instant, which is how the trace-side
-// reconstruction rebuilds the identical value).
-func (e *engine) abortAttempt(a *attempt) {
+// abortAttempt tears one attempt down — no more callbacks, no leaked
+// resources, no half-written outputs — and records its TaskFail, whose
+// detail is why and whose X is the compute the attempt executed.
+func (e *engine) abortAttempt(a *attempt, why trace.Event) {
 	a.aborted = true
-	e.cfg.Metrics.Add(metrics.TaskAbortedSecondsTotal,
-		metrics.Key{Task: a.task.Name()}, e.now()-e.tr.Task(a.task.ID()).StartedAt)
-	e.chargeExecuted(a, false)
+	why.X = e.executed(a)
 	e.sys.Platform().Engine().Cancel(a.computeEv) // no-op once fired or cancelled
 	a.computeEv = sim.Handle{}
 	for _, op := range a.ops {
@@ -364,6 +358,7 @@ func (e *engine) abortAttempt(a *attempt) {
 	e.running--
 	e.active[a.task.Index()] = nil
 	e.dropOutputs(a.task)
+	e.record(trace.TaskFail, a.task, why)
 }
 
 // dropOutputs evicts every replica of the task's output files: a crashed
@@ -474,8 +469,7 @@ func (e *engine) resurrect(p *workflow.Task) {
 			if a.phase != phaseRead {
 				continue
 			}
-			e.abortAttempt(a)
-			e.tr.Record(e.now(), trace.TaskFail, c.ID(), trace.LostFrom(p.ID()))
+			e.abortAttempt(a, trace.LostFrom(p.ID()))
 			if e.err != nil {
 				return
 			}
@@ -490,7 +484,7 @@ func (e *engine) resurrect(p *workflow.Task) {
 	}
 	e.done[p.Index()] = false
 	e.finished--
-	e.tr.Record(e.now(), trace.TaskRetry, p.ID(), trace.Named("re-execution: output replica lost"))
+	e.record(trace.TaskRetry, p, trace.Named("re-execution: output replica lost"))
 	e.pushReady(p)
 }
 
@@ -512,8 +506,7 @@ func (e *engine) recoverLostInput(a *attempt, f *workflow.File) bool {
 	}
 	if e.active[a.task.Index()] == a && !a.aborted {
 		// Producer is already re-running; park this attempt behind it.
-		e.abortAttempt(a)
-		e.tr.Record(e.now(), trace.TaskFail, a.task.ID(), trace.Lost(f.ID()))
+		e.abortAttempt(a, trace.Lost(f.ID()))
 		e.remaining[a.task.Index()]++
 	}
 	e.schedule()

@@ -57,7 +57,7 @@ func TestLeastLoadedBalances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Lookup("a").Node == tr.Lookup("b").Node {
+	if tr.Task("a").Node == tr.Task("b").Node {
 		t.Error("least-loaded packed both 3-core tasks onto one node")
 	}
 }
@@ -71,7 +71,7 @@ func TestLargestWorkFirstOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Lookup("big").StartedAt > tr.Lookup("small").StartedAt {
+	if tr.Task("big").StartedAt > tr.Task("small").StartedAt {
 		t.Error("largest-work-first ran the small task first")
 	}
 }
@@ -143,10 +143,10 @@ func TestRoundRobinFallsBackWhenFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Lookup("c").Node == tr.Lookup("a").Node {
+	if tr.Task("c").Node == tr.Task("a").Node {
 		t.Error("task c landed on the full node")
 	}
-	if tr.Lookup("c").WaitTime() > 0 {
+	if tr.Task("c").WaitTime() > 0 {
 		t.Error("task c waited despite free cores on node B")
 	}
 }

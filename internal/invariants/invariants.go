@@ -1,7 +1,8 @@
 // Package invariants is the simulator's property harness: machine-checked
 // cross-layer invariants that every run — any workflow, any platform, any
-// fault schedule — must satisfy, plus the trace-replay reconstruction that
-// pins the observability layer (internal/metrics) to the event trace.
+// fault schedule — must satisfy, including the identities that pin the
+// observability layer (internal/metrics) to the event trace and the task
+// records.
 //
 // The checks are deliberately redundant with the simulator's internal
 // accounting: bytes flow through internal/storage's ServiceStats AND the
@@ -15,100 +16,14 @@ package invariants
 
 import (
 	"fmt"
+	"math"
 
 	"bbwfsim/internal/core"
 	"bbwfsim/internal/metrics"
 	"bbwfsim/internal/platform"
 	"bbwfsim/internal/storage"
 	"bbwfsim/internal/trace"
-	"bbwfsim/internal/workflow"
 )
-
-// RebuildPhases replays the event trace and reconstructs the task-level
-// metric families — task_phase_seconds_total, task_wait_seconds_total,
-// task_aborted_seconds_total, tasks_completed_total — performing the same
-// floating-point operations in the same order as the executor's live
-// emission (exec.commitPhases on every task-end, exec.abortAttempt on
-// every task-fail). The returned snapshot therefore matches the run's
-// emitted snapshot bitwise on those families, including under retries,
-// lineage re-execution, and fallbacks; any difference means the metrics
-// layer and the trace disagree about what happened.
-func RebuildPhases(tr *trace.Trace, wf *workflow.Workflow) *metrics.Snapshot {
-	col := metrics.New(tr.PlatformName, tr.WorkflowName)
-	type attemptState struct {
-		ready, started, readDone, computeDone float64
-	}
-	states := map[string]*attemptState{}
-	state := func(id string) *attemptState {
-		if s := states[id]; s != nil {
-			return s
-		}
-		s := &attemptState{}
-		states[id] = s
-		return s
-	}
-	name := func(id string) string {
-		if r := tr.Lookup(id); r != nil && r.Name != "" {
-			return r.Name
-		}
-		return id
-	}
-	for _, ev := range tr.Events() {
-		if ev.TaskID == "" {
-			continue
-		}
-		s := state(ev.TaskID)
-		switch ev.Kind {
-		case trace.TaskReady:
-			s.ready = ev.Time
-		case trace.TaskStart:
-			s.started = ev.Time
-		case trace.ComputeStart:
-			// The executor stamps ReadDoneAt and records compute-start at
-			// the same instant, so this event time IS the record's value.
-			s.readDone = ev.Time
-		case trace.ComputeEnd:
-			s.computeDone = ev.Time
-		case trace.TaskFail:
-			// Every abort charges now − StartedAt to the aborted counter
-			// and is followed by a task-fail record at that same instant.
-			col.Add(metrics.TaskAbortedSecondsTotal,
-				metrics.Key{Task: name(ev.TaskID)}, ev.Time-s.started)
-		case trace.TaskEnd:
-			n := name(ev.TaskID)
-			kind := workflow.KindCompute
-			if t := wf.Task(ev.TaskID); t != nil {
-				kind = t.Kind()
-			}
-			switch kind {
-			case workflow.KindStageIn:
-				col.Add(metrics.TaskPhaseSecondsTotal,
-					metrics.Key{Task: n, Phase: metrics.PhaseStageIn}, ev.Time-s.started)
-			case workflow.KindStageOut:
-				col.Add(metrics.TaskPhaseSecondsTotal,
-					metrics.Key{Task: n, Phase: metrics.PhaseStageOut}, ev.Time-s.started)
-			default:
-				col.Add(metrics.TaskPhaseSecondsTotal,
-					metrics.Key{Task: n, Phase: metrics.PhaseRead}, s.readDone-s.started)
-				col.Add(metrics.TaskPhaseSecondsTotal,
-					metrics.Key{Task: n, Phase: metrics.PhaseCompute}, s.computeDone-s.readDone)
-				col.Add(metrics.TaskPhaseSecondsTotal,
-					metrics.Key{Task: n, Phase: metrics.PhaseWrite}, ev.Time-s.computeDone)
-			}
-			col.Add(metrics.TaskWaitSecondsTotal, metrics.Key{Task: n}, s.started-s.ready)
-			col.Add(metrics.TasksCompletedTotal, metrics.Key{Task: n}, 1)
-		}
-	}
-	return col.Snapshot()
-}
-
-// taskFamilies are the metric families RebuildPhases reconstructs.
-var taskFamilies = map[string]bool{
-	metrics.TaskPhaseSecondsTotal:   true,
-	metrics.TaskWaitSecondsTotal:    true,
-	metrics.TaskAbortedSecondsTotal: true,
-	metrics.TasksCompletedTotal:     true,
-}
 
 // spanEps is the relative tolerance for telescoping-sum identities: phase
 // durations are differences of the same timestamps a task's span is, so
@@ -118,8 +33,7 @@ const spanEps = 1e-9
 
 // Check validates every cross-layer invariant of one run result against
 // the configuration that produced it and returns the violations (empty
-// means the run is consistent). The workflow must be the one the run
-// executed.
+// means the run is consistent).
 //
 // Invariants, in order:
 //  1. trace timestamps are non-negative and monotonically non-decreasing;
@@ -134,8 +48,10 @@ const spanEps = 1e-9
 //  4. per-task phase sums telescope to the task's span (within spanEps);
 //  5. the snapshot's kernel observations match the result: makespan gauge,
 //     event count, and fault tallies;
-//  6. the task-level metric families equal the trace-replay reconstruction
-//     (RebuildPhases) bitwise, in both directions;
+//  6. the task families agree with what the fold does not compute: the
+//     completions sum to the trace's task-end count, and on a run with no
+//     task-fail or task-retry each task name's phase and wait seconds sum
+//     to its task records' spans and waits (within spanEps);
 //  7. checkpoint/restart consistency (checkCkpt): every restart-from
 //     references a snapshot replica durable at the restart instant, each
 //     restart recovers at most the compute its task lost to aborts,
@@ -148,7 +64,7 @@ const spanEps = 1e-9
 //     replications, fallbacks) match the trace through invariant 5.
 //
 //bbvet:allow unreached -- entry point of the seeded invariant harness, a test-only package by design
-func Check(cfg platform.Config, wf *workflow.Workflow, res *core.Result) []string {
+func Check(cfg platform.Config, res *core.Result) []string {
 	var v []string
 	violation := func(format string, args ...any) {
 		v = append(v, fmt.Sprintf(format, args...))
@@ -264,20 +180,57 @@ func Check(cfg platform.Config, wf *workflow.Workflow, res *core.Result) []strin
 	// the storage traffic it moved through (adapt.go).
 	checkAdapt(snap, violation)
 
-	// 6. Task families equal the trace-replay reconstruction bitwise.
-	rebuilt := RebuildPhases(res.Trace, wf)
-	for _, s := range rebuilt.Counters {
-		if got := snap.Counter(s.Family, s.Key); got != s.Value { //bbvet:allow float-compare -- bitwise identity is the reconstruction contract: same float ops in the same order
-			violation("reconstructed %s%+v = %g, snapshot has %g", s.Family, s.Key, s.Value, got)
-		}
-	}
-	for _, s := range snap.Counters {
-		if !taskFamilies[s.Family] {
-			continue
-		}
-		if got := rebuilt.Counter(s.Family, s.Key); got != s.Value { //bbvet:allow float-compare -- bitwise identity is the reconstruction contract: same float ops in the same order
-			violation("snapshot %s%+v = %g, reconstruction has %g", s.Family, s.Key, s.Value, got)
-		}
-	}
+	// 6. Task families against the trace's counts and task records.
+	checkTasks(snap, res, violation)
 	return v
+}
+
+// checkTasks validates the task families of the snapshot against what the
+// metrics fold does not compute them from, the trace's per-kind counts and
+// the task records exec keeps:
+//
+//	a. the completions sum to the trace's task-end count;
+//	b. on a run with no task-fail or task-retry every task ran once, so
+//	   per task name the phase seconds sum to the records' spans and the
+//	   wait seconds to their waits (the phases telescope: within spanEps).
+func checkTasks(snap *metrics.Snapshot, res *core.Result, violation func(string, ...any)) {
+	type sums struct{ completed, phase, wait float64 }
+	got, want := map[string]sums{}, map[string]sums{}
+	total := 0.0
+	for _, s := range snap.Counters {
+		g := got[s.Task]
+		switch s.Family {
+		case metrics.TasksCompletedTotal:
+			total += s.Value
+		case metrics.TaskPhaseSecondsTotal:
+			g.phase += s.Value
+		case metrics.TaskWaitSecondsTotal:
+			g.wait += s.Value
+		}
+		got[s.Task] = g
+	}
+	if ends := res.Trace.CountKind(trace.TaskEnd); int(total) != ends {
+		violation("tasks_completed_total sums to %g, trace has %d task-end events", total, ends)
+	}
+	if res.Trace.CountKind(trace.TaskFail) > 0 || res.Trace.CountKind(trace.TaskRetry) > 0 {
+		return
+	}
+	for _, r := range res.Trace.Records() {
+		w := want[r.Name]
+		w.phase += r.ExecTime()
+		w.wait += r.WaitTime()
+		want[r.Name] = w
+	}
+	off := func(got, want float64) bool { return math.Abs(got-want) > spanEps*(1+want) }
+	for _, r := range res.Trace.Records() { // record order, so violations report deterministically
+		w, ok := want[r.Name]
+		if !ok {
+			continue // checked already
+		}
+		delete(want, r.Name)
+		if g := got[r.Name]; off(g.phase, w.phase) || off(g.wait, w.wait) {
+			violation("task %s: phase and wait seconds sum to %g and %g, its records span %g and wait %g",
+				r.Name, g.phase, g.wait, w.phase, w.wait)
+		}
+	}
 }

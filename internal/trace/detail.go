@@ -1,6 +1,10 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+
+	"bbwfsim/internal/units"
+)
 
 // form tags which operands an event carries and, through formats, how
 // they render as the detail text its EventKind comment gives.
@@ -86,6 +90,18 @@ func Reject(nodes, clusterNodes int, bb, clusterBB float64) Event {
 
 // Node is a batch-scheduler node by index.
 func Node(index int) Event { return Event{form: formNode, N: int64(index)} }
+
+// Moved returns d carrying size, the bytes its event moved, in Y, for a
+// form whose text renders no Y. The outputs never show it; the metrics
+// fold reads it through Bytes. A spill that only evicts moves nothing and
+// carries none, which is how the fold tells it from a zero-byte copy.
+func (d Event) Moved(size units.Bytes) Event {
+	d.Y, d.moved = float64(size), true
+	return d
+}
+
+// Bytes returns the bytes Moved attached to ev, and whether it has any.
+func (ev *Event) Bytes() (float64, bool) { return ev.Y, ev.moved }
 
 // formats are the forms' detail texts, as fmt formats over the operands
 // Name, Place, X, Y, N and M (arguments 1 to 6 of appendDetail's call).

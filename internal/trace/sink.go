@@ -84,6 +84,28 @@ type retain struct{}
 func (retain) Emit(Event)   {}
 func (retain) Close() error { return nil }
 
+// Tee returns a sink that emits each event to a, then to b; a nil sink
+// is left out. Retain may be a: the trace then retains the events and
+// also sends them to b. Closing the tee closes neither sink.
+func Tee(a, b Sink) Sink {
+	if a == nil {
+		return b
+	}
+	if b == nil {
+		return a
+	}
+	return &tee{a, b}
+}
+
+type tee struct{ a, b Sink }
+
+func (t *tee) Emit(ev Event) {
+	t.a.Emit(ev)
+	t.b.Emit(ev)
+}
+
+func (t *tee) Close() error { return nil }
+
 // JSONLSink writes one JSON object per event per line. Lines use the same
 // field schema as the retained trace's "events" array.
 type JSONLSink struct {

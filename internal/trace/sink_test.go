@@ -196,7 +196,7 @@ func TestReleaseFoldsSummaries(t *testing.T) {
 			r.BytesRead, r.BytesWritten = 100, 50
 			if release {
 				tr.Release(id)
-				if tr.Lookup(id) != nil {
+				if tr.byTask[id] != nil {
 					t.Fatalf("record %s still live after Release", id)
 				}
 			}
@@ -390,3 +390,24 @@ func TestNilSinkCounts(t *testing.T) {
 		t.Errorf("Summarize = %+v, want one record of n with exec 1", s)
 	}
 }
+
+// TestTee: a tee sends every event to both sinks, skips a nil one, and
+// with Retain first the trace retains the events it also forwards.
+func TestTee(t *testing.T) {
+	var b collect
+	if Tee(nil, &b) != Sink(&b) || Tee(&b, nil) != Sink(&b) {
+		t.Error("Tee with a nil sink is not the other sink")
+	}
+	tr := New("wf", "p", Tee(Retain, &b))
+	tr.Record(1, TaskStart, "a", Named("n0"))
+	tr.Record(2, TaskEnd, "a", Event{X: 0.5})
+	if got := tr.Events(); len(got) != 2 || !slices.Equal(got, b.events) {
+		t.Errorf("retained %v, forwarded %v: want the same two events", got, b.events)
+	}
+}
+
+// collect is a sink that keeps what it is sent.
+type collect struct{ events []Event }
+
+func (c *collect) Emit(ev Event) { c.events = append(c.events, ev) }
+func (c *collect) Close() error  { return nil }

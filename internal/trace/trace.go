@@ -75,7 +75,8 @@ const (
 	CkptBegin
 	// CkptCommit records a completed checkpoint: the snapshot is readable
 	// from its target tier. The detail is "file@service p=<progress>",
-	// where progress is the compute seconds the snapshot captures.
+	// where progress is the compute seconds the snapshot captures. The
+	// write began at the task's last CkptBegin.
 	CkptCommit
 	// CkptDrain records an asynchronous BB→PFS drain copy completing; the
 	// checkpoint is durable against node loss from this instant. The detail
@@ -87,7 +88,7 @@ const (
 	// RestartFrom records a retried task resuming from a surviving
 	// checkpoint instead of recomputing from scratch. The detail mirrors
 	// CkptCommit: "file@service p=<progress>", the compute seconds
-	// recovered.
+	// recovered. The restore read ends at the task's next ComputeStart.
 	RestartFrom
 
 	// Runtime-adaptation event kinds (internal/adapt policy, exec
@@ -190,13 +191,19 @@ type Event struct {
 	// The detail operands: Name is a file ID, a node or service name, or
 	// a cause; Place the service or node a file is at or goes to (or a
 	// node failure's cause); X and Y numbers, N and M integers (see the
-	// builders in detail.go).
+	// builders in detail.go). Some carry an operand their text does not
+	// render, which the metrics fold reads: the engine's task events carry
+	// the task's index in M, a task-end's or task-fail's X is the compute
+	// seconds the attempt executed, and a ckpt-commit, ckpt-drain,
+	// restart-from, adapt-replicate or copying adapt-spill carries the
+	// bytes it moved (Moved).
 	Name, Place string
 	X, Y        float64
 	N           int64
 	M           int32
 	Kind        EventKind
 	form        form
+	moved       bool // Y holds the bytes the event moved
 }
 
 // jsonEvent is an event's output schema.
@@ -277,9 +284,9 @@ type Trace struct {
 // summaries, so memory is O(active tasks), not O(total events). Retain
 // keeps every event and task record in memory, which Events, Records,
 // RenderGantt, MarshalJSON, Save and the invariants/replay harness
-// require. Any other sink (JSONLSink, CSVSink) receives each event as it
-// is recorded and folds records as a nil sink does; the caller owns it
-// and must Close it after the run.
+// require, also as the first sink of a Tee. Any other sink (JSONLSink,
+// CSVSink) receives each event as it is recorded and folds records as a
+// nil sink does; the caller owns it and must Close it after the run.
 func New(workflowName, platformName string, sink Sink) *Trace {
 	t := &Trace{
 		WorkflowName: workflowName,
@@ -287,9 +294,15 @@ func New(workflowName, platformName string, sink Sink) *Trace {
 		sink:         sink,
 		byTask:       map[string]*TaskRecord{},
 	}
-	if sink == Retain {
+	switch s := sink.(type) {
+	case retain:
 		t.mem = &memory{}
 		t.sink = t.mem
+	case *tee:
+		if s.a == Retain {
+			t.mem = &memory{}
+			t.sink = &tee{t.mem, s.b}
+		}
 	}
 	return t
 }
@@ -319,11 +332,6 @@ func (t *Trace) Task(taskID string) *TaskRecord {
 		t.mem.records = append(t.mem.records, r)
 	}
 	return r
-}
-
-// Lookup returns the record for taskID, or nil.
-func (t *Trace) Lookup(taskID string) *TaskRecord {
-	return t.byTask[taskID]
 }
 
 // Release folds taskID's completed record into the per-name summary

@@ -44,7 +44,7 @@ func buildTrace() *Trace {
 
 func TestTaskRecordPhases(t *testing.T) {
 	tr := buildTrace()
-	a := tr.Lookup("a")
+	a := tr.Task("a")
 	if a.ExecTime() != 9 {
 		t.Errorf("ExecTime = %v, want 9", a.ExecTime())
 	}
@@ -76,9 +76,6 @@ func TestTaskIdempotent(t *testing.T) {
 	r2 := tr.Task("x")
 	if r1 != r2 {
 		t.Error("Task() created a duplicate record")
-	}
-	if tr.Lookup("nope") != nil {
-		t.Error("Lookup of unknown task returned a record")
 	}
 	if len(tr.Records()) != 1 {
 		t.Errorf("Records = %d, want 1", len(tr.Records()))
