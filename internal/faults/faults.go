@@ -172,6 +172,7 @@ type Injector struct {
 	eng      *sim.Engine
 	attached bool
 
+	// One stream per process, nil while the process is disabled.
 	crashRng  *rand.Rand
 	nodeRng   *rand.Rand
 	rejectRng *rand.Rand
@@ -185,6 +186,16 @@ type Injector struct {
 // Stream offsets keep the processes' rand streams disjoint for a given
 // seed (the testbed uses the same large-prime spacing for replications).
 const streamSpacing = 1_000_003
+
+// stream returns process k's rand stream when it is enabled, else nil.
+// Each stream is seeded on its own, so leaving a disabled one unseeded
+// changes no enabled process's draws.
+func stream(seed, k int64, enabled bool) *rand.Rand {
+	if !enabled {
+		return nil
+	}
+	return rand.New(rand.NewSource(seed + k*streamSpacing))
+}
 
 // New validates the configuration and builds a single-use injector.
 func New(cfg Config) (*Injector, error) {
@@ -218,11 +229,11 @@ func New(cfg Config) (*Injector, error) {
 	}
 	return &Injector{
 		cfg:       cfg,
-		crashRng:  rand.New(rand.NewSource(cfg.Seed + 1*streamSpacing)),
-		nodeRng:   rand.New(rand.NewSource(cfg.Seed + 2*streamSpacing)),
-		rejectRng: rand.New(rand.NewSource(cfg.Seed + 3*streamSpacing)),
-		bbRng:     rand.New(rand.NewSource(cfg.Seed + 4*streamSpacing)),
-		pfsRng:    rand.New(rand.NewSource(cfg.Seed + 5*streamSpacing)),
+		crashRng:  stream(cfg.Seed, 1, cfg.TaskCrash != nil),
+		nodeRng:   stream(cfg.Seed, 2, cfg.NodeFailure != nil),
+		rejectRng: stream(cfg.Seed, 3, cfg.BBReject != nil),
+		bbRng:     stream(cfg.Seed, 4, cfg.BBDegrade != nil),
+		pfsRng:    stream(cfg.Seed, 5, cfg.PFSDegrade != nil),
 	}, nil
 }
 

@@ -219,3 +219,60 @@ func TestInjectorSingleUse(t *testing.T) {
 	}()
 	_, _ = sim.Run(wf, core.RunOptions{Faults: inj})
 }
+
+// TestStreamsSeededOnlyWhenEnabled: New seeds a stream only for each
+// process its config enables, and an enabled stream draws what
+// rand.New(rand.NewSource(Seed + k·streamSpacing)) draws, whichever other
+// processes are on.
+func TestStreamsSeededOnlyWhenEnabled(t *testing.T) {
+	const seed = 77
+	all := Config{
+		Seed:        seed,
+		TaskCrash:   &CrashProcess{Arrival: Exp(10)},
+		NodeFailure: &NodeProcess{Arrival: Exp(10), MTTR: 1},
+		BBReject:    &RejectPolicy{Prob: 0.5},
+		BBDegrade:   &DegradeProcess{Arrival: Exp(10), Duration: 1, Factor: 0.5},
+		PFSDegrade:  &DegradeProcess{Arrival: Exp(10), Duration: 1, Factor: 0.5},
+	}
+	streams := func(in *Injector) []*rand.Rand {
+		return []*rand.Rand{in.crashRng, in.nodeRng, in.rejectRng, in.bbRng, in.pfsRng}
+	}
+	for k := 0; k < 5; k++ {
+		only := Config{Seed: seed}
+		switch k {
+		case 0:
+			only.TaskCrash = all.TaskCrash
+		case 1:
+			only.NodeFailure = all.NodeFailure
+		case 2:
+			only.BBReject = all.BBReject
+		case 3:
+			only.BBDegrade = all.BBDegrade
+		case 4:
+			only.PFSDegrade = all.PFSDegrade
+		}
+		for _, everyOn := range []bool{false, true} {
+			cfg := only
+			if everyOn {
+				cfg = all
+			}
+			in, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, rng := range streams(in) {
+				if enabled := everyOn || j == k; (rng != nil) != enabled {
+					t.Errorf("only process %d on (all on: %v): stream %d seeded = %v, want %v",
+						k+1, everyOn, j+1, rng != nil, enabled)
+				}
+			}
+			want := rand.New(rand.NewSource(seed + int64(k+1)*streamSpacing))
+			got := streams(in)[k]
+			for i := 0; i < 8; i++ {
+				if g, w := got.Int63(), want.Int63(); g != w {
+					t.Fatalf("stream %d draw %d = %d, want %d", k+1, i, g, w)
+				}
+			}
+		}
+	}
+}
