@@ -411,7 +411,7 @@ func newSink(format string, w io.Writer) trace.Sink {
 }
 
 func loadPlatform(name string, nodes int) (platform.Config, error) {
-	if cfg, ok := platform.Presets(nodes)[name]; ok {
+	if cfg, ok := platform.Preset(name, nodes); ok {
 		return cfg, nil
 	}
 	if _, err := os.Stat(name); err == nil {

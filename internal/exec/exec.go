@@ -199,13 +199,13 @@ func Run(sys *storage.System, wf *workflow.Workflow, cfg Config) (*trace.Trace, 
 		cfg:       cfg,
 		sched:     sched,
 		tr:        tr,
-		remaining: make([]int, len(wf.Tasks())),
-		readers:   make([]int, len(wf.Files())),
+		remaining: make([]int32, len(wf.Tasks())),
+		readers:   make([]int32, len(wf.Files())),
 		done:      make([]bool, len(wf.Tasks())),
 		doneOnce:  make([]bool, len(wf.Tasks())),
 		active:    make([]*attempt, len(wf.Tasks())),
-		tries:     make([]int, len(wf.Tasks())),
-		kills:     make([]int, len(wf.Tasks())),
+		tries:     make([]int32, len(wf.Tasks())),
+		kills:     make([]int32, len(wf.Tasks())),
 	}
 	e.computeDoneFn = e.computeDone
 	if cfg.Faults != nil && cfg.Retry.Jitter > 0 {
@@ -222,7 +222,7 @@ func Run(sys *storage.System, wf *workflow.Workflow, cfg Config) (*trace.Trace, 
 		e.ad = newAdaptState(cfg.Adapt)
 	}
 	for _, f := range wf.Files() {
-		e.readers[f.Index()] = len(f.Consumers())
+		e.readers[f.Index()] = int32(len(f.Consumers()))
 	}
 	if err := e.placeInputs(); err != nil {
 		return nil, err
@@ -237,7 +237,7 @@ func Run(sys *storage.System, wf *workflow.Workflow, cfg Config) (*trace.Trace, 
 		}
 	}
 	for _, t := range wf.Tasks() {
-		e.remaining[t.Index()] = len(t.Parents())
+		e.remaining[t.Index()] = int32(len(t.Parents()))
 		if e.remaining[t.Index()] == 0 {
 			e.pushReady(t)
 		}
@@ -277,8 +277,8 @@ type engine struct {
 	// event, and the hash+GC cost of pointer-keyed maps dominated profiles.
 	// Files of the side workflow never appear here; they are excluded
 	// before every readers consultation.
-	remaining []int   // unfinished parents, per task
-	readers   []int   // consumers not yet finished, per file
+	remaining []int32 // unfinished parents, per task
+	readers   []int32 // consumers not yet finished, per file
 	ready     []int32 // ready task indices, in the scheduler's order
 	done      []bool  // task currently counts as finished
 	// doneOnce stays true once a task has finished at least once, so a
@@ -286,8 +286,8 @@ type engine struct {
 	// readers counters.
 	doneOnce []bool
 	active   []*attempt // running attempt, per task (nil = none)
-	tries    []int      // attempts started, per task
-	kills    []int      // fault-charged failures, per task
+	tries    []int32    // attempts started, per task
+	kills    []int32    // fault-charged failures, per task
 	retryRng *rand.Rand // jitter stream; nil unless configured
 
 	// side holds checkpoint snapshots and background-load files, numbered
@@ -446,7 +446,7 @@ func (e *engine) freeCores() int {
 func (e *engine) startTask(t *workflow.Task, node *platform.Node, cores int) {
 	e.tries[t.Index()]++
 	rec := e.tr.Task(t.ID())
-	a := &attempt{e: e, task: t, node: node, cores: cores, n: e.tries[t.Index()], rec: rec}
+	a := &attempt{e: e, task: t, node: node, cores: cores, n: int(e.tries[t.Index()]), rec: rec}
 	e.active[t.Index()] = a
 	rec.Name = t.Name()
 	rec.Node = node.Name()

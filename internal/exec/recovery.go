@@ -288,19 +288,19 @@ func (e *engine) crashAttempt(a *attempt, why trace.Event) {
 		return
 	}
 	e.kills[t.Index()]++
-	if e.kills[t.Index()] > e.cfg.Retry.MaxRetries {
+	if int(e.kills[t.Index()]) > e.cfg.Retry.MaxRetries {
 		e.fail(fmt.Errorf("exec: task %s failed permanently: retry budget %d exhausted",
 			t.ID(), e.cfg.Retry.MaxRetries))
 		return
 	}
-	delay := e.cfg.Retry.delay(e.kills[t.Index()], e.retryRng)
+	delay := e.cfg.Retry.delay(int(e.kills[t.Index()]), e.retryRng)
 	e.sys.Platform().Engine().After(delay, func() {
 		// The task may have been parked behind a resurrected producer in
 		// the meantime; the dependency machinery re-queues it then.
 		if e.err != nil || e.done[t.Index()] || e.active[t.Index()] != nil || e.remaining[t.Index()] > 0 || e.inReady(t) {
 			return
 		}
-		e.record(trace.TaskRetry, t, trace.Attempt(e.tries[t.Index()]+1))
+		e.record(trace.TaskRetry, t, trace.Attempt(int(e.tries[t.Index()])+1))
 		e.pushReady(t)
 		e.schedule()
 	})

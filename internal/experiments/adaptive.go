@@ -109,13 +109,16 @@ func RunAdaptive(opts Options) ([]*Table, error) {
 	}
 	// Baselines run on the unconstrained preset: the fault-free all-in-BB
 	// makespan and compute that "slowdown" and "re-exec compute" reference.
-	baselines, err := runPoints(o, bps, func(bp basePoint) (*core.Result, error) {
+	// The table reads every run's re-executed compute from its
+	// executedSink.
+	baselines, err := runPoints(o, bps, func(bp basePoint) (executedRun, error) {
 		sim := core.MustNewSimulator(simPreset(bp.profile, bp.wl.nodes))
-		res, err := sim.Run(bp.wl.wf, core.RunOptions{Placement: placement.AllBB(bp.wl.wf), Metrics: true})
+		r, err := runExecuted(sim, bp.wl.wf,
+			core.RunOptions{Placement: placement.AllBB(bp.wl.wf), Metrics: o.Metrics != nil})
 		if err != nil {
-			return nil, fmt.Errorf("adaptive %s/%s baseline: %w", bp.wl.label, bp.profile, err)
+			return r, fmt.Errorf("adaptive %s/%s baseline: %w", bp.wl.label, bp.profile, err)
 		}
-		return res, nil
+		return r, r.check()
 	})
 	if err != nil {
 		return nil, err
@@ -134,7 +137,7 @@ func RunAdaptive(opts Options) ([]*Table, error) {
 	cell := 0
 	for wi, wl := range workloads {
 		for pi, profile := range profiles {
-			base := baselines[wi*len(profiles)+pi]
+			base := baselines[wi*len(profiles)+pi].res
 			for _, press := range adaptPressures {
 				for _, reg := range regimes {
 					// One fault stream per cell, shared by every stance —
@@ -152,7 +155,7 @@ func RunAdaptive(opts Options) ([]*Table, error) {
 	// A failed run (BB overflow with no fallback, or an exhausted retry
 	// budget) is an observation, not a sweep error.
 	type adaptOutcome struct {
-		res    *core.Result
+		executedRun
 		failed bool
 	}
 	results, err := runPoints(o, cases, func(c adaptCase) (adaptOutcome, error) {
@@ -160,7 +163,7 @@ func RunAdaptive(opts Options) ([]*Table, error) {
 		footprint := placement.AllBB(wf).BBBytes(wf)
 		total := units.Bytes(float64(footprint) * c.press.frac)
 		cfg := adaptCapacity(simPreset(c.profile, c.wl.nodes), total, c.wl.nodes)
-		ro := core.RunOptions{Metrics: true} // the table reads re-executed compute
+		ro := core.RunOptions{Metrics: o.Metrics != nil}
 		switch c.policy {
 		case "static":
 			ro.Placement = placement.AllBB(wf)
@@ -184,11 +187,11 @@ func RunAdaptive(opts Options) ([]*Table, error) {
 				BaseDelay: 2, MaxDelay: 120, Jitter: 0.25, Seed: c.seed,
 			}
 		}
-		res, err := core.MustNewSimulator(cfg).Run(wf, ro)
+		r, err := runExecuted(core.MustNewSimulator(cfg), wf, ro)
 		if err != nil {
 			return adaptOutcome{failed: true}, nil
 		}
-		return adaptOutcome{res: res}, nil
+		return adaptOutcome{executedRun: r}, r.check()
 	})
 	if err != nil {
 		return nil, err
@@ -196,7 +199,7 @@ func RunAdaptive(opts Options) ([]*Table, error) {
 	if o.Metrics != nil {
 		snaps := make([]*metrics.Snapshot, 0, len(baselines)+len(results))
 		for _, b := range baselines {
-			snaps = append(snaps, b.Metrics)
+			snaps = append(snaps, b.res.Metrics)
 		}
 		for _, r := range results {
 			if r.res != nil {
@@ -216,9 +219,8 @@ func RunAdaptive(opts Options) ([]*Table, error) {
 	for wi, wl := range workloads {
 		for pi, profile := range profiles {
 			base := baselines[wi*len(profiles)+pi]
-			baseExec := sumFamily(base.Metrics, metrics.ComputeExecutedSecondsTotal)
 			t.Rows = append(t.Rows, []string{wl.label, profile, "unconstrained", "none", "—", "ok",
-				fsec(base.Makespan), "1.00×", "0.00", "0", "0", "0"})
+				fsec(base.res.Makespan), "1.00×", "0.00", "0", "0", "0"})
 			for ; row < len(cases) && cases[row].wl.label == wl.label && cases[row].profile == profile; row++ {
 				c, out := cases[row], results[row]
 				press := fmt.Sprintf("%s (%.0f%%)", c.press.label, 100*c.press.frac)
@@ -226,15 +228,15 @@ func RunAdaptive(opts Options) ([]*Table, error) {
 					// A failed run forfeits its compute: re-running from
 					// scratch costs at least the fault-free baseline.
 					t.Rows = append(t.Rows, []string{wl.label, profile, press, c.reg.label,
-						c.policy, "failed", "—", "—", fsec(baseExec), "—", "—", "—"})
+						c.policy, "failed", "—", "—", fsec(base.executed), "—", "—", "—"})
 					continue
 				}
 				res := out.res
 				t.Rows = append(t.Rows, []string{wl.label, profile, press, c.reg.label,
 					c.policy, "ok",
 					fsec(res.Makespan),
-					fmt.Sprintf("%.2f×", res.Makespan/base.Makespan),
-					fsec(sumFamily(res.Metrics, metrics.ComputeExecutedSecondsTotal) - baseExec),
+					fmt.Sprintf("%.2f×", res.Makespan/base.res.Makespan),
+					fsec(out.executed - base.executed),
 					fmt.Sprint(res.Faults.AdaptSpills),
 					fmt.Sprint(res.Faults.AdaptReplications),
 					fmt.Sprint(res.Faults.AdaptFallbacks),

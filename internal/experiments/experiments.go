@@ -279,7 +279,7 @@ func orderedProfiles(nodes int) []testbed.Profile {
 // simPreset returns the lightweight simulator's platform (Table I presets)
 // matching a testbed profile name.
 func simPreset(name string, nodes int) platform.Config {
-	cfg, ok := platform.Presets(nodes)[name]
+	cfg, ok := platform.Preset(name, nodes)
 	if !ok {
 		panic(fmt.Sprintf("experiments: unknown profile %q", name))
 	}

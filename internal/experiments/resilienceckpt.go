@@ -61,17 +61,6 @@ func ckptCommitCost(cfg platform.Config, target ckpt.Target) float64 {
 	return ckpt.WriteCost(ckptSnapshotSize, tier.WriteLatency, bw)
 }
 
-// sumFamily totals a counter family across every key of a snapshot.
-func sumFamily(snap *metrics.Snapshot, family string) float64 {
-	total := 0.0
-	for _, s := range snap.Counters {
-		if s.Family == family {
-			total += s.Value
-		}
-	}
-	return total
-}
-
 // ckptIntervalSweep brackets the Daly optimum: a quarter, the optimum
 // itself, and four times it. Quick mode runs the optimum only.
 func ckptIntervalSweep(quick bool) []struct {
@@ -130,8 +119,7 @@ func RunResilienceCkpt(opts Options) ([]*Table, error) {
 		pipelines = 4
 	}
 	wf := swarp.MustNew(swarp.Params{Pipelines: pipelines, CoresPerTask: 8})
-	// The table reads every run's re-executed compute from its metrics.
-	ro := core.RunOptions{StagedFraction: 1, IntermediatesToBB: true, Metrics: true}
+	ro := core.RunOptions{StagedFraction: 1, IntermediatesToBB: true, Metrics: o.Metrics != nil}
 	retry := exec.RetryPolicy{
 		MaxRetries: 60, Backoff: exec.BackoffExponential,
 		BaseDelay: 2, MaxDelay: 120, Jitter: 0.25, Seed: o.Seed,
@@ -139,13 +127,14 @@ func RunResilienceCkpt(opts Options) ([]*Table, error) {
 	profiles := []string{"cori-private", "summit"}
 	const nodes = 2
 
-	baselines, err := runPoints(o, profiles, func(profile string) (*core.Result, error) {
-		sim := core.MustNewSimulator(simPreset(profile, nodes))
-		base, err := sim.Run(wf, ro)
+	// The table reads every run's re-executed compute from its
+	// executedSink.
+	baselines, err := runPoints(o, profiles, func(profile string) (executedRun, error) {
+		r, err := runExecuted(core.MustNewSimulator(simPreset(profile, nodes)), wf, ro)
 		if err != nil {
-			return nil, fmt.Errorf("resilience-ckpt %s baseline: %w", profile, err)
+			return r, fmt.Errorf("resilience-ckpt %s baseline: %w", profile, err)
 		}
-		return base, nil
+		return r, r.check()
 	})
 	if err != nil {
 		return nil, err
@@ -165,7 +154,7 @@ func RunResilienceCkpt(opts Options) ([]*Table, error) {
 	var cases []ckptCase
 	for pi, profile := range profiles {
 		cfg := simPreset(profile, nodes)
-		base := baselines[pi]
+		base := baselines[pi].res
 		for ri, reg := range regimes {
 			// One fault stream per (platform, regime) cell, shared by every
 			// policy and interval — the comparison the experiment exists for.
@@ -195,21 +184,21 @@ func RunResilienceCkpt(opts Options) ([]*Table, error) {
 		}
 	}
 
-	results, err := runPoints(o, cases, func(c ckptCase) (*core.Result, error) {
+	results, err := runPoints(o, cases, func(c ckptCase) (executedRun, error) {
 		inj, err := faults.New(regimeConfig(c.reg, c.base.Makespan, c.seed))
 		if err != nil {
-			return nil, err
+			return executedRun{}, err
 		}
 		fo := ro
 		fo.Faults = inj
 		fo.Retry = retry
 		fo.BBFallback = true
 		fo.Checkpoint = c.pol
-		res, err := core.MustNewSimulator(simPreset(c.profile, nodes)).Run(wf, fo)
+		r, err := runExecuted(core.MustNewSimulator(simPreset(c.profile, nodes)), wf, fo)
 		if err != nil {
-			return nil, fmt.Errorf("resilience-ckpt %s/%s/%s/%s: %w", c.profile, c.reg.label, c.policy, c.ilabel, err)
+			return r, fmt.Errorf("resilience-ckpt %s/%s/%s/%s: %w", c.profile, c.reg.label, c.policy, c.ilabel, err)
 		}
-		return res, nil
+		return r, r.check()
 	})
 	if err != nil {
 		return nil, err
@@ -217,10 +206,10 @@ func RunResilienceCkpt(opts Options) ([]*Table, error) {
 	if o.Metrics != nil {
 		snaps := make([]*metrics.Snapshot, 0, len(baselines)+len(results))
 		for _, b := range baselines {
-			snaps = append(snaps, b.Metrics)
+			snaps = append(snaps, b.res.Metrics)
 		}
 		for _, r := range results {
-			snaps = append(snaps, r.Metrics)
+			snaps = append(snaps, r.res.Metrics)
 		}
 		emitMetrics(o, snaps)
 	}
@@ -234,11 +223,10 @@ func RunResilienceCkpt(opts Options) ([]*Table, error) {
 	row := 0
 	for pi, profile := range profiles {
 		base := baselines[pi]
-		baseExec := sumFamily(base.Metrics, metrics.ComputeExecutedSecondsTotal)
 		t.Rows = append(t.Rows, []string{profile, "none", "—", "—",
-			fsec(base.Makespan), "1.00×", "0.00", "0", "0", "0", "—"})
+			fsec(base.res.Makespan), "1.00×", "0.00", "0", "0", "0", "—"})
 		for ; row < len(cases) && cases[row].profile == profile; row++ {
-			c, res := cases[row], results[row]
+			c, res := cases[row], results[row].res
 			ref := "—"
 			if c.daly > 0 {
 				ref = fmt.Sprintf("%.1f / %.1f", c.young, c.daly)
@@ -250,8 +238,8 @@ func RunResilienceCkpt(opts Options) ([]*Table, error) {
 			t.Rows = append(t.Rows, []string{
 				profile, c.reg.label, c.policy, ivCell,
 				fsec(res.Makespan),
-				fmt.Sprintf("%.2f×", res.Makespan/base.Makespan),
-				fsec(sumFamily(res.Metrics, metrics.ComputeExecutedSecondsTotal) - baseExec),
+				fmt.Sprintf("%.2f×", res.Makespan/base.res.Makespan),
+				fsec(results[row].executed - base.executed),
 				fmt.Sprint(res.Faults.CkptCommits),
 				fmt.Sprint(res.Faults.CkptRestarts),
 				fmt.Sprint(res.Faults.CkptLosses),

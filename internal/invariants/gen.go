@@ -35,7 +35,7 @@ type Case struct {
 	CrashDiv float64
 }
 
-// presetOrder fixes the platform draw order (Presets returns a map).
+// presetOrder fixes the platform draw order.
 var presetOrder = []string{"cori-private", "cori-striped", "summit"}
 
 // RandomCase derives one property-harness case from a seed. Same seed,
@@ -77,7 +77,7 @@ func RandomCase(seed int64) (Case, error) {
 	c.Workflow = wf
 
 	name := presetOrder[rng.Intn(len(presetOrder))]
-	cfg := platform.Presets(1 + rng.Intn(3))[name]
+	cfg, _ := platform.Preset(name, 1+rng.Intn(3))
 
 	fractions := []float64{0, 0.25, 0.5, 0.75, 1}
 	c.Opts = core.RunOptions{

@@ -67,6 +67,26 @@ func TestPresetsValidate(t *testing.T) {
 	}
 }
 
+// TestPresetMatchesPresets: Preset builds exactly the config Presets
+// lists under each name, and knows no other name.
+func TestPresetMatchesPresets(t *testing.T) {
+	all := Presets(3)
+	if len(all) != 3 {
+		t.Fatalf("%d presets, want 3", len(all))
+	}
+	for name, want := range all {
+		got, ok := Preset(name, 3)
+		if !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("Preset(%q, 3) = %+v, %v; Presets lists %+v", name, got, ok, want)
+		}
+	}
+	for _, name := range []string{"", "cori", "Summit", "summit "} {
+		if _, ok := Preset(name, 3); ok {
+			t.Errorf("Preset(%q) found a config", name)
+		}
+	}
+}
+
 func TestValidateRejectsBadConfigs(t *testing.T) {
 	base := Cori(1, BBPrivate)
 	mutations := []func(*Config){

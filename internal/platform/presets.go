@@ -80,12 +80,35 @@ func Summit(nodes int) Config {
 	}
 }
 
-// Presets returns all named platform presets, keyed by the names accepted by
-// the command-line tools ("cori-private", "cori-striped", "summit").
-func Presets(nodes int) map[string]Config {
-	return map[string]Config{
-		"cori-private": Cori(nodes, BBPrivate),
-		"cori-striped": Cori(nodes, BBStriped),
-		"summit":       Summit(nodes),
+// presets are the named platform presets, by the names the command-line
+// tools accept.
+var presets = [...]struct {
+	name  string
+	build func(nodes int) Config
+}{
+	{"cori-private", func(nodes int) Config { return Cori(nodes, BBPrivate) }},
+	{"cori-striped", func(nodes int) Config { return Cori(nodes, BBStriped) }},
+	{"summit", Summit},
+}
+
+// Preset returns the named preset ("cori-private", "cori-striped",
+// "summit") with the given node count, building only that one, and false
+// for an unknown name.
+func Preset(name string, nodes int) (Config, bool) {
+	for _, p := range presets {
+		if p.name == name {
+			return p.build(nodes), true
+		}
 	}
+	return Config{}, false
+}
+
+// Presets returns all named platform presets, keyed by the names Preset
+// accepts.
+func Presets(nodes int) map[string]Config {
+	m := make(map[string]Config, len(presets))
+	for _, p := range presets {
+		m[p.name] = p.build(nodes)
+	}
+	return m
 }

@@ -40,7 +40,7 @@ func executeRun(req *Request) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, ok := platform.Presets(req.Platform.Nodes)[req.Platform.Preset]
+	cfg, ok := platform.Preset(req.Platform.Preset, req.Platform.Nodes)
 	if !ok {
 		return nil, badField("platform.preset", "unknown preset %q", req.Platform.Preset)
 	}
@@ -110,7 +110,7 @@ func executeRun(req *Request) ([]byte, error) {
 }
 
 func executeSched(req *Request) ([]byte, error) {
-	cfg, ok := platform.Presets(req.Platform.Nodes)[req.Platform.Preset]
+	cfg, ok := platform.Preset(req.Platform.Preset, req.Platform.Nodes)
 	if !ok {
 		return nil, badField("platform.preset", "unknown preset %q", req.Platform.Preset)
 	}

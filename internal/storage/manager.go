@@ -54,9 +54,11 @@ type OpContext struct {
 // OpModel adjusts operation parameters. The lightweight simulator uses the
 // identity model; the synthetic testbed (internal/testbed) installs a model
 // that adds mode-dependent latency, contention penalties, anomalies, and
-// measurement noise.
+// measurement noise. ctx is the Manager's own context, refilled for every
+// operation: it is valid during the call only, and a model must neither
+// keep nor modify it.
 type OpModel interface {
-	Adjust(ctx OpContext, base OpParams) OpParams
+	Adjust(ctx *OpContext, base OpParams) OpParams
 }
 
 // IdentityModel returns base parameters unchanged. It is the OpModel of the
@@ -64,7 +66,7 @@ type OpModel interface {
 type IdentityModel struct{}
 
 // Adjust implements OpModel.
-func (IdentityModel) Adjust(_ OpContext, base OpParams) OpParams { return base }
+func (IdentityModel) Adjust(_ *OpContext, base OpParams) OpParams { return base }
 
 // ServiceStats aggregates the traffic a service carried.
 type ServiceStats struct {
@@ -136,6 +138,9 @@ type Manager struct {
 	net   *flow.Network
 	reg   *Registry
 	model OpModel
+	// ctx is the context handed to model, refilled per operation, so an
+	// operation copies no context.
+	ctx OpContext
 	// ops is the pool every operation lives in.
 	ops sim.Slab[op]
 	// copyPaths caches Copy's read+write paths, indexed by nodeSlot, in
@@ -243,10 +248,13 @@ func (m *Manager) PendingReserved(svc Service) units.Bytes { return svc.state().
 // Stats returns the accumulated statistics for svc.
 func (m *Manager) Stats(svc Service) ServiceStats { return svc.state().stats }
 
-func (m *Manager) adjust(ctx OpContext, base OpParams) OpParams {
-	ctx.InFlight = ctx.Service.state().inFlight
-	ctx.Time = m.eng.Now()
-	p := m.model.Adjust(ctx, base)
+// adjust fills the manager's context for an operation of kind on svc (a
+// copy from src when src is non-nil) and returns the model's parameters.
+func (m *Manager) adjust(kind OpKind, svc, src Service, node *platform.Node, f *workflow.File, base OpParams) OpParams {
+	c := &m.ctx
+	c.Kind, c.Service, c.Source, c.Node, c.File = kind, svc, src, node, f
+	c.InFlight, c.Time = svc.state().inFlight, m.eng.Now()
+	p := m.model.Adjust(c, base)
 	if p.SizeFactor <= 0 {
 		panic(fmt.Sprintf("storage: op model produced size factor %g", p.SizeFactor))
 	}
@@ -262,12 +270,10 @@ func (m *Manager) Read(node *platform.Node, f *workflow.File, svc Service, done 
 	if !m.reg.Has(f, svc) {
 		return OpHandle{}, fmt.Errorf("storage: read %q from %s: no replica there", f.ID(), svc.Name())
 	}
-	params := m.adjust(
-		OpContext{Kind: OpRead, Service: svc, Node: node, File: f},
+	params := m.adjust(OpRead, svc, nil, node, f,
 		OpParams{Latency: svc.ReadLatency(), RateCap: svc.StreamCap(node), SizeFactor: 1},
 	)
-	r, o := m.ops.Alloc()
-	*o = op{kind: OpRead, file: f, service: svc, node: node, started: m.eng.Now(), done: done, tag: tag}
+	r, o := m.issue(OpRead, f, svc, nil, node, done, tag, 0)
 	svc.state().inFlight++
 	o.fl = m.net.StartFlow(
 		float64(f.Size())*params.SizeFactor,
@@ -285,12 +291,10 @@ func (m *Manager) Write(node *platform.Node, f *workflow.File, svc Service, done
 	if err := svc.Reserve(f.Size()); err != nil {
 		return OpHandle{}, err
 	}
-	params := m.adjust(
-		OpContext{Kind: OpWrite, Service: svc, Node: node, File: f},
+	params := m.adjust(OpWrite, svc, nil, node, f,
 		OpParams{Latency: svc.WriteLatency(), RateCap: svc.StreamCap(node), SizeFactor: 1},
 	)
-	r, o := m.ops.Alloc()
-	*o = op{kind: OpWrite, file: f, service: svc, node: node, started: m.eng.Now(), done: done, tag: tag, reserved: f.Size()}
+	r, o := m.issue(OpWrite, f, svc, nil, node, done, tag, f.Size())
 	st := svc.state()
 	st.inFlight++
 	st.pending += f.Size()
@@ -327,12 +331,10 @@ func (m *Manager) Copy(node *platform.Node, f *workflow.File, src, dst Service, 
 	if cap == 0 || (writeCap > 0 && writeCap < cap) {
 		cap = writeCap
 	}
-	params := m.adjust(
-		OpContext{Kind: OpCopy, Service: dst, Source: src, Node: node, File: f},
+	params := m.adjust(OpCopy, dst, src, node, f,
 		OpParams{Latency: src.ReadLatency() + dst.WriteLatency(), RateCap: cap, SizeFactor: 1},
 	)
-	r, o := m.ops.Alloc()
-	*o = op{kind: OpCopy, file: f, service: dst, source: src, node: node, started: m.eng.Now(), done: done, tag: tag, reserved: f.Size()}
+	r, o := m.issue(OpCopy, f, dst, src, node, done, tag, f.Size())
 	st := dst.state()
 	st.inFlight++
 	st.pending += f.Size()
@@ -346,6 +348,16 @@ func (m *Manager) Copy(node *platform.Node, f *workflow.File, src, dst Service, 
 		m.onReserve(dst)
 	}
 	return OpHandle(r), nil
+}
+
+// issue takes an operation slot and fills it in. A free slot is zero
+// (Cancel and FlowDone zero it before freeing it), so the fields are set
+// one by one rather than copied from a composite value.
+func (m *Manager) issue(kind OpKind, f *workflow.File, svc, src Service, node *platform.Node, done Completer, tag uint64, reserved units.Bytes) (sim.Ref, *op) {
+	r, o := m.ops.Alloc()
+	o.kind, o.file, o.service, o.source, o.node = kind, f, svc, src, node
+	o.started, o.done, o.tag, o.reserved = m.eng.Now(), done, tag, reserved
+	return r, o
 }
 
 // route is one cached Copy path through a node.

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"bbwfsim/internal/platform"
@@ -25,69 +24,144 @@ type Registry struct {
 	// files is indexed by File.Index(); a slot belongs to the first file
 	// registered under its index.
 	files []fileSlot
-	// slab is the unused tail of the chunk that replica lists are carved
-	// from, two entries per file.
-	slab []replica
+	// more holds the replicas of a file past its slot's inline two, at
+	// fileSlot.more-1. A file rarely lives on more than two services.
+	more [][]replica
+	// svcs are the services replicas have been registered on, by ordinal
+	// minus one (capacityTracker.ord).
+	svcs []Service
+	// nodes are the creators replicas have been registered with, by
+	// nodeSlot; nodes[0] stays nil, the creator of pre-existing replicas.
+	nodes []*platform.Node
 }
 
-// fileSlot is one file's entry in the registry table.
+// fileSlot is one file's entry in the registry table: 32 bytes, with no
+// per-file allocation for a file on at most two services.
 type fileSlot struct {
-	f    *workflow.File // owner; nil while the slot is unused
-	reps []replica
+	f *workflow.File // owner; nil while the slot is unused
+	// reps are the file's first two replicas, filled in order: an empty
+	// one (svc 0) is followed only by empty ones, and while either is
+	// empty the file's side list is empty too.
+	reps [2]replica
+	more int32 // 1 + the index of the file's list in Registry.more; 0 for none
 }
 
-// replicaChunk is the number of replicas one slab chunk holds.
-const replicaChunk = 512
-
-// replica is one copy of a file on one service. A file's replicas are a
-// short value-typed list (a file lives on a handful of services at most),
-// so registering one allocates no per-file map and no per-replica object:
-// replicas are registered on every write completion.
+// replica is one copy of a file on one service, as ordinals into the
+// registry's tables, so a replica holds no pointer.
 type replica struct {
-	svc Service
-	// creator is the compute node that wrote the replica; nil means the
-	// replica pre-exists (initial placement) and is visible to everyone.
-	creator *platform.Node
-}
-
-// find returns the index of svc's replica in reps, or -1.
-func find(reps []replica, svc Service) int {
-	for i := range reps {
-		if reps[i].svc == svc {
-			return i
-		}
-	}
-	return -1
+	svc int32 // service ordinal; 0 marks an empty inline replica
+	// node is the nodeSlot of the compute node that wrote the replica; 0
+	// means the replica pre-exists (initial placement) and is visible to
+	// everyone.
+	node int32
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// Reserve makes room for files indexed below n, so a run that registers
-// its workflow's files grows the table once and carves their replica lists
-// from one slab chunk sized for them. Files past n (the side workflow's)
-// still extend the table one at a time and take replicaChunk chunks.
+// Reserve sizes the table for files indexed below n, so a run that
+// registers its workflow's files grows it once. Files past n (the side
+// workflow's) still extend it one at a time.
 func (r *Registry) Reserve(n int) {
-	if m := n - len(r.files); m > 0 {
-		r.files = slices.Grow(r.files, m)
-		if len(r.slab) < 2*m {
-			r.slab = make([]replica, 2*m)
-		}
+	if n > cap(r.files) {
+		files := make([]fileSlot, len(r.files), n)
+		copy(files, r.files)
+		r.files = files
 	}
 }
 
-// replicas returns the replica list of f, nil when f has none. It panics
-// when f's slot belongs to another file: two files sharing an index would
+// ordinal returns svc's ordinal in r, or 0 when no replica has ever been
+// registered on svc.
+func (r *Registry) ordinal(svc Service) int32 {
+	if st := svc.state(); st.reg == r {
+		return st.ord
+	}
+	return 0
+}
+
+// enroll returns svc's ordinal in r, giving it the next one on first use.
+// Every run builds its own services, so a service serves one registry.
+func (r *Registry) enroll(svc Service) int32 {
+	st := svc.state()
+	if st.reg != r {
+		if st.reg != nil {
+			panic(fmt.Sprintf("storage: service %s is used by two registries", svc.Name()))
+		}
+		r.svcs = append(r.svcs, svc)
+		st.reg, st.ord = r, int32(len(r.svcs))
+	}
+	return st.ord
+}
+
+// creatorSlot returns node's index in r.nodes, recording it on first use.
+// It panics when another node already holds that index.
+func (r *Registry) creatorSlot(node *platform.Node) int32 {
+	i := nodeSlot(node)
+	r.nodes = reach(r.nodes, i)
+	if n := r.nodes[i]; n != node {
+		if n != nil {
+			panic(fmt.Sprintf("storage: nodes %s and %s share registry index %d", n.Name(), node.Name(), i))
+		}
+		r.nodes[i] = node
+	}
+	return int32(i)
+}
+
+// slot returns f's slot, nil when the table does not reach it. It panics
+// when the slot belongs to another file: two files sharing an index would
 // otherwise share replicas silently.
-func (r *Registry) replicas(f *workflow.File) []replica {
+func (r *Registry) slot(f *workflow.File) *fileSlot {
 	if i := f.Index(); i < len(r.files) {
 		s := &r.files[i]
 		if s.f != f && s.f != nil {
 			panic(fmt.Sprintf("storage: files %q and %q share registry index %d", s.f.ID(), f.ID(), i))
 		}
-		return s.reps
+		return s
 	}
 	return nil
+}
+
+// list returns the replicas of slot s: its inline ones, then the rest.
+func (r *Registry) list(s *fileSlot) (inline, rest []replica) {
+	if s == nil {
+		return nil, nil
+	}
+	n := 0
+	for n < len(s.reps) && s.reps[n].svc != 0 {
+		n++
+	}
+	if s.more > 0 {
+		rest = r.more[s.more-1]
+	}
+	return s.reps[:n], rest
+}
+
+// find returns the position of the replica on the service with ordinal
+// svc in s's list (inline replicas first), or -1.
+func (r *Registry) find(s *fileSlot, svc int32) int {
+	if svc == 0 {
+		return -1
+	}
+	inline, rest := r.list(s)
+	for i := range inline {
+		if inline[i].svc == svc {
+			return i
+		}
+	}
+	for i := range rest {
+		if rest[i].svc == svc {
+			return len(s.reps) + i
+		}
+	}
+	return -1
+}
+
+// at returns the replica at position i of s's list.
+func (r *Registry) at(s *fileSlot, i int) *replica {
+	if i < len(s.reps) {
+		return &s.reps[i]
+	}
+	return &r.more[s.more-1][i-len(s.reps)]
 }
 
 // Add records that svc holds a replica of f with no particular creator
@@ -99,34 +173,51 @@ func (r *Registry) Add(f *workflow.File, svc Service) {
 // AddFrom records that svc holds a replica of f created by node.
 func (r *Registry) AddFrom(f *workflow.File, svc Service, node *platform.Node) {
 	r.files = reach(r.files, f.Index())
-	slot := &r.files[f.Index()]
-	if i := find(r.replicas(f), svc); i >= 0 {
-		slot.reps[i].creator = node
+	s := r.slot(f)
+	o, n := r.enroll(svc), r.creatorSlot(node)
+	if i := r.find(s, o); i >= 0 {
+		r.at(s, i).node = n
 		return
 	}
-	if slot.f == nil {
-		if len(r.slab) < 2 {
-			r.slab = make([]replica, replicaChunk)
-		}
-		slot.f, slot.reps, r.slab = f, r.slab[:0:2], r.slab[2:]
-	}
+	s.f = f
 	svc.state().resident += f.Size()
-	slot.reps = append(slot.reps, replica{svc: svc, creator: node})
+	rep := replica{svc: o, node: n}
+	switch {
+	case s.reps[0].svc == 0:
+		s.reps[0] = rep
+	case s.reps[1].svc == 0:
+		s.reps[1] = rep
+	default:
+		if s.more == 0 {
+			r.more = append(r.more, nil)
+			s.more = int32(len(r.more))
+		}
+		r.more[s.more-1] = append(r.more[s.more-1], rep)
+	}
 }
 
-// Remove forgets the replica of f on svc. Removing an absent replica is a
-// no-op.
+// Remove forgets the replica of f on svc, keeping the order of the rest.
+// Removing an absent replica is a no-op.
 func (r *Registry) Remove(f *workflow.File, svc Service) {
-	reps := r.replicas(f)
-	i := find(reps, svc)
+	s := r.slot(f)
+	i := r.find(s, r.ordinal(svc))
 	if i < 0 {
 		return
 	}
 	svc.state().resident -= f.Size()
-	last := len(reps) - 1
-	copy(reps[i:], reps[i+1:])
-	reps[last] = replica{}
-	r.files[f.Index()].reps = reps[:last]
+	_, rest := r.list(s)
+	if i < len(s.reps) {
+		copy(s.reps[i:], s.reps[i+1:])
+		last := &s.reps[len(s.reps)-1]
+		*last = replica{}
+		if len(rest) == 0 {
+			return
+		}
+		*last, i = rest[0], len(s.reps)
+	}
+	j := i - len(s.reps)
+	copy(rest[j:], rest[j+1:])
+	r.more[s.more-1] = rest[:len(rest)-1]
 }
 
 // BytesOn returns the total size of the replicas svc currently holds.
@@ -134,10 +225,14 @@ func (r *Registry) BytesOn(svc Service) units.Bytes { return svc.state().residen
 
 // FilesOn returns the files with a replica on svc in File.Index() order.
 func (r *Registry) FilesOn(svc Service) []*workflow.File {
+	o := r.ordinal(svc)
+	if o == 0 {
+		return nil
+	}
 	var files []*workflow.File
-	for _, slot := range r.files {
-		if find(slot.reps, svc) >= 0 {
-			files = append(files, slot.f)
+	for i := range r.files {
+		if s := &r.files[i]; r.find(s, o) >= 0 {
+			files = append(files, s.f)
 		}
 	}
 	return files
@@ -145,15 +240,15 @@ func (r *Registry) FilesOn(svc Service) []*workflow.File {
 
 // Has reports whether svc holds a replica of f.
 func (r *Registry) Has(f *workflow.File, svc Service) bool {
-	return find(r.replicas(f), svc) >= 0
+	return r.find(r.slot(f), r.ordinal(svc)) >= 0
 }
 
 // Creator returns the node that created the replica of f on svc, or nil
 // when the replica pre-exists or is absent.
 func (r *Registry) Creator(f *workflow.File, svc Service) *platform.Node {
-	reps := r.replicas(f)
-	if i := find(reps, svc); i >= 0 {
-		return reps[i].creator
+	s := r.slot(f)
+	if i := r.find(s, r.ordinal(svc)); i >= 0 {
+		return r.nodes[r.at(s, i).node]
 	}
 	return nil
 }
@@ -161,8 +256,11 @@ func (r *Registry) Creator(f *workflow.File, svc Service) *platform.Node {
 // Locations returns the services holding f, sorted by name for determinism.
 func (r *Registry) Locations(f *workflow.File) []Service {
 	var svcs []Service
-	for _, rep := range r.replicas(f) {
-		svcs = append(svcs, rep.svc)
+	inline, rest := r.list(r.slot(f))
+	for _, reps := range [2][]replica{inline, rest} {
+		for _, rep := range reps {
+			svcs = append(svcs, r.svcs[rep.svc-1])
+		}
 	}
 	sort.Slice(svcs, func(i, j int) bool { return svcs[i].Name() < svcs[j].Name() })
 	return svcs
@@ -170,7 +268,8 @@ func (r *Registry) Locations(f *workflow.File) []Service {
 
 // Located reports whether any service holds f.
 func (r *Registry) Located(f *workflow.File) bool {
-	return len(r.replicas(f)) > 0
+	s := r.slot(f)
+	return s != nil && s.reps[0].svc != 0
 }
 
 // BestVisible picks the replica of f a task on node should read: a
@@ -187,27 +286,30 @@ func (r *Registry) BestVisible(f *workflow.File, node *platform.Node, enforcePri
 	// of ranging over name-sorted Locations, reduce over the replicas under
 	// the total order (rank desc, name asc) — the maximum of a total order
 	// is the same service regardless of the replicas' order.
-	for _, rep := range r.replicas(f) {
-		svc := rep.svc
-		if enforcePrivate && svc.Kind() == KindSharedBB && svc.Mode() == platform.BBPrivate {
-			if c := rep.creator; c != nil && c != node {
-				continue
+	inline, rest := r.list(r.slot(f))
+	for _, reps := range [2][]replica{inline, rest} {
+		for _, rep := range reps {
+			svc := r.svcs[rep.svc-1]
+			if enforcePrivate && svc.Kind() == KindSharedBB && svc.Mode() == platform.BBPrivate {
+				if c := rep.node; c != 0 && c != int32(nodeSlot(node)) {
+					continue
+				}
 			}
-		}
-		rank := 0
-		switch {
-		case svc.Kind() == KindNodeBB && svc.Local(node):
-			rank = 3
-		case svc.Kind() == KindNodeBB:
-			rank = 2
-		case svc.Kind() == KindSharedBB:
-			rank = 2
-		case svc.Kind() == KindPFS:
-			rank = 1
-		}
-		if rank > bestRank || (rank == bestRank && svc.Name() < best.Name()) {
-			bestRank = rank
-			best = svc
+			rank := 0
+			switch {
+			case svc.Kind() == KindNodeBB && svc.Local(node):
+				rank = 3
+			case svc.Kind() == KindNodeBB:
+				rank = 2
+			case svc.Kind() == KindSharedBB:
+				rank = 2
+			case svc.Kind() == KindPFS:
+				rank = 1
+			}
+			if rank > bestRank || (rank == bestRank && svc.Name() < best.Name()) {
+				bestRank = rank
+				best = svc
+			}
 		}
 	}
 	if best == nil {

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"testing"
+	"unsafe"
 
 	"bbwfsim/internal/platform"
 	"bbwfsim/internal/sim"
@@ -185,10 +186,13 @@ func registryDiff(t *testing.T, seed int64, ops int) {
 }
 
 // TestRegistryReserve: once reserved for a workflow's files, the table
-// takes every one of them without growing again and their replica lists
-// come from one chunk sized for them, and a side-workflow file numbered
-// past them still extends the table and takes a chunk of its own.
+// takes every one of them without growing again, a file on one or two
+// services allocates no side list, and a side-workflow file numbered past
+// them still extends the table.
 func TestRegistryReserve(t *testing.T) {
+	if got := unsafe.Sizeof(fileSlot{}); got != 32 {
+		t.Errorf("a registry slot is %d bytes, want 32", got)
+	}
 	_, sys, w := coriSystem(t, platform.BBPrivate)
 	for i := 0; i < 100; i++ {
 		w.MustAddFile("f"+strconv.Itoa(i), units.MB)
@@ -196,26 +200,94 @@ func TestRegistryReserve(t *testing.T) {
 	reg := sys.Registry()
 	reg.Reserve(len(w.Files()))
 	table := cap(reg.files)
-	if len(reg.slab) != 2*len(w.Files()) {
-		t.Fatalf("first slab chunk holds %d replicas for %d reserved files, want two each", len(reg.slab), len(w.Files()))
+	if table != len(w.Files()) {
+		t.Fatalf("table reserved for %d files has capacity %d", len(w.Files()), table)
 	}
+	node := sys.Platform().Nodes()[0]
 	for _, f := range w.Files() {
 		reg.Add(f, sys.PFS())
+		reg.AddFrom(f, sys.AllBBs()[0], node)
 	}
 	if cap(reg.files) != table || len(reg.files) != len(w.Files()) {
 		t.Fatalf("table grew to %d of capacity %d registering %d reserved files (capacity %d)",
 			len(reg.files), cap(reg.files), len(w.Files()), table)
 	}
-	if len(reg.slab) != 0 {
-		t.Fatalf("%d replicas of the reserved chunk left after registering every reserved file", len(reg.slab))
+	if len(reg.more) != 0 {
+		t.Fatalf("%d side lists for files on two services", len(reg.more))
 	}
 	ckpt := workflow.NewFrom("wf+side", len(w.Files())).MustAddFile("ckpt", units.MB)
 	reg.Add(ckpt, sys.PFS())
-	if len(reg.slab) != replicaChunk-2 {
-		t.Fatalf("a side-workflow file took a chunk leaving %d replicas, want %d", len(reg.slab), replicaChunk-2)
-	}
 	if !reg.Has(ckpt, sys.PFS()) || !reg.Has(w.Files()[99], sys.PFS()) {
 		t.Fatal("a file past the reservation, or the last reserved one, is missing")
+	}
+}
+
+// TestRegistryThirdReplica walks one file through three and four
+// replicas, two of them in the side list, with private-mode creators, and
+// removes them from the front, the middle and the side list; after every
+// step each query matches the map oracle, and the remaining replicas keep
+// their order.
+func TestRegistryThirdReplica(t *testing.T) {
+	cfg := platform.Cori(3, platform.BBPrivate)
+	p := platform.MustNew(sim.NewEngine(), cfg)
+	sys := NewSystem(p, nil)
+	nodes := p.Nodes()
+	pfs, bb := sys.PFS(), sys.AllBBs()[0]
+	local := []Service{NewNodeLocal(p, nodes[1], cfg.BB), NewNodeLocal(p, nodes[2], cfg.BB)}
+	svcs := []Service{pfs, bb, local[0], local[1]}
+	w := workflow.New("wf")
+	f := w.MustAddFile("f", units.MB)
+	g := w.MustAddFile("g", units.MB)
+	files := []*workflow.File{f, g}
+	reg, oracle := sys.Registry(), newMapRegistry()
+	add := func(svc Service, node *platform.Node) {
+		if err := svc.Reserve(f.Size()); err != nil {
+			t.Fatal(err)
+		}
+		reg.AddFrom(f, svc, node)
+		oracle.AddFrom(f, svc, node)
+	}
+	remove := func(svc Service) {
+		svc.Release(f.Size())
+		reg.Remove(f, svc)
+		oracle.Remove(f, svc)
+	}
+	order := func(want ...Service) {
+		t.Helper()
+		var got []Service
+		inline, rest := reg.list(reg.slot(f))
+		for _, rep := range append(append([]replica{}, inline...), rest...) {
+			got = append(got, reg.svcs[rep.svc-1])
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("replica order %v, want %v", got, want)
+		}
+		compareRegistries(t, fmt.Sprintf("after %v", want), reg, oracle, files, svcs, nodes)
+	}
+	add(bb, nodes[0])
+	add(pfs, nil)
+	add(local[0], nodes[1])
+	order(bb, pfs, local[0])
+	add(local[1], nodes[2])
+	reg.AddFrom(f, local[1], nodes[0]) // a re-registration in the side list
+	oracle.AddFrom(f, local[1], nodes[0])
+	order(bb, pfs, local[0], local[1])
+	if reg.Creator(f, local[1]) != nodes[0] {
+		t.Fatalf("side-list creator %v, want %v", reg.Creator(f, local[1]), nodes[0])
+	}
+	remove(bb)
+	order(pfs, local[0], local[1])
+	remove(local[1])
+	order(pfs, local[0])
+	add(bb, nodes[2])
+	order(pfs, local[0], bb)
+	remove(local[0])
+	order(pfs, bb)
+	remove(pfs)
+	remove(bb)
+	order()
+	if reg.Located(f) {
+		t.Fatal("a file with every replica removed is still located")
 	}
 }
 

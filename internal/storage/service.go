@@ -83,6 +83,11 @@ type capacityTracker struct {
 	// resident tallies the bytes of all registered replicas, maintained
 	// incrementally so the capacity audit (System.AuditCapacity) is cheap.
 	resident units.Bytes
+	// reg is the registry that has given the service its ordinal ord (its
+	// position in Registry.svcs plus one); nil until a replica is
+	// registered on the service.
+	reg *Registry
+	ord int32
 	// paths memoizes the per-node resource paths, indexed by nodeSlot. A
 	// path never changes after construction, and building it fresh was one
 	// of the hottest allocation sites of a run (every read and write needs

@@ -309,7 +309,7 @@ func TestStatsAccumulate(t *testing.T) {
 // latencyModel doubles latency and stretches transfers by 1.5×.
 type latencyModel struct{}
 
-func (latencyModel) Adjust(_ OpContext, base OpParams) OpParams {
+func (latencyModel) Adjust(_ *OpContext, base OpParams) OpParams {
 	base.Latency = base.Latency*2 + 1
 	base.SizeFactor = 1.5
 	return base

@@ -35,6 +35,7 @@ import (
 
 	"bbwfsim/internal/calib"
 	"bbwfsim/internal/core"
+	"bbwfsim/internal/placement"
 	"bbwfsim/internal/platform"
 	"bbwfsim/internal/stats"
 	"bbwfsim/internal/storage"
@@ -133,7 +134,9 @@ func NewRunner(p Profile, seed int64) *Runner {
 // the profile's platform with opts.OpModel and opts.Compute overwritten by
 // the profile's machine model, freshly seeded per repetition. With
 // opts.TraceSink set to trace.Retain only the final repetition retains
-// its trace, for Result.Phases; the others count.
+// its trace, for Result.Phases; the others count. Without opts.Placement
+// the repetitions share one fraction placement, built once: a placement
+// set is read-only during a run.
 func (r *Runner) Run(wf *workflow.Workflow, opts core.RunOptions, reps int) (*Result, error) {
 	if reps <= 0 {
 		return nil, fmt.Errorf("testbed: reps must be positive, got %d", reps)
@@ -141,6 +144,13 @@ func (r *Runner) Run(wf *workflow.Workflow, opts core.RunOptions, reps int) (*Re
 	sim, err := core.NewSimulator(r.Profile.Platform)
 	if err != nil {
 		return nil, err
+	}
+	if opts.Placement == nil {
+		set, err := placement.NewFraction(wf, opts.StagedFraction, opts.IntermediatesToBB)
+		if err != nil {
+			return nil, err
+		}
+		opts.Placement = set
 	}
 	res := &Result{TaskMeans: map[string][]float64{}}
 	final := opts.TraceSink
@@ -213,7 +223,7 @@ func newOpModel(prof *Profile, n noise, fraction float64, rng *rand.Rand) *opMod
 	return m
 }
 
-func (m *opModel) Adjust(ctx storage.OpContext, base storage.OpParams) storage.OpParams {
+func (m *opModel) Adjust(ctx *storage.OpContext, base storage.OpParams) storage.OpParams {
 	p := base
 	switch ctx.Service.Kind() {
 	case storage.KindPFS:

@@ -90,18 +90,18 @@ func Marshal(w *Workflow) ([]byte, error) {
 			ID:       t.id,
 			Name:     t.name,
 			Work:     float64(t.work),
-			Cores:    t.cores,
+			Cores:    t.Cores(),
 			Memory:   float64(t.memory),
 			Alpha:    t.alpha,
 			LambdaIO: t.lambdaIO,
 		}
-		if t.kind != KindCompute {
-			jt.Kind = string(t.kind)
+		if t.Kind() != KindCompute {
+			jt.Kind = string(t.Kind())
 		}
-		for _, f := range t.inputs {
+		for _, f := range t.Inputs() {
 			jt.Inputs = append(jt.Inputs, f.id)
 		}
-		for _, f := range t.outputs {
+		for _, f := range t.Outputs() {
 			jt.Outputs = append(jt.Outputs, f.id)
 		}
 		jw.Tasks = append(jw.Tasks, jt)

@@ -67,25 +67,41 @@ func (f *File) Consumers() []*Task { return f.consumers }
 // IsInput reports whether the file is a workflow input (no producer).
 func (f *File) IsInput() bool { return f.producer == nil }
 
-// Task is a workflow vertex.
+// Task is a workflow vertex. A large run keeps every task resident, so
+// the struct is packed into 128 bytes, one allocator size class: the kind
+// and core count share a word, and each pair of lists shares one backing
+// slice split at a count.
 type Task struct {
 	id       string
 	name     string // category label, e.g. "resample"
-	kind     Kind
 	work     units.Flops
-	cores    int
 	memory   units.Bytes
 	alpha    float64
 	lambdaIO float64
-	index    int // insertion order, for deterministic tie-breaking
-	inputs   []*File
-	outputs  []*File
-	// parents and children are maintained incrementally by AddTask (not
-	// lazily — workflows are shared across parallel campaign runs, so the
-	// accessors must be read-only). Both stay sorted by insertion index.
-	parents  []*Task
-	children []*Task
+	// files holds the task's inputs, then its outputs: [:nIn] and [nIn:].
+	// Both are fixed by AddTask.
+	files []*File
+	// edges holds the task's parents, then its children: [:nPar] and
+	// [nPar:]. They are maintained incrementally by AddTask (not lazily —
+	// workflows are shared across parallel campaign runs, so the accessors
+	// must be read-only), and each stays sorted by insertion index.
+	edges []*Task
+	index int32 // insertion order, for deterministic tie-breaking
+	nIn   int32
+	nPar  int32
+	// coreKind holds the requested core count in its low bits and the
+	// kind's code (kinds) in its top two.
+	coreKind uint32
 }
+
+// kinds are the task kinds by the code Task.coreKind stores.
+var kinds = [...]Kind{KindCompute, KindStageIn, KindStageOut}
+
+const (
+	kindShift = 30
+	// maxCores is the largest core count a task can request.
+	maxCores = 1<<kindShift - 1
+)
 
 // ID returns the task's unique identifier.
 func (t *Task) ID() string { return t.id }
@@ -94,13 +110,13 @@ func (t *Task) ID() string { return t.id }
 func (t *Task) Name() string { return t.name }
 
 // Kind returns the task kind.
-func (t *Task) Kind() Kind { return t.kind }
+func (t *Task) Kind() Kind { return kinds[t.coreKind>>kindShift] }
 
 // Work returns the task's total sequential compute work, I/O excluded.
 func (t *Task) Work() units.Flops { return t.work }
 
 // Cores returns the task's requested core count.
-func (t *Task) Cores() int { return t.cores }
+func (t *Task) Cores() int { return int(t.coreKind & maxCores) }
 
 // Memory returns the task's peak memory demand (0 = unconstrained).
 func (t *Task) Memory() units.Bytes { return t.memory }
@@ -109,23 +125,56 @@ func (t *Task) Memory() units.Bytes { return t.memory }
 func (t *Task) Alpha() float64 { return t.alpha }
 
 // Index returns the task's insertion index.
-func (t *Task) Index() int { return t.index }
+func (t *Task) Index() int { return int(t.index) }
 
 // Inputs returns the files the task reads.
-func (t *Task) Inputs() []*File { return t.inputs }
+func (t *Task) Inputs() []*File { return span(t.files, 0, int(t.nIn)) }
 
 // Outputs returns the files the task writes.
-func (t *Task) Outputs() []*File { return t.outputs }
+func (t *Task) Outputs() []*File { return span(t.files, int(t.nIn), len(t.files)) }
 
 // Parents returns the distinct producers of the task's inputs, ordered by
 // task insertion index. The slice is the task's own edge list — callers
 // must not mutate it.
-func (t *Task) Parents() []*Task { return t.parents }
+func (t *Task) Parents() []*Task { return span(t.edges, 0, int(t.nPar)) }
 
 // Children returns the distinct consumers of the task's outputs, ordered by
 // task insertion index. The slice is the task's own edge list — callers
 // must not mutate it.
-func (t *Task) Children() []*Task { return t.children }
+func (t *Task) Children() []*Task { return span(t.edges, int(t.nPar), len(t.edges)) }
+
+// span returns s[lo:hi] with its capacity capped at hi, so an append to
+// one list of a shared backing slice cannot write into the other; an
+// empty span is nil.
+func span[T any](s []T, lo, hi int) []T {
+	if lo == hi {
+		return nil
+	}
+	return s[lo:hi:hi]
+}
+
+// lastParent and lastChild return the task's largest-index parent and
+// child, or nil.
+func (t *Task) lastParent() *Task {
+	if t.nPar == 0 {
+		return nil
+	}
+	return t.edges[t.nPar-1]
+}
+
+func (t *Task) lastChild() *Task {
+	if int(t.nPar) == len(t.edges) {
+		return nil
+	}
+	return t.edges[len(t.edges)-1]
+}
+
+// addParent appends p to the task's parents, shifting its children up by
+// one. p carries the largest index so far, so the parents stay sorted.
+func (t *Task) addParent(p *Task) {
+	t.edges = slices.Insert(t.edges, int(t.nPar), p)
+	t.nPar++
+}
 
 // TaskSpec describes a task to add to a workflow.
 type TaskSpec struct {
@@ -143,11 +192,11 @@ type TaskSpec struct {
 
 // Workflow is a DAG of tasks and files.
 type Workflow struct {
-	name     string
-	tasks    []*Task
-	taskByID map[string]*Task
-	files    []*File
-	fileByID map[string]*File
+	name  string
+	tasks []*Task
+	files []*File
+	// ids indexes tasks and files by ID (index.go).
+	ids      []int32
 	fileBase int // index of the first file
 	// seen is AddTask's scratch set: which of the task's files it reads
 	// and writes, indexed by File.Index() - fileBase. It is all zero
@@ -169,12 +218,7 @@ func New(name string) *Workflow { return NewFrom(name, 0) }
 // traffic) live in such a workflow, numbered after the DAG's files, so
 // every file of the run has an index of its own.
 func NewFrom(name string, base int) *Workflow {
-	return &Workflow{
-		name:     name,
-		taskByID: map[string]*Task{},
-		fileByID: map[string]*File{},
-		fileBase: base,
-	}
+	return &Workflow{name: name, fileBase: base}
 }
 
 // Name returns the workflow name.
@@ -187,10 +231,20 @@ func (w *Workflow) Tasks() []*Task { return w.tasks }
 func (w *Workflow) Files() []*File { return w.files }
 
 // Task returns the task with the given ID, or nil.
-func (w *Workflow) Task(id string) *Task { return w.taskByID[id] }
+func (w *Workflow) Task(id string) *Task {
+	if e := w.lookup(id, true); e > 0 {
+		return w.tasks[e-1]
+	}
+	return nil
+}
 
 // File returns the file with the given ID, or nil.
-func (w *Workflow) File(id string) *File { return w.fileByID[id] }
+func (w *Workflow) File(id string) *File {
+	if e := w.lookup(id, false); e < 0 {
+		return w.files[-e-1]
+	}
+	return nil
+}
 
 // AddFile registers a file.
 func (w *Workflow) AddFile(id string, size units.Bytes) (*File, error) {
@@ -200,12 +254,15 @@ func (w *Workflow) AddFile(id string, size units.Bytes) (*File, error) {
 	if size < 0 {
 		return nil, fmt.Errorf("workflow: file %q has negative size %v", id, size)
 	}
-	if _, dup := w.fileByID[id]; dup {
+	if w.File(id) != nil {
 		return nil, fmt.Errorf("workflow: duplicate file ID %q", id)
 	}
+	if len(w.files) == maxEntries {
+		return nil, fmt.Errorf("workflow: more than %d files", maxEntries)
+	}
 	f := &File{id: id, size: size, index: w.fileBase + len(w.files)}
-	w.fileByID[id] = f
 	w.files = append(w.files, f)
+	w.insertID(-int32(len(w.files)))
 	w.seen = append(w.seen, 0)
 	return f, nil
 }
@@ -225,8 +282,11 @@ func (w *Workflow) AddTask(spec TaskSpec) (*Task, error) {
 	if spec.ID == "" {
 		return nil, fmt.Errorf("workflow: empty task ID")
 	}
-	if _, dup := w.taskByID[spec.ID]; dup {
+	if w.Task(spec.ID) != nil {
 		return nil, fmt.Errorf("workflow: duplicate task ID %q", spec.ID)
+	}
+	if len(w.tasks) == maxEntries {
+		return nil, fmt.Errorf("workflow: more than %d tasks", maxEntries)
 	}
 	if spec.Work < 0 {
 		return nil, fmt.Errorf("workflow: task %q has negative work", spec.ID)
@@ -241,14 +301,15 @@ func (w *Workflow) AddTask(spec TaskSpec) (*Task, error) {
 	if kind == "" {
 		kind = KindCompute
 	}
-	if kind != KindCompute && kind != KindStageIn && kind != KindStageOut {
+	code := slices.Index(kinds[:], kind)
+	if code < 0 {
 		return nil, fmt.Errorf("workflow: task %q has unknown kind %q", spec.ID, kind)
 	}
 	cores := spec.Cores
 	if cores == 0 {
 		cores = 1
 	}
-	if cores < 0 {
+	if cores < 0 || cores > maxCores {
 		return nil, fmt.Errorf("workflow: task %q requests %d cores", spec.ID, cores)
 	}
 	if spec.Memory < 0 {
@@ -257,13 +318,12 @@ func (w *Workflow) AddTask(spec TaskSpec) (*Task, error) {
 	t := &Task{
 		id:       spec.ID,
 		name:     spec.Name,
-		kind:     kind,
 		work:     spec.Work,
-		cores:    cores,
 		memory:   spec.Memory,
 		alpha:    spec.Alpha,
 		lambdaIO: spec.LambdaIO,
-		index:    len(w.tasks),
+		index:    int32(len(w.tasks)),
+		coreKind: uint32(cores) | uint32(code)<<kindShift,
 	}
 	if t.name == "" {
 		t.name = t.id
@@ -277,43 +337,41 @@ func (w *Workflow) AddTask(spec TaskSpec) (*Task, error) {
 	// appended during this call, "the reverse edge's last element is
 	// already t" detects a duplicate pair in O(1), keeping AddTask linear
 	// even for million-wide joins.
-	for _, f := range t.inputs {
+	for _, f := range t.Inputs() {
 		f.consumers = append(f.consumers, t)
-		if p := f.producer; p != nil {
-			if n := len(p.children); n == 0 || p.children[n-1] != t {
-				p.children = append(p.children, t)
-				t.parents = append(t.parents, p)
-			}
+		if p := f.producer; p != nil && p.lastChild() != t {
+			p.edges = append(p.edges, t)
+			t.addParent(p)
 		}
 	}
-	sortByIndex(t.parents)
-	for _, f := range t.outputs {
+	sortByIndex(t.Parents())
+	for _, f := range t.Outputs() {
 		f.producer = t
 		// Consumers registered before their producer: t becomes their
 		// (largest-index) parent, and they become t's children.
 		for _, c := range f.consumers {
-			if n := len(c.parents); n == 0 || c.parents[n-1] != t {
-				c.parents = append(c.parents, t)
-				t.children = append(t.children, c)
+			if c.lastParent() != t {
+				c.addParent(t)
+				t.edges = append(t.edges, c)
 			}
 		}
 	}
-	sortByIndex(t.children)
-	w.taskByID[t.id] = t
+	sortByIndex(t.Children())
 	w.tasks = append(w.tasks, t)
+	w.insertID(int32(len(w.tasks)))
 	return t, nil
 }
 
 // resolveFiles looks the spec's input and output IDs up into t's file
-// lists, rejecting unknown, repeated and already-produced files in spec
+// list, rejecting unknown, repeated and already-produced files in spec
 // order. IDs name files one to one, so a repeated file is a repeated ID.
 func (w *Workflow) resolveFiles(t *Task, spec TaskSpec) error {
 	defer w.clearSeen(t)
-	if len(spec.Inputs) > 0 {
-		t.inputs = make([]*File, 0, len(spec.Inputs))
+	if n := len(spec.Inputs) + len(spec.Outputs); n > 0 {
+		t.files = make([]*File, 0, n)
 	}
 	for _, id := range spec.Inputs {
-		f := w.fileByID[id]
+		f := w.File(id)
 		if f == nil {
 			return fmt.Errorf("workflow: task %q reads unknown file %q", spec.ID, id)
 		}
@@ -322,13 +380,11 @@ func (w *Workflow) resolveFiles(t *Task, spec TaskSpec) error {
 			return fmt.Errorf("workflow: task %q reads file %q twice", spec.ID, id)
 		}
 		*seen |= seenRead
-		t.inputs = append(t.inputs, f)
+		t.files = append(t.files, f)
 	}
-	if len(spec.Outputs) > 0 {
-		t.outputs = make([]*File, 0, len(spec.Outputs))
-	}
+	t.nIn = int32(len(t.files))
 	for _, id := range spec.Outputs {
-		f := w.fileByID[id]
+		f := w.File(id)
 		if f == nil {
 			return fmt.Errorf("workflow: task %q writes unknown file %q", spec.ID, id)
 		}
@@ -343,7 +399,7 @@ func (w *Workflow) resolveFiles(t *Task, spec TaskSpec) error {
 			return fmt.Errorf("workflow: file %q produced by both %q and %q", id, f.producer.id, spec.ID)
 		}
 		*seen |= seenWritten
-		t.outputs = append(t.outputs, f)
+		t.files = append(t.files, f)
 	}
 	return nil
 }
@@ -351,10 +407,7 @@ func (w *Workflow) resolveFiles(t *Task, spec TaskSpec) error {
 // clearSeen zeroes the scratch-set entries of t's files, so a later task
 // starts from an empty set.
 func (w *Workflow) clearSeen(t *Task) {
-	for _, f := range t.inputs {
-		w.seen[f.index-w.fileBase] = 0
-	}
-	for _, f := range t.outputs {
+	for _, f := range t.files {
 		w.seen[f.index-w.fileBase] = 0
 	}
 }
@@ -411,8 +464,8 @@ func (w *Workflow) TopologicalOrder() ([]*Task, error) {
 	indegree := make([]int, len(w.tasks))
 	ready := make(taskHeap, 0, len(w.tasks)/2+1)
 	for _, t := range w.tasks {
-		indegree[t.index] = len(t.parents)
-		if len(t.parents) == 0 {
+		indegree[t.index] = int(t.nPar)
+		if t.nPar == 0 {
 			ready = append(ready, t)
 		}
 	}
@@ -421,7 +474,7 @@ func (w *Workflow) TopologicalOrder() ([]*Task, error) {
 	for len(ready) > 0 {
 		t := heap.Pop(&ready).(*Task)
 		order = append(order, t)
-		for _, c := range t.children {
+		for _, c := range t.Children() {
 			indegree[c.index]--
 			if indegree[c.index] == 0 {
 				heap.Push(&ready, c)
@@ -445,8 +498,8 @@ func (w *Workflow) Validate() error {
 	indegree := make([]int32, len(w.tasks))
 	ready := make([]int32, 0, len(w.tasks))
 	for i, t := range w.tasks {
-		indegree[i] = int32(len(t.parents))
-		if len(t.parents) == 0 {
+		indegree[i] = t.nPar
+		if t.nPar == 0 {
 			ready = append(ready, int32(i))
 		}
 	}
@@ -455,10 +508,10 @@ func (w *Workflow) Validate() error {
 		t := w.tasks[ready[len(ready)-1]]
 		ready = ready[:len(ready)-1]
 		freed++
-		for _, c := range t.children {
+		for _, c := range t.Children() {
 			indegree[c.index]--
 			if indegree[c.index] == 0 {
-				ready = append(ready, int32(c.index))
+				ready = append(ready, c.index)
 			}
 		}
 	}
@@ -501,7 +554,7 @@ func (w *Workflow) Levels() ([][]*Task, error) {
 	max := 0
 	for _, t := range order {
 		d := 0
-		for _, p := range t.parents {
+		for _, p := range t.Parents() {
 			if depth[p.index]+1 > d {
 				d = depth[p.index] + 1
 			}
@@ -531,7 +584,7 @@ func (w *Workflow) CriticalPath(dur func(*Task) float64) ([]*Task, float64, erro
 	best := 0.0
 	for _, t := range order {
 		start := 0.0
-		for _, p := range t.parents {
+		for _, p := range t.Parents() {
 			if finish[p.index] > start {
 				start = finish[p.index]
 				prev[t.index] = p
