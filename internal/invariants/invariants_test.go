@@ -3,9 +3,12 @@ package invariants
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"hash"
+	"math"
 	"slices"
 	"testing"
 
@@ -26,6 +29,34 @@ const (
 	adaptDigest    = "0e8b45b25fb5b20677d2ffd8919b89ee845b3daaaa02f69dfea728c196b16859"
 )
 
+// The harnesses' record digests: one SHA-256 over every run's task
+// records (their JSON) and the float bits of its per-name summaries,
+// fault-free and faulty, in run order. They pin the records the trace
+// builds from a run's events on the faulty, checkpointed and adaptive
+// seeds.
+const (
+	propertyRecordsDigest = "8a3ce7b0eb8a2def9aebbf820ee4e3080786f791316cfb8fb46213ce29b3aaae"
+	ckptRecordsDigest     = "f294ac7081e7b2d47612ca8502d556e8285103c9e4e098469554ff8195f4a2cc"
+	adaptRecordsDigest    = "28ca6204bf85077920d226d2e5669ce3fda6dc341878dcb66f7d72949954c92a"
+)
+
+// hashRecords adds the result's task records and summaries to h.
+func hashRecords(t *testing.T, h hash.Hash, res *core.Result) {
+	t.Helper()
+	b, err := json.Marshal(res.Trace.Records())
+	if err != nil {
+		t.Fatalf("records JSON: %v", err)
+	}
+	h.Write(b)
+	for _, s := range res.Summaries {
+		h.Write([]byte(s.Name))
+		for _, x := range []float64{float64(s.Count), s.MeanExec, s.MaxExec, s.MeanIO,
+			s.MeanCompute, s.MeanWait, float64(s.BytesRead), float64(s.BytesWritten)} {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)))
+		}
+	}
+}
+
 // hashSnapshot adds the result's snapshot bytes to h.
 func hashSnapshot(t *testing.T, h hash.Hash, res *core.Result) {
 	t.Helper()
@@ -44,13 +75,21 @@ func checkDigest(t *testing.T, h hash.Hash, want string) {
 	}
 }
 
+// checkRecordsDigest compares h's digest with the pinned one.
+func checkRecordsDigest(t *testing.T, h hash.Hash, want string) {
+	t.Helper()
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("records digest = %s, want %s: a harness run's task records or summaries changed", got, want)
+	}
+}
+
 // TestPropertyHarness drives 220 seeded random cases — workflow structure ×
 // file regime × platform profile × run options, ~40% with a calibrated
 // fault campaign on top — through the full simulator and checks every
 // cross-layer invariant on each result. Every 20th case is additionally
 // replayed and must reproduce its observability snapshot byte-for-byte.
 func TestPropertyHarness(t *testing.T) {
-	h := sha256.New()
+	h, hr := sha256.New(), sha256.New()
 	const cases = 220
 	var withFaults, constrained int
 	for seed := int64(1); seed <= cases; seed++ {
@@ -86,6 +125,7 @@ func TestPropertyHarness(t *testing.T) {
 				t.Errorf("%s (faulty=%v): %s", c.Name, faulty, v)
 			}
 			hashSnapshot(t, h, res)
+			hashRecords(t, hr, res)
 			return res
 		}
 
@@ -125,6 +165,7 @@ func TestPropertyHarness(t *testing.T) {
 		t.Errorf("only %d/%d cases drew a constrained BB; generator coverage degraded", constrained, cases)
 	}
 	checkDigest(t, h, propertyDigest)
+	checkRecordsDigest(t, hr, propertyRecordsDigest)
 }
 
 // TestCheckpointPropertyHarness drives 200 seeded checkpointed fault
@@ -133,7 +174,7 @@ func TestPropertyHarness(t *testing.T) {
 // checks every cross-layer invariant, including the checkpoint replay
 // (restart durability, recovered ≤ aborted, ckpt ⊆ storage traffic).
 func TestCheckpointPropertyHarness(t *testing.T) {
-	h := sha256.New()
+	h, hr := sha256.New(), sha256.New()
 	const cases = 200
 	var commits, drains, losses, restarts int
 	for seed := int64(1); seed <= cases; seed++ {
@@ -162,6 +203,7 @@ func TestCheckpointPropertyHarness(t *testing.T) {
 				t.Errorf("%s (faulty=%v): %s", c.Name, faulty, v)
 			}
 			hashSnapshot(t, h, res)
+			hashRecords(t, hr, res)
 			return res
 		}
 		res := run(false, 0)
@@ -186,6 +228,7 @@ func TestCheckpointPropertyHarness(t *testing.T) {
 		t.Errorf("only %d checkpoint restarts; harness coverage degraded", restarts)
 	}
 	checkDigest(t, h, ckptDigest)
+	checkRecordsDigest(t, hr, ckptRecordsDigest)
 }
 
 // TestAdaptPropertyHarness drives 150 seeded adaptive fault configs — the
@@ -195,7 +238,7 @@ func TestCheckpointPropertyHarness(t *testing.T) {
 // byte bounds (spill/replication traffic ⊆ storage traffic) and the
 // trace-pinned adapt tallies.
 func TestAdaptPropertyHarness(t *testing.T) {
-	h := sha256.New()
+	h, hr := sha256.New(), sha256.New()
 	const cases = 150
 	var spills, replications, fallbacks int
 	for seed := int64(1); seed <= cases; seed++ {
@@ -224,6 +267,7 @@ func TestAdaptPropertyHarness(t *testing.T) {
 				t.Errorf("%s (faulty=%v): %s", c.Name, faulty, v)
 			}
 			hashSnapshot(t, h, res)
+			hashRecords(t, hr, res)
 			return res
 		}
 		res := run(false, 0)
@@ -245,6 +289,7 @@ func TestAdaptPropertyHarness(t *testing.T) {
 		t.Errorf("only %d adapt fallbacks; harness coverage degraded", fallbacks)
 	}
 	checkDigest(t, h, adaptDigest)
+	checkRecordsDigest(t, hr, adaptRecordsDigest)
 }
 
 // TestMetricsSinkIndependent pins that the metrics fold is teed beside
