@@ -278,7 +278,6 @@ func (e *engine) restoreFromCkpt(a *attempt, rec *ckptRec, svc storage.Service) 
 		if a.aborted || e.err != nil {
 			return
 		}
-		a.rec.ReadDoneAt = e.now()
 		e.runCompute(a)
 	}), 0)
 	if err != nil {

@@ -326,7 +326,7 @@ func TestNodeFailureDuringStageOut(t *testing.T) {
 	if got := tr.CountKind(trace.TaskFail); got == 0 {
 		t.Error("scripted node failure killed nothing")
 	}
-	if rec := tr.Task("stage_out"); rec.Retries == 0 {
+	if rec := tr.Task(wf.Task("stage_out")); rec.Retries == 0 {
 		t.Error("stage-out completed without the expected retry")
 	}
 }

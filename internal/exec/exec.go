@@ -191,7 +191,7 @@ func Run(sys *storage.System, wf *workflow.Workflow, cfg Config) (*trace.Trace, 
 	if err != nil {
 		return nil, err
 	}
-	tr := trace.New(wf.Name(), sys.Platform().Config().Name, cfg.TraceSink)
+	tr := trace.ForWorkflow(wf, sys.Platform().Config().Name, cfg.TraceSink)
 	sys.Registry().Reserve(len(wf.Files()))
 	e := &engine{
 		sys:       sys,
@@ -364,7 +364,6 @@ func (e *engine) nodeHint(t *workflow.Task) *platform.Node {
 func (e *engine) pushReady(t *workflow.Task) {
 	e.ready = e.sched.insert(e.ready, t)
 	e.record(trace.TaskReady, t, trace.Event{})
-	e.tr.Task(t.ID()).ReadyAt = e.now()
 }
 
 // cores returns the core count task t runs with on node n.
@@ -445,15 +444,9 @@ func (e *engine) freeCores() int {
 
 func (e *engine) startTask(t *workflow.Task, node *platform.Node, cores int) {
 	e.tries[t.Index()]++
-	rec := e.tr.Task(t.ID())
-	a := &attempt{e: e, task: t, node: node, cores: cores, n: int(e.tries[t.Index()]), rec: rec}
+	a := &attempt{e: e, task: t, node: node, cores: cores, n: int(e.tries[t.Index()])}
 	e.active[t.Index()] = a
-	rec.Name = t.Name()
-	rec.Node = node.Name()
-	rec.Cores = cores
-	rec.StartedAt = e.now()
-	rec.Retries = a.n - 1
-	e.record(trace.TaskStart, t, trace.Named(node.Name()))
+	e.record(trace.TaskStart, t, trace.Started(node.Name(), cores, a.n))
 	switch t.Kind() {
 	case workflow.KindStageIn:
 		e.runStageIn(a, 0)
@@ -503,8 +496,6 @@ func (e *engine) runStageOut(a *attempt, i int) {
 		e.track(a, op)
 		return
 	}
-	a.rec.ReadDoneAt = e.now()
-	a.rec.ComputeDone = e.now()
 	e.finishTask(a)
 }
 
@@ -514,8 +505,7 @@ func (e *engine) stageOutDone(a *attempt, i int) {
 		return
 	}
 	f := a.task.Inputs()[i]
-	e.record(trace.StageEnd, a.task, trace.At(f.ID(), e.sys.PFS().Name()))
-	a.rec.BytesWritten += f.Size()
+	e.record(trace.StageEnd, a.task, trace.At(f.ID(), e.sys.PFS().Name()).Moved(f.Size()))
 	e.runStageOut(a, i+1)
 }
 
@@ -570,8 +560,6 @@ func (e *engine) runStageIn(a *attempt, i int) {
 		e.track(a, op)
 		return
 	}
-	a.rec.ReadDoneAt = e.now()
-	a.rec.ComputeDone = e.now()
 	e.finishTask(a)
 }
 
@@ -581,8 +569,7 @@ func (e *engine) stageInDone(a *attempt, i int) {
 		return
 	}
 	f := a.task.Outputs()[i]
-	e.record(trace.StageEnd, a.task, trace.Named(f.ID()))
-	a.rec.BytesWritten += f.Size()
+	e.record(trace.StageEnd, a.task, trace.Named(f.ID()).Moved(f.Size()))
 	e.runStageIn(a, i+1)
 }
 
@@ -607,7 +594,6 @@ func (e *engine) bbRejected(t *workflow.Task, f *workflow.File, svc storage.Serv
 func (e *engine) runReads(a *attempt) {
 	inputs := a.task.Inputs()
 	if len(inputs) == 0 {
-		a.rec.ReadDoneAt = e.now()
 		e.runCompute(a)
 		return
 	}
@@ -637,14 +623,12 @@ func (e *engine) readDone(a *attempt, i int) {
 		return
 	}
 	f := a.task.Inputs()[i]
-	e.record(trace.ReadEnd, a.task, trace.Named(f.ID()))
-	a.rec.BytesRead += f.Size()
+	e.record(trace.ReadEnd, a.task, trace.Named(f.ID()).Moved(f.Size()))
 	a.rd.pending--
 	if e.err != nil {
 		return
 	}
 	if a.rd.pending == 0 {
-		a.rec.ReadDoneAt = e.now()
 		e.runCompute(a)
 		return
 	}
@@ -765,7 +749,6 @@ func (e *engine) computeDone(tag uint64) {
 		e.writeCheckpoint(a)
 		return
 	}
-	a.rec.ComputeDone = e.now()
 	e.record(trace.ComputeEnd, a.task, trace.Event{})
 	e.runWrites(a)
 }
@@ -837,8 +820,7 @@ func (e *engine) writeDone(a *attempt, i int) {
 		return
 	}
 	f := a.task.Outputs()[i]
-	e.record(trace.WriteEnd, a.task, trace.Named(f.ID()))
-	a.rec.BytesWritten += f.Size()
+	e.record(trace.WriteEnd, a.task, trace.Named(f.ID()).Moved(f.Size()))
 	a.wr.pending--
 	if e.err != nil {
 		return
@@ -852,13 +834,7 @@ func (e *engine) writeDone(a *attempt, i int) {
 
 func (e *engine) finishTask(a *attempt) {
 	t := a.task
-	rec := e.tr.Task(t.ID())
-	rec.FinishedAt = e.now()
 	e.record(trace.TaskEnd, t, trace.Event{X: e.executed(a)})
-	// A counting or streaming trace folds the finished record into its
-	// per-name summary here, keeping live trace state O(active tasks); a
-	// retaining trace no-ops.
-	e.tr.Release(t.ID())
 	e.clearCkpts(t)
 	a.node.ReleaseResources(a.cores, t.Memory())
 	e.running--

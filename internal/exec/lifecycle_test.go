@@ -106,7 +106,7 @@ func TestPrivateVisibilityFallsBackToPFS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tr.Task("produce").Node == tr.Task("consume").Node {
+		if tr.Task(wf.Task("produce")).Node == tr.Task(wf.Task("consume")).Node {
 			t.Fatal("test setup broken: producer and consumer on the same node")
 		}
 		return tr.Makespan()

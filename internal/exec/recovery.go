@@ -162,7 +162,6 @@ type attempt struct {
 	n         int // 1-based start count for this task
 	phase     phase
 	aborted   bool
-	rec       *trace.TaskRecord  // the task's trace record
 	rd, wr    ioCursor           // read and write phase progress
 	ops       []storage.OpHandle // in-flight and completed ops, start order
 	computeEv sim.Handle         // pending compute-segment completion, if scheduled

@@ -57,7 +57,7 @@ func TestLeastLoadedBalances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Task("a").Node == tr.Task("b").Node {
+	if tr.Task(wf.Task("a")).Node == tr.Task(wf.Task("b")).Node {
 		t.Error("least-loaded packed both 3-core tasks onto one node")
 	}
 }
@@ -71,7 +71,7 @@ func TestLargestWorkFirstOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Task("big").StartedAt > tr.Task("small").StartedAt {
+	if tr.Task(wf.Task("big")).StartedAt > tr.Task(wf.Task("small")).StartedAt {
 		t.Error("largest-work-first ran the small task first")
 	}
 }
@@ -143,10 +143,10 @@ func TestRoundRobinFallsBackWhenFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Task("c").Node == tr.Task("a").Node {
+	if tr.Task(wf.Task("c")).Node == tr.Task(wf.Task("a")).Node {
 		t.Error("task c landed on the full node")
 	}
-	if tr.Task("c").WaitTime() > 0 {
+	if tr.Task(wf.Task("c")).WaitTime() > 0 {
 		t.Error("task c waited despite free cores on node B")
 	}
 }

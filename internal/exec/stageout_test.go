@@ -42,7 +42,7 @@ func TestStageOutDrainsToPFS(t *testing.T) {
 	if !sys.Registry().Has(f, sys.BBFor(sys.Platform().Node(0))) {
 		t.Error("BB replica should remain (stage-out copies, not moves)")
 	}
-	rec := tr.Task("stage_out")
+	rec := tr.Task(wf.Task("stage_out"))
 	if rec.BytesWritten != 100*units.MB {
 		t.Errorf("stage-out bytes = %v, want 100 MB", rec.BytesWritten)
 	}
@@ -56,7 +56,7 @@ func TestStageOutSkipsPFSResidentFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := tr.Task("stage_out")
+	rec := tr.Task(wf.Task("stage_out"))
 	if got := rec.ExecTime(); got != 0 {
 		t.Errorf("stage-out of a PFS-resident file took %v, want 0", got)
 	}

@@ -187,7 +187,7 @@ func Check(cfg platform.Config, res *core.Result) []string {
 
 // checkTasks validates the task families of the snapshot against what the
 // metrics fold does not compute them from, the trace's per-kind counts and
-// the task records exec keeps:
+// the task records the trace folds from the same events:
 //
 //	a. the completions sum to the trace's task-end count;
 //	b. on a run with no task-fail or task-retry every task ran once, so

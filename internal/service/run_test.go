@@ -42,7 +42,7 @@ func BenchmarkExecuteMix(b *testing.B) {
 
 // allocsPerRequest is the allocation budget of one Execute over the mix:
 // the mean measured on amd64 with go1.24, plus 15%.
-const allocsPerRequest = 964 * 1.15
+const allocsPerRequest = 940 * 1.15
 
 // TestExecuteAllocBudget pins the mean allocations of an Execute over
 // the mix, so an allocation added per task, file, storage operation or

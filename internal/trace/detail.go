@@ -38,6 +38,13 @@ const (
 // Named is one name: a node, service or file, or a cause.
 func Named(name string) Event { return Event{form: formName, Name: name} }
 
+// Started is a task's attempt-th start, on node with cores cores. Its
+// text is the node; the cores (in X) and the attempt (in N) are operands
+// only the task records read.
+func Started(node string, cores, attempt int) Event {
+	return Event{form: formName, Name: node, X: float64(cores), N: int64(attempt)}
+}
+
 // At is a file at a service or node.
 func At(file, place string) Event { return Event{form: formAt, Name: file, Place: place} }
 
@@ -93,8 +100,10 @@ func Node(index int) Event { return Event{form: formNode, N: int64(index)} }
 
 // Moved returns d carrying size, the bytes its event moved, in Y, for a
 // form whose text renders no Y. The outputs never show it; the metrics
-// fold reads it through Bytes. A spill that only evicts moves nothing and
-// carries none, which is how the fold tells it from a zero-byte copy.
+// fold and the task records read it through Bytes. A spill that only
+// evicts moves nothing and carries none, which is how the fold tells it
+// from a zero-byte copy; a relocation's stage-end carries none either,
+// since the bytes it moves are not the task's.
 func (d Event) Moved(size units.Bytes) Event {
 	d.Y, d.moved = float64(size), true
 	return d

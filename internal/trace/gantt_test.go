@@ -7,7 +7,7 @@ import (
 )
 
 func TestRenderGantt(t *testing.T) {
-	tr := buildTrace()
+	tr, _ := buildTrace(t)
 	var buf bytes.Buffer
 	if err := tr.RenderGantt(&buf, 40); err != nil {
 		t.Fatal(err)
@@ -59,18 +59,10 @@ func TestRenderGanttEmpty(t *testing.T) {
 }
 
 func TestRenderGanttTinyTaskVisible(t *testing.T) {
-	tr := New("w", "p", Retain)
-	long := tr.Task("long")
-	long.StartedAt = 0
-	long.ReadDoneAt = 0
-	long.ComputeDone = 100
-	long.FinishedAt = 100
-	tiny := tr.Task("tiny")
-	tiny.StartedAt = 50
-	tiny.ReadDoneAt = 50
-	tiny.ComputeDone = 50.001
-	tiny.FinishedAt = 50.001
-	tr.Record(100, TaskEnd, "long", Event{})
+	wf := testWorkflow(t, "long", "n", "tiny", "n")
+	tr := ForWorkflow(wf, "p", Retain)
+	run(tr, wf.Task("long"), execution{0, 0, 0, 100, 100, "n0", 1, 1, 0, 0})
+	run(tr, wf.Task("tiny"), execution{50, 50, 50, 50.001, 50.001, "n0", 1, 1, 0, 0})
 	var buf bytes.Buffer
 	if err := tr.RenderGantt(&buf, 40); err != nil {
 		t.Fatal(err)
@@ -83,13 +75,11 @@ func TestRenderGanttTinyTaskVisible(t *testing.T) {
 }
 
 func TestGanttSkipsEmptyPhases(t *testing.T) {
-	tr := New("w", "p", Retain)
-	r := tr.Task("t")
-	r.StartedAt = 1
-	r.ReadDoneAt = 1 // no read phase
-	r.ComputeDone = 2
-	r.FinishedAt = 2 // no write phase
-	tr.Record(2, TaskEnd, "t", Event{})
+	wf := testWorkflow(t, "t", "n")
+	tr := ForWorkflow(wf, "p", Retain)
+	// No read phase (reads done at start), no write phase (ends at
+	// compute's end).
+	run(tr, wf.Task("t"), execution{1, 1, 1, 2, 2, "n0", 1, 1, 0, 0})
 	var buf bytes.Buffer
 	if err := tr.RenderGantt(&buf, 40); err != nil {
 		t.Fatal(err)

@@ -23,17 +23,16 @@ type Sink interface {
 // events of 88 bytes, just under the runtime's 32 KiB size class.
 const chunkEvents = 372
 
-// memory is the retaining sink of a trace built with Retain. It also holds
-// the trace's task records: a trace retains both or neither.
+// memory is the retaining sink of a trace built with Retain. A trace
+// that has one keeps every task record too (Trace.recs).
 //
 // Events go into fixed chunks from the first event on, and a chunk is
 // never grown, so recording copies no event it has already stored. The
 // chunk list starts in first, so a trace shorter than one chunk allocates
 // that chunk and nothing else. events flattens the chunks once, on read.
 type memory struct {
-	chunks  [][]Event // in emission order; the last one is being filled
-	first   [1][]Event
-	records []*TaskRecord
+	chunks [][]Event // in emission order; the last one is being filled
+	first  [1][]Event
 }
 
 func (m *memory) Emit(ev Event) {

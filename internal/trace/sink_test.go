@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -182,27 +183,21 @@ func TestNonRetainedMarshalRefused(t *testing.T) {
 	}
 }
 
-// TestReleaseFoldsSummaries: in a trace with a sink, Release drops the
-// record from live state and the folded summaries still match a retaining
-// trace's.
+// TestReleaseFoldsSummaries: a releasing trace folds each record into
+// the summaries at its task's end and frees it, and the folded summaries
+// match a retaining trace's.
 func TestReleaseFoldsSummaries(t *testing.T) {
+	wf := testWorkflow(t, "a1", "a", "a2", "a", "b1", "b")
 	build := func(tr *Trace, release bool) {
-		for i, id := range []string{"a1", "a2", "b1"} {
-			r := tr.Task(id)
-			r.Name = string(id[0])
+		for i, wt := range wf.Tasks() {
 			base := float64(i * 10)
-			r.ReadyAt, r.StartedAt, r.ReadDoneAt = base, base+1, base+2
-			r.ComputeDone, r.FinishedAt = base+5, base+6
-			r.BytesRead, r.BytesWritten = 100, 50
-			if release {
-				tr.Release(id)
-				if tr.byTask[id] != nil {
-					t.Fatalf("record %s still live after Release", id)
-				}
+			run(tr, wt, execution{base, base + 1, base + 2, base + 5, base + 6, "n0", 1, 1, 100, 50})
+			if release && (tr.Task(wt) != nil || tr.slot[wt.Index()] != 0) {
+				t.Fatalf("record %s still live after its task's end", wt.ID())
 			}
 		}
 	}
-	retained, counting := New("wf", "p", Retain), New("wf", "p", nil)
+	retained, counting := ForWorkflow(wf, "p", Retain), ForWorkflow(wf, "p", nil)
 	build(retained, false)
 	build(counting, true)
 	a, b := retained.Summarize(), counting.Summarize()
@@ -214,6 +209,78 @@ func TestReleaseFoldsSummaries(t *testing.T) {
 			t.Errorf("summary %d differs: %+v vs %+v", i, a[i], b[i])
 		}
 	}
+	if n := len(counting.recs); n != 1 {
+		t.Errorf("releasing trace allocated %d records for tasks run one at a time, want 1", n)
+	}
+}
+
+// TestLiveRecordsBounded drives a releasing trace through a seeded random
+// interleaving of task lifecycles, with failures, retries and lineage
+// re-executions, and checks after every event that its live records never
+// outnumber the tasks between a ready and an end, and that it never holds
+// more records than the most such tasks at once.
+func TestLiveRecordsBounded(t *testing.T) {
+	const tasks = 40
+	ids := make([]string, 0, 2*tasks)
+	for i := 0; i < tasks; i++ {
+		ids = append(ids, "t"+strconv.Itoa(i), "n"+strconv.Itoa(i%3))
+	}
+	wf := testWorkflow(t, ids...)
+	tr := ForWorkflow(wf, "p", nil)
+	rng := rand.New(rand.NewSource(1))
+	const (
+		idle = iota
+		ready
+		running
+	)
+	state, starts := make([]int, tasks), make([]int, tasks)
+	open, peak, now := 0, 0, 0.0
+	for step := 0; step < 20000; step++ {
+		wt := wf.Tasks()[rng.Intn(tasks)]
+		i := wt.Index()
+		now++
+		switch state[i] {
+		case idle: // first execution, or a re-execution of a finished task
+			if starts[i] > 0 {
+				record(tr, now, TaskRetry, wt, Named("re-execution: output replica lost"))
+			}
+			record(tr, now, TaskReady, wt, Event{})
+			state[i] = ready
+			open++
+		case ready:
+			starts[i]++
+			record(tr, now, TaskStart, wt, Started("n0", 1, starts[i]))
+			state[i] = running
+		case running:
+			switch rng.Intn(4) {
+			case 0:
+				record(tr, now, TaskFail, wt, Named("injected crash"))
+				record(tr, now, TaskRetry, wt, Attempt(starts[i]+1))
+				record(tr, now, TaskReady, wt, Event{})
+				state[i] = ready
+			case 1:
+				record(tr, now, ReadEnd, wt, Named("in").Moved(1))
+				record(tr, now, ComputeStart, wt, Event{})
+			case 2:
+				record(tr, now, ComputeEnd, wt, Event{})
+				record(tr, now, WriteEnd, wt, Named("out").Moved(1))
+			default:
+				record(tr, now, TaskEnd, wt, Event{})
+				state[i] = idle
+				open--
+			}
+		}
+		peak = max(peak, open)
+		if live := len(tr.recs) - len(tr.free); live > open {
+			t.Fatalf("step %d: %d live records, %d tasks between ready and end", step, live, open)
+		}
+		if len(tr.recs) > peak {
+			t.Fatalf("step %d: %d records held, at most %d tasks were ever open at once", step, len(tr.recs), peak)
+		}
+	}
+	if ends := tr.CountKind(TaskEnd); ends < tasks {
+		t.Fatalf("only %d task ends; the interleaving exercised too little", ends)
+	}
 }
 
 // TestRetainedChunks fills a retaining trace past three storage chunks
@@ -222,20 +289,46 @@ func TestReleaseFoldsSummaries(t *testing.T) {
 // appending in order, MarshalJSON and Save write the bytes the plain slice
 // marshals to, and Records and CountKind are untouched by the chunking.
 func TestRetainedChunks(t *testing.T) {
-	tr := New("wf", "plat", Retain)
+	ids := make([]string, 0, 2*97)
+	for i := 0; i < 97; i++ {
+		ids = append(ids, "t"+strconv.Itoa(i), "n")
+	}
+	wf := testWorkflow(t, ids...)
+	tr := ForWorkflow(wf, "plat", Retain)
 	kinds := []EventKind{TaskReady, TaskStart, TaskEnd, JobSubmit, JobStart}
 	var want []Event
+	// records is the task records the events build, in first-touch order.
 	var records []*TaskRecord
+	byID := map[string]*TaskRecord{}
 	emit := func(n int) {
 		for i := 0; i < n; i++ {
 			k := len(want)
-			ev := Event{Time: float64(k) / 3, Kind: kinds[k%len(kinds)], TaskID: "t" + strconv.Itoa(k%97), Name: strconv.Itoa(k), form: formName}
-			tr.Record(ev.Time, ev.Kind, ev.TaskID, Named(ev.Name))
+			wt := wf.Tasks()[k%97]
+			d := Named(strconv.Itoa(k))
+			if kinds[k%len(kinds)] == TaskStart {
+				d = Started(strconv.Itoa(k), 2, 1)
+			}
+			d.M = int32(wt.Index())
+			ev := d
+			ev.Time, ev.Kind, ev.TaskID = float64(k)/3, kinds[k%len(kinds)], wt.ID()
+			tr.Record(ev.Time, ev.Kind, ev.TaskID, d)
 			want = append(want, ev)
-			if k%1000 == 0 {
-				r := tr.Task("task" + strconv.Itoa(k))
-				r.Name, r.StartedAt, r.FinishedAt = "n", ev.Time, ev.Time+1
+			if ev.Kind > TaskEnd {
+				continue
+			}
+			r := byID[ev.TaskID]
+			if r == nil {
+				r = &TaskRecord{TaskID: ev.TaskID}
+				byID[ev.TaskID] = r
 				records = append(records, r)
+			}
+			switch ev.Kind {
+			case TaskReady:
+				r.ReadyAt = ev.Time
+			case TaskStart:
+				r.Name, r.Node, r.Cores, r.StartedAt = "n", ev.Name, 2, ev.Time
+			case TaskEnd:
+				r.FinishedAt = ev.Time
 			}
 		}
 	}
@@ -258,8 +351,8 @@ func TestRetainedChunks(t *testing.T) {
 	if !slices.Equal(got, want[:len(got)]) {
 		t.Fatal("later Emits changed an earlier Events() result")
 	}
-	if !slices.Equal(tr.Records(), records) {
-		t.Fatal("Records() differs from the created task records")
+	if !slices.EqualFunc(tr.Records(), records, func(a, b *TaskRecord) bool { return *a == *b }) {
+		t.Fatal("Records() differs from the records the events build")
 	}
 	for _, k := range append(kinds, TaskFail) {
 		n := 0
@@ -364,30 +457,38 @@ func TestShortTraceAllocatesOneChunk(t *testing.T) {
 }
 
 // TestNilSinkCounts: a trace built without a sink counts. It keeps no
-// event and no task record past the task's release, so Events and Records
-// are nil, and recording an event allocates nothing (no event chunk).
+// event and no task record past the task's end, so Events and Records
+// are nil, and recording an event allocates nothing: no event chunk, and
+// no task record once a freed one is there to reuse.
 func TestNilSinkCounts(t *testing.T) {
-	tr := New("wf", "plat", nil)
+	wf := testWorkflow(t, "t", "n")
+	wt := wf.Task("t")
+	tr := ForWorkflow(wf, "plat", nil)
 	allocs := testing.AllocsPerRun(3*chunkEvents, func() {
-		tr.Record(1, TaskStart, "t", Named("f"))
+		tr.Record(1, JobStart, "j", Named("f"))
 	})
 	if allocs != 0 {
 		t.Errorf("Record on a counting trace allocated %v times per event, want 0", allocs)
 	}
-	r := tr.Task("t")
-	r.Name, r.StartedAt, r.FinishedAt = "n", 1, 2
-	tr.Release("t")
+	run(tr, wt, execution{0, 1, 1, 1, 2, "n0", 1, 1, 0, 0})
+	const runs = 100
+	allocs = testing.AllocsPerRun(runs, func() {
+		run(tr, wt, execution{0, 1, 1, 1, 2, "n0", 1, 1, 0, 0})
+	})
+	if allocs != 0 {
+		t.Errorf("a task's events on a counting trace allocated %v times per execution, want 0", allocs)
+	}
 	if ev, recs := tr.Events(), tr.Records(); ev != nil || recs != nil {
 		t.Errorf("counting trace returned %d events and %d records, want nil", len(ev), len(recs))
 	}
 	if tr.mem != nil {
 		t.Error("counting trace built a retaining store")
 	}
-	if n := tr.CountKind(TaskStart); n != 3*chunkEvents+1 {
-		t.Errorf("CountKind(task-start) = %d, want %d", n, 3*chunkEvents+1)
+	if n := tr.CountKind(JobStart); n != 3*chunkEvents+1 {
+		t.Errorf("CountKind(job-start) = %d, want %d", n, 3*chunkEvents+1)
 	}
-	if s := tr.Summarize(); len(s) != 1 || s[0].Count != 1 || s[0].MeanExec != 1 {
-		t.Errorf("Summarize = %+v, want one record of n with exec 1", s)
+	if s := tr.Summarize(); len(s) != 1 || s[0].Count != runs+2 || s[0].MeanExec != 1 {
+		t.Errorf("Summarize = %+v, want %d executions of n with exec 1", s, runs+2)
 	}
 }
 

@@ -6,11 +6,14 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
+	"errors"
 	"os"
 	"sort"
+	"unicode/utf8"
 
+	"bbwfsim/internal/jsonw"
 	"bbwfsim/internal/units"
+	"bbwfsim/internal/workflow"
 )
 
 // EventKind labels a trace event. Kinds are small dense integers, so
@@ -24,7 +27,13 @@ const (
 	// "file@service"; of ReadEnd and WriteEnd the file. StageStart is
 	// "file->service" for a stage-in and "file@service->pfs" for a
 	// stage-out or a private-visibility relocation; StageEnd is the file
-	// or "file@pfs" respectively. The others carry no detail.
+	// or "file@pfs" respectively. The others carry no detail. Operands
+	// the text does not render (see Event) build the task records: each
+	// event's M is its task's index, TaskStart carries the attempt's cores
+	// and number (Started), and ReadEnd, WriteEnd and a stage-in's or
+	// stage-out's StageEnd the file's bytes (Moved; a relocation's
+	// StageEnd carries none). TaskEnd's X is the compute seconds the
+	// attempt executed.
 	TaskReady EventKind = iota
 	TaskStart
 	ReadStart
@@ -191,12 +200,14 @@ type Event struct {
 	// The detail operands: Name is a file ID, a node or service name, or
 	// a cause; Place the service or node a file is at or goes to (or a
 	// node failure's cause); X and Y numbers, N and M integers (see the
-	// builders in detail.go). Some carry an operand their text does not
-	// render, which the metrics fold reads: the engine's task events carry
-	// the task's index in M, a task-end's or task-fail's X is the compute
-	// seconds the attempt executed, and a ckpt-commit, ckpt-drain,
-	// restart-from, adapt-replicate or copying adapt-spill carries the
-	// bytes it moved (Moved).
+	// builders in detail.go). Some carry operands their text does not
+	// render, which the task records and the metrics fold read: the
+	// engine's task events carry the task's index in M, a task-start its
+	// core count in X and attempt number in N (Started), a task-end's or
+	// task-fail's X is the compute seconds the attempt executed, and a
+	// read-end, write-end, stage-in or stage-out stage-end, ckpt-commit,
+	// ckpt-drain, restart-from, adapt-replicate or copying adapt-spill
+	// carries the bytes it moved (Moved).
 	Name, Place string
 	X, Y        float64
 	N           int64
@@ -220,7 +231,8 @@ func (ev Event) MarshalJSON() ([]byte, error) {
 	return json.Marshal(jsonEvent{ev.Time, ev.Kind, ev.TaskID, string(appendDetail(nil, &ev))})
 }
 
-// TaskRecord aggregates one task's execution.
+// TaskRecord aggregates one task's execution. Record builds it from the
+// task's events (see Record); nothing else writes it.
 type TaskRecord struct {
 	TaskID string `json:"task"`
 	Name   string `json:"name"`
@@ -260,7 +272,9 @@ func (r *TaskRecord) WaitTime() float64 { return r.StartedAt - r.ReadyAt }
 // Trace is the full output of one simulated execution. Every recorded event
 // goes to the trace's Sink; makespan and per-kind event counts are kept by
 // the trace itself, so CountKind and the fault tallies in core.Result never
-// scan an event slice, whatever the sink does with the events.
+// scan an event slice, whatever the sink does with the events. A trace of
+// a workflow run (ForWorkflow) also folds the task events into one record
+// per task.
 type Trace struct {
 	WorkflowName string
 	PlatformName string
@@ -268,10 +282,20 @@ type Trace struct {
 	// mem is the retaining sink of a trace built with Retain: the only
 	// case in which events and task records outlive the run.
 	mem      *memory
-	byTask   map[string]*TaskRecord
 	makespan float64
 	counts   [numKinds]int // per-kind event counts
-	// folded accumulates summary sums for task records released by a
+
+	// The task records of a ForWorkflow trace. tasks is the workflow's
+	// tasks by index; slot holds, per task index, 1 + the position in recs
+	// of the task's live record, or 0 when it has none. A retaining trace
+	// never frees a record, so recs is every record in first-touch order;
+	// otherwise a task's end frees its record and free lists the positions
+	// the next new records reuse.
+	tasks []*workflow.Task
+	slot  []int32
+	recs  []*TaskRecord
+	free  []int32
+	// folded accumulates summary sums for task records freed by a
 	// non-retaining trace; foldedOrder remembers first-fold order only so
 	// Summarize's output stays deterministic without sorting a map.
 	folded      map[string]*Summary
@@ -279,20 +303,19 @@ type Trace struct {
 }
 
 // New returns an empty trace whose events go to sink. A nil sink counts:
-// the trace keeps the per-kind counts, the makespan and each task record
-// until the task is released, when it folds the record into per-name
-// summaries, so memory is O(active tasks), not O(total events). Retain
-// keeps every event and task record in memory, which Events, Records,
-// RenderGantt, MarshalJSON, Save and the invariants/replay harness
-// require, also as the first sink of a Tee. Any other sink (JSONLSink,
-// CSVSink) receives each event as it is recorded and folds records as a
-// nil sink does; the caller owns it and must Close it after the run.
+// the trace keeps the per-kind counts and the makespan, so memory is O(1),
+// not O(total events). Retain keeps every event (and, on a ForWorkflow
+// trace, every task record) in memory, which Events, Records, RenderGantt,
+// MarshalJSON, Save and the invariants/replay harness require, also as
+// the first sink of a Tee. Any other sink (JSONLSink, CSVSink) receives
+// each event as it is recorded; the caller owns it and must Close it
+// after the run. A trace from New keeps no task records: batch campaigns
+// (internal/sched) record job events only.
 func New(workflowName, platformName string, sink Sink) *Trace {
 	t := &Trace{
 		WorkflowName: workflowName,
 		PlatformName: platformName,
 		sink:         sink,
-		byTask:       map[string]*TaskRecord{},
 	}
 	switch s := sink.(type) {
 	case retain:
@@ -307,13 +330,43 @@ func New(workflowName, platformName string, sink Sink) *Trace {
 	return t
 }
 
+// ForWorkflow returns an empty trace of a run of wf, as New does, that
+// also folds the run's task events into one record per task (see Record).
+// Unless the trace retains, a task's end folds its record into the
+// per-name summaries and frees it, so the records take O(active tasks)
+// memory plus a 4-byte index per task.
+func ForWorkflow(wf *workflow.Workflow, platformName string, sink Sink) *Trace {
+	t := New(wf.Name(), platformName, sink)
+	t.tasks = wf.Tasks()
+	t.slot = make([]int32, len(t.tasks))
+	return t
+}
+
 // Record logs an event of kind for taskID at time, whose detail operands
 // are d's (see Named, At and the other detail builders): the per-kind
-// count and makespan advance, and the event goes to the trace's sink.
+// count and makespan advance, the event goes to the trace's sink, and on
+// a ForWorkflow trace a task event (whose M is the task's index) updates
+// the task's record:
+//
+//   - task-ready sets ReadyAt; the task's first event since its record
+//     was freed (or ever) creates the record;
+//   - task-start (Started) sets Name, Node, Cores, StartedAt and Retries;
+//   - compute-start sets ReadDoneAt, compute-end ComputeDone;
+//   - a read-end adds the bytes it moved to BytesRead, a write-end or
+//     stage-end to BytesWritten (one that carries none adds nothing);
+//   - task-end sets FinishedAt, and on a stage task ReadDoneAt and
+//     ComputeDone too. Unless the trace retains, it then folds the record
+//     into the per-name summaries and frees it: a task re-run later
+//     (lineage re-execution under faults) gets a fresh record and folds
+//     again, so folded summaries count such tasks once per execution,
+//     while a retaining trace keeps the one record.
 func (t *Trace) Record(time float64, kind EventKind, taskID string, d Event) {
 	t.counts[kind]++
 	if time > t.makespan {
 		t.makespan = time
+	}
+	if kind <= TaskEnd && t.slot != nil {
+		t.foldTask(time, kind, taskID, &d)
 	}
 	if t.sink != nil {
 		d.Time, d.Kind, d.TaskID = time, kind, taskID
@@ -321,35 +374,73 @@ func (t *Trace) Record(time float64, kind EventKind, taskID string, d Event) {
 	}
 }
 
-// Task returns (creating if necessary) the record for taskID.
-func (t *Trace) Task(taskID string) *TaskRecord {
-	if r := t.byTask[taskID]; r != nil {
+// foldTask applies a task event to its task's record.
+func (t *Trace) foldTask(time float64, kind EventKind, taskID string, d *Event) {
+	if kind == ReadStart || kind == WriteStart || kind == StageStart {
+		return
+	}
+	r := t.live(d.M, taskID)
+	switch kind {
+	case TaskReady:
+		r.ReadyAt = time
+	case TaskStart:
+		r.Name, r.Node, r.StartedAt = t.tasks[d.M].Name(), d.Name, time
+		r.Cores, r.Retries = int(d.X), int(d.N)-1
+	case ComputeStart:
+		r.ReadDoneAt = time
+	case ComputeEnd:
+		r.ComputeDone = time
+	case ReadEnd:
+		if b, ok := d.Bytes(); ok {
+			r.BytesRead += units.Bytes(b)
+		}
+	case WriteEnd, StageEnd:
+		if b, ok := d.Bytes(); ok {
+			r.BytesWritten += units.Bytes(b)
+		}
+	case TaskEnd:
+		r.FinishedAt = time
+		if t.tasks[d.M].Kind() != workflow.KindCompute {
+			r.ReadDoneAt, r.ComputeDone = time, time
+		}
+		if t.mem == nil {
+			t.fold(r)
+			t.free = append(t.free, t.slot[d.M]-1)
+			t.slot[d.M] = 0
+		}
+	}
+}
+
+// live returns the live record of the task at index m, creating it in a
+// freed position, or else a new one, if the task has none.
+func (t *Trace) live(m int32, taskID string) *TaskRecord {
+	if s := t.slot[m]; s != 0 {
+		return t.recs[s-1]
+	}
+	if n := len(t.free); n > 0 {
+		pos := t.free[n-1]
+		t.free = t.free[:n-1]
+		t.slot[m] = pos + 1
+		r := t.recs[pos]
+		*r = TaskRecord{TaskID: taskID}
 		return r
 	}
 	r := &TaskRecord{TaskID: taskID}
-	t.byTask[taskID] = r
-	if t.mem != nil {
-		t.mem.records = append(t.mem.records, r)
-	}
+	t.recs = append(t.recs, r)
+	t.slot[m] = int32(len(t.recs))
 	return r
 }
 
-// Release folds taskID's completed record into the per-name summary
-// accumulators and frees it. A retaining trace keeps every record, so there
-// it is a no-op; otherwise the execution engine calls it as each task
-// finishes, which is what keeps live state O(active tasks). A task re-run
-// later (lineage re-execution under faults) simply gets a fresh record and
-// folds again, so folded summaries count such tasks once per execution.
-func (t *Trace) Release(taskID string) {
-	if t.mem != nil {
-		return
+// Task returns the live record of task wt, or nil if it has none. On a
+// retaining trace every task's record stays live from its first event on;
+// otherwise a record lives from the task's ready to its end.
+//
+//bbvet:allow unreached -- the read-only record lookup behind about twenty exec test assertions
+func (t *Trace) Task(wt *workflow.Task) *TaskRecord {
+	if i := wt.Index(); i < len(t.slot) && t.slot[i] != 0 {
+		return t.recs[t.slot[i]-1]
 	}
-	r := t.byTask[taskID]
-	if r == nil {
-		return
-	}
-	delete(t.byTask, taskID)
-	t.fold(r)
+	return nil
 }
 
 func (t *Trace) fold(r *TaskRecord) {
@@ -390,7 +481,7 @@ func (t *Trace) Records() []*TaskRecord {
 	if t.mem == nil {
 		return nil
 	}
-	return t.mem.records
+	return t.recs
 }
 
 // Makespan returns the time of the last recorded event.
@@ -416,7 +507,7 @@ type Summary struct {
 }
 
 // Summarize groups records by task name and averages their phases. Results
-// are sorted by name. Records already folded by Release contribute through
+// are sorted by name. Records already folded at their task's end contribute through
 // their accumulators; the live ones are folded on a copy, so repeated calls
 // are deterministic and non-mutating.
 func (t *Trace) Summarize() []Summary {
@@ -445,16 +536,18 @@ func (t *Trace) Summarize() []Summary {
 	return out
 }
 
-// liveRecords returns the task records Release has not folded: every record
-// of a retaining trace, in first-touch order; otherwise the unfinished
-// tasks' records, in task-ID order.
+// liveRecords returns the task records not folded yet: every record of a
+// retaining trace, in first-touch order; otherwise the unfinished tasks'
+// records, in task-ID order.
 func (t *Trace) liveRecords() []*TaskRecord {
 	if t.mem != nil {
-		return t.mem.records
+		return t.recs
 	}
-	live := make([]*TaskRecord, 0, len(t.byTask))
-	for _, r := range t.byTask {
-		live = append(live, r)
+	live := make([]*TaskRecord, 0, len(t.recs)-len(t.free))
+	for _, s := range t.slot {
+		if s != 0 {
+			live = append(live, t.recs[s-1])
+		}
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].TaskID < live[j].TaskID })
 	return live
@@ -469,37 +562,105 @@ type jsonTrace struct {
 	Events   []Event       `json:"events"`
 }
 
+// errNotRetained is MarshalJSON's and Save's error on a trace that does
+// not retain.
+var errNotRetained = errors.New("trace: cannot marshal a trace whose events went to a sink")
+
 // MarshalJSON implements json.Marshaler. Only a retaining trace carries the
 // full event log and task records the schema promises.
 func (t *Trace) MarshalJSON() ([]byte, error) {
 	if t.mem == nil {
-		return nil, fmt.Errorf("trace: cannot marshal a trace whose events went to a sink")
+		return nil, errNotRetained
 	}
 	return json.Marshal(jsonTrace{
 		Workflow: t.WorkflowName,
 		Platform: t.PlatformName,
 		Makespan: t.makespan,
-		Tasks:    t.mem.records,
+		Tasks:    t.recs,
 		Events:   t.mem.events(),
 	})
 }
 
-// Save writes the trace as indented JSON.
+// Save writes the trace as indented JSON: MarshalJSON's document with
+// every object's keys in sorted order, two-space indented, numbers in
+// encoding/json's float64 form and each byte of invalid UTF-8 in a string
+// as U+FFFD. It writes that form in one pass, through jsonw.
 func (t *Trace) Save(path string) error {
-	raw, err := t.MarshalJSON()
+	if t.mem == nil {
+		return errNotRetained
+	}
+	w := jsonw.New(nil)
+	w.BeginObject()
+	w.Key("events")
+	if events := t.mem.events(); events == nil {
+		w.Null()
+	} else {
+		w.BeginArray()
+		var detail []byte
+		for i := range events {
+			ev := &events[i]
+			w.BeginObject()
+			if detail = appendDetail(detail[:0], ev); len(detail) > 0 {
+				w.StringField("detail", validUTF8(string(detail)))
+			}
+			w.StringField("kind", ev.Kind.String())
+			w.StringField("task", validUTF8(ev.TaskID))
+			w.FloatField("time", ev.Time)
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	w.FloatField("makespan", t.makespan)
+	w.StringField("platform", validUTF8(t.PlatformName))
+	w.Key("tasks")
+	if t.recs == nil {
+		w.Null()
+	} else {
+		w.BeginArray()
+		for _, r := range t.recs {
+			w.BeginObject()
+			w.FloatField("bytesRead", float64(r.BytesRead))
+			w.FloatField("bytesWritten", float64(r.BytesWritten))
+			w.FloatField("computeDoneAt", r.ComputeDone)
+			w.FloatField("cores", float64(r.Cores))
+			w.FloatField("finishedAt", r.FinishedAt)
+			w.StringField("name", validUTF8(r.Name))
+			w.StringField("node", validUTF8(r.Node))
+			w.FloatField("readDoneAt", r.ReadDoneAt)
+			w.FloatField("readyAt", r.ReadyAt)
+			if r.Retries != 0 {
+				w.FloatField("retries", float64(r.Retries))
+			}
+			w.FloatField("startedAt", r.StartedAt)
+			w.StringField("task", validUTF8(r.TaskID))
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	w.StringField("workflow", validUTF8(t.WorkflowName))
+	w.EndObject()
+	buf, err := w.Bytes()
 	if err != nil {
 		return err
 	}
-	var buf []byte
-	{
-		var pretty map[string]any
-		if err := json.Unmarshal(raw, &pretty); err != nil {
-			return err
-		}
-		buf, err = json.MarshalIndent(pretty, "", "  ")
-		if err != nil {
-			return err
-		}
-	}
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
+}
+
+// validUTF8 returns s with each byte of invalid UTF-8 replaced by U+FFFD,
+// as encoding/json decodes the \ufffd it encodes such a byte as.
+func validUTF8(s string) string {
+	if utf8.ValidString(s) {
+		return s
+	}
+	b := make([]byte, 0, len(s)+8)
+	for i := 0; i < len(s); {
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 {
+			b = utf8.AppendRune(b, utf8.RuneError)
+		} else {
+			b = append(b, s[i:i+size]...)
+		}
+		i += size
+	}
+	return string(b)
 }
