@@ -9,15 +9,18 @@ import (
 
 // metricsFold is the one implementation of a run's task, checkpoint and
 // adaptation metric families, a trace sink that folds the typed events
-// into the collector as they are recorded: task_phase_seconds_total (the
-// paper's λ_io split of each task into read, compute and write time),
-// task_wait_seconds_total, tasks_completed_total,
-// task_aborted_seconds_total, compute_executed_seconds_total,
-// ckpt_bytes_total, ckpt_overhead_seconds_total,
-// ckpt_recovered_seconds_total and adapt_bytes_total. Every add is a
-// difference of event times or an operand the event carries, made at the
-// event that completes it, so each series sees its adds in event order
-// whatever sink the run also has.
+// into the collector as they are recorded. The task families
+// (task_phase_seconds_total, the paper's λ_io split of each task into
+// read, compute and write time; task_wait_seconds_total,
+// tasks_completed_total, task_aborted_seconds_total and
+// compute_executed_seconds_total) come from the trace's task records,
+// which the trace hands the fold as each attempt closes
+// (AttemptClosed); the checkpoint and adaptation families
+// (ckpt_bytes_total, ckpt_overhead_seconds_total,
+// ckpt_recovered_seconds_total and adapt_bytes_total) from the events
+// (Emit). Every add is a difference of event times or an operand the
+// event carries, made at the event that completes it, so each series sees
+// its adds in event order whatever sink the run also has.
 type metricsFold struct {
 	col *metrics.Collector
 	// pfs is the PFS's service name and bbTier the tier label of every
@@ -26,15 +29,13 @@ type metricsFold struct {
 	tasks       []taskState // per task index
 }
 
-// taskState is one task's current attempt, as far as its events tell,
-// with its checkpoint I/O in flight: the commit write that began at the
-// last CkptBegin, and the restore read of a RestartFrom, which the task's
-// next ComputeStart ends.
+// taskState is one task's category and its checkpoint I/O in flight: the
+// commit write that began at the last CkptBegin, and the restore read of
+// a RestartFrom, which the task's next ComputeStart ends.
 type taskState struct {
-	ready, started, readDone, computeDone float64
-	s                                     *categorySeries
-	ckptBegin, restoreAt, restoreSize     float64
-	restoreTier                           string // "" while no restore read is in flight
+	s                                 *categorySeries
+	ckptBegin, restoreAt, restoreSize float64
+	restoreTier                       string // "" while no restore read is in flight
 }
 
 // categorySeries are the collector series of one task category, each
@@ -51,7 +52,8 @@ type categorySeries struct {
 // NewMetricsFold returns the trace sink that folds a run of wf on sys
 // into col's task, checkpoint and adaptation families. Simulator.Run tees
 // it beside the run's own sink when RunOptions.Metrics is set; a caller of
-// exec.Run passes it (or a trace.Tee with it) as the TraceSink.
+// exec.Run passes it (or a trace.Tee with it) as the TraceSink, where the
+// run's trace finds it as its trace.AttemptSink.
 func NewMetricsFold(col *metrics.Collector, wf *workflow.Workflow, sys *storage.System) trace.Sink {
 	f := &metricsFold{
 		col:    col,
@@ -77,28 +79,16 @@ func NewMetricsFold(col *metrics.Collector, wf *workflow.Workflow, sys *storage.
 // Emit implements trace.Sink.
 func (f *metricsFold) Emit(ev trace.Event) {
 	switch ev.Kind {
-	case trace.TaskReady:
-		f.task(ev).ready = ev.Time
-	case trace.TaskStart:
-		f.task(ev).started = ev.Time
 	case trace.ComputeStart:
 		st := f.task(ev)
-		st.readDone = ev.Time
 		if st.restoreTier != "" {
 			k := metrics.Key{Tier: st.restoreTier, Op: metrics.OpRead}
 			f.col.Add(metrics.CkptBytesTotal, k, st.restoreSize)
 			f.col.Add(metrics.CkptOverheadSecondsTotal, k, ev.Time-st.restoreAt)
 			st.restoreTier = ""
 		}
-	case trace.ComputeEnd:
-		f.task(ev).computeDone = ev.Time
-	case trace.TaskEnd:
-		f.taskEnd(f.task(ev), ev)
 	case trace.TaskFail:
-		st := f.task(ev)
-		st.restoreTier = ""
-		f.col.Add(metrics.TaskAbortedSecondsTotal, metrics.Key{Task: st.s.name}, ev.Time-st.started)
-		f.addExecuted(st.s, ev.X)
+		f.task(ev).restoreTier = ""
 	case trace.CkptBegin:
 		f.task(ev).ckptBegin = ev.Time
 	case trace.CkptCommit:
@@ -146,33 +136,34 @@ func (f *metricsFold) hold(h *metrics.HeldCounter, family string, k metrics.Key)
 	return h
 }
 
-// taskEnd commits a completed task's phase profile, wait and completion
-// from the timestamps of its final attempt.
-func (f *metricsFold) taskEnd(st *taskState, ev trace.Event) {
-	s := st.s
-	phase := func(i int, p string, sec float64) {
-		f.hold(&s.phases[i], metrics.TaskPhaseSecondsTotal, metrics.Key{Task: s.name, Phase: p}).Add(sec)
+// AttemptClosed implements trace.AttemptSink. A failed attempt adds the
+// seconds from its start to the abort; a completed task commits its phase
+// profile, wait and completion from its record. Either adds the compute
+// seconds the attempt executed, which its event's X carries; only compute
+// tasks have any.
+func (f *metricsFold) AttemptClosed(ev trace.Event, r *trace.TaskRecord) {
+	s := f.task(ev).s
+	if ev.Kind == trace.TaskFail {
+		f.col.Add(metrics.TaskAbortedSecondsTotal, metrics.Key{Task: s.name}, ev.Time-r.StartedAt)
+	} else {
+		phase := func(i int, p string, sec float64) {
+			f.hold(&s.phases[i], metrics.TaskPhaseSecondsTotal, metrics.Key{Task: s.name, Phase: p}).Add(sec)
+		}
+		switch s.kind {
+		case workflow.KindStageIn:
+			phase(0, metrics.PhaseStageIn, r.FinishedAt-r.StartedAt)
+		case workflow.KindStageOut:
+			phase(0, metrics.PhaseStageOut, r.FinishedAt-r.StartedAt)
+		default:
+			phase(0, metrics.PhaseRead, r.ReadDoneAt-r.StartedAt)
+			phase(1, metrics.PhaseCompute, r.ComputeDone-r.ReadDoneAt)
+			phase(2, metrics.PhaseWrite, r.FinishedAt-r.ComputeDone)
+		}
+		f.hold(&s.wait, metrics.TaskWaitSecondsTotal, metrics.Key{Task: s.name}).Add(r.StartedAt - r.ReadyAt)
+		f.hold(&s.completed, metrics.TasksCompletedTotal, metrics.Key{Task: s.name}).Add(1)
 	}
-	switch s.kind {
-	case workflow.KindStageIn:
-		phase(0, metrics.PhaseStageIn, ev.Time-st.started)
-	case workflow.KindStageOut:
-		phase(0, metrics.PhaseStageOut, ev.Time-st.started)
-	default:
-		phase(0, metrics.PhaseRead, st.readDone-st.started)
-		phase(1, metrics.PhaseCompute, st.computeDone-st.readDone)
-		phase(2, metrics.PhaseWrite, ev.Time-st.computeDone)
-	}
-	f.hold(&s.wait, metrics.TaskWaitSecondsTotal, metrics.Key{Task: s.name}).Add(st.started - st.ready)
-	f.hold(&s.completed, metrics.TasksCompletedTotal, metrics.Key{Task: s.name}).Add(1)
-	f.addExecuted(s, ev.X)
-}
-
-// addExecuted adds the compute seconds an attempt executed, which its
-// task-end or task-fail carries; only compute tasks have any.
-func (f *metricsFold) addExecuted(s *categorySeries, sec float64) {
 	if s.kind == workflow.KindCompute {
-		f.hold(&s.executed, metrics.ComputeExecutedSecondsTotal, metrics.Key{Task: s.name}).Add(sec)
+		f.hold(&s.executed, metrics.ComputeExecutedSecondsTotal, metrics.Key{Task: s.name}).Add(ev.X)
 	}
 }
 

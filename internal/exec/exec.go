@@ -131,8 +131,10 @@ type Config struct {
 	// the whole trace in memory. The engine emits the exact same event
 	// sequence whatever the sink. The engine keeps no metrics: a run's
 	// task, checkpoint and adaptation metrics are a fold over these
-	// events (core.NewMetricsFold), which is why some events carry
-	// operands their text does not render (see trace.Event).
+	// events (core.NewMetricsFold), whose task families add from the
+	// task records the run's trace builds from them and hands a sink that
+	// is a trace.AttemptSink. That is why some events carry operands
+	// their text does not render (see trace.Event).
 	TraceSink trace.Sink
 }
 

@@ -109,16 +109,15 @@ func RunAdaptive(opts Options) ([]*Table, error) {
 	}
 	// Baselines run on the unconstrained preset: the fault-free all-in-BB
 	// makespan and compute that "slowdown" and "re-exec compute" reference.
-	// The table reads every run's re-executed compute from its
-	// executedSink.
-	baselines, err := runPoints(o, bps, func(bp basePoint) (executedRun, error) {
+	// Every run collects metrics: the table reads its executed compute
+	// from its compute_executed_seconds_total family.
+	baselines, err := runPoints(o, bps, func(bp basePoint) (*core.Result, error) {
 		sim := core.MustNewSimulator(simPreset(bp.profile, bp.wl.nodes))
-		r, err := runExecuted(sim, bp.wl.wf,
-			core.RunOptions{Placement: placement.AllBB(bp.wl.wf), Metrics: o.Metrics != nil})
+		res, err := sim.Run(bp.wl.wf, core.RunOptions{Placement: placement.AllBB(bp.wl.wf), Metrics: true})
 		if err != nil {
-			return r, fmt.Errorf("adaptive %s/%s baseline: %w", bp.wl.label, bp.profile, err)
+			return nil, fmt.Errorf("adaptive %s/%s baseline: %w", bp.wl.label, bp.profile, err)
 		}
-		return r, r.check()
+		return res, nil
 	})
 	if err != nil {
 		return nil, err
@@ -137,7 +136,7 @@ func RunAdaptive(opts Options) ([]*Table, error) {
 	cell := 0
 	for wi, wl := range workloads {
 		for pi, profile := range profiles {
-			base := baselines[wi*len(profiles)+pi].res
+			base := baselines[wi*len(profiles)+pi]
 			for _, press := range adaptPressures {
 				for _, reg := range regimes {
 					// One fault stream per cell, shared by every stance —
@@ -153,17 +152,13 @@ func RunAdaptive(opts Options) ([]*Table, error) {
 	}
 
 	// A failed run (BB overflow with no fallback, or an exhausted retry
-	// budget) is an observation, not a sweep error.
-	type adaptOutcome struct {
-		executedRun
-		failed bool
-	}
-	results, err := runPoints(o, cases, func(c adaptCase) (adaptOutcome, error) {
+	// budget) is an observation, not a sweep error: its result is nil.
+	results, err := runPoints(o, cases, func(c adaptCase) (*core.Result, error) {
 		wf := c.wl.wf
 		footprint := placement.AllBB(wf).BBBytes(wf)
 		total := units.Bytes(float64(footprint) * c.press.frac)
 		cfg := adaptCapacity(simPreset(c.profile, c.wl.nodes), total, c.wl.nodes)
-		ro := core.RunOptions{Metrics: o.Metrics != nil}
+		ro := core.RunOptions{Metrics: true}
 		switch c.policy {
 		case "static":
 			ro.Placement = placement.AllBB(wf)
@@ -179,7 +174,7 @@ func RunAdaptive(opts Options) ([]*Table, error) {
 		if c.reg.crashDiv > 0 {
 			inj, err := faults.New(regimeConfig(c.reg, c.base.Makespan, c.seed))
 			if err != nil {
-				return adaptOutcome{}, err
+				return nil, err
 			}
 			ro.Faults = inj
 			ro.Retry = exec.RetryPolicy{
@@ -187,11 +182,11 @@ func RunAdaptive(opts Options) ([]*Table, error) {
 				BaseDelay: 2, MaxDelay: 120, Jitter: 0.25, Seed: c.seed,
 			}
 		}
-		r, err := runExecuted(core.MustNewSimulator(cfg), wf, ro)
+		res, err := core.MustNewSimulator(cfg).Run(wf, ro)
 		if err != nil {
-			return adaptOutcome{failed: true}, nil
+			return nil, nil
 		}
-		return adaptOutcome{executedRun: r}, r.check()
+		return res, nil
 	})
 	if err != nil {
 		return nil, err
@@ -199,11 +194,11 @@ func RunAdaptive(opts Options) ([]*Table, error) {
 	if o.Metrics != nil {
 		snaps := make([]*metrics.Snapshot, 0, len(baselines)+len(results))
 		for _, b := range baselines {
-			snaps = append(snaps, b.res.Metrics)
+			snaps = append(snaps, b.Metrics)
 		}
 		for _, r := range results {
-			if r.res != nil {
-				snaps = append(snaps, r.res.Metrics)
+			if r != nil {
+				snaps = append(snaps, r.Metrics)
 			}
 		}
 		emitMetrics(o, snaps)
@@ -219,24 +214,24 @@ func RunAdaptive(opts Options) ([]*Table, error) {
 	for wi, wl := range workloads {
 		for pi, profile := range profiles {
 			base := baselines[wi*len(profiles)+pi]
+			baseExecuted := sumFamily(base.Metrics, metrics.ComputeExecutedSecondsTotal)
 			t.Rows = append(t.Rows, []string{wl.label, profile, "unconstrained", "none", "—", "ok",
-				fsec(base.res.Makespan), "1.00×", "0.00", "0", "0", "0"})
+				fsec(base.Makespan), "1.00×", "0.00", "0", "0", "0"})
 			for ; row < len(cases) && cases[row].wl.label == wl.label && cases[row].profile == profile; row++ {
-				c, out := cases[row], results[row]
+				c, res := cases[row], results[row]
 				press := fmt.Sprintf("%s (%.0f%%)", c.press.label, 100*c.press.frac)
-				if out.failed {
+				if res == nil {
 					// A failed run forfeits its compute: re-running from
 					// scratch costs at least the fault-free baseline.
 					t.Rows = append(t.Rows, []string{wl.label, profile, press, c.reg.label,
-						c.policy, "failed", "—", "—", fsec(base.executed), "—", "—", "—"})
+						c.policy, "failed", "—", "—", fsec(baseExecuted), "—", "—", "—"})
 					continue
 				}
-				res := out.res
 				t.Rows = append(t.Rows, []string{wl.label, profile, press, c.reg.label,
 					c.policy, "ok",
 					fsec(res.Makespan),
-					fmt.Sprintf("%.2f×", res.Makespan/base.res.Makespan),
-					fsec(out.executed - base.executed),
+					fmt.Sprintf("%.2f×", res.Makespan/base.Makespan),
+					fsec(sumFamily(res.Metrics, metrics.ComputeExecutedSecondsTotal) - baseExecuted),
 					fmt.Sprint(res.Faults.AdaptSpills),
 					fmt.Sprint(res.Faults.AdaptReplications),
 					fmt.Sprint(res.Faults.AdaptFallbacks),
@@ -256,4 +251,15 @@ func RunAdaptive(opts Options) ([]*Table, error) {
 		"failure-rate cell every stance replays the bit-identical fault stream.",
 	)
 	return []*Table{t}, nil
+}
+
+// sumFamily totals a counter family across every key of a snapshot.
+func sumFamily(snap *metrics.Snapshot, family string) float64 {
+	total := 0.0
+	for _, s := range snap.Counters {
+		if s.Family == family {
+			total += s.Value
+		}
+	}
+	return total
 }

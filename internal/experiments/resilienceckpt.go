@@ -119,7 +119,7 @@ func RunResilienceCkpt(opts Options) ([]*Table, error) {
 		pipelines = 4
 	}
 	wf := swarp.MustNew(swarp.Params{Pipelines: pipelines, CoresPerTask: 8})
-	ro := core.RunOptions{StagedFraction: 1, IntermediatesToBB: true, Metrics: o.Metrics != nil}
+	ro := core.RunOptions{StagedFraction: 1, IntermediatesToBB: true, Metrics: true}
 	retry := exec.RetryPolicy{
 		MaxRetries: 60, Backoff: exec.BackoffExponential,
 		BaseDelay: 2, MaxDelay: 120, Jitter: 0.25, Seed: o.Seed,
@@ -127,14 +127,14 @@ func RunResilienceCkpt(opts Options) ([]*Table, error) {
 	profiles := []string{"cori-private", "summit"}
 	const nodes = 2
 
-	// The table reads every run's re-executed compute from its
-	// executedSink.
-	baselines, err := runPoints(o, profiles, func(profile string) (executedRun, error) {
-		r, err := runExecuted(core.MustNewSimulator(simPreset(profile, nodes)), wf, ro)
+	// Every run collects metrics: the table reads its executed compute
+	// from its compute_executed_seconds_total family.
+	baselines, err := runPoints(o, profiles, func(profile string) (*core.Result, error) {
+		res, err := core.MustNewSimulator(simPreset(profile, nodes)).Run(wf, ro)
 		if err != nil {
-			return r, fmt.Errorf("resilience-ckpt %s baseline: %w", profile, err)
+			return nil, fmt.Errorf("resilience-ckpt %s baseline: %w", profile, err)
 		}
-		return r, r.check()
+		return res, nil
 	})
 	if err != nil {
 		return nil, err
@@ -154,7 +154,7 @@ func RunResilienceCkpt(opts Options) ([]*Table, error) {
 	var cases []ckptCase
 	for pi, profile := range profiles {
 		cfg := simPreset(profile, nodes)
-		base := baselines[pi].res
+		base := baselines[pi]
 		for ri, reg := range regimes {
 			// One fault stream per (platform, regime) cell, shared by every
 			// policy and interval — the comparison the experiment exists for.
@@ -184,21 +184,21 @@ func RunResilienceCkpt(opts Options) ([]*Table, error) {
 		}
 	}
 
-	results, err := runPoints(o, cases, func(c ckptCase) (executedRun, error) {
+	results, err := runPoints(o, cases, func(c ckptCase) (*core.Result, error) {
 		inj, err := faults.New(regimeConfig(c.reg, c.base.Makespan, c.seed))
 		if err != nil {
-			return executedRun{}, err
+			return nil, err
 		}
 		fo := ro
 		fo.Faults = inj
 		fo.Retry = retry
 		fo.BBFallback = true
 		fo.Checkpoint = c.pol
-		r, err := runExecuted(core.MustNewSimulator(simPreset(c.profile, nodes)), wf, fo)
+		res, err := core.MustNewSimulator(simPreset(c.profile, nodes)).Run(wf, fo)
 		if err != nil {
-			return r, fmt.Errorf("resilience-ckpt %s/%s/%s/%s: %w", c.profile, c.reg.label, c.policy, c.ilabel, err)
+			return nil, fmt.Errorf("resilience-ckpt %s/%s/%s/%s: %w", c.profile, c.reg.label, c.policy, c.ilabel, err)
 		}
-		return r, r.check()
+		return res, nil
 	})
 	if err != nil {
 		return nil, err
@@ -206,10 +206,10 @@ func RunResilienceCkpt(opts Options) ([]*Table, error) {
 	if o.Metrics != nil {
 		snaps := make([]*metrics.Snapshot, 0, len(baselines)+len(results))
 		for _, b := range baselines {
-			snaps = append(snaps, b.res.Metrics)
+			snaps = append(snaps, b.Metrics)
 		}
 		for _, r := range results {
-			snaps = append(snaps, r.res.Metrics)
+			snaps = append(snaps, r.Metrics)
 		}
 		emitMetrics(o, snaps)
 	}
@@ -223,10 +223,11 @@ func RunResilienceCkpt(opts Options) ([]*Table, error) {
 	row := 0
 	for pi, profile := range profiles {
 		base := baselines[pi]
+		baseExecuted := sumFamily(base.Metrics, metrics.ComputeExecutedSecondsTotal)
 		t.Rows = append(t.Rows, []string{profile, "none", "—", "—",
-			fsec(base.res.Makespan), "1.00×", "0.00", "0", "0", "0", "—"})
+			fsec(base.Makespan), "1.00×", "0.00", "0", "0", "0", "—"})
 		for ; row < len(cases) && cases[row].profile == profile; row++ {
-			c, res := cases[row], results[row].res
+			c, res := cases[row], results[row]
 			ref := "—"
 			if c.daly > 0 {
 				ref = fmt.Sprintf("%.1f / %.1f", c.young, c.daly)
@@ -238,8 +239,8 @@ func RunResilienceCkpt(opts Options) ([]*Table, error) {
 			t.Rows = append(t.Rows, []string{
 				profile, c.reg.label, c.policy, ivCell,
 				fsec(res.Makespan),
-				fmt.Sprintf("%.2f×", res.Makespan/base.res.Makespan),
-				fsec(results[row].executed - base.executed),
+				fmt.Sprintf("%.2f×", res.Makespan/base.Makespan),
+				fsec(sumFamily(res.Metrics, metrics.ComputeExecutedSecondsTotal) - baseExecuted),
 				fmt.Sprint(res.Faults.CkptCommits),
 				fmt.Sprint(res.Faults.CkptRestarts),
 				fmt.Sprint(res.Faults.CkptLosses),

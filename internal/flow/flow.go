@@ -170,6 +170,11 @@ type Network struct {
 	// the active flows, and rescans counts how often that happened.
 	stale   bool
 	rescans uint64
+	// stalled marks a completion that found the clock unmoved and no flow
+	// finished: a flow's residue is above its completion tolerance but its
+	// delay at its rate is under half an ulp of the clock, so now+delay is
+	// now. The next resolve arms one ulp later instead (see resolve).
+	stalled bool
 
 	// Hot-path scratch, reused across recomputes so the steady state
 	// allocates nothing (asserted by TestRecomputeZeroAllocs):
@@ -724,6 +729,12 @@ func (n *Network) invalidate() {
 // sequence number, so the event orders among same-instant events as if it
 // had been armed by the change that placed the slot. The delay was folded
 // into minDt by the recompute, so this is O(1) past it.
+//
+// After a stalled completion, a delay too small to move the clock would
+// arm the same completion at the same instant again, forever; the next
+// completion is armed at the next representable instant instead, where
+// the flow with the least delay moves by its rate times one ulp, more
+// than its residue, and finishes.
 func (n *Network) resolve(seq uint64) {
 	n.recompute()
 	dt := n.minDt
@@ -733,7 +744,15 @@ func (n *Network) resolve(seq uint64) {
 	if dt < 0 {
 		dt = 0
 	}
-	n.nextEv = n.eng.AtSeq(n.eng.Now()+dt, seq, n.completionFn)
+	now := n.eng.Now()
+	at := now + dt
+	if n.stalled {
+		n.stalled = false
+		if at <= now {
+			at = math.Nextafter(now, math.Inf(1))
+		}
+	}
+	n.nextEv = n.eng.AtSeq(at, seq, n.completionFn)
 }
 
 func (n *Network) onCompletion() {
@@ -767,6 +786,7 @@ func (n *Network) onCompletion() {
 	}
 	n.active = n.active[:kept]
 	n.finished = finished
+	n.stalled = dt <= 0 && len(finished) == 0
 	n.invalidate()
 	for _, r := range finished {
 		n.complete(r)

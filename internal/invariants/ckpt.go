@@ -1,6 +1,8 @@
 package invariants
 
 import (
+	"math"
+
 	"bbwfsim/internal/core"
 	"bbwfsim/internal/metrics"
 	"bbwfsim/internal/trace"
@@ -23,14 +25,20 @@ import (
 //	d. checkpoint traffic is a subset of storage traffic: ckpt_bytes_total
 //	   never exceeds storage_bytes_total for any (tier, op) — snapshots
 //	   move through the same storage manager as workflow data, so byte
-//	   conservation (invariant 2) covers them too.
+//	   conservation (invariant 2) covers them too;
+//	e. every restart-from recovers, bit for bit, the progress mark the
+//	   ckpt-commit of its snapshot file captured: each commit writes a file
+//	   of its own (ckpt-<task>-<seq>), so the restore names the commit it
+//	   reads. Checks b and c bound and re-add the restart's mark; this one
+//	   ties it to the write that produced it.
 func checkCkpt(snap *metrics.Snapshot, res *core.Result, violation func(string, ...any)) {
 	// Live snapshot replicas: file -> set of service names. Drains add the
 	// PFS replica; losses remove the named one.
 	live := map[string]map[string]bool{}
-	started := map[string]float64{} // task -> current attempt's start
-	aborted := map[string]float64{} // task -> aborted-attempt seconds so far
-	recovered := 0.0                // Σ restart progress marks, event order
+	committed := map[string]float64{} // file -> the progress its commit captured
+	started := map[string]float64{}   // task -> current attempt's start
+	aborted := map[string]float64{}   // task -> aborted-attempt seconds so far
+	recovered := 0.0                  // Σ restart progress marks, event order
 
 	for i, ev := range res.Trace.Events() {
 		switch ev.Kind {
@@ -43,6 +51,7 @@ func checkCkpt(snap *metrics.Snapshot, res *core.Result, violation func(string, 
 				live[ev.Name] = map[string]bool{}
 			}
 			live[ev.Name][ev.Place] = true
+			committed[ev.Name] = ev.X
 		case trace.CkptDrain:
 			if live[ev.Name] == nil {
 				violation("event %d: drain of never-committed snapshot %q", i, ev.Name)
@@ -60,6 +69,10 @@ func checkCkpt(snap *metrics.Snapshot, res *core.Result, violation func(string, 
 			if max := aborted[ev.TaskID]; p > max+float64(spanEps*(1+max)) {
 				violation("event %d: task %s recovered %g compute seconds but only lost %g to aborts",
 					i, ev.TaskID, p, max)
+			}
+			if c, ok := committed[file]; ok && math.Float64bits(c) != math.Float64bits(p) {
+				violation("event %d: task %s recovered %g compute seconds from %s, whose commit captured %g",
+					i, ev.TaskID, p, file, c)
 			}
 			recovered += p
 		}

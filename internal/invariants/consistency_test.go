@@ -30,7 +30,7 @@ func runAndCheck(t *testing.T, label string, cfg platform.Config, wf *workflow.W
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	for _, v := range Check(cfg, res) {
+	for _, v := range Check(cfg, wf, ro, res) {
 		t.Errorf("%s: %s", label, v)
 	}
 	return res
@@ -100,7 +100,7 @@ func TestConsistencyGenomesCaseStudy(t *testing.T) {
 // observability snapshots to be byte-identical — the runner's
 // index-ordered fold must make worker count unobservable.
 func TestExperimentSnapshotSerialParallelInvariance(t *testing.T) {
-	for _, id := range []string{"fig10", "fig13", "resilience"} {
+	for _, id := range []string{"fig10", "fig13", "resilience", "resilience-ckpt", "adaptive"} {
 		e, ok := experiments.Find(id)
 		if !ok {
 			t.Fatalf("experiment %q not registered", id)

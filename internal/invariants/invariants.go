@@ -21,8 +21,10 @@ import (
 	"bbwfsim/internal/core"
 	"bbwfsim/internal/metrics"
 	"bbwfsim/internal/platform"
+	"bbwfsim/internal/sim"
 	"bbwfsim/internal/storage"
 	"bbwfsim/internal/trace"
+	"bbwfsim/internal/workflow"
 )
 
 // spanEps is the relative tolerance for telescoping-sum identities: phase
@@ -48,23 +50,32 @@ const spanEps = 1e-9
 //  4. per-task phase sums telescope to the task's span (within spanEps);
 //  5. the snapshot's kernel observations match the result: makespan gauge,
 //     event count, and fault tallies;
-//  6. the task families agree with what the fold does not compute: the
+//  6. the task families agree with the trace (checkTasks): the
 //     completions sum to the trace's task-end count, and on a run with no
 //     task-fail or task-retry each task name's phase and wait seconds sum
-//     to its task records' spans and waits (within spanEps);
+//     to its task records' spans and waits (within spanEps). The metrics
+//     fold adds these from the same records, so this catches a tampered
+//     snapshot, not a wrong event;
 //  7. checkpoint/restart consistency (checkCkpt): every restart-from
 //     references a snapshot replica durable at the restart instant, each
-//     restart recovers at most the compute its task lost to aborts,
+//     restart recovers at most the compute its task lost to aborts and
+//     exactly the progress its snapshot's commit captured,
 //     recovered-seconds counters match the trace, and checkpoint bytes
 //     never exceed the storage traffic they are a part of;
 //  8. adaptation consistency (checkAdapt): spilled and replicated bytes
 //     never exceed the read traffic of the tier they left or the PFS write
 //     traffic they became — adaptation copies ride the same storage
 //     manager as workflow data, and the adapt event tallies (spills,
-//     replications, fallbacks) match the trace through invariant 5.
+//     replications, fallbacks) match the trace through invariant 5;
+//  9. compute time (checkCompute): on a run ro gives no fault injector,
+//     no checkpoint policy and the default compute model, each compute
+//     task's record computes for the time its node's Amdahl model gives
+//     the task's work on its cores (within spanEps).
+//
+// wf and ro are the workflow and options the run was made with.
 //
 //bbvet:allow unreached -- entry point of the seeded invariant harness, a test-only package by design
-func Check(cfg platform.Config, res *core.Result) []string {
+func Check(cfg platform.Config, wf *workflow.Workflow, ro core.RunOptions, res *core.Result) []string {
 	var v []string
 	violation := func(format string, args ...any) {
 		v = append(v, fmt.Sprintf(format, args...))
@@ -182,7 +193,43 @@ func Check(cfg platform.Config, res *core.Result) []string {
 
 	// 6. Task families against the trace's counts and task records.
 	checkTasks(snap, res, violation)
+
+	// 9. Compute phases against the platform's compute model.
+	checkCompute(cfg, wf, ro, res, violation)
 	return v
+}
+
+// checkCompute validates each compute task's record against the compute
+// time the platform gives the task's work on the record's node and
+// cores, on a run where that time is the whole compute phase: no fault
+// injector, no checkpoint policy and the default compute model. The
+// reference comes from the workflow and the platform, not from the task
+// events, so a compute-start or compute-end recorded at the wrong time
+// fails it; invariants 4 and 6 telescope over any such shift.
+func checkCompute(cfg platform.Config, wf *workflow.Workflow, ro core.RunOptions, res *core.Result, violation func(string, ...any)) {
+	if ro.Faults != nil || ro.Checkpoint.Enabled() || ro.Compute != nil {
+		return
+	}
+	plat, err := platform.New(sim.NewEngine(), cfg)
+	if err != nil {
+		violation("platform: %v", err)
+		return
+	}
+	nodes := map[string]*platform.Node{}
+	for _, n := range plat.Nodes() {
+		nodes[n.Name()] = n
+	}
+	for _, r := range res.Trace.Records() {
+		t := wf.Task(r.TaskID)
+		if t.Kind() != workflow.KindCompute {
+			continue
+		}
+		want := nodes[r.Node].ComputeTime(t.Work(), r.Cores, t.Alpha())
+		if got := r.ComputeTime(); math.Abs(got-want) > spanEps*(1+want) {
+			violation("task %s: computed for %g s on %s, its %g flops on %d cores take %g s",
+				r.TaskID, got, r.Node, float64(t.Work()), r.Cores, want)
+		}
+	}
 }
 
 // checkTasks validates the task families of the snapshot against what the

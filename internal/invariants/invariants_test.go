@@ -10,12 +10,14 @@ import (
 	"hash"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"bbwfsim/internal/core"
 	"bbwfsim/internal/faults"
 	"bbwfsim/internal/metrics"
 	"bbwfsim/internal/trace"
+	"bbwfsim/internal/workflow"
 )
 
 // The harnesses' snapshot digests: one SHA-256 over every run's
@@ -121,7 +123,7 @@ func TestPropertyHarness(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s (faulty=%v): Run: %v", c.Name, faulty, err)
 			}
-			for _, v := range Check(c.Platform, res) {
+			for _, v := range Check(c.Platform, c.Workflow, ro, res) {
 				t.Errorf("%s (faulty=%v): %s", c.Name, faulty, v)
 			}
 			hashSnapshot(t, h, res)
@@ -199,7 +201,7 @@ func TestCheckpointPropertyHarness(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s (faulty=%v): Run: %v", c.Name, faulty, err)
 			}
-			for _, v := range Check(c.Platform, res) {
+			for _, v := range Check(c.Platform, c.Workflow, ro, res) {
 				t.Errorf("%s (faulty=%v): %s", c.Name, faulty, v)
 			}
 			hashSnapshot(t, h, res)
@@ -263,7 +265,7 @@ func TestAdaptPropertyHarness(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s (faulty=%v): Run: %v", c.Name, faulty, err)
 			}
-			for _, v := range Check(c.Platform, res) {
+			for _, v := range Check(c.Platform, c.Workflow, ro, res) {
 				t.Errorf("%s (faulty=%v): %s", c.Name, faulty, v)
 			}
 			hashSnapshot(t, h, res)
@@ -401,14 +403,14 @@ func TestCheckDetectsTampering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := Check(c.Platform, res); len(v) != 0 {
+	if v := Check(c.Platform, c.Workflow, c.Opts, res); len(v) != 0 {
 		t.Fatalf("clean run reported violations: %v", v)
 	}
 
 	tamper := func(name string, mutate func()) {
 		t.Helper()
 		mutate()
-		if v := Check(c.Platform, res); len(v) == 0 {
+		if v := Check(c.Platform, c.Workflow, c.Opts, res); len(v) == 0 {
 			t.Errorf("%s: tampering went undetected", name)
 		}
 	}
@@ -442,7 +444,23 @@ func TestCheckDetectsTampering(t *testing.T) {
 	tamper("shifted makespan", func() { res.Makespan *= 1.5 })
 	res.Makespan = origMakespan
 
-	if v := Check(c.Platform, res); len(v) != 0 {
+	// Move one compute task's compute-start: the phases still telescope
+	// to the span (invariants 4 and 6), only the compute time is off.
+	var rec *trace.TaskRecord
+	for _, r := range res.Trace.Records() {
+		if c.Workflow.Task(r.TaskID).Kind() == workflow.KindCompute {
+			rec = r
+			break
+		}
+	}
+	origAt := rec.ReadDoneAt
+	rec.ReadDoneAt += 0.125
+	if v := Check(c.Platform, c.Workflow, c.Opts, res); !hasViolation(v, "computed for") {
+		t.Errorf("shifted compute-start: no compute-time violation in %v", v)
+	}
+	rec.ReadDoneAt = origAt
+
+	if v := Check(c.Platform, c.Workflow, c.Opts, res); len(v) != 0 {
 		t.Fatalf("restored run still reports violations: %v", v)
 	}
 }
@@ -456,6 +474,7 @@ func TestCheckDetectsCkptTampering(t *testing.T) {
 	// restarted from a checkpoint, so every tamper target exists.
 	var (
 		c   Case
+		ro  core.RunOptions
 		res *core.Result
 	)
 	for seed := int64(1); ; seed++ {
@@ -487,18 +506,18 @@ func TestCheckDetectsCkptTampering(t *testing.T) {
 			t.Fatal(err)
 		}
 		if fr.Faults.CkptRestarts > 0 {
-			c, res = cc, fr
+			c, ro, res = cc, fo, fr
 			break
 		}
 	}
-	if v := Check(c.Platform, res); len(v) != 0 {
+	if v := Check(c.Platform, c.Workflow, ro, res); len(v) != 0 {
 		t.Fatalf("clean run reported violations: %v", v)
 	}
 
 	tamper := func(name string, mutate func()) {
 		t.Helper()
 		mutate()
-		if v := Check(c.Platform, res); len(v) == 0 {
+		if v := Check(c.Platform, c.Workflow, ro, res); len(v) == 0 {
 			t.Errorf("%s: tampering went undetected", name)
 		}
 	}
@@ -540,13 +559,21 @@ func TestCheckDetectsCkptTampering(t *testing.T) {
 	tamper("inflated restart progress", func() { events[restart].X = 1e9 })
 	events[restart] = origEv
 
+	// Claim the restart recovered half of what its snapshot captured: no
+	// more than the task lost (check b), but not what was committed.
+	events[restart].X /= 2
+	if v := Check(c.Platform, c.Workflow, ro, res); !hasViolation(v, "whose commit captured") {
+		t.Errorf("halved restart progress: no commit-progress violation in %v", v)
+	}
+	events[restart] = origEv
+
 	// Claim the restart read a replica that was never committed anywhere.
 	tamper("restart from never-committed snapshot", func() {
 		events[restart].Name, events[restart].X = "ckpt-ghost-000000", 0
 	})
 	events[restart] = origEv
 
-	if v := Check(c.Platform, res); len(v) != 0 {
+	if v := Check(c.Platform, c.Workflow, ro, res); len(v) != 0 {
 		t.Fatalf("restored run still reports violations: %v", v)
 	}
 }
@@ -560,6 +587,7 @@ func TestCheckDetectsAdaptTampering(t *testing.T) {
 	// spilled bytes, so every tamper target exists.
 	var (
 		c   Case
+		ro  core.RunOptions
 		res *core.Result
 	)
 	for seed := int64(1); ; seed++ {
@@ -597,18 +625,18 @@ func TestCheckDetectsAdaptTampering(t *testing.T) {
 			}
 		}
 		if fr.Faults.AdaptSpills > 0 && fr.Faults.AdaptReplications > 0 && spilledBytes {
-			c, res = ac, fr
+			c, ro, res = ac, fo, fr
 			break
 		}
 	}
-	if v := Check(c.Platform, res); len(v) != 0 {
+	if v := Check(c.Platform, c.Workflow, ro, res); len(v) != 0 {
 		t.Fatalf("clean run reported violations: %v", v)
 	}
 
 	tamper := func(name string, mutate func()) {
 		t.Helper()
 		mutate()
-		if v := Check(c.Platform, res); len(v) == 0 {
+		if v := Check(c.Platform, c.Workflow, ro, res); len(v) == 0 {
 			t.Errorf("%s: tampering went undetected", name)
 		}
 	}
@@ -645,9 +673,19 @@ func TestCheckDetectsAdaptTampering(t *testing.T) {
 	tamper("dropped adapt_fallbacks_total", func() { falls.Value -= 1 })
 	falls.Value = orig
 
-	if v := Check(c.Platform, res); len(v) != 0 {
+	if v := Check(c.Platform, c.Workflow, ro, res); len(v) != 0 {
 		t.Fatalf("restored run still reports violations: %v", v)
 	}
+}
+
+// hasViolation reports whether one of the violations contains want.
+func hasViolation(violations []string, want string) bool {
+	for _, v := range violations {
+		if strings.Contains(v, want) {
+			return true
+		}
+	}
+	return false
 }
 
 // FaultOptions returns the run options for the case's fault campaign,

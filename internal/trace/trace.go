@@ -295,6 +295,8 @@ type Trace struct {
 	slot  []int32
 	recs  []*TaskRecord
 	free  []int32
+	// closer is the AttemptSink in the trace's sink chain, if any.
+	closer AttemptSink
 	// folded accumulates summary sums for task records freed by a
 	// non-retaining trace; foldedOrder remembers first-fold order only so
 	// Summarize's output stays deterministic without sorting a map.
@@ -339,7 +341,33 @@ func ForWorkflow(wf *workflow.Workflow, platformName string, sink Sink) *Trace {
 	t := New(wf.Name(), platformName, sink)
 	t.tasks = wf.Tasks()
 	t.slot = make([]int32, len(t.tasks))
+	t.closer = findCloser(sink)
 	return t
+}
+
+// AttemptSink is a sink that also reads task records. A ForWorkflow
+// trace whose sink is one, or a Tee holding one, hands it each task
+// attempt's record as the attempt closes.
+type AttemptSink interface {
+	Sink
+	// AttemptClosed receives the task-end or task-fail that closes an
+	// attempt, with the task's record: at a task-end complete, before the
+	// trace folds or frees it; at a task-fail as the attempt left it.
+	AttemptClosed(ev Event, r *TaskRecord)
+}
+
+// findCloser returns the AttemptSink in sink's chain, or nil.
+func findCloser(sink Sink) AttemptSink {
+	switch s := sink.(type) {
+	case AttemptSink:
+		return s
+	case *tee:
+		if c := findCloser(s.a); c != nil {
+			return c
+		}
+		return findCloser(s.b)
+	}
+	return nil
 }
 
 // Record logs an event of kind for taskID at time, whose detail operands
@@ -355,32 +383,42 @@ func ForWorkflow(wf *workflow.Workflow, platformName string, sink Sink) *Trace {
 //   - a read-end adds the bytes it moved to BytesRead, a write-end or
 //     stage-end to BytesWritten (one that carries none adds nothing);
 //   - task-end sets FinishedAt, and on a stage task ReadDoneAt and
-//     ComputeDone too. Unless the trace retains, it then folds the record
+//     ComputeDone too, and hands the record to the sink chain's
+//     AttemptSink. Unless the trace retains, it then folds the record
 //     into the per-name summaries and frees it: a task re-run later
 //     (lineage re-execution under faults) gets a fresh record and folds
 //     again, so folded summaries count such tasks once per execution,
-//     while a retaining trace keeps the one record.
+//     while a retaining trace keeps the one record;
+//   - task-fail hands the record to the AttemptSink and changes nothing.
 func (t *Trace) Record(time float64, kind EventKind, taskID string, d Event) {
 	t.counts[kind]++
 	if time > t.makespan {
 		t.makespan = time
 	}
-	if kind <= TaskEnd && t.slot != nil {
-		t.foldTask(time, kind, taskID, &d)
+	d.Time, d.Kind, d.TaskID = time, kind, taskID
+	if kind <= TaskFail && t.slot != nil {
+		t.foldTask(&d)
 	}
 	if t.sink != nil {
-		d.Time, d.Kind, d.TaskID = time, kind, taskID
 		t.sink.Emit(d)
 	}
 }
 
-// foldTask applies a task event to its task's record.
-func (t *Trace) foldTask(time float64, kind EventKind, taskID string, d *Event) {
-	if kind == ReadStart || kind == WriteStart || kind == StageStart {
+// foldTask applies a task event, of a kind up to TaskFail, to its task's
+// record.
+func (t *Trace) foldTask(d *Event) {
+	switch d.Kind {
+	case ReadStart, WriteStart, StageStart:
+		return
+	case TaskFail:
+		if t.closer != nil {
+			t.closer.AttemptClosed(*d, t.live(d.M, d.TaskID))
+		}
 		return
 	}
-	r := t.live(d.M, taskID)
-	switch kind {
+	time := d.Time
+	r := t.live(d.M, d.TaskID)
+	switch d.Kind {
 	case TaskReady:
 		r.ReadyAt = time
 	case TaskStart:
@@ -402,6 +440,9 @@ func (t *Trace) foldTask(time float64, kind EventKind, taskID string, d *Event) 
 		r.FinishedAt = time
 		if t.tasks[d.M].Kind() != workflow.KindCompute {
 			r.ReadDoneAt, r.ComputeDone = time, time
+		}
+		if t.closer != nil {
+			t.closer.AttemptClosed(*d, r)
 		}
 		if t.mem == nil {
 			t.fold(r)

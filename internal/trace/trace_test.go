@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -357,5 +359,44 @@ func TestSaveMatchesThreePass(t *testing.T) {
 			record(tr, num(), kind, wt, d)
 		}
 		check(fmt.Sprintf("seed%d", seed), tr)
+	}
+}
+
+// closings is an AttemptSink that keeps what the record held at each
+// closing attempt.
+type closings []string
+
+func (c *closings) Emit(Event)   {}
+func (c *closings) Close() error { return nil }
+func (c *closings) AttemptClosed(ev Event, r *TaskRecord) {
+	*c = append(*c, fmt.Sprintf("%s@%g %s ready=%g start=%g finish=%g", ev.Kind, ev.Time, r.TaskID, r.ReadyAt, r.StartedAt, r.FinishedAt))
+}
+
+// TestAttemptSink: a ForWorkflow trace finds an AttemptSink as its sink
+// or on either side of a Tee, nested or beside Retain, and hands it the
+// task's record at each task-fail (as the attempt left it) and task-end
+// (complete, before a counting trace frees it).
+func TestAttemptSink(t *testing.T) {
+	wf := testWorkflow(t, "a", "x")
+	wt := wf.Tasks()[0]
+	want := closings{
+		"task-fail@2 a ready=0 start=1 finish=0",
+		"task-end@7 a ready=3 start=4 finish=7",
+	}
+	for name, sink := range map[string]func(Sink) Sink{
+		"alone":    func(c Sink) Sink { return c },
+		"retained": func(c Sink) Sink { return Tee(Retain, c) },
+		"first":    func(c Sink) Sink { return Tee(c, NewCSVSink(io.Discard)) },
+		"nested":   func(c Sink) Sink { return Tee(Tee(NewJSONLSink(io.Discard), c), NewCSVSink(io.Discard)) },
+	} {
+		var got closings
+		tr := ForWorkflow(wf, "p", sink(&got))
+		record(tr, 0, TaskReady, wt, Event{})
+		record(tr, 1, TaskStart, wt, Started("n0", 1, 1))
+		record(tr, 2, TaskFail, wt, Named("crash"))
+		run(tr, wt, execution{ready: 3, start: 4, readDone: 5, computeDone: 6, end: 7, node: "n0", cores: 1, attempt: 2})
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: closed %q, want %q", name, got, want)
+		}
 	}
 }
