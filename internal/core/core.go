@@ -103,9 +103,11 @@ type RunOptions struct {
 	// degradation-aware admission fallback. The zero value disables it.
 	Adapt adapt.Policy
 	// TraceSink receives the run's events. Nil — the default — keeps only
-	// per-kind counts and folded summaries. trace.Retain keeps every event
-	// and task record in memory, which replay/invariant consumers,
-	// Trace.Save and RenderGantt require. trace.JSONLSink and
+	// per-kind counts and folded summaries. trace.Retain, alone or
+	// anywhere in a chain of trace.Tees, keeps every event and task record
+	// in memory, which replay/invariant consumers, Trace.Save and
+	// RenderGantt require; with Metrics set it still does, though the run
+	// tees the metrics fold around this sink. trace.JSONLSink and
 	// trace.CSVSink stream events out. Makespan, Faults, and Metrics in
 	// the Result are identical whatever the sink. The caller owns a
 	// streaming sink and must Close it after the run.
@@ -206,7 +208,7 @@ type Result struct {
 	// Makespan is the time of the last task completion, in seconds.
 	Makespan float64
 	// Trace is the run's trace: its event log and task records only when
-	// RunOptions.TraceSink is trace.Retain.
+	// RunOptions.TraceSink is or holds trace.Retain.
 	Trace *trace.Trace
 	// Summaries aggregates task records by category.
 	Summaries []trace.Summary

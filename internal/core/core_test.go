@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"slices"
 	"testing"
 
 	"bbwfsim/internal/genomes"
@@ -38,6 +41,56 @@ func TestSWarpOnCoriRuns(t *testing.T) {
 	// All staged data went through the BB.
 	if res.BB.BytesWritten != 768*units.MiB+768*units.MiB+96*units.MiB {
 		t.Errorf("BB bytes written = %v", res.BB.BytesWritten)
+	}
+}
+
+// TestRetainAnywhereInTee: Retain on either side of a Tee beside a JSONL
+// sink retains the events and task records of a plain Retain run, also
+// with metrics on, where the run tees the metrics fold around the
+// caller's tee, and the JSONL sink gets one line per retained event.
+func TestRetainAnywhereInTee(t *testing.T) {
+	wf := swarp.MustNew(swarp.Params{Pipelines: 1})
+	sim := MustNewSimulator(platform.Cori(1, platform.BBPrivate))
+	opts := RunOptions{StagedFraction: 1, IntermediatesToBB: true, TraceSink: trace.Retain}
+	ref, err := sim.Run(wf, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines bytes.Buffer
+	for _, ev := range ref.Trace.Events() {
+		raw, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines.Write(append(raw, '\n'))
+	}
+	sameRecord := func(a, b *trace.TaskRecord) bool { return *a == *b }
+	for _, retainFirst := range []bool{true, false} {
+		for _, metrics := range []bool{false, true} {
+			var out bytes.Buffer
+			jsonl := trace.NewJSONLSink(&out)
+			sink := trace.Tee(jsonl, trace.Retain)
+			if retainFirst {
+				sink = trace.Tee(trace.Retain, jsonl)
+			}
+			opts.TraceSink, opts.Metrics = sink, metrics
+			res, err := sim.Run(wf, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := jsonl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			events, records := res.Trace.Events(), res.Trace.Records()
+			if !slices.Equal(events, ref.Trace.Events()) || !slices.EqualFunc(records, ref.Trace.Records(), sameRecord) {
+				t.Errorf("Retain first %v, metrics %v: retained %d events and %d records, want %d and %d",
+					retainFirst, metrics, len(events), len(records), len(ref.Trace.Events()), len(ref.Trace.Records()))
+			}
+			if !bytes.Equal(out.Bytes(), lines.Bytes()) {
+				t.Errorf("Retain first %v, metrics %v: the JSONL sink got %d lines, want one per event (%d)",
+					retainFirst, metrics, bytes.Count(out.Bytes(), []byte("\n")), len(ref.Trace.Events()))
+			}
+		}
 	}
 }
 

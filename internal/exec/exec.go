@@ -127,9 +127,10 @@ type Config struct {
 	// fault model always fall back, with or without this flag.
 	BBFallback bool
 	// TraceSink receives the run's events (see trace.New). Nil — the
-	// default — keeps only counts and folded summaries; trace.Retain keeps
-	// the whole trace in memory. The engine emits the exact same event
-	// sequence whatever the sink. The engine keeps no metrics: a run's
+	// default — keeps only counts and folded summaries; trace.Retain,
+	// alone or anywhere in a chain of trace.Tees, keeps the whole trace
+	// in memory. The engine emits the exact same event sequence whatever
+	// the sink. The engine keeps no metrics: a run's
 	// task, checkpoint and adaptation metrics are a fold over these
 	// events (core.NewMetricsFold), whose task families add from the
 	// task records the run's trace builds from them and hands a sink that

@@ -10,6 +10,10 @@
 // pairs for containers, Key (or a *Field helper) before each object
 // member's value. The error for the first unsupported value (NaN or ±Inf)
 // is kept and returned by Bytes.
+//
+// AppendString and AppendFloat are the writer's string and number forms
+// on their own, for compact JSON written without a Writer: the trace's
+// event objects (one JSONL line each) are appended through them.
 package jsonw
 
 import (
@@ -102,7 +106,7 @@ func (w *Writer) EndArray() { w.close(']') }
 // Key writes an object member's key; the next value written is its value.
 func (w *Writer) Key(k string) {
 	w.member()
-	w.buf = appendString(w.buf, k)
+	w.buf = AppendString(w.buf, k)
 	w.buf = append(w.buf, ':', ' ')
 	w.keyed = true
 }
@@ -116,7 +120,7 @@ func (w *Writer) Null() {
 // String writes s as a JSON string.
 func (w *Writer) String(s string) {
 	w.value()
-	w.buf = appendString(w.buf, s)
+	w.buf = AppendString(w.buf, s)
 }
 
 // Int writes an integer.
@@ -136,7 +140,7 @@ func (w *Writer) Uint(v uint64) {
 func (w *Writer) Float(f float64) {
 	w.value()
 	var err error
-	if w.buf, err = appendFloat(w.buf, f); err != nil && w.err == nil {
+	if w.buf, err = AppendFloat(w.buf, f); err != nil && w.err == nil {
 		w.err = err
 	}
 }
@@ -179,10 +183,10 @@ func (w *Writer) UintField(k string, v uint64) { w.Key(k); w.Uint(v) }
 // FloatField writes one float64 member.
 func (w *Writer) FloatField(k string, v float64) { w.Key(k); w.Float(v) }
 
-// appendFloat appends f in encoding/json's form: the shortest 'f' form,
+// AppendFloat appends f in encoding/json's form: the shortest 'f' form,
 // or the 'e' form below 1e-6 and from 1e21 up with a one-digit negative
 // exponent unpadded (1e-7, not 1e-07). NaN and ±Inf return an error.
-func appendFloat(b []byte, f float64) ([]byte, error) {
+func AppendFloat(b []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return b, fmt.Errorf("jsonw: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
 	}
@@ -202,12 +206,12 @@ func appendFloat(b []byte, f float64) ([]byte, error) {
 
 const hex = "0123456789abcdef"
 
-// appendString appends s quoted as encoding/json quotes it with HTML
+// AppendString appends s quoted as encoding/json quotes it with HTML
 // escaping on: ", \ and control bytes escaped (\b \f \n \r \t by name,
 // the rest as \u00XX), <, > and & as \u003c, \u003e and \u0026, U+2028
 // and U+2029 as \u2028 and \u2029, and each byte of invalid UTF-8 as
 // \ufffd.
-func appendString(b []byte, s string) []byte {
+func AppendString(b []byte, s string) []byte {
 	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); {

@@ -132,7 +132,7 @@ func check(t *testing.T, v any) {
 	}
 }
 
-// TestFloatFormsMatchEncodingJSON checks appendFloat around the switches
+// TestFloatFormsMatchEncodingJSON checks AppendFloat around the switches
 // between the 'f' and 'e' forms and at the extremes.
 func TestFloatFormsMatchEncodingJSON(t *testing.T) {
 	for _, f := range []float64{
@@ -140,13 +140,13 @@ func TestFloatFormsMatchEncodingJSON(t *testing.T) {
 		1e21, math.Nextafter(1e21, 0), 1e22, 1e100, math.MaxFloat64, math.SmallestNonzeroFloat64, -1e-7, -1e21,
 	} {
 		want, _ := json.Marshal(f)
-		got, err := appendFloat(nil, f)
+		got, err := AppendFloat(nil, f)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Errorf("%g: %s (%v), want %s", f, got, err, want)
 		}
 	}
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := appendFloat(nil, f); err == nil {
+		if _, err := AppendFloat(nil, f); err == nil {
 			t.Errorf("%g formatted without error", f)
 		}
 		w := New(nil)

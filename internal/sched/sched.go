@@ -153,7 +153,7 @@ type Result struct {
 	Events      uint64
 	PeakPending int
 	// Trace is the campaign's trace: its event log only when
-	// Config.TraceSink is trace.Retain.
+	// Config.TraceSink is or holds trace.Retain.
 	Trace *trace.Trace
 	// Metrics is the campaign's observability snapshot.
 	Metrics *metrics.Snapshot

@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"encoding/csv"
-	"encoding/json"
 	"io"
 	"strconv"
 )
@@ -75,7 +74,7 @@ func (m *memory) events() []Event {
 // Retain asks New for a retaining trace: every event and task record
 // stays in memory for Events, Records, RenderGantt, MarshalJSON and Save.
 // It is a marker, not a sink: New replaces it with the trace's own store,
-// and closing it does nothing.
+// alone or anywhere in a chain of Tees, and closing it does nothing.
 var Retain Sink = retain{}
 
 type retain struct{}
@@ -84,8 +83,9 @@ func (retain) Emit(Event)   {}
 func (retain) Close() error { return nil }
 
 // Tee returns a sink that emits each event to a, then to b; a nil sink
-// is left out. Retain may be a: the trace then retains the events and
-// also sends them to b. Closing the tee closes neither sink.
+// is left out. Either may be Retain, or a Tee holding it: the trace then
+// retains the events and also sends them to the other sinks. Closing the
+// tee closes neither sink.
 func Tee(a, b Sink) Sink {
 	if a == nil {
 		return b
@@ -105,25 +105,29 @@ func (t *tee) Emit(ev Event) {
 
 func (t *tee) Close() error { return nil }
 
-// JSONLSink writes one JSON object per event per line. Lines use the same
-// field schema as the retained trace's "events" array.
+// JSONLSink writes one JSON object per event per line, as Event's
+// MarshalJSON writes it: the field schema of the retained trace's
+// "events" array.
 type JSONLSink struct {
-	w   *bufio.Writer
-	enc *json.Encoder
-	err error
+	w      *bufio.Writer
+	detail []byte
+	err    error
 }
 
 // NewJSONLSink returns a sink buffering onto w. The caller remains
 // responsible for closing w itself, if it needs closing.
 func NewJSONLSink(w io.Writer) *JSONLSink {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	return &JSONLSink{w: bw, enc: json.NewEncoder(bw)}
+	return &JSONLSink{w: bufio.NewWriterSize(w, 1<<16)}
 }
 
 // Emit implements Sink.
 func (s *JSONLSink) Emit(ev Event) {
-	if s.err == nil {
-		s.err = s.enc.Encode(ev)
+	if s.err != nil {
+		return
+	}
+	var line []byte
+	if line, s.detail, s.err = appendEvent(s.w.AvailableBuffer(), s.detail, &ev); s.err == nil {
+		_, s.err = s.w.Write(append(line, '\n'))
 	}
 }
 
@@ -163,9 +167,7 @@ func (s *CSVSink) Emit(ev Event) {
 		}
 	}
 	s.scratch[0] = strconv.FormatFloat(ev.Time, 'g', -1, 64)
-	s.scratch[1] = ev.Kind.String()
-	s.scratch[2] = ev.TaskID
-	s.detail = appendDetail(s.detail[:0], &ev)
+	s.scratch[1], s.scratch[2], s.detail = ev.text(s.detail)
 	s.scratch[3] = string(s.detail)
 	s.err = s.w.Write(s.scratch[:])
 }

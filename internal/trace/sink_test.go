@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -366,24 +367,13 @@ func TestRetainedChunks(t *testing.T) {
 		}
 	}
 
-	plain, err := json.Marshal(jsonTrace{Workflow: "wf", Platform: "plat", Makespan: tr.Makespan(), Tasks: records, Events: want})
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := threePass(t, jsonTrace{"wf", "plat", tr.Makespan(), records, schemaEvents(want)})
 	raw, err := tr.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(raw, plain) {
+	if !bytes.Equal(raw, doc) {
 		t.Fatal("MarshalJSON bytes differ from marshalling a plain event slice")
-	}
-	var pretty map[string]any
-	if err := json.Unmarshal(plain, &pretty); err != nil {
-		t.Fatal(err)
-	}
-	indented, err := json.MarshalIndent(pretty, "", "  ")
-	if err != nil {
-		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "trace.json")
 	if err := tr.Save(path); err != nil {
@@ -393,7 +383,7 @@ func TestRetainedChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(saved, append(indented, '\n')) {
+	if !bytes.Equal(saved, append(doc, '\n')) {
 		t.Fatal("Save bytes differ from saving a plain event slice")
 	}
 }
@@ -492,18 +482,27 @@ func TestNilSinkCounts(t *testing.T) {
 	}
 }
 
-// TestTee: a tee sends every event to both sinks, skips a nil one, and
-// with Retain first the trace retains the events it also forwards.
+// TestTee: a tee sends every event to both sinks and skips a nil one,
+// and the trace retains the events it also forwards with Retain anywhere
+// in a chain of Tees, each event once however often Retain appears.
 func TestTee(t *testing.T) {
 	var b collect
 	if Tee(nil, &b) != Sink(&b) || Tee(&b, nil) != Sink(&b) {
 		t.Error("Tee with a nil sink is not the other sink")
 	}
-	tr := New("wf", "p", Tee(Retain, &b))
-	tr.Record(1, TaskStart, "a", Named("n0"))
-	tr.Record(2, TaskEnd, "a", Event{X: 0.5})
-	if got := tr.Events(); len(got) != 2 || !slices.Equal(got, b.events) {
-		t.Errorf("retained %v, forwarded %v: want the same two events", got, b.events)
+	for name, chain := range map[string]func(Sink) Sink{
+		"first":  func(c Sink) Sink { return Tee(Retain, c) },
+		"second": func(c Sink) Sink { return Tee(c, Retain) },
+		"nested": func(c Sink) Sink { return Tee(Tee(c, Retain), NewCSVSink(io.Discard)) },
+		"twice":  func(c Sink) Sink { return Tee(Retain, Tee(c, Retain)) },
+	} {
+		var b collect
+		tr := New("wf", "p", chain(&b))
+		tr.Record(1, TaskStart, "a", Named("n0"))
+		tr.Record(2, TaskEnd, "a", Event{X: 0.5})
+		if got := tr.Events(); len(got) != 2 || !slices.Equal(got, b.events) {
+			t.Errorf("%s: retained %v, forwarded %v: want the same two events", name, got, b.events)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"errors"
 	"os"
 	"sort"
@@ -17,8 +16,8 @@ import (
 )
 
 // EventKind labels a trace event. Kinds are small dense integers, so
-// Record counts them in a fixed array; String and MarshalText give the
-// names the JSON, JSONL and CSV outputs carry.
+// Record counts them in a fixed array; String gives the names the JSON,
+// JSONL and CSV outputs carry.
 type EventKind uint8
 
 const (
@@ -186,14 +185,11 @@ var kindNames = [numKinds]string{
 // String returns the kind's name, e.g. "task-start".
 func (k EventKind) String() string { return kindNames[k] }
 
-// MarshalText encodes the kind as its name, so JSON carries "task-start".
-func (k EventKind) MarshalText() ([]byte, error) { return []byte(kindNames[k]), nil }
-
 // Event is one time-stamped occurrence. Its detail is typed: a form tag
 // says which operands the event carries and how they render as the
 // detail text the EventKind comments give. The text exists only on
-// output (MarshalJSON, Save, JSONLSink and CSVSink), so recording an
-// event builds no string.
+// output: every output (MarshalJSON, Save, JSONLSink and CSVSink) takes
+// it from text, so recording an event builds no string.
 type Event struct {
 	Time   float64
 	TaskID string
@@ -217,18 +213,36 @@ type Event struct {
 	moved       bool // Y holds the bytes the event moved
 }
 
-// jsonEvent is an event's output schema.
-type jsonEvent struct {
-	Time   float64   `json:"time"`
-	Kind   EventKind `json:"kind"`
-	TaskID string    `json:"task"`
-	Detail string    `json:"detail,omitempty"`
+// text returns what every output writes of ev beside its time: its
+// kind's name, its task, and its detail text, appended to scratch[:0].
+func (ev *Event) text(scratch []byte) (kind, task string, detail []byte) {
+	return kindNames[ev.Kind], ev.TaskID, appendDetail(scratch[:0], ev)
 }
 
-// MarshalJSON writes the event as {"time","kind","task","detail"}, with
-// the detail rendered from its operands and omitted when empty.
+// appendEvent appends ev to b as the compact JSON object
+// {"time","kind","task","detail"}, the detail omitted when empty: the one
+// form of an event in MarshalJSON and JSONLSink. It returns b and the
+// detail text it rendered into scratch, for reuse. A NaN or infinite
+// time has no JSON form and is an error.
+func appendEvent(b, scratch []byte, ev *Event) ([]byte, []byte, error) {
+	kind, task, detail := ev.text(scratch)
+	b = append(b, `{"time":`...)
+	b, err := jsonw.AppendFloat(b, ev.Time)
+	b = append(b, `,"kind":`...)
+	b = jsonw.AppendString(b, kind)
+	b = append(b, `,"task":`...)
+	b = jsonw.AppendString(b, task)
+	if len(detail) > 0 {
+		b = append(b, `,"detail":`...)
+		b = jsonw.AppendString(b, string(detail))
+	}
+	return append(b, '}'), detail, err
+}
+
+// MarshalJSON writes the event as appendEvent does.
 func (ev Event) MarshalJSON() ([]byte, error) {
-	return json.Marshal(jsonEvent{ev.Time, ev.Kind, ev.TaskID, string(appendDetail(nil, &ev))})
+	b, _, err := appendEvent(nil, nil, &ev)
+	return b, err
 }
 
 // TaskRecord aggregates one task's execution. Record builds it from the
@@ -279,8 +293,9 @@ type Trace struct {
 	WorkflowName string
 	PlatformName string
 	sink         Sink // nil on a counting trace
-	// mem is the retaining sink of a trace built with Retain: the only
-	// case in which events and task records outlive the run.
+	// mem is the trace's own store, which bind puts in Retain's place in
+	// its sink chain: the only case in which events and task records
+	// outlive the run.
 	mem      *memory
 	makespan float64
 	counts   [numKinds]int // per-kind event counts
@@ -308,28 +323,36 @@ type Trace struct {
 // the trace keeps the per-kind counts and the makespan, so memory is O(1),
 // not O(total events). Retain keeps every event (and, on a ForWorkflow
 // trace, every task record) in memory, which Events, Records, RenderGantt,
-// MarshalJSON, Save and the invariants/replay harness require, also as
-// the first sink of a Tee. Any other sink (JSONLSink, CSVSink) receives
-// each event as it is recorded; the caller owns it and must Close it
-// after the run. A trace from New keeps no task records: batch campaigns
-// (internal/sched) record job events only.
+// MarshalJSON, Save and the invariants/replay harness require, alone or
+// anywhere in a chain of Tees. Any other sink (JSONLSink, CSVSink)
+// receives each event as it is recorded; the caller owns it and must
+// Close it after the run. A trace from New keeps no task records: batch
+// campaigns (internal/sched) record job events only.
 func New(workflowName, platformName string, sink Sink) *Trace {
-	t := &Trace{
-		WorkflowName: workflowName,
-		PlatformName: platformName,
-		sink:         sink,
-	}
-	switch s := sink.(type) {
+	t := &Trace{WorkflowName: workflowName, PlatformName: platformName}
+	t.sink = t.bind(sink)
+	return t
+}
+
+// bind returns the sink the trace emits to for the chain s, in one walk
+// over its Tees: the first Retain becomes the trace's own store (a second
+// one adds nothing), and the first AttemptSink is the one the trace hands
+// task records to. The caller's tees are left as they are.
+func (t *Trace) bind(s Sink) Sink {
+	switch s := s.(type) {
 	case retain:
-		t.mem = &memory{}
-		t.sink = t.mem
-	case *tee:
-		if s.a == Retain {
+		if t.mem == nil {
 			t.mem = &memory{}
-			t.sink = &tee{t.mem, s.b}
+			return t.mem
+		}
+	case *tee:
+		return &tee{t.bind(s.a), t.bind(s.b)}
+	case AttemptSink:
+		if t.closer == nil {
+			t.closer = s
 		}
 	}
-	return t
+	return s
 }
 
 // ForWorkflow returns an empty trace of a run of wf, as New does, that
@@ -341,33 +364,18 @@ func ForWorkflow(wf *workflow.Workflow, platformName string, sink Sink) *Trace {
 	t := New(wf.Name(), platformName, sink)
 	t.tasks = wf.Tasks()
 	t.slot = make([]int32, len(t.tasks))
-	t.closer = findCloser(sink)
 	return t
 }
 
 // AttemptSink is a sink that also reads task records. A ForWorkflow
-// trace whose sink is one, or a Tee holding one, hands it each task
-// attempt's record as the attempt closes.
+// trace whose sink is one, or has one anywhere in its chain of Tees,
+// hands it each task attempt's record as the attempt closes.
 type AttemptSink interface {
 	Sink
 	// AttemptClosed receives the task-end or task-fail that closes an
 	// attempt, with the task's record: at a task-end complete, before the
 	// trace folds or frees it; at a task-fail as the attempt left it.
 	AttemptClosed(ev Event, r *TaskRecord)
-}
-
-// findCloser returns the AttemptSink in sink's chain, or nil.
-func findCloser(sink Sink) AttemptSink {
-	switch s := sink.(type) {
-	case AttemptSink:
-		return s
-	case *tee:
-		if c := findCloser(s.a); c != nil {
-			return c
-		}
-		return findCloser(s.b)
-	}
-	return nil
 }
 
 // Record logs an event of kind for taskID at time, whose detail operands
@@ -594,41 +602,19 @@ func (t *Trace) liveRecords() []*TaskRecord {
 	return live
 }
 
-// jsonTrace is the export schema.
-type jsonTrace struct {
-	Workflow string        `json:"workflow"`
-	Platform string        `json:"platform"`
-	Makespan float64       `json:"makespan"`
-	Tasks    []*TaskRecord `json:"tasks"`
-	Events   []Event       `json:"events"`
-}
-
 // errNotRetained is MarshalJSON's and Save's error on a trace that does
 // not retain.
 var errNotRetained = errors.New("trace: cannot marshal a trace whose events went to a sink")
 
-// MarshalJSON implements json.Marshaler. Only a retaining trace carries the
-// full event log and task records the schema promises.
+// MarshalJSON returns the trace as one indented JSON document, written in
+// one pass through jsonw: {"events","makespan","platform","tasks",
+// "workflow"}, every object's keys in sorted order, two-space indented,
+// numbers in encoding/json's float64 form and each byte of invalid UTF-8
+// in a string as U+FFFD. Only a retaining trace carries the full event
+// log and task records the document holds.
 func (t *Trace) MarshalJSON() ([]byte, error) {
 	if t.mem == nil {
 		return nil, errNotRetained
-	}
-	return json.Marshal(jsonTrace{
-		Workflow: t.WorkflowName,
-		Platform: t.PlatformName,
-		Makespan: t.makespan,
-		Tasks:    t.recs,
-		Events:   t.mem.events(),
-	})
-}
-
-// Save writes the trace as indented JSON: MarshalJSON's document with
-// every object's keys in sorted order, two-space indented, numbers in
-// encoding/json's float64 form and each byte of invalid UTF-8 in a string
-// as U+FFFD. It writes that form in one pass, through jsonw.
-func (t *Trace) Save(path string) error {
-	if t.mem == nil {
-		return errNotRetained
 	}
 	w := jsonw.New(nil)
 	w.BeginObject()
@@ -637,15 +623,17 @@ func (t *Trace) Save(path string) error {
 		w.Null()
 	} else {
 		w.BeginArray()
+		var kind, task string
 		var detail []byte
 		for i := range events {
 			ev := &events[i]
+			kind, task, detail = ev.text(detail)
 			w.BeginObject()
-			if detail = appendDetail(detail[:0], ev); len(detail) > 0 {
+			if len(detail) > 0 {
 				w.StringField("detail", validUTF8(string(detail)))
 			}
-			w.StringField("kind", ev.Kind.String())
-			w.StringField("task", validUTF8(ev.TaskID))
+			w.StringField("kind", kind)
+			w.StringField("task", validUTF8(task))
 			w.FloatField("time", ev.Time)
 			w.EndObject()
 		}
@@ -680,7 +668,12 @@ func (t *Trace) Save(path string) error {
 	}
 	w.StringField("workflow", validUTF8(t.WorkflowName))
 	w.EndObject()
-	buf, err := w.Bytes()
+	return w.Bytes()
+}
+
+// Save writes MarshalJSON's document to path, ending in a newline.
+func (t *Trace) Save(path string) error {
+	buf, err := t.MarshalJSON()
 	if err != nil {
 		return err
 	}

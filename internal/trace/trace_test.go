@@ -276,12 +276,47 @@ func TestSave(t *testing.T) {
 	}
 }
 
-// threePassSave is the form Save writes, computed as Save once did:
-// MarshalJSON's bytes decoded into generic values and encoded again,
-// indented. It is Save's oracle.
-func threePassSave(t testing.TB, tr *Trace) []byte {
+// jsonEvent and jsonTrace are the trace's output schema as encoding/json
+// reflects over it: the independent oracle of appendEvent, MarshalJSON
+// and Save.
+type jsonEvent struct {
+	Time   float64 `json:"time"`
+	Kind   string  `json:"kind"`
+	TaskID string  `json:"task"`
+	Detail string  `json:"detail,omitempty"`
+}
+
+type jsonTrace struct {
+	Workflow string        `json:"workflow"`
+	Platform string        `json:"platform"`
+	Makespan float64       `json:"makespan"`
+	Tasks    []*TaskRecord `json:"tasks"`
+	Events   []jsonEvent   `json:"events"`
+}
+
+// schemaEvent is ev in the output schema.
+func schemaEvent(ev Event) jsonEvent {
+	return jsonEvent{ev.Time, ev.Kind.String(), ev.TaskID, string(appendDetail(nil, &ev))}
+}
+
+// schemaEvents is events in the output schema, nil when events is.
+func schemaEvents(events []Event) []jsonEvent {
+	if events == nil {
+		return nil
+	}
+	out := make([]jsonEvent, len(events))
+	for i, ev := range events {
+		out[i] = schemaEvent(ev)
+	}
+	return out
+}
+
+// threePass is the document MarshalJSON writes for doc, computed as it
+// was once written: encoding/json over the output schema, decoded into
+// generic values and encoded again, indented.
+func threePass(t testing.TB, doc jsonTrace) []byte {
 	t.Helper()
-	raw, err := tr.MarshalJSON()
+	raw, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +328,15 @@ func threePassSave(t testing.TB, tr *Trace) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(buf, '\n')
+	return buf
+}
+
+// threePassSave is the form Save writes of tr: threePass over its
+// retained events and records, and a newline. It is Save's oracle.
+func threePassSave(t testing.TB, tr *Trace) []byte {
+	t.Helper()
+	doc := jsonTrace{tr.WorkflowName, tr.PlatformName, tr.Makespan(), tr.Records(), schemaEvents(tr.Events())}
+	return append(threePass(t, doc), '\n')
 }
 
 // TestSaveMatchesThreePass: Save writes the oracle's bytes on seeded
